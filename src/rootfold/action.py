@@ -28,6 +28,7 @@ from .rootdatum import (
     DatumAutomorphism,
     WeylGroup,
     contragredient,
+    permutation_getter,
     root_permutation,
     weyl_group,
 )
@@ -140,10 +141,8 @@ def _require_automorphism(datum, matrix, context):
         raise InvalidActionError(f"{context}: matrix has wrong shape")
     if abs(det(matrix)) != 1:
         raise InvalidActionError(f"{context}: matrix is not unimodular")
-    aut = DatumAutomorphism(
-        matrix,
-        contragredient(matrix, None if datum.has_standard_pairing else datum.pairing_matrix),
-    )
+    pairing = None if datum.has_standard_pairing else datum.pairing_matrix
+    aut = DatumAutomorphism(matrix, contragredient(matrix, pairing, pairing))
     if root_permutation(datum, aut) is None:
         raise InvalidActionError(
             f"{context}: matrix does not permute the roots compatibly with coroots")
@@ -482,22 +481,29 @@ def _check_coinvariants(cv):
 
 
 def fixed_weyl(action, weyl=None, bound=None):
-    """The subgroup of Weyl elements commuting with every group image."""
+    """The subgroup of Weyl elements commuting with every group image.
+
+    The filter runs on root permutations: w is kept when p o w = w o p
+    for the permutation p of the image g of each group generator, which
+    is commuting with every image.  This is exact.
+    g is a datum automorphism, so g s_a g^-1 = s_{g(a)} and g normalizes
+    W; g w g^-1 and w are then both Weyl elements, with permutations
+    p o w o p^-1 and w, and W acts faithfully on the roots, so
+    g w g^-1 = w exactly when p o w = w o p.  Matrices are built only
+    for the elements kept, and only when a caller asks for them."""
     from .rootdatum import WEYL_BOUND
 
     datum = action.datum
     if weyl is None:
         base = action.target.base if action.is_based else None
         weyl = weyl_group(datum, base=base, bound=bound or WEYL_BOUND)
-    gens = [action.images[g] for g in action.group.generating_set]
-    gens = [g for g in gens if not g.is_identity()]
-    fixed = []
-    for w in weyl:
-        wm = w.on_characters
-        if all(mat_mul(g.on_characters, wm) == mat_mul(wm, g.on_characters)
-               for g in gens):
-            fixed.append(w)
-    return WeylGroup(fixed)
+    ident = tuple(range(len(datum.roots)))
+    gens = sorted({action.root_perms[g] for g in action.group.generating_set} - {ident})
+    fixed = weyl.perms
+    for p in gens:
+        after = permutation_getter(p)
+        fixed = [w for w in fixed if after(w) == permutation_getter(w)(p)]
+    return WeylGroup(datum, fixed)
 
 
 def actions_commute(a, b):

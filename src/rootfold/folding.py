@@ -40,8 +40,8 @@ from .rootdatum import (
     RootDatum,
     is_positive_system,
     is_reduced,
+    permutation_getter,
     reflection,
-    root_permutation,
     verify_axioms,
     verify_base,
     weyl_group,
@@ -277,12 +277,12 @@ def weyl_descent_iso(fold, bound=WEYL_BOUND):
         raise AssertionError(
             f"|restricted Weyl| = {len(w_bar)} != |fixed subgroup| = {len(w_fixed)}")
 
-    # the induced map on the quotient, per fixed element
+    # the induced map on the quotient, per fixed element; ``down`` maps
+    # the root permutation of each fixed element to that of its image
     to_restricted = {}
-    induced_perm = {}
-    semisimple = restricted.is_semisimple and source.is_semisimple
+    down = {}
     seen = set()
-    for w in w_fixed:
+    for w, p in zip(w_fixed, w_fixed.sorted_perms):
         m = induced_fixed_map(fold, w)
         if m in seen:
             raise AssertionError("fixed subgroup does not act faithfully")
@@ -291,6 +291,7 @@ def weyl_descent_iso(fold, bound=WEYL_BOUND):
         if target is None:
             raise AssertionError("induced map is not a restricted Weyl element")
         to_restricted[w.on_characters] = target
+        down[p] = w_bar.sorted_perms[w_bar.index(target)]
     if len(seen) != len(w_bar):
         raise AssertionError("induced maps do not exhaust the restricted Weyl group")
     to_fixed = {}
@@ -321,31 +322,14 @@ def weyl_descent_iso(fold, bound=WEYL_BOUND):
                 cv.projection, lift.on_characters):
             raise AssertionError("embedding relation fails on the lattice")
 
-    # multiplicativity on the full table
-    if semisimple:
-        fixed_perm = {}
-        down_perm = {}
-        for w in w_fixed:
-            p = root_permutation(source, w)
-            fixed_perm[w.on_characters] = p
-            down_perm[p] = root_permutation(
-                restricted, to_restricted[w.on_characters])
-        perms = list(fixed_perm.values())
-        for p in perms:
-            dp = down_perm[p]
-            for q in perms:
-                comp = tuple(p[i] for i in q)
-                dq = down_perm[q]
-                if down_perm[comp] != tuple(dp[i] for i in dq):
-                    raise AssertionError("descent is not multiplicative")
-    else:
-        for u in w_fixed:
-            for v in w_fixed:
-                prod = u * v
-                lhs = to_restricted[prod.on_characters]
-                rhs = to_restricted[u.on_characters] * to_restricted[v.on_characters]
-                if lhs.on_characters != rhs.on_characters:
-                    raise AssertionError("descent is not multiplicative")
+    # multiplicativity on the full table, compared on root permutations:
+    # both Weyl groups act faithfully on their roots, so equal
+    # permutations are equal elements
+    for q, dq in down.items():
+        right, right_down = permutation_getter(q), permutation_getter(dq)
+        for p, dp in down.items():
+            if down.get(right(p)) != right_down(dp):
+                raise AssertionError("descent is not multiplicative")
 
     return WeylDescent(fold, w_bar, w_fixed, to_fixed, to_restricted)
 

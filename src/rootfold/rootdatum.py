@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
+from operator import itemgetter
 
 from .errors import EnumerationOverflow, UnknownTypeError
 from .lattice import (
@@ -23,6 +24,7 @@ from .lattice import (
     det,
     dot,
     identity_matrix,
+    integer_kernel,
     mat_mul,
     mat_vec,
     solve_exact,
@@ -36,14 +38,18 @@ from .lattice import (
 WEYL_BOUND = 10 ** 6
 
 
-def contragredient(matrix, pairing=None):
+def contragredient(matrix, pairing=None, target_pairing=None):
     """The induced map on the cocharacter side: the unique A' with
-    <A x, A' y> = <x, y>.  For the standard pairing this is the
-    inverse transpose."""
-    inv_t = transpose(unimodular_inverse(matrix))
-    if pairing is None:
-        return inv_t
-    return mat_mul(unimodular_inverse(pairing), mat_mul(inv_t, pairing))
+    <A x, A' y>' = <x, y>, where <,> is the source pairing ``pairing``
+    and <,>' the target pairing ``target_pairing`` (None stands for the
+    standard dot product).  That is A' = P'^-1 A^-T P; for the standard
+    pairing on both sides it is the inverse transpose."""
+    out = transpose(unimodular_inverse(matrix))
+    if pairing is not None:
+        out = mat_mul(out, pairing)
+    if target_pairing is not None:
+        out = mat_mul(unimodular_inverse(target_pairing), out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ class DatumAutomorphism:
 
     @classmethod
     def from_matrix(cls, matrix, pairing=None):
-        return cls(matrix, contragredient(matrix, pairing))
+        return cls(matrix, contragredient(matrix, pairing, pairing))
 
     def __mul__(self, other):
         return DatumAutomorphism(
@@ -146,13 +152,40 @@ class BasedRootDatum:
 
 
 class WeylGroup:
-    """Finite group of datum automorphisms, canonically sorted."""
+    """A finite group of datum automorphisms, stored as root permutations.
 
-    def __init__(self, elements, generator_indices=()):
-        self.elements = tuple(sorted(elements, key=lambda a: a.sort_key()))
-        self.order = len(self.elements)
+    The Weyl group of a root datum acts faithfully on its roots
+    (``verify_axioms`` proves it), so the permutation of the root
+    indices names an element; ``perms`` lists them in closure order and
+    ``len`` is known at once.  The automorphisms themselves, and the
+    canonical order sorting them by character matrix, are built on first
+    use of ``elements``, iteration, ``index``, ``in`` or
+    ``element_with_matrix``; ``sorted_perms`` lists the permutations in
+    that canonical order."""
+
+    def __init__(self, datum, perms, generator_indices=()):
+        self.datum = datum
+        self.perms = tuple(perms)
+        self.order = len(self.perms)
         self.generator_indices = tuple(generator_indices)
-        self._position = {a.on_characters: i for i, a in enumerate(self.elements)}
+
+    @cached_property
+    def _canonical(self):
+        auts = _automorphisms_from_permutations(self.datum, self.perms)
+        ranked = sorted(zip(auts, self.perms), key=lambda e: e[0].on_characters)
+        return tuple(a for a, _ in ranked), tuple(p for _, p in ranked)
+
+    @property
+    def elements(self):
+        return self._canonical[0]
+
+    @property
+    def sorted_perms(self):
+        return self._canonical[1]
+
+    @cached_property
+    def _position(self):
+        return {a.on_characters: i for i, a in enumerate(self.elements)}
 
     def __iter__(self):
         return iter(self.elements)
@@ -206,24 +239,30 @@ def root_permutation(datum, aut):
     return tuple(perm)
 
 
+def permutation_getter(indices):
+    """The map s -> tuple(s[i] for i in indices), run in C by
+    ``operator.itemgetter``.  On root permutations, permutation_getter(q)
+    sends p to the composite p o q (first q, then p)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda s: tuple(s[i] for i in indices)
+
+
 def is_reduced(datum):
     rs = set(datum.roots)
     return not any(tuple(2 * x for x in r) in rs for r in datum.roots)
 
 
-def _distinct_reflections(datum, base=None):
-    indices = base if base is not None else range(len(datum.roots))
-    seen = {}
-    for i in indices:
-        r = reflection(datum, i)
-        if r.on_characters not in seen:
-            seen[r.on_characters] = (i, r)
-    return [seen[k] for k in sorted(seen)]
+def _automorphisms_from_permutations(datum, perms):
+    """The datum automorphisms inducing the given permutations of the
+    roots, which must be Weyl elements.
 
-
-def _matrices_from_permutations(datum, perms):
-    """Convert root permutations back to character matrices, using n
-    linearly independent roots (requires a semisimple datum)."""
+    With r_i independent roots and z_j a basis of the annihilator of the
+    coroots, [r_i | z_j] is invertible (see ``verify_axioms``) and every
+    Weyl element w fixes each z_j, so its character matrix is
+    [w r_i | z_j] [r_i | z_j]^-1, computed with the adjugate and one
+    exact division.  The cocharacter matrix is the contragredient, read
+    off the matrix of the inverse permutation."""
     n = datum.rank
     chosen = []
     for i, r in enumerate(datum.roots):
@@ -231,14 +270,31 @@ def _matrices_from_permutations(datum, perms):
             chosen.append(i)
         if len(chosen) == n:
             break
-    cols = transpose(tuple(datum.roots[i] for i in chosen))
-    adj, d = adjugate_and_det(cols)
-    out = {}
+    fixed = []
+    if len(chosen) < n:
+        rows = tuple(datum.coroots if datum.has_standard_pairing else
+                     (mat_vec(datum.pairing_matrix, c) for c in datum.coroots))
+        fixed = list(integer_kernel(rows, cols=n))
+    basis = [datum.roots[i] for i in chosen] + fixed
+    adj, d = adjugate_and_det(transpose(tuple(basis)))
+    mats = {}
     for p in perms:
-        img_cols = transpose(tuple(datum.roots[p[i]] for i in chosen))
-        raw = mat_mul(img_cols, adj)
-        out[p] = tuple(tuple(x // d for x in row) for row in raw)
-        assert all(x % d == 0 for row in raw for x in row)
+        images = [datum.roots[p[i]] for i in chosen] + fixed
+        raw = mat_mul(transpose(tuple(images)), adj)
+        if any(x % d for row in raw for x in row):
+            raise AssertionError(
+                "root permutation is not induced by a lattice automorphism")
+        mats[p] = tuple(tuple(x // d for x in row) for row in raw)
+    if datum.has_standard_pairing:
+        pairing = p_inv = None
+    else:
+        pairing = datum.pairing_matrix
+        p_inv = unimodular_inverse(pairing)
+    out = []
+    for p in perms:
+        m_inv_t = transpose(mats[_invert_permutation(p)])
+        cochar = m_inv_t if pairing is None else mat_mul(p_inv, mat_mul(m_inv_t, pairing))
+        out.append(DatumAutomorphism(mats[p], cochar))
     return out
 
 
@@ -250,77 +306,62 @@ def _invert_permutation(p):
 
 
 def weyl_group(datum, base=None, bound=WEYL_BOUND):
-    """Breadth-first closure of the reflections (the simple ones when a
-    base is given, else one per reflection hyperplane).  Raises
+    """Breadth-first closure of the simple reflection permutations of
+    ``base`` (by default the canonical base), which generate W; no
+    matrix is built until the caller asks for one.  Raises
     EnumerationOverflow beyond ``bound`` elements."""
-    gens = _distinct_reflections(datum, base)
-    if not gens:
-        return WeylGroup([DatumAutomorphism.identity(datum.rank)])
-    gen_indices = tuple(i for i, _ in gens)
-    if datum.is_semisimple:
-        gen_perms = []
-        for _, aut in gens:
-            p = root_permutation(datum, aut)
-            if p is None:
-                raise AssertionError("reflection does not permute the roots")
-            gen_perms.append(p)
-        nroots = len(datum.roots)
-        ident = tuple(range(nroots))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gen_perms:
-                    c = tuple(g[i] for i in w)
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-            if len(seen) > bound:
-                raise EnumerationOverflow(
-                    f"reflection group exceeds {bound} elements")
-            frontier = nxt
-        mats = _matrices_from_permutations(datum, seen)
-        pairing = None if datum.has_standard_pairing else datum.pairing_matrix
-        if pairing is not None:
-            p_inv = unimodular_inverse(pairing)
-        elements = []
-        for p in seen:
-            m = mats[p]
-            m_inv_t = transpose(mats[_invert_permutation(p)])
-            if pairing is None:
-                cochar = m_inv_t
-            else:
-                cochar = mat_mul(p_inv, mat_mul(m_inv_t, pairing))
-            elements.append(DatumAutomorphism(m, cochar))
-        return WeylGroup(elements, gen_indices)
-    # non-semisimple: close over matrices directly
-    seen = {}
-    ident = DatumAutomorphism.identity(datum.rank)
-    seen[ident.on_characters] = ident
+    if base is None:
+        base = canonical_base(datum)
+    gens = [root_permutation(datum, reflection(datum, i)) for i in base]
+    if None in gens:
+        raise AssertionError("reflection does not permute the roots")
+    steps = [permutation_getter(p) for p in gens]
+    ident = tuple(range(len(datum.roots)))
+    seen = {ident}
     frontier = [ident]
-    gen_auts = [aut for _, aut in gens]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in gen_auts:
-                c = g * w
-                if c.on_characters not in seen:
-                    seen[c.on_characters] = c
+            for step in steps:
+                c = step(w)
+                if c not in seen:
+                    seen.add(c)
                     nxt.append(c)
         if len(seen) > bound:
             raise EnumerationOverflow(f"reflection group exceeds {bound} elements")
         frontier = nxt
-    return WeylGroup(list(seen.values()), gen_indices)
+    return WeylGroup(datum, seen, base)
 
 
 # ---------------------------------------------------------------------------
 # axioms
 
 
-def verify_axioms(datum, bound=WEYL_BOUND):
+def verify_axioms(datum):
     """Check every root-datum axiom; returns a list of violation
-    messages, empty when the datum is valid.  Nothing is raised."""
+    messages, empty when the datum is valid.  Nothing is raised.
+
+    The Weyl group W needs no closure to be known finite.  The checks
+    below make each reflection s_a permute the finite root set R, and
+    its contragredient permute the coroots R' in step.  W then acts
+    faithfully on R, so it embeds in the symmetric group of R.
+
+    Proof of faithfulness, over Q.  The form (x, y) = sum over c in R'
+    of <x, c><y, c> is W-invariant and positive semidefinite, and its
+    radical is the annihilator A of R'.  On the hyperplane <x, a'> = 0
+    the reflection s_a is the identity, so there (x, a) = (s_a x, s_a a)
+    = -(x, a) = 0.  As (a, a) >= <a, a'>^2 = 4, the two functionals agree
+    up to scale: <x, a'> = 2 (x, a) / (a, a) for every x.  So the linear
+    map x -> (x, .), whose kernel is A, sends each root to a multiple of
+    its coroot and span R onto span R', giving
+    dim span R' = dim span R - dim (span R meet A).  The same argument on
+    the cocharacter side gives
+    dim span R = dim span R' - dim (span R' meet A'), A' the annihilator
+    of R.  Adding the two, span R meets A only in 0 and both spans have
+    dimension rank - dim A: the characters are the direct sum of span R
+    and A.  A Weyl element fixing every root is the identity on span R,
+    and on A because every reflection fixes A pointwise; so it is the
+    identity."""
     problems = []
     roots, coroots = datum.roots, datum.coroots
     if len(roots) != len(coroots):
@@ -351,12 +392,6 @@ def verify_axioms(datum, bound=WEYL_BOUND):
         if root_permutation(datum, w) is None:
             problems.append(
                 f"reflection in root {i} does not permute roots and coroots compatibly")
-    if problems:
-        return problems
-    try:
-        weyl_group(datum, bound=bound)
-    except EnumerationOverflow:
-        problems.append(f"reflection group not finite within bound {bound}")
     return problems
 
 
@@ -417,26 +452,15 @@ def positive_system(datum):
 def positive_systems(datum, bound=WEYL_BOUND):
     """All positive systems, as Weyl translates of the canonical one."""
     w = weyl_group(datum, bound=bound)
-    pos = positive_system(datum)
-    systems = set()
-    for aut in w:
-        perm = root_permutation(datum, aut)
-        systems.add(frozenset(perm[i] for i in pos))
+    translate = permutation_getter(sorted(positive_system(datum)))
+    systems = {frozenset(translate(p)) for p in w.perms}
     return tuple(sorted(systems, key=sorted))
 
 
 def base_of(datum, system):
     """Indecomposable elements of a positive system."""
-    base = []
-    for i in sorted(system):
-        r = datum.roots[i]
-        decomposable = any(
-            vec_add(datum.roots[j], datum.roots[k]) == r
-            for j in system for k in system
-        )
-        if not decomposable:
-            base.append(i)
-    return tuple(base)
+    sums = {vec_add(datum.roots[j], datum.roots[k]) for j in system for k in system}
+    return tuple(i for i in sorted(system) if datum.roots[i] not in sums)
 
 
 def canonical_base(datum):

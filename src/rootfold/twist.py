@@ -24,7 +24,6 @@ from .lattice import (
     det,
     mat_mul,
     transpose,
-    unimodular_inverse,
 )
 from .rootdatum import (
     WEYL_BOUND,
@@ -32,6 +31,7 @@ from .rootdatum import (
     DatumAutomorphism,
     base_of,
     canonical_base,
+    contragredient,
     positive_systems,
     reflection,
     root_permutation,
@@ -416,18 +416,6 @@ def twist_datum(based, galois_star, cocycle, gamma_action=None):
     return TwistedDatum(based, twisted, gamma_action, cocycle)
 
 
-def _cross_contragredient(m, pairing_src, pairing_dst):
-    inv_t = transpose(unimodular_inverse(m))
-    if pairing_src is None and pairing_dst is None:
-        return inv_t
-    from .lattice import identity_matrix
-
-    n = len(m)
-    p1 = pairing_src if pairing_src is not None else identity_matrix(n)
-    p2 = pairing_dst if pairing_dst is not None else identity_matrix(n)
-    return mat_mul(unimodular_inverse(p2), mat_mul(inv_t, p1))
-
-
 def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND):
     """Search for a lattice isomorphism datum1 -> datum2 commuting with
     the paired actions.  Candidates run over every base of datum2 and
@@ -476,7 +464,7 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
             m = tuple(tuple(x // d0 for x in row) for row in raw)
             if abs(det(m)) != 1:
                 continue
-            mc = _cross_contragredient(m, p1, p2)
+            mc = contragredient(m, p1, p2)
             if _is_datum_isomorphism(datum1, datum2, m, mc) and _is_equivariant(
                     m, actions1, actions2):
                 return DatumAutomorphism(m, mc)

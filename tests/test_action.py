@@ -330,6 +330,47 @@ def test_fixed_weyl_acts_faithfully_on_quotient():
         assert len(induced) == len(fw)
 
 
+def matrix_commutation_filter(action, weyl):
+    """The Weyl elements whose character matrices commute with every
+    generator image: the filter fixed_weyl ran before it worked on root
+    permutations, kept as the reference."""
+    gens = [action.images[g] for g in action.group.generating_set]
+    gens = [g.on_characters for g in gens if not g.is_identity()]
+    return [w for w in weyl
+            if all(mat_mul(g, w.on_characters) == mat_mul(w.on_characters, g)
+                   for g in gens)]
+
+
+def reference_filter_cases():
+    from rootfold.rootdatum import RootDatum
+
+    cases = {}
+    for n in (2, 3, 4, 5):
+        b = from_cartan_type(f"A{n}:sc")
+        cases[f"A{n} flip"] = make_action(b, [(flip_matrix(n), "s")])
+    d4 = from_cartan_type("D4:sc")
+    triality = ((0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0))
+    cases["D4 triality"] = make_action(d4, [(triality, "t")])
+    cases["A1xA1 swap"] = make_action(from_cartan_type("A1:sc x A1:sc"),
+                                      [(flip_matrix(2), "s")])
+    cases["trivial"] = trivial_action(from_cartan_type("B2:sc"))
+    torus = RootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)))
+    cases["A1+torus"] = make_action(torus, [(((1, 0), (0, -1)), "t")])
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(reference_filter_cases()))
+def test_fixed_weyl_matches_matrix_commutation_filter(name):
+    act = reference_filter_cases()[name]
+    w = weyl_group(act.datum, base=act.target.base if act.is_based else None)
+    expected = matrix_commutation_filter(act, w)
+    got = fixed_weyl(act)
+    assert [(a.on_characters, a.on_cocharacters) for a in got] == [
+        (a.on_characters, a.on_cocharacters) for a in expected]
+    assert [a.on_characters for a in fixed_weyl(act, weyl=w)] == [
+        a.on_characters for a in expected]
+
+
 def test_actions_commute():
     act = a2_flip()
     b = from_cartan_type("A2:sc")

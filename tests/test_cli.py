@@ -217,6 +217,25 @@ def test_selftest_passes_and_deterministic():
     assert "selftest: all suites passed" in out1
 
 
+def test_selftest_stdout_unchanged_under_optimize_flag():
+    # python -O strips assert statements; every check the selftest
+    # relies on must raise for real, so the report cannot change
+    import os
+    import subprocess
+    import sys
+
+    src = str(GOLDEN.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    runs = [subprocess.run([sys.executable, *flags, "-m", "rootfold.cli", "selftest"],
+                           env=env, capture_output=True, timeout=300)
+            for flags in ([], ["-O"])]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout
+    assert b"selftest: all suites passed" in runs[0].stdout
+
+
 def test_fold_deterministic():
     _, out1 = run_cli("fold", golden("D4-triality.datum"))
     _, out2 = run_cli("fold", golden("D4-triality.datum"))

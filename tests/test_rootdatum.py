@@ -299,7 +299,7 @@ def test_explicit_pairing_isomorphism_search():
 
 
 def test_weyl_group_with_torus_factor():
-    # rank 2 datum whose roots span only a line: matrix closure path
+    # rank 2 datum whose roots span only a line: W fixes the torus direction
     d = RootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)))
     assert not d.is_semisimple
     assert verify_axioms(d) == []
@@ -308,3 +308,103 @@ def test_weyl_group_with_torus_factor():
     nontriv = next(a for a in w if not a.is_identity())
     assert nontriv.apply((0, 1)) == (0, 1)  # torus direction fixed
     assert len(positive_systems(d)) == 2
+
+
+# ---------------------------------------------------------------------------
+# Weyl elements as root permutations
+
+
+def reference_weyl_matrices(datum):
+    """Every Weyl element as (character matrix, cocharacter matrix), by
+    closing the reflection matrices of both lattices under products: the
+    matrix enumeration that root permutations replaced, kept as the
+    reference for the matrices built on demand."""
+    from rootfold.rootdatum import DatumAutomorphism
+
+    gens = [reflection(datum, i) for i in range(len(datum.roots))]
+    ident = DatumAutomorphism.identity(datum.rank)
+    seen = {ident.on_characters: ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                c = g * w
+                if c.on_characters not in seen:
+                    seen[c.on_characters] = c
+                    nxt.append(c)
+        frontier = nxt
+    return sorted((a.on_characters, a.on_cocharacters) for a in seen.values())
+
+
+def folded_bc2_with_pairing():
+    """The BC2 datum folded out of A4 by its diagram flip, rewritten in
+    skewed bases so that it carries an explicit pairing matrix."""
+    from rootfold.action import make_action
+    from rootfold.folding import restrict
+    from rootfold.selftest import flip_matrix
+
+    fold = restrict(make_action(from_cartan_type("A4:sc"), [(flip_matrix(4), "s")]))
+    assert classify(fold.datum) == [("BC2", 1)]
+    skew = skew_realization(fold.datum, ((1, 1), (0, 1)), ((1, 0), (2, 1)))
+    assert skew.pairing_matrix != ((1, 0), (0, 1))
+    return skew
+
+
+A1_PLUS_TORUS = RootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)))
+
+
+@pytest.mark.parametrize("name", ["A3:sc", "B3:sc", "G2:sc", "A1+torus", "folded BC2"])
+def test_weyl_permutations_and_matrices_match_reference(name):
+    if name == "A1+torus":
+        d = A1_PLUS_TORUS
+    elif name == "folded BC2":
+        d = folded_bc2_with_pairing()
+    else:
+        d = from_cartan_type(name).datum
+    w = weyl_group(d)
+    assert sorted(w.perms) == sorted(w.sorted_perms)
+    for aut, perm in zip(w, w.sorted_perms):
+        assert root_permutation(d, aut) == perm
+    assert [(a.on_characters, a.on_cocharacters) for a in w] == reference_weyl_matrices(d)
+
+
+def test_weyl_group_builds_matrices_on_first_use():
+    w = weyl_group(from_cartan_type("A3:sc").datum)
+    assert len(w) == 24 and "_canonical" not in vars(w)
+    assert w.elements[w.index(w.elements[5])] == w.elements[5]
+    assert "_canonical" in vars(w)
+
+
+def test_permutation_not_induced_by_an_automorphism_raises():
+    # the transposition of one root with its negative is not a Weyl
+    # element of A2; the divisibility check must raise (also under -O)
+    from rootfold.rootdatum import _automorphisms_from_permutations
+
+    d = from_cartan_type("A2:sc").datum
+    bad = list(range(len(d.roots)))
+    i, j = 0, d.index_of(tuple(-x for x in d.roots[0]))
+    bad[i], bad[j] = j, i
+    with pytest.raises(AssertionError, match="not induced"):
+        _automorphisms_from_permutations(d, [tuple(bad)])
+
+
+def test_verify_axioms_accepts_e7():
+    # |W(E7)| = 2 903 040 exceeds WEYL_BOUND; no closure is needed to
+    # know the reflection group is finite
+    d = from_cartan_type("E7:sc").datum
+    assert len(d.roots) == 126
+    assert verify_axioms(d) == []
+
+
+def test_contragredient_with_separate_pairings():
+    from rootfold.lattice import mat_mul, transpose
+    from rootfold.rootdatum import contragredient
+
+    m = ((2, 1), (1, 1))
+    p1 = ((1, 1), (0, 1))
+    p2 = ((1, 0), (2, 1))
+    for src, dst in [(None, None), (p1, None), (None, p2), (p1, p2), (p1, p1)]:
+        mc = contragredient(m, src, dst)
+        lhs = mat_mul(transpose(m), mat_mul(dst or ((1, 0), (0, 1)), mc))
+        assert lhs == (src or ((1, 0), (0, 1)))
