@@ -84,7 +84,9 @@ def _expect(cond, message, context):
         raise ParseError(message, context=context)
 
 
-def _int_matrix(obj, context, rows=None, cols=None):
+def _int_matrix(obj, context, rows=None, cols=None, allow_empty=False):
+    if allow_empty and obj == []:
+        return ()
     _expect(isinstance(obj, list) and obj and all(isinstance(r, list) for r in obj),
             "expected a nonempty list of integer rows", context)
     _expect(all(isinstance(x, int) for r in obj for x in r),
@@ -114,7 +116,12 @@ def _parse_group(obj, context):
     labels = obj["elements"]
     _expect(isinstance(labels, list) and labels, "'elements' must be a nonempty list",
             context)
+    _expect(not any(isinstance(x, (list, dict)) for x in labels),
+            "element labels must not be lists or objects", context)
     table = obj["table"]
+    _expect(isinstance(table, list) and all(isinstance(r, list) for r in table)
+            and all(isinstance(x, int) for r in table for x in r),
+            "'table' must be a list of rows of element indices", context)
     try:
         return FiniteGroup(tuple(labels), tuple(tuple(r) for r in table),
                            identity_label=obj.get("identity"))
@@ -137,8 +144,13 @@ def parse_datum(text, source="<string>"):
     _expect(isinstance(obj.get("rank"), int) and obj["rank"] >= 1,
             "'rank' must be a positive integer", source)
     rank = obj["rank"]
-    roots = _int_matrix(obj["roots"], f"{source}: roots", cols=rank)
-    coroots = _int_matrix(obj["coroots"], f"{source}: coroots", cols=rank)
+    for key in ("roots", "coroots"):
+        _expect(key in obj, f"missing field {key!r}", source)
+    # an empty list of roots is a torus
+    roots = _int_matrix(obj["roots"], f"{source}: roots", cols=rank,
+                        allow_empty=True)
+    coroots = _int_matrix(obj["coroots"], f"{source}: coroots", cols=rank,
+                          allow_empty=True)
     _expect(len(roots) == len(coroots),
             "'roots' and 'coroots' must have the same length", source)
     pairing = None
@@ -165,9 +177,11 @@ def parse_datum(text, source="<string>"):
     else:
         based = BasedRootDatum(datum, canonical_base(datum))
 
+    blocks = obj.get("actions") or {}
+    _expect(isinstance(blocks, dict), "'actions' must be an object", source)
     actions = {}
     roles = {}
-    for name, block in sorted((obj.get("actions") or {}).items()):
+    for name, block in sorted(blocks.items()):
         ctx = f"{source}: actions.{name}"
         _expect(isinstance(block, dict), "action block must be an object", ctx)
         role = block.get("role", "gamma")

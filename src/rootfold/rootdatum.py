@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import permutations
 from operator import itemgetter
 
-from .errors import EnumerationOverflow, UnknownTypeError
+from .errors import EnumerationOverflow, InvalidActionError, UnknownTypeError
 from .lattice import (
     adjugate_and_det,
     det,
@@ -126,6 +126,18 @@ class RootDatum:
     def is_semisimple(self):
         return bool(self.roots) and span_rank(self.roots) == self.rank
 
+    @cached_property
+    def coroot_annihilator(self):
+        """A basis of the characters pairing to zero with every coroot;
+        empty on semisimple data.  Every Weyl element fixes it
+        pointwise, and the characters are the direct sum of its span and
+        the span of the roots (see ``verify_axioms``)."""
+        if self.is_semisimple:
+            return ()
+        rows = tuple(self.coroots if self.has_standard_pairing else
+                     (mat_vec(self.pairing_matrix, c) for c in self.coroots))
+        return integer_kernel(rows, cols=self.rank)
+
     def cartan_entry(self, i, j):
         return self.pair(self.roots[i], self.coroots[j])
 
@@ -142,6 +154,19 @@ class BasedRootDatum:
     @property
     def simple_coroots(self):
         return tuple(self.datum.coroots[i] for i in self.base)
+
+    @cached_property
+    def positive_system(self):
+        """Indices of the roots that are nonnegative over the base."""
+        cols = transpose(self.simple_roots)
+        out = set()
+        for i, r in enumerate(self.datum.roots):
+            sol = solve_exact(cols, r)
+            if sol is None:
+                raise InvalidActionError("base does not span the roots")
+            if all(x >= 0 for x in sol):
+                out.add(i)
+        return frozenset(out)
 
     def cartan_matrix(self):
         d = self.datum
@@ -255,14 +280,14 @@ def is_reduced(datum):
 
 def _automorphisms_from_permutations(datum, perms):
     """The datum automorphisms inducing the given permutations of the
-    roots, which must be Weyl elements.
+    roots; each must be induced by an automorphism that fixes the
+    annihilator of the coroots pointwise, as every Weyl element does.
 
-    With r_i independent roots and z_j a basis of the annihilator of the
-    coroots, [r_i | z_j] is invertible (see ``verify_axioms``) and every
-    Weyl element w fixes each z_j, so its character matrix is
-    [w r_i | z_j] [r_i | z_j]^-1, computed with the adjugate and one
-    exact division.  The cocharacter matrix is the contragredient, read
-    off the matrix of the inverse permutation."""
+    With r_i independent roots and z_j a basis of that annihilator,
+    [r_i | z_j] is invertible (see ``verify_axioms``), so the character
+    matrix is [w r_i | z_j] [r_i | z_j]^-1, computed with the adjugate
+    and one exact division.  The cocharacter matrix is the
+    contragredient, read off the matrix of the inverse permutation."""
     n = datum.rank
     chosen = []
     for i, r in enumerate(datum.roots):
@@ -270,15 +295,12 @@ def _automorphisms_from_permutations(datum, perms):
             chosen.append(i)
         if len(chosen) == n:
             break
-    fixed = []
-    if len(chosen) < n:
-        rows = tuple(datum.coroots if datum.has_standard_pairing else
-                     (mat_vec(datum.pairing_matrix, c) for c in datum.coroots))
-        fixed = list(integer_kernel(rows, cols=n))
+    fixed = list(datum.coroot_annihilator) if len(chosen) < n else []
     basis = [datum.roots[i] for i in chosen] + fixed
     adj, d = adjugate_and_det(transpose(tuple(basis)))
+    inverse = {p: _invert_permutation(p) for p in perms}
     mats = {}
-    for p in perms:
+    for p in set(perms) | set(inverse.values()):
         images = [datum.roots[p[i]] for i in chosen] + fixed
         raw = mat_mul(transpose(tuple(images)), adj)
         if any(x % d for row in raw for x in row):
@@ -292,7 +314,7 @@ def _automorphisms_from_permutations(datum, perms):
         p_inv = unimodular_inverse(pairing)
     out = []
     for p in perms:
-        m_inv_t = transpose(mats[_invert_permutation(p)])
+        m_inv_t = transpose(mats[inverse[p]])
         cochar = m_inv_t if pairing is None else mat_mul(p_inv, mat_mul(m_inv_t, pairing))
         out.append(DatumAutomorphism(mats[p], cochar))
     return out
@@ -455,6 +477,18 @@ def positive_systems(datum, bound=WEYL_BOUND):
     translate = permutation_getter(sorted(positive_system(datum)))
     systems = {frozenset(translate(p)) for p in w.perms}
     return tuple(sorted(systems, key=sorted))
+
+
+def system_bases(datum, bound=WEYL_BOUND):
+    """{positive system: its base} for every positive system, as Weyl
+    translates of the canonical system and its base.  A Weyl element
+    permutes the roots linearly, so it carries the indecomposable
+    elements of a positive system P onto those of w(P)."""
+    w = weyl_group(datum, bound=bound)
+    system = positive_system(datum)
+    translate = permutation_getter(sorted(system))
+    simple = permutation_getter(base_of(datum, system))
+    return {frozenset(translate(p)): tuple(sorted(simple(p))) for p in w.perms}
 
 
 def base_of(datum, system):

@@ -23,38 +23,27 @@ from .lattice import (
     adjugate_and_det,
     det,
     mat_mul,
+    mat_vec,
     transpose,
 )
 from .rootdatum import (
     WEYL_BOUND,
     BasedRootDatum,
     DatumAutomorphism,
-    base_of,
+    RootDatum,
+    WeylGroup,
+    _automorphisms_from_permutations,
+    _invert_permutation,
     canonical_base,
     contragredient,
-    positive_systems,
+    permutation_getter,
     reflection,
     root_permutation,
+    system_bases,
     weyl_group,
 )
 
 Z1_BOUND = 10 ** 6
-
-
-def _base_positive_system(based):
-    """Indices of roots nonnegative over the base."""
-    from .lattice import solve_exact
-
-    datum = based.datum
-    cols = transpose(based.simple_roots)
-    out = set()
-    for i, r in enumerate(datum.roots):
-        sol = solve_exact(cols, r)
-        if sol is None:
-            raise InvalidActionError("base does not span the roots")
-        if all(x >= 0 for x in sol):
-            out.add(i)
-    return frozenset(out)
 
 
 def base_transport(based, aut):
@@ -64,7 +53,7 @@ def base_transport(based, aut):
     perm = root_permutation(datum, aut)
     if perm is None:
         raise InvalidActionError("map does not permute the roots")
-    pos = _base_positive_system(based)
+    pos = based.positive_system
     target = frozenset(perm[i] for i in pos)
     simple_refl = {d: reflection(datum, d) for d in based.base}
     simple_perm = {d: root_permutation(datum, simple_refl[d]) for d in based.base}
@@ -91,31 +80,61 @@ def base_transport(based, aut):
     return w
 
 
+def _conjugation(q):
+    """p -> q o p o q^-1 on root permutations.  When q is the
+    permutation of a datum automorphism g and p that of a Weyl element
+    w, the result is the permutation of g w g^-1, again a Weyl element
+    (g s_a g^-1 = s_{g(a)})."""
+    after = permutation_getter(_invert_permutation(q))
+    return lambda p: after(permutation_getter(p)(q))
+
+
+def _check_twisted_law(galois, value_perms, star_perms):
+    """Raise ValueError unless c(st) = c(s) . s*(c(t)) on every pair,
+    compared on root permutations (see ``StarCocycle``)."""
+    for s in galois.elements():
+        twist = _conjugation(star_perms[s])
+        after_s = value_perms[s]
+        for t in galois.elements():
+            rhs = permutation_getter(twist(value_perms[t]))(after_s)
+            if value_perms[galois.mul(s, t)] != rhs:
+                raise ValueError(
+                    f"twisted cocycle law fails at "
+                    f"({galois.labels[s]!r}, {galois.labels[t]!r})")
+
+
 @dataclass(frozen=True)
 class StarCocycle:
     """Weyl-valued map on a finite group satisfying the twisted law
-    relative to a base-preserving star action."""
+    c(st) = c(s) . s*(c(t)) relative to a base-preserving star action,
+    where s*(w) = s* w s*^-1.
+
+    The law is checked on root permutations, which is exact: the
+    values are Weyl elements, and W acts faithfully on the roots (see
+    ``verify_axioms``); s*(w) is a Weyl element whose permutation is
+    q o p o q^-1 for q, p the permutations of s* and w.  (``cobound``
+    by a kappa outside W can give values outside W; they still fix the
+    annihilator of the coroots pointwise, which is all the argument
+    needs, see ``_cobounders``.)  The permutations of the values and of
+    the star images are kept next to the matrices."""
 
     galois: FiniteGroup
-    values: tuple  # DatumAutomorphism per element index
-    star: tuple    # DatumAutomorphism per element index
+    datum: RootDatum     # the datum values and star images act on
+    values: tuple        # DatumAutomorphism per element index
+    star: tuple          # DatumAutomorphism per element index
+    value_perms: tuple   # root permutation of each value
+    star_perms: tuple    # root permutation of each star image
 
     @classmethod
-    def build(cls, galois, values, star):
-        values = tuple(values)
-        star = tuple(star)
-        if not values[galois.identity].is_identity():
+    def build(cls, galois, datum, values, star, value_perms, star_perms):
+        """Validate and construct from the automorphisms and their root
+        permutations."""
+        value_perms = tuple(value_perms)
+        if value_perms[galois.identity] != tuple(range(len(datum.roots))):
             raise ValueError("cocycle must send the identity to the identity")
-        c = cls(galois, values, star)
-        for s in galois.elements():
-            for t in galois.elements():
-                lhs = values[galois.mul(s, t)]
-                rhs = values[s] * c.twist(s, values[t])
-                if lhs.on_characters != rhs.on_characters:
-                    raise ValueError(
-                        f"twisted cocycle law fails at "
-                        f"({galois.labels[s]!r}, {galois.labels[t]!r})")
-        return c
+        _check_twisted_law(galois, value_perms, star_perms)
+        return cls(galois, datum, tuple(values), tuple(star), value_perms,
+                   tuple(star_perms))
 
     def twist(self, element, aut):
         s = self.star[element]
@@ -126,6 +145,23 @@ class StarCocycle:
 
     def value_matrices(self):
         return tuple(v.on_characters for v in self.values)
+
+
+def _permutation(datum, aut):
+    perm = root_permutation(datum, aut)
+    if perm is None:
+        raise ValueError("map does not permute the roots")
+    return perm
+
+
+def _cocycles_from_permutations(galois, datum, star, star_perms, found):
+    """StarCocycles for the value permutations in ``found``, with the
+    matrices of all their values built in one pass."""
+    distinct = sorted({p for perms in found for p in perms})
+    auts = dict(zip(distinct, _automorphisms_from_permutations(datum, distinct)))
+    return [StarCocycle.build(galois, datum, [auts[p] for p in perms], star,
+                              perms, star_perms)
+            for perms in found]
 
 
 def star_action(action, base):
@@ -141,7 +177,9 @@ def star_action(action, base):
         transports.append(c)
         stars.append(c.inverse() * aut)
     star_act = DatumAction.build(action.group, stars, based)
-    cocycle = StarCocycle.build(action.group, transports, tuple(stars))
+    cocycle = StarCocycle.build(
+        action.group, datum, transports, stars,
+        [_permutation(datum, c) for c in transports], star_act.root_perms)
     return star_act, cocycle
 
 
@@ -203,31 +241,37 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND):
     """All twisted cocycles on the group valued in the module.
 
     ``star`` maps element index to the star-action automorphism;
-    ``module`` is a list of automorphisms closed under the star twist.
-    Cocycles are determined by generator values and extended through the
-    twisted law, then checked on every product; exhaustive and
-    deterministic."""
+    ``module`` is a WeylGroup (a subgroup of W) closed under the star
+    twist.  Cocycles are determined by generator values and extended
+    through the twisted law, then checked on every product; exhaustive
+    and deterministic.
+
+    Everything runs on the stored root permutations of the module,
+    exactly: the values are Weyl elements, so each is determined by its
+    permutation (W acts faithfully on the roots, see ``verify_axioms``),
+    and s*(w) = s* w s*^-1 has the permutation q o p o q^-1.  Matrices
+    are built only for the values of the cocycles returned."""
+    datum = module.datum
     star = tuple(star)
-    module = tuple(module)
-    module_mats = {a.on_characters for a in module}
-    for s in galois.elements():
-        for m in module:
-            t = star[s] * m * star[s].inverse()
-            if t.on_characters not in module_mats:
-                raise ValueError("module is not closed under the star twist")
+    star_perms = tuple(_permutation(datum, s) for s in star)
+    members = frozenset(module.perms)
+    twisted = []
+    for q in star_perms:
+        conj = _conjugation(q)
+        table = {p: conj(p) for p in module.perms}
+        if not members.issuperset(table.values()):
+            raise ValueError("module is not closed under the star twist")
+        twisted.append(table)
     gens = galois.generating_set
     if gens and len(module) ** len(gens) > bound:
         raise EnumerationOverflow(
             f"{len(module)}^{len(gens)} generator assignments exceed {bound}")
 
-    def twist(s, aut):
-        return star[s] * aut * star[s].inverse()
-
     n = len(galois)
-    ident_aut = DatumAutomorphism.identity(len(star[0].on_characters))
+    ident = tuple(range(len(datum.roots)))
     found = []
-    for assignment in product(module, repeat=len(gens)):
-        values = {galois.identity: ident_aut}
+    for assignment in product(module.perms, repeat=len(gens)):
+        values = {galois.identity: ident}
         ok = True
         frontier = [galois.identity]
         while frontier and ok:
@@ -235,13 +279,13 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND):
             for g in frontier:
                 for gi, s in enumerate(gens):
                     h = galois.mul(g, s)
-                    cand = values[g] * twist(g, assignment[gi])
+                    cand = permutation_getter(twisted[g][assignment[gi]])(values[g])
                     if h in values:
-                        if values[h].on_characters != cand.on_characters:
+                        if values[h] != cand:
                             ok = False
                             break
                     else:
-                        if cand.on_characters not in module_mats:
+                        if cand not in members:
                             ok = False
                             break
                         values[h] = cand
@@ -251,20 +295,15 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND):
             frontier = nxt
         if not ok or len(values) != n:
             continue
-        vals = tuple(values[i] for i in range(n))
-        for s in range(n):
-            for t in range(n):
-                lhs = vals[galois.mul(s, t)]
-                rhs = vals[s] * twist(s, vals[t])
-                if lhs.on_characters != rhs.on_characters:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(StarCocycle.build(galois, vals, star))
-    found.sort(key=lambda c: c.sort_key())
-    return tuple(found)
+        perms = tuple(values[i] for i in range(n))
+        try:
+            _check_twisted_law(galois, perms, star_perms)
+        except ValueError:
+            continue
+        found.append(perms)
+    cocycles = _cocycles_from_permutations(galois, datum, star, star_perms, found)
+    cocycles.sort(key=lambda c: c.sort_key())
+    return tuple(cocycles)
 
 
 @dataclass(frozen=True)
@@ -272,8 +311,8 @@ class CohomologyClassSet:
     """Cocycles partitioned by the cobounding relation
     c ~ (s -> k^-1 . c(s) . s(k)) with k in the cobounding group."""
 
-    module_group: tuple
-    cobounding_group: tuple
+    module_group: object      # WeylGroup or tuple of DatumAutomorphism
+    cobounding_group: object  # WeylGroup or tuple of DatumAutomorphism
     cocycles: tuple
     classes: tuple          # tuple of tuples of StarCocycle
     representatives: tuple  # canonically least member per class
@@ -283,21 +322,72 @@ class CohomologyClassSet:
         return len(self.classes)
 
 
+def _cobounders(cocycle, cobounding_group):
+    """(permutation of k^-1, getters composing with s*(k) per element s)
+    for each k of the cobounding group whose coboundaries can be
+    W-valued, in the order of the group.
+
+    For k outside W write k^-1 c(s) s*(k) = (k^-1 c(s) k) (k^-1 s*(k)).
+    The first factor is a Weyl element.  If the product is one too, so
+    is u = k^-1 s*(k), and u fixes the annihilator A of the coroots
+    pointwise.  Conversely, when u fixes A the product fixes A, and an
+    automorphism fixing A is determined by its root permutation, the
+    characters being span(roots) + A over Q.  As s* maps A onto itself
+    (it permutes the coroots), u fixes A exactly when s* k = k s* on a
+    basis of A.  So k is kept when that holds for every s (always on
+    semisimple data, where A = 0, and for every k in W), and its
+    coboundaries are then compared on permutations without loss."""
+    datum = cocycle.datum
+    if isinstance(cobounding_group, WeylGroup):
+        kappas = cobounding_group.perms
+    else:
+        annihilator = datum.coroot_annihilator
+        kappas = [_permutation(datum, k) for k in cobounding_group
+                  if all(s.apply(k.apply(z)) == k.apply(s.apply(z))
+                         for s in cocycle.star for z in annihilator)]
+    conjugations = [_conjugation(q) for q in cocycle.star_perms]
+    return [(_invert_permutation(k),
+             tuple(permutation_getter(conj(k)) for conj in conjugations))
+            for k in kappas]
+
+
+def _cobound_permutations(cocycle, kinv, after):
+    """Value permutations of s -> k^-1 . c(s) . s*(k), checked against
+    the twisted law; ``kinv`` and ``after`` come from _cobounders."""
+    perms = tuple(right(permutation_getter(v)(kinv))
+                  for v, right in zip(cocycle.value_perms, after))
+    _check_twisted_law(cocycle.galois, perms, cocycle.star_perms)
+    return perms
+
+
 def cobound(cocycle, kappa):
-    """The cocycle s -> kappa^-1 . c(s) . s(kappa)."""
-    galois = cocycle.galois
-    kinv = kappa.inverse()
-    values = []
-    for s in galois.elements():
-        values.append(kinv * cocycle.values[s] * cocycle.twist(s, kappa))
-    return StarCocycle.build(galois, values, cocycle.star)
+    """The cocycle s -> kappa^-1 . c(s) . s*(kappa), computed on root
+    permutations (see ``_cobounders``).  Raises ValueError when
+    kappa^-1 s*(kappa) moves the annihilator of the coroots, so that
+    the values are not determined by their permutations."""
+    movers = _cobounders(cocycle, (kappa,))
+    if not movers:
+        raise ValueError("kappa^-1 s*(kappa) moves the annihilator of the coroots")
+    perms = _cobound_permutations(cocycle, *movers[0])
+    return _cocycles_from_permutations(cocycle.galois, cocycle.datum,
+                                       cocycle.star, cocycle.star_perms,
+                                       [perms])[0]
 
 
 def h1_classes(cocycles, cobounding_group, module_group=()):
     """Partition the cocycle list by cobounding, by direct orbit
-    enumeration of the kappa action."""
+    enumeration of the kappa action.
+
+    Each kappa becomes a root permutation once, and cobounded cocycles
+    are compared by the tuples of their value permutations, which is
+    exact (see ``_cobounders``); every cobounded cocycle is checked
+    against the twisted law.  No matrix is built here."""
     cocycles = tuple(cocycles)
-    index = {c.sort_key(): i for i, c in enumerate(cocycles)}
+    if not isinstance(cobounding_group, WeylGroup):
+        cobounding_group = tuple(cobounding_group)
+    if not isinstance(module_group, WeylGroup):
+        module_group = tuple(module_group)
+    index = {c.value_perms: i for i, c in enumerate(cocycles)}
     parent = list(range(len(cocycles)))
 
     def find(x):
@@ -306,10 +396,13 @@ def h1_classes(cocycles, cobounding_group, module_group=()):
             x = parent[x]
         return x
 
+    movers = {}
     for i, c in enumerate(cocycles):
-        for kappa in cobounding_group:
-            moved = cobound(c, kappa)
-            j = index.get(moved.sort_key())
+        key = (c.galois, c.star)
+        if key not in movers:
+            movers[key] = _cobounders(c, cobounding_group)
+        for kinv, after in movers[key]:
+            j = index.get(_cobound_permutations(c, kinv, after))
             if j is not None:
                 ri, rj = find(i), find(j)
                 if ri != rj:
@@ -323,8 +416,8 @@ def h1_classes(cocycles, cobounding_group, module_group=()):
         classes.append(cls)
     classes.sort(key=lambda cls: cls[0].sort_key())
     return CohomologyClassSet(
-        module_group=tuple(module_group),
-        cobounding_group=tuple(cobounding_group),
+        module_group=module_group,
+        cobounding_group=cobounding_group,
         cocycles=cocycles,
         classes=tuple(classes),
         representatives=tuple(cls[0] for cls in classes),
@@ -360,9 +453,9 @@ def h1_with_image(based, galois_action, gamma_action=None, bound=WEYL_BOUND,
                 "the folding action stabilizes a different base")
     star_act, _ = star_action(galois_action, based.base)
     if gamma_action is not None:
-        module = tuple(fixed_weyl(gamma_action, bound=bound))
+        module = fixed_weyl(gamma_action, bound=bound)
     else:
-        module = tuple(weyl_group(based.datum, base=based.base, bound=bound))
+        module = weyl_group(based.datum, base=based.base, bound=bound)
     cocycles = z1_enumerate(galois_action.group, star_act.images, module,
                             bound=z1_bound)
     module_set = h1_classes(cocycles, module, module_group=module)
@@ -420,8 +513,13 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
     """Search for a lattice isomorphism datum1 -> datum2 commuting with
     the paired actions.  Candidates run over every base of datum2 and
     every Cartan-preserving matching with a fixed base of datum1; the
-    first candidate that is unimodular, respects coroots, and is
-    equivariant is returned, None if the search exhausts."""
+    first candidate that is unimodular, equivariant, maps roots to roots
+    and maps coroots to the matching coroots is returned, None if the
+    search exhausts.  The checks are conjunctive, so their order does
+    not change the answer: the cheap equivariance check, which rejects
+    most candidates, runs first, and the contragredient, a rational
+    inverse, is computed only for candidates that pass the first
+    three."""
     for d in (datum1, datum2):
         if not d.is_semisimple:
             raise UnsupportedDatumError(
@@ -445,8 +543,9 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
     p1 = None if datum1.has_standard_pairing else datum1.pairing_matrix
     p2 = None if datum2.has_standard_pairing else datum2.pairing_matrix
 
-    for system in positive_systems(datum2, bound=bound):
-        base2 = base_of(datum2, system)
+    bases = system_bases(datum2, bound=bound)
+    for system in sorted(bases, key=sorted):
+        base2 = bases[system]
         if len(base2) != k:
             continue
         c2 = tuple(
@@ -464,29 +563,36 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
             m = tuple(tuple(x // d0 for x in row) for row in raw)
             if abs(det(m)) != 1:
                 continue
+            if not _is_equivariant(m, actions1, actions2):
+                continue
+            images = _root_images(datum1, datum2, m)
+            if images is None:
+                continue
             mc = contragredient(m, p1, p2)
-            if _is_datum_isomorphism(datum1, datum2, m, mc) and _is_equivariant(
-                    m, actions1, actions2):
+            if all(mat_vec(mc, datum1.coroots[i]) == datum2.coroots[j]
+                   for i, j in enumerate(images)):
                 return DatumAutomorphism(m, mc)
     return None
 
 
-def _is_datum_isomorphism(d1, d2, m, mc):
-    from .lattice import mat_vec
-
-    for i in range(len(d1.roots)):
-        img = mat_vec(m, d1.roots[i])
-        j = d2.root_index.get(img)
+def _root_images(d1, d2, m):
+    """Indices in d2 of the images of the roots of d1 under m, or None
+    if some image is not a root."""
+    images = []
+    for r in d1.roots:
+        j = d2.root_index.get(mat_vec(m, r))
         if j is None:
-            return False
-        if mat_vec(mc, d1.coroots[i]) != d2.coroots[j]:
-            return False
-    return True
+            return None
+        images.append(j)
+    return images
 
 
 def _is_equivariant(m, actions1, actions2):
+    """m a1(g) = a2(g) m for every paired action and every g.  Both
+    actions are homomorphisms of the same group, so if the identity
+    holds for g and h it holds for gh; checking generators suffices."""
     for a1, a2 in zip(actions1, actions2):
-        for g in a1.group.elements():
+        for g in a1.group.generating_set:
             lhs = mat_mul(m, a1.images[g].on_characters)
             rhs = mat_mul(a2.images[g].on_characters, m)
             if lhs != rhs:

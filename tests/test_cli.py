@@ -269,3 +269,58 @@ def test_star_requires_action_choice_when_ambiguous(tmp_path):
     code2, out2 = run_cli("star", str(doc), "--action", "galois")
     assert code2 == 0
     assert "cocycle trivial: no" in out2
+
+
+# ---------------------------------------------------------------------------
+# malformed documents: one "parse error:" line and exit 2, never a traceback
+
+
+def _mutated_a2_flip(tmp_path, mutate):
+    obj = json.loads((GOLDEN / "A2-flip.datum").read_text())
+    mutate(obj)
+    path = tmp_path / "mutated.datum"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _assert_single_parse_error(path, fragment):
+    code, out = run_cli("verify", path)
+    assert code == 2
+    assert len(out.splitlines()) == 1 and out.startswith("parse error: ")
+    assert fragment in out
+
+
+def test_actions_given_as_a_list_is_parse_error(tmp_path):
+    path = _mutated_a2_flip(tmp_path, lambda o: o.update(actions=[1]))
+    _assert_single_parse_error(path, "'actions' must be an object")
+
+
+def test_missing_roots_is_parse_error(tmp_path):
+    path = _mutated_a2_flip(tmp_path, lambda o: o.pop("roots"))
+    _assert_single_parse_error(path, "missing field 'roots'")
+
+
+def test_string_entries_in_group_table_are_parse_error(tmp_path):
+    def mutate(o):
+        o["actions"]["gamma"]["group"] = {
+            "elements": [0, 1], "table": [["e", "s"], ["s", "e"]]}
+    _assert_single_parse_error(_mutated_a2_flip(tmp_path, mutate), "'table'")
+
+
+def test_list_valued_element_labels_are_parse_error(tmp_path):
+    def mutate(o):
+        o["actions"]["gamma"]["group"] = {
+            "elements": [[0], [1]], "table": [[0, 1], [1, 0]]}
+    _assert_single_parse_error(_mutated_a2_flip(tmp_path, mutate),
+                               "element labels")
+
+
+def test_torus_without_roots_verifies(tmp_path):
+    path = tmp_path / "torus.datum"
+    path.write_text(json.dumps({"rank": 2, "roots": [], "coroots": []}))
+    code, out = run_cli("verify", str(path))
+    assert code == 0
+    assert out.splitlines() == ["datum: rank 2, 0 roots", "axioms: pass",
+                                "base: []", "verdict: pass"]
+    doc = parse_datum(path.read_text())
+    assert parse_datum(emit_document(document_of(doc))).datum == doc.datum

@@ -200,7 +200,7 @@ def test_z1_trivial_group():
     g = FiniteGroup.trivial()
     act = make_action(b.datum, [], group=g)
     star_act, _ = star_action(act, b.base)
-    module = tuple(weyl_group(b.datum))
+    module = weyl_group(b.datum)
     cocycles = z1_enumerate(g, star_act.images, module)
     assert len(cocycles) == 1
 
@@ -209,7 +209,7 @@ def test_z1_a1_z2_trivial():
     b = from_cartan_type("A1:sc")
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
-    module = tuple(weyl_group(b.datum))
+    module = weyl_group(b.datum)
     cocycles = z1_enumerate(act.group, star_act.images, module)
     assert len(cocycles) == 2
 
@@ -219,7 +219,7 @@ def test_z1_square_condition_a2():
     b = from_cartan_type("A2:sc")
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
-    module = tuple(weyl_group(b.datum))
+    module = weyl_group(b.datum)
     cocycles = z1_enumerate(act.group, star_act.images, module)
     assert len(cocycles) == 4  # identity and the three reflections
     for c in cocycles:
@@ -234,7 +234,7 @@ def test_z1_with_gamma_module():
     gamma = make_action(b, [(flip_matrix(2), "s")])
     galois = make_action(b.datum, [(neg_matrix(2), 1)], group=FiniteGroup.cyclic(2))
     star_act, _ = star_action(galois, b.base)
-    module = tuple(fixed_weyl(gamma))
+    module = fixed_weyl(gamma)
     assert len(module) == 2
     cocycles = z1_enumerate(galois.group, star_act.images, module)
     assert len(cocycles) == 2
@@ -248,7 +248,7 @@ def test_h1_a1_two_classes():
     b = from_cartan_type("A1:sc")
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
-    module = tuple(weyl_group(b.datum))
+    module = weyl_group(b.datum)
     cocycles = z1_enumerate(act.group, star_act.images, module)
     classes = h1_classes(cocycles, module, module_group=module)
     assert classes.class_count == 2
@@ -259,7 +259,7 @@ def test_h1_trivial_galois_one_class():
     g = FiniteGroup.trivial()
     act = make_action(b.datum, [], group=g)
     star_act, _ = star_action(act, b.base)
-    module = tuple(weyl_group(b.datum))
+    module = weyl_group(b.datum)
     cocycles = z1_enumerate(g, star_act.images, module)
     classes = h1_classes(cocycles, module)
     assert classes.class_count == 1
@@ -269,7 +269,7 @@ def test_h1_a2_reflections_form_one_class():
     b = from_cartan_type("A2:sc")
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
-    module = tuple(weyl_group(b.datum))
+    module = weyl_group(b.datum)
     cocycles = z1_enumerate(act.group, star_act.images, module)
     classes = h1_classes(cocycles, module)
     assert classes.class_count == 2
@@ -321,7 +321,7 @@ def test_twist_a1_by_reflection_gives_minus_identity():
     b = from_cartan_type("A1:sc")
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
-    module = tuple(weyl_group(b.datum))
+    module = weyl_group(b.datum)
     cocycles = z1_enumerate(act.group, star_act.images, module)
     nontriv = next(c for c in cocycles if not c.values[1].is_identity())
     twisted = twist_datum(b, star_act, nontriv)
@@ -332,7 +332,7 @@ def test_twist_roundtrip_recovers_cocycle():
     b = from_cartan_type("A2:sc")
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
-    module = tuple(weyl_group(b.datum))
+    module = weyl_group(b.datum)
     cocycles = z1_enumerate(act.group, star_act.images, module)
     for c in cocycles:
         twisted = twist_datum(b, star_act, c)
@@ -345,7 +345,7 @@ def test_twist_rejects_non_fixed_values():
     gamma = make_action(b, [(flip_matrix(2), "s")])
     galois = trivial_z2_action(b.datum)
     star_act, _ = star_action(galois, b.base)
-    module = tuple(weyl_group(b.datum))
+    module = weyl_group(b.datum)
     cocycles = z1_enumerate(galois.group, star_act.images, module)
     d = b.datum
     s1 = reflection(d, d.index_of((2, -1)))
@@ -377,7 +377,7 @@ def test_cohomologous_twists_are_isomorphic():
     b = from_cartan_type("A2:sc")
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
-    module = tuple(weyl_group(b.datum))
+    module = weyl_group(b.datum)
     cocycles = z1_enumerate(act.group, star_act.images, module)
     classes = h1_classes(cocycles, module)
     big = next(cls for cls in classes.classes if len(cls) == 3)
@@ -436,11 +436,11 @@ def test_cobound_is_group_action():
     b = from_cartan_type("A2:sc")
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
-    module = tuple(weyl_group(b.datum))
+    module = weyl_group(b.datum)
     cocycles = z1_enumerate(act.group, star_act.images, module)
     c = cocycles[1]
-    for k1 in module[:3]:
-        for k2 in module[:3]:
+    for k1 in module.elements[:3]:
+        for k2 in module.elements[:3]:
             lhs = cobound(cobound(c, k1), k2)
             rhs = cobound(c, k1 * k2)
             assert lhs.sort_key() == rhs.sort_key()
