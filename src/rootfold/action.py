@@ -27,6 +27,7 @@ from .rootdatum import (
     BasedRootDatum,
     DatumAutomorphism,
     WeylGroup,
+    closure,
     contragredient,
     permutation_getter,
     root_permutation,
@@ -94,21 +95,11 @@ class FiniteGroup:
         """A small deterministic generating set (greedy closure)."""
         n = len(self.labels)
         gens = []
-        closure = {self.identity}
-        while len(closure) < n:
-            nxt = next(x for x in range(n) if x not in closure)
-            gens.append(nxt)
-            frontier = [self.identity]
-            closure = {self.identity}
-            while frontier:
-                new = []
-                for x in frontier:
-                    for g in gens:
-                        y = self.table[x][g]
-                        if y not in closure:
-                            closure.add(y)
-                            new.append(y)
-                frontier = new
+        reached = {self.identity}
+        while len(reached) < n:
+            gens.append(next(x for x in range(n) if x not in reached))
+            columns = [tuple(row[g] for row in self.table) for g in gens]
+            reached = set(closure([self.identity], [c.__getitem__ for c in columns]))
         return tuple(gens)
 
     @classmethod
@@ -136,13 +127,25 @@ class FiniteGroup:
         return cls(labels, table, check=False)
 
 
-def _require_automorphism(datum, matrix, context):
+def _require_automorphism(datum, matrix, context, on_cocharacters=None):
+    """The datum automorphism with character matrix A = ``matrix``, or
+    InvalidActionError.  A given cocharacter matrix A' is checked with
+    A^T P A' = P, i.e. <A x, A' y> = <x, y>, whose one solution is the
+    contragredient P^-1 A^-T P; it is computed when none is given."""
     if len(matrix) != datum.rank or any(len(r) != datum.rank for r in matrix):
         raise InvalidActionError(f"{context}: matrix has wrong shape")
     if abs(det(matrix)) != 1:
         raise InvalidActionError(f"{context}: matrix is not unimodular")
-    pairing = None if datum.has_standard_pairing else datum.pairing_matrix
-    aut = DatumAutomorphism(matrix, contragredient(matrix, pairing, pairing))
+    if on_cocharacters is None:
+        pairing = None if datum.has_standard_pairing else datum.pairing_matrix
+        on_cocharacters = contragredient(matrix, pairing, pairing)
+    else:
+        paired = (on_cocharacters if datum.has_standard_pairing
+                  else mat_mul(datum.pairing_matrix, on_cocharacters))
+        if mat_mul(transpose(matrix), paired) != datum.pairing_matrix:
+            raise InvalidActionError(
+                f"{context}: cocharacter matrix is not the contragredient")
+    aut = DatumAutomorphism(matrix, on_cocharacters)
     if root_permutation(datum, aut) is None:
         raise InvalidActionError(
             f"{context}: matrix does not permute the roots compatibly with coroots")
@@ -179,15 +182,15 @@ class DatumAction:
     @classmethod
     def build(cls, group, images, target):
         """Validate and construct: images must be a homomorphism of
-        datum automorphisms, stabilizing the base when target is based."""
+        datum automorphisms, stabilizing the base when target is based;
+        their cocharacter matrices are checked, not recomputed."""
         datum = target.datum if isinstance(target, BasedRootDatum) else target
         images = tuple(images)
         if len(images) != len(group):
             raise InvalidActionError("one image per group element is required")
-        auts = []
-        for i, im in enumerate(images):
-            mat = im.on_characters if isinstance(im, DatumAutomorphism) else tuple(map(tuple, im))
-            auts.append(_require_automorphism(datum, mat, f"element {group.labels[i]!r}"))
+        auts = [_require_automorphism(datum, im.on_characters,
+                                      f"element {group.labels[i]!r}", im.on_cocharacters)
+                for i, im in enumerate(images)]
         ident = identity_matrix(datum.rank)
         if auts[group.identity].on_characters != ident:
             raise InvalidActionError("identity element must act trivially")
@@ -214,9 +217,18 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
     ``generators`` is a list of (matrix, label) pairs.  With
     group="closure" the matrices are closed into a finite matrix group
     (bound ``closure_bound``) and the abstract group is read off from
-    it.  With an explicit FiniteGroup, each label must name a group
+    it.  With an explicit FiniteGroup G, each label must name a group
     element, the labeled elements must generate, and the assignment must
     extend to a homomorphism.
+
+    The explicit case closes (e, I) and the assigned pairs (g, A_g)
+    under (x, A) -> (x g, A A_g), giving the subgroup H of G x Aut they
+    generate.  The assignment extends to a homomorphism on the subgroup
+    S the labels generate exactly when H is the graph of a map: such a
+    graph is a subgroup holding the assigned pairs, so it contains H
+    and, as H maps onto S, equals it.  So more than |G| pairs, or two
+    over one x, mean the assignment is inconsistent; fewer than |G| mean
+    the labels do not generate G.
     """
     datum = target.datum if isinstance(target, BasedRootDatum) else target
     gen_auts = []
@@ -224,23 +236,11 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
         mat = tuple(tuple(int(x) for x in row) for row in mat)
         gen_auts.append((label, _require_automorphism(datum, mat, f"generator {label!r}")))
 
+    ident = DatumAutomorphism.identity(datum.rank)
     if group == "closure":
-        ident = DatumAutomorphism.identity(datum.rank)
-        seen = {ident.on_characters: ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for _, g in gen_auts:
-                    c = g * w
-                    if c.on_characters not in seen:
-                        seen[c.on_characters] = c
-                        nxt.append(c)
-            if len(seen) > closure_bound:
-                raise EnumerationOverflow(
-                    f"generator closure exceeds {closure_bound} elements")
-            frontier = nxt
-        elements = sorted(seen.values(), key=lambda a: a.sort_key())
+        elements = closure([ident], [g.__mul__ for _, g in gen_auts],
+                           closure_bound, "generator closure")
+        elements.sort(key=DatumAutomorphism.sort_key)
         index = {a.on_characters: i for i, a in enumerate(elements)}
         table = tuple(
             tuple(index[mat_mul(a.on_characters, b.on_characters)] for b in elements)
@@ -257,23 +257,19 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
         except ValueError:
             raise InvalidActionError(f"generator label {label!r} is not a group element")
         assigned[idx] = aut
-    images = {grp.identity: DatumAutomorphism.identity(datum.rank)}
-    images.update(assigned)
-    frontier = list(images)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in assigned:
-                y = grp.mul(x, g)
-                prod = images[x] * images[g]
-                if y in images:
-                    if images[y].on_characters != prod.on_characters:
-                        raise InvalidActionError(
-                            "generator assignment is inconsistent with the group table")
-                else:
-                    images[y] = prod
-                    nxt.append(y)
-        frontier = nxt
+
+    def times(g, a):
+        return lambda pair: (grp.mul(pair[0], g), pair[1] * a)
+
+    try:
+        graph = closure([(grp.identity, ident), *assigned.items()],
+                        [times(g, a) for g, a in assigned.items()], len(grp))
+    except EnumerationOverflow:
+        graph = None
+    images = dict(graph or ())
+    if graph is None or len(images) != len(graph):
+        raise InvalidActionError(
+            "generator assignment is inconsistent with the group table")
     if len(images) != len(grp):
         raise InvalidActionError("the labeled generators do not generate the group")
     return DatumAction.build(grp, tuple(images[i] for i in grp.elements()), target)
@@ -281,18 +277,8 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
 
 def orbit(action, root_index):
     """The orbit of a root index, canonically ordered."""
-    seen = {root_index}
-    frontier = [root_index]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for p in action.root_perms:
-                j = p[i]
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return tuple(sorted(seen))
+    steps = [p.__getitem__ for p in action.root_perms]
+    return tuple(sorted(closure([root_index], steps)))
 
 
 def orthogonal_orbit(action, root_index):
@@ -393,16 +379,8 @@ def coinvariants(action):
     else:
         fixed_basis = tuple(identity_matrix(n))
 
-    size = len(action.group)
-    avg_full = tuple(
-        tuple(
-            Fraction(sum(aut.on_characters[i][j] for aut in action.images), size)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    average = mat_mul(avg_full, quotient.section) if quotient.free_rank else tuple(
-        () for _ in range(n))
+    average = (mat_mul(_group_average(action), quotient.section) if quotient.free_rank
+               else tuple(() for _ in range(n)))
 
     f = quotient.free_rank
     if len(fixed_basis) != f:
@@ -427,6 +405,17 @@ def coinvariants(action):
     )
     _check_coinvariants(cv)
     return cv
+
+
+def _group_average(action):
+    """The mean of the character matrices of the action, over Q."""
+    n = action.datum.rank
+    size = len(action.group)
+    return tuple(
+        tuple(Fraction(sum(a.on_characters[i][j] for a in action.images), size)
+              for j in range(n))
+        for i in range(n)
+    )
 
 
 def _check_coinvariants(cv):
@@ -462,13 +451,7 @@ def _check_coinvariants(cv):
         # preimage independence: the averaged embedding composed with the
         # projection is the plain group average, and relation vectors
         # pair to zero against every fixed cocharacter
-        size = len(action.group)
-        avg_full = tuple(
-            tuple(Fraction(sum(a.on_characters[i][j] for a in action.images), size)
-                  for j in range(n))
-            for i in range(n)
-        )
-        if mat_mul(cv.average, cv.projection) != avg_full:
+        if mat_mul(cv.average, cv.projection) != _group_average(action):
             raise AssertionError("embedding depends on the choice of preimage")
         for aut in action.images:
             for k in range(n):

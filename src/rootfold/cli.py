@@ -35,8 +35,6 @@ from .errors import (
     InvalidActionError,
     ParseError,
     RootfoldError,
-    UnknownTypeError,
-    UnsupportedDatumError,
 )
 from .folding import reduced_subdatum, restrict, weyl_descent_iso
 from .lattice import det
@@ -359,6 +357,9 @@ def cmd_star(args, out):
     doc = parse_datum(_read(args.file), source=args.file)
     name = args.action
     if name is None:
+        if not doc.actions:
+            out.write("error: the document has no actions\n")
+            return 2
         if len(doc.actions) != 1:
             out.write("error: several actions; pick one with --action\n")
             return 2
@@ -419,6 +420,10 @@ def cmd_isoclass(args, out):
         return 2
     acts1 = [doc1.actions[n] for n in names1]
     acts2 = [doc2.actions[n] for n in names2]
+    for name, a1, a2 in zip(names1, acts1, acts2):
+        if a1.group.labels != a2.group.labels or a1.group.table != a2.group.table:
+            out.write(f"error: the actions named {name!r} have different groups\n")
+            return 2
     iso = equivariant_isomorphic(doc1.datum, acts1, doc2.datum, acts2)
     if iso is None:
         out.write("isomorphic: no\n")
@@ -508,10 +513,6 @@ def main(argv=None, out=None):
     except ParseError as e:
         out.write(f"parse error: {e}\n")
         return 2
-    except (InvalidActionError, UnknownTypeError, UnsupportedDatumError,
-            EnumerationOverflow) as e:
-        out.write(f"error: {e}\n")
-        return 1
     except RootfoldError as e:
         out.write(f"error: {e}\n")
         return 1

@@ -273,6 +273,29 @@ def permutation_getter(indices):
     return lambda s: tuple(s[i] for i in indices)
 
 
+def closure(seeds, maps, bound=None, what="closure"):
+    """Every element reachable from ``seeds`` under ``maps``, in
+    breadth-first order, seeds first and without repeats.  After each
+    layer, raises EnumerationOverflow once more than ``bound`` elements
+    are known (None: no bound)."""
+    found = list(dict.fromkeys(seeds))
+    seen = set(found)
+    frontier = found
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for f in maps:
+                y = f(x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        found.extend(nxt)
+        if bound is not None and len(found) > bound:
+            raise EnumerationOverflow(f"{what} exceeds {bound} elements")
+        frontier = nxt
+    return found
+
+
 def is_reduced(datum):
     rs = set(datum.roots)
     return not any(tuple(2 * x for x in r) in rs for r in datum.roots)
@@ -337,22 +360,10 @@ def weyl_group(datum, base=None, bound=WEYL_BOUND):
     gens = [root_permutation(datum, reflection(datum, i)) for i in base]
     if None in gens:
         raise AssertionError("reflection does not permute the roots")
-    steps = [permutation_getter(p) for p in gens]
     ident = tuple(range(len(datum.roots)))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for step in steps:
-                c = step(w)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        if len(seen) > bound:
-            raise EnumerationOverflow(f"reflection group exceeds {bound} elements")
-        frontier = nxt
-    return WeylGroup(datum, seen, base)
+    perms = closure([ident], [permutation_getter(p) for p in gens], bound,
+                    "reflection group")
+    return WeylGroup(datum, perms, base)
 
 
 # ---------------------------------------------------------------------------
@@ -581,23 +592,25 @@ def cartan_matrix(letter, rank):
 
 def _closure_from_simples(simples, cosimples):
     """All (root, coroot) pairs generated from the simple ones by the
-    simple reflections, via the standard pairing of the realization."""
-    pairs = list(zip(simples, cosimples))
-    seen = dict(pairs)
-    frontier = list(pairs)
-    while frontier:
-        nxt = []
-        for beta, cov in frontier:
-            for alpha, acov in pairs:
-                n = dot(beta, acov)
-                img = tuple(b - n * a for b, a in zip(beta, alpha))
-                if img not in seen:
-                    m = dot(alpha, cov)
-                    img_cov = tuple(c - m * a for c, a in zip(cov, acov))
-                    seen[img] = img_cov
-                    nxt.append((img, img_cov))
-        frontier = nxt
-    return sorted(seen.items())
+    simple reflections, via the standard pairing of the realization;
+    each coroot is computed once, by the step that first reaches its root."""
+    coroot = dict(zip(simples, cosimples))
+
+    def reflection_in(alpha, acov):
+        def step(beta):
+            n = dot(beta, acov)
+            if not n:
+                return beta
+            img = tuple(b - n * a for b, a in zip(beta, alpha))
+            if img not in coroot:
+                cov = coroot[beta]
+                m = dot(alpha, cov)
+                coroot[img] = tuple(c - m * a for c, a in zip(cov, acov))
+            return img
+        return step
+
+    roots = closure(simples, [reflection_in(a, c) for a, c in zip(simples, cosimples)])
+    return sorted((r, coroot[r]) for r in roots)
 
 
 def _realize_classical(letter, rank, tag):

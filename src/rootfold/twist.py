@@ -35,6 +35,7 @@ from .rootdatum import (
     _automorphisms_from_permutations,
     _invert_permutation,
     canonical_base,
+    closure,
     contragredient,
     permutation_getter,
     reflection,
@@ -242,9 +243,17 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND):
 
     ``star`` maps element index to the star-action automorphism;
     ``module`` is a WeylGroup (a subgroup of W) closed under the star
-    twist.  Cocycles are determined by generator values and extended
-    through the twisted law, then checked on every product; exhaustive
-    and deterministic.
+    twist.  Cocycles are determined by generator values; every
+    assignment of module elements to the generators is tried, which is
+    exhaustive and deterministic.
+
+    A cocycle is a homomorphic section g -> (c(g), g) of W x| Gal, with
+    (v, g)(w, h) = (v . g*(w), gh).  Each assignment s -> a_s is closed
+    from (1, e) under (v, g) -> (v . g*(a_s), g s), which gives the
+    subgroup H the pairs (a_s, s) generate; the assignment extends to a
+    cocycle exactly when H is the graph of a map (see ``make_action``).
+    H maps onto Gal, so it is a graph unless the closure passes |Gal|.
+    ``StarCocycle.build`` checks the law again on every cocycle returned.
 
     Everything runs on the stored root permutations of the module,
     exactly: the values are Weyl elements, so each is determined by its
@@ -268,39 +277,21 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND):
             f"{len(module)}^{len(gens)} generator assignments exceed {bound}")
 
     n = len(galois)
-    ident = tuple(range(len(datum.roots)))
+    seed = [(galois.identity, tuple(range(len(datum.roots))))]
+
+    def times(s, a):
+        return lambda pair: (galois.mul(pair[0], s),
+                             permutation_getter(twisted[pair[0]][a])(pair[1]))
+
     found = []
     for assignment in product(module.perms, repeat=len(gens)):
-        values = {galois.identity: ident}
-        ok = True
-        frontier = [galois.identity]
-        while frontier and ok:
-            nxt = []
-            for g in frontier:
-                for gi, s in enumerate(gens):
-                    h = galois.mul(g, s)
-                    cand = permutation_getter(twisted[g][assignment[gi]])(values[g])
-                    if h in values:
-                        if values[h] != cand:
-                            ok = False
-                            break
-                    else:
-                        if cand not in members:
-                            ok = False
-                            break
-                        values[h] = cand
-                        nxt.append(h)
-                if not ok:
-                    break
-            frontier = nxt
-        if not ok or len(values) != n:
-            continue
-        perms = tuple(values[i] for i in range(n))
+        steps = [times(s, a) for s, a in zip(gens, assignment)]
         try:
-            _check_twisted_law(galois, perms, star_perms)
-        except ValueError:
+            values = dict(closure(seed, steps, n))
+        except EnumerationOverflow:
             continue
-        found.append(perms)
+        if members.issuperset(values.values()):
+            found.append(tuple(values[i] for i in range(n)))
     cocycles = _cocycles_from_permutations(galois, datum, star, star_perms, found)
     cocycles.sort(key=lambda c: c.sort_key())
     return tuple(cocycles)

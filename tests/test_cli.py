@@ -10,7 +10,15 @@ from rootfold.cli import (
     main,
     parse_datum,
 )
-from rootfold.errors import ParseError
+from rootfold import cli
+from rootfold.errors import (
+    EnumerationOverflow,
+    InvalidActionError,
+    ParseError,
+    RootfoldError,
+    UnknownTypeError,
+    UnsupportedDatumError,
+)
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
 
@@ -269,6 +277,39 @@ def test_star_requires_action_choice_when_ambiguous(tmp_path):
     code2, out2 = run_cli("star", str(doc), "--action", "galois")
     assert code2 == 0
     assert "cocycle trivial: no" in out2
+
+
+def test_star_on_a_document_without_actions():
+    code, out = run_cli("star", golden("A2sc.datum"))
+    assert code == 2
+    assert out == "error: the document has no actions\n"
+
+
+def test_isoclass_refuses_same_named_actions_over_different_groups():
+    # both documents name their action "gamma", over Z/2 and Z/3
+    code, out = run_cli("isoclass", golden("A3-flip.datum"), golden("D4-triality.datum"))
+    assert code == 2
+    assert out == "error: the actions named 'gamma' have different groups\n"
+
+
+def test_isoclass_on_a_torus_is_one_error_line(tmp_path):
+    path = tmp_path / "torus.datum"
+    path.write_text(json.dumps({"rank": 1, "roots": [], "coroots": []}))
+    code, out = run_cli("isoclass", str(path), str(path))
+    assert code == 1
+    assert out == "error: isomorphism search requires semisimple data\n"
+
+
+@pytest.mark.parametrize("kind", [InvalidActionError, UnknownTypeError,
+                                  UnsupportedDatumError, EnumerationOverflow,
+                                  RootfoldError])
+def test_every_library_error_is_one_error_line(monkeypatch, kind):
+    def fail(args, out):
+        raise kind("boom")
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    code, out = run_cli("verify", golden("A2sc.datum"))
+    assert code == 1
+    assert out == "error: boom\n"
 
 
 # ---------------------------------------------------------------------------

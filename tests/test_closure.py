@@ -1,0 +1,207 @@
+"""The shared breadth-first closure and the homomorphism extension that
+``make_action`` runs through it, against a brute-force oracle."""
+
+from functools import lru_cache
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rootfold.action import DatumAction, FiniteGroup, make_action
+from rootfold.errors import EnumerationOverflow, InvalidActionError
+from rootfold.lattice import identity_matrix, mat_mul
+from rootfold.rootdatum import (
+    DatumAutomorphism,
+    closure,
+    from_cartan_type,
+    weyl_group,
+)
+from rootfold.twist import equivariant_automorphism_group
+
+# ---------------------------------------------------------------------------
+# closure
+
+
+def test_closure_is_breadth_first():
+    # words in a, b of length at most 2, one layer per length
+    grow = [lambda w, c=c: w + c if len(w) < 2 else w for c in "ab"]
+    assert closure([""], grow) == ["", "a", "b", "aa", "ab", "ba", "bb"]
+
+
+def test_closure_drops_repeated_seeds_and_keeps_their_order():
+    assert closure([3, 1, 3], []) == [3, 1]
+    assert closure([2, 0, 2], [lambda x: (x + 2) % 4]) == [2, 0]
+    assert closure([5, 0], [lambda x: (x + 5) % 10, lambda x: (x + 2) % 10]) == [
+        5, 0, 7, 2, 9, 4, 1, 6, 3, 8]
+
+
+def test_closure_bound_is_checked_after_each_layer():
+    calls = []
+
+    def step(k):
+        def f(x):
+            calls.append(x)
+            return x + k
+        return f
+
+    # layer 1 brings the count to 4 > 2; all three maps run before the raise
+    with pytest.raises(EnumerationOverflow) as err:
+        closure([0], [step(1), step(2), step(3)], bound=2, what="walk")
+    assert str(err.value) == "walk exceeds 2 elements"
+    assert len(calls) == 3
+
+
+def test_closure_bound_is_exceeded_not_reached():
+    cycle = [lambda x: (x + 1) % 10]
+    assert len(closure([0], cycle, bound=10)) == 10
+    with pytest.raises(EnumerationOverflow, match="^closure exceeds 9 elements$"):
+        closure([0], cycle, bound=9)
+
+
+def test_weyl_group_overflow_message():
+    with pytest.raises(EnumerationOverflow,
+                       match="^reflection group exceeds 23 elements$"):
+        weyl_group(from_cartan_type("A3:sc").datum, bound=23)
+    assert len(weyl_group(from_cartan_type("A3:sc").datum, bound=24)) == 24
+
+
+def test_generator_closure_overflow_message():
+    d = from_cartan_type("A2:sc").datum
+    rot = ((0, 1), (-1, -1))  # order 3, a product of two simple reflections
+    with pytest.raises(EnumerationOverflow,
+                       match="^generator closure exceeds 2 elements$"):
+        make_action(d, [(rot, "r")], closure_bound=2)
+    assert len(make_action(d, [(rot, "r")], closure_bound=3).group) == 3
+
+
+# ---------------------------------------------------------------------------
+# DatumAction.build checks the cocharacter matrix it is handed
+
+
+def test_build_rejects_a_wrong_cocharacter_matrix():
+    d = from_cartan_type("A2:sc").datum
+    flip = ((0, 1), (1, 0))
+    good = DatumAutomorphism.from_matrix(flip)
+    ident = DatumAutomorphism.identity(2)
+    assert DatumAction.build(FiniteGroup.cyclic(2), [ident, good], d).images[1] == good
+    bad = DatumAutomorphism(flip, ((1, 0), (0, 1)))
+    with pytest.raises(InvalidActionError, match="not the contragredient"):
+        DatumAction.build(FiniteGroup.cyclic(2), [ident, bad], d)
+
+
+# ---------------------------------------------------------------------------
+# explicit-group make_action against a brute-force homomorphism search
+
+
+def symmetric_group_3():
+    labels = tuple(permutations(range(3)))
+    table = tuple(
+        tuple(labels.index(tuple(p[q[i]] for i in range(3))) for q in labels)
+        for p in labels)
+    return FiniteGroup(labels, table)
+
+
+GROUPS = {
+    "cyclic:4": FiniteGroup.cyclic(4),
+    "Z/2xZ/2": FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+    "S3": symmetric_group_3(),
+}
+
+# every automorphism of each datum: W(A2) x Z/2 (12) and the dihedral
+# group of order 8 on A1 x A1
+DATA = {spec: (from_cartan_type(spec).datum,
+               [a.on_characters for a in
+                equivariant_automorphism_group(from_cartan_type(spec))])
+        for spec in ("A2:sc", "A1:sc x A1:sc")}
+
+
+def generated_subgroup(group, elements):
+    """Products of the elements until nothing new appears."""
+    sub = {group.identity}
+    while True:
+        bigger = sub | {group.mul(x, g) for x in sub for g in elements}
+        if bigger == sub:
+            return sub
+        sub = bigger
+
+
+def homomorphisms(group, sub, assigned, matrices):
+    """Every map phi on ``sub`` with phi(x) phi(y) = phi(xy) and
+    phi = assigned where given, by exhaustive backtracking."""
+    order = sorted(sub, key=lambda x: (x not in assigned, x))
+    ident = identity_matrix(len(matrices[0]))
+    phi = {}
+
+    def consistent():
+        return all(mat_mul(phi[u], phi[v]) == phi[group.mul(u, v)]
+                   for u in phi for v in phi if group.mul(u, v) in phi)
+
+    def search(k):
+        if k == len(order):
+            yield dict(phi)
+            return
+        x = order[k]
+        if x in assigned:
+            choices = [assigned[x]]
+        elif x == group.identity:
+            choices = [ident]
+        else:
+            choices = matrices
+        for m in choices:
+            phi[x] = m
+            if consistent():
+                yield from search(k + 1)
+            del phi[x]
+
+    return search(0)
+
+
+@lru_cache(maxsize=None)
+def all_homomorphisms(group_name, spec):
+    group = GROUPS[group_name]
+    return list(homomorphisms(group, set(group.elements()), {}, DATA[spec][1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_explicit_group_assignment_matches_brute_force(data):
+    name = data.draw(st.sampled_from(sorted(GROUPS)), label="group")
+    spec = data.draw(st.sampled_from(sorted(DATA)), label="datum")
+    group = GROUPS[name]
+    datum, matrices = DATA[spec]
+    labeled = data.draw(st.lists(st.integers(0, len(group) - 1), max_size=3,
+                                 unique=True), label="labeled elements")
+    # half the time the values come from a homomorphism, so that
+    # consistent assignments are common
+    if data.draw(st.booleans(), label="from a homomorphism"):
+        hom = data.draw(st.sampled_from(all_homomorphisms(name, spec)), label="hom")
+        assigned = {x: hom[x] for x in labeled}
+    else:
+        assigned = {x: data.draw(st.sampled_from(matrices), label="value")
+                    for x in labeled}
+    generators = [(m, group.labels[x]) for x, m in assigned.items()]
+
+    sub = generated_subgroup(group, assigned)
+    phi = next(homomorphisms(group, sub, assigned, matrices), None)
+    if phi is None:
+        expected = "generator assignment is inconsistent with the group table"
+    elif len(sub) != len(group):
+        expected = "the labeled generators do not generate the group"
+    else:
+        action = make_action(datum, generators, group=group)
+        assert [a.on_characters for a in action.images] == [
+            phi[x] for x in group.elements()]
+        return
+    with pytest.raises(InvalidActionError) as err:
+        make_action(datum, generators, group=group)
+    assert str(err.value) == expected
+
+
+def test_labels_that_do_not_generate_are_rejected():
+    d = from_cartan_type("A2:sc").datum
+    flip = ((0, 1), (1, 0))
+    with pytest.raises(InvalidActionError,
+                       match="^the labeled generators do not generate the group$"):
+        make_action(d, [(flip, 2)], group=FiniteGroup.cyclic(4))
+    with pytest.raises(InvalidActionError, match="do not generate"):
+        make_action(d, [], group=FiniteGroup.cyclic(2))
