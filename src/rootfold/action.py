@@ -30,6 +30,7 @@ from .rootdatum import (
     closure,
     contragredient,
     permutation_getter,
+    reflection_permutation,
     root_permutation,
     weyl_group,
 )
@@ -128,10 +129,11 @@ class FiniteGroup:
 
 
 def _require_automorphism(datum, matrix, context, on_cocharacters=None):
-    """The datum automorphism with character matrix A = ``matrix``, or
-    InvalidActionError.  A given cocharacter matrix A' is checked with
-    A^T P A' = P, i.e. <A x, A' y> = <x, y>, whose one solution is the
-    contragredient P^-1 A^-T P; it is computed when none is given."""
+    """The datum automorphism with character matrix A = ``matrix`` and
+    its root permutation, or InvalidActionError.  A given cocharacter
+    matrix A' is checked with A^T P A' = P, i.e. <A x, A' y> = <x, y>,
+    whose one solution is the contragredient P^-1 A^-T P; it is computed
+    when none is given."""
     if len(matrix) != datum.rank or any(len(r) != datum.rank for r in matrix):
         raise InvalidActionError(f"{context}: matrix has wrong shape")
     if abs(det(matrix)) != 1:
@@ -146,10 +148,11 @@ def _require_automorphism(datum, matrix, context, on_cocharacters=None):
             raise InvalidActionError(
                 f"{context}: cocharacter matrix is not the contragredient")
     aut = DatumAutomorphism(matrix, on_cocharacters)
-    if root_permutation(datum, aut) is None:
+    perm = root_permutation(datum, aut)
+    if perm is None:
         raise InvalidActionError(
             f"{context}: matrix does not permute the roots compatibly with coroots")
-    return aut
+    return aut, perm
 
 
 @dataclass(frozen=True)
@@ -176,6 +179,31 @@ class DatumAction:
     def root_perms(self):
         return tuple(root_permutation(self.datum, a) for a in self.images)
 
+    @cached_property
+    def base_lifts(self):
+        """{orbit: (orthogonal orbit, lift)} for each orbit of the group
+        on the base of a based action, where the lift is the root
+        permutation of the product of the reflections over the
+        orthogonal orbit (pairwise orthogonal roots, so the factors
+        commute).  These lifts generate the fixed Weyl subgroup (see
+        ``fixed_weyl``)."""
+        datum = self.datum
+        ident = tuple(range(len(datum.roots)))
+        lifts = {}
+        for k in self.target.base:
+            orb = orbit(self, k)
+            if orb in lifts:
+                continue
+            xi = orthogonal_orbit(self, k)
+            lift = ident
+            for j in xi:
+                s = reflection_permutation(datum, j)
+                if s is None:
+                    raise AssertionError("reflection does not permute the roots")
+                lift = permutation_getter(s)(lift)
+            lifts[orb] = (xi, lift)
+        return lifts
+
     def is_trivial(self):
         return all(a.is_identity() for a in self.images)
 
@@ -188,9 +216,10 @@ class DatumAction:
         images = tuple(images)
         if len(images) != len(group):
             raise InvalidActionError("one image per group element is required")
-        auts = [_require_automorphism(datum, im.on_characters,
-                                      f"element {group.labels[i]!r}", im.on_cocharacters)
-                for i, im in enumerate(images)]
+        checked = [_require_automorphism(datum, im.on_characters,
+                                         f"element {group.labels[i]!r}", im.on_cocharacters)
+                   for i, im in enumerate(images)]
+        auts = [aut for aut, _ in checked]
         ident = identity_matrix(datum.rank)
         if auts[group.identity].on_characters != ident:
             raise InvalidActionError("identity element must act trivially")
@@ -202,6 +231,8 @@ class DatumAction:
                         f"images are not a homomorphism at "
                         f"({group.labels[a]!r}, {group.labels[b]!r})")
         action = cls(group, tuple(auts), target)
+        # seed the cached property with the permutations just computed
+        vars(action)["root_perms"] = tuple(perm for _, perm in checked)
         if isinstance(target, BasedRootDatum):
             base_set = {datum.roots[i] for i in target.base}
             for i, aut in enumerate(auts):
@@ -234,7 +265,7 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
     gen_auts = []
     for mat, label in generators:
         mat = tuple(tuple(int(x) for x in row) for row in mat)
-        gen_auts.append((label, _require_automorphism(datum, mat, f"generator {label!r}")))
+        gen_auts.append((label, _require_automorphism(datum, mat, f"generator {label!r}")[0]))
 
     ident = DatumAutomorphism.identity(datum.rank)
     if group == "closure":
@@ -466,22 +497,50 @@ def _check_coinvariants(cv):
 def fixed_weyl(action, weyl=None, bound=None):
     """The subgroup of Weyl elements commuting with every group image.
 
-    The filter runs on root permutations: w is kept when p o w = w o p
-    for the permutation p of the image g of each group generator, which
-    is commuting with every image.  This is exact.
-    g is a datum automorphism, so g s_a g^-1 = s_{g(a)} and g normalizes
-    W; g w g^-1 and w are then both Weyl elements, with permutations
-    p o w o p^-1 and w, and W acts faithfully on the roots, so
-    g w g^-1 = w exactly when p o w = w o p.  Matrices are built only
-    for the elements kept, and only when a caller asks for them."""
+    A group image g is a datum automorphism, so g s_a g^-1 = s_{g(a)}
+    and g normalizes W; g w g^-1 and w are then both Weyl elements, with
+    permutations p o w o p^-1 and w for p the permutation of g, and W
+    acts faithfully on the roots, so g w g^-1 = w exactly when
+    p o w = w o p.  Commuting with the images of the group generators is
+    commuting with every image.
+
+    For a based action called without ``weyl``, the subgroup is the
+    breadth-first closure of the lifts in ``action.base_lifts``, one per
+    orbit O of the group on the base, and no other Weyl element is
+    listed; ``bound`` applies to the subgroup.  Each lift is checked to
+    commute with every generator image.  Why they generate (Steinberg,
+    Endomorphisms of linear algebraic groups, 1968): the group permutes
+    the base, hence the positive roots.  The lift of O is the longest
+    element w_O of the parabolic subgroup W_O: the product of the
+    reflections in O when O is orthogonal, and otherwise, O being a
+    union of A2 pairs {a, b}, the product of the s_{a+b}.  Let w != 1
+    be fixed, and a simple with w(a) < 0.  For g in the group,
+    w(g a) = g w(a) < 0, so w makes every root of the orbit O of a
+    negative, hence every positive root of W_O.  So w w_O is fixed and
+    shorter than w by the length of w_O, and induction on the length
+    writes w as a product of lifts.
+
+    Otherwise, for unbased actions and callers handing in ``weyl``, the
+    elements of ``weyl`` (by default all of W) are filtered by the
+    commutation test on root permutations.  Matrices are built only
+    when a caller asks for them."""
     from .rootdatum import WEYL_BOUND
 
     datum = action.datum
-    if weyl is None:
-        base = action.target.base if action.is_based else None
-        weyl = weyl_group(datum, base=base, bound=bound or WEYL_BOUND)
     ident = tuple(range(len(datum.roots)))
     gens = sorted({action.root_perms[g] for g in action.group.generating_set} - {ident})
+    if weyl is None and action.is_based:
+        lifts = [lift for _, lift in action.base_lifts.values()]
+        for lift in lifts:
+            for p in gens:
+                if permutation_getter(p)(lift) != permutation_getter(lift)(p):
+                    raise AssertionError(
+                        "lifted reflection does not commute with the action")
+        perms = closure([ident], [permutation_getter(lift) for lift in lifts],
+                        bound or WEYL_BOUND, "reflection group")
+        return WeylGroup(datum, perms, lifts)
+    if weyl is None:
+        weyl = weyl_group(datum, bound=bound or WEYL_BOUND)
     fixed = weyl.perms
     for p in gens:
         after = permutation_getter(p)

@@ -42,6 +42,7 @@ from .rootdatum import (
     is_reduced,
     permutation_getter,
     reflection,
+    reflection_permutation,
     verify_axioms,
     verify_base,
     weyl_group,
@@ -248,24 +249,59 @@ def fiber(fold, restricted_root):
 @dataclass(frozen=True)
 class WeylDescent:
     """The isomorphism between the restricted Weyl group and the fixed
-    subgroup of the source Weyl group."""
+    subgroup of the source Weyl group.
+
+    down          : root permutation of each fixed element -> that of
+                    its image in the restricted Weyl group
+    to_fixed      : restricted element matrix -> fixed element
+    to_restricted : fixed element matrix -> restricted element
+    The two matrix maps are built on first access."""
 
     fold: RestrictedDatum
     restricted_weyl: object
     fixed_subgroup: object
-    to_fixed: dict        # restricted element matrix -> fixed element
-    to_restricted: dict   # fixed element matrix -> restricted element
+    down: dict
 
     @property
     def order(self):
         return len(self.restricted_weyl)
 
+    @cached_property
+    def to_restricted(self):
+        bar = dict(zip(self.restricted_weyl.sorted_perms, self.restricted_weyl))
+        return {w.on_characters: bar[self.down[p]]
+                for w, p in zip(self.fixed_subgroup, self.fixed_subgroup.sorted_perms)}
+
+    @cached_property
+    def to_fixed(self):
+        return {self.to_restricted[w.on_characters].on_characters: w
+                for w in self.fixed_subgroup}
+
 
 def weyl_descent_iso(fold, bound=WEYL_BOUND):
-    """Build and fully verify the descent isomorphism: the reflection in
-    a restricted root corresponds to the product of reflections over the
-    orthogonal orbit of any source representative; multiplicativity is
-    checked on the full multiplication table."""
+    """Build and fully verify the descent isomorphism W^G -> W-bar.
+
+    W^G comes from ``fixed_weyl`` as the closure of the lifts, one per
+    orbit of the base (the product of the reflections over its
+    orthogonal orbit), hence one per restricted base root.  A fixed element with root permutation p goes to
+    the restricted Weyl element w-bar with permutation down(p), which
+    sends restricted root b to the fiber holding p(rep_b), rep_b a
+    source root over b.  Checked: down(p) lies in W-bar and down is a
+    bijection; for each restricted base root b, the lift l over b has
+    factors that commute (its matrix in both orders), down(l) is the
+    reflection s_b, and s_b . proj = proj . l on the lattice; and down
+    is multiplicative on the full multiplication table
+    (``_check_multiplicative``).  Matrices are built for the lifts only.
+
+    The matrix m_w = proj . w . section of each fixed w is w-bar, with
+    no matrix built.  w commutes with the group, so it preserves the
+    relations x - g x and the saturation of their span, the kernel of
+    proj; hence proj . w = m_w . proj, and w -> m_w is a homomorphism
+    (m_vw proj = proj v w = m_v proj w = m_v m_w proj, proj onto).
+    w -> w-bar is a homomorphism by the table check.  On a lift l both
+    give s_b: m_l = s_b . proj . section = s_b by the lattice check, and
+    l-bar = s_b by the permutation check, W-bar acting faithfully on its
+    roots.  The lifts generate W^G, so m_w = w-bar for every w."""
     source_action = fold.source
     source = source_action.datum
     cv = fold.coinvariants
@@ -277,32 +313,25 @@ def weyl_descent_iso(fold, bound=WEYL_BOUND):
         raise AssertionError(
             f"|restricted Weyl| = {len(w_bar)} != |fixed subgroup| = {len(w_fixed)}")
 
-    # the induced map on the quotient, per fixed element; ``down`` maps
-    # the root permutation of each fixed element to that of its image
-    to_restricted = {}
-    down = {}
-    seen = set()
-    for w, p in zip(w_fixed, w_fixed.sorted_perms):
-        m = induced_fixed_map(fold, w)
-        if m in seen:
-            raise AssertionError("fixed subgroup does not act faithfully")
-        seen.add(m)
-        target = w_bar.element_with_matrix(m)
-        if target is None:
-            raise AssertionError("induced map is not a restricted Weyl element")
-        to_restricted[w.on_characters] = target
-        down[p] = w_bar.sorted_perms[w_bar.index(target)]
-    if len(seen) != len(w_bar):
-        raise AssertionError("induced maps do not exhaust the restricted Weyl group")
-    to_fixed = {}
-    for w in w_fixed:
-        to_fixed[to_restricted[w.on_characters].on_characters] = w
+    fiber_of = [None] * len(source.roots)
+    for b, fib in enumerate(fold.fibers):
+        for i in fib:
+            fiber_of[i] = b
+    reps = permutation_getter([fib[0] for fib in fold.fibers])
+
+    def descend(p):
+        return permutation_getter(reps(p))(fiber_of)
+
+    images = [descend(p) for p in w_fixed.perms]
+    if not set(w_bar.perms).issuperset(images):
+        raise AssertionError("induced map is not a restricted Weyl element")
+    if len(set(images)) != len(images):
+        raise AssertionError("fixed subgroup does not act faithfully")
 
     # generator formula: the reflection in a restricted base root lifts
     # to the commuting product over the orthogonal orbit
     for b in fold.base:
-        rep = fold.fibers[b][0]
-        xi = orthogonal_orbit(source_action, rep)
+        xi, lift_perm = source_action.base_lifts[fold.fibers[b]]
         lift = DatumAutomorphism.identity(source.rank)
         for k in xi:
             lift = lift * reflection(source, k)
@@ -312,26 +341,65 @@ def weyl_descent_iso(fold, bound=WEYL_BOUND):
             rev = rev * reflection(source, k)
         if lift.on_characters != rev.on_characters:
             raise AssertionError("orthogonal orbit reflections do not commute")
-        if lift.on_characters not in to_restricted:
-            raise AssertionError("lifted reflection is not a fixed Weyl element")
-        wbar = reflection(restricted, b)
-        if to_restricted[lift.on_characters].on_characters != wbar.on_characters:
+        if descend(lift_perm) != reflection_permutation(restricted, b):
             raise AssertionError("descent does not send the lift to the reflection")
         # defining relation on the lattice: wbar . projection = projection . lift
+        wbar = reflection(restricted, b)
         if mat_mul(wbar.on_characters, cv.projection) != mat_mul(
                 cv.projection, lift.on_characters):
             raise AssertionError("embedding relation fails on the lattice")
 
-    # multiplicativity on the full table, compared on root permutations:
-    # both Weyl groups act faithfully on their roots, so equal
-    # permutations are equal elements
-    for q, dq in down.items():
-        right, right_down = permutation_getter(q), permutation_getter(dq)
-        for p, dp in down.items():
-            if down.get(right(p)) != right_down(dp):
-                raise AssertionError("descent is not multiplicative")
+    _check_multiplicative(w_fixed.perms, w_fixed.generators, images)
+    return WeylDescent(fold, w_bar, w_fixed, dict(zip(w_fixed.perms, images)))
 
-    return WeylDescent(fold, w_bar, w_fixed, to_fixed, to_restricted)
+
+def _check_multiplicative(perms, generators, images):
+    """Raise AssertionError unless x -> images[x] is multiplicative on
+    every one of the n^2 products, n = len(perms).
+
+    ``perms`` lists a group of root permutations in the breadth-first
+    order ``closure`` gives from the identity under right multiplication
+    by ``generators``; ``images`` lists root permutations, one per
+    element, forming a group G-bar in which each element occurs once.
+    The identity must go to the identity (phi(e) = phi(e)^2 for a
+    multiplicative phi), so the identity columns agree.
+
+    The table is walked column by column in the same breadth-first
+    order.  The column of y holds the index of x . y for every x.  With
+    right_h the index map of right multiplication by h, the column of
+    y = x . h is right_h read at the column of x: one itemgetter call.
+    The column of phi(y) in the table of G-bar, numbered through
+    ``images``, is built the same way from phi(x) and phi(h); its entry
+    at the identity is then the index of phi(x) phi(h), so equal
+    columns confirm phi(y) = phi(x) phi(h), both columns are real table
+    columns by induction, and their equality is
+    phi(p_i p_y) = phi(p_i) phi(p_y) for every i.  Only the columns of
+    two breadth-first layers are held at a time."""
+    if images[0] != tuple(range(len(images[0]))):
+        raise AssertionError("descent is not multiplicative")
+    n = len(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    index_bar = {q: i for i, q in enumerate(images)}
+    right = [tuple(map(index.__getitem__, map(permutation_getter(h), perms)))
+             for h in generators]
+    right_bar = [tuple(map(index_bar.__getitem__,
+                           map(permutation_getter(images[index[h]]), images)))
+                 for h in generators]
+    ident = tuple(range(n))
+    columns = {0: (ident, ident)}
+    fresh = 1   # columns are built for the indices below, in order
+    for x in range(n):
+        if x >= fresh:
+            raise AssertionError(
+                "elements are not in the breadth-first order of the generators")
+        col, col_bar = columns.pop(x)
+        if col != col_bar:
+            raise AssertionError("descent is not multiplicative")
+        for h, h_bar in zip(right, right_bar):
+            if h[x] == fresh:
+                columns[fresh] = (permutation_getter(col)(h),
+                                  permutation_getter(col_bar)(h_bar))
+                fresh += 1
 
 
 def is_invariant_system(fold, system):

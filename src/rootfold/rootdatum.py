@@ -141,6 +141,11 @@ class RootDatum:
     def cartan_entry(self, i, j):
         return self.pair(self.roots[i], self.coroots[j])
 
+    @cached_property
+    def _reflection_perms(self):
+        # filled by ``reflection_permutation``, one entry per root index
+        return {}
+
 
 @dataclass(frozen=True)
 class BasedRootDatum:
@@ -182,17 +187,18 @@ class WeylGroup:
     The Weyl group of a root datum acts faithfully on its roots
     (``verify_axioms`` proves it), so the permutation of the root
     indices names an element; ``perms`` lists them in closure order and
-    ``len`` is known at once.  The automorphisms themselves, and the
-    canonical order sorting them by character matrix, are built on first
-    use of ``elements``, iteration, ``index``, ``in`` or
-    ``element_with_matrix``; ``sorted_perms`` lists the permutations in
-    that canonical order."""
+    ``len`` is known at once.  ``generators`` holds the permutations the
+    group was closed from, when it was built as a closure.  The
+    automorphisms themselves, and the canonical order sorting them by
+    character matrix, are built on first use of ``elements``, iteration,
+    ``index``, ``in`` or ``element_with_matrix``; ``sorted_perms`` lists
+    the permutations in that canonical order."""
 
-    def __init__(self, datum, perms, generator_indices=()):
+    def __init__(self, datum, perms, generators=()):
         self.datum = datum
         self.perms = tuple(perms)
         self.order = len(self.perms)
-        self.generator_indices = tuple(generator_indices)
+        self.generators = tuple(generators)
 
     @cached_property
     def _canonical(self):
@@ -257,6 +263,41 @@ def root_permutation(datum, aut):
         if j is None:
             return None
         if aut.apply_cochar(datum.coroots[i]) != datum.coroots[j]:
+            return None
+        perm.append(j)
+    if len(set(perm)) != len(perm):
+        return None
+    return tuple(perm)
+
+
+def reflection_permutation(datum, k):
+    """The root permutation of the reflection in root k, or None if it
+    does not permute the roots compatibly with the coroots: the contract
+    of ``root_permutation(datum, reflection(datum, k))``, read off the
+    pairing without building a matrix.  s_k sends root a_i to
+    a_i - <a_i, c_k> a_k and coroot c_i to c_i - <a_k, c_i> c_k.
+    Cached on the datum instance."""
+    cache = datum._reflection_perms
+    if k not in cache:
+        cache[k] = _reflection_permutation(datum, k)
+    return cache[k]
+
+
+def _reflection_permutation(datum, k):
+    alpha, cov = datum.roots[k], datum.coroots[k]
+    if datum.has_standard_pairing:
+        p_cov, p_alpha = cov, alpha
+    else:
+        p_cov = mat_vec(datum.pairing_matrix, cov)
+        p_alpha = mat_vec(transpose(datum.pairing_matrix), alpha)
+    perm = []
+    for i, (r, c) in enumerate(zip(datum.roots, datum.coroots)):
+        n = dot(r, p_cov)
+        j = datum.root_index.get(tuple(x - n * a for x, a in zip(r, alpha))) if n else i
+        if j is None:
+            return None
+        m = dot(p_alpha, c)
+        if (tuple(x - m * a for x, a in zip(c, cov)) if m else c) != datum.coroots[j]:
             return None
         perm.append(j)
     if len(set(perm)) != len(perm):
@@ -357,13 +398,13 @@ def weyl_group(datum, base=None, bound=WEYL_BOUND):
     EnumerationOverflow beyond ``bound`` elements."""
     if base is None:
         base = canonical_base(datum)
-    gens = [root_permutation(datum, reflection(datum, i)) for i in base]
+    gens = [reflection_permutation(datum, i) for i in base]
     if None in gens:
         raise AssertionError("reflection does not permute the roots")
     ident = tuple(range(len(datum.roots)))
     perms = closure([ident], [permutation_getter(p) for p in gens], bound,
                     "reflection group")
-    return WeylGroup(datum, perms, base)
+    return WeylGroup(datum, perms, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +462,7 @@ def verify_axioms(datum):
     if problems:
         return problems
     for i in range(len(roots)):
-        w = reflection(datum, i)
-        if root_permutation(datum, w) is None:
+        if reflection_permutation(datum, i) is None:
             problems.append(
                 f"reflection in root {i} does not permute roots and coroots compatibly")
     return problems

@@ -39,6 +39,7 @@ from .rootdatum import (
     contragredient,
     permutation_getter,
     reflection,
+    reflection_permutation,
     root_permutation,
     system_bases,
     weyl_group,
@@ -47,17 +48,19 @@ from .rootdatum import (
 Z1_BOUND = 10 ** 6
 
 
-def base_transport(based, aut):
+def base_transport(based, aut, with_inverse=False):
     """The unique Weyl element w with aut(base) = w(base), found by
-    walking the image positive system back with simple reflections."""
+    walking the image positive system back with simple reflections:
+    w = s_1 ... s_k for the reflections of the walk, in order.  With
+    ``with_inverse``, returns (w, w^-1), where w^-1 = s_k ... s_1 as
+    simple reflections are involutions; no matrix is inverted."""
     datum = based.datum
     perm = root_permutation(datum, aut)
     if perm is None:
         raise InvalidActionError("map does not permute the roots")
     pos = based.positive_system
     target = frozenset(perm[i] for i in pos)
-    simple_refl = {d: reflection(datum, d) for d in based.base}
-    simple_perm = {d: root_permutation(datum, simple_refl[d]) for d in based.base}
+    simple_perm = {d: reflection_permutation(datum, d) for d in based.base}
     neg_of = {d: datum.index_of(tuple(-x for x in datum.roots[d])) for d in based.base}
 
     current = target
@@ -72,13 +75,19 @@ def base_transport(based, aut):
         guard -= 1
         if guard < 0:
             raise InvalidActionError("base transport did not terminate")
+    simple_refl = {d: reflection(datum, d) for d in set(word)}
     w = DatumAutomorphism.identity(datum.rank)
     for d in word:
         w = w * simple_refl[d]
     if {tuple(w.apply(datum.roots[i])) for i in based.base} != {
             tuple(aut.apply(datum.roots[i])) for i in based.base}:
         raise AssertionError("transport element does not carry the base correctly")
-    return w
+    if not with_inverse:
+        return w
+    inv = DatumAutomorphism.identity(datum.rank)
+    for d in reversed(word):
+        inv = inv * simple_refl[d]
+    return w, inv
 
 
 def _conjugation(q):
@@ -174,9 +183,9 @@ def star_action(action, base):
     transports = []
     stars = []
     for aut in action.images:
-        c = base_transport(based, aut)
+        c, c_inv = base_transport(based, aut, with_inverse=True)
         transports.append(c)
-        stars.append(c.inverse() * aut)
+        stars.append(c_inv * aut)
     star_act = DatumAction.build(action.group, stars, based)
     cocycle = StarCocycle.build(
         action.group, datum, transports, stars,

@@ -342,20 +342,24 @@ def matrix_commutation_filter(action, weyl):
 
 
 def reference_filter_cases():
-    from rootfold.rootdatum import RootDatum
+    """Every case of the library's folding table, D4 along S3, and both
+    an unbased and a based A1 plus a rank-1 torus."""
+    from rootfold.rootdatum import BasedRootDatum, RootDatum
+    from rootfold.selftest import FOLD_TABLE, node_permutation_matrix
 
     cases = {}
-    for n in (2, 3, 4, 5):
-        b = from_cartan_type(f"A{n}:sc")
-        cases[f"A{n} flip"] = make_action(b, [(flip_matrix(n), "s")])
+    for name, spec, builder, *_ in FOLD_TABLE:
+        cases[name] = make_action(from_cartan_type(spec), [(builder(), "g")])
     d4 = from_cartan_type("D4:sc")
-    triality = ((0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0))
-    cases["D4 triality"] = make_action(d4, [(triality, "t")])
-    cases["A1xA1 swap"] = make_action(from_cartan_type("A1:sc x A1:sc"),
-                                      [(flip_matrix(2), "s")])
+    triality = node_permutation_matrix({0: 2, 1: 1, 2: 3, 3: 0}, 4)
+    swap = node_permutation_matrix({0: 0, 1: 1, 2: 3, 3: 2}, 4)
+    cases["D4 S3"] = make_action(d4, [(triality, "t"), (swap, "s")])
     cases["trivial"] = trivial_action(from_cartan_type("B2:sc"))
     torus = RootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)))
-    cases["A1+torus"] = make_action(torus, [(((1, 0), (0, -1)), "t")])
+    invert = ((1, 0), (0, -1))
+    cases["A1+torus"] = make_action(torus, [(invert, "t")])
+    based = BasedRootDatum(torus, (torus.index_of((2, 0)),))
+    cases["A1+torus based"] = make_action(based, [(invert, "t")])
     return cases
 
 
@@ -365,10 +369,32 @@ def test_fixed_weyl_matches_matrix_commutation_filter(name):
     w = weyl_group(act.datum, base=act.target.base if act.is_based else None)
     expected = matrix_commutation_filter(act, w)
     got = fixed_weyl(act)
+    if act.is_based:
+        # the closure of the lifts, one per orbit of the base
+        assert got.generators == tuple(lift for _, lift in act.base_lifts.values())
+        assert len(got.generators) == len({orbit(act, k) for k in act.target.base})
     assert [(a.on_characters, a.on_cocharacters) for a in got] == [
         (a.on_characters, a.on_cocharacters) for a in expected]
     assert [a.on_characters for a in fixed_weyl(act, weyl=w)] == [
         a.on_characters for a in expected]
+
+
+def test_fixed_weyl_bound_applies_to_the_fixed_subgroup():
+    from rootfold.errors import EnumerationOverflow
+
+    # |W(A3)| = 24, |W^G| = 8
+    with pytest.raises(EnumerationOverflow,
+                       match="^reflection group exceeds 7 elements$"):
+        fixed_weyl(a3_flip(), bound=7)
+    assert len(fixed_weyl(a3_flip(), bound=8)) == 8
+
+
+def test_build_keeps_the_root_permutations_it_checked():
+    from rootfold.rootdatum import root_permutation
+
+    act = a3_flip()
+    assert "root_perms" in vars(act)
+    assert act.root_perms == tuple(root_permutation(act.datum, a) for a in act.images)
 
 
 def test_actions_commute():

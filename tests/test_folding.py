@@ -328,3 +328,153 @@ def test_iterated_fold():
     again = restrict(make_action(fold.based, [], group=FiniteGroup.trivial()))
     assert classify(again.datum) == classify(fold.datum)
     assert len(again.datum.roots) == len(fold.datum.roots)
+
+
+# ---------------------------------------------------------------------------
+# folds whose source Weyl group is never listed
+
+
+def closed_form_weyl_order(label):
+    """|W| of an irreducible type from its label, by the classical
+    formulas; shares no code with the engine."""
+    from math import factorial
+
+    letter, n = label.rstrip("0123456789"), int(label.lstrip("ABCDEFG"))
+    if letter == "A":
+        return factorial(n + 1)
+    if letter in ("B", "C", "BC"):
+        return 2 ** n * factorial(n)
+    if letter == "D":
+        return 2 ** (n - 1) * factorial(n)
+    return {"G2": 12, "F4": 1152}[label]
+
+
+# name: (type, generator matrices, expected label); A7 and A8 have
+# |W| = 40320 and 362880, D6 has 23040: only the fixed subgroup is listed
+UNLISTED_FOLDS = {
+    "A7 flip": ("A7:sc", [flip_matrix(7)], "C4"),
+    "A8 flip": ("A8:sc", [flip_matrix(8)], "BC4"),
+    "D6 flip": ("D6:sc", [node_perm_matrix({0: 0, 1: 1, 2: 2, 3: 3, 4: 5, 5: 4}, 6)],
+                "B5"),
+    "D4 S3": ("D4:sc", [node_perm_matrix({0: 2, 1: 1, 2: 3, 3: 0}, 4),
+                        node_perm_matrix({0: 0, 1: 1, 2: 3, 3: 2}, 4)], "G2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNLISTED_FOLDS))
+def test_fold_checked_against_closed_form_fixed_order(name):
+    spec, matrices, label = UNLISTED_FOLDS[name]
+    act = make_action(from_cartan_type(spec), [(m, f"g{i}") for i, m in enumerate(matrices)])
+    fold = restrict(act)
+    assert classify(fold.datum) == [(label, 1)]
+    iso = weyl_descent_iso(fold)
+    order = closed_form_weyl_order(label)
+    assert iso.order == len(iso.fixed_subgroup) == order
+    assert len(fixed_weyl(act)) == order
+    if name == "D4 S3":
+        assert len(act.group) == 6
+
+
+# ---------------------------------------------------------------------------
+# the descent map on permutations and the column table check
+
+
+@pytest.mark.parametrize("spec,n", [("A2:sc", 2), ("A3:sc", 3), ("A4:sc", 4)])
+def test_descent_matrices_match_induced_maps(spec, n):
+    from rootfold.folding import induced_fixed_map
+
+    fold = fold_flip(spec, n)
+    iso = weyl_descent_iso(fold)
+    assert "to_restricted" not in vars(iso) and "to_fixed" not in vars(iso)
+    for w in iso.fixed_subgroup:
+        target = iso.to_restricted[w.on_characters]
+        assert target.on_characters == induced_fixed_map(fold, w)
+        assert iso.to_fixed[target.on_characters] == w
+    assert len(iso.to_fixed) == len(iso.to_restricted) == iso.order
+
+
+def naive_multiplicative(perms, images):
+    index = {p: i for i, p in enumerate(perms)}
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            pq = tuple(p[k] for k in q)
+            lhs = images[index[pq]]
+            rhs = tuple(images[i][k] for k in images[j])
+            if lhs != rhs:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("spec,n", [("A2:sc", 2), ("A3:sc", 3), ("A4:sc", 4),
+                                    ("A5:sc", 5)])
+def test_column_check_agrees_with_naive_double_loop(spec, n):
+    import itertools
+
+    from rootfold.folding import _check_multiplicative
+
+    iso = weyl_descent_iso(fold_flip(spec, n))
+    group = iso.fixed_subgroup
+    images = [iso.down[p] for p in group.perms]
+    assert naive_multiplicative(group.perms, images)
+    _check_multiplicative(group.perms, group.generators, images)
+    # every swap of two non-identity images: both verdicts agree, and a
+    # refusal names the failed property
+    n = len(images)
+    pairs = list(itertools.combinations(range(1, n), 2))[:60]
+    for i, j in pairs:
+        swapped = list(images)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        expected = naive_multiplicative(group.perms, swapped)
+        try:
+            _check_multiplicative(group.perms, group.generators, swapped)
+            got = True
+        except AssertionError as err:
+            assert str(err) == "descent is not multiplicative"
+            got = False
+        assert got == expected, (i, j)
+
+
+def test_column_check_refuses_swapped_images():
+    from rootfold.folding import _check_multiplicative
+
+    iso = weyl_descent_iso(fold_flip("A3:sc", 3))
+    group = iso.fixed_subgroup
+    images = [iso.down[p] for p in group.perms]
+    images[1], images[2] = images[2], images[1]
+    with pytest.raises(AssertionError, match="^descent is not multiplicative$"):
+        _check_multiplicative(group.perms, group.generators, images)
+
+
+def breadth_first_tree_images(group, generator_images, identity):
+    """The map that sends each element x . h, at its first appearance in
+    the breadth-first order, to image(x) . image(h): multiplicative on
+    the edges of the breadth-first tree, whatever the generator images."""
+    index = {p: i for i, p in enumerate(group.perms)}
+    images = [identity] + [None] * (len(group.perms) - 1)
+    for x, p in enumerate(group.perms):
+        for h, g in zip(group.generators, generator_images):
+            y = index[tuple(p[k] for k in h)]
+            if images[y] is None:
+                images[y] = tuple(images[x][k] for k in g)
+    return images
+
+
+def test_column_check_sees_products_off_the_breadth_first_tree():
+    # (Z/2)^3 = W(A1 x A1 x A1) onto Z/8, generators to c, c^2, c^4 for an
+    # 8-cycle c: a bijection, multiplicative on every edge of the
+    # breadth-first tree, but s^2 = 1 goes to c^2 != 1
+    from rootfold.folding import _check_multiplicative
+
+    group = weyl_group(from_cartan_type("A1:sc x A1:sc x A1:sc").datum)
+    c = (1, 2, 3, 4, 5, 6, 7, 0)
+    powers = [tuple(range(8))]
+    for _ in range(7):
+        powers.append(tuple(powers[-1][k] for k in c))
+    images = breadth_first_tree_images(group, [powers[1], powers[2], powers[4]],
+                                       powers[0])
+    assert sorted(images) == sorted(powers)
+    assert not naive_multiplicative(group.perms, images)
+    with pytest.raises(AssertionError, match="^descent is not multiplicative$"):
+        _check_multiplicative(group.perms, group.generators, images)
+    # the same group onto itself through the identity map passes
+    _check_multiplicative(group.perms, group.generators, list(group.perms))

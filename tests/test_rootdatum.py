@@ -408,3 +408,36 @@ def test_contragredient_with_separate_pairings():
         mc = contragredient(m, src, dst)
         lhs = mat_mul(transpose(m), mat_mul(dst or ((1, 0), (0, 1)), mc))
         assert lhs == (src or ((1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("name", ["A3:sc", "B3:sc", "G2:sc", "A1+torus", "folded BC2"])
+def test_reflection_permutation_matches_reflection_matrix(name):
+    from rootfold.rootdatum import reflection_permutation
+
+    if name == "A1+torus":
+        d = A1_PLUS_TORUS
+    elif name == "folded BC2":
+        d = folded_bc2_with_pairing()
+    else:
+        d = from_cartan_type(name).datum
+    for k in range(len(d.roots)):
+        expected = root_permutation(d, reflection(d, k))
+        assert expected is not None
+        assert reflection_permutation(d, k) == expected
+        assert reflection_permutation(d, k) is reflection_permutation(d, k)
+
+
+def test_reflection_permutation_refuses_what_root_permutation_refuses():
+    from rootfold.rootdatum import reflection_permutation
+
+    # s_0 sends the root (1, 1) to (-1, 1), not a root
+    off_roots = RootDatum(2, ((2, 0), (-2, 0), (1, 1), (-1, -1)),
+                          ((1, 0), (-1, 0), (1, 1), (-1, -1)))
+    # s_0 fixes the root (0, 2) but sends its coroot (1, 1) to (-1, 1)
+    off_coroots = RootDatum(2, ((2, 0), (-2, 0), (0, 2), (0, -2)),
+                            ((1, 0), (-1, 0), (1, 1), (-1, -1)))
+    for d in (off_roots, off_coroots):
+        assert root_permutation(d, reflection(d, 0)) is None
+        assert reflection_permutation(d, 0) is None
+        assert ("reflection in root 0 does not permute roots and coroots compatibly"
+                in verify_axioms(d))

@@ -97,6 +97,16 @@ def test_base_transport_non_reduced_exhaustive():
         assert w.on_characters == v.on_characters
 
 
+def test_base_transport_inverse_is_the_reversed_word():
+    for spec in ["A3:sc", "BC2", "G2:sc"]:
+        b = from_cartan_type(spec)
+        for v in weyl_group(b.datum):
+            w, w_inv = base_transport(b, v, with_inverse=True)
+            assert w.on_characters == base_transport(b, v).on_characters
+            assert (w_inv.on_characters, w_inv.on_cocharacters) == (
+                w.inverse().on_characters, w.inverse().on_cocharacters)
+
+
 # ---------------------------------------------------------------------------
 # star action
 
