@@ -48,6 +48,10 @@ from .rootdatum import (
     weyl_group,
 )
 
+# Largest fixed subgroup whose descent table is checked: W(B5), from the
+# D6 flip, the largest fold in the tests (3840^2 compositions, about 1 s).
+TABLE_BOUND = 3840
+
 
 @dataclass(frozen=True)
 class RestrictedDatum:
@@ -301,12 +305,17 @@ def weyl_descent_iso(fold, bound=WEYL_BOUND):
     w -> w-bar is a homomorphism by the table check.  On a lift l both
     give s_b: m_l = s_b . proj . section = s_b by the lattice check, and
     l-bar = s_b by the permutation check, W-bar acting faithfully on its
-    roots.  The lifts generate W^G, so m_w = w-bar for every w."""
+    roots.  The lifts generate W^G, so m_w = w-bar for every w.
+
+    The table check costs |W^G|^2 compositions, so both groups are
+    closed under ``min(bound, TABLE_BOUND)``: a larger fixed subgroup
+    raises EnumerationOverflow while it is being closed."""
     source_action = fold.source
     source = source_action.datum
     cv = fold.coinvariants
     restricted = fold.datum
 
+    bound = min(bound, TABLE_BOUND)
     w_fixed = fixed_weyl(source_action, bound=bound)
     w_bar = weyl_group(restricted, base=fold.base, bound=bound)
     if len(w_fixed) != len(w_bar):

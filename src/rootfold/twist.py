@@ -48,12 +48,17 @@ from .rootdatum import (
 Z1_BOUND = 10 ** 6
 
 
-def base_transport(based, aut, with_inverse=False):
-    """The unique Weyl element w with aut(base) = w(base), found by
-    walking the image positive system back with simple reflections:
-    w = s_1 ... s_k for the reflections of the walk, in order.  With
-    ``with_inverse``, returns (w, w^-1), where w^-1 = s_k ... s_1 as
-    simple reflections are involutions; no matrix is inverted."""
+def base_transport(based, aut):
+    """The unique Weyl element w with aut(base) = w(base)."""
+    return _transport(based, aut)[1]
+
+
+def _transport(based, aut):
+    """(word, w) for the unique Weyl element w with aut(base) = w(base),
+    found by walking the image positive system back with simple
+    reflections: w = s_1 ... s_k for the base indices in ``word``, in
+    order.  Simple reflections are involutions, so the reversed word
+    multiplies out to w^-1."""
     datum = based.datum
     perm = root_permutation(datum, aut)
     if perm is None:
@@ -75,19 +80,20 @@ def base_transport(based, aut, with_inverse=False):
         guard -= 1
         if guard < 0:
             raise InvalidActionError("base transport did not terminate")
-    simple_refl = {d: reflection(datum, d) for d in set(word)}
-    w = DatumAutomorphism.identity(datum.rank)
-    for d in word:
-        w = w * simple_refl[d]
+    w = _word_product(datum, word)
     if {tuple(w.apply(datum.roots[i])) for i in based.base} != {
             tuple(aut.apply(datum.roots[i])) for i in based.base}:
         raise AssertionError("transport element does not carry the base correctly")
-    if not with_inverse:
-        return w
-    inv = DatumAutomorphism.identity(datum.rank)
-    for d in reversed(word):
-        inv = inv * simple_refl[d]
-    return w, inv
+    return word, w
+
+
+def _word_product(datum, word):
+    """The product of the reflections in the indexed roots, in order."""
+    refl = {d: reflection(datum, d) for d in set(word)}
+    w = DatumAutomorphism.identity(datum.rank)
+    for d in word:
+        w = w * refl[d]
+    return w
 
 
 def _conjugation(q):
@@ -183,9 +189,9 @@ def star_action(action, base):
     transports = []
     stars = []
     for aut in action.images:
-        c, c_inv = base_transport(based, aut, with_inverse=True)
+        word, c = _transport(based, aut)
         transports.append(c)
-        stars.append(c_inv * aut)
+        stars.append(_word_product(datum, word[::-1]) * aut)
     star_act = DatumAction.build(action.group, stars, based)
     cocycle = StarCocycle.build(
         action.group, datum, transports, stars,

@@ -1,7 +1,7 @@
 import pytest
 
 from rootfold.action import FiniteGroup, fixed_weyl, make_action
-from rootfold.errors import InvalidActionError
+from rootfold.errors import EnumerationOverflow, InvalidActionError
 from rootfold.folding import (
     fiber,
     invariant_positive_systems,
@@ -373,6 +373,22 @@ def test_fold_checked_against_closed_form_fixed_order(name):
     assert len(fixed_weyl(act)) == order
     if name == "D4 S3":
         assert len(act.group) == 6
+
+
+# fixed subgroups past the descent table cap: W(B6) has 46080 elements,
+# W(B7) 645120
+@pytest.mark.parametrize("spec,matrix", [
+    ("D7:sc", node_perm_matrix({0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 6, 6: 5}, 7)),
+    ("D8:sc", node_perm_matrix({0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 7, 7: 6}, 8)),
+])
+def test_fold_past_table_bound_overflows(spec, matrix):
+    from rootfold.folding import TABLE_BOUND
+
+    fold = restrict(make_action(from_cartan_type(spec), [(matrix, "s")]))
+    with pytest.raises(EnumerationOverflow, match=f"exceeds {TABLE_BOUND} elements$"):
+        weyl_descent_iso(fold)
+    with pytest.raises(EnumerationOverflow, match=f"exceeds {TABLE_BOUND} elements$"):
+        weyl_descent_iso(fold, bound=10 ** 7)
 
 
 # ---------------------------------------------------------------------------

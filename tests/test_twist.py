@@ -98,11 +98,14 @@ def test_base_transport_non_reduced_exhaustive():
 
 
 def test_base_transport_inverse_is_the_reversed_word():
+    from rootfold.twist import _transport, _word_product
+
     for spec in ["A3:sc", "BC2", "G2:sc"]:
         b = from_cartan_type(spec)
         for v in weyl_group(b.datum):
-            w, w_inv = base_transport(b, v, with_inverse=True)
-            assert w.on_characters == base_transport(b, v).on_characters
+            word, w = _transport(b, v)
+            assert w == _word_product(b.datum, word) == base_transport(b, v)
+            w_inv = _word_product(b.datum, word[::-1])
             assert (w_inv.on_characters, w_inv.on_cocharacters) == (
                 w.inverse().on_characters, w.inverse().on_cocharacters)
 
