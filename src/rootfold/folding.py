@@ -26,11 +26,10 @@ from .action import (
 from .errors import InvalidActionError
 from .lattice import (
     identity_matrix,
-    intify_matrix,
     mat_mul,
     mat_vec,
-    mat_inverse_fractions,
     transpose,
+    unimodular_inverse,
     vec_add,
 )
 from .rootdatum import (
@@ -109,14 +108,14 @@ def restrict(action, commuting_actions=()):
     restricted_roots = tuple(sorted(by_image))
 
     fixed_cols = cv.fixed_matrix()
-    pairing_inv = mat_inverse_fractions(cv.pairing)
+    pairing_inv = unimodular_inverse(cv.pairing)
     sect_t = transpose(cv.section)
     if not source.has_standard_pairing:
         sect_t = mat_mul(sect_t, source.pairing_matrix)
 
     def cochar_coordinates(v):
         # solve fixed_cols @ c = v through the unimodular restricted pairing
-        c = intify_matrix((mat_vec(pairing_inv, mat_vec(sect_t, v)),))[0]
+        c = mat_vec(pairing_inv, mat_vec(sect_t, v))
         if mat_vec(fixed_cols, c) != tuple(v):
             raise AssertionError("coroot does not lie in the fixed cocharacter lattice")
         return c

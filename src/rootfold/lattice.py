@@ -6,7 +6,14 @@ Conventions used throughout the package:
 * a matrix is a tuple of row tuples (so it is hashable and usable as a
   dict key),
 * matrices act on column vectors, ``mat_vec(M, v) = M @ v``,
-* no floating point anywhere; rational intermediates use ``Fraction``.
+* no floating point and no rational arithmetic: every inverse and
+  every solve goes through ``adjugate_and_det``, one fraction-free
+  (Bareiss) elimination whose divisions are all exact, and returns an
+  integer matrix or vector together with its denominator.
+
+``Fraction`` remains in ``action._group_average``, which really divides
+by the group order, and in ``mat_inverse_fractions``, a view of the
+kernel kept for the benchmark tracer only.
 
 Ranks in scope are tiny (at most 8), so everything is dense and the
 normal-form algorithms favor clarity and determinism over asymptotics.
@@ -83,54 +90,65 @@ def det(m):
     return sign * a[n - 1][n - 1]
 
 
-def mat_inverse_fractions(m):
-    """Exact inverse as a Fraction matrix; raises ValueError if singular."""
+def adjugate_and_det(m):
+    """(adj, d) with m @ adj = adj @ m = d * identity and d = det(m), by
+    one fraction-free Gauss-Jordan pass (Bareiss) over [m | I]; raises
+    ValueError if m is singular.
+
+    Step k pivots on row k and replaces every other row i by
+    (p_k * row_i - a_ik * row_k) / p_(k-1), p_k the current pivot.  Each
+    entry is then a minor of [m | I] (Sylvester's identity), so every
+    division is exact and the left block stays diagonal with all
+    entries p_k.  The rows end as [D * I | T] with T m = D I, where D is
+    the determinant of the row-swapped m: T is D m^-1, so
+    adj = sign * T and d = sign * D for the parity ``sign`` of the
+    swaps."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        row_k = a[k]
+        p = row_k[k]
         for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_k)]
+        prev = p
+    return tuple(tuple(sign * x for x in row[n:]) for row in a), sign * prev
 
 
-def intify_matrix(m):
-    """Convert a Fraction matrix known to be integral; raises if it is not."""
-    out = []
-    for row in m:
-        r = []
-        for x in row:
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError(f"entry {x} is not an integer")
-                r.append(x.numerator)
-            else:
-                r.append(int(x))
-        out.append(tuple(r))
-    return tuple(out)
+def exact_quotient(m, d):
+    """The integer matrix m / d, or None if d does not divide every entry."""
+    if any(x % d for row in m for x in row):
+        return None
+    return tuple(tuple(x // d for x in row) for row in m)
 
 
 def unimodular_inverse(m):
-    """Integer inverse of a matrix with determinant +-1."""
-    return intify_matrix(mat_inverse_fractions(m))
+    """Integer inverse of a matrix with determinant +-1, which is +-adj;
+    raises ValueError for any other matrix."""
+    adj, d = adjugate_and_det(m)
+    if abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
+    return exact_quotient(adj, d)
 
 
-def adjugate_and_det(m):
-    """(adj, d) with m @ adj = d * identity, both exact integers."""
-    d = det(m)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    inv = mat_inverse_fractions(m)
-    adj = tuple(tuple(int(x * d) for x in row) for row in inv)
-    return adj, d
+def mat_inverse_fractions(m):
+    """m^-1 as a matrix of Fractions, read off ``adjugate_and_det``.
+    Nothing in the package calls it: it is kept only because the
+    benchmark tracer wraps this name, and goes with the benchmark
+    refresh listed in ROADMAP.md."""
+    adj, d = adjugate_and_det(m)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in adj)
 
 
 def smith_normal_form(m):
@@ -365,32 +383,16 @@ def quotient_lattice(rank, relations):
 
 
 def solve_exact(a, b):
-    """The rational solution x of a @ x = b when a has full column rank;
-    returns None if the system is inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [[Fraction(a[i][j]) for j in range(cols)] + [Fraction(b[i])] for i in range(rows)]
-    pr = 0
-    pivots = []
-    for c in range(cols):
-        piv = next((i for i in range(pr, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[pr], aug[piv] = aug[piv], aug[pr]
-        p = aug[pr][c]
-        aug[pr] = [x / p for x in aug[pr]]
-        for i in range(rows):
-            if i != pr and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[pr])]
-        pivots.append(c)
-        pr += 1
-    if len(pivots) < cols:
-        raise ValueError("matrix does not have full column rank")
-    for i in range(pr, rows):
-        if aug[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][cols]
-    return tuple(x)
+    """(x, d) with a @ x = d * b and d > 0, when a has full column rank;
+    None if the system is inconsistent, ValueError if the rank is short.
+
+    Any solution also solves the normal equations (a^T a) x = a^T b, and
+    a^T a is square and nonsingular exactly when a has full column
+    rank, so its adjugate gives the only candidate, checked against a.
+    d = det(a^T a) is a Gram determinant, positive when nonzero."""
+    at = transpose(a)
+    adj, d = adjugate_and_det(mat_mul(at, a))
+    x = mat_vec(adj, mat_vec(at, b))
+    if mat_vec(a, x) != vec_scale(d, b):
+        return None
+    return x, d

@@ -23,6 +23,7 @@ from .lattice import (
     adjugate_and_det,
     det,
     dot,
+    exact_quotient,
     identity_matrix,
     integer_kernel,
     mat_mul,
@@ -169,7 +170,7 @@ class BasedRootDatum:
             sol = solve_exact(cols, r)
             if sol is None:
                 raise InvalidActionError("base does not span the roots")
-            if all(x >= 0 for x in sol):
+            if all(x >= 0 for x in sol[0]):
                 out.add(i)
         return frozenset(out)
 
@@ -366,11 +367,10 @@ def _automorphisms_from_permutations(datum, perms):
     mats = {}
     for p in set(perms) | set(inverse.values()):
         images = [datum.roots[p[i]] for i in chosen] + fixed
-        raw = mat_mul(transpose(tuple(images)), adj)
-        if any(x % d for row in raw for x in row):
+        mats[p] = exact_quotient(mat_mul(transpose(tuple(images)), adj), d)
+        if mats[p] is None:
             raise AssertionError(
                 "root permutation is not induced by a lattice automorphism")
-        mats[p] = tuple(tuple(x // d for x in row) for row in raw)
     if datum.has_standard_pairing:
         pairing = p_inv = None
     else:
@@ -479,14 +479,13 @@ def verify_base(based):
         return problems
     cols = transpose(tuple(simples))
     for i, r in enumerate(datum.roots):
-        try:
-            sol = solve_exact(cols, r)
-        except ValueError:
-            sol = None
-        if sol is None or any(x.denominator != 1 for x in sol):
+        # the simples are independent, so cols has full column rank and
+        # solve_exact cannot raise
+        sol = solve_exact(cols, r)
+        if sol is None or any(x % sol[1] for x in sol[0]):
             problems.append(f"root {i} is not an integer combination of the base")
             continue
-        signs = [x for x in sol if x != 0]
+        signs = [x for x in sol[0] if x != 0]
         if signs and not (all(x > 0 for x in signs) or all(x < 0 for x in signs)):
             problems.append(f"root {i} has mixed signs over the base")
     root_set = set(datum.roots)

@@ -22,6 +22,7 @@ from .errors import EnumerationOverflow, InvalidActionError, UnsupportedDatumErr
 from .lattice import (
     adjugate_and_det,
     det,
+    exact_quotient,
     mat_mul,
     mat_vec,
     transpose,
@@ -50,17 +51,18 @@ Z1_BOUND = 10 ** 6
 
 def base_transport(based, aut):
     """The unique Weyl element w with aut(base) = w(base)."""
-    return _transport(based, aut)[1]
+    return _transport(based, aut, root_permutation(based.datum, aut))[1]
 
 
-def _transport(based, aut):
-    """(word, w) for the unique Weyl element w with aut(base) = w(base),
-    found by walking the image positive system back with simple
+def _transport(based, aut, perm):
+    """(word, w, w's root permutation) for the unique Weyl element w with
+    aut(base) = w(base), where ``perm`` is the root permutation of aut.
+    w is found by walking the image positive system back with simple
     reflections: w = s_1 ... s_k for the base indices in ``word``, in
-    order.  Simple reflections are involutions, so the reversed word
-    multiplies out to w^-1."""
+    order, and its permutation is the composite of theirs.  Simple
+    reflections are involutions, so the reversed word multiplies out to
+    w^-1."""
     datum = based.datum
-    perm = root_permutation(datum, aut)
     if perm is None:
         raise InvalidActionError("map does not permute the roots")
     pos = based.positive_system
@@ -84,7 +86,10 @@ def _transport(based, aut):
     if {tuple(w.apply(datum.roots[i])) for i in based.base} != {
             tuple(aut.apply(datum.roots[i])) for i in based.base}:
         raise AssertionError("transport element does not carry the base correctly")
-    return word, w
+    w_perm = tuple(range(len(datum.roots)))
+    for d in word:
+        w_perm = permutation_getter(simple_perm[d])(w_perm)
+    return word, w, w_perm
 
 
 def _word_product(datum, word):
@@ -187,15 +192,17 @@ def star_action(action, base):
     datum = action.datum
     based = BasedRootDatum(datum, tuple(base))
     transports = []
+    transport_perms = []
     stars = []
-    for aut in action.images:
-        word, c = _transport(based, aut)
+    for aut, perm in zip(action.images, action.root_perms):
+        word, c, c_perm = _transport(based, aut, perm)
         transports.append(c)
+        transport_perms.append(c_perm)
         stars.append(_word_product(datum, word[::-1]) * aut)
     star_act = DatumAction.build(action.group, stars, based)
     cocycle = StarCocycle.build(
-        action.group, datum, transports, stars,
-        [_permutation(datum, c) for c in transports], star_act.root_perms)
+        action.group, datum, transports, stars, transport_perms,
+        star_act.root_perms)
     return star_act, cocycle
 
 
@@ -239,11 +246,8 @@ def _base_preserving_automorphisms(based):
                for i in range(k) for j in range(k)):
             continue
         target = transpose(tuple(based.simple_roots[perm[j]] for j in range(k)))
-        raw = mat_mul(target, adj)
-        if any(x % d0 for row in raw for x in row):
-            continue
-        m = tuple(tuple(x // d0 for x in row) for row in raw)
-        if abs(det(m)) != 1:
+        m = exact_quotient(mat_mul(target, adj), d0)
+        if m is None or abs(det(m)) != 1:
             continue
         aut = DatumAutomorphism.from_matrix(
             m, None if datum.has_standard_pairing else datum.pairing_matrix)
@@ -523,7 +527,7 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
     and maps coroots to the matching coroots is returned, None if the
     search exhausts.  The checks are conjunctive, so their order does
     not change the answer: the cheap equivariance check, which rejects
-    most candidates, runs first, and the contragredient, a rational
+    most candidates, runs first, and the contragredient, a matrix
     inverse, is computed only for candidates that pass the first
     three."""
     for d in (datum1, datum2):
@@ -563,11 +567,8 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
                    for i in range(k) for j in range(k)):
                 continue
             target = transpose(tuple(datum2.roots[base2[perm[j]]] for j in range(k)))
-            raw = mat_mul(target, adj)
-            if any(x % d0 for row in raw for x in row):
-                continue
-            m = tuple(tuple(x // d0 for x in row) for row in raw)
-            if abs(det(m)) != 1:
+            m = exact_quotient(mat_mul(target, adj), d0)
+            if m is None or abs(det(m)) != 1:
                 continue
             if not _is_equivariant(m, actions1, actions2):
                 continue

@@ -1,6 +1,7 @@
 import io
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -365,3 +366,41 @@ def test_torus_without_roots_verifies(tmp_path):
                                 "base: []", "verdict: pass"]
     doc = parse_datum(path.read_text())
     assert parse_datum(emit_document(document_of(doc))).datum == doc.datum
+
+
+def _cyclic_table(n):
+    return {"elements": list(range(n)),
+            "table": [[(i + j) % n for j in range(n)] for i in range(n)]}
+
+
+@pytest.mark.parametrize("group", [
+    "cyclic:100000",
+    f"cyclic:{cli.MAX_GROUP_ORDER + 2}",
+    _cyclic_table(cli.MAX_GROUP_ORDER + 2),
+], ids=["cyclic-huge", "cyclic-over-cap", "explicit-over-cap"])
+def test_group_order_above_the_cap_is_refused_at_once(tmp_path, group):
+    def mutate(o):
+        o["actions"]["gamma"]["group"] = group
+    path = _mutated_a2_flip(tmp_path, mutate)
+    start = time.perf_counter()
+    _assert_single_parse_error(path, f"cap of {cli.MAX_GROUP_ORDER}")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("group", [f"cyclic:{cli.MAX_GROUP_ORDER}",
+                                   _cyclic_table(cli.MAX_GROUP_ORDER)],
+                         ids=["cyclic", "explicit"])
+def test_group_order_at_the_cap_verifies(tmp_path, group):
+    def mutate(o):
+        o["actions"]["gamma"]["group"] = group
+    code, out = run_cli("verify", _mutated_a2_flip(tmp_path, mutate))
+    assert code == 0
+    assert f"group order {cli.MAX_GROUP_ORDER})" in out
+
+
+def test_empty_base_of_a_nonempty_root_system_is_parse_error(tmp_path):
+    def mutate(o):
+        o["base"] = []
+        o.pop("actions")
+    _assert_single_parse_error(_mutated_a2_flip(tmp_path, mutate),
+                               "root 0 is not an integer combination of the base")

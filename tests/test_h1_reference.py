@@ -18,6 +18,7 @@ from rootfold.rootdatum import (
     RootDatum,
     from_cartan_type,
     reflection,
+    root_permutation,
     weyl_group,
 )
 from rootfold.twist import (
@@ -26,6 +27,7 @@ from rootfold.twist import (
     h1_classes,
     h1_with_image,
     star_action,
+    twist_datum,
     z1_enumerate,
 )
 
@@ -138,6 +140,28 @@ def test_h1_classes_match_matrix_reference(case):
         cocycles, module.elements)
     assert classes_of(report.image_classes) == reference_h1_classes(
         cocycles, auts)
+
+
+@pytest.mark.parametrize("case", H1_CASES, ids=[c[0] for c in H1_CASES])
+def test_transport_permutations_are_root_permutations(case):
+    # star_action composes each transport's permutation from the simple
+    # reflections along its word; it must be the transport's own.  The
+    # actions twisted by every cocycle give transports over all of them.
+    _, spec, galois_matrix, _ = case
+    based = from_cartan_type(spec)
+    datum = based.datum
+    galois = make_action(datum, [(galois_matrix(datum.rank), 1)],
+                         group=FiniteGroup.cyclic(2))
+    star_act, _ = star_action(galois, based.base)
+    actions = [galois, make_action(datum, [(neg(datum.rank), 1)],
+                                   group=FiniteGroup.cyclic(2))]
+    module = weyl_group(datum, base=based.base)
+    actions += [twist_datum(based, star_act, c).galois
+                for c in z1_enumerate(galois.group, star_act.images, module)]
+    for act in actions:
+        _, cocycle = star_action(act, based.base)
+        assert cocycle.value_perms == tuple(
+            root_permutation(datum, c) for c in cocycle.values)
 
 
 def closure(generators):

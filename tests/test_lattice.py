@@ -1,7 +1,13 @@
 import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootfold.lattice import (
+    adjugate_and_det,
     det,
+    exact_quotient,
     hermite_row_form,
     identity_matrix,
     integer_kernel,
@@ -82,12 +88,9 @@ def small_vectors(dim, bound=3):
 def in_integer_span(basis, v):
     if not basis:
         return not any(v)
-    cols = transpose(basis)
-    try:
-        sol = solve_exact(cols, v)
-    except ValueError:
-        return False
-    return sol is not None and all(x.denominator == 1 for x in sol)
+    # a kernel basis is independent, so solve_exact must not raise here
+    sol = solve_exact(transpose(basis), v)
+    return sol is not None and all(x % sol[1] == 0 for x in sol[0])
 
 
 def test_kernel_identity():
@@ -232,3 +235,167 @@ def test_snf_large_entries():
         m = tuple(tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(cols))
                   for _ in range(rows))
         check_snf(m)
+
+
+# ---------------------------------------------------------------------------
+# the Bareiss kernel against the Fraction elimination it replaced
+
+
+def reference_solve(a, b):
+    """Fraction Gauss-Jordan elimination, the rational algorithm the
+    kernel replaced: the solution x of a @ x = b as Fractions when a has
+    full column rank, None if the system is inconsistent, ValueError if
+    the rank is short."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    aug = [[Fraction(a[i][j]) for j in range(cols)] + [Fraction(b[i])] for i in range(rows)]
+    pr = 0
+    pivots = []
+    for c in range(cols):
+        piv = next((i for i in range(pr, rows) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[pr], aug[piv] = aug[piv], aug[pr]
+        p = aug[pr][c]
+        aug[pr] = [x / p for x in aug[pr]]
+        for i in range(rows):
+            if i != pr and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[pr])]
+        pivots.append(c)
+        pr += 1
+    if len(pivots) < cols:
+        raise ValueError("matrix does not have full column rank")
+    for i in range(pr, rows):
+        if aug[i][cols] != 0:
+            return None
+    x = [Fraction(0)] * cols
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][cols]
+    return tuple(x)
+
+
+def reference_inverse(m):
+    """m^-1 as Fractions, one reference solve per column of the identity."""
+    return transpose(tuple(reference_solve(m, e) for e in identity_matrix(len(m))))
+
+
+def matrices(rows, cols, bound=4):
+    row = st.tuples(*[st.integers(-bound, bound)] * cols)
+    return st.tuples(*[row] * rows)
+
+
+square = st.integers(1, 8).flatmap(lambda n: matrices(n, n))
+
+
+def unimodular(data, n):
+    """A random product of elementary integer row operations."""
+    m = [list(r) for r in identity_matrix(n)]
+    for _ in range(data.draw(st.integers(0, 3 * n), label="steps")):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            c = data.draw(st.integers(-3, 3))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return tuple(tuple(r) for r in m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=square)
+def test_adjugate_and_det_against_reference(m):
+    n = len(m)
+    d = det(m)
+    if d == 0:
+        with pytest.raises(ValueError):
+            adjugate_and_det(m)
+        return
+    adj, d_adj = adjugate_and_det(m)
+    assert d_adj == d
+    scalar = tuple(tuple(d * x for x in row) for row in identity_matrix(n))
+    assert mat_mul(m, adj) == mat_mul(adj, m) == scalar
+    assert all(isinstance(x, int) for row in adj for x in row)
+    assert adj == tuple(tuple(d * x for x in row) for row in reference_inverse(m))
+
+
+def test_adjugate_and_det_edge_shapes():
+    assert adjugate_and_det(()) == ((), 1)
+    assert adjugate_and_det(((0, 1), (1, 0))) == (((0, -1), (-1, 0)), -1)
+    with pytest.raises(ValueError):
+        adjugate_and_det(((1, 2),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_adjugate_and_det_refuses_singular(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    m = list(data.draw(matrices(n, n), label="m"))
+    coeffs = data.draw(st.tuples(*[st.integers(-2, 2)] * (n - 1)), label="coeffs")
+    # the last row becomes a combination of the others
+    m[-1] = tuple(sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(n))
+    with pytest.raises(ValueError):
+        adjugate_and_det(tuple(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_unimodular_inverse_round_trip_and_refusal(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    u = unimodular(data, n)
+    inv = unimodular_inverse(u)
+    assert mat_mul(u, inv) == mat_mul(inv, u) == identity_matrix(n)
+    doubled = (tuple(2 * x for x in u[0]),) + u[1:]
+    assert det(doubled) in (2, -2)
+    with pytest.raises(ValueError):
+        unimodular_inverse(doubled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_solve_exact_against_reference(data):
+    cols = data.draw(st.integers(1, 6), label="cols")
+    rows = data.draw(st.integers(cols, 8), label="rows")
+    a = data.draw(matrices(rows, cols, bound=3), label="a")
+    if data.draw(st.booleans(), label="consistent"):
+        y = data.draw(st.tuples(*[st.integers(-3, 3)] * cols), label="y")
+        b = mat_vec(a, y)
+    else:
+        b = data.draw(st.tuples(*[st.integers(-3, 3)] * rows), label="b")
+    try:
+        expected = reference_solve(a, b)
+    except ValueError:
+        with pytest.raises(ValueError):
+            solve_exact(a, b)
+        return
+    got = solve_exact(a, b)
+    if expected is None:
+        assert got is None
+        return
+    x, d = got
+    assert d > 0
+    assert mat_vec(a, x) == tuple(d * v for v in b)
+    assert tuple(Fraction(v, d) for v in x) == expected
+
+
+def test_solve_exact_inconsistent_tall_system():
+    a = ((1, 0), (0, 1), (1, 1))
+    assert solve_exact(a, (1, 2, 4)) is None
+    x, d = solve_exact(a, (1, 2, 3))
+    assert tuple(Fraction(v, d) for v in x) == (1, 2)
+    with pytest.raises(ValueError):
+        solve_exact(((1, 2), (2, 4), (3, 6)), (1, 2, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=matrices(3, 3, bound=20), d=st.integers(-6, 6).filter(bool))
+def test_exact_quotient(m, d):
+    q = exact_quotient(m, d)
+    if any(x % d for row in m for x in row):
+        assert q is None
+    else:
+        assert tuple(tuple(d * x for x in row) for row in q) == m
+
+
+def test_exact_quotient_refuses_one_entry():
+    assert exact_quotient(((2, 4), (6, 8)), 2) == ((1, 2), (3, 4))
+    assert exact_quotient(((2, 4), (6, 7)), 2) is None

@@ -7,6 +7,7 @@ from rootfold.rootdatum import (
     DatumAutomorphism,
     from_cartan_type,
     reflection,
+    root_permutation,
     weyl_group,
 )
 from rootfold.twist import (
@@ -103,8 +104,9 @@ def test_base_transport_inverse_is_the_reversed_word():
     for spec in ["A3:sc", "BC2", "G2:sc"]:
         b = from_cartan_type(spec)
         for v in weyl_group(b.datum):
-            word, w = _transport(b, v)
+            word, w, w_perm = _transport(b, v, root_permutation(b.datum, v))
             assert w == _word_product(b.datum, word) == base_transport(b, v)
+            assert w_perm == root_permutation(b.datum, w)
             w_inv = _word_product(b.datum, word[::-1])
             assert (w_inv.on_characters, w_inv.on_cocharacters) == (
                 w.inverse().on_characters, w.inverse().on_cocharacters)
