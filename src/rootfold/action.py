@@ -211,7 +211,13 @@ class DatumAction:
     def build(cls, group, images, target):
         """Validate and construct: images must be a homomorphism of
         datum automorphisms, stabilizing the base when target is based;
-        their cocharacter matrices are checked, not recomputed."""
+        their cocharacter matrices are checked, not recomputed.
+
+        The homomorphism law is checked as phi(a g) = phi(a) phi(g) for
+        every a and every g in ``group.generating_set``.  With
+        phi(e) = I, induction on the length of b = g_1 ... g_k gives
+        phi(a b) = phi(a b') phi(g_k) = phi(a) phi(b') phi(g_k)
+        = phi(a) phi(b) for b' = g_1 ... g_{k-1}."""
         datum = target.datum if isinstance(target, BasedRootDatum) else target
         images = tuple(images)
         if len(images) != len(group):
@@ -224,7 +230,7 @@ class DatumAction:
         if auts[group.identity].on_characters != ident:
             raise InvalidActionError("identity element must act trivially")
         for a in group.elements():
-            for b in group.elements():
+            for b in group.generating_set:
                 prod = mat_mul(auts[a].on_characters, auts[b].on_characters)
                 if prod != auts[group.mul(a, b)].on_characters:
                     raise InvalidActionError(
@@ -494,7 +500,7 @@ def _check_coinvariants(cv):
                             "pairing depends on the choice of preimage")
 
 
-def fixed_weyl(action, weyl=None, bound=None):
+def fixed_weyl(action, *, bound=None):
     """The subgroup of Weyl elements commuting with every group image.
 
     A group image g is a datum automorphism, so g s_a g^-1 = s_{g(a)}
@@ -504,11 +510,11 @@ def fixed_weyl(action, weyl=None, bound=None):
     p o w = w o p.  Commuting with the images of the group generators is
     commuting with every image.
 
-    For a based action called without ``weyl``, the subgroup is the
-    breadth-first closure of the lifts in ``action.base_lifts``, one per
-    orbit O of the group on the base, and no other Weyl element is
-    listed; ``bound`` applies to the subgroup.  Each lift is checked to
-    commute with every generator image.  Why they generate (Steinberg,
+    For a based action, the subgroup is the breadth-first closure of
+    the lifts in ``action.base_lifts``, one per orbit O of the group on
+    the base, and no other Weyl element is listed; ``bound`` applies to
+    the subgroup.  Each lift is checked to commute with every generator
+    image.  Why they generate (Steinberg,
     Endomorphisms of linear algebraic groups, 1968): the group permutes
     the base, hence the positive roots.  The lift of O is the longest
     element w_O of the parabolic subgroup W_O: the product of the
@@ -520,8 +526,7 @@ def fixed_weyl(action, weyl=None, bound=None):
     shorter than w by the length of w_O, and induction on the length
     writes w as a product of lifts.
 
-    Otherwise, for unbased actions and callers handing in ``weyl``, the
-    elements of ``weyl`` (by default all of W) are filtered by the
+    For an unbased action the elements of W are filtered by the
     commutation test on root permutations.  Matrices are built only
     when a caller asks for them."""
     from .rootdatum import WEYL_BOUND
@@ -529,7 +534,7 @@ def fixed_weyl(action, weyl=None, bound=None):
     datum = action.datum
     ident = tuple(range(len(datum.roots)))
     gens = sorted({action.root_perms[g] for g in action.group.generating_set} - {ident})
-    if weyl is None and action.is_based:
+    if action.is_based:
         lifts = [lift for _, lift in action.base_lifts.values()]
         for lift in lifts:
             for p in gens:
@@ -539,9 +544,7 @@ def fixed_weyl(action, weyl=None, bound=None):
         perms = closure([ident], [permutation_getter(lift) for lift in lifts],
                         bound or WEYL_BOUND, "reflection group")
         return WeylGroup(datum, perms, lifts)
-    if weyl is None:
-        weyl = weyl_group(datum, bound=bound or WEYL_BOUND)
-    fixed = weyl.perms
+    fixed = weyl_group(datum, bound=bound or WEYL_BOUND).perms
     for p in gens:
         after = permutation_getter(p)
         fixed = [w for w in fixed if after(w) == permutation_getter(w)(p)]

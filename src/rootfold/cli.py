@@ -318,7 +318,7 @@ def cmd_weyl(args, out):
     w = weyl_group(doc.datum)
     out.write(f"weyl order: {len(w)}\n")
     for name, act in sorted(doc.actions_with_role("gamma").items()):
-        fw = fixed_weyl(act, weyl=w)
+        fw = fixed_weyl(act)
         out.write(f"fixed under {name}: {len(fw)}\n")
     return 0
 
@@ -358,8 +358,13 @@ def cmd_fold(args, out):
             blocks[gname] = _action_block(induced, "galois")
         obj = document_object(d, base=fold.base, actions=blocks or None,
                               flags=doc.flags or None)
-        with open(args.emit_restricted, "w", encoding="utf-8") as fh:
-            fh.write(emit_document(obj))
+        try:
+            with open(args.emit_restricted, "w", encoding="utf-8") as fh:
+                fh.write(emit_document(obj))
+        except OSError as e:
+            out.write(f"error: cannot write {args.emit_restricted}: "
+                      f"{e.strerror or e}\n")
+            return 2
         out.write(f"restricted datum written to {args.emit_restricted}\n")
     return 0
 

@@ -382,9 +382,10 @@ def quotient_lattice(rank, relations):
     return LatticeQuotient(rank, relations, free_rank, projection, section, torsion)
 
 
-def solve_exact(a, b):
-    """(x, d) with a @ x = d * b and d > 0, when a has full column rank;
-    None if the system is inconsistent, ValueError if the rank is short.
+def exact_solver(a):
+    """The map b -> ``solve_exact(a, b)``, with the one elimination it
+    needs done once for every right-hand side; ValueError here if a
+    lacks full column rank.
 
     Any solution also solves the normal equations (a^T a) x = a^T b, and
     a^T a is square and nonsingular exactly when a has full column
@@ -392,7 +393,17 @@ def solve_exact(a, b):
     d = det(a^T a) is a Gram determinant, positive when nonzero."""
     at = transpose(a)
     adj, d = adjugate_and_det(mat_mul(at, a))
-    x = mat_vec(adj, mat_vec(at, b))
-    if mat_vec(a, x) != vec_scale(d, b):
-        return None
-    return x, d
+
+    def solve(b):
+        x = mat_vec(adj, mat_vec(at, b))
+        if mat_vec(a, x) != vec_scale(d, b):
+            return None
+        return x, d
+    return solve
+
+
+def solve_exact(a, b):
+    """(x, d) with a @ x = d * b and d > 0, when a has full column rank;
+    None if the system is inconsistent, ValueError if the rank is short
+    (see ``exact_solver``)."""
+    return exact_solver(a)(b)

@@ -24,11 +24,11 @@ from .lattice import (
     det,
     dot,
     exact_quotient,
+    exact_solver,
     identity_matrix,
     integer_kernel,
     mat_mul,
     mat_vec,
-    solve_exact,
     span_rank,
     transpose,
     unimodular_inverse,
@@ -143,6 +143,18 @@ class RootDatum:
         return self.pair(self.roots[i], self.coroots[j])
 
     @cached_property
+    def independent_roots(self):
+        """Indices of a basis of the span of the roots, each root taken
+        in order when it is independent of those before it."""
+        chosen = []
+        for i, r in enumerate(self.roots):
+            if span_rank([self.roots[j] for j in chosen] + [r]) > len(chosen):
+                chosen.append(i)
+            if len(chosen) == self.rank:
+                break
+        return tuple(chosen)
+
+    @cached_property
     def _reflection_perms(self):
         # filled by ``reflection_permutation``, one entry per root index
         return {}
@@ -162,12 +174,20 @@ class BasedRootDatum:
         return tuple(self.datum.coroots[i] for i in self.base)
 
     @cached_property
+    def root_coordinates(self):
+        """Per root, (x, d) with sum_j x_j simple_j = d * root and d > 0,
+        or None when the root is outside the rational span of the base.
+        One adjugate of the Gram matrix of the base serves every root
+        (``exact_solver``); ValueError when the simple roots are
+        dependent."""
+        solve = exact_solver(transpose(self.simple_roots))
+        return tuple(solve(r) for r in self.datum.roots)
+
+    @cached_property
     def positive_system(self):
         """Indices of the roots that are nonnegative over the base."""
-        cols = transpose(self.simple_roots)
         out = set()
-        for i, r in enumerate(self.datum.roots):
-            sol = solve_exact(cols, r)
+        for i, sol in enumerate(self.root_coordinates):
             if sol is None:
                 raise InvalidActionError("base does not span the roots")
             if all(x >= 0 for x in sol[0]):
@@ -192,8 +212,8 @@ class WeylGroup:
     group was closed from, when it was built as a closure.  The
     automorphisms themselves, and the canonical order sorting them by
     character matrix, are built on first use of ``elements``, iteration,
-    ``index``, ``in`` or ``element_with_matrix``; ``sorted_perms`` lists
-    the permutations in that canonical order."""
+    ``index`` or ``in``; ``sorted_perms`` lists the permutations in that
+    canonical order."""
 
     def __init__(self, datum, perms, generators=()):
         self.datum = datum
@@ -230,10 +250,6 @@ class WeylGroup:
 
     def index(self, aut):
         return self._position[aut.on_characters]
-
-    def element_with_matrix(self, matrix):
-        i = self._position.get(matrix)
-        return None if i is None else self.elements[i]
 
 
 def reflection(datum, root_index):
@@ -353,14 +369,8 @@ def _automorphisms_from_permutations(datum, perms):
     matrix is [w r_i | z_j] [r_i | z_j]^-1, computed with the adjugate
     and one exact division.  The cocharacter matrix is the
     contragredient, read off the matrix of the inverse permutation."""
-    n = datum.rank
-    chosen = []
-    for i, r in enumerate(datum.roots):
-        if span_rank([datum.roots[j] for j in chosen] + [r]) > len(chosen):
-            chosen.append(i)
-        if len(chosen) == n:
-            break
-    fixed = list(datum.coroot_annihilator) if len(chosen) < n else []
+    chosen = datum.independent_roots
+    fixed = list(datum.coroot_annihilator) if len(chosen) < datum.rank else []
     basis = [datum.roots[i] for i in chosen] + fixed
     adj, d = adjugate_and_det(transpose(tuple(basis)))
     inverse = {p: _invert_permutation(p) for p in perms}
@@ -477,11 +487,8 @@ def verify_base(based):
     if span_rank(simples) != len(simples):
         problems.append("base roots are not linearly independent")
         return problems
-    cols = transpose(tuple(simples))
-    for i, r in enumerate(datum.roots):
-        # the simples are independent, so cols has full column rank and
-        # solve_exact cannot raise
-        sol = solve_exact(cols, r)
+    # the simples are independent, so the solve cannot raise
+    for i, sol in enumerate(based.root_coordinates):
         if sol is None or any(x % sol[1] for x in sol[0]):
             problems.append(f"root {i} is not an integer combination of the base")
             continue
@@ -527,18 +534,6 @@ def positive_systems(datum, bound=WEYL_BOUND):
     translate = permutation_getter(sorted(positive_system(datum)))
     systems = {frozenset(translate(p)) for p in w.perms}
     return tuple(sorted(systems, key=sorted))
-
-
-def system_bases(datum, bound=WEYL_BOUND):
-    """{positive system: its base} for every positive system, as Weyl
-    translates of the canonical system and its base.  A Weyl element
-    permutes the roots linearly, so it carries the indecomposable
-    elements of a positive system P onto those of w(P)."""
-    w = weyl_group(datum, bound=bound)
-    system = positive_system(datum)
-    translate = permutation_getter(sorted(system))
-    simple = permutation_getter(base_of(datum, system))
-    return {frozenset(translate(p)): tuple(sorted(simple(p))) for p in w.perms}
 
 
 def base_of(datum, system):
@@ -778,23 +773,25 @@ def _components(datum):
     return sorted(groups.values(), key=lambda g: datum.roots[g[0]])
 
 
-def _permutation_match(candidate, matrix):
-    """Is candidate[p(i)][p(j)] == matrix[i][j] for some permutation p?"""
-    k = len(matrix)
-    if len(candidate) != k:
-        return False
+def cartan_matchings(c1, c2):
+    """The node permutations p with c2[p[i]][p[j]] == c1[i][j] for all
+    i, j, in lexicographic order; none when the sizes differ."""
+    k = len(c1)
+    if len(c2) != k:
+        return
     for p in permutations(range(k)):
-        if all(candidate[p[i]][p[j]] == matrix[i][j]
-               for i in range(k) for j in range(k)):
-            return True
-    return False
+        if all(c2[p[i]][p[j]] == c1[i][j] for i in range(k) for j in range(k)):
+            yield p
 
 
 def _component_label(matrix, reduced):
     k = len(matrix)
+
+    def matches(target):
+        return next(cartan_matchings(matrix, target), None) is not None
+
     if not reduced:
-        target = cartan_matrix("A", 1) if k == 1 else cartan_matrix("B", k)
-        if _permutation_match(target, matrix):
+        if matches(cartan_matrix("A", 1) if k == 1 else cartan_matrix("B", k)):
             return f"BC{k}"
         return f"unknown:{list(map(list, matrix))}"
     candidates = [("A", k)]
@@ -810,7 +807,7 @@ def _component_label(matrix, reduced):
     if k == 2:
         candidates.append(("G", k))
     for letter, rank in candidates:
-        if _permutation_match(cartan_matrix(letter, rank), matrix):
+        if matches(cartan_matrix(letter, rank)):
             return f"{letter}{rank}"
     return f"unknown:{list(map(list, matrix))}"
 

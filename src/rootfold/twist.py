@@ -15,7 +15,7 @@ everything is exhaustive and deterministic at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
 from .action import DatumAction, FiniteGroup, actions_commute, fixed_weyl
 from .errors import EnumerationOverflow, InvalidActionError, UnsupportedDatumError
@@ -36,13 +36,13 @@ from .rootdatum import (
     _automorphisms_from_permutations,
     _invert_permutation,
     canonical_base,
+    cartan_matchings,
     closure,
     contragredient,
     permutation_getter,
-    reflection,
+    positive_system,
     reflection_permutation,
     root_permutation,
-    system_bases,
     weyl_group,
 )
 
@@ -51,54 +51,39 @@ Z1_BOUND = 10 ** 6
 
 def base_transport(based, aut):
     """The unique Weyl element w with aut(base) = w(base)."""
-    return _transport(based, aut, root_permutation(based.datum, aut))[1]
+    perm = _transport(based, root_permutation(based.datum, aut))
+    return _automorphisms_from_permutations(based.datum, [perm])[0]
 
 
-def _transport(based, aut, perm):
-    """(word, w, w's root permutation) for the unique Weyl element w with
+def _transport(based, perm):
+    """The root permutation of the unique Weyl element w with
     aut(base) = w(base), where ``perm`` is the root permutation of aut.
     w is found by walking the image positive system back with simple
-    reflections: w = s_1 ... s_k for the base indices in ``word``, in
-    order, and its permutation is the composite of theirs.  Simple
-    reflections are involutions, so the reversed word multiplies out to
-    w^-1."""
+    reflections s_1, ..., s_k; then w = s_1 ... s_k, and its permutation
+    is the composite of theirs.  W acts faithfully on the roots, so the
+    permutation names w."""
     datum = based.datum
     if perm is None:
         raise InvalidActionError("map does not permute the roots")
     pos = based.positive_system
-    target = frozenset(perm[i] for i in pos)
     simple_perm = {d: reflection_permutation(datum, d) for d in based.base}
     neg_of = {d: datum.index_of(tuple(-x for x in datum.roots[d])) for d in based.base}
 
-    current = target
-    word = []
+    current = frozenset(perm[i] for i in pos)
+    w_perm = tuple(range(len(datum.roots)))
     guard = len(datum.roots) + 1
     while current != pos:
         step = next((d for d in based.base if neg_of[d] in current), None)
         if step is None:
             raise InvalidActionError("image of the base is not a base of the roots")
         current = frozenset(simple_perm[step][i] for i in current)
-        word.append(step)
+        w_perm = permutation_getter(simple_perm[step])(w_perm)
         guard -= 1
         if guard < 0:
             raise InvalidActionError("base transport did not terminate")
-    w = _word_product(datum, word)
-    if {tuple(w.apply(datum.roots[i])) for i in based.base} != {
-            tuple(aut.apply(datum.roots[i])) for i in based.base}:
+    if {w_perm[i] for i in based.base} != {perm[i] for i in based.base}:
         raise AssertionError("transport element does not carry the base correctly")
-    w_perm = tuple(range(len(datum.roots)))
-    for d in word:
-        w_perm = permutation_getter(simple_perm[d])(w_perm)
-    return word, w, w_perm
-
-
-def _word_product(datum, word):
-    """The product of the reflections in the indexed roots, in order."""
-    refl = {d: reflection(datum, d) for d in set(word)}
-    w = DatumAutomorphism.identity(datum.rank)
-    for d in word:
-        w = w * refl[d]
-    return w
+    return w_perm
 
 
 def _conjugation(q):
@@ -164,9 +149,6 @@ class StarCocycle:
     def sort_key(self):
         return tuple(v.on_characters for v in self.values)
 
-    def value_matrices(self):
-        return tuple(v.on_characters for v in self.values)
-
 
 def _permutation(datum, aut):
     perm = root_permutation(datum, aut)
@@ -191,14 +173,12 @@ def star_action(action, base):
     unchanged with the trivial cocycle."""
     datum = action.datum
     based = BasedRootDatum(datum, tuple(base))
-    transports = []
-    transport_perms = []
-    stars = []
-    for aut, perm in zip(action.images, action.root_perms):
-        word, c, c_perm = _transport(based, aut, perm)
-        transports.append(c)
-        transport_perms.append(c_perm)
-        stars.append(_word_product(datum, word[::-1]) * aut)
+    transport_perms = [_transport(based, perm) for perm in action.root_perms]
+    n = len(transport_perms)
+    auts = _automorphisms_from_permutations(
+        datum, transport_perms + [_invert_permutation(p) for p in transport_perms])
+    transports = auts[:n]
+    stars = [c_inv * aut for c_inv, aut in zip(auts[n:], action.images)]
     star_act = DatumAction.build(action.group, stars, based)
     cocycle = StarCocycle.build(
         action.group, datum, transports, stars, transport_perms,
@@ -207,53 +187,58 @@ def star_action(action, base):
 
 
 def equivariant_automorphism_group(based, commuting_with=None, bound=WEYL_BOUND):
-    """All datum automorphisms commuting with the given action, computed
-    as Weyl elements times Cartan-preserving base permutations that are
-    integral on both lattices.  Requires a semisimple datum."""
+    """All datum automorphisms commuting with the given action, as the
+    products w.d of Weyl elements and diagram maps of the base (see
+    ``_diagram_maps``), sorted by ``sort_key``.  Requires a semisimple
+    datum.
+
+    An automorphism f carries the base onto a base, which is w(base)
+    for exactly one Weyl element w, so f = w.d with d = w^-1 f a diagram
+    map.  The products and the commutation test, cand o g = g o cand for
+    the permutation g of each generator image, run on root permutations;
+    that is exact because the roots span the characters over Q.
+    Matrices are built only for the automorphisms returned."""
     datum = based.datum
     if not datum.is_semisimple:
         raise UnsupportedDatumError(
             "automorphism groups are only computed for semisimple data")
     w = weyl_group(datum, base=based.base, bound=bound)
-    diagram = _base_preserving_automorphisms(based)
-    gamma_images = []
+    diagram = [permutation_getter(perm) for _, perm in _diagram_maps(based, based)]
+    gammas = []
     if commuting_with is not None:
-        gamma_images = [a for a in commuting_with.images if not a.is_identity()]
-    out = {}
-    for wa in w:
-        for d in diagram:
-            cand = wa * d
-            m = cand.on_characters
-            if m in out:
-                continue
-            if all(mat_mul(g.on_characters, m) == mat_mul(m, g.on_characters)
-                   for g in gamma_images):
-                out[m] = cand
-    return tuple(sorted(out.values(), key=lambda a: a.sort_key()))
+        gammas = [commuting_with.root_perms[g]
+                  for g in commuting_with.group.generating_set]
+    found = {d(wp) for wp in w.perms for d in diagram}
+    kept = [p for p in found
+            if all(permutation_getter(g)(p) == permutation_getter(p)(g) for g in gammas)]
+    auts = _automorphisms_from_permutations(datum, kept)
+    return tuple(sorted(auts, key=lambda a: a.sort_key()))
 
 
-def _base_preserving_automorphisms(based):
-    """Automorphisms permuting the base itself (the diagram symmetries
-    that are integral on the realization)."""
-    datum = based.datum
-    k = len(based.base)
-    cartan = based.cartan_matrix()
-    cols = transpose(based.simple_roots)
-    adj, d0 = adjugate_and_det(cols)
+def _diagram_maps(based1, based2):
+    """(isomorphism, root-index map) for every lattice isomorphism of
+    the characters that carries the base of based1 onto the base of
+    based2 with Cartan entries preserved, is integral with determinant
+    +-1, maps the roots onto the roots and each coroot onto the coroot
+    of the image root.  Node matchings come in lexicographic order, from
+    ``cartan_matchings``; both data must be semisimple with equally
+    many roots."""
+    d1, d2 = based1.datum, based2.datum
+    adj, d0 = adjugate_and_det(transpose(based1.simple_roots))
+    p1 = None if d1.has_standard_pairing else d1.pairing_matrix
+    p2 = None if d2.has_standard_pairing else d2.pairing_matrix
     out = []
-    for perm in permutations(range(k)):
-        if any(cartan[perm[i]][perm[j]] != cartan[i][j]
-               for i in range(k) for j in range(k)):
-            continue
-        target = transpose(tuple(based.simple_roots[perm[j]] for j in range(k)))
+    for perm in cartan_matchings(based1.cartan_matrix(), based2.cartan_matrix()):
+        target = transpose(tuple(based2.simple_roots[j] for j in perm))
         m = exact_quotient(mat_mul(target, adj), d0)
         if m is None or abs(det(m)) != 1:
             continue
-        aut = DatumAutomorphism.from_matrix(
-            m, None if datum.has_standard_pairing else datum.pairing_matrix)
-        if root_permutation(datum, aut) is None:
+        images = _root_images(d1, d2, m)
+        if images is None:
             continue
-        out.append(aut)
+        mc = contragredient(m, p1, p2)
+        if all(mat_vec(mc, c) == d2.coroots[j] for c, j in zip(d1.coroots, images)):
+            out.append((DatumAutomorphism(m, mc), images))
     return out
 
 
@@ -513,23 +498,31 @@ def twist_datum(based, galois_star, cocycle, gamma_action=None):
     if gamma_action is not None and not actions_commute(twisted, gamma_action):
         raise AssertionError("twisted action fails to commute with the folding action")
     for s in galois_star.group.elements():
-        recovered = base_transport(based, twisted.images[s])
-        if recovered.on_characters != cocycle.values[s].on_characters:
+        if _transport(based, twisted.root_perms[s]) != cocycle.value_perms[s]:
             raise AssertionError("base transport does not recover the cocycle")
     return TwistedDatum(based, twisted, gamma_action, cocycle)
 
 
 def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND):
     """Search for a lattice isomorphism datum1 -> datum2 commuting with
-    the paired actions.  Candidates run over every base of datum2 and
-    every Cartan-preserving matching with a fixed base of datum1; the
-    first candidate that is unimodular, equivariant, maps roots to roots
-    and maps coroots to the matching coroots is returned, None if the
-    search exhausts.  The checks are conjunctive, so their order does
-    not change the answer: the cheap equivariance check, which rejects
-    most candidates, runs first, and the contragredient, a matrix
-    inverse, is computed only for candidates that pass the first
-    three."""
+    the paired actions; the first one found, or None.
+
+    Every isomorphism is w o m, with w in W(datum2) and m a diagram map
+    from the canonical base of datum1 onto the canonical base of datum2
+    (``_diagram_maps``).  An isomorphism f carries the base onto a base
+    of datum2, and W(datum2) acts simply transitively on the bases
+    (Bourbaki, Lie groups and Lie algebras, VI 1.5): f(base) = w(base2)
+    for one w, and m = w^-1 o f keeps the Cartan entries.  The lattice
+    checks (integral, determinant +-1, roots onto roots, coroots onto
+    the matching coroots) run once per diagram map: w is an automorphism
+    of datum2, so w o m passes them exactly when m does.
+
+    Equivariance, cand o pi1(g) = pi2(g) o cand for the root maps of the
+    generators g of each paired group, is checked on root permutations,
+    which is exact because both data are semisimple: the roots span the
+    characters over Q.  Candidates are taken by image positive system,
+    in the order of the sorted index lists, then by the tuple of images
+    of the base."""
     for d in (datum1, datum2):
         if not d.is_semisimple:
             raise UnsupportedDatumError(
@@ -543,42 +536,20 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
         return None
 
     base1 = canonical_base(datum1)
-    k = len(base1)
-    c1 = tuple(
-        tuple(datum1.pair(datum1.roots[i], datum1.coroots[j]) for j in base1)
-        for i in base1
-    )
-    cols1 = transpose(tuple(datum1.roots[i] for i in base1))
-    adj, d0 = adjugate_and_det(cols1)
-    p1 = None if datum1.has_standard_pairing else datum1.pairing_matrix
-    p2 = None if datum2.has_standard_pairing else datum2.pairing_matrix
-
-    bases = system_bases(datum2, bound=bound)
-    for system in sorted(bases, key=sorted):
-        base2 = bases[system]
-        if len(base2) != k:
-            continue
-        c2 = tuple(
-            tuple(datum2.pair(datum2.roots[i], datum2.coroots[j]) for j in base2)
-            for i in base2
-        )
-        for perm in permutations(range(k)):
-            if any(c2[perm[i]][perm[j]] != c1[i][j]
-                   for i in range(k) for j in range(k)):
-                continue
-            target = transpose(tuple(datum2.roots[base2[perm[j]]] for j in range(k)))
-            m = exact_quotient(mat_mul(target, adj), d0)
-            if m is None or abs(det(m)) != 1:
-                continue
-            if not _is_equivariant(m, actions1, actions2):
-                continue
-            images = _root_images(datum1, datum2, m)
-            if images is None:
-                continue
-            mc = contragredient(m, p1, p2)
-            if all(mat_vec(mc, datum1.coroots[i]) == datum2.coroots[j]
-                   for i, j in enumerate(images)):
-                return DatumAutomorphism(m, mc)
+    maps = _diagram_maps(BasedRootDatum(datum1, base1),
+                         BasedRootDatum(datum2, canonical_base(datum2)))
+    if not maps:
+        return None
+    pairs = [(permutation_getter(a1.root_perms[g]), a2.root_perms[g])
+             for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
+    on_base = permutation_getter(base1)
+    translate = permutation_getter(sorted(positive_system(datum2)))
+    for w in sorted(weyl_group(datum2, bound=bound).perms,
+                    key=lambda w: sorted(translate(w))):
+        cands = [(permutation_getter(images)(w), m) for m, images in maps]
+        for cand, m in sorted(cands, key=lambda e: on_base(e[0])):
+            if all(after(cand) == permutation_getter(cand)(p2) for after, p2 in pairs):
+                return _automorphisms_from_permutations(datum2, [w])[0] * m
     return None
 
 
@@ -591,17 +562,4 @@ def _root_images(d1, d2, m):
         if j is None:
             return None
         images.append(j)
-    return images
-
-
-def _is_equivariant(m, actions1, actions2):
-    """m a1(g) = a2(g) m for every paired action and every g.  Both
-    actions are homomorphisms of the same group, so if the identity
-    holds for g and h it holds for gh; checking generators suffices."""
-    for a1, a2 in zip(actions1, actions2):
-        for g in a1.group.generating_set:
-            lhs = mat_mul(m, a1.images[g].on_characters)
-            rhs = mat_mul(a2.images[g].on_characters, m)
-            if lhs != rhs:
-                return False
-    return True
+    return tuple(images)

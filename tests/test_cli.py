@@ -140,6 +140,17 @@ def test_fold_emit_restricted(tmp_path):
     assert "B2 x1" in out2
 
 
+def test_fold_emit_restricted_to_an_unwritable_path(tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "out.datum"
+    code, out = run_cli("fold", golden("A3-flip.datum"),
+                        "--emit-restricted", str(target))
+    assert code == 2
+    report, error = out.splitlines()[:-1], out.splitlines()[-1]
+    assert report[0] == "fold along gamma: B2 x1"
+    assert error == f"error: cannot write {target}: No such file or directory"
+    assert not target.exists()
+
+
 def test_fold_requires_gamma_action():
     code, out = run_cli("fold", golden("A2sc.datum"))
     assert code == 2

@@ -59,12 +59,16 @@ def documents():
 
 
 def requests(docs):
-    """Every command on every document; ``isoclass`` pairs documents of
-    the same rank (the search refuses action groups that differ)."""
+    """Every command on every document (``fold`` also with
+    ``--char-two``); ``isoclass`` pairs documents of the same rank (the
+    search refuses action groups that differ)."""
     rank = {name: json.loads(text)["rank"] for name, text in docs.items()}
     out = []
     for name in sorted(docs):
         actions = sorted(json.loads(docs[name]).get("actions", {}))
+        out.extend((command, name) for command in ("verify", "classify", "weyl"))
+        out.append(("fold", name))
+        out.append(("fold", name, "--char-two"))
         out.append(("star", name))
         out.extend(("star", name, "--action", a) for a in actions)
         out.append(("h1", name))

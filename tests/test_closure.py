@@ -197,6 +197,51 @@ def test_explicit_group_assignment_matches_brute_force(data):
     assert str(err.value) == expected
 
 
+def homomorphism_failure(group, images):
+    """The first pair (a, b) with images[a] images[b] != images[ab], by
+    checking all |G|^2 pairs, or None."""
+    for a in group.elements():
+        for b in group.elements():
+            if mat_mul(images[a], images[b]) != images[group.mul(a, b)]:
+                return a, b
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_build_accepts_exactly_the_homomorphisms(data):
+    name = data.draw(st.sampled_from(sorted(GROUPS)), label="group")
+    spec = data.draw(st.sampled_from(sorted(DATA)), label="datum")
+    group = GROUPS[name]
+    datum, matrices = DATA[spec]
+    # a homomorphism, with some images then redrawn at random, so that
+    # both outcomes are common
+    hom = data.draw(st.sampled_from(all_homomorphisms(name, spec)), label="hom")
+    images = [hom[x] for x in group.elements()]
+    for x in data.draw(st.lists(st.integers(0, len(group) - 1), max_size=3),
+                       label="redrawn elements"):
+        images[x] = data.draw(st.sampled_from(matrices), label="value")
+    auts = [DatumAutomorphism.from_matrix(m) for m in images]
+    failure = homomorphism_failure(group, images)
+    if failure is None:
+        action = DatumAction.build(group, auts, datum)
+        assert [a.on_characters for a in action.images] == images
+        return
+    with pytest.raises(InvalidActionError) as err:
+        DatumAction.build(group, auts, datum)
+    message = str(err.value)
+    if images[group.identity] != identity_matrix(datum.rank):
+        assert message == "identity element must act trivially"
+        return
+    # the message names a pair at which the law fails
+    pairs = [(a, b) for a in group.elements() for b in group.elements()
+             if message == (f"images are not a homomorphism at "
+                            f"({group.labels[a]!r}, {group.labels[b]!r})")]
+    assert len(pairs) == 1
+    (a, b), = pairs
+    assert mat_mul(images[a], images[b]) != images[group.mul(a, b)]
+
+
 def test_labels_that_do_not_generate_are_rejected():
     d = from_cartan_type("A2:sc").datum
     flip = ((0, 1), (1, 0))

@@ -1,0 +1,205 @@
+"""The isomorphism search and the equivariant automorphism group against
+the matrix computations they replaced.
+
+``reference_isomorphic`` tries every base of the second datum, one per
+positive system in the order of the sorted index lists, and every
+Cartan-preserving matching of the canonical base of the first datum
+with it, in lexicographic order; it returns the first candidate that is
+integral with determinant +-1, commutes with every paired group image as
+a matrix, maps roots to roots and coroots to the matching coroots.
+``reference_automorphism_group`` multiplies every Weyl element by every
+base-preserving automorphism as matrices and keeps the products whose
+character matrices commute with every group image.
+"""
+
+from itertools import permutations
+
+import pytest
+
+from rootfold.action import FiniteGroup, fixed_weyl, make_action
+from rootfold.lattice import (
+    adjugate_and_det,
+    det,
+    exact_quotient,
+    identity_matrix,
+    mat_mul,
+    mat_vec,
+    transpose,
+)
+from rootfold.rootdatum import (
+    BasedRootDatum,
+    DatumAutomorphism,
+    base_of,
+    canonical_base,
+    contragredient,
+    from_cartan_type,
+    positive_systems,
+    root_permutation,
+    weyl_group,
+)
+from rootfold.selftest import node_permutation_matrix
+from rootfold.twist import (
+    equivariant_automorphism_group,
+    equivariant_isomorphic,
+    star_action,
+    twist_datum,
+    z1_enumerate,
+)
+
+from test_h1_reference import H1_CASES, neg
+from test_rootdatum import skew_realization
+
+
+def _pairing(datum):
+    return None if datum.has_standard_pairing else datum.pairing_matrix
+
+
+def _cartan(datum, base):
+    return tuple(tuple(datum.pair(datum.roots[i], datum.coroots[j]) for j in base)
+                 for i in base)
+
+
+def _base_maps(datum1, base1, datum2, base2):
+    """Character matrices carrying base1 onto base2 node by node, for
+    every Cartan-preserving matching, integral with determinant +-1."""
+    k = len(base1)
+    c1, c2 = _cartan(datum1, base1), _cartan(datum2, base2)
+    adj, d0 = adjugate_and_det(transpose(tuple(datum1.roots[i] for i in base1)))
+    for perm in permutations(range(k)):
+        if any(c2[perm[i]][perm[j]] != c1[i][j] for i in range(k) for j in range(k)):
+            continue
+        target = transpose(tuple(datum2.roots[base2[perm[j]]] for j in range(k)))
+        m = exact_quotient(mat_mul(target, adj), d0)
+        if m is not None and abs(det(m)) == 1:
+            yield m
+
+
+def reference_isomorphic(datum1, actions1, datum2, actions2):
+    if datum1.rank != datum2.rank or len(datum1.roots) != len(datum2.roots):
+        return None
+    base1 = canonical_base(datum1)
+    p1, p2 = _pairing(datum1), _pairing(datum2)
+    for system in positive_systems(datum2):
+        base2 = base_of(datum2, system)
+        if len(base2) != len(base1):
+            continue
+        for m in _base_maps(datum1, base1, datum2, base2):
+            if any(mat_mul(m, a1.images[g].on_characters)
+                   != mat_mul(a2.images[g].on_characters, m)
+                   for a1, a2 in zip(actions1, actions2) for g in a1.group.elements()):
+                continue
+            images = [datum2.root_index.get(mat_vec(m, r)) for r in datum1.roots]
+            if None in images:
+                continue
+            mc = contragredient(m, p1, p2)
+            if all(mat_vec(mc, datum1.coroots[i]) == datum2.coroots[j]
+                   for i, j in enumerate(images)):
+                return DatumAutomorphism(m, mc)
+    return None
+
+
+def reference_automorphism_group(based, commuting_with=None):
+    datum = based.datum
+    diagram = []
+    for m in _base_maps(datum, based.base, datum, based.base):
+        aut = DatumAutomorphism.from_matrix(m, _pairing(datum))
+        if root_permutation(datum, aut) is not None:
+            diagram.append(aut)
+    gammas = [] if commuting_with is None else [
+        a.on_characters for a in commuting_with.images]
+    out = {}
+    for w in weyl_group(datum, base=based.base):
+        for d in diagram:
+            cand = w * d
+            m = cand.on_characters
+            if all(mat_mul(g, m) == mat_mul(m, g) for g in gammas):
+                out[m] = cand
+    return tuple(sorted(out.values(), key=lambda a: a.sort_key()))
+
+
+def key(aut):
+    return None if aut is None else (aut.on_characters, aut.on_cocharacters)
+
+
+def z2(datum, matrix):
+    return make_action(datum, [(matrix, 1)], group=FiniteGroup.cyclic(2))
+
+
+def assert_isomorphic_matches(datum1, actions1, datum2, actions2):
+    got = key(equivariant_isomorphic(datum1, actions1, datum2, actions2))
+    assert got == key(reference_isomorphic(datum1, actions1, datum2, actions2))
+    return got
+
+
+def assert_group_matches(based, commuting_with=None):
+    got = equivariant_automorphism_group(based, commuting_with=commuting_with)
+    assert [key(a) for a in got] == [
+        key(a) for a in reference_automorphism_group(based, commuting_with)]
+    return got
+
+
+def twisted_actions(based, galois, gamma):
+    """The Galois actions of every twist in Z1, each with gamma appended
+    when there is one."""
+    star, _ = star_action(galois, based.base)
+    module = (fixed_weyl(gamma) if gamma is not None
+              else weyl_group(based.datum, base=based.base))
+    extra = [gamma] if gamma is not None else []
+    return [[twist_datum(based, star, c, gamma_action=gamma).galois] + extra
+            for c in z1_enumerate(galois.group, star.images, module)]
+
+
+@pytest.mark.parametrize("case", H1_CASES, ids=[c[0] for c in H1_CASES])
+def test_twist_pairs_match_reference(case):
+    _, spec, galois_matrix, gamma_matrix = case
+    based = from_cartan_type(spec)
+    datum = based.datum
+    galois = z2(datum, galois_matrix(datum.rank))
+    gamma = None if gamma_matrix is None else make_action(based, [(gamma_matrix, "s")])
+    assert_group_matches(based, gamma)
+    twists = twisted_actions(based, galois, gamma)
+    # every pair, or every twist against the first three past ten twists
+    for i, t1 in enumerate(twists):
+        for j, t2 in enumerate(twists):
+            if len(twists) <= 10 or min(i, j) < 3:
+                found = assert_isomorphic_matches(datum, t1, datum, t2)
+                assert i != j or found is not None
+
+
+CROSS = [("A2:sc", "A2:ad"), ("B2:sc", "C2:sc"), ("B3:sc", "C3:sc"),
+         ("A1:sc x A1:sc", "B2:sc")]
+
+
+@pytest.mark.parametrize("specs", CROSS, ids=" / ".join)
+def test_cross_realizations_match_reference(specs):
+    d1, d2 = (from_cartan_type(s).datum for s in specs)
+    n = d1.rank
+    for matrix in (identity_matrix(n), neg(n)):
+        assert_isomorphic_matches(d1, [z2(d1, matrix)], d2, [z2(d2, matrix)])
+        assert_isomorphic_matches(d2, [z2(d2, matrix)], d1, [z2(d1, matrix)])
+
+
+@pytest.mark.parametrize("spec", ["A2:sc", "B2:sc", "BC2"])
+def test_skewed_pairing_matches_reference(spec):
+    based = from_cartan_type(spec)
+    d = based.datum
+    u, v = ((1, 1), (0, 1)), ((1, 0), (2, 1))
+    skew = skew_realization(d, u, v)
+    skew_based = BasedRootDatum(skew, canonical_base(skew))
+    assert_group_matches(skew_based)
+    for matrix in (identity_matrix(2), neg(2)):
+        # +-1 commute with u, so they act the same way on both
+        a, b = z2(d, matrix), z2(skew, matrix)
+        assert assert_isomorphic_matches(d, [a], skew, [b]) is not None
+        assert_isomorphic_matches(skew, [b], d, [a])
+
+
+def test_d4_triality_with_gamma_matches_reference():
+    based = from_cartan_type("D4:sc")
+    triality = node_permutation_matrix({0: 2, 1: 1, 2: 3, 3: 0}, 4)
+    gamma = make_action(based, [(triality, "t")])
+    assert len(assert_group_matches(based)) == 192 * 6
+    assert len(assert_group_matches(based, gamma)) == 12 * 3
+    twists = twisted_actions(based, z2(based.datum, neg(4)), gamma)
+    for t in twists:
+        assert_isomorphic_matches(based.datum, twists[0], based.datum, t)

@@ -244,6 +244,27 @@ def test_canonical_base_is_valid():
         assert verify_base(BasedRootDatum(b.datum, cb)) == []
 
 
+def test_root_coordinates_take_one_gram_adjugate_per_base(monkeypatch):
+    from rootfold import lattice
+
+    calls = []
+    kernel = lattice.adjugate_and_det
+
+    def counted(m):
+        calls.append(len(m))
+        return kernel(m)
+
+    monkeypatch.setattr(lattice, "adjugate_and_det", counted)
+    b = from_cartan_type("E8:sc")
+    assert verify_base(b) == []
+    assert len(b.positive_system) == 120
+    assert calls == [8]
+    for (x, d), r in zip(b.root_coordinates, b.datum.roots):
+        assert all(c % d == 0 for c in x)
+        assert tuple(sum(c // d * s[k] for c, s in zip(x, b.simple_roots))
+                     for k in range(8)) == r
+
+
 def test_verify_base_rejects_bad_base():
     b = from_cartan_type("A2:sc")
     d = b.datum

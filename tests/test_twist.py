@@ -98,18 +98,23 @@ def test_base_transport_non_reduced_exhaustive():
         assert w.on_characters == v.on_characters
 
 
-def test_base_transport_inverse_is_the_reversed_word():
-    from rootfold.twist import _transport, _word_product
+def test_transport_permutation_and_star_images_match_matrices():
+    from rootfold.twist import _transport
 
     for spec in ["A3:sc", "BC2", "G2:sc"]:
         b = from_cartan_type(spec)
-        for v in weyl_group(b.datum):
-            word, w, w_perm = _transport(b, v, root_permutation(b.datum, v))
-            assert w == _word_product(b.datum, word) == base_transport(b, v)
-            assert w_perm == root_permutation(b.datum, w)
-            w_inv = _word_product(b.datum, word[::-1])
-            assert (w_inv.on_characters, w_inv.on_cocharacters) == (
-                w.inverse().on_characters, w.inverse().on_cocharacters)
+        d = b.datum
+        auts = equivariant_automorphism_group(b)
+        for v in auts:
+            w = base_transport(b, v)
+            assert _transport(b, root_permutation(d, v)) == root_permutation(d, w)
+        # the closure of all of them: every automorphism gets a star image
+        act = make_action(d, [(a.on_characters, i) for i, a in enumerate(auts)])
+        star_act, _ = star_action(act, b.base)
+        for aut, star in zip(act.images, star_act.images):
+            expected = base_transport(b, aut).inverse() * aut
+            assert (star.on_characters, star.on_cocharacters) == (
+                expected.on_characters, expected.on_cocharacters)
 
 
 # ---------------------------------------------------------------------------
