@@ -24,6 +24,7 @@ from .lattice import (
     vec_sub,
 )
 from .rootdatum import (
+    WEYL_BOUND,
     BasedRootDatum,
     DatumAutomorphism,
     WeylGroup,
@@ -529,8 +530,6 @@ def fixed_weyl(action, *, bound=None):
     For an unbased action the elements of W are filtered by the
     commutation test on root permutations.  Matrices are built only
     when a caller asks for them."""
-    from .rootdatum import WEYL_BOUND
-
     datum = action.datum
     ident = tuple(range(len(datum.roots)))
     gens = sorted({action.root_perms[g] for g in action.group.generating_set} - {ident})

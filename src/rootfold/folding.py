@@ -40,6 +40,7 @@ from .rootdatum import (
     is_positive_system,
     is_reduced,
     permutation_getter,
+    positive_systems,
     reflection,
     reflection_permutation,
     verify_axioms,
@@ -82,10 +83,6 @@ class RestrictedDatum:
 
     def fiber(self, restricted_index):
         return self.fibers[restricted_index]
-
-    @cached_property
-    def source_base(self):
-        return self.source.target.base
 
 
 def restrict(action, commuting_actions=()):
@@ -452,8 +449,6 @@ def positive_system_transfer(fold, system, direction):
 
 def invariant_positive_systems(fold, bound=WEYL_BOUND):
     """All positive systems of the source invariant under the action."""
-    from .rootdatum import positive_systems
-
     source = fold.source.datum
     return tuple(
         s for s in positive_systems(source, bound=bound)

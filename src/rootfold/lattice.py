@@ -29,10 +29,6 @@ def identity_matrix(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def zero_matrix(rows, cols):
-    return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
-
-
 def transpose(m):
     return tuple(tuple(r) for r in zip(*m))
 
@@ -327,16 +323,14 @@ def integer_kernel(m, cols=None):
 
 @dataclass(frozen=True)
 class LatticeQuotient:
-    """Free quotient of Z^ambient_rank by the span of the relation vectors.
+    """Free quotient of Z^n by the span of some relation vectors.
 
-    ``projection`` (free_rank x ambient_rank) realizes the quotient map
+    ``projection`` (free_rank x n) realizes the quotient map
     with torsion discarded; ``section`` is an integer right inverse,
     projection @ section = identity. ``torsion_invariants`` lists the
     invariant factors > 1 of the torsion subgroup.
     """
 
-    ambient_rank: int
-    relation_generators: tuple
     free_rank: int
     projection: tuple
     section: tuple
@@ -344,9 +338,6 @@ class LatticeQuotient:
 
     def project(self, v):
         return mat_vec(self.projection, v)
-
-    def lift(self, v):
-        return mat_vec(self.section, v)
 
 
 def quotient_lattice(rank, relations):
@@ -356,7 +347,7 @@ def quotient_lattice(rank, relations):
             raise ValueError("relation vector has wrong length")
     if not relations:
         ident = identity_matrix(rank)
-        return LatticeQuotient(rank, (), rank, ident, ident, ())
+        return LatticeQuotient(rank, ident, ident, ())
     rel_cols = transpose(relations)
     u, d, _ = smith_normal_form(rel_cols)
     diag = [d[i][i] for i in range(min(rank, len(relations)))]
@@ -379,7 +370,7 @@ def quotient_lattice(rank, relations):
             raise AssertionError("projection does not annihilate a relation")
     if free_rank and mat_mul(projection, section) != identity_matrix(free_rank):
         raise AssertionError("section is not a right inverse of the projection")
-    return LatticeQuotient(rank, relations, free_rank, projection, section, torsion)
+    return LatticeQuotient(free_rank, projection, section, torsion)
 
 
 def exact_solver(a):

@@ -139,9 +139,6 @@ class RootDatum:
                      (mat_vec(self.pairing_matrix, c) for c in self.coroots))
         return integer_kernel(rows, cols=self.rank)
 
-    def cartan_entry(self, i, j):
-        return self.pair(self.roots[i], self.coroots[j])
-
     @cached_property
     def independent_roots(self):
         """Indices of a basis of the span of the roots, each root taken
@@ -153,6 +150,14 @@ class RootDatum:
             if len(chosen) == self.rank:
                 break
         return tuple(chosen)
+
+    @cached_property
+    def _canonical_system(self):
+        # (positive system, base) read by ``positive_system`` and
+        # ``canonical_base``
+        v = _generic_functional(self)
+        system = frozenset(i for i, r in enumerate(self.roots) if self.pair(r, v) > 0)
+        return system, base_of(self, system)
 
     @cached_property
     def _reflection_perms(self):
@@ -209,7 +214,11 @@ class WeylGroup:
     (``verify_axioms`` proves it), so the permutation of the root
     indices names an element; ``perms`` lists them in closure order and
     ``len`` is known at once.  ``generators`` holds the permutations the
-    group was closed from, when it was built as a closure.  The
+    group was closed from, when it was built as a closure.  The group
+    may be any group of automorphisms, such as the one
+    ``twist.equivariant_automorphism_group`` returns: permutations name
+    Weyl elements on any datum, and every automorphism on semisimple
+    data, where the roots span the characters over Q.  The
     automorphisms themselves, and the canonical order sorting them by
     character matrix, are built on first use of ``elements``, iteration,
     ``index`` or ``in``; ``sorted_perms`` lists the permutations in that
@@ -523,9 +532,8 @@ def _generic_functional(datum):
 
 def positive_system(datum):
     """The canonical positive system: roots positive against the first
-    generic functional."""
-    v = _generic_functional(datum)
-    return frozenset(i for i, r in enumerate(datum.roots) if datum.pair(r, v) > 0)
+    generic functional.  Cached on the datum."""
+    return datum._canonical_system[0]
 
 
 def positive_systems(datum, bound=WEYL_BOUND):
@@ -543,7 +551,8 @@ def base_of(datum, system):
 
 
 def canonical_base(datum):
-    return base_of(datum, positive_system(datum))
+    """The base of the canonical positive system.  Cached on the datum."""
+    return datum._canonical_system[1]
 
 
 def is_positive_system(datum, system):
@@ -818,8 +827,7 @@ def classify(datum):
     Returns a sorted list of (label, multiplicity)."""
     if not datum.roots:
         return []
-    pos = positive_system(datum)
-    base = base_of(datum, pos)
+    base = canonical_base(datum)
     labels = []
     for comp in _components(datum):
         comp_set = set(comp)

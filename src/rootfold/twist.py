@@ -187,32 +187,44 @@ def star_action(action, base):
 
 
 def equivariant_automorphism_group(based, commuting_with=None, bound=WEYL_BOUND):
-    """All datum automorphisms commuting with the given action, as the
-    products w.d of Weyl elements and diagram maps of the base (see
-    ``_diagram_maps``), sorted by ``sort_key``.  Requires a semisimple
-    datum.
+    """All datum automorphisms commuting with the given action, as a
+    ``WeylGroup`` of root permutations: the closure of the W^Gamma
+    lifts (``fixed_weyl``; with no action, the simple reflections of the
+    base) and the diagram maps of the action's base that commute with
+    the action (see ``_diagram_maps``).  ``len`` is known at once;
+    iteration and ``elements`` give the automorphisms sorted by
+    ``sort_key``, built on first use.  Requires a semisimple datum and,
+    when given, a based action.
 
-    An automorphism f carries the base onto a base, which is w(base)
-    for exactly one Weyl element w, so f = w.d with d = w^-1 f a diagram
-    map.  The products and the commutation test, cand o g = g o cand for
-    the permutation g of each generator image, run on root permutations;
-    that is exact because the roots span the characters over Q.
-    Matrices are built only for the automorphisms returned."""
+    Why they generate: let f commute with Gamma and let B be the base
+    Gamma stabilizes.  Then f(B) is a Gamma-stable base, since
+    g f(B) = f(g B) = f(B), and it is w(B) for exactly one Weyl element
+    w, W acting simply transitively on the bases.  For g in Gamma,
+    g w g^-1 is a Weyl element with g w g^-1 (B) = g f(B) = f(B), so
+    g w g^-1 = w: w is in W^Gamma.  So f = w.d with d = w^-1 f a
+    diagram map of B that commutes with Gamma.  The commutation test,
+    d o g = g o d for the permutation g of each generator image, runs on
+    root permutations; that is exact because the roots span the
+    characters over Q."""
     datum = based.datum
     if not datum.is_semisimple:
         raise UnsupportedDatumError(
             "automorphism groups are only computed for semisimple data")
-    w = weyl_group(datum, base=based.base, bound=bound)
-    diagram = [permutation_getter(perm) for _, perm in _diagram_maps(based, based)]
-    gammas = []
-    if commuting_with is not None:
+    if commuting_with is None:
+        b, gammas = based, []
+        gens = [reflection_permutation(datum, i) for i in based.base]
+    else:
+        if not commuting_with.is_based:
+            raise InvalidActionError("the commuting action must stabilize a base")
+        b = commuting_with.target
         gammas = [commuting_with.root_perms[g]
                   for g in commuting_with.group.generating_set]
-    found = {d(wp) for wp in w.perms for d in diagram}
-    kept = [p for p in found
-            if all(permutation_getter(g)(p) == permutation_getter(p)(g) for g in gammas)]
-    auts = _automorphisms_from_permutations(datum, kept)
-    return tuple(sorted(auts, key=lambda a: a.sort_key()))
+        gens = list(fixed_weyl(commuting_with, bound=bound).generators)
+    gens += [d for _, d in _diagram_maps(b, b)
+             if all(permutation_getter(g)(d) == permutation_getter(d)(g) for g in gammas)]
+    perms = closure([tuple(range(len(datum.roots)))],
+                    [permutation_getter(p) for p in gens], bound, "automorphism group")
+    return WeylGroup(datum, perms, gens)
 
 
 def _diagram_maps(based1, based2):
@@ -318,9 +330,13 @@ class CohomologyClassSet:
 
 
 def _cobounders(cocycle, cobounding_group):
-    """(permutation of k^-1, getters composing with s*(k) per element s)
-    for each k of the cobounding group whose coboundaries can be
-    W-valued, in the order of the group.
+    """One map per generator k of the cobounding group, sending the
+    value permutations of a cocycle c to those of
+    s -> k^-1 . c(s) . s*(k).
+
+    The generators of a ``WeylGroup`` are its ``generators``, or all of
+    its ``perms`` when it has none.  A tuple group is used whole, less
+    the k whose coboundaries can fail to be W-valued:
 
     For k outside W write k^-1 c(s) s*(k) = (k^-1 c(s) k) (k^-1 s*(k)).
     The first factor is a Weyl element.  If the product is one too, so
@@ -331,28 +347,33 @@ def _cobounders(cocycle, cobounding_group):
     (it permutes the coroots), u fixes A exactly when s* k = k s* on a
     basis of A.  So k is kept when that holds for every s (always on
     semisimple data, where A = 0, and for every k in W), and its
-    coboundaries are then compared on permutations without loss."""
+    coboundaries are then compared on permutations without loss.  The
+    kept k form a subgroup: every automorphism maps A onto itself, so
+    k -> k|A is a homomorphism and the kept k are the preimage of the
+    centralizer of the s*|A.  A ``WeylGroup`` is used unchecked, which
+    is exact for Weyl elements on any datum and for every automorphism
+    on semisimple data.
+
+    The maps need no twisted-law check: if c is a cocycle, so is c.k,
+    as (c.k)(s) . s*((c.k)(t))
+    = k^-1 c(s) s*(k) . s*(k)^-1 s*(c(t)) s*(t*(k))
+    = k^-1 c(st) (st)*(k)."""
     datum = cocycle.datum
     if isinstance(cobounding_group, WeylGroup):
-        kappas = cobounding_group.perms
+        kappas = cobounding_group.generators or cobounding_group.perms
     else:
         annihilator = datum.coroot_annihilator
         kappas = [_permutation(datum, k) for k in cobounding_group
                   if all(s.apply(k.apply(z)) == k.apply(s.apply(z))
                          for s in cocycle.star for z in annihilator)]
     conjugations = [_conjugation(q) for q in cocycle.star_perms]
-    return [(_invert_permutation(k),
-             tuple(permutation_getter(conj(k)) for conj in conjugations))
-            for k in kappas]
 
-
-def _cobound_permutations(cocycle, kinv, after):
-    """Value permutations of s -> k^-1 . c(s) . s*(k), checked against
-    the twisted law; ``kinv`` and ``after`` come from _cobounders."""
-    perms = tuple(right(permutation_getter(v)(kinv))
-                  for v, right in zip(cocycle.value_perms, after))
-    _check_twisted_law(cocycle.galois, perms, cocycle.star_perms)
-    return perms
+    def step(k):
+        kinv = _invert_permutation(k)
+        after = [permutation_getter(conj(k)) for conj in conjugations]
+        return lambda perms: tuple(right(permutation_getter(v)(kinv))
+                                   for v, right in zip(perms, after))
+    return [step(k) for k in kappas]
 
 
 def cobound(cocycle, kappa):
@@ -360,55 +381,45 @@ def cobound(cocycle, kappa):
     permutations (see ``_cobounders``).  Raises ValueError when
     kappa^-1 s*(kappa) moves the annihilator of the coroots, so that
     the values are not determined by their permutations."""
-    movers = _cobounders(cocycle, (kappa,))
-    if not movers:
+    steps = _cobounders(cocycle, (kappa,))
+    if not steps:
         raise ValueError("kappa^-1 s*(kappa) moves the annihilator of the coroots")
-    perms = _cobound_permutations(cocycle, *movers[0])
     return _cocycles_from_permutations(cocycle.galois, cocycle.datum,
                                        cocycle.star, cocycle.star_perms,
-                                       [perms])[0]
+                                       [steps[0](cocycle.value_perms)])[0]
 
 
 def h1_classes(cocycles, cobounding_group, module_group=()):
-    """Partition the cocycle list by cobounding, by direct orbit
-    enumeration of the kappa action.
+    """Partition the cocycle list by cobounding.
 
-    Each kappa becomes a root permutation once, and cobounded cocycles
-    are compared by the tuples of their value permutations, which is
-    exact (see ``_cobounders``); every cobounded cocycle is checked
-    against the twisted law.  No matrix is built here."""
+    A class is an orbit of the finite cobounding group K, so the class
+    of c is the ``closure`` of its value permutations under one map per
+    generator of K (``_cobounders``; Serre, Galois Cohomology, I 5.1).
+    An orbit may pass through cocycles that are not in the list; only
+    listed ones are reported, which is the partition of the list by
+    c ~ c.k for k in K, K being a group.  Tuples of value permutations
+    name cocycles exactly (see ``_cobounders``).  No matrix is built
+    here."""
     cocycles = tuple(cocycles)
     if not isinstance(cobounding_group, WeylGroup):
         cobounding_group = tuple(cobounding_group)
     if not isinstance(module_group, WeylGroup):
         module_group = tuple(module_group)
-    index = {c.value_perms: i for i, c in enumerate(cocycles)}
-    parent = list(range(len(cocycles)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    movers = {}
+    positions = {}
     for i, c in enumerate(cocycles):
-        key = (c.galois, c.star)
-        if key not in movers:
-            movers[key] = _cobounders(c, cobounding_group)
-        for kinv, after in movers[key]:
-            j = index.get(_cobound_permutations(c, kinv, after))
-            if j is not None:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(len(cocycles)):
-        groups.setdefault(find(i), []).append(i)
+        positions.setdefault(c.value_perms, []).append(i)
+    steps = {}
     classes = []
-    for members in groups.values():
-        cls = tuple(sorted((cocycles[i] for i in members), key=lambda c: c.sort_key()))
-        classes.append(cls)
+    for c in cocycles:
+        if c.value_perms not in positions:
+            continue
+        key = (c.galois, c.star)
+        if key not in steps:
+            steps[key] = _cobounders(c, cobounding_group)
+        orbit = closure([c.value_perms], steps[key])
+        members = sorted(i for p in orbit for i in positions.pop(p, ()))
+        classes.append(tuple(sorted((cocycles[i] for i in members),
+                                    key=StarCocycle.sort_key)))
     classes.sort(key=lambda cls: cls[0].sort_key())
     return CohomologyClassSet(
         module_group=module_group,

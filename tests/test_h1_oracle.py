@@ -1,0 +1,132 @@
+"""H1 class counts against closed forms, and classes of partial cocycle
+lists against the matrix reference.
+
+For the trivial Z/2 Galois action the star action is trivial, a cocycle
+is a Weyl element w with w^2 = 1, and cobounding by k is conjugation
+w -> k^-1 w k.  So the module class count is the number of conjugacy
+classes of W whose elements square to 1, the identity included (Carter,
+Conjugacy classes in the Weyl group, Compositio Math. 25, 1972).  The
+expected counts below come from formulas and share no code with the
+engine:
+
+* A_n, W = S_{n+1}: an involution is a product of r <= (n+1)/2 disjoint
+  transpositions, one class per r.
+* B_n and C_n, signed permutations: a class is fixed by the number r of
+  transpositions and the number of sign changes among the n - 2r fixed
+  points.
+* D_n: the same pairs with an even number of sign changes; for n even,
+  the class with every point paired (r = n/2) splits in two.
+* G2, the dihedral group of order 12: 1, -1 and two classes of
+  reflections.
+* E6: 5, from Carter's classification.
+
+For the quasi-split 2E6 form the Galois element acts on W as conjugation
+by w0, so c(s) = w is a cocycle when (w w0)^2 = 1, and w -> w w0 maps
+the twisted classes onto the classes above: 5 again.
+"""
+
+import random
+
+import pytest
+
+from rootfold.action import FiniteGroup, fixed_weyl, make_action
+from rootfold.errors import InvalidActionError
+from rootfold.lattice import identity_matrix
+from rootfold.rootdatum import from_cartan_type, weyl_group
+from rootfold.twist import (
+    equivariant_automorphism_group,
+    h1_classes,
+    h1_with_image,
+    star_action,
+    z1_enumerate,
+)
+
+from test_h1_reference import H1_CASES, classes_of, flip, reference_h1_classes
+
+
+def count_a(n):
+    return (n + 1) // 2 + 1
+
+
+def count_bc(n):
+    return sum(n - 2 * r + 1 for r in range(n // 2 + 1))
+
+
+def count_d(n):
+    return sum((n - 2 * r) // 2 + 1 for r in range(n // 2 + 1)) + (n % 2 == 0)
+
+
+ORACLE = (
+    [(f"A{n}:sc", count_a(n), False) for n in range(1, 6)]
+    + [(f"B{n}:sc", count_bc(n), True) for n in range(2, 6)]
+    + [("C3:sc", count_bc(3), True)]
+    + [(f"D{n}:sc", count_d(n), False) for n in (4, 5)]
+    + [("G2:sc", 4, True)]
+)
+
+
+def z2(datum, matrix):
+    return make_action(datum, [(matrix, 1)], group=FiniteGroup.cyclic(2))
+
+
+@pytest.mark.parametrize("spec, expected, image_too", ORACLE,
+                         ids=[o[0] for o in ORACLE])
+def test_trivial_action_counts_involution_classes(spec, expected, image_too):
+    based = from_cartan_type(spec)
+    n = based.datum.rank
+    module, image = h1_with_image(based, z2(based.datum, identity_matrix(n))).counts
+    assert module == expected
+    if image_too:
+        # no diagram automorphism: every automorphism is a Weyl element
+        assert image == module
+
+
+E6_FLIP = {0: 5, 1: 1, 2: 4, 3: 3, 4: 2, 5: 0}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("galois", ["trivial", "quasi-split"])
+def test_e6_has_five_classes(galois):
+    based = from_cartan_type("E6:sc")
+    if galois == "trivial":
+        matrix = identity_matrix(6)
+    else:
+        matrix = tuple(tuple(int(E6_FLIP[j] == i) for j in range(6)) for i in range(6))
+    report = h1_with_image(based, z2(based.datum, matrix))
+    assert len(report.module_classes.cocycles) == 892
+    assert report.counts == (5, 5)
+
+
+def case_groups(case):
+    _, spec, galois_matrix, gamma_matrix = case
+    based = from_cartan_type(spec)
+    datum = based.datum
+    gamma = None
+    if gamma_matrix is not None:
+        gamma = make_action(based, [(gamma_matrix, "s")])
+        module = fixed_weyl(gamma)
+    else:
+        module = weyl_group(datum, base=based.base)
+    star_act, _ = star_action(z2(datum, galois_matrix(datum.rank)), based.base)
+    cocycles = z1_enumerate(star_act.group, star_act.images, module)
+    return cocycles, module, equivariant_automorphism_group(based, commuting_with=gamma)
+
+
+@pytest.mark.parametrize("case", H1_CASES, ids=[c[0] for c in H1_CASES])
+def test_classes_of_sublists_match_reference(case):
+    # an orbit may pass through cocycles left out of the list; the
+    # listed ones must still be partitioned as by the full group
+    cocycles, module, auts = case_groups(case)
+    rng = random.Random(case[0])
+    for _ in range(4):
+        sub = [c for c in cocycles if rng.random() < 0.5]
+        rng.shuffle(sub)
+        for group in (module, auts):
+            assert classes_of(h1_classes(sub, group)) == reference_h1_classes(
+                sub, tuple(group))
+
+
+def test_automorphism_group_refuses_an_unbased_action():
+    based = from_cartan_type("A2:sc")
+    with pytest.raises(InvalidActionError):
+        equivariant_automorphism_group(based, commuting_with=z2(based.datum, flip(2)))
