@@ -187,9 +187,11 @@ class DatumAction:
         permutation of the product of the reflections over the
         orthogonal orbit (pairwise orthogonal roots, so the factors
         commute).  These lifts generate the fixed Weyl subgroup (see
-        ``fixed_weyl``)."""
+        ``fixed_weyl``); each is checked to commute with the image of
+        every generator of the group, which raises AssertionError."""
         datum = self.datum
         ident = tuple(range(len(datum.roots)))
+        gens = sorted({self.root_perms[g] for g in self.group.generating_set} - {ident})
         lifts = {}
         for k in self.target.base:
             orb = orbit(self, k)
@@ -202,6 +204,10 @@ class DatumAction:
                 if s is None:
                     raise AssertionError("reflection does not permute the roots")
                 lift = permutation_getter(s)(lift)
+            for p in gens:
+                if permutation_getter(p)(lift) != permutation_getter(lift)(p):
+                    raise AssertionError(
+                        "lifted reflection does not commute with the action")
             lifts[orb] = (xi, lift)
         return lifts
 
@@ -417,8 +423,9 @@ def coinvariants(action):
     else:
         fixed_basis = tuple(identity_matrix(n))
 
-    average = (mat_mul(_group_average(action), quotient.section) if quotient.free_rank
-               else tuple(() for _ in range(n)))
+    size = len(action.group)
+    average = tuple(tuple(Fraction(x, size) for x in row)
+                    for row in mat_mul(_group_sum(action), quotient.section))
 
     f = quotient.free_rank
     if len(fixed_basis) != f:
@@ -445,28 +452,41 @@ def coinvariants(action):
     return cv
 
 
-def _group_average(action):
-    """The mean of the character matrices of the action, over Q."""
+def _group_sum(action):
+    """The sum of the character matrices of the action, |G| times their
+    mean."""
     n = action.datum.rank
-    size = len(action.group)
     return tuple(
-        tuple(Fraction(sum(a.on_characters[i][j] for a in action.images), size)
-              for j in range(n))
+        tuple(sum(a.on_characters[i][j] for a in action.images) for j in range(n))
         for i in range(n)
     )
 
 
 def _check_coinvariants(cv):
+    """Raise AssertionError unless the maps of ``cv`` satisfy every
+    structural identity.
+
+    The identities on ``cv.average`` are checked on S = |G| average, an
+    integer matrix for the average ``coinvariants`` builds: A S = S for
+    every image A, and S . projection = sum over the group of the A.
+    Scaling by |G| != 0 makes them equivalent to the identities
+    A average = average and average . projection = the group mean, for
+    any ``average`` whatever; an entry of S that is not integral stays a
+    Fraction."""
     action = cv.action
     datum = action.datum
     n = datum.rank
     f = cv.free_rank
+    size = len(action.group)
+    scaled = tuple(tuple(y if y.denominator != 1 else int(y)
+                         for y in (size * x for x in row))
+                   for row in cv.average)
     for aut in action.images:
         # projection factors through the group: P(gamma x) = P(x)
         if mat_mul(cv.projection, aut.on_characters) != cv.projection:
             raise AssertionError("projection is not invariant under the action")
         # the averaged embedding lands in the fixed subspace
-        if mat_mul(aut.on_characters, cv.average) != cv.average:
+        if mat_mul(aut.on_characters, scaled) != scaled:
             raise AssertionError("averaged embedding is not fixed by the action")
         # fixed cocharacter basis really is fixed
         for v in cv.fixed_basis:
@@ -489,7 +509,7 @@ def _check_coinvariants(cv):
         # preimage independence: the averaged embedding composed with the
         # projection is the plain group average, and relation vectors
         # pair to zero against every fixed cocharacter
-        if mat_mul(cv.average, cv.projection) != _group_average(action):
+        if mat_mul(scaled, cv.projection) != _group_sum(action):
             raise AssertionError("embedding depends on the choice of preimage")
         for aut in action.images:
             for k in range(n):
@@ -514,8 +534,8 @@ def fixed_weyl(action, *, bound=None):
     For a based action, the subgroup is the breadth-first closure of
     the lifts in ``action.base_lifts``, one per orbit O of the group on
     the base, and no other Weyl element is listed; ``bound`` applies to
-    the subgroup.  Each lift is checked to commute with every generator
-    image.  Why they generate (Steinberg,
+    the subgroup.  ``base_lifts`` checks that each lift commutes with
+    every generator image.  Why they generate (Steinberg,
     Endomorphisms of linear algebraic groups, 1968): the group permutes
     the base, hence the positive roots.  The lift of O is the longest
     element w_O of the parabolic subgroup W_O: the product of the
@@ -532,17 +552,12 @@ def fixed_weyl(action, *, bound=None):
     when a caller asks for them."""
     datum = action.datum
     ident = tuple(range(len(datum.roots)))
-    gens = sorted({action.root_perms[g] for g in action.group.generating_set} - {ident})
     if action.is_based:
         lifts = [lift for _, lift in action.base_lifts.values()]
-        for lift in lifts:
-            for p in gens:
-                if permutation_getter(p)(lift) != permutation_getter(lift)(p):
-                    raise AssertionError(
-                        "lifted reflection does not commute with the action")
         perms = closure([ident], [permutation_getter(lift) for lift in lifts],
                         bound or WEYL_BOUND, "reflection group")
         return WeylGroup(datum, perms, lifts)
+    gens = sorted({action.root_perms[g] for g in action.group.generating_set} - {ident})
     fixed = weyl_group(datum, bound=bound or WEYL_BOUND).perms
     for p in gens:
         after = permutation_getter(p)

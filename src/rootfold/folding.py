@@ -40,7 +40,6 @@ from .rootdatum import (
     is_positive_system,
     is_reduced,
     permutation_getter,
-    positive_systems,
     reflection,
     reflection_permutation,
     verify_axioms,
@@ -83,6 +82,18 @@ class RestrictedDatum:
 
     def fiber(self, restricted_index):
         return self.fibers[restricted_index]
+
+    @cached_property
+    def fiber_index(self):
+        """Per source root index, the index of the restricted root it
+        projects to: the fibers read backwards.  ``restrict`` groups the
+        roots by projection and lists the restricted roots in fiber
+        order, so this is ``index_of(project(root))`` for every root."""
+        out = [None] * len(self.source.datum.roots)
+        for b, fib in enumerate(self.fibers):
+            for i in fib:
+                out[i] = b
+        return tuple(out)
 
 
 def restrict(action, commuting_actions=()):
@@ -318,14 +329,11 @@ def weyl_descent_iso(fold, bound=WEYL_BOUND):
         raise AssertionError(
             f"|restricted Weyl| = {len(w_bar)} != |fixed subgroup| = {len(w_fixed)}")
 
-    fiber_of = [None] * len(source.roots)
-    for b, fib in enumerate(fold.fibers):
-        for i in fib:
-            fiber_of[i] = b
+    fiber_index = fold.fiber_index
     reps = permutation_getter([fib[0] for fib in fold.fibers])
 
     def descend(p):
-        return permutation_getter(reps(p))(fiber_of)
+        return permutation_getter(reps(p))(fiber_index)
 
     images = [descend(p) for p in w_fixed.perms]
     if not set(w_bar.perms).issuperset(images):
@@ -429,9 +437,7 @@ def positive_system_transfer(fold, system, direction):
             raise ValueError("input is not a positive system of the source")
         if not is_invariant_system(fold, system):
             raise ValueError("input positive system is not invariant under the action")
-        image = frozenset(
-            restricted.index_of(fold.coinvariants.project(source.roots[i]))
-            for i in system)
+        image = frozenset(map(fold.fiber_index.__getitem__, system))
         if not is_positive_system(restricted, image):
             raise AssertionError("image is not a positive system downstairs")
         return image
@@ -448,8 +454,22 @@ def positive_system_transfer(fold, system, direction):
 
 
 def invariant_positive_systems(fold, bound=WEYL_BOUND):
-    """All positive systems of the source invariant under the action."""
-    source = fold.source.datum
-    return tuple(
-        s for s in positive_systems(source, bound=bound)
-        if is_invariant_system(fold, s))
+    """All positive systems of the source invariant under the action,
+    sorted as ``positive_systems`` sorts them: the translates w(P) of
+    the positive system P of the action's base by the elements w of
+    W^Gamma (``fixed_weyl``, closed under ``bound``).  W is not listed.
+
+    Why these are all, each once.  Gamma stabilizes the base, so
+    g(P) = P for g in Gamma, and g w(P) = (g w g^-1) g(P) = w(P) for w in
+    W^Gamma: every translate is invariant.  Conversely, W acts simply
+    transitively on the positive systems (Bourbaki, Lie groups and Lie
+    algebras, VI 1.5), so an invariant Q is w(P) for exactly one w in W.
+    For g in Gamma, g w g^-1 is a Weyl element (g s_a g^-1 = s_{g(a)})
+    with g w g^-1 (P) = g w(P) = g(Q) = Q, hence g w g^-1 = w, and w is
+    in W^Gamma (Steinberg, Endomorphisms of linear algebraic groups,
+    1968).  Distinct w give distinct w(P), by the same simple
+    transitivity."""
+    translate = permutation_getter(sorted(fold.source.target.positive_system))
+    systems = {frozenset(translate(p))
+               for p in fixed_weyl(fold.source, bound=bound).perms}
+    return tuple(sorted(systems, key=sorted))

@@ -11,9 +11,14 @@ Conventions used throughout the package:
   (Bareiss) elimination whose divisions are all exact, and returns an
   integer matrix or vector together with its denominator.
 
-``Fraction`` remains in ``action._group_average``, which really divides
-by the group order, and in ``mat_inverse_fractions``, a view of the
-kernel kept for the benchmark tracer only.
+``Fraction`` is left in two places only: the public
+``Coinvariants.average``, which really divides by the group order (its
+checks run on the integer multiple, see ``action._check_coinvariants``),
+and ``mat_inverse_fractions``, a view of the kernel kept for the
+benchmark tracer only.
+
+The products and vector operations below run through ``map`` over the
+``operator`` functions, so the inner loops stay in C.
 
 Ranks in scope are tiny (at most 8), so everything is dense and the
 normal-form algorithms favor clarity and determinism over asymptotics.
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, neg, sub
 
 
 def identity_matrix(n):
@@ -35,23 +41,23 @@ def transpose(m):
 
 def mat_mul(a, b):
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(m, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_neg(v):
-    return tuple(-x for x in v)
+    return tuple(map(neg, v))
 
 
 def vec_scale(c, v):
@@ -59,7 +65,7 @@ def vec_scale(c, v):
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def det(m):

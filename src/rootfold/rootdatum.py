@@ -160,8 +160,37 @@ class RootDatum:
         return system, base_of(self, system)
 
     @cached_property
+    def negation(self):
+        """Per root index, the index of the negated root (KeyError when
+        the root set is not symmetric)."""
+        return tuple(self.root_index[vec_neg(r)] for r in self.roots)
+
+    @cached_property
+    def root_sums(self):
+        """Per root index i, the pairs (j, k) with a_i + a_j = a_k, in
+        the order of j: the root-addition table on indices, |R|^2 sums
+        built once per datum."""
+        index = self.root_index
+        out = []
+        for r in self.roots:
+            pairs = []
+            for j, s in enumerate(self.roots):
+                k = index.get(vec_add(r, s))
+                if k is not None:
+                    pairs.append((j, k))
+            out.append(tuple(pairs))
+        return tuple(out)
+
+    @cached_property
     def _reflection_perms(self):
-        # filled by ``reflection_permutation``, one entry per root index
+        # filled by ``reflection_permutation`` and ``verify_axioms``, one
+        # entry per root index
+        return {}
+
+    @cached_property
+    def _diagram_maps(self):
+        # filled by ``twist._diagram_maps`` for pairs of bases of this
+        # datum, keyed by the two bases
         return {}
 
 
@@ -454,7 +483,19 @@ def verify_axioms(datum):
     dimension rank - dim A: the characters are the direct sum of span R
     and A.  A Weyl element fixing every root is the identity on span R,
     and on A because every reflection fixes A pointwise; so it is the
-    identity."""
+    identity.
+
+    The reflection check is read off the pairing for a few roots only
+    (``reflection_permutation``); the others are reached by conjugation.
+    If s_i and s_j pass, then s_j(a_i) = a_k and s_j(c_i) = c_k for one
+    k, and s_j s_i s_j = s_k: s_j is an involution preserving the
+    pairing (<a_j, c_j> = 2), so s_j s_i s_j (x)
+    = x - <s_j x, c_i> s_j(a_i) = x - <x, c_k> a_k, and the same on
+    cocharacters.  So s_k passes too, and its permutation is the
+    composite of those of s_j, s_i, s_j.  A root that fails is therefore
+    never reached, and the problem list is that of the direct check on
+    every root.  The permutations go into the cache
+    ``reflection_permutation`` reads."""
     problems = []
     roots, coroots = datum.roots, datum.coroots
     if len(roots) != len(coroots):
@@ -480,11 +521,36 @@ def verify_axioms(datum):
         problems.append("coroot set is not symmetric under negation")
     if problems:
         return problems
+    cache = datum._reflection_perms
+    checked = []   # permutations of the reflections checked directly
     for i in range(len(roots)):
-        if reflection_permutation(datum, i) is None:
+        if i not in cache:
+            perm = reflection_permutation(datum, i)
+            if perm is not None:
+                checked.append(perm)
+                _conjugate_reflections(cache, checked)
+        if cache[i] is None:
             problems.append(
                 f"reflection in root {i} does not permute roots and coroots compatibly")
     return problems
+
+
+def _conjugate_reflections(cache, checked):
+    """Close the roots whose reflection permutation is known in ``cache``
+    under the reflections in ``checked``, entering the permutation of
+    s_k = s_j s_i s_j for each root a_k = s_j(a_i) reached (see
+    ``verify_axioms``)."""
+    frontier = [i for i, p in cache.items() if p is not None]
+    while frontier:
+        reached = []
+        for i in frontier:
+            s_i = cache[i]
+            for s_j in checked:
+                k = s_j[i]
+                if k not in cache:
+                    cache[k] = permutation_getter(s_j)(permutation_getter(s_i)(s_j))
+                    reached.append(k)
+        frontier = reached
 
 
 def verify_base(based):
@@ -557,20 +623,18 @@ def canonical_base(datum):
 
 def is_positive_system(datum, system):
     """Partition plus closure characterization, exact at desk scale:
-    S and -S partition the roots and S is closed under root addition."""
+    S and -S partition the roots and S is closed under root addition.
+    Both run on root indices, through ``RootDatum.negation`` and the
+    root-addition table ``RootDatum.root_sums``."""
     system = frozenset(system)
-    neg = frozenset(datum.index_of(vec_neg(datum.roots[i])) for i in system)
+    negation = datum.negation
+    neg = frozenset(negation[i] for i in system)
     if system & neg:
         return False
     if len(system) + len(neg) != len(datum.roots):
         return False
-    for i in system:
-        for j in system:
-            s = vec_add(datum.roots[i], datum.roots[j])
-            k = datum.root_index.get(s)
-            if k is not None and k not in system:
-                return False
-    return True
+    sums = datum.root_sums
+    return all(k in system for i in system for j, k in sums[i] if j in system)
 
 
 # ---------------------------------------------------------------------------

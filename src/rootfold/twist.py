@@ -67,7 +67,7 @@ def _transport(based, perm):
         raise InvalidActionError("map does not permute the roots")
     pos = based.positive_system
     simple_perm = {d: reflection_permutation(datum, d) for d in based.base}
-    neg_of = {d: datum.index_of(tuple(-x for x in datum.roots[d])) for d in based.base}
+    neg_of = datum.negation
 
     current = frozenset(perm[i] for i in pos)
     w_perm = tuple(range(len(datum.roots)))
@@ -189,8 +189,9 @@ def star_action(action, base):
 def equivariant_automorphism_group(based, commuting_with=None, bound=WEYL_BOUND):
     """All datum automorphisms commuting with the given action, as a
     ``WeylGroup`` of root permutations: the closure of the W^Gamma
-    lifts (``fixed_weyl``; with no action, the simple reflections of the
-    base) and the diagram maps of the action's base that commute with
+    lifts (``DatumAction.base_lifts``, which generate W^Gamma, see
+    ``fixed_weyl``; with no action, the simple reflections of the base)
+    and the diagram maps of the action's base that commute with
     the action (see ``_diagram_maps``).  ``len`` is known at once;
     iteration and ``elements`` give the automorphisms sorted by
     ``sort_key``, built on first use.  Requires a semisimple datum and,
@@ -219,7 +220,7 @@ def equivariant_automorphism_group(based, commuting_with=None, bound=WEYL_BOUND)
         b = commuting_with.target
         gammas = [commuting_with.root_perms[g]
                   for g in commuting_with.group.generating_set]
-        gens = list(fixed_weyl(commuting_with, bound=bound).generators)
+        gens = [lift for _, lift in commuting_with.base_lifts.values()]
     gens += [d for _, d in _diagram_maps(b, b)
              if all(permutation_getter(g)(d) == permutation_getter(d)(g) for g in gammas)]
     perms = closure([tuple(range(len(datum.roots)))],
@@ -234,7 +235,18 @@ def _diagram_maps(based1, based2):
     +-1, maps the roots onto the roots and each coroot onto the coroot
     of the image root.  Node matchings come in lexicographic order, from
     ``cartan_matchings``; both data must be semisimple with equally
-    many roots."""
+    many roots.  When both sides are the same datum the list is cached
+    on it, keyed by the two bases, and the cached list is returned."""
+    d1, d2 = based1.datum, based2.datum
+    if d1 is d2:
+        key = (based1.base, based2.base)
+        if key not in d1._diagram_maps:
+            d1._diagram_maps[key] = _find_diagram_maps(based1, based2)
+        return d1._diagram_maps[key]
+    return _find_diagram_maps(based1, based2)
+
+
+def _find_diagram_maps(based1, based2):
     d1, d2 = based1.datum, based2.datum
     adj, d0 = adjugate_and_det(transpose(based1.simple_roots))
     p1 = None if d1.has_standard_pairing else d1.pairing_matrix
@@ -251,7 +263,7 @@ def _diagram_maps(based1, based2):
         mc = contragredient(m, p1, p2)
         if all(mat_vec(mc, c) == d2.coroots[j] for c, j in zip(d1.coroots, images)):
             out.append((DatumAutomorphism(m, mc), images))
-    return out
+    return tuple(out)
 
 
 def z1_enumerate(galois, star, module, bound=Z1_BOUND):

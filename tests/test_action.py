@@ -289,6 +289,69 @@ def test_coinvariants_average_formula():
         assert tuple(lifted) == expected
 
 
+def d4_triality():
+    from rootfold.selftest import node_permutation_matrix
+
+    return make_action(from_cartan_type("D4:sc"),
+                       [(node_permutation_matrix({0: 2, 1: 1, 2: 3, 3: 0}, 4), "t")])
+
+
+def test_coinvariants_average_keeps_its_fraction_value():
+    # the average is (sum of the images) . section / |G|, entries Fractions
+    from fractions import Fraction
+
+    for act in (a2_flip(), a3_flip(), d4_triality()):
+        cv = coinvariants(act)
+        size = len(act.group)
+        total = tuple(tuple(sum(a.on_characters[i][j] for a in act.images)
+                            for j in range(act.datum.rank))
+                      for i in range(act.datum.rank))
+        assert cv.average == tuple(tuple(Fraction(x, size) for x in row)
+                                   for row in mat_mul(total, cv.section))
+        assert all(type(x) is Fraction for row in cv.average for x in row)
+
+
+def tampered(cv, **changes):
+    from dataclasses import replace
+
+    from rootfold.action import _check_coinvariants
+
+    try:
+        _check_coinvariants(replace(cv, **changes))
+    except AssertionError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("make", [a2_flip, a3_flip, d4_triality])
+def test_coinvariant_checks_refuse_tampered_maps(make):
+    from fractions import Fraction
+
+    cv = coinvariants(make())
+    assert tampered(cv) is None
+    n = len(cv.average)
+    # an integral average that is not fixed: the section itself
+    section_avg = tuple(tuple(Fraction(x) for x in row) for row in cv.section)
+    assert tampered(cv, average=section_avg) == "averaged embedding is not fixed by the action"
+    # a non-integral multiple of |G| average, not fixed either
+    third = tuple(tuple(x + Fraction(1, 3) * (i == 0) for x in row)
+                  for i, row in enumerate(cv.average))
+    assert tampered(cv, average=third) == "averaged embedding is not fixed by the action"
+    # fixed, but twice the group average
+    double = tuple(tuple(2 * x for x in row) for row in cv.average)
+    assert tampered(cv, average=double) == "embedding depends on the choice of preimage"
+    # a section that is no right inverse of the projection
+    moved = tuple(tuple(x + (i == 0 and j == 0) for j, x in enumerate(row))
+                  for i, row in enumerate(cv.section))
+    assert tampered(cv, section=moved) == "section is not a right inverse"
+    doubled = tuple(tuple(2 * x for x in row) for row in cv.section)
+    assert tampered(cv, section=doubled) == "section is not a right inverse"
+    # a fixed cocharacter basis vector that the action moves
+    e0 = tuple(int(i == 0) for i in range(n))
+    assert (tampered(cv, fixed_basis=(e0,) + cv.fixed_basis[1:])
+            == "fixed cocharacter basis vector moves")
+
+
 # ---------------------------------------------------------------------------
 # fixed Weyl subgroup
 
@@ -385,6 +448,21 @@ def test_fixed_weyl_bound_applies_to_the_fixed_subgroup():
                        match="^reflection group exceeds 7 elements$"):
         fixed_weyl(a3_flip(), bound=7)
     assert len(fixed_weyl(a3_flip(), bound=8)) == 8
+
+
+def test_base_lifts_refuse_a_lift_that_does_not_commute(monkeypatch):
+    # with a single reflection standing in for the orthogonal orbit of
+    # the flipped pair {a1, a3}, the lift s_a1 does not commute with the
+    # flip; fixed_weyl reads the checked lifts and raises too
+    import rootfold.action as action_module
+    from rootfold.twist import equivariant_automorphism_group
+
+    monkeypatch.setattr(action_module, "orthogonal_orbit", lambda act, k: (k,))
+    for read in (lambda a: a.base_lifts, fixed_weyl,
+                 lambda a: equivariant_automorphism_group(a.target, commuting_with=a)):
+        with pytest.raises(AssertionError,
+                           match="^lifted reflection does not commute with the action$"):
+            read(a3_flip())
 
 
 def test_build_keeps_the_root_permutations_it_checked():

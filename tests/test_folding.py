@@ -246,7 +246,7 @@ def test_positive_transfer_rejects_noninvariant(a3_fold):
     bad = next(s for s in systems
                if not all(frozenset(p[i] for i in s) == s
                           for p in a3_fold.source.root_perms))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not invariant under the action"):
         positive_system_transfer(a3_fold, bad, "down")
 
 
@@ -494,3 +494,71 @@ def test_column_check_sees_products_off_the_breadth_first_tree():
         _check_multiplicative(group.perms, group.generators, images)
     # the same group onto itself through the identity map passes
     _check_multiplicative(group.perms, group.generators, list(group.perms))
+
+
+# ---------------------------------------------------------------------------
+# invariant positive systems as one W^Gamma-orbit, and the transfers
+
+
+def reference_invariant_positive_systems(fold):
+    """Every positive system of the source (the W-translates of the
+    canonical one) tested for invariance: the filter that the W^Gamma
+    orbit replaced, kept as the reference."""
+    from rootfold.folding import is_invariant_system
+
+    return tuple(s for s in positive_systems(fold.source.datum)
+                 if is_invariant_system(fold, s))
+
+
+def selftest_fold(name):
+    from rootfold.selftest import FOLD_TABLE
+
+    if name == "A6 flip":
+        return fold_flip("A6:sc", 6)
+    _, spec, builder, *_ = next(case for case in FOLD_TABLE if case[0] == name)
+    return restrict(make_action(from_cartan_type(spec), [(builder(), "g")]))
+
+
+SELFTEST_FOLDS = ["A2 flip", "A3 flip", "A4 flip", "A5 flip", "D4 triality", "D5 flip",
+                  "A1xA1 swap", "A6 flip"]
+
+
+@pytest.mark.parametrize("name", SELFTEST_FOLDS)
+def test_invariant_positive_systems_match_the_filter_over_w(name):
+    fold = selftest_fold(name)
+    systems = invariant_positive_systems(fold)
+    assert systems == reference_invariant_positive_systems(fold)
+    assert len(systems) == len(fixed_weyl(fold.source))
+
+
+@pytest.mark.parametrize("name", SELFTEST_FOLDS)
+def test_fiber_index_is_the_projection(name):
+    fold = selftest_fold(name)
+    cv, source = fold.coinvariants, fold.source.datum
+    assert fold.fiber_index == tuple(fold.datum.index_of(cv.project(r))
+                                     for r in source.roots)
+
+
+def test_invariant_positive_systems_overflow_on_the_fixed_subgroup():
+    fold = selftest_fold("A5 flip")   # |W^Gamma| = 48, |W| = 720
+    assert len(invariant_positive_systems(fold, bound=48)) == 48
+    with pytest.raises(EnumerationOverflow, match="^reflection group exceeds 47 elements$"):
+        invariant_positive_systems(fold, bound=47)
+
+
+def test_positive_transfer_rejects_non_systems(a3_fold):
+    source, restricted = a3_fold.source.datum, a3_fold.datum
+    inv = invariant_positive_systems(a3_fold)[0]
+    # an invariant set that is not a positive system: a fiber swapped
+    # for the fiber of the negated restricted root
+    fib = a3_fold.fibers[a3_fold.fiber_index[min(inv)]]
+    swapped = (inv - set(fib)) | {source.negation[i] for i in fib}
+    for bad in (swapped, inv - {min(inv)}, frozenset(range(len(source.roots)))):
+        with pytest.raises(ValueError, match="not a positive system of the source"):
+            positive_system_transfer(a3_fold, bad, "down")
+    down = positive_systems(restricted)[0]
+    for bad in ((down - {min(down)}) | {restricted.negation[min(down)]}, down - {min(down)}):
+        with pytest.raises(ValueError, match="not a positive system of the restricted"):
+            positive_system_transfer(a3_fold, bad, "up")
+    with pytest.raises(ValueError, match="unknown direction"):
+        positive_system_transfer(a3_fold, inv, "sideways")

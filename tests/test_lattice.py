@@ -399,3 +399,32 @@ def test_exact_quotient(m, d):
 def test_exact_quotient_refuses_one_entry():
     assert exact_quotient(((2, 4), (6, 8)), 2) == ((1, 2), (3, 4))
     assert exact_quotient(((2, 4), (6, 7)), 2) is None
+
+
+# ---------------------------------------------------------------------------
+# the map-based kernels against the generator-expression definitions
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernels_match_the_generator_definitions(data):
+    from rootfold.lattice import dot, vec_add, vec_neg, vec_sub
+
+    rows = data.draw(st.integers(0, 4))
+    inner = data.draw(st.integers(0, 4))
+    cols = data.draw(st.integers(1, 4))
+    entry = st.integers(-10 ** 20, 10 ** 20) | st.fractions(max_denominator=12)
+    a = tuple(tuple(data.draw(entry) for _ in range(inner)) for _ in range(rows))
+    b = tuple(tuple(data.draw(entry) for _ in range(cols)) for _ in range(inner))
+    u = tuple(data.draw(entry) for _ in range(inner))
+    v = tuple(data.draw(entry) for _ in range(inner))
+    bt = tuple(zip(*b))
+    assert mat_mul(a, b) == tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    assert mat_vec(a, u) == tuple(sum(x * y for x, y in zip(row, u)) for row in a)
+    assert dot(u, v) == sum(x * y for x, y in zip(u, v))
+    assert vec_add(u, v) == tuple(x + y for x, y in zip(u, v))
+    assert vec_sub(u, v) == tuple(x - y for x, y in zip(u, v))
+    assert vec_neg(u) == tuple(-x for x in u)
+    ints = tuple(int(x) for x in u)
+    assert all(type(x) is int for x in mat_vec(((1,) * inner,) * 2, ints) + vec_neg(ints))

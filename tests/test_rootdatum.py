@@ -1,6 +1,7 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootfold.errors import EnumerationOverflow, UnknownTypeError
 from rootfold.lattice import integer_kernel, mat_vec
@@ -462,3 +463,161 @@ def test_reflection_permutation_refuses_what_root_permutation_refuses():
         assert reflection_permutation(d, 0) is None
         assert ("reflection in root 0 does not permute roots and coroots compatibly"
                 in verify_axioms(d))
+
+
+# ---------------------------------------------------------------------------
+# positive systems on root indices, against the vector-sum definition
+
+
+def reference_is_positive_system(datum, system):
+    """S and -S partition the roots and S is closed under addition,
+    tested with |S|^2 vector sums: the definition that the root-addition
+    table replaced, kept as the reference."""
+    from rootfold.lattice import vec_add, vec_neg
+
+    system = frozenset(system)
+    neg = frozenset(datum.index_of(vec_neg(datum.roots[i])) for i in system)
+    if system & neg or len(system) + len(neg) != len(datum.roots):
+        return False
+    for i in system:
+        for j in system:
+            k = datum.root_index.get(vec_add(datum.roots[i], datum.roots[j]))
+            if k is not None and k not in system:
+                return False
+    return True
+
+
+POSITIVE_SYSTEM_SPECS = ["A1:sc", "A2:sc", "A3:sc", "A4:sc", "A5:sc", "B3:sc", "C3:sc",
+                         "D4:sc", "G2:sc"]
+
+
+@pytest.mark.parametrize("spec", POSITIVE_SYSTEM_SPECS)
+def test_is_positive_system_accepts_every_positive_system(spec):
+    d = from_cartan_type(spec).datum
+    systems = positive_systems(d)
+    assert len(systems) == len(weyl_group(d))
+    for s in systems:
+        assert is_positive_system(d, s)
+        assert reference_is_positive_system(d, s)
+
+
+@pytest.mark.parametrize("spec", ["A3:sc", "B3:sc", "G2:sc", "BC2"])
+def test_is_positive_system_on_one_root_changes(spec):
+    # swapping one root of a positive system for its negative keeps the
+    # partition and breaks closure unless the root is simple
+    d = from_cartan_type(spec).datum
+    for s in positive_systems(d)[:6]:
+        for i in s:
+            changed = (s - {i}) | {d.negation[i]}
+            assert is_positive_system(d, changed) == reference_is_positive_system(d, changed)
+        assert not is_positive_system(d, s - {min(s)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_is_positive_system_matches_reference_on_random_subsets(data):
+    d = from_cartan_type(data.draw(st.sampled_from(
+        ["A2:sc", "A3:sc", "B2:sc", "G2:sc", "BC2", "A1:sc x A1:sc"]))).datum
+    n = len(d.roots)
+    if data.draw(st.booleans()):
+        # one sign per pair {a, -a}: passes the partition test
+        system = {i if data.draw(st.booleans()) else d.negation[i]
+                  for i in range(n) if i < d.negation[i]}
+    else:
+        system = data.draw(st.sets(st.integers(0, n - 1)))
+    assert is_positive_system(d, system) == reference_is_positive_system(d, system)
+
+
+@pytest.mark.parametrize("spec", ["A3:sc", "BC2", "G2:sc"])
+def test_root_sums_and_negation_tables(spec):
+    d = from_cartan_type(spec).datum
+    for i, r in enumerate(d.roots):
+        assert d.roots[d.negation[i]] == tuple(-x for x in r)
+        expected = [(j, d.index_of(tuple(x + y for x, y in zip(r, s))))
+                    for j, s in enumerate(d.roots)
+                    if tuple(x + y for x, y in zip(r, s)) in d.root_index]
+        assert list(d.root_sums[i]) == expected
+
+
+# ---------------------------------------------------------------------------
+# verify_axioms fills the reflection cache by conjugation
+
+
+def datum_by_name(name):
+    if name == "A1+torus":
+        return A1_PLUS_TORUS
+    if name == "folded BC2":
+        return folded_bc2_with_pairing()
+    return from_cartan_type(name).datum
+
+
+@pytest.mark.parametrize("name", ["A1:sc", "A2:sc", "A3:sc", "A4:sc", "A5:sc", "D4:sc",
+                                  "E6:sc", "E8:sc", "folded BC2", "A1+torus"])
+def test_verify_axioms_caches_every_reflection_permutation(name):
+    d = datum_by_name(name)
+    d = RootDatum(d.rank, d.roots, d.coroots, d.pairing)   # empty caches
+    assert verify_axioms(d) == []
+    cache = d._reflection_perms
+    assert sorted(cache) == list(range(len(d.roots)))
+    for k, perm in cache.items():
+        assert perm == root_permutation(d, reflection(d, k))
+
+
+def test_verify_axioms_reads_few_reflections_off_the_pairing(monkeypatch):
+    import rootfold.rootdatum as rd
+
+    calls = []
+    direct = rd._reflection_permutation
+    monkeypatch.setattr(rd, "_reflection_permutation",
+                        lambda d, k: calls.append(k) or direct(d, k))
+    d = from_cartan_type("E8:sc").datum
+    assert verify_axioms(d) == []
+    assert len(calls) <= 2 * d.rank < len(d.roots) == 240
+
+
+def reference_reflection_problems(d):
+    return [f"reflection in root {i} does not permute roots and coroots compatibly"
+            for i in range(len(d.roots)) if root_permutation(d, reflection(d, i)) is None]
+
+
+def padded(data, rank):
+    """The direct sum of data on consecutive coordinates of Z^rank."""
+    roots, coroots, offset = [], [], 0
+    for d in data:
+        def pad(v, off=offset, n=d.rank):
+            return (0,) * off + tuple(v) + (0,) * (rank - off - n)
+        roots += [pad(r) for r in d.roots]
+        coroots += [pad(c) for c in d.coroots]
+        offset += d.rank
+    return RootDatum(rank, tuple(roots), tuple(coroots))
+
+
+# s_0 sends the root (1, 1) to (-1, 1), not a root; all four reflections fail
+OFF_ROOTS = RootDatum(2, ((2, 0), (-2, 0), (1, 1), (-1, -1)),
+                      ((1, 0), (-1, 0), (1, 1), (-1, -1)))
+# s_0 fixes the root (0, 2) but sends its coroot (1, 1) to (-1, 1)
+OFF_COROOTS = RootDatum(2, ((2, 0), (-2, 0), (0, 2), (0, -2)),
+                        ((1, 0), (-1, 0), (1, 1), (-1, -1)))
+
+
+@pytest.mark.parametrize("parts", [
+    ("off roots", "A2:sc"), ("A2:sc", "off coroots"), ("B2:sc", "off roots", "A1:sc"),
+    ("off coroots", "A1:sc", "off roots"), ("G2:sc", "off coroots", "A2:sc")])
+def test_verify_axioms_problem_list_matches_a_direct_check_per_root(parts):
+    from rootfold.rootdatum import reflection_permutation
+
+    data = [{"off roots": OFF_ROOTS, "off coroots": OFF_COROOTS}.get(p)
+            or from_cartan_type(p).datum for p in parts]
+    rank = sum(d.rank for d in data)
+    d = padded(data, rank)
+    expected = reference_reflection_problems(d)
+    assert 2 <= len(expected) < len(d.roots)
+    assert verify_axioms(d) == expected
+    assert verify_axioms(d) == expected   # again, from the filled cache
+    # the same list when some reflections were already read off the pairing
+    fresh = padded(data, rank)
+    for k in range(0, len(fresh.roots), 3):
+        reflection_permutation(fresh, k)
+    assert verify_axioms(fresh) == expected
+    for k, perm in fresh._reflection_perms.items():
+        assert perm == root_permutation(fresh, reflection(fresh, k))

@@ -203,6 +203,59 @@ def test_aut_group_a2_flip_centralizer():
     assert len(auts) == 4
 
 
+def test_aut_group_reads_the_lifts_without_closing_the_fixed_subgroup(monkeypatch):
+    import rootfold.twist as twist_module
+
+    # A3 flip: |W^Gamma| = 8, and the flip itself commutes with Gamma
+    b = from_cartan_type("A3:sc")
+    gamma = make_action(b, [(flip_matrix(3), "s")])
+    calls = []
+    monkeypatch.setattr(twist_module, "fixed_weyl",
+                        lambda *a, **k: calls.append(a) or fixed_weyl(*a, **k))
+    auts = equivariant_automorphism_group(b, commuting_with=gamma)
+    assert len(auts) == 16 and calls == []
+    assert auts.generators[:2] == tuple(lift for _, lift in gamma.base_lifts.values())
+    galois = make_action(b.datum, [(neg_matrix(3), 1)], group=FiniteGroup.cyclic(2))
+    h1_with_image(b, galois, gamma_action=gamma)
+    assert len(calls) == 1   # the module only
+
+
+def test_aut_group_overflow_with_a_commuting_action():
+    from rootfold.errors import EnumerationOverflow
+
+    b = from_cartan_type("A3:sc")
+    gamma = make_action(b, [(flip_matrix(3), "s")])
+    assert len(equivariant_automorphism_group(b, commuting_with=gamma, bound=16)) == 16
+    for bound in (7, 15):
+        with pytest.raises(EnumerationOverflow,
+                           match=f"^automorphism group exceeds {bound} elements$"):
+            equivariant_automorphism_group(b, commuting_with=gamma, bound=bound)
+
+
+def test_diagram_maps_of_one_datum_are_cached_per_pair_of_bases():
+    from rootfold.rootdatum import BasedRootDatum, RootDatum, canonical_base
+    from rootfold.twist import _diagram_maps
+
+    for spec in ("A2:sc", "D4:sc", "A1:sc x A1:sc", "B3:sc"):
+        d = from_cartan_type(spec).datum
+        other_base = tuple(sorted(d.negation[i] for i in canonical_base(d)))
+        for bases in [(canonical_base(d),) * 2, (canonical_base(d), other_base)]:
+            b1, b2 = (BasedRootDatum(d, base) for base in bases)
+            maps = _diagram_maps(b1, b2)
+            assert _diagram_maps(b1, b2) is maps
+            assert d._diagram_maps[bases] is maps
+            copy = RootDatum(d.rank, d.roots, d.coroots, d.pairing)
+            fresh = _diagram_maps(BasedRootDatum(copy, bases[0]), BasedRootDatum(copy, bases[1]))
+            assert maps == fresh and len(maps) >= 1
+        # two distinct (equal) data: nothing is cached on either
+        copy = RootDatum(d.rank, d.roots, d.coroots, d.pairing)
+        base = canonical_base(d)
+        cross = _diagram_maps(BasedRootDatum(d, base), BasedRootDatum(copy, base))
+        assert cross == d._diagram_maps[(base, base)]
+        assert "_diagram_maps" not in vars(copy) or not copy._diagram_maps
+        assert len(d._diagram_maps) == 2
+
+
 def test_aut_group_rejects_torus_factor():
     from rootfold.rootdatum import BasedRootDatum, RootDatum
 
