@@ -181,6 +181,30 @@ class DatumAction:
         return tuple(root_permutation(self.datum, a) for a in self.images)
 
     @cached_property
+    def generator_perms(self):
+        """The distinct root permutations of the images of
+        ``group.generating_set`` other than the identity, sorted.  A
+        permutation commutes with, or a set is stable under, every
+        image exactly when it is for these."""
+        ident = tuple(range(len(self.datum.roots)))
+        return tuple(sorted({self.root_perms[g] for g in self.group.generating_set}
+                            - {ident}))
+
+    @cached_property
+    def orbits(self):
+        """Per root index, its orbit under the group, sorted: one
+        closure per orbit under ``generator_perms``, which reaches the
+        whole orbit since the group is finite and they generate it."""
+        steps = [p.__getitem__ for p in self.generator_perms]
+        out = [None] * len(self.datum.roots)
+        for i in range(len(out)):
+            if out[i] is None:
+                orb = tuple(sorted(closure([i], steps)))
+                for k in orb:
+                    out[k] = orb
+        return tuple(out)
+
+    @cached_property
     def base_lifts(self):
         """{orbit: (orthogonal orbit, lift)} for each orbit of the group
         on the base of a based action, where the lift is the root
@@ -191,7 +215,6 @@ class DatumAction:
         every generator of the group, which raises AssertionError."""
         datum = self.datum
         ident = tuple(range(len(datum.roots)))
-        gens = sorted({self.root_perms[g] for g in self.group.generating_set} - {ident})
         lifts = {}
         for k in self.target.base:
             orb = orbit(self, k)
@@ -204,7 +227,7 @@ class DatumAction:
                 if s is None:
                     raise AssertionError("reflection does not permute the roots")
                 lift = permutation_getter(s)(lift)
-            for p in gens:
+            for p in self.generator_perms:
                 if permutation_getter(p)(lift) != permutation_getter(lift)(p):
                     raise AssertionError(
                         "lifted reflection does not commute with the action")
@@ -247,9 +270,9 @@ class DatumAction:
         # seed the cached property with the permutations just computed
         vars(action)["root_perms"] = tuple(perm for _, perm in checked)
         if isinstance(target, BasedRootDatum):
-            base_set = {datum.roots[i] for i in target.base}
-            for i, aut in enumerate(auts):
-                if {tuple(aut.apply(r)) for r in base_set} != base_set:
+            base = set(target.base)
+            for i, (_, perm) in enumerate(checked):
+                if {perm[k] for k in base} != base:
                     raise InvalidActionError(
                         f"element {group.labels[i]!r} does not stabilize the base")
         return action
@@ -321,8 +344,7 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
 
 def orbit(action, root_index):
     """The orbit of a root index, canonically ordered."""
-    steps = [p.__getitem__ for p in action.root_perms]
-    return tuple(sorted(closure([root_index], steps)))
+    return action.orbits[root_index]
 
 
 def orthogonal_orbit(action, root_index):
@@ -547,19 +569,28 @@ def fixed_weyl(action, *, bound=None):
     shorter than w by the length of w_O, and induction on the length
     writes w as a product of lifts.
 
+    A based action keeps the subgroup it closes and returns it again
+    while it fits ``bound``.  The closure does not depend on the bound
+    it completes under, and a smaller bound closes again, so that it
+    raises as before.
+
     For an unbased action the elements of W are filtered by the
     commutation test on root permutations.  Matrices are built only
     when a caller asks for them."""
     datum = action.datum
-    ident = tuple(range(len(datum.roots)))
+    bound = bound or WEYL_BOUND
     if action.is_based:
+        kept = vars(action).get("_fixed_weyl")
+        if kept is not None and len(kept) <= bound:
+            return kept
         lifts = [lift for _, lift in action.base_lifts.values()]
-        perms = closure([ident], [permutation_getter(lift) for lift in lifts],
-                        bound or WEYL_BOUND, "reflection group")
-        return WeylGroup(datum, perms, lifts)
-    gens = sorted({action.root_perms[g] for g in action.group.generating_set} - {ident})
-    fixed = weyl_group(datum, bound=bound or WEYL_BOUND).perms
-    for p in gens:
+        perms = closure([tuple(range(len(datum.roots)))],
+                        [permutation_getter(lift) for lift in lifts],
+                        bound, "reflection group")
+        kept = vars(action)["_fixed_weyl"] = WeylGroup(datum, perms, lifts)
+        return kept
+    fixed = weyl_group(datum, bound=bound).perms
+    for p in action.generator_perms:
         after = permutation_getter(p)
         fixed = [w for w in fixed if after(w) == permutation_getter(w)(p)]
     return WeylGroup(datum, fixed)

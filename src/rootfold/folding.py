@@ -80,9 +80,6 @@ class RestrictedDatum:
     def based(self):
         return BasedRootDatum(self.datum, self.base)
 
-    def fiber(self, restricted_index):
-        return self.fibers[restricted_index]
-
     @cached_property
     def fiber_index(self):
         """Per source root index, the index of the restricted root it
@@ -99,7 +96,18 @@ class RestrictedDatum:
 def restrict(action, commuting_actions=()):
     """Fold a based action into its restricted root datum.  Every listed
     commuting action descends to the quotient and is returned as an
-    induced action on the restricted datum."""
+    induced action on the restricted datum.
+
+    One representative of each orbit (``action.orbits``) is projected:
+    ``coinvariants`` checks proj . A = proj for every image A, and A
+    sends root i to root p(i) for its permutation p, so every member
+    of an orbit has the same image.  A fiber is therefore a union of
+    orbits, and two orbits over one restricted root raise
+    AssertionError.  The coroot of a fiber is built once, from its
+    smallest member: ``orthogonal_orbit(action, i)`` reads nothing of i
+    but its orbit, so every member gives the same orthogonal orbit,
+    ratio and coroot, and which one represents the fiber cannot
+    matter."""
     if not action.is_based:
         raise InvalidActionError("restriction requires a based action")
     source = action.datum
@@ -110,9 +118,11 @@ def restrict(action, commuting_actions=()):
     cv = coinvariants(action)
     f = cv.free_rank
 
+    image = {orb: cv.project(source.roots[orb[0]])
+             for orb in dict.fromkeys(action.orbits)}
     by_image = {}
-    for i, r in enumerate(source.roots):
-        by_image.setdefault(cv.project(r), []).append(i)
+    for orb, rbar in image.items():
+        by_image.setdefault(rbar, []).append(orb)
     restricted_roots = tuple(sorted(by_image))
 
     fixed_cols = cv.fixed_matrix()
@@ -132,31 +142,21 @@ def restrict(action, commuting_actions=()):
     fibers = []
     provenance = []
     for rbar in restricted_roots:
-        fib = tuple(sorted(by_image[rbar]))
-        orb = orbit(action, fib[0])
-        if orb != fib:
+        orb, *others = by_image[rbar]
+        if others:
             raise AssertionError(
-                f"fiber over {rbar} is not a single orbit: {fib} vs {orb}")
-        rep = fib[0]
-        expected = None
-        for member in fib:
-            xi = orthogonal_orbit(action, member)
-            ratio = len(orbit(action, member)) // len(xi)
-            if ratio not in (1, 2) or len(orb) % len(xi) != 0:
-                raise AssertionError("orbit size ratio must be 1 or 2")
-            total = tuple(0 for _ in range(source.rank))
-            for k in xi:
-                total = vec_add(total, source.coroots[k])
-            coords = cochar_coordinates(tuple(ratio * x for x in total))
-            if expected is None:
-                expected = coords
-                rep_xi, rep_ratio = xi, ratio
-            elif coords != expected:
-                raise AssertionError(
-                    f"coroot of {rbar} depends on the orbit representative")
-        coroots.append(expected)
-        fibers.append(fib)
-        provenance.append((rep, rep_xi, rep_ratio))
+                f"fiber over {rbar} is not a single orbit: {by_image[rbar]}")
+        rep = orb[0]
+        xi = orthogonal_orbit(action, rep)
+        ratio = len(orb) // len(xi)
+        if ratio not in (1, 2) or len(orb) % len(xi) != 0:
+            raise AssertionError("orbit size ratio must be 1 or 2")
+        total = tuple(0 for _ in range(source.rank))
+        for k in xi:
+            total = vec_add(total, source.coroots[k])
+        coroots.append(cochar_coordinates(tuple(ratio * x for x in total)))
+        fibers.append(orb)
+        provenance.append((rep, xi, ratio))
 
     pairing = None if cv.pairing == identity_matrix(f) else cv.pairing
     restricted = RootDatum(f, restricted_roots, tuple(coroots), pairing)
@@ -165,8 +165,7 @@ def restrict(action, commuting_actions=()):
     if problems:
         raise AssertionError(f"restricted datum fails axioms: {problems}")
 
-    base_images = sorted({cv.project(source.roots[i])
-                          for i in action.target.base})
+    base_images = sorted({image[action.orbits[i]] for i in action.target.base})
     base = tuple(restricted.index_of(v) for v in base_images)
     based = BasedRootDatum(restricted, base)
     base_problems = verify_base(based)
@@ -187,30 +186,34 @@ def restrict(action, commuting_actions=()):
     )
 
 
+def _quotient_map(cv, aut):
+    """m = proj . A . section for the character matrix A of ``aut``, or
+    None unless m . proj = proj . A, i.e. unless A descends to the
+    quotient."""
+    m = mat_mul(cv.projection, mat_mul(aut.on_characters, cv.section))
+    if mat_mul(m, cv.projection) != mat_mul(cv.projection, aut.on_characters):
+        return None
+    return m
+
+
 def _descend_action(other, cv, restricted):
     """Push a commuting action down to the restricted datum."""
+    pairing = None if restricted.has_standard_pairing else restricted.pairing_matrix
     images = []
     for aut in other.images:
-        m = mat_mul(cv.projection, mat_mul(aut.on_characters, cv.section))
-        if mat_mul(m, cv.projection) != mat_mul(cv.projection, aut.on_characters):
+        m = _quotient_map(cv, aut)
+        if m is None:
             raise InvalidActionError(
                 "commuting action does not descend to the quotient")
-        images.append(m)
-    return DatumAction.build(
-        other.group,
-        [DatumAutomorphism.from_matrix(
-            m, None if restricted.has_standard_pairing else restricted.pairing_matrix)
-         for m in images],
-        restricted,
-    )
+        images.append(DatumAutomorphism.from_matrix(m, pairing))
+    return DatumAction.build(other.group, images, restricted)
 
 
 def induced_fixed_map(fold, aut):
     """The matrix induced on the quotient by a source automorphism whose
     induced map is well defined (e.g. a fixed Weyl element)."""
-    cv = fold.coinvariants
-    m = mat_mul(cv.projection, mat_mul(aut.on_characters, cv.section))
-    if mat_mul(m, cv.projection) != mat_mul(cv.projection, aut.on_characters):
+    m = _quotient_map(fold.coinvariants, aut)
+    if m is None:
         raise AssertionError("automorphism does not descend to the quotient")
     return m
 
@@ -417,7 +420,7 @@ def _check_multiplicative(perms, generators, images):
 
 def is_invariant_system(fold, system):
     return all(frozenset(p[i] for i in system) == frozenset(system)
-               for p in fold.source.root_perms)
+               for p in fold.source.generator_perms)
 
 
 def positive_system_transfer(fold, system, direction):

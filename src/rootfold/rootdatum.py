@@ -34,6 +34,7 @@ from .lattice import (
     unimodular_inverse,
     vec_add,
     vec_neg,
+    vec_sub,
 )
 
 WEYL_BOUND = 10 ** 6
@@ -697,11 +698,14 @@ def cartan_matrix(letter, rank):
     raise UnknownTypeError(f"unknown type letter {letter!r}")
 
 
-def _closure_from_simples(simples, cosimples):
-    """All (root, coroot) pairs generated from the simple ones by the
-    simple reflections, via the standard pairing of the realization;
-    each coroot is computed once, by the step that first reaches its root."""
+def _closure_from_simples(simples, cosimples, seeds=()):
+    """The datum of all (root, coroot) pairs generated from the simple
+    ones and the further pairs ``seeds`` by the simple reflections, via
+    the standard pairing of the realization, and its base at the simple
+    roots; each coroot is computed once, by the step that first reaches
+    its root."""
     coroot = dict(zip(simples, cosimples))
+    coroot.update(seeds)
 
     def reflection_in(alpha, acov):
         def step(beta):
@@ -716,8 +720,10 @@ def _closure_from_simples(simples, cosimples):
             return img
         return step
 
-    roots = closure(simples, [reflection_in(a, c) for a, c in zip(simples, cosimples)])
-    return sorted((r, coroot[r]) for r in roots)
+    steps = [reflection_in(a, c) for a, c in zip(simples, cosimples)]
+    roots = sorted(closure(list(coroot), steps))
+    datum = RootDatum(len(simples), tuple(roots), tuple(coroot[r] for r in roots))
+    return datum, tuple(datum.index_of(s) for s in simples)
 
 
 def _realize_classical(letter, rank, tag):
@@ -730,35 +736,20 @@ def _realize_classical(letter, rank, tag):
         cosimples = tuple(tuple(c[i][j] for i in range(rank)) for j in range(rank))
     else:
         raise UnknownTypeError(f"unknown isogeny tag {tag!r} (expected sc or ad)")
-    pairs = _closure_from_simples(simples, cosimples)
-    roots = tuple(r for r, _ in pairs)
-    coroots = tuple(cv for _, cv in pairs)
-    datum = RootDatum(rank, roots, coroots)
-    base = tuple(datum.index_of(s) for s in simples)
-    return datum, base
+    return _closure_from_simples(simples, cosimples)
 
 
 def _realize_bc(rank):
+    """BC_n on the standard basis: the simple pairs (e_i - e_{i+1}, same)
+    and (e_n, 2e_n), seeded also with (2e_n, e_n) so that the closure
+    reaches the roots 2e_i."""
     if rank < 1:
         raise UnknownTypeError(f"BC{rank} is not supported")
     e = identity_matrix(rank)
-    pairs = []
-    for i in range(rank):
-        pairs.append((e[i], tuple(2 * x for x in e[i])))
-        pairs.append((tuple(2 * x for x in e[i]), e[i]))
-        for j in range(i + 1, rank):
-            pairs.append((vec_add(e[i], e[j]), vec_add(e[i], e[j])))
-            diff = tuple(a - b for a, b in zip(e[i], e[j]))
-            pairs.append((diff, diff))
-    pairs = pairs + [(vec_neg(r), vec_neg(cv)) for r, cv in pairs]
-    pairs.sort()
-    roots = tuple(r for r, _ in pairs)
-    coroots = tuple(cv for _, cv in pairs)
-    datum = RootDatum(rank, roots, coroots)
-    simples = [tuple(a - b for a, b in zip(e[i], e[i + 1])) for i in range(rank - 1)]
-    simples.append(e[rank - 1])
-    base = tuple(datum.index_of(s) for s in simples)
-    return datum, base
+    double = tuple(2 * x for x in e[-1])
+    simples = [vec_sub(e[i], e[i + 1]) for i in range(rank - 1)]
+    return _closure_from_simples(simples + [e[-1]], simples + [double],
+                                 seeds=[(double, e[-1])])
 
 
 def _parse_factor(token):

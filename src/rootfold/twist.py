@@ -218,8 +218,7 @@ def equivariant_automorphism_group(based, commuting_with=None, bound=WEYL_BOUND)
         if not commuting_with.is_based:
             raise InvalidActionError("the commuting action must stabilize a base")
         b = commuting_with.target
-        gammas = [commuting_with.root_perms[g]
-                  for g in commuting_with.group.generating_set]
+        gammas = commuting_with.generator_perms
         gens = [lift for _, lift in commuting_with.base_lifts.values()]
     gens += [d for _, d in _diagram_maps(b, b)
              if all(permutation_getter(g)(d) == permutation_getter(d)(g) for g in gammas)]

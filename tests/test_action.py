@@ -450,6 +450,19 @@ def test_fixed_weyl_bound_applies_to_the_fixed_subgroup():
     assert len(fixed_weyl(a3_flip(), bound=8)) == 8
 
 
+def test_fixed_weyl_keeps_its_closure_and_a_smaller_bound_still_overflows():
+    from rootfold.errors import EnumerationOverflow
+
+    act = a3_flip()
+    kept = fixed_weyl(act, bound=8)
+    assert len(kept) == 8
+    assert fixed_weyl(act) is kept
+    with pytest.raises(EnumerationOverflow,
+                       match="^reflection group exceeds 7 elements$"):
+        fixed_weyl(act, bound=7)
+    assert fixed_weyl(act, bound=8) is kept
+
+
 def test_base_lifts_refuse_a_lift_that_does_not_commute(monkeypatch):
     # with a single reflection standing in for the orthogonal orbit of
     # the flipped pair {a1, a3}, the lift s_a1 does not commute with the

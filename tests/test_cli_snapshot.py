@@ -77,6 +77,7 @@ def requests(docs):
         out.extend(("isoclass", name, other) for other in sorted(docs)
                    if rank[other] == rank[name])
     out.append(("selftest",))
+    out.append(("selftest", "--slow"))
     return out
 
 

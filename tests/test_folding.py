@@ -375,6 +375,60 @@ def test_fold_checked_against_closed_form_fixed_order(name):
         assert len(act.group) == 6
 
 
+def orbit_cases():
+    """Every fold of the library's table and of UNLISTED_FOLDS, a trivial
+    action and an unbased one."""
+    from rootfold.selftest import FOLD_TABLE
+
+    cases = {name: make_action(from_cartan_type(spec), [(builder(), "g")])
+             for name, spec, builder, *_ in FOLD_TABLE}
+    for name, (spec, matrices, _) in UNLISTED_FOLDS.items():
+        cases[name] = make_action(from_cartan_type(spec),
+                                  [(m, f"g{i}") for i, m in enumerate(matrices)])
+    cases["trivial"] = make_action(from_cartan_type("B3:sc"), [],
+                                   group=FiniteGroup.trivial())
+    cases["unbased A3 flip"] = make_action(from_cartan_type("A3:sc").datum,
+                                           [(flip_matrix(3), "s")])
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(orbit_cases()))
+def test_orbits_match_the_closure_under_every_image(name):
+    from rootfold.rootdatum import closure
+
+    act = orbit_cases()[name]
+    steps = [p.__getitem__ for p in act.root_perms]
+    assert act.orbits == tuple(tuple(sorted(closure([i], steps)))
+                               for i in range(len(act.datum.roots)))
+
+
+def test_restrict_refuses_an_orbit_split_in_two(monkeypatch):
+    act = make_action(from_cartan_type("A3:sc"), [(flip_matrix(3), "s")])
+    orb = next(o for o in act.orbits if len(o) == 2)
+    split = tuple(((i,) if i in orb else o) for i, o in enumerate(act.orbits))
+    monkeypatch.setitem(vars(act), "orbits", split)
+    with pytest.raises(AssertionError, match=r"^fiber over .* is not a single orbit"):
+        restrict(act)
+
+
+def test_check_fold_closes_the_fixed_subgroup_once(monkeypatch):
+    import rootfold.action as action_module
+    from rootfold.rootdatum import closure
+    from rootfold.selftest import FOLD_TABLE, check_fold
+
+    closures = []
+
+    def counted(seeds, maps, bound=None, what="closure"):
+        closures.append(what)
+        return closure(seeds, maps, bound, what)
+
+    monkeypatch.setattr(action_module, "closure", counted)
+    for case in FOLD_TABLE:
+        del closures[:]
+        assert check_fold(*case)[0] == []
+        assert closures.count("reflection group") == 1, case[0]
+
+
 # fixed subgroups past the descent table cap: W(B6) has 46080 elements,
 # W(B7) 645120
 @pytest.mark.parametrize("spec,matrix", [

@@ -165,6 +165,36 @@ def test_product_datum():
     assert len(weyl_group(d)) == 4
 
 
+def hand_enumerated_bc(rank):
+    """BC_n listed by hand: (±e_i, ±2e_i), (±2e_i, ±e_i) and
+    (±e_i ± e_j, same) for i < j, sorted, with the base e_i - e_{i+1},
+    e_n.  The realization before it was closed from the simple pairs,
+    kept as the reference."""
+    e = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    pairs = []
+    for i in range(rank):
+        pairs.append((e[i], tuple(2 * x for x in e[i])))
+        pairs.append((tuple(2 * x for x in e[i]), e[i]))
+        for j in range(i + 1, rank):
+            pairs.append((tuple(a + b for a, b in zip(e[i], e[j])),) * 2)
+            pairs.append((tuple(a - b for a, b in zip(e[i], e[j])),) * 2)
+    pairs += [(tuple(-x for x in r), tuple(-x for x in c)) for r, c in pairs]
+    pairs.sort()
+    datum = RootDatum(rank, tuple(r for r, _ in pairs), tuple(c for _, c in pairs))
+    simples = [tuple(a - b for a, b in zip(e[i], e[i + 1])) for i in range(rank - 1)]
+    return datum, tuple(sorted(datum.index_of(s) for s in simples + [e[-1]]))
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_bc_closed_from_simples_matches_the_hand_enumeration(rank):
+    b = from_cartan_type(f"BC{rank}")
+    datum, base = hand_enumerated_bc(rank)
+    assert b.datum == datum
+    assert (b.datum.roots, b.datum.coroots, b.datum.pairing) == (
+        datum.roots, datum.coroots, datum.pairing)
+    assert b.base == base
+
+
 CLASSIFY_ROUNDTRIP = [
     "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
     "D4", "D5", "G2", "F4", "BC1", "BC2", "BC3",
