@@ -241,13 +241,7 @@ class DatumAction:
     def build(cls, group, images, target):
         """Validate and construct: images must be a homomorphism of
         datum automorphisms, stabilizing the base when target is based;
-        their cocharacter matrices are checked, not recomputed.
-
-        The homomorphism law is checked as phi(a g) = phi(a) phi(g) for
-        every a and every g in ``group.generating_set``.  With
-        phi(e) = I, induction on the length of b = g_1 ... g_k gives
-        phi(a b) = phi(a b') phi(g_k) = phi(a) phi(b') phi(g_k)
-        = phi(a) phi(b) for b' = g_1 ... g_{k-1}."""
+        their cocharacter matrices are checked, not recomputed."""
         datum = target.datum if isinstance(target, BasedRootDatum) else target
         images = tuple(images)
         if len(images) != len(group):
@@ -255,7 +249,42 @@ class DatumAction:
         checked = [_require_automorphism(datum, im.on_characters,
                                          f"element {group.labels[i]!r}", im.on_cocharacters)
                    for i, im in enumerate(images)]
-        auts = [aut for aut, _ in checked]
+        return cls._checked(group, [aut for aut, _ in checked],
+                            [perm for _, perm in checked], target)
+
+    @classmethod
+    def _left_multiplied(cls, action, factors, factor_perms, target):
+        """The action s -> f_s . action(s) on ``target``, where the f_s
+        are datum automorphisms of the same datum and factor_perms[s] is
+        the root permutation of f_s.  The products and their root
+        permutations are formed here, and no root is mapped by a matrix.
+
+        That is enough for the checks ``build`` makes on each image.
+        Let F, A be the character matrices of f = f_s and a = action(s),
+        with root permutations q and p.  FA is unimodular, and F'A' is
+        its contragredient: A^T P A' = P and F^T P F' = P give
+        (FA)^T P (F'A') = A^T (F^T P F') A' = A^T P A' = P.  f.a sends
+        root a_i to f(a_p(i)) = a_q(p(i)) and coroot c_i to
+        f(c_p(i)) = c_q(p(i)), so it permutes the roots compatibly with
+        the coroots, with permutation q o p.  The identity, homomorphism
+        and base-stabilization checks of ``build`` still run."""
+        images = [f * a for f, a in zip(factors, action.images)]
+        perms = [permutation_getter(p)(q)
+                 for q, p in zip(factor_perms, action.root_perms)]
+        return cls._checked(action.group, images, perms, target)
+
+    @classmethod
+    def _checked(cls, group, auts, perms, target):
+        """The action with images ``auts``, whose root permutations are
+        ``perms``, after checking that it is a homomorphism and, on a
+        based target, that every image stabilizes the base.
+
+        The homomorphism law is checked as phi(a g) = phi(a) phi(g) for
+        every a and every g in ``group.generating_set``.  With
+        phi(e) = I, induction on the length of b = g_1 ... g_k gives
+        phi(a b) = phi(a b') phi(g_k) = phi(a) phi(b') phi(g_k)
+        = phi(a) phi(b) for b' = g_1 ... g_{k-1}."""
+        datum = target.datum if isinstance(target, BasedRootDatum) else target
         ident = identity_matrix(datum.rank)
         if auts[group.identity].on_characters != ident:
             raise InvalidActionError("identity element must act trivially")
@@ -267,11 +296,11 @@ class DatumAction:
                         f"images are not a homomorphism at "
                         f"({group.labels[a]!r}, {group.labels[b]!r})")
         action = cls(group, tuple(auts), target)
-        # seed the cached property with the permutations just computed
-        vars(action)["root_perms"] = tuple(perm for _, perm in checked)
+        # seed the cached property with the permutations already known
+        vars(action)["root_perms"] = tuple(perms)
         if isinstance(target, BasedRootDatum):
             base = set(target.base)
-            for i, (_, perm) in enumerate(checked):
+            for i, perm in enumerate(perms):
                 if {perm[k] for k in base} != base:
                     raise InvalidActionError(
                         f"element {group.labels[i]!r} does not stabilize the base")

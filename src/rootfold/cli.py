@@ -517,6 +517,10 @@ def build_parser():
 
 
 def main(argv=None, out=None):
+    """Run one command and return its exit status: 0 on success, 1 on a
+    failed verification or a library error, 2 on a parse or usage
+    error, 3 on an internal error (a ValueError or AssertionError that
+    escaped a command, reported as one line instead of a traceback)."""
     out = out or sys.stdout
     if argv is None:
         argv = sys.argv[1:]
@@ -532,6 +536,9 @@ def main(argv=None, out=None):
     except RootfoldError as e:
         out.write(f"error: {e}\n")
         return 1
+    except (ValueError, AssertionError) as e:
+        out.write(f"internal error: {e}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -189,9 +189,21 @@ class RootDatum:
         return {}
 
     @cached_property
+    def _weyl_groups(self):
+        # the Weyl group as root permutations, filled by ``weyl_group``
+        # and keyed by the base it was closed from
+        return {}
+
+    @cached_property
     def _diagram_maps(self):
         # filled by ``twist._diagram_maps`` for pairs of bases of this
         # datum, keyed by the two bases
+        return {}
+
+    @cached_property
+    def _search_orders(self):
+        # filled by ``twist.equivariant_isomorphic``, keyed by the
+        # canonical base
         return {}
 
 
@@ -444,15 +456,31 @@ def weyl_group(datum, base=None, bound=WEYL_BOUND):
     """Breadth-first closure of the simple reflection permutations of
     ``base`` (by default the canonical base), which generate W; no
     matrix is built until the caller asks for one.  Raises
-    EnumerationOverflow beyond ``bound`` elements."""
-    if base is None:
-        base = canonical_base(datum)
-    gens = [reflection_permutation(datum, i) for i in base]
+    EnumerationOverflow beyond ``bound`` elements.
+
+    The closed permutations are kept on the datum, keyed by base, and
+    used again while they fit ``bound``.  The closure does not depend on
+    the bound it completes under, and a smaller bound closes again, so
+    that it raises as before.  With no base given, permutations kept
+    under another base are used when they hold the simple reflections of
+    the canonical base: they form a group generated by reflections,
+    which lies in W and contains a generating set of W, so it is W.
+    Only permutations are kept, not the ``WeylGroup``, which refers back
+    to the datum: a reference cycle would keep every datum and its
+    caches alive until a full garbage collection."""
+    kept = datum._weyl_groups
+    key = tuple(canonical_base(datum) if base is None else base)
+    gens = [reflection_permutation(datum, i) for i in key]
     if None in gens:
         raise AssertionError("reflection does not permute the roots")
-    ident = tuple(range(len(datum.roots)))
-    perms = closure([ident], [permutation_getter(p) for p in gens], bound,
-                    "reflection group")
+    perms = kept.get(key)
+    if perms is None and base is None:
+        perms = next((p for p in kept.values() if set(gens) <= set(p)), None)
+    if perms is None or len(perms) > bound:
+        ident = tuple(range(len(datum.roots)))
+        perms = tuple(closure([ident], [permutation_getter(p) for p in gens], bound,
+                              "reflection group"))
+    kept[key] = perms
     return WeylGroup(datum, perms, gens)
 
 

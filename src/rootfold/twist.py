@@ -170,18 +170,22 @@ def _cocycles_from_permutations(galois, datum, star, star_perms, found):
 def star_action(action, base):
     """Split an action on a datum into its base-preserving part and the
     Weyl transport cocycle.  A base-stabilizing action comes back
-    unchanged with the trivial cocycle."""
+    unchanged with the trivial cocycle.
+
+    The star images c(s)^-1 . pi(s) are formed with their root
+    permutations by ``DatumAction._left_multiplied``: c(s)^-1 is the
+    Weyl element built from its permutation, the inverse of the
+    transport's."""
     datum = action.datum
     based = BasedRootDatum(datum, tuple(base))
     transport_perms = [_transport(based, perm) for perm in action.root_perms]
+    inverse_perms = [_invert_permutation(p) for p in transport_perms]
     n = len(transport_perms)
-    auts = _automorphisms_from_permutations(
-        datum, transport_perms + [_invert_permutation(p) for p in transport_perms])
+    auts = _automorphisms_from_permutations(datum, transport_perms + inverse_perms)
     transports = auts[:n]
-    stars = [c_inv * aut for c_inv, aut in zip(auts[n:], action.images)]
-    star_act = DatumAction.build(action.group, stars, based)
+    star_act = DatumAction._left_multiplied(action, auts[n:], inverse_perms, based)
     cocycle = StarCocycle.build(
-        action.group, datum, transports, stars, transport_perms,
+        action.group, datum, transports, star_act.images, transport_perms,
         star_act.root_perms)
     return star_act, cocycle
 
@@ -501,7 +505,11 @@ def twist_datum(based, galois_star, cocycle, gamma_action=None):
     """Twist the base-preserving Galois action by a cocycle valued in
     the fixed Weyl subgroup, returning the datum with its new commuting
     actions.  The base transport of the new action recovers the cocycle
-    on the nose."""
+    on the nose.
+
+    The images c(s) . s* are formed with their root permutations from
+    those the cocycle keeps for its values (``StarCocycle``) by
+    ``DatumAction._left_multiplied``."""
     datum = based.datum
     if not galois_star.is_based:
         raise InvalidActionError("the Galois star action must stabilize the base")
@@ -514,9 +522,8 @@ def twist_datum(based, galois_star, cocycle, gamma_action=None):
                 if mat_mul(v.on_characters, g.on_characters) != mat_mul(
                         g.on_characters, v.on_characters):
                     raise InvalidActionError("cocycle values are not fixed by the action")
-    new_images = [cocycle.values[s] * galois_star.images[s]
-                  for s in galois_star.group.elements()]
-    twisted = DatumAction.build(galois_star.group, new_images, datum)
+    twisted = DatumAction._left_multiplied(galois_star, cocycle.values,
+                                           cocycle.value_perms, datum)
     if gamma_action is not None and not actions_commute(twisted, gamma_action):
         raise AssertionError("twisted action fails to commute with the folding action")
     for s in galois_star.group.elements():
@@ -544,7 +551,7 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
     which is exact because both data are semisimple: the roots span the
     characters over Q.  Candidates are taken by image positive system,
     in the order of the sorted index lists, then by the tuple of images
-    of the base."""
+    of the base (``_search_order``)."""
     for d in (datum1, datum2):
         if not d.is_semisimple:
             raise UnsupportedDatumError(
@@ -562,17 +569,34 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
                          BasedRootDatum(datum2, canonical_base(datum2)))
     if not maps:
         return None
+    weyl = weyl_group(datum2, bound=bound)
+    orders = datum1._search_orders if datum1 is datum2 else {}
+    if base1 not in orders:
+        orders[base1] = _search_order(base1, weyl, maps)
     pairs = [(permutation_getter(a1.root_perms[g]), a2.root_perms[g])
              for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
-    on_base = permutation_getter(base1)
-    translate = permutation_getter(sorted(positive_system(datum2)))
-    for w in sorted(weyl_group(datum2, bound=bound).perms,
-                    key=lambda w: sorted(translate(w))):
-        cands = [(permutation_getter(images)(w), m) for m, images in maps]
-        for cand, m in sorted(cands, key=lambda e: on_base(e[0])):
-            if all(after(cand) == permutation_getter(cand)(p2) for after, p2 in pairs):
-                return _automorphisms_from_permutations(datum2, [w])[0] * m
+    candidate = [permutation_getter(images) for _, images in maps]
+    for w, k in orders[base1]:
+        cand = candidate[k](w)
+        if all(after(cand) == permutation_getter(cand)(p2) for after, p2 in pairs):
+            return _automorphisms_from_permutations(datum2, [w])[0] * maps[k][0]
     return None
+
+
+def _search_order(base1, weyl, maps):
+    """The candidates w o m of ``equivariant_isomorphic`` in search
+    order, as (w, index of m in ``maps``): w in W by the sorted index
+    list of its image of the canonical positive system, then by the
+    images of ``base1`` under w o m.  When both sides are the same datum
+    the order is cached on it, keyed by the canonical base."""
+    translate = permutation_getter(sorted(positive_system(weyl.datum)))
+    on_base = permutation_getter(base1)
+    candidate = [permutation_getter(images) for _, images in maps]
+    order = []
+    for w in sorted(weyl.perms, key=lambda w: sorted(translate(w))):
+        ranked = sorted(range(len(maps)), key=lambda k: on_base(candidate[k](w)))
+        order.extend((w, k) for k in ranked)
+    return tuple(order)
 
 
 def _root_images(d1, d2, m):

@@ -324,6 +324,17 @@ def test_every_library_error_is_one_error_line(monkeypatch, kind):
     assert out == "error: boom\n"
 
 
+@pytest.mark.parametrize("kind", [ValueError, AssertionError])
+def test_an_escaped_internal_error_is_one_line_with_exit_3(monkeypatch, kind):
+    def fail(args, out):
+        out.write("partial report\n")
+        raise kind("check failed")
+    monkeypatch.setattr(cli, "cmd_h1", fail)
+    code, out = run_cli("h1", golden("A1-z2.datum"))
+    assert code == 3
+    assert out == "partial report\ninternal error: check failed\n"
+
+
 # ---------------------------------------------------------------------------
 # malformed documents: one "parse error:" line and exit 2, never a traceback
 

@@ -1,0 +1,244 @@
+"""Twists, star actions and isomorphism searches reuse what they hold.
+
+``reference_isomorphic`` is the isomorphism search loop as it was before
+its order was cached: it closes W of the second datum afresh, sorts it
+by translated positive system and ranks the diagram maps under each
+Weyl element by base images.  The cases are the thirteen H1 cases of the
+benchmark's ``h1`` workload, rebuilt here: trivial Z/2 on A1, A2, B2,
+G2, A3, B3, C3 and A1xA1, the flips of A2, A3 and A1xA1, and Z/2 by -1
+on the flip-fixed modules of A3 and A4.
+"""
+
+import gc
+import weakref
+from dataclasses import replace
+
+import pytest
+
+import rootfold.action as action_module
+import rootfold.rootdatum as rootdatum_module
+from rootfold.action import FiniteGroup, make_action
+from rootfold.errors import EnumerationOverflow, InvalidActionError
+from rootfold.lattice import identity_matrix, mat_mul, mat_vec, transpose
+from rootfold.rootdatum import (
+    BasedRootDatum,
+    RootDatum,
+    _automorphisms_from_permutations,
+    canonical_base,
+    closure,
+    from_cartan_type,
+    permutation_getter,
+    positive_system,
+    reflection_permutation,
+    root_permutation,
+    weyl_group,
+)
+from rootfold.twist import (
+    _diagram_maps,
+    equivariant_isomorphic,
+    h1_with_image,
+    star_action,
+    twist_datum,
+    z1_enumerate,
+)
+
+from test_h1_reference import flip, neg
+
+CASES = [
+    (f"{spec} trivial", spec, identity_matrix, None)
+    for spec in ("A1:sc", "A2:sc", "B2:sc", "G2:sc", "A3:sc", "B3:sc", "C3:sc",
+                 "A1:sc x A1:sc")
+] + [
+    ("A2 flip", "A2:sc", flip, None),
+    ("A3 flip", "A3:sc", flip, None),
+    ("A1xA1 swap", "A1:sc x A1:sc", flip, None),
+    ("A3 gamma", "A3:sc", neg, flip(3)),
+    ("A4 gamma", "A4:sc", neg, flip(4)),
+]
+IDS = [c[0] for c in CASES]
+
+
+def build(case):
+    _, spec, galois_matrix, gamma_matrix = case
+    based = from_cartan_type(spec)
+    galois = make_action(based.datum, [(galois_matrix(based.datum.rank), 1)],
+                         group=FiniteGroup.cyclic(2))
+    gamma = None if gamma_matrix is None else make_action(based, [(gamma_matrix, "s")])
+    return based, galois, gamma
+
+
+def twists(based, galois, gamma):
+    """The H1 report and the twist of every cocycle, by sort key."""
+    report = h1_with_image(based, galois, gamma_action=gamma)
+    star, _ = star_action(galois, based.base)
+    twisted = {c.sort_key(): twist_datum(based, star, c, gamma_action=gamma)
+               for c in report.module_classes.cocycles}
+    return report, twisted
+
+
+def pairs(report):
+    """(c1, c2, same class?) for every within-class pair and every
+    ordered pair of distinct class representatives."""
+    out = [(cls[0], c, True) for cls in report.image_classes.classes for c in cls[1:]]
+    reps = report.image_classes.representatives
+    out += [(r1, r2, False) for r1 in reps for r2 in reps if r1 is not r2]
+    return out
+
+
+def reference_isomorphic(datum1, actions1, datum2, actions2):
+    if datum1.rank != datum2.rank or len(datum1.roots) != len(datum2.roots):
+        return None
+    base1 = canonical_base(datum1)
+    maps = _diagram_maps(BasedRootDatum(datum1, base1),
+                         BasedRootDatum(datum2, canonical_base(datum2)))
+    if not maps:
+        return None
+    pairs = [(permutation_getter(a1.root_perms[g]), a2.root_perms[g])
+             for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
+    on_base = permutation_getter(base1)
+    translate = permutation_getter(sorted(positive_system(datum2)))
+    gens = [permutation_getter(reflection_permutation(datum2, i))
+            for i in canonical_base(datum2)]
+    weyl = closure([tuple(range(len(datum2.roots)))], gens)
+    for w in sorted(weyl, key=lambda w: sorted(translate(w))):
+        cands = [(permutation_getter(images)(w), m) for m, images in maps]
+        for cand, m in sorted(cands, key=lambda e: on_base(e[0])):
+            if all(after(cand) == permutation_getter(cand)(p2) for after, p2 in pairs):
+                return _automorphisms_from_permutations(datum2, [w])[0] * m
+    return None
+
+
+def key(aut):
+    return None if aut is None else (aut.on_characters, aut.on_cocharacters)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_isomorphism_search_matches_the_uncached_loop(case):
+    based, galois, gamma = build(case)
+    report, twisted = twists(based, galois, gamma)
+    extra = [gamma] if gamma is not None else []
+    datum = based.datum
+    for c1, c2, same in pairs(report):
+        a1 = [twisted[c1.sort_key()].galois] + extra
+        a2 = [twisted[c2.sort_key()].galois] + extra
+        got = key(equivariant_isomorphic(datum, a1, datum, a2))
+        assert got == key(reference_isomorphic(datum, a1, datum, a2))
+        assert (got is not None) == same
+
+
+def change_of_basis(datum, g, ginv):
+    """The datum with roots through g and coroots through g^-T, in the
+    same order."""
+    ginv_t = transpose(ginv)
+    return RootDatum(datum.rank, tuple(mat_vec(g, r) for r in datum.roots),
+                     tuple(mat_vec(ginv_t, c) for c in datum.coroots))
+
+
+@pytest.mark.parametrize("case", [CASES[2], CASES[8]], ids=[IDS[2], IDS[8]])
+def test_isomorphism_search_across_a_change_of_basis_matches(case):
+    based, galois, gamma = build(case)
+    _, twisted = twists(based, galois, gamma)
+    datum = based.datum
+    n = datum.rank
+    g = tuple(tuple(int(i == j) + int((i, j) == (0, 1)) for j in range(n))
+              for i in range(n))
+    ginv = tuple(tuple(int(i == j) - int((i, j) == (0, 1)) for j in range(n))
+                 for i in range(n))
+    other = change_of_basis(datum, g, ginv)
+    assert other is not datum
+    moved = [make_action(other, [(mat_mul(g, mat_mul(t.galois.images[1].on_characters,
+                                                     ginv)), 1)],
+                         group=FiniteGroup.cyclic(2))
+             for t in twisted.values()]
+    found = 0
+    for t in twisted.values():
+        for m in moved:
+            got = key(equivariant_isomorphic(datum, [t.galois], other, [m]))
+            assert got == key(reference_isomorphic(datum, [t.galois], other, [m]))
+            found += got is not None
+    assert found >= len(moved)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_star_and_twisted_actions_keep_their_root_permutations(case):
+    based, galois, gamma = build(case)
+    datum = based.datum
+    star, cocycle = star_action(galois, based.base)
+    assert star.root_perms == tuple(root_permutation(datum, a) for a in star.images)
+    assert cocycle.star_perms == star.root_perms
+    module = (action_module.fixed_weyl(gamma) if gamma is not None
+              else weyl_group(datum, base=based.base))
+    for c in z1_enumerate(galois.group, star.images, module):
+        twisted = twist_datum(based, star, c, gamma_action=gamma).galois
+        assert twisted.root_perms == tuple(root_permutation(datum, a)
+                                           for a in twisted.images)
+
+
+def test_a_tampered_value_list_is_refused():
+    # A2 with trivial Galois: (1, r) for a rotation r of order 3 is no
+    # cocycle, since r^2 != 1
+    based, galois, _ = build(CASES[1])
+    datum = based.datum
+    star, _ = star_action(galois, based.base)
+    cocycle = z1_enumerate(galois.group, star.images, weyl_group(datum))[0]
+    s1, s2 = (reflection_permutation(datum, i) for i in based.base)
+    rotation = permutation_getter(s1)(s2)
+    ident = tuple(range(len(datum.roots)))
+    values = _automorphisms_from_permutations(datum, [ident, rotation])
+    message = r"^images are not a homomorphism at \(1, 1\)$"
+    for bad in (replace(cocycle, values=tuple(values)),
+                replace(cocycle, values=tuple(values), value_perms=(ident, rotation))):
+        with pytest.raises(InvalidActionError, match=message):
+            twist_datum(based, star, bad)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_h1_twists_and_searches_close_w_once_per_datum(case, monkeypatch):
+    closures = {"rootdatum": [], "action": []}
+
+    def counting(where):
+        def counted(seeds, maps, bound=None, what="closure"):
+            closures[where].append(what)
+            return closure(seeds, maps, bound, what)
+        return counted
+
+    monkeypatch.setattr(rootdatum_module, "closure", counting("rootdatum"))
+    monkeypatch.setattr(action_module, "closure", counting("action"))
+    based, galois, gamma = build(case)
+    report, twisted = twists(based, galois, gamma)
+    extra = [gamma] if gamma is not None else []
+    datum = based.datum
+    for c1, c2, _ in pairs(report):
+        equivariant_isomorphic(datum, [twisted[c1.sort_key()].galois] + extra,
+                               datum, [twisted[c2.sort_key()].galois] + extra)
+    # W in rootdatum, W^Gamma on the action
+    assert closures["rootdatum"].count("reflection group") == 1
+    assert closures["action"].count("reflection group") == (gamma is not None)
+
+    kept = weyl_group(datum).perms
+    assert weyl_group(datum).perms is kept
+    for base in (None, based.base):
+        with pytest.raises(EnumerationOverflow,
+                           match=f"^reflection group exceeds {len(kept) - 1} elements$"):
+            weyl_group(datum, base=base, bound=len(kept) - 1)
+    assert weyl_group(datum, bound=len(kept)).perms is kept
+    assert closures["rootdatum"].count("reflection group") == 3
+
+
+def test_the_kept_closures_form_no_reference_cycle():
+    # the caches live on the datum; a cycle back to it would keep each
+    # datum alive until a full garbage collection
+    def run(case):
+        based, galois, gamma = build(case)
+        report, twisted = twists(based, galois, gamma)
+        for c1, c2, _ in pairs(report):
+            equivariant_isomorphic(based.datum, [twisted[c1.sort_key()].galois],
+                                   based.datum, [twisted[c2.sort_key()].galois])
+        return weakref.ref(based.datum)
+
+    gc.disable()
+    try:
+        refs = [run(case) for case in CASES]
+        assert [ref() for ref in refs] == [None] * len(CASES)
+    finally:
+        gc.enable()
