@@ -9,7 +9,6 @@ precondition for the orbit machinery used by folding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import EnumerationOverflow, InvalidActionError
@@ -473,6 +472,8 @@ def coinvariants(action):
         fixed_basis = integer_kernel(tuple(stacked))
     else:
         fixed_basis = tuple(identity_matrix(n))
+
+    from fractions import Fraction  # only here, off the start-up path
 
     size = len(action.group)
     average = tuple(tuple(Fraction(x, size) for x in row)

@@ -36,7 +36,6 @@ from .errors import (
     ParseError,
     RootfoldError,
 )
-from .folding import reduced_subdatum, restrict, weyl_descent_iso
 from .lattice import det
 from .rootdatum import (
     BasedRootDatum,
@@ -48,18 +47,29 @@ from .rootdatum import (
     verify_base,
     weyl_group,
 )
-from .twist import (
-    equivariant_isomorphic,
-    h1_with_image,
-    star_action,
-)
-from . import selftest as selftest_mod
+
+# ``folding``, ``twist`` and ``selftest`` are imported inside the
+# commands that run them, so ``verify``, ``classify`` and ``weyl`` start
+# without compiling them.
 
 # Largest group a document may declare, refused before any group table
 # is built.  Checking an action costs |G|^2 matrix products: at this cap
 # E8 with -1 parses in 0.86 s (CPython 3.11, one Xeon core), against
 # 0.25 s over Z/2.
 MAX_GROUP_ORDER = 64
+
+# Largest rank and most action blocks a document may declare, refused
+# before any matrix product.  A block costs |G| images, each a rank^3
+# inverse plus a rank^2 product per root, and a document may repeat
+# blocks.  parse_datum times (CPython 3.11, one core of a shared 2-vCPU
+# host), each block over cyclic:64:
+#   torus, a 64-cycle (rank >= 64) or a 16- or 32-cycle:
+#     rank 16: 0.09 s;  rank 32: 0.53 s;  rank 64: 3.5 s;
+#     rank 96: 10.7 s;  rank 160: 50 s
+#   E8 x E8 (rank 16, 480 roots), the factor swap: 1.1 s for one block,
+#     3.4 s for four; a rank-16 torus with four blocks: 0.30 s
+MAX_RANK = 16
+MAX_ACTION_BLOCKS = 4
 
 
 @dataclass
@@ -153,6 +163,13 @@ def parse_datum(text, source="<string>"):
     _expect(isinstance(obj.get("rank"), int) and obj["rank"] >= 1,
             "'rank' must be a positive integer", source)
     rank = obj["rank"]
+    _expect(rank <= MAX_RANK, f"rank {rank} is above the cap of {MAX_RANK}",
+            source)
+    blocks = obj.get("actions") or {}
+    if isinstance(blocks, dict):
+        _expect(len(blocks) <= MAX_ACTION_BLOCKS,
+                f"{len(blocks)} action blocks are above the cap of "
+                f"{MAX_ACTION_BLOCKS}", source)
     for key in ("roots", "coroots"):
         _expect(key in obj, f"missing field {key!r}", source)
     # an empty list of roots is a torus
@@ -186,7 +203,6 @@ def parse_datum(text, source="<string>"):
     else:
         based = BasedRootDatum(datum, canonical_base(datum))
 
-    blocks = obj.get("actions") or {}
     _expect(isinstance(blocks, dict), "'actions' must be an object", source)
     actions = {}
     roles = {}
@@ -324,6 +340,8 @@ def cmd_weyl(args, out):
 
 
 def cmd_fold(args, out):
+    from .folding import reduced_subdatum, restrict, weyl_descent_iso
+
     doc = parse_datum(_read(args.file), source=args.file)
     gammas = doc.actions_with_role("gamma")
     if not gammas:
@@ -370,6 +388,8 @@ def cmd_fold(args, out):
 
 
 def cmd_star(args, out):
+    from .twist import star_action
+
     doc = parse_datum(_read(args.file), source=args.file)
     name = args.action
     if name is None:
@@ -392,6 +412,8 @@ def cmd_star(args, out):
 
 
 def cmd_h1(args, out):
+    from .twist import h1_with_image
+
     doc = parse_datum(_read(args.file), source=args.file)
     galois_actions = doc.actions_with_role("galois")
     if len(galois_actions) != 1:
@@ -427,6 +449,8 @@ def cmd_h1(args, out):
 
 
 def cmd_isoclass(args, out):
+    from .twist import equivariant_isomorphic
+
     doc1 = parse_datum(_read(args.file_a), source=args.file_a)
     doc2 = parse_datum(_read(args.file_b), source=args.file_b)
     names1 = sorted(doc1.actions)
@@ -450,7 +474,9 @@ def cmd_isoclass(args, out):
 
 
 def cmd_selftest(args, out):
-    return selftest_mod.run(out, slow=args.slow)
+    from . import selftest
+
+    return selftest.run(out, slow=args.slow)
 
 
 def _yn(b):

@@ -15,7 +15,10 @@ Conventions used throughout the package:
 ``Coinvariants.average``, which really divides by the group order (its
 checks run on the integer multiple, see ``action._check_coinvariants``),
 and ``mat_inverse_fractions``, a view of the kernel kept for the
-benchmark tracer only.
+benchmark tracer only.  Both import ``fractions`` at that point of use
+(``action.coinvariants`` and ``mat_inverse_fractions``), so importing
+the package, and the commands that never build a Fraction, do not load
+it or the ``decimal`` module it pulls in.
 
 The products and vector operations below run through ``map`` over the
 ``operator`` functions, so the inner loops stay in C.
@@ -27,7 +30,6 @@ normal-form algorithms favor clarity and determinism over asymptotics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul, neg, sub
 
 
@@ -149,6 +151,8 @@ def mat_inverse_fractions(m):
     Nothing in the package calls it: it is kept only because the
     benchmark tracer wraps this name, and goes with the benchmark
     refresh listed in ROADMAP.md."""
+    from fractions import Fraction
+
     adj, d = adjugate_and_det(m)
     return tuple(tuple(Fraction(x, d) for x in row) for row in adj)
 

@@ -195,6 +195,12 @@ class RootDatum:
         return {}
 
     @cached_property
+    def _based_positive_systems(self):
+        # filled by ``BasedRootDatum.positive_system``, keyed by the base,
+        # so every ``BasedRootDatum`` on one base shares one solve
+        return {}
+
+    @cached_property
     def _diagram_maps(self):
         # filled by ``twist._diagram_maps`` for pairs of bases of this
         # datum, keyed by the two bases
@@ -230,16 +236,22 @@ class BasedRootDatum:
         solve = exact_solver(transpose(self.simple_roots))
         return tuple(solve(r) for r in self.datum.roots)
 
-    @cached_property
+    @property
     def positive_system(self):
-        """Indices of the roots that are nonnegative over the base."""
-        out = set()
-        for i, sol in enumerate(self.root_coordinates):
-            if sol is None:
-                raise InvalidActionError("base does not span the roots")
-            if all(x >= 0 for x in sol[0]):
-                out.add(i)
-        return frozenset(out)
+        """Indices of the roots that are nonnegative over the base, kept
+        on the datum per base (``star_action`` builds a new
+        ``BasedRootDatum`` on every call)."""
+        kept = self.datum._based_positive_systems
+        system = kept.get(self.base)
+        if system is None:
+            out = set()
+            for i, sol in enumerate(self.root_coordinates):
+                if sol is None:
+                    raise InvalidActionError("base does not span the roots")
+                if all(x >= 0 for x in sol[0]):
+                    out.add(i)
+            system = kept[self.base] = frozenset(out)
+        return system
 
     def cartan_matrix(self):
         d = self.datum

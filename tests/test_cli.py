@@ -420,6 +420,65 @@ def test_group_order_at_the_cap_verifies(tmp_path, group):
     assert f"group order {cli.MAX_GROUP_ORDER})" in out
 
 
+def _cyclic_torus(tmp_path, rank, blocks=1):
+    """A torus document with ``blocks`` galois blocks over cyclic:64,
+    each generated by a cycle on the first coordinates: a 64-cycle from
+    rank 64 on, else the longest cycle whose length divides 64."""
+    length = max(n for n in (1, 2, 4, 8, 16, 32, 64) if n <= rank)
+    matrix = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for i in range(length):
+        matrix[i] = [int(j == (i - 1) % length) for j in range(rank)]
+    block = {"role": "galois", "group": f"cyclic:{cli.MAX_GROUP_ORDER}",
+             "generators": [{"element": 1, "matrix": matrix}]}
+    path = tmp_path / f"torus-{rank}-{blocks}.datum"
+    path.write_text(json.dumps({
+        "rank": rank, "roots": [], "coroots": [],
+        "actions": {f"galois{k}": block for k in range(blocks)}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("rank", [cli.MAX_RANK + 1, 160])
+def test_rank_above_the_cap_is_refused_at_once(tmp_path, rank):
+    path = _cyclic_torus(tmp_path, rank)
+    start = time.perf_counter()
+    _assert_single_parse_error(path, f"rank {rank} is above the cap of "
+                                     f"{cli.MAX_RANK}")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rank_at_the_cap_verifies(tmp_path):
+    code, out = run_cli("verify", _cyclic_torus(tmp_path, cli.MAX_RANK))
+    assert code == 0
+    assert out.splitlines()[0] == f"datum: rank {cli.MAX_RANK}, 0 roots"
+    assert out.splitlines()[-1] == "verdict: pass"
+
+
+@pytest.mark.parametrize("blocks", [cli.MAX_ACTION_BLOCKS + 1, 1000])
+def test_action_blocks_above_the_cap_are_refused_at_once(tmp_path, blocks):
+    path = _cyclic_torus(tmp_path, cli.MAX_RANK, blocks)
+    start = time.perf_counter()
+    _assert_single_parse_error(path, f"{blocks} action blocks are above the "
+                                     f"cap of {cli.MAX_ACTION_BLOCKS}")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_action_blocks_at_the_cap_verify(tmp_path):
+    def mutate(o):
+        gamma = o["actions"]["gamma"]
+        o["actions"] = {f"gamma{k}": gamma for k in range(cli.MAX_ACTION_BLOCKS)}
+    code, out = run_cli("verify", _mutated_a2_flip(tmp_path, mutate))
+    assert code == 0
+    assert sum(line.startswith("action gamma") for line in out.splitlines()) \
+        == cli.MAX_ACTION_BLOCKS
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.datum")))
+def test_golden_documents_are_under_the_caps(name):
+    obj = json.loads((GOLDEN / name).read_text())
+    assert obj["rank"] <= cli.MAX_RANK
+    assert len(obj.get("actions", {})) <= cli.MAX_ACTION_BLOCKS
+
+
 def test_empty_base_of_a_nonempty_root_system_is_parse_error(tmp_path):
     def mutate(o):
         o["base"] = []

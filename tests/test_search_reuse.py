@@ -19,7 +19,13 @@ import rootfold.action as action_module
 import rootfold.rootdatum as rootdatum_module
 from rootfold.action import FiniteGroup, make_action
 from rootfold.errors import EnumerationOverflow, InvalidActionError
-from rootfold.lattice import identity_matrix, mat_mul, mat_vec, transpose
+from rootfold.lattice import (
+    exact_solver,
+    identity_matrix,
+    mat_mul,
+    mat_vec,
+    transpose,
+)
 from rootfold.rootdatum import (
     BasedRootDatum,
     RootDatum,
@@ -242,3 +248,57 @@ def test_the_kept_closures_form_no_reference_cycle():
         assert [ref() for ref in refs] == [None] * len(CASES)
     finally:
         gc.enable()
+
+
+def uncached_positive_system(based):
+    """``BasedRootDatum.positive_system`` solved afresh on every call,
+    as it was before it was kept on the datum."""
+    out = set()
+    for i, sol in enumerate(based.root_coordinates):
+        if sol is None:
+            raise InvalidActionError("base does not span the roots")
+        if all(x >= 0 for x in sol[0]):
+            out.add(i)
+    return frozenset(out)
+
+
+def h1_pass(case):
+    """One operation of the ``h1`` workload: the report, the twists and
+    every isomorphism search, summarized for comparison."""
+    based, galois, gamma = build(case)
+    report, twisted = twists(based, galois, gamma)
+    extra = [gamma] if gamma is not None else []
+    datum = based.datum
+    found = [key(equivariant_isomorphic(
+        datum, [twisted[c1.sort_key()].galois] + extra,
+        datum, [twisted[c2.sort_key()].galois] + extra))
+        for c1, c2, _ in pairs(report)]
+    return (report.counts,
+            [c.sort_key() for c in report.module_classes.cocycles],
+            [c.sort_key() for c in report.image_classes.representatives],
+            {k: [key(a) for a in t.galois.images] for k, t in sorted(twisted.items())},
+            found)
+
+
+def test_an_h1_pass_solves_one_positive_system_per_datum(monkeypatch):
+    # star_action builds a new BasedRootDatum on every call; the positive
+    # system of its base is kept on the datum, so each of the thirteen
+    # data is solved once (39 solves a pass when it was not kept)
+    solves = []
+
+    def counted(m):
+        solves.append(m)
+        return exact_solver(m)
+
+    monkeypatch.setattr(rootdatum_module, "exact_solver", counted)
+    for case in CASES:
+        h1_pass(case)
+    assert len(solves) == len(CASES)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_kept_positive_systems_leave_reports_and_twists_unchanged(case, monkeypatch):
+    kept = h1_pass(case)
+    monkeypatch.setattr(BasedRootDatum, "positive_system",
+                        property(uncached_positive_system))
+    assert h1_pass(case) == kept
