@@ -25,15 +25,18 @@ PARSE = {"rootfold", "rootfold.cli", "rootfold.errors", "rootfold.lattice",
 
 CHILD = """
 import io, sys
+before = set(sys.modules)
 {setup}
 loaded = sorted(m for m in sys.modules if m == "rootfold" or m.startswith("rootfold."))
-print(repr((code, loaded, "fractions" in sys.modules, "decimal" in sys.modules)))
+added = set(sys.modules) - before
+print(repr((code, loaded, "fractions" in added, "decimal" in added)))
 """
 
 
 def fresh(setup):
     """(code, rootfold modules, fractions loaded?, decimal loaded?) after
-    running ``setup`` in a fresh interpreter."""
+    running ``setup`` in a fresh interpreter; a module that start-up (its
+    ``site``) had already loaded does not count as loaded by ``setup``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
