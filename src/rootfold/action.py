@@ -28,7 +28,6 @@ from .rootdatum import (
     DatumAutomorphism,
     WeylGroup,
     closure,
-    contragredient,
     permutation_getter,
     reflection_permutation,
     root_permutation,
@@ -128,26 +127,15 @@ class FiniteGroup:
         return cls(labels, table, check=False)
 
 
-def _require_automorphism(datum, matrix, context, on_cocharacters=None):
-    """The datum automorphism with character matrix A = ``matrix`` and
-    its root permutation, or InvalidActionError.  A given cocharacter
-    matrix A' is checked with A^T P A' = P, i.e. <A x, A' y> = <x, y>,
-    whose one solution is the contragredient P^-1 A^-T P; it is computed
-    when none is given."""
+def _require_automorphism(datum, matrix, context):
+    """The datum automorphism with character matrix ``matrix`` and its
+    contragredient, with its root permutation, or InvalidActionError."""
     if len(matrix) != datum.rank or any(len(r) != datum.rank for r in matrix):
         raise InvalidActionError(f"{context}: matrix has wrong shape")
     if abs(det(matrix)) != 1:
         raise InvalidActionError(f"{context}: matrix is not unimodular")
-    if on_cocharacters is None:
-        pairing = None if datum.has_standard_pairing else datum.pairing_matrix
-        on_cocharacters = contragredient(matrix, pairing, pairing)
-    else:
-        paired = (on_cocharacters if datum.has_standard_pairing
-                  else mat_mul(datum.pairing_matrix, on_cocharacters))
-        if mat_mul(transpose(matrix), paired) != datum.pairing_matrix:
-            raise InvalidActionError(
-                f"{context}: cocharacter matrix is not the contragredient")
-    aut = DatumAutomorphism(matrix, on_cocharacters)
+    pairing = None if datum.has_standard_pairing else datum.pairing_matrix
+    aut = DatumAutomorphism.from_matrix(matrix, pairing)
     perm = root_permutation(datum, aut)
     if perm is None:
         raise InvalidActionError(
@@ -172,12 +160,16 @@ class DatumAction:
     def is_based(self):
         return isinstance(self.target, BasedRootDatum)
 
-    def image(self, element):
-        return self.images[element]
-
     @cached_property
     def root_perms(self):
         return tuple(root_permutation(self.datum, a) for a in self.images)
+
+    @cached_property
+    def generator_images(self):
+        """The images of ``group.generating_set``.  Every image is a
+        product of them, so a matrix commutes with, or a vector is fixed
+        by, every image exactly when it is for these."""
+        return tuple(self.images[g] for g in self.group.generating_set)
 
     @cached_property
     def generator_perms(self):
@@ -237,36 +229,22 @@ class DatumAction:
         return all(a.is_identity() for a in self.images)
 
     @classmethod
-    def build(cls, group, images, target):
-        """Validate and construct: images must be a homomorphism of
-        datum automorphisms, stabilizing the base when target is based;
-        their cocharacter matrices are checked, not recomputed."""
-        datum = target.datum if isinstance(target, BasedRootDatum) else target
-        images = tuple(images)
-        if len(images) != len(group):
-            raise InvalidActionError("one image per group element is required")
-        checked = [_require_automorphism(datum, im.on_characters,
-                                         f"element {group.labels[i]!r}", im.on_cocharacters)
-                   for i, im in enumerate(images)]
-        return cls._checked(group, [aut for aut, _ in checked],
-                            [perm for _, perm in checked], target)
-
-    @classmethod
     def _left_multiplied(cls, action, factors, factor_perms, target):
         """The action s -> f_s . action(s) on ``target``, where the f_s
         are datum automorphisms of the same datum and factor_perms[s] is
         the root permutation of f_s.  The products and their root
         permutations are formed here, and no root is mapped by a matrix.
 
-        That is enough for the checks ``build`` makes on each image.
-        Let F, A be the character matrices of f = f_s and a = action(s),
-        with root permutations q and p.  FA is unimodular, and F'A' is
-        its contragredient: A^T P A' = P and F^T P F' = P give
+        No image needs the checks ``_require_automorphism`` makes on
+        a generator.  Let F, A be the character matrices of f = f_s and
+        a = action(s), with root permutations q and p.  FA is
+        unimodular, and F'A' is its contragredient: A^T P A' = P and
+        F^T P F' = P give
         (FA)^T P (F'A') = A^T (F^T P F') A' = A^T P A' = P.  f.a sends
         root a_i to f(a_p(i)) = a_q(p(i)) and coroot c_i to
         f(c_p(i)) = c_q(p(i)), so it permutes the roots compatibly with
-        the coroots, with permutation q o p.  The identity, homomorphism
-        and base-stabilization checks of ``build`` still run."""
+        the coroots, with permutation q o p.  The checks of ``_checked``
+        still run."""
         images = [f * a for f, a in zip(factors, action.images)]
         perms = [permutation_getter(p)(q)
                  for q, p in zip(factor_perms, action.root_perms)]
@@ -276,13 +254,23 @@ class DatumAction:
     def _checked(cls, group, auts, perms, target):
         """The action with images ``auts``, whose root permutations are
         ``perms``, after checking that it is a homomorphism and, on a
-        based target, that every image stabilizes the base.
+        based target, that every image stabilizes the base.  No image is
+        checked to be a datum automorphism: callers form them as
+        products of checked ones (see ``make_action`` and
+        ``_left_multiplied``).
 
         The homomorphism law is checked as phi(a g) = phi(a) phi(g) for
         every a and every g in ``group.generating_set``.  With
         phi(e) = I, induction on the length of b = g_1 ... g_k gives
         phi(a b) = phi(a b') phi(g_k) = phi(a) phi(b') phi(g_k)
-        = phi(a) phi(b) for b' = g_1 ... g_{k-1}."""
+        = phi(a) phi(b) for b' = g_1 ... g_{k-1}.
+
+        So every image is a product of the images of
+        ``group.generating_set``, and stabilizes the base when they do.
+        The greedy ``generating_set`` is increasing and holds the least
+        element that fails, if one does, as the elements below it
+        generate a subgroup without it; so the error names the element
+        a check of every image would name."""
         datum = target.datum if isinstance(target, BasedRootDatum) else target
         ident = identity_matrix(datum.rank)
         if auts[group.identity].on_characters != ident:
@@ -299,22 +287,29 @@ class DatumAction:
         vars(action)["root_perms"] = tuple(perms)
         if isinstance(target, BasedRootDatum):
             base = set(target.base)
-            for i, perm in enumerate(perms):
-                if {perm[k] for k in base} != base:
+            for i in group.generating_set:
+                if {perms[i][k] for k in base} != base:
                     raise InvalidActionError(
                         f"element {group.labels[i]!r} does not stabilize the base")
         return action
 
 
 def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND):
-    """Build a DatumAction.
+    """Build a DatumAction; the one constructor.
 
     ``generators`` is a list of (matrix, label) pairs.  With
     group="closure" the matrices are closed into a finite matrix group
     (bound ``closure_bound``) and the abstract group is read off from
     it.  With an explicit FiniteGroup G, each label must name a group
-    element, the labeled elements must generate, and the assignment must
-    extend to a homomorphism.
+    element, no element twice, the labeled elements must generate, and
+    the assignment must extend to a homomorphism.
+
+    Each generator matrix is checked once by ``_require_automorphism``.
+    Every other image is a product of generators, closed together with
+    its root permutation: a product of datum automorphisms is one, and
+    its permutation is the composite (see
+    ``DatumAction._left_multiplied``).  ``DatumAction._checked`` then
+    checks the homomorphism law and the base.
 
     The explicit case closes (e, I) and the assigned pairs (g, A_g)
     under (x, A) -> (x g, A A_g), giving the subgroup H of G x Aut they
@@ -326,48 +321,52 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
     the labels do not generate G.
     """
     datum = target.datum if isinstance(target, BasedRootDatum) else target
-    gen_auts = []
-    for mat, label in generators:
-        mat = tuple(tuple(int(x) for x in row) for row in mat)
-        gen_auts.append((label, _require_automorphism(datum, mat, f"generator {label!r}")[0]))
+    if group != "closure":
+        assigned = []
+        for _, label in generators:
+            try:
+                idx = group.index_of(label)
+            except ValueError:
+                raise InvalidActionError(f"generator label {label!r} is not a group element")
+            if idx in assigned:
+                raise InvalidActionError(f"group element {label!r} has two generators")
+            assigned.append(idx)
+    gens = [_require_automorphism(datum, tuple(tuple(int(x) for x in row) for row in mat),
+                                  f"generator {label!r}")
+            for mat, label in generators]
 
-    ident = DatumAutomorphism.identity(datum.rank)
+    def times(aut, perm):
+        compose = permutation_getter(perm)
+        return lambda pair: (pair[0] * aut, compose(pair[1]))
+
+    steps = [times(*g) for g in gens]
+    ident = (DatumAutomorphism.identity(datum.rank), tuple(range(len(datum.roots))))
     if group == "closure":
-        elements = closure([ident], [g.__mul__ for _, g in gen_auts],
-                           closure_bound, "generator closure")
-        elements.sort(key=DatumAutomorphism.sort_key)
-        index = {a.on_characters: i for i, a in enumerate(elements)}
+        pairs = closure([ident], steps, closure_bound, "generator closure")
+        pairs.sort(key=lambda pair: pair[0].sort_key())
+        index = {a.on_characters: i for i, (a, _) in enumerate(pairs)}
         table = tuple(
-            tuple(index[mat_mul(a.on_characters, b.on_characters)] for b in elements)
-            for a in elements
+            tuple(index[mat_mul(a.on_characters, b.on_characters)] for b, _ in pairs)
+            for a, _ in pairs
         )
-        grp = FiniteGroup(tuple(range(len(elements))), table, check=False)
-        return DatumAction.build(grp, elements, target)
-
-    grp = group
-    assigned = {}
-    for label, aut in gen_auts:
+        group = FiniteGroup(tuple(range(len(pairs))), table, check=False)
+    else:
         try:
-            idx = grp.index_of(label)
-        except ValueError:
-            raise InvalidActionError(f"generator label {label!r} is not a group element")
-        assigned[idx] = aut
-
-    def times(g, a):
-        return lambda pair: (grp.mul(pair[0], g), pair[1] * a)
-
-    try:
-        graph = closure([(grp.identity, ident), *assigned.items()],
-                        [times(g, a) for g, a in assigned.items()], len(grp))
-    except EnumerationOverflow:
-        graph = None
-    images = dict(graph or ())
-    if graph is None or len(images) != len(graph):
-        raise InvalidActionError(
-            "generator assignment is inconsistent with the group table")
-    if len(images) != len(grp):
-        raise InvalidActionError("the labeled generators do not generate the group")
-    return DatumAction.build(grp, tuple(images[i] for i in grp.elements()), target)
+            graph = closure(
+                [(group.identity, ident), *zip(assigned, gens)],
+                [lambda xp, g=g, step=step: (group.mul(xp[0], g), step(xp[1]))
+                 for g, step in zip(assigned, steps)],
+                len(group))
+        except EnumerationOverflow:
+            graph = None
+        images = dict(graph or ())
+        if graph is None or len(images) != len(graph):
+            raise InvalidActionError(
+                "generator assignment is inconsistent with the group table")
+        if len(images) != len(group):
+            raise InvalidActionError("the labeled generators do not generate the group")
+        pairs = [images[i] for i in group.elements()]
+    return DatumAction._checked(group, [a for a, _ in pairs], [p for _, p in pairs], target)
 
 
 def orbit(action, root_index):
@@ -446,13 +445,19 @@ class Coinvariants:
 
 def coinvariants(action):
     """Compute the coinvariant quotient, the fixed cocharacter lattice,
-    and the restricted pairing, verifying every structural identity."""
+    and the restricted pairing, verifying every structural identity.
+
+    The relations (1 - g)v and the equations of the fixed cocharacters
+    are taken from the generator images g only.  They span the same
+    relation lattice as every image's, since every image is a word in
+    them and (1 - x.g)v = (1 - x)v + (1 - g)v - (1 - x)(1 - g)v; and a
+    cocharacter fixed by the generator images is fixed by their
+    products."""
     datum = action.datum
     n = datum.rank
+    moving = [aut for aut in action.generator_images if not aut.is_identity()]
     relations = []
-    for aut in action.images:
-        if aut.is_identity():
-            continue
+    for aut in moving:
         for k in range(n):
             e = identity_matrix(n)[k]
             r = vec_sub(e, aut.apply(e))
@@ -460,9 +465,7 @@ def coinvariants(action):
                 relations.append(r)
     quotient = quotient_lattice(n, tuple(relations))
     stacked = []
-    for aut in action.images:
-        if aut.is_identity():
-            continue
+    for aut in moving:
         delta = tuple(
             tuple(aut.on_cocharacters[i][j] - int(i == j) for j in range(n))
             for i in range(n)
@@ -518,6 +521,11 @@ def _check_coinvariants(cv):
     """Raise AssertionError unless the maps of ``cv`` satisfy every
     structural identity.
 
+    Invariance is checked on the generator images A only, which
+    suffices since every image is a product of them: P A = P, A S = S
+    and A' v = v for each of them give the same for their products.
+    For the relations (1 - A)v the argument of ``coinvariants`` holds.
+
     The identities on ``cv.average`` are checked on S = |G| average, an
     integer matrix for the average ``coinvariants`` builds: A S = S for
     every image A, and S . projection = sum over the group of the A.
@@ -533,7 +541,7 @@ def _check_coinvariants(cv):
     scaled = tuple(tuple(y if y.denominator != 1 else int(y)
                          for y in (size * x for x in row))
                    for row in cv.average)
-    for aut in action.images:
+    for aut in action.generator_images:
         # projection factors through the group: P(gamma x) = P(x)
         if mat_mul(cv.projection, aut.on_characters) != cv.projection:
             raise AssertionError("projection is not invariant under the action")
@@ -563,7 +571,7 @@ def _check_coinvariants(cv):
         # pair to zero against every fixed cocharacter
         if mat_mul(scaled, cv.projection) != _group_sum(action):
             raise AssertionError("embedding depends on the choice of preimage")
-        for aut in action.images:
+        for aut in action.generator_images:
             for k in range(n):
                 e = identity_matrix(n)[k]
                 rel = vec_sub(e, aut.apply(e))
@@ -627,11 +635,13 @@ def fixed_weyl(action, *, bound=None):
 
 
 def actions_commute(a, b):
-    """Elementwise commutation of two actions on the same datum."""
+    """Elementwise commutation of two actions on the same datum, tested
+    on their generator images: what commutes with y and y' commutes
+    with y y'."""
     if a.datum is not b.datum and a.datum != b.datum:
         return False
-    for x in a.images:
-        for y in b.images:
+    for x in a.generator_images:
+        for y in b.generator_images:
             if mat_mul(x.on_characters, y.on_characters) != mat_mul(
                     y.on_characters, x.on_characters):
                 return False

@@ -53,21 +53,21 @@ from .rootdatum import (
 # without compiling them.
 
 # Largest group a document may declare, refused before any group table
-# is built.  Checking an action costs |G|^2 matrix products: at this cap
-# E8 with -1 parses in 0.86 s (CPython 3.11, one Xeon core), against
-# 0.25 s over Z/2.
+# is built.  Checking an action costs |G| matrix products per generator:
+# at this cap make_action of E8 with -1 takes 0.016 s (CPython 3.11, one
+# core of a shared 2-vCPU host), against 0.004 s over Z/2.
 MAX_GROUP_ORDER = 64
 
 # Largest rank and most action blocks a document may declare, refused
-# before any matrix product.  A block costs |G| images, each a rank^3
-# inverse plus a rank^2 product per root, and a document may repeat
-# blocks.  parse_datum times (CPython 3.11, one core of a shared 2-vCPU
-# host), each block over cyclic:64:
-#   torus, a 64-cycle (rank >= 64) or a 16- or 32-cycle:
-#     rank 16: 0.09 s;  rank 32: 0.53 s;  rank 64: 3.5 s;
-#     rank 96: 10.7 s;  rank 160: 50 s
-#   E8 x E8 (rank 16, 480 roots), the factor swap: 1.1 s for one block,
-#     3.4 s for four; a rank-16 torus with four blocks: 0.30 s
+# before any matrix product.  A block costs a rank^3 inverse plus a
+# rank^2 product per root for each generator and a matrix product for
+# each of its |G| images, and a document may repeat blocks.  Times
+# (CPython 3.11, one core of a shared 2-vCPU host), each block over
+# cyclic:64:
+#   make_action on a torus, a 64-cycle (rank >= 64) or a 16- or 32-cycle:
+#     rank 16: 0.04 s;  rank 32: 0.25 s;  rank 64: 1.8 s
+#   parse_datum of E8 x E8 (rank 16, 480 roots), the factor swap:
+#     0.12 s for one block, 0.29 s for four
 MAX_RANK = 16
 MAX_ACTION_BLOCKS = 4
 

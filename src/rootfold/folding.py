@@ -20,6 +20,7 @@ from .action import (
     actions_commute,
     coinvariants,
     fixed_weyl,
+    make_action,
     orbit,
     orthogonal_orbit,
 )
@@ -197,16 +198,18 @@ def _quotient_map(cv, aut):
 
 
 def _descend_action(other, cv, restricted):
-    """Push a commuting action down to the restricted datum."""
-    pairing = None if restricted.has_standard_pairing else restricted.pairing_matrix
-    images = []
-    for aut in other.images:
-        m = _quotient_map(cv, aut)
+    """Push a commuting action down to the restricted datum, through
+    the quotient maps of its generator images.  The others descend with
+    them: m_x . proj = proj . A_x and m_y . proj = proj . A_y give
+    m_x m_y . proj = proj . A_x A_y."""
+    gens = []
+    for g in other.group.generating_set:
+        m = _quotient_map(cv, other.images[g])
         if m is None:
             raise InvalidActionError(
                 "commuting action does not descend to the quotient")
-        images.append(DatumAutomorphism.from_matrix(m, pairing))
-    return DatumAction.build(other.group, images, restricted)
+        gens.append((m, other.group.labels[g]))
+    return make_action(restricted, gens, group=other.group)
 
 
 def induced_fixed_map(fold, aut):

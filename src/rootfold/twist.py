@@ -509,7 +509,9 @@ def twist_datum(based, galois_star, cocycle, gamma_action=None):
 
     The images c(s) . s* are formed with their root permutations from
     those the cocycle keeps for its values (``StarCocycle``) by
-    ``DatumAction._left_multiplied``."""
+    ``DatumAction._left_multiplied``.  The cocycle values are checked to
+    commute with the generator images of ``gamma_action``, and so with
+    their products, every image."""
     datum = based.datum
     if not galois_star.is_based:
         raise InvalidActionError("the Galois star action must stabilize the base")
@@ -518,7 +520,7 @@ def twist_datum(based, galois_star, cocycle, gamma_action=None):
             raise InvalidActionError("cocycle was built against a different star action")
     if gamma_action is not None:
         for v in cocycle.values:
-            for g in gamma_action.images:
+            for g in gamma_action.generator_images:
                 if mat_mul(v.on_characters, g.on_characters) != mat_mul(
                         g.on_characters, v.on_characters):
                     raise InvalidActionError("cocycle values are not fixed by the action")

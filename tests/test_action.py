@@ -478,12 +478,18 @@ def test_base_lifts_refuse_a_lift_that_does_not_commute(monkeypatch):
             read(a3_flip())
 
 
-def test_build_keeps_the_root_permutations_it_checked():
+def test_make_action_keeps_the_root_permutations_it_checked():
+    # the permutations of the non-generator images are composed, not
+    # mapped, in both the closure and the explicit-group mode
     from rootfold.rootdatum import root_permutation
+    from rootfold.selftest import node_permutation_matrix
 
-    act = a3_flip()
-    assert "root_perms" in vars(act)
-    assert act.root_perms == tuple(root_permutation(act.datum, a) for a in act.images)
+    d4 = from_cartan_type("D4:sc").datum
+    triality = node_permutation_matrix({0: 2, 1: 1, 2: 3, 3: 0}, 4)
+    for act in (a3_flip(), make_action(d4, [(triality, "t")]),
+                make_action(d4, [(triality, 1)], group=FiniteGroup.cyclic(6))):
+        assert "root_perms" in vars(act)
+        assert act.root_perms == tuple(root_permutation(act.datum, a) for a in act.images)
 
 
 def test_actions_commute():

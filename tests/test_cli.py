@@ -420,6 +420,39 @@ def test_group_order_at_the_cap_verifies(tmp_path, group):
     assert f"group order {cli.MAX_GROUP_ORDER})" in out
 
 
+IDENTITY_AT_1 = {"element": 1, "matrix": [[1, 0], [0, 1]]}
+NOT_UNIMODULAR_AT_1 = {"element": 1, "matrix": [[0, 2], [1, 0]]}
+
+
+@pytest.mark.parametrize("extra, first", [
+    (IDENTITY_AT_1, True),
+    (IDENTITY_AT_1, False),
+    (None, False),
+    (NOT_UNIMODULAR_AT_1, True),
+], ids=["identity-before", "identity-after", "same-twice", "bad-matrix-before"])
+def test_a_repeated_group_element_is_one_parse_error(tmp_path, extra, first):
+    # the second generator for element 1 used to overwrite the first,
+    # so the verdict and the fold depended on the order of the entries;
+    # the repeat is refused before any matrix of the block is checked
+    def mutate(o):
+        gens = o["actions"]["gamma"]["generators"]
+        other = extra or gens[0]
+        o["actions"]["gamma"]["generators"] = [other, *gens] if first else [*gens, other]
+    path = _mutated_a2_flip(tmp_path, mutate)
+    _assert_single_parse_error(path, "actions.gamma: group element 1 has two generators")
+    code, out = run_cli("fold", path)
+    assert code == 2 and len(out.splitlines()) == 1
+
+
+def test_generators_beyond_the_group_order_are_refused_at_once(tmp_path):
+    def mutate(o):
+        o["actions"]["gamma"]["generators"] *= 10 ** 4
+    path = _mutated_a2_flip(tmp_path, mutate)
+    start = time.perf_counter()
+    _assert_single_parse_error(path, "group element 1 has two generators")
+    assert time.perf_counter() - start < 1.0
+
+
 def _cyclic_torus(tmp_path, rank, blocks=1):
     """A torus document with ``blocks`` galois blocks over cyclic:64,
     each generated by a cycle on the first coordinates: a 64-cycle from

@@ -1,5 +1,7 @@
 """The shared breadth-first closure and the homomorphism extension that
-``make_action`` runs through it, against a brute-force oracle."""
+``make_action`` runs through it, against a brute-force oracle; and the
+checks that look at generator images only, against references that
+look at every image."""
 
 from functools import lru_cache
 from itertools import permutations
@@ -7,13 +9,28 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rootfold.action import DatumAction, FiniteGroup, make_action
+from rootfold.action import (
+    DatumAction,
+    FiniteGroup,
+    actions_commute,
+    coinvariants,
+    make_action,
+)
 from rootfold.errors import EnumerationOverflow, InvalidActionError
-from rootfold.lattice import identity_matrix, mat_mul
+from rootfold.folding import restrict
+from rootfold.lattice import (
+    identity_matrix,
+    integer_kernel,
+    mat_mul,
+    mat_vec,
+    quotient_lattice,
+    vec_sub,
+)
 from rootfold.rootdatum import (
     DatumAutomorphism,
     closure,
     from_cartan_type,
+    root_permutation,
     weyl_group,
 )
 from rootfold.twist import equivariant_automorphism_group
@@ -72,21 +89,6 @@ def test_generator_closure_overflow_message():
                        match="^generator closure exceeds 2 elements$"):
         make_action(d, [(rot, "r")], closure_bound=2)
     assert len(make_action(d, [(rot, "r")], closure_bound=3).group) == 3
-
-
-# ---------------------------------------------------------------------------
-# DatumAction.build checks the cocharacter matrix it is handed
-
-
-def test_build_rejects_a_wrong_cocharacter_matrix():
-    d = from_cartan_type("A2:sc").datum
-    flip = ((0, 1), (1, 0))
-    good = DatumAutomorphism.from_matrix(flip)
-    ident = DatumAutomorphism.identity(2)
-    assert DatumAction.build(FiniteGroup.cyclic(2), [ident, good], d).images[1] == good
-    bad = DatumAutomorphism(flip, ((1, 0), (0, 1)))
-    with pytest.raises(InvalidActionError, match="not the contragredient"):
-        DatumAction.build(FiniteGroup.cyclic(2), [ident, bad], d)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +211,7 @@ def homomorphism_failure(group, images):
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_build_accepts_exactly_the_homomorphisms(data):
+def test_checked_accepts_exactly_the_homomorphisms(data):
     name = data.draw(st.sampled_from(sorted(GROUPS)), label="group")
     spec = data.draw(st.sampled_from(sorted(DATA)), label="datum")
     group = GROUPS[name]
@@ -222,13 +224,14 @@ def test_build_accepts_exactly_the_homomorphisms(data):
                        label="redrawn elements"):
         images[x] = data.draw(st.sampled_from(matrices), label="value")
     auts = [DatumAutomorphism.from_matrix(m) for m in images]
+    perms = [root_permutation(datum, a) for a in auts]
     failure = homomorphism_failure(group, images)
     if failure is None:
-        action = DatumAction.build(group, auts, datum)
+        action = DatumAction._checked(group, auts, perms, datum)
         assert [a.on_characters for a in action.images] == images
         return
     with pytest.raises(InvalidActionError) as err:
-        DatumAction.build(group, auts, datum)
+        DatumAction._checked(group, auts, perms, datum)
     message = str(err.value)
     if images[group.identity] != identity_matrix(datum.rank):
         assert message == "identity element must act trivially"
@@ -250,3 +253,123 @@ def test_labels_that_do_not_generate_are_rejected():
         make_action(d, [(flip, 2)], group=FiniteGroup.cyclic(4))
     with pytest.raises(InvalidActionError, match="do not generate"):
         make_action(d, [], group=FiniteGroup.cyclic(2))
+
+
+# ---------------------------------------------------------------------------
+# checks made on generator images, against references over every image
+
+
+def every_action(spec, target):
+    """The action of every homomorphism from every group of GROUPS into
+    the automorphisms of DATA[spec], each built from the images of its
+    group's generating set."""
+    out = []
+    for name, group in sorted(GROUPS.items()):
+        for hom in all_homomorphisms(name, spec):
+            gens = [(hom[x], group.labels[x]) for x in group.generating_set]
+            out.append(make_action(target, gens, group=group))
+    return out
+
+
+def commute_on_every_pair(a, b):
+    return all(mat_mul(x.on_characters, y.on_characters)
+               == mat_mul(y.on_characters, x.on_characters)
+               for x in a.images for y in b.images)
+
+
+@pytest.mark.parametrize("spec", sorted(DATA))
+def test_actions_commute_agrees_with_every_pair_of_images(spec):
+    actions = every_action(spec, from_cartan_type(spec).datum)
+    outcomes = set()
+    for a in actions:
+        for b in actions:
+            expected = commute_on_every_pair(a, b)
+            assert actions_commute(a, b) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("spec", sorted(DATA))
+def test_coinvariants_hold_against_every_image(spec):
+    datum = from_cartan_type(spec).datum
+    n = datum.rank
+    basis = identity_matrix(n)
+    for action in every_action(spec, datum):
+        cv = coinvariants(action)
+        relations = [vec_sub(e, a.apply(e)) for a in action.images for e in basis]
+        for r in relations:
+            assert not any(cv.project(r))
+        for a in action.images:
+            for v in cv.fixed_basis:
+                assert a.apply_cochar(v) == v
+        stacked = [tuple(a.on_cocharacters[i][j] - int(i == j) for j in range(n))
+                   for a in action.images for i in range(n)]
+        assert cv.fixed_basis == integer_kernel(stacked)
+        quotient = quotient_lattice(n, relations)
+        assert (cv.projection, cv.torsion) == (quotient.projection,
+                                               quotient.torsion_invariants)
+
+
+@pytest.mark.parametrize("spec", sorted(DATA))
+def test_restrict_descends_every_image_of_a_commuting_action(spec):
+    based = from_cartan_type(spec)
+    flip = ((0, 1), (1, 0))
+    outcomes = set()
+    for gamma in (make_action(based, [(flip, "g")]),
+                  make_action(based, [], group=FiniteGroup.trivial())):
+        for other in every_action(spec, based.datum):
+            outcomes.add(commute_on_every_pair(gamma, other))
+            if not commute_on_every_pair(gamma, other):
+                with pytest.raises(InvalidActionError, match="fails to commute"):
+                    restrict(gamma, (other,))
+                continue
+            fold = restrict(gamma, (other,))
+            cv = fold.coinvariants
+            induced, = fold.induced
+            assert induced.group is other.group
+            for a, m in zip(other.images, induced.images):
+                quotient_map = mat_mul(cv.projection, mat_mul(a.on_characters, cv.section))
+                assert m.on_characters == quotient_map
+                assert mat_mul(quotient_map, cv.projection) == mat_mul(
+                    cv.projection, a.on_characters)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("spec", sorted(DATA))
+def test_the_base_check_names_the_least_element_that_moves_the_base(spec):
+    based = from_cartan_type(spec)
+    simple = {based.datum.roots[k] for k in based.base}
+    outcomes = set()
+    for name, group in sorted(GROUPS.items()):
+        for hom in all_homomorphisms(name, spec):
+            gens = [(hom[x], group.labels[x]) for x in group.generating_set]
+            moving = [x for x in group.elements()
+                      if {mat_vec(hom[x], r) for r in simple} != simple]
+            outcomes.add(not moving)
+            if not moving:
+                make_action(based, gens, group=group)
+                continue
+            with pytest.raises(InvalidActionError) as err:
+                make_action(based, gens, group=group)
+            label = group.labels[moving[0]]
+            assert str(err.value) == f"element {label!r} does not stabilize the base"
+    assert outcomes == {True, False}
+
+
+def test_make_action_maps_the_roots_by_the_generators_only(monkeypatch):
+    # E8 x E8 with the factor swap over Z/64: one generator, so one
+    # root permutation computed from matrices; the other 63 images have
+    # theirs composed
+    import rootfold.action as action_module
+
+    calls = []
+    real = action_module.root_permutation
+    monkeypatch.setattr(action_module, "root_permutation",
+                        lambda *args: calls.append(1) or real(*args))
+    based = from_cartan_type("E8:sc x E8:sc")
+    swap = tuple(tuple(int(j == (i + 8) % 16) for j in range(16)) for i in range(16))
+    action = make_action(based, [(swap, 1)], group=FiniteGroup.cyclic(64))
+    assert len(calls) == 1
+    perm_of = {a: real(based.datum, a) for a in set(action.images)}
+    assert len(perm_of) == 2
+    assert action.root_perms == tuple(perm_of[a] for a in action.images)
