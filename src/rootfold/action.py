@@ -311,6 +311,14 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
     ``DatumAction._left_multiplied``).  ``DatumAction._checked`` then
     checks the homomorphism law and the base.
 
+    The closed group's table is sorted as the images are, by
+    ``sort_key``.  Only its generator columns are matrix products.  The
+    column of b lists the index of x . b for every x, and holds b at the
+    identity x = e.  For b = y . g with g a generator,
+    x . b = (x . y) . g, so the column of b is the column of g read at
+    the column of y, one index map; closing the identity column under
+    these maps gives every column, as the generators generate.
+
     The explicit case closes (e, I) and the assigned pairs (g, A_g)
     under (x, A) -> (x g, A A_g), giving the subgroup H of G x Aut they
     generate.  The assignment extends to a homomorphism on the subgroup
@@ -345,11 +353,13 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
         pairs = closure([ident], steps, closure_bound, "generator closure")
         pairs.sort(key=lambda pair: pair[0].sort_key())
         index = {a.on_characters: i for i, (a, _) in enumerate(pairs)}
-        table = tuple(
-            tuple(index[mat_mul(a.on_characters, b.on_characters)] for b, _ in pairs)
-            for a, _ in pairs
-        )
-        group = FiniteGroup(tuple(range(len(pairs))), table, check=False)
+        gen_columns = [tuple(index[mat_mul(a.on_characters, g.on_characters)]
+                             for a, _ in pairs) for g, _ in gens]
+        e = index[ident[0].on_characters]
+        columns = closure([tuple(range(len(pairs)))],
+                          [lambda col, g=g: permutation_getter(col)(g) for g in gen_columns])
+        group = FiniteGroup(tuple(range(len(pairs))),
+                            zip(*sorted(columns, key=lambda col: col[e])), check=False)
     else:
         try:
             graph = closure(

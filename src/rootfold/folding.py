@@ -11,7 +11,7 @@ possibly non-reduced even when the source is reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .action import (
@@ -173,50 +173,46 @@ def restrict(action, commuting_actions=()):
     if base_problems:
         raise AssertionError(f"restricted base is invalid: {base_problems}")
 
-    induced = tuple(
-        _descend_action(other, cv, restricted) for other in commuting_actions)
-
-    return RestrictedDatum(
+    fold = RestrictedDatum(
         datum=restricted,
         base=base,
         source=action,
         coinvariants=cv,
         fibers=tuple(fibers),
         provenance=tuple(provenance),
-        induced=induced,
+        induced=(),
     )
+    return replace(fold, induced=tuple(
+        _descend_action(other, fold) for other in commuting_actions))
 
 
-def _quotient_map(cv, aut):
-    """m = proj . A . section for the character matrix A of ``aut``, or
-    None unless m . proj = proj . A, i.e. unless A descends to the
-    quotient."""
-    m = mat_mul(cv.projection, mat_mul(aut.on_characters, cv.section))
-    if mat_mul(m, cv.projection) != mat_mul(cv.projection, aut.on_characters):
-        return None
-    return m
-
-
-def _descend_action(other, cv, restricted):
+def _descend_action(other, fold):
     """Push a commuting action down to the restricted datum, through
-    the quotient maps of its generator images.  The others descend with
-    them: m_x . proj = proj . A_x and m_y . proj = proj . A_y give
-    m_x m_y . proj = proj . A_x A_y."""
-    gens = []
-    for g in other.group.generating_set:
-        m = _quotient_map(cv, other.images[g])
-        if m is None:
-            raise InvalidActionError(
-                "commuting action does not descend to the quotient")
-        gens.append((m, other.group.labels[g]))
-    return make_action(restricted, gens, group=other.group)
+    the induced maps (``induced_fixed_map``) of its generator images.
+    The others descend with them: m_x . proj = proj . A_x and
+    m_y . proj = proj . A_y give m_x m_y . proj = proj . A_x A_y.
+
+    Every image A descends, so no refusal is needed here: ``restrict``
+    has checked that A commutes with every image g of the folded
+    action, so A maps each relation (1 - g)v to (1 - g)Av, another
+    relation, and maps the relation lattice, and its saturation, the
+    kernel of proj, into themselves.  So proj . A vanishes on the
+    kernel of proj and factors through it; as proj is onto, it is
+    m . proj for m = proj . A . section.  ``induced_fixed_map`` keeps
+    the check m . proj = proj . A as an AssertionError."""
+    gens = [(induced_fixed_map(fold, other.images[g]), other.group.labels[g])
+            for g in other.group.generating_set]
+    return make_action(fold.datum, gens, group=other.group)
 
 
 def induced_fixed_map(fold, aut):
-    """The matrix induced on the quotient by a source automorphism whose
-    induced map is well defined (e.g. a fixed Weyl element)."""
-    m = _quotient_map(fold.coinvariants, aut)
-    if m is None:
+    """The matrix m = proj . A . section induced on the quotient by a
+    source automorphism A whose induced map is well defined (e.g. a
+    fixed Weyl element, or an image of a commuting action); raises
+    AssertionError unless m . proj = proj . A."""
+    cv = fold.coinvariants
+    m = mat_mul(cv.projection, mat_mul(aut.on_characters, cv.section))
+    if mat_mul(m, cv.projection) != mat_mul(cv.projection, aut.on_characters):
         raise AssertionError("automorphism does not descend to the quotient")
     return m
 

@@ -141,16 +141,21 @@ class RootDatum:
         return integer_kernel(rows, cols=self.rank)
 
     @cached_property
-    def independent_roots(self):
-        """Indices of a basis of the span of the roots, each root taken
-        in order when it is independent of those before it."""
+    def _root_basis(self):
+        """(chosen, fixed, adj, d): indices of a basis of the span of the
+        roots, each root taken in order when it is independent of those
+        before it; a basis of the annihilator of the coroots; and the
+        adjugate and determinant of the matrix [r_i | z_j] with those
+        columns, read by ``_automorphisms_from_permutations``."""
         chosen = []
         for i, r in enumerate(self.roots):
             if span_rank([self.roots[j] for j in chosen] + [r]) > len(chosen):
                 chosen.append(i)
             if len(chosen) == self.rank:
                 break
-        return tuple(chosen)
+        fixed = list(self.coroot_annihilator)
+        basis = [self.roots[i] for i in chosen] + fixed
+        return (tuple(chosen), fixed) + adjugate_and_det(transpose(tuple(basis)))
 
     @cached_property
     def _canonical_system(self):
@@ -266,23 +271,37 @@ class WeylGroup:
 
     The Weyl group of a root datum acts faithfully on its roots
     (``verify_axioms`` proves it), so the permutation of the root
-    indices names an element; ``perms`` lists them in closure order and
-    ``len`` is known at once.  ``generators`` holds the permutations the
-    group was closed from, when it was built as a closure.  The group
-    may be any group of automorphisms, such as the one
+    indices names an element; ``perms`` lists them in closure order.
+    ``generators`` holds the permutations the group was closed from, when
+    it was built as a closure.  The group may be any group of
+    automorphisms, such as the one
     ``twist.equivariant_automorphism_group`` returns: permutations name
     Weyl elements on any datum, and every automorphism on semisimple
-    data, where the roots span the characters over Q.  The
-    automorphisms themselves, and the canonical order sorting them by
-    character matrix, are built on first use of ``elements``, iteration,
-    ``index`` or ``in``; ``sorted_perms`` lists the permutations in that
-    canonical order."""
+    data, where the roots span the characters over Q.
 
-    def __init__(self, datum, perms, generators=()):
+    The order can be known before the closure: built with ``perms=None``
+    and an ``order``, the group holds its generators only, ``len`` gives
+    the stored order, and ``perms`` closes the generators on first use
+    and raises AssertionError unless the closure has exactly that many
+    elements.  The automorphisms themselves, and the canonical order
+    sorting them by character matrix, are built on first use of
+    ``elements``, iteration, ``index`` or ``in``; ``sorted_perms`` lists
+    the permutations in that canonical order."""
+
+    def __init__(self, datum, perms, generators=(), order=None):
         self.datum = datum
-        self.perms = tuple(perms)
-        self.order = len(self.perms)
         self.generators = tuple(generators)
+        if perms is not None:
+            vars(self)["perms"] = tuple(perms)
+        self.order = len(self.perms) if order is None else order
+
+    @cached_property
+    def perms(self):
+        ident = tuple(range(len(self.datum.roots)))
+        perms = tuple(closure([ident], [permutation_getter(g) for g in self.generators]))
+        if len(perms) != self.order:
+            raise AssertionError(f"the generators do not close to {self.order} elements")
+        return perms
 
     @cached_property
     def _canonical(self):
@@ -430,12 +449,10 @@ def _automorphisms_from_permutations(datum, perms):
     With r_i independent roots and z_j a basis of that annihilator,
     [r_i | z_j] is invertible (see ``verify_axioms``), so the character
     matrix is [w r_i | z_j] [r_i | z_j]^-1, computed with the adjugate
-    and one exact division.  The cocharacter matrix is the
-    contragredient, read off the matrix of the inverse permutation."""
-    chosen = datum.independent_roots
-    fixed = list(datum.coroot_annihilator) if len(chosen) < datum.rank else []
-    basis = [datum.roots[i] for i in chosen] + fixed
-    adj, d = adjugate_and_det(transpose(tuple(basis)))
+    kept on the datum (``RootDatum._root_basis``) and one exact
+    division.  The cocharacter matrix is the contragredient, read off
+    the matrix of the inverse permutation."""
+    chosen, fixed, adj, d = datum._root_basis
     inverse = {p: _invert_permutation(p) for p in perms}
     mats = {}
     for p in set(perms) | set(inverse.values()):

@@ -192,14 +192,16 @@ def star_action(action, base):
 
 def equivariant_automorphism_group(based, commuting_with=None, bound=WEYL_BOUND):
     """All datum automorphisms commuting with the given action, as a
-    ``WeylGroup`` of root permutations: the closure of the W^Gamma
-    lifts (``DatumAction.base_lifts``, which generate W^Gamma, see
+    ``WeylGroup`` that holds its generators and its order and closes
+    only when a caller iterates it.  The generators are those of W^Gamma
+    (``DatumAction.base_lifts``, which generate W^Gamma, see
     ``fixed_weyl``; with no action, the simple reflections of the base)
-    and the diagram maps of the action's base that commute with
-    the action (see ``_diagram_maps``).  ``len`` is known at once;
-    iteration and ``elements`` give the automorphisms sorted by
-    ``sort_key``, built on first use.  Requires a semisimple datum and,
-    when given, a based action.
+    followed by the diagram maps of the action's base that commute with
+    the action (see ``_diagram_maps``), D^Gamma.  W^Gamma is the group
+    ``fixed_weyl`` (or ``weyl_group``) keeps for that action (or datum),
+    so no closure runs when it is already known.  Raises
+    EnumerationOverflow when the order passes ``bound``.  Requires a
+    semisimple datum and, when given, a based action.
 
     Why they generate: let f commute with Gamma and let B be the base
     Gamma stabilizes.  Then f(B) is a Gamma-stable base, since
@@ -210,25 +212,32 @@ def equivariant_automorphism_group(based, commuting_with=None, bound=WEYL_BOUND)
     diagram map of B that commutes with Gamma.  The commutation test,
     d o g = g o d for the permutation g of each generator image, runs on
     root permutations; that is exact because the roots span the
-    characters over Q."""
+    characters over Q.
+
+    Why the order is |W^Gamma| |D^Gamma|: the product map
+    (w, d) -> w.d is onto, and one to one because w.d = w'.d' makes
+    w'^-1 w = d' d^-1 a Weyl element fixing B, the identity by simple
+    transitivity.  W^Gamma is normal (f w f^-1 is a Weyl element that
+    commutes with Gamma), so Aut^Gamma is the semidirect product."""
     datum = based.datum
     if not datum.is_semisimple:
         raise UnsupportedDatumError(
             "automorphism groups are only computed for semisimple data")
-    if commuting_with is None:
-        b, gammas = based, []
-        gens = [reflection_permutation(datum, i) for i in based.base]
-    else:
-        if not commuting_with.is_based:
-            raise InvalidActionError("the commuting action must stabilize a base")
-        b = commuting_with.target
-        gammas = commuting_with.generator_perms
-        gens = [lift for _, lift in commuting_with.base_lifts.values()]
-    gens += [d for _, d in _diagram_maps(b, b)
-             if all(permutation_getter(g)(d) == permutation_getter(d)(g) for g in gammas)]
-    perms = closure([tuple(range(len(datum.roots)))],
-                    [permutation_getter(p) for p in gens], bound, "automorphism group")
-    return WeylGroup(datum, perms, gens)
+    if commuting_with is not None and not commuting_with.is_based:
+        raise InvalidActionError("the commuting action must stabilize a base")
+    b = based if commuting_with is None else commuting_with.target
+    gammas = () if commuting_with is None else commuting_with.generator_perms
+    try:
+        weyl = (weyl_group(datum, base=based.base, bound=bound) if commuting_with is None
+                else fixed_weyl(commuting_with, bound=bound))
+    except EnumerationOverflow:
+        weyl = None   # then the group, which holds it, passes the bound too
+    diagram = [d for _, d in _diagram_maps(b, b)
+               if all(permutation_getter(g)(d) == permutation_getter(d)(g) for g in gammas)]
+    if weyl is None or len(weyl) * len(diagram) > bound:
+        raise EnumerationOverflow(f"automorphism group exceeds {bound} elements")
+    return WeylGroup(datum, None, weyl.generators + tuple(diagram),
+                     order=len(weyl) * len(diagram))
 
 
 def _diagram_maps(based1, based2):
@@ -278,51 +287,66 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND):
     assignment of module elements to the generators is tried, which is
     exhaustive and deterministic.
 
-    A cocycle is a homomorphic section g -> (c(g), g) of W x| Gal, with
-    (v, g)(w, h) = (v . g*(w), gh).  Each assignment s -> a_s is closed
-    from (1, e) under (v, g) -> (v . g*(a_s), g s), which gives the
-    subgroup H the pairs (a_s, s) generate; the assignment extends to a
-    cocycle exactly when H is the graph of a map (see ``make_action``).
-    H maps onto Gal, so it is a graph unless the closure passes |Gal|.
-    ``StarCocycle.build`` checks the law again on every cocycle returned.
+    A cocycle c with c(s) = a_s on the generators s satisfies
+    c(g s) = c(g) . g*(a_s) for every g and s.  One breadth-first
+    spanning tree of the Cayley graph of the group (vertices the
+    elements, an edge g -> g s per generator s) fixes c along its edges
+    from c(1) = 1, and the assignment is kept exactly when the other
+    edges agree.  That suffices: then the pairs (c(g), g) are closed
+    under right multiplication by the pairs (a_s, s) of W x| Gal, with
+    (v, g)(w, h) = (v . g*(w), gh), so they contain the subgroup H those
+    pairs generate.  H maps onto Gal, so it has at least |Gal| elements,
+    as many as the pairs: H is the graph of c, a homomorphic section,
+    and c is a cocycle.  For Z/n this is the norm equation
+    w . s*(w) ... (s^(n-1))*(w) = 1 on w = c(s).  The values are
+    products of module elements and their star twists, so they lie in
+    the module.  ``StarCocycle.build`` checks the law again on every
+    cocycle returned.
 
     Everything runs on the stored root permutations of the module,
     exactly: the values are Weyl elements, so each is determined by its
     permutation (W acts faithfully on the roots, see ``verify_axioms``),
-    and s*(w) = s* w s*^-1 has the permutation q o p o q^-1.  Matrices
-    are built only for the values of the cocycles returned."""
+    and s*(w) = s* w s*^-1 has the permutation q o p o q^-1.  The twist
+    by each star image other than the identity is tabled once over the
+    module.  The module is closed under it when it maps the generators of
+    the module into the module (all of ``perms`` when there are none):
+    the twist is an automorphism of the symmetric group of the roots, so
+    the image of the module is the group generated by the images of its
+    generators.  Matrices are built only for the values of the cocycles
+    returned."""
     datum = module.datum
-    star = tuple(star)
     star_perms = tuple(_permutation(datum, s) for s in star)
-    members = frozenset(module.perms)
-    twisted = []
-    for q in star_perms:
-        conj = _conjugation(q)
-        table = {p: conj(p) for p in module.perms}
-        if not members.issuperset(table.values()):
+    ident = tuple(range(len(datum.roots)))
+    tables = {}
+    for q in set(star_perms) - {ident}:
+        table = tables[q] = dict(zip(module.perms, map(_conjugation(q), module.perms)))
+        if not all(table[p] in table for p in module.generators or module.perms):
             raise ValueError("module is not closed under the star twist")
-        twisted.append(table)
     gens = galois.generating_set
     if gens and len(module) ** len(gens) > bound:
         raise EnumerationOverflow(
             f"{len(module)}^{len(gens)} generator assignments exceed {bound}")
 
-    n = len(galois)
-    seed = [(galois.identity, tuple(range(len(datum.roots))))]
-
-    def times(s, a):
-        return lambda pair: (galois.mul(pair[0], s),
-                             permutation_getter(twisted[pair[0]][a])(pair[1]))
-
+    # (g, k, g s_k, table of g*) per edge of the Cayley graph, in
+    # breadth-first order: the first edge into each element is its tree
+    # edge
+    edges = [(g, k, galois.mul(g, s), tables.get(star_perms[g]))
+             for g in closure([galois.identity],
+                              [lambda x, s=s: galois.mul(x, s) for s in gens])
+             for k, s in enumerate(gens)]
     found = []
     for assignment in product(module.perms, repeat=len(gens)):
-        steps = [times(s, a) for s, a in zip(gens, assignment)]
-        try:
-            values = dict(closure(seed, steps, n))
-        except EnumerationOverflow:
-            continue
-        if members.issuperset(values.values()):
-            found.append(tuple(values[i] for i in range(n)))
+        values = [None] * len(galois)
+        values[galois.identity] = ident
+        for g, k, h, table in edges:
+            t = assignment[k] if table is None else table[assignment[k]]
+            v = t if values[g] is ident else permutation_getter(t)(values[g])
+            if values[h] is None:
+                values[h] = v
+            elif values[h] != v:
+                break
+        else:
+            found.append(tuple(values))
     cocycles = _cocycles_from_permutations(galois, datum, star, star_perms, found)
     cocycles.sort(key=lambda c: c.sort_key())
     return tuple(cocycles)
@@ -549,11 +573,15 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
     of datum2, so w o m passes them exactly when m does.
 
     Equivariance, cand o pi1(g) = pi2(g) o cand for the root maps of the
-    generators g of each paired group, is checked on root permutations,
-    which is exact because both data are semisimple: the roots span the
-    characters over Q.  Candidates are taken by image positive system,
-    in the order of the sorted index lists, then by the tuple of images
-    of the base (``_search_order``)."""
+    generators g of each paired group, is checked on the canonical base
+    of datum1 only, which is exact because both data are semisimple:
+    both sides are lattice maps datum1 -> datum2, and the base spans the
+    characters over Q, so two of them that agree on the base are equal.
+    The candidates are taken in the order of ``_search_order``: by image
+    positive system, in the order of the sorted index lists, then by
+    the tuple of images of the base.  W(datum2) is closed under
+    ``bound`` when that order is built; an order kept on the datum is
+    used as it is, as no closure runs."""
     for d in (datum1, datum2):
         if not d.is_semisimple:
             raise UnsupportedDatumError(
@@ -571,33 +599,36 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
                          BasedRootDatum(datum2, canonical_base(datum2)))
     if not maps:
         return None
-    weyl = weyl_group(datum2, bound=bound)
     orders = datum1._search_orders if datum1 is datum2 else {}
     if base1 not in orders:
-        orders[base1] = _search_order(base1, weyl, maps)
-    pairs = [(permutation_getter(a1.root_perms[g]), a2.root_perms[g])
+        orders[base1] = _search_order(base1, weyl_group(datum2, bound=bound), maps)
+    pairs = [(a1.root_perms[g], a2.root_perms[g])
              for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
-    candidate = [permutation_getter(images) for _, images in maps]
-    for w, k in orders[base1]:
-        cand = candidate[k](w)
-        if all(after(cand) == permutation_getter(cand)(p2) for after, p2 in pairs):
+    # per diagram map m and pair: w -> (w o m o pi1(g))(base1), and pi2(g)
+    # to read at the kept (w o m)(base1)
+    checks = [[(permutation_getter([images[p1[i]] for i in base1]), p2)
+               for p1, p2 in pairs] for _, images in maps]
+    for w, k, on_base in orders[base1]:
+        after = permutation_getter(on_base)
+        if all(before(w) == after(p2) for before, p2 in checks[k]):
             return _automorphisms_from_permutations(datum2, [w])[0] * maps[k][0]
     return None
 
 
 def _search_order(base1, weyl, maps):
     """The candidates w o m of ``equivariant_isomorphic`` in search
-    order, as (w, index of m in ``maps``): w in W by the sorted index
-    list of its image of the canonical positive system, then by the
-    images of ``base1`` under w o m.  When both sides are the same datum
-    the order is cached on it, keyed by the canonical base."""
+    order, as (w, index of m in ``maps``, images of ``base1`` under
+    w o m): w in W by the sorted index list of its image of the
+    canonical positive system, then by the images of ``base1``, which
+    differ between the maps (a diagram map is fixed by its node
+    matching).  When both sides are the same datum the order is cached
+    on it, keyed by the canonical base."""
     translate = permutation_getter(sorted(positive_system(weyl.datum)))
-    on_base = permutation_getter(base1)
-    candidate = [permutation_getter(images) for _, images in maps]
+    on_base = [permutation_getter([images[i] for i in base1]) for _, images in maps]
     order = []
     for w in sorted(weyl.perms, key=lambda w: sorted(translate(w))):
-        ranked = sorted(range(len(maps)), key=lambda k: on_base(candidate[k](w)))
-        order.extend((w, k) for k in ranked)
+        order.extend((w, k, image)
+                     for image, k in sorted((f(w), k) for k, f in enumerate(on_base)))
     return tuple(order)
 
 

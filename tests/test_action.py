@@ -123,6 +123,22 @@ def test_closure_builds_group_table():
     assert len(act.group) == 2
 
 
+@pytest.mark.parametrize("spec, order", [("A2:sc", 6), ("B3:sc", 48), ("B4:sc", 384)])
+def test_closed_group_table_is_the_full_product_table(spec, order):
+    # the table is built from the generator columns by index maps; it
+    # must be the table of every matrix product
+    from rootfold.rootdatum import reflection
+
+    b = from_cartan_type(spec)
+    act = make_action(b.datum, [(reflection(b.datum, i).on_characters, i)
+                                for i in b.base])
+    mats = [a.on_characters for a in act.images]
+    assert len(mats) == order and mats == sorted(mats)
+    index = {m: i for i, m in enumerate(mats)}
+    assert act.group.table == tuple(tuple(index[mat_mul(x, y)] for y in mats)
+                                    for x in mats)
+
+
 # ---------------------------------------------------------------------------
 # orbits
 

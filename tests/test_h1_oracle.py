@@ -1,5 +1,6 @@
-"""H1 class counts against closed forms, and classes of partial cocycle
-lists against the matrix reference.
+"""H1 class counts against closed forms, classes of partial cocycle
+lists against the matrix reference, and Z1 against the assignment
+closure ``z1_enumerate`` ran before it walked one spanning tree.
 
 For the trivial Z/2 Galois action the star action is trivial, a cocycle
 is a Weyl element w with w^2 = 1, and cobounding by k is conjugation
@@ -26,13 +27,21 @@ the twisted classes onto the classes above: 5 again.
 """
 
 import random
+from itertools import product
 
 import pytest
 
 from rootfold.action import FiniteGroup, fixed_weyl, make_action
-from rootfold.errors import InvalidActionError
+from rootfold.errors import EnumerationOverflow, InvalidActionError
 from rootfold.lattice import identity_matrix
-from rootfold.rootdatum import from_cartan_type, weyl_group
+from rootfold.rootdatum import (
+    _invert_permutation,
+    closure,
+    from_cartan_type,
+    permutation_getter,
+    root_permutation,
+    weyl_group,
+)
 from rootfold.twist import (
     equivariant_automorphism_group,
     h1_classes,
@@ -41,7 +50,7 @@ from rootfold.twist import (
     z1_enumerate,
 )
 
-from test_h1_reference import H1_CASES, classes_of, flip, reference_h1_classes
+from test_h1_reference import H1_CASES, classes_of, flip, neg, reference_h1_classes
 
 
 def count_a(n):
@@ -130,3 +139,67 @@ def test_automorphism_group_refuses_an_unbased_action():
     based = from_cartan_type("A2:sc")
     with pytest.raises(InvalidActionError):
         equivariant_automorphism_group(based, commuting_with=z2(based.datum, flip(2)))
+
+
+def reference_z1(galois, star, module):
+    """The value permutations of every cocycle, sorted, as
+    ``z1_enumerate`` found them before it walked one spanning tree: each
+    assignment s -> a_s of module elements to the generators is closed
+    from (1, e) under (v, g) -> (v . g*(a_s), g s), and kept when the
+    closure is the graph of a map into the module."""
+    datum = module.datum
+    ident = tuple(range(len(datum.roots)))
+    star_perms = [root_permutation(datum, s) for s in star]
+
+    def twist(g, a):
+        q = star_perms[g]
+        return permutation_getter(_invert_permutation(q))(permutation_getter(a)(q))
+
+    members = set(module.perms)
+    found = []
+    for assignment in product(module.perms, repeat=len(galois.generating_set)):
+        steps = [lambda pair, s=s, a=a: (galois.mul(pair[0], s),
+                                         permutation_getter(twist(pair[0], a))(pair[1]))
+                 for s, a in zip(galois.generating_set, assignment)]
+        try:
+            values = dict(closure([(galois.identity, ident)], steps, len(galois)))
+        except EnumerationOverflow:
+            continue
+        if members.issuperset(values.values()):
+            found.append(tuple(values[g] for g in galois.elements()))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("case", H1_CASES, ids=[c[0] for c in H1_CASES])
+def test_z1_matches_the_assignment_closure(case):
+    cocycles, module, _ = case_groups(case)
+    star = cocycles[0].star
+    galois = cocycles[0].galois
+    assert sorted(c.value_perms for c in cocycles) == reference_z1(galois, star, module)
+
+
+# Z/2 x Z/2, generated by (1, 0) and (0, 1): the type and the matrices
+# of the two generators
+KLEIN_CASES = [
+    ("A1xA1 swap and trivial", "A1:sc x A1:sc", flip, identity_matrix),
+    ("A2 flip and -1", "A2:sc", flip, neg),
+    ("A3 flip and -1", "A3:sc", flip, neg),
+    ("B2 trivial and -1", "B2:sc", identity_matrix, neg),
+]
+
+
+@pytest.mark.parametrize("case", KLEIN_CASES, ids=[c[0] for c in KLEIN_CASES])
+def test_z1_matches_the_assignment_closure_on_a_noncyclic_group(case):
+    _, spec, first, second = case
+    based = from_cartan_type(spec)
+    datum = based.datum
+    n = datum.rank
+    klein = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    galois = make_action(datum, [(first(n), (1, 0)), (second(n), (0, 1))], group=klein)
+    assert len(klein.generating_set) == 2
+    star_act, _ = star_action(galois, based.base)
+    module = weyl_group(datum, base=based.base)
+    cocycles = z1_enumerate(klein, star_act.images, module)
+    assert cocycles
+    assert sorted(c.value_perms for c in cocycles) == reference_z1(
+        klein, star_act.images, module)

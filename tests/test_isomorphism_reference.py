@@ -10,6 +10,9 @@ a matrix, maps roots to roots and coroots to the matching coroots.
 ``reference_automorphism_group`` multiplies every Weyl element by every
 base-preserving automorphism as matrices and keeps the products whose
 character matrices commute with every group image.
+``full_permutation_isomorphic`` is the search as it ran before it
+tested equivariance on one base: the same candidates in the same order,
+each checked on every root.
 """
 
 from itertools import permutations
@@ -29,16 +32,21 @@ from rootfold.lattice import (
 from rootfold.rootdatum import (
     BasedRootDatum,
     DatumAutomorphism,
+    WeylGroup,
+    _automorphisms_from_permutations,
     base_of,
     canonical_base,
     contragredient,
     from_cartan_type,
+    permutation_getter,
     positive_systems,
     root_permutation,
     weyl_group,
 )
 from rootfold.selftest import node_permutation_matrix
 from rootfold.twist import (
+    _diagram_maps,
+    _search_order,
     equivariant_automorphism_group,
     equivariant_isomorphic,
     star_action,
@@ -46,7 +54,7 @@ from rootfold.twist import (
     z1_enumerate,
 )
 
-from test_h1_reference import H1_CASES, neg
+from test_h1_reference import H1_CASES, flip, neg
 from test_rootdatum import skew_realization
 
 
@@ -117,6 +125,21 @@ def reference_automorphism_group(based, commuting_with=None):
     return tuple(sorted(out.values(), key=lambda a: a.sort_key()))
 
 
+def full_permutation_isomorphic(datum1, actions1, datum2, actions2):
+    if datum1.rank != datum2.rank or len(datum1.roots) != len(datum2.roots):
+        return None
+    base1 = canonical_base(datum1)
+    maps = _diagram_maps(BasedRootDatum(datum1, base1),
+                         BasedRootDatum(datum2, canonical_base(datum2)))
+    pairs = [(permutation_getter(a1.root_perms[g]), a2.root_perms[g])
+             for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
+    for w, k, _ in _search_order(base1, weyl_group(datum2), maps):
+        cand = permutation_getter(maps[k][1])(w)
+        if all(after(cand) == permutation_getter(cand)(p2) for after, p2 in pairs):
+            return _automorphisms_from_permutations(datum2, [w])[0] * maps[k][0]
+    return None
+
+
 def key(aut):
     return None if aut is None else (aut.on_characters, aut.on_cocharacters)
 
@@ -128,14 +151,34 @@ def z2(datum, matrix):
 def assert_isomorphic_matches(datum1, actions1, datum2, actions2):
     got = key(equivariant_isomorphic(datum1, actions1, datum2, actions2))
     assert got == key(reference_isomorphic(datum1, actions1, datum2, actions2))
+    assert got == key(full_permutation_isomorphic(datum1, actions1, datum2, actions2))
     return got
 
 
 def assert_group_matches(based, commuting_with=None):
     got = equivariant_automorphism_group(based, commuting_with=commuting_with)
-    assert [key(a) for a in got] == [
-        key(a) for a in reference_automorphism_group(based, commuting_with)]
+    reference = reference_automorphism_group(based, commuting_with)
+    # the order is known before the closure, which then runs lazily
+    assert "perms" not in vars(got)
+    assert len(got) == len(reference)
+    assert [key(a) for a in got] == [key(a) for a in reference]
+    assert len(got.perms) == len(got)
     return got
+
+
+@pytest.mark.parametrize("spec, matrix", [("A2:sc", None), ("A3:sc", flip),
+                                          ("D4:sc", None)])
+def test_a_wrong_stored_order_fails_the_lazy_closure(spec, matrix):
+    based = from_cartan_type(spec)
+    gamma = None if matrix is None else make_action(based, [(matrix(based.datum.rank), "s")])
+    auts = equivariant_automorphism_group(based, commuting_with=gamma)
+    for order in (len(auts) - 1, len(auts) + 1, 2 * len(auts)):
+        wrong = WeylGroup(based.datum, None, auts.generators, order=order)
+        assert len(wrong) == order
+        with pytest.raises(AssertionError,
+                           match=f"^the generators do not close to {order} elements$"):
+            wrong.perms
+    assert len(WeylGroup(based.datum, None, auts.generators, order=len(auts)).perms) == len(auts)
 
 
 def twisted_actions(based, galois, gamma):

@@ -203,21 +203,26 @@ def test_aut_group_a2_flip_centralizer():
     assert len(auts) == 4
 
 
-def test_aut_group_reads_the_lifts_without_closing_the_fixed_subgroup(monkeypatch):
-    import rootfold.twist as twist_module
+def test_aut_group_reads_the_lifts_and_closes_the_fixed_subgroup_once(monkeypatch):
+    import rootfold.action as action_module
+    from rootfold.rootdatum import closure
 
     # A3 flip: |W^Gamma| = 8, and the flip itself commutes with Gamma
     b = from_cartan_type("A3:sc")
     gamma = make_action(b, [(flip_matrix(3), "s")])
-    calls = []
-    monkeypatch.setattr(twist_module, "fixed_weyl",
-                        lambda *a, **k: calls.append(a) or fixed_weyl(*a, **k))
+    closures = []
+
+    def counted(seeds, maps, bound=None, what="closure"):
+        closures.append(what)
+        return closure(seeds, maps, bound, what)
+
+    monkeypatch.setattr(action_module, "closure", counted)
     auts = equivariant_automorphism_group(b, commuting_with=gamma)
-    assert len(auts) == 16 and calls == []
+    assert len(auts) == 16 and closures.count("reflection group") == 1
     assert auts.generators[:2] == tuple(lift for _, lift in gamma.base_lifts.values())
     galois = make_action(b.datum, [(neg_matrix(3), 1)], group=FiniteGroup.cyclic(2))
     h1_with_image(b, galois, gamma_action=gamma)
-    assert len(calls) == 1   # the module only
+    assert closures.count("reflection group") == 1   # W^Gamma, closed once
 
 
 def test_aut_group_overflow_with_a_commuting_action():
