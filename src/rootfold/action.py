@@ -28,6 +28,8 @@ from .rootdatum import (
     DatumAutomorphism,
     WeylGroup,
     closure,
+    compose,
+    identity_permutation,
     permutation_getter,
     reflection_permutation,
     root_permutation,
@@ -177,7 +179,7 @@ class DatumAction:
         ``group.generating_set`` other than the identity, sorted.  A
         permutation commutes with, or a set is stable under, every
         image exactly when it is for these."""
-        ident = tuple(range(len(self.datum.roots)))
+        ident = identity_permutation(len(self.datum.roots))
         return tuple(sorted({self.root_perms[g] for g in self.group.generating_set}
                             - {ident}))
 
@@ -205,7 +207,7 @@ class DatumAction:
         ``fixed_weyl``); each is checked to commute with the image of
         every generator of the group, which raises AssertionError."""
         datum = self.datum
-        ident = tuple(range(len(datum.roots)))
+        ident = identity_permutation(len(datum.roots))
         lifts = {}
         for k in self.target.base:
             orb = orbit(self, k)
@@ -217,9 +219,9 @@ class DatumAction:
                 s = reflection_permutation(datum, j)
                 if s is None:
                     raise AssertionError("reflection does not permute the roots")
-                lift = permutation_getter(s)(lift)
+                lift = compose(lift, s)
             for p in self.generator_perms:
-                if permutation_getter(p)(lift) != permutation_getter(lift)(p):
+                if compose(lift, p) != compose(p, lift):
                     raise AssertionError(
                         "lifted reflection does not commute with the action")
             lifts[orb] = (xi, lift)
@@ -246,8 +248,7 @@ class DatumAction:
         the coroots, with permutation q o p.  The checks of ``_checked``
         still run."""
         images = [f * a for f, a in zip(factors, action.images)]
-        perms = [permutation_getter(p)(q)
-                 for q, p in zip(factor_perms, action.root_perms)]
+        perms = [compose(q, p) for q, p in zip(factor_perms, action.root_perms)]
         return cls._checked(action.group, images, perms, target)
 
     @classmethod
@@ -344,11 +345,11 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
             for mat, label in generators]
 
     def times(aut, perm):
-        compose = permutation_getter(perm)
-        return lambda pair: (pair[0] * aut, compose(pair[1]))
+        right = permutation_getter(perm)
+        return lambda pair: (pair[0] * aut, right(pair[1]))
 
     steps = [times(*g) for g in gens]
-    ident = (DatumAutomorphism.identity(datum.rank), tuple(range(len(datum.roots))))
+    ident = (DatumAutomorphism.identity(datum.rank), identity_permutation(len(datum.roots)))
     if group == "closure":
         pairs = closure([ident], steps, closure_bound, "generator closure")
         pairs.sort(key=lambda pair: pair[0].sort_key())
@@ -357,7 +358,7 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
                              for a, _ in pairs) for g, _ in gens]
         e = index[ident[0].on_characters]
         columns = closure([tuple(range(len(pairs)))],
-                          [lambda col, g=g: permutation_getter(col)(g) for g in gen_columns])
+                          [lambda col, g=g: compose(g, col) for g in gen_columns])
         group = FiniteGroup(tuple(range(len(pairs))),
                             zip(*sorted(columns, key=lambda col: col[e])), check=False)
     else:
@@ -632,7 +633,7 @@ def fixed_weyl(action, *, bound=None):
         if kept is not None and len(kept) <= bound:
             return kept
         lifts = [lift for _, lift in action.base_lifts.values()]
-        perms = closure([tuple(range(len(datum.roots)))],
+        perms = closure([identity_permutation(len(datum.roots))],
                         [permutation_getter(lift) for lift in lifts],
                         bound, "reflection group")
         kept = vars(action)["_fixed_weyl"] = WeylGroup(datum, perms, lifts)
@@ -640,7 +641,7 @@ def fixed_weyl(action, *, bound=None):
     fixed = weyl_group(datum, bound=bound).perms
     for p in action.generator_perms:
         after = permutation_getter(p)
-        fixed = [w for w in fixed if after(w) == permutation_getter(w)(p)]
+        fixed = [w for w in fixed if after(w) == compose(p, w)]
     return WeylGroup(datum, fixed)
 
 

@@ -38,6 +38,9 @@ from .rootdatum import (
     BasedRootDatum,
     DatumAutomorphism,
     RootDatum,
+    as_permutation,
+    compose,
+    identity_permutation,
     is_positive_system,
     is_reduced,
     permutation_getter,
@@ -331,11 +334,14 @@ def weyl_descent_iso(fold, bound=WEYL_BOUND):
         raise AssertionError(
             f"|restricted Weyl| = {len(w_bar)} != |fixed subgroup| = {len(w_fixed)}")
 
-    fiber_index = fold.fiber_index
-    reps = permutation_getter([fib[0] for fib in fold.fibers])
+    # p -> fiber_index o p o reps, with both index maps in the
+    # representation of the source permutations
+    n = len(source.roots)
+    reps = as_permutation([fib[0] for fib in fold.fibers], n)
+    fiber_index = as_permutation(fold.fiber_index, n)
 
     def descend(p):
-        return permutation_getter(reps(p))(fiber_index)
+        return as_permutation(compose(fiber_index, compose(p, reps)))
 
     images = [descend(p) for p in w_fixed.perms]
     if not set(w_bar.perms).issuperset(images):
@@ -382,7 +388,9 @@ def _check_multiplicative(perms, generators, images):
     The table is walked column by column in the same breadth-first
     order.  The column of y holds the index of x . y for every x.  With
     right_h the index map of right multiplication by h, the column of
-    y = x . h is right_h read at the column of x: one itemgetter call.
+    y = x . h is right_h read at the column of x: one ``compose``.  The
+    columns are permutations of the n indices, in the representation
+    ``identity_permutation(n)`` gives.
     The column of phi(y) in the table of G-bar, numbered through
     ``images``, is built the same way from phi(x) and phi(h); its entry
     at the identity is then the index of phi(x) phi(h), so equal
@@ -390,17 +398,17 @@ def _check_multiplicative(perms, generators, images):
     columns by induction, and their equality is
     phi(p_i p_y) = phi(p_i) phi(p_y) for every i.  Only the columns of
     two breadth-first layers are held at a time."""
-    if images[0] != tuple(range(len(images[0]))):
+    if images[0] != identity_permutation(len(images[0])):
         raise AssertionError("descent is not multiplicative")
     n = len(perms)
     index = {p: i for i, p in enumerate(perms)}
     index_bar = {q: i for i, q in enumerate(images)}
-    right = [tuple(map(index.__getitem__, map(permutation_getter(h), perms)))
+    right = [as_permutation(list(map(index.__getitem__, map(permutation_getter(h), perms))))
              for h in generators]
-    right_bar = [tuple(map(index_bar.__getitem__,
-                           map(permutation_getter(images[index[h]]), images)))
+    right_bar = [as_permutation(list(map(index_bar.__getitem__,
+                                         map(permutation_getter(images[index[h]]), images))))
                  for h in generators]
-    ident = tuple(range(n))
+    ident = identity_permutation(n)
     columns = {0: (ident, ident)}
     fresh = 1   # columns are built for the indices below, in order
     for x in range(n):
@@ -412,8 +420,7 @@ def _check_multiplicative(perms, generators, images):
             raise AssertionError("descent is not multiplicative")
         for h, h_bar in zip(right, right_bar):
             if h[x] == fresh:
-                columns[fresh] = (permutation_getter(col)(h),
-                                  permutation_getter(col_bar)(h_bar))
+                columns[fresh] = (compose(h, col), compose(h_bar, col_bar))
                 fresh += 1
 
 
@@ -471,7 +478,9 @@ def invariant_positive_systems(fold, bound=WEYL_BOUND):
     in W^Gamma (Steinberg, Endomorphisms of linear algebraic groups,
     1968).  Distinct w give distinct w(P), by the same simple
     transitivity."""
-    translate = permutation_getter(sorted(fold.source.target.positive_system))
+    source = fold.source.datum
+    translate = permutation_getter(as_permutation(
+        sorted(fold.source.target.positive_system), len(source.roots)))
     systems = {frozenset(translate(p))
                for p in fixed_weyl(fold.source, bound=bound).perms}
     return tuple(sorted(systems, key=sorted))

@@ -23,8 +23,9 @@ it or the ``decimal`` module it pulls in.
 The products and vector operations below run through ``map`` over the
 ``operator`` functions, so the inner loops stay in C.
 
-Ranks in scope are tiny (at most 8), so everything is dense and the
-normal-form algorithms favor clarity and determinism over asymptotics.
+Ranks in scope are small (at most 16, the cap ``cli.MAX_RANK`` puts on
+a document), so everything is dense and the normal-form algorithms
+favor clarity and determinism over asymptotics.
 """
 
 from __future__ import annotations

@@ -286,18 +286,23 @@ class WeylGroup:
     elements.  The automorphisms themselves, and the canonical order
     sorting them by character matrix, are built on first use of
     ``elements``, iteration, ``index`` or ``in``; ``sorted_perms`` lists
-    the permutations in that canonical order."""
+    the permutations in that canonical order.  Permutations given as
+    tuples are converted on entry (``as_permutation``)."""
 
     def __init__(self, datum, perms, generators=(), order=None):
         self.datum = datum
-        self.generators = tuple(generators)
+        self.generators = tuple(map(as_permutation, generators))
         if perms is not None:
-            vars(self)["perms"] = tuple(perms)
+            perms = tuple(perms)
+            # a caller passes one representation: tuples are converted
+            if perms and as_permutation(perms[0]) is not perms[0]:
+                perms = tuple(map(as_permutation, perms))
+            vars(self)["perms"] = perms
         self.order = len(self.perms) if order is None else order
 
     @cached_property
     def perms(self):
-        ident = tuple(range(len(self.datum.roots)))
+        ident = identity_permutation(len(self.datum.roots))
         perms = tuple(closure([ident], [permutation_getter(g) for g in self.generators]))
         if len(perms) != self.order:
             raise AssertionError(f"the generators do not close to {self.order} elements")
@@ -366,7 +371,7 @@ def root_permutation(datum, aut):
         perm.append(j)
     if len(set(perm)) != len(perm):
         return None
-    return tuple(perm)
+    return as_permutation(perm)
 
 
 def reflection_permutation(datum, k):
@@ -401,16 +406,64 @@ def _reflection_permutation(datum, k):
         perm.append(j)
     if len(set(perm)) != len(perm):
         return None
-    return tuple(perm)
+    return as_permutation(perm)
 
 
-def permutation_getter(indices):
-    """The map s -> tuple(s[i] for i in indices), run in C by
-    ``operator.itemgetter``.  On root permutations, permutation_getter(q)
-    sends p to the composite p o q (first q, then p)."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda s: tuple(s[i] for i in indices)
+# Root permutations.  A permutation of n points is the sequence of the
+# images of 0, ..., n - 1: ``bytes`` when n <= 256, so that composing
+# is one ``bytes.translate`` and hashing reads a flat buffer, and a
+# tuple of ints above (E8 x E8 has 480 roots).  Only the helpers below
+# look at the representation.  Bytes and tuples of the same entries sort
+# alike, but the hash of bytes depends on PYTHONHASHSEED: a set of
+# permutations must never be iterated into an output or an order.
+
+_BYTE_POINTS = 256
+_IDENTITY_BYTES = bytes(range(_BYTE_POINTS))
+
+
+def identity_permutation(n):
+    """The identity permutation of n points."""
+    return _IDENTITY_BYTES[:n] if n <= _BYTE_POINTS else tuple(range(n))
+
+
+def as_permutation(seq, n=None):
+    """``seq``, a sequence of indices of n points (by default
+    n = len(seq)), in the representation of the permutations of n
+    points; a permutation already in it comes back unchanged."""
+    if type(seq) is bytes:
+        return seq
+    return bytes(seq) if (len(seq) if n is None else n) <= _BYTE_POINTS else tuple(seq)
+
+
+def compose(p, q):
+    """p o q (first q, then p): the entries of p at the indices q, for
+    p and q in one representation.  On bytes it is one translate, with p
+    padded to a full table (q reads none of the padding)."""
+    if type(q) is bytes:
+        return q.translate(p.ljust(_BYTE_POINTS))
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(p[i] for i in q)
+
+
+def permutation_getter(q):
+    """The map p -> p o q of ``compose``, for a q that is used many
+    times.  ``q`` may also be a shorter sequence of indices, in the
+    representation of p (``as_permutation(indices, len(p))``): the map
+    then reads the entries of p at those indices."""
+    if type(q) is bytes:
+        return lambda p: q.translate(p.ljust(_BYTE_POINTS))
+    if len(q) > 1:
+        return itemgetter(*q)
+    return lambda p: tuple(p[i] for i in q)
+
+
+def _invert_permutation(p):
+    if type(p) is bytes:
+        # the table sends p[i] to i; past n it is the identity
+        return bytes.maketrans(p, _IDENTITY_BYTES[:len(p)])[:len(p)]
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
 
 
 def closure(seeds, maps, bound=None, what="closure"):
@@ -474,13 +527,6 @@ def _automorphisms_from_permutations(datum, perms):
     return out
 
 
-def _invert_permutation(p):
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
 def weyl_group(datum, base=None, bound=WEYL_BOUND):
     """Breadth-first closure of the simple reflection permutations of
     ``base`` (by default the canonical base), which generate W; no
@@ -506,8 +552,8 @@ def weyl_group(datum, base=None, bound=WEYL_BOUND):
     if perms is None and base is None:
         perms = next((p for p in kept.values() if set(gens) <= set(p)), None)
     if perms is None or len(perms) > bound:
-        ident = tuple(range(len(datum.roots)))
-        perms = tuple(closure([ident], [permutation_getter(p) for p in gens], bound,
+        perms = tuple(closure([identity_permutation(len(datum.roots))],
+                              [permutation_getter(p) for p in gens], bound,
                               "reflection group"))
     kept[key] = perms
     return WeylGroup(datum, perms, gens)
@@ -606,7 +652,7 @@ def _conjugate_reflections(cache, checked):
             for s_j in checked:
                 k = s_j[i]
                 if k not in cache:
-                    cache[k] = permutation_getter(s_j)(permutation_getter(s_i)(s_j))
+                    cache[k] = compose(s_j, compose(s_i, s_j))
                     reached.append(k)
         frontier = reached
 
@@ -663,7 +709,8 @@ def positive_system(datum):
 def positive_systems(datum, bound=WEYL_BOUND):
     """All positive systems, as Weyl translates of the canonical one."""
     w = weyl_group(datum, bound=bound)
-    translate = permutation_getter(sorted(positive_system(datum)))
+    translate = permutation_getter(as_permutation(sorted(positive_system(datum)),
+                                                  len(datum.roots)))
     systems = {frozenset(translate(p)) for p in w.perms}
     return tuple(sorted(systems, key=sorted))
 

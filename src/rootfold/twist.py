@@ -35,10 +35,13 @@ from .rootdatum import (
     WeylGroup,
     _automorphisms_from_permutations,
     _invert_permutation,
+    as_permutation,
     canonical_base,
     cartan_matchings,
     closure,
+    compose,
     contragredient,
+    identity_permutation,
     permutation_getter,
     positive_system,
     reflection_permutation,
@@ -70,14 +73,14 @@ def _transport(based, perm):
     neg_of = datum.negation
 
     current = frozenset(perm[i] for i in pos)
-    w_perm = tuple(range(len(datum.roots)))
+    w_perm = identity_permutation(len(datum.roots))
     guard = len(datum.roots) + 1
     while current != pos:
         step = next((d for d in based.base if neg_of[d] in current), None)
         if step is None:
             raise InvalidActionError("image of the base is not a base of the roots")
         current = frozenset(simple_perm[step][i] for i in current)
-        w_perm = permutation_getter(simple_perm[step])(w_perm)
+        w_perm = compose(w_perm, simple_perm[step])
         guard -= 1
         if guard < 0:
             raise InvalidActionError("base transport did not terminate")
@@ -92,7 +95,7 @@ def _conjugation(q):
     w, the result is the permutation of g w g^-1, again a Weyl element
     (g s_a g^-1 = s_{g(a)})."""
     after = permutation_getter(_invert_permutation(q))
-    return lambda p: after(permutation_getter(p)(q))
+    return lambda p: after(compose(q, p))
 
 
 def _check_twisted_law(galois, value_perms, star_perms):
@@ -102,7 +105,7 @@ def _check_twisted_law(galois, value_perms, star_perms):
         twist = _conjugation(star_perms[s])
         after_s = value_perms[s]
         for t in galois.elements():
-            rhs = permutation_getter(twist(value_perms[t]))(after_s)
+            rhs = compose(after_s, twist(value_perms[t]))
             if value_perms[galois.mul(s, t)] != rhs:
                 raise ValueError(
                     f"twisted cocycle law fails at "
@@ -134,13 +137,13 @@ class StarCocycle:
     @classmethod
     def build(cls, galois, datum, values, star, value_perms, star_perms):
         """Validate and construct from the automorphisms and their root
-        permutations."""
-        value_perms = tuple(value_perms)
-        if value_perms[galois.identity] != tuple(range(len(datum.roots))):
+        permutations (tuples are converted, see ``as_permutation``)."""
+        value_perms = tuple(map(as_permutation, value_perms))
+        star_perms = tuple(map(as_permutation, star_perms))
+        if value_perms[galois.identity] != identity_permutation(len(datum.roots)):
             raise ValueError("cocycle must send the identity to the identity")
         _check_twisted_law(galois, value_perms, star_perms)
-        return cls(galois, datum, tuple(values), tuple(star), value_perms,
-                   tuple(star_perms))
+        return cls(galois, datum, tuple(values), tuple(star), value_perms, star_perms)
 
     def twist(self, element, aut):
         s = self.star[element]
@@ -233,7 +236,7 @@ def equivariant_automorphism_group(based, commuting_with=None, bound=WEYL_BOUND)
     except EnumerationOverflow:
         weyl = None   # then the group, which holds it, passes the bound too
     diagram = [d for _, d in _diagram_maps(b, b)
-               if all(permutation_getter(g)(d) == permutation_getter(d)(g) for g in gammas)]
+               if all(compose(d, g) == compose(g, d) for g in gammas)]
     if weyl is None or len(weyl) * len(diagram) > bound:
         raise EnumerationOverflow(f"automorphism group exceeds {bound} elements")
     return WeylGroup(datum, None, weyl.generators + tuple(diagram),
@@ -316,9 +319,9 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND):
     returned."""
     datum = module.datum
     star_perms = tuple(_permutation(datum, s) for s in star)
-    ident = tuple(range(len(datum.roots)))
+    ident = identity_permutation(len(datum.roots))
     tables = {}
-    for q in set(star_perms) - {ident}:
+    for q in sorted(set(star_perms) - {ident}):
         table = tables[q] = dict(zip(module.perms, map(_conjugation(q), module.perms)))
         if not all(table[p] in table for p in module.generators or module.perms):
             raise ValueError("module is not closed under the star twist")
@@ -340,7 +343,7 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND):
         values[galois.identity] = ident
         for g, k, h, table in edges:
             t = assignment[k] if table is None else table[assignment[k]]
-            v = t if values[g] is ident else permutation_getter(t)(values[g])
+            v = t if values[g] is ident else compose(values[g], t)
             if values[h] is None:
                 values[h] = v
             elif values[h] != v:
@@ -410,7 +413,7 @@ def _cobounders(cocycle, cobounding_group):
     def step(k):
         kinv = _invert_permutation(k)
         after = [permutation_getter(conj(k)) for conj in conjugations]
-        return lambda perms: tuple(right(permutation_getter(v)(kinv))
+        return lambda perms: tuple(right(compose(kinv, v))
                                    for v, right in zip(perms, after))
     return [step(k) for k in kappas]
 
@@ -606,11 +609,11 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
              for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
     # per diagram map m and pair: w -> (w o m o pi1(g))(base1), and pi2(g)
     # to read at the kept (w o m)(base1)
-    checks = [[(permutation_getter([images[p1[i]] for i in base1]), p2)
+    n = len(datum2.roots)
+    checks = [[(permutation_getter(as_permutation([images[p1[i]] for i in base1], n)), p2)
                for p1, p2 in pairs] for _, images in maps]
     for w, k, on_base in orders[base1]:
-        after = permutation_getter(on_base)
-        if all(before(w) == after(p2) for before, p2 in checks[k]):
+        if all(before(w) == compose(p2, on_base) for before, p2 in checks[k]):
             return _automorphisms_from_permutations(datum2, [w])[0] * maps[k][0]
     return None
 
@@ -623,8 +626,10 @@ def _search_order(base1, weyl, maps):
     differ between the maps (a diagram map is fixed by its node
     matching).  When both sides are the same datum the order is cached
     on it, keyed by the canonical base."""
-    translate = permutation_getter(sorted(positive_system(weyl.datum)))
-    on_base = [permutation_getter([images[i] for i in base1]) for _, images in maps]
+    n = len(weyl.datum.roots)
+    translate = permutation_getter(as_permutation(sorted(positive_system(weyl.datum)), n))
+    on_base = [permutation_getter(as_permutation([images[i] for i in base1], n))
+               for _, images in maps]
     order = []
     for w in sorted(weyl.perms, key=lambda w: sorted(translate(w))):
         order.extend((w, k, image)
@@ -641,4 +646,4 @@ def _root_images(d1, d2, m):
         if j is None:
             return None
         images.append(j)
-    return tuple(images)
+    return as_permutation(images)

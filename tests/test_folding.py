@@ -12,6 +12,7 @@ from rootfold.folding import (
 )
 from rootfold.lattice import det
 from rootfold.rootdatum import (
+    as_permutation,
     classify,
     from_cartan_type,
     is_reduced,
@@ -464,6 +465,9 @@ def test_descent_matrices_match_induced_maps(spec, n):
 
 
 def naive_multiplicative(perms, images):
+    """phi(p q) = phi(p) phi(q) on every pair, on plain tuples."""
+    perms = [tuple(p) for p in perms]
+    images = [tuple(q) for q in images]
     index = {p: i for i, p in enumerate(perms)}
     for i, p in enumerate(perms):
         for j, q in enumerate(perms):
@@ -518,11 +522,13 @@ def test_column_check_refuses_swapped_images():
 def breadth_first_tree_images(group, generator_images, identity):
     """The map that sends each element x . h, at its first appearance in
     the breadth-first order, to image(x) . image(h): multiplicative on
-    the edges of the breadth-first tree, whatever the generator images."""
-    index = {p: i for i, p in enumerate(group.perms)}
-    images = [identity] + [None] * (len(group.perms) - 1)
-    for x, p in enumerate(group.perms):
-        for h, g in zip(group.generators, generator_images):
+    the edges of the breadth-first tree, whatever the generator images.
+    Everything is a plain tuple."""
+    perms = [tuple(p) for p in group.perms]
+    index = {p: i for i, p in enumerate(perms)}
+    images = [identity] + [None] * (len(perms) - 1)
+    for x, p in enumerate(perms):
+        for h, g in zip(map(tuple, group.generators), generator_images):
             y = index[tuple(p[k] for k in h)]
             if images[y] is None:
                 images[y] = tuple(images[x][k] for k in g)
@@ -544,6 +550,7 @@ def test_column_check_sees_products_off_the_breadth_first_tree():
                                        powers[0])
     assert sorted(images) == sorted(powers)
     assert not naive_multiplicative(group.perms, images)
+    images = [as_permutation(q) for q in images]
     with pytest.raises(AssertionError, match="^descent is not multiplicative$"):
         _check_multiplicative(group.perms, group.generators, images)
     # the same group onto itself through the identity map passes

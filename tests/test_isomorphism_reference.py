@@ -38,7 +38,6 @@ from rootfold.rootdatum import (
     canonical_base,
     contragredient,
     from_cartan_type,
-    permutation_getter,
     positive_systems,
     root_permutation,
     weyl_group,
@@ -126,16 +125,22 @@ def reference_automorphism_group(based, commuting_with=None):
 
 
 def full_permutation_isomorphic(datum1, actions1, datum2, actions2):
+    """The search in ``_search_order``, testing equivariance on every
+    root; permutations are plain tuples here."""
     if datum1.rank != datum2.rank or len(datum1.roots) != len(datum2.roots):
         return None
     base1 = canonical_base(datum1)
     maps = _diagram_maps(BasedRootDatum(datum1, base1),
                          BasedRootDatum(datum2, canonical_base(datum2)))
-    pairs = [(permutation_getter(a1.root_perms[g]), a2.root_perms[g])
+
+    def compose(p, q):
+        return tuple(p[i] for i in q)
+
+    pairs = [(tuple(a1.root_perms[g]), tuple(a2.root_perms[g]))
              for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
     for w, k, _ in _search_order(base1, weyl_group(datum2), maps):
-        cand = permutation_getter(maps[k][1])(w)
-        if all(after(cand) == permutation_getter(cand)(p2) for after, p2 in pairs):
+        cand = compose(tuple(w), tuple(maps[k][1]))
+        if all(compose(cand, p1) == compose(p2, cand) for p1, p2 in pairs):
             return _automorphisms_from_permutations(datum2, [w])[0] * maps[k][0]
     return None
 

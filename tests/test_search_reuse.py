@@ -30,10 +30,11 @@ from rootfold.rootdatum import (
     BasedRootDatum,
     RootDatum,
     _automorphisms_from_permutations,
+    as_permutation,
     canonical_base,
     closure,
     from_cartan_type,
-    permutation_getter,
+    identity_permutation,
     positive_system,
     reflection_permutation,
     root_permutation,
@@ -91,7 +92,13 @@ def pairs(report):
     return out
 
 
+def compose(p, q):
+    """p o q on plain tuples."""
+    return tuple(p[i] for i in q)
+
+
 def reference_isomorphic(datum1, actions1, datum2, actions2):
+    """The search over every w o m, on plain tuple permutations."""
     if datum1.rank != datum2.rank or len(datum1.roots) != len(datum2.roots):
         return None
     base1 = canonical_base(datum1)
@@ -99,17 +106,16 @@ def reference_isomorphic(datum1, actions1, datum2, actions2):
                          BasedRootDatum(datum2, canonical_base(datum2)))
     if not maps:
         return None
-    pairs = [(permutation_getter(a1.root_perms[g]), a2.root_perms[g])
+    pairs = [(tuple(a1.root_perms[g]), tuple(a2.root_perms[g]))
              for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
-    on_base = permutation_getter(base1)
-    translate = permutation_getter(sorted(positive_system(datum2)))
-    gens = [permutation_getter(reflection_permutation(datum2, i))
+    positive = sorted(positive_system(datum2))
+    gens = [lambda p, s=tuple(reflection_permutation(datum2, i)): compose(p, s)
             for i in canonical_base(datum2)]
     weyl = closure([tuple(range(len(datum2.roots)))], gens)
-    for w in sorted(weyl, key=lambda w: sorted(translate(w))):
-        cands = [(permutation_getter(images)(w), m) for m, images in maps]
-        for cand, m in sorted(cands, key=lambda e: on_base(e[0])):
-            if all(after(cand) == permutation_getter(cand)(p2) for after, p2 in pairs):
+    for w in sorted(weyl, key=lambda w: sorted(compose(w, positive))):
+        cands = [(compose(w, tuple(images)), m) for m, images in maps]
+        for cand, m in sorted(cands, key=lambda e: compose(e[0], base1)):
+            if all(compose(cand, p1) == compose(p2, cand) for p1, p2 in pairs):
                 return _automorphisms_from_permutations(datum2, [w])[0] * m
     return None
 
@@ -188,8 +194,8 @@ def test_a_tampered_value_list_is_refused():
     star, _ = star_action(galois, based.base)
     cocycle = z1_enumerate(galois.group, star.images, weyl_group(datum))[0]
     s1, s2 = (reflection_permutation(datum, i) for i in based.base)
-    rotation = permutation_getter(s1)(s2)
-    ident = tuple(range(len(datum.roots)))
+    rotation = as_permutation(compose(tuple(s2), tuple(s1)))
+    ident = identity_permutation(len(datum.roots))
     values = _automorphisms_from_permutations(datum, [ident, rotation])
     message = r"^images are not a homomorphism at \(1, 1\)$"
     for bad in (replace(cocycle, values=tuple(values)),

@@ -1,0 +1,51 @@
+"""Time and peak RSS of two Weyl closures, each in a fresh interpreter:
+``weyl_group`` of E6 (51 840 elements) and ``fixed_weyl`` of the D7
+diagram flip (W(B6), 46 080 elements).  Informational: it prints and
+exits 0.
+
+    PYTHONPATH=src python tools/closure_cost.py
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+
+SETUP = {
+    "weyl_group(E6)": """
+from rootfold.rootdatum import from_cartan_type, weyl_group
+datum = from_cartan_type("E6:sc").datum
+run = lambda: weyl_group(datum)
+""",
+    "fixed_weyl(D7 flip, bound=10**6)": """
+from rootfold.action import fixed_weyl, make_action
+from rootfold.rootdatum import from_cartan_type
+from rootfold.selftest import node_permutation_matrix
+flip = {i: i for i in range(7)}
+flip[5], flip[6] = 6, 5
+action = make_action(from_cartan_type("D7:sc"), [(node_permutation_matrix(flip, 7), "g")])
+run = lambda: fixed_weyl(action, bound=10 ** 6)
+""",
+}
+
+MEASURE = """
+import resource, time
+start = time.perf_counter()
+group = run()
+seconds = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(f"{len(group)} elements, {seconds:.2f} s, peak RSS {peak:.0f} MB")
+"""
+
+
+def main():
+    for name, setup in SETUP.items():
+        run = subprocess.run([sys.executable, "-c", setup + MEASURE],
+                             capture_output=True, text=True)
+        result = run.stdout.strip() or run.stderr.strip().splitlines()[-1]
+        print(f"{name}: {result}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
