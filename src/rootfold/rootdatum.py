@@ -195,8 +195,9 @@ class RootDatum:
 
     @cached_property
     def _weyl_groups(self):
-        # the Weyl group as root permutations, filled by ``weyl_group``
-        # and keyed by the base it was closed from
+        # the Weyl group as root permutations, keyed by the base it was
+        # closed from: filled by ``weyl_group``, and on a restricted datum
+        # by ``folding.weyl_descent_iso`` with the same closure
         return {}
 
     @cached_property

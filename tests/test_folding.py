@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootfold.action import FiniteGroup, fixed_weyl, make_action
 from rootfold.errors import EnumerationOverflow, InvalidActionError
@@ -413,7 +414,11 @@ def test_restrict_refuses_an_orbit_split_in_two(monkeypatch):
 
 
 def test_check_fold_closes_the_fixed_subgroup_once(monkeypatch):
+    # counted in every module that closes: the restricted Weyl group is
+    # not closed again, as the images of the fixed subgroup list it
     import rootfold.action as action_module
+    import rootfold.folding as folding_module
+    import rootfold.rootdatum as rootdatum_module
     from rootfold.rootdatum import closure
     from rootfold.selftest import FOLD_TABLE, check_fold
 
@@ -423,7 +428,8 @@ def test_check_fold_closes_the_fixed_subgroup_once(monkeypatch):
         closures.append(what)
         return closure(seeds, maps, bound, what)
 
-    monkeypatch.setattr(action_module, "closure", counted)
+    for module in (action_module, folding_module, rootdatum_module):
+        monkeypatch.setattr(module, "closure", counted)
     for case in FOLD_TABLE:
         del closures[:]
         assert check_fold(*case)[0] == []
@@ -572,11 +578,14 @@ def reference_invariant_positive_systems(fold):
 
 
 def selftest_fold(name):
-    from rootfold.selftest import FOLD_TABLE
+    from rootfold.selftest import FOLD_TABLE, SLOW_FOLD
 
     if name == "A6 flip":
         return fold_flip("A6:sc", 6)
-    _, spec, builder, *_ = next(case for case in FOLD_TABLE if case[0] == name)
+    if name == "D6 flip":
+        spec, (matrix,), _ = UNLISTED_FOLDS[name]
+        return restrict(make_action(from_cartan_type(spec), [(matrix, "g")]))
+    _, spec, builder, *_ = next(case for case in FOLD_TABLE + [SLOW_FOLD] if case[0] == name)
     return restrict(make_action(from_cartan_type(spec), [(builder(), "g")]))
 
 
@@ -623,3 +632,179 @@ def test_positive_transfer_rejects_non_systems(a3_fold):
             positive_system_transfer(a3_fold, bad, "up")
     with pytest.raises(ValueError, match="unknown direction"):
         positive_system_transfer(a3_fold, inv, "sideways")
+
+
+# ---------------------------------------------------------------------------
+# the descent from one closure: generator maps, kept images, lift checks
+
+
+def descent_images(name):
+    """The fixed subgroup of a table fold and the images of its
+    elements, in closure order."""
+    iso = weyl_descent_iso(selftest_fold(name))
+    group = iso.fixed_subgroup
+    return group, [iso.down[p] for p in group.perms]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["A3 flip", "A4 flip", "A5 flip", "D4 triality"]),
+       data=st.data())
+def test_generator_map_check_agrees_with_naive_double_loop_on_shuffles(name, data):
+    # a shuffle of the non-identity images is almost never multiplicative;
+    # a conjugation of every image is, and shuffles them too
+    from rootfold.folding import _check_multiplicative
+    from rootfold.rootdatum import _invert_permutation, compose
+
+    group, images = descent_images(name)
+    order = data.draw(st.permutations(range(1, len(images))))
+    shuffled = [images[0]] + [images[i] for i in order]
+    if data.draw(st.booleans()):
+        g = shuffled[data.draw(st.integers(0, len(images) - 1))]
+        shuffled = [compose(g, compose(q, _invert_permutation(g))) for q in images]
+    expected = naive_multiplicative(group.perms, shuffled)
+    try:
+        _check_multiplicative(group.perms, group.generators, shuffled)
+        got = True
+    except AssertionError as err:
+        assert str(err) == "descent is not multiplicative"
+        got = False
+    assert got == expected
+
+
+def test_check_refuses_images_outside_the_group_or_repeated():
+    from rootfold.folding import _check_multiplicative
+
+    group, images = descent_images("A5 flip")
+    n = len(images[0])
+    outside = as_permutation([1, 0] + list(range(2, n)))
+    assert outside not in images
+    for k in (1, 5, len(images) - 1):
+        tampered = list(images)
+        tampered[k] = outside
+        with pytest.raises(AssertionError, match="^descent is not multiplicative$"):
+            _check_multiplicative(group.perms, group.generators, tampered)
+    repeated = list(images)
+    repeated[2] = repeated[1]
+    with pytest.raises(AssertionError, match="^fixed subgroup does not act faithfully$"):
+        _check_multiplicative(group.perms, group.generators, repeated)
+    # with no generator, only the identity's image is left to check
+    with pytest.raises(AssertionError, match="^descent is not multiplicative$"):
+        _check_multiplicative(group.perms[:1], [], [outside])
+
+
+def test_check_takes_the_identity_and_repeated_generators():
+    from rootfold.folding import _check_multiplicative
+
+    group, images = descent_images("D4 triality")
+    ident = group.perms[0]
+    gens = [ident, *group.generators, group.generators[0]]
+    right = _check_multiplicative(group.perms, gens, images)
+    assert right[0] == list(range(len(images)))
+    assert right[-1] == right[1]
+    swapped = list(images)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    assert not naive_multiplicative(group.perms, swapped)
+    with pytest.raises(AssertionError, match="^descent is not multiplicative$"):
+        _check_multiplicative(group.perms, gens, swapped)
+
+
+DESCENT_FOLDS = SELFTEST_FOLDS + ["E6 flip", "D6 flip"]
+
+
+@pytest.mark.parametrize("name", DESCENT_FOLDS)
+def test_restricted_weyl_group_is_the_closure_it_replaces(name):
+    from rootfold.rootdatum import RootDatum, reflection_permutation
+
+    fold = selftest_fold(name)
+    d = fold.datum
+    iso = weyl_descent_iso(fold)
+    seeded = weyl_group(d, base=fold.base)
+    assert seeded.perms is iso.restricted_weyl.perms
+    fresh = weyl_group(RootDatum(d.rank, d.roots, d.coroots, d.pairing), base=fold.base)
+    assert seeded.perms == fresh.perms
+    assert all(type(p) is type(q) for p, q in zip(seeded.perms, fresh.perms))
+    assert iso.restricted_weyl.generators == tuple(
+        reflection_permutation(d, b) for b in fold.base)
+
+
+def test_lift_checks_build_no_reflection_of_the_source(monkeypatch):
+    import rootfold.folding as folding_module
+    from rootfold.rootdatum import reflection
+
+    calls = []
+
+    def counted(datum, k):
+        calls.append(datum)
+        return reflection(datum, k)
+
+    monkeypatch.setattr(folding_module, "reflection", counted)
+    for name in DESCENT_FOLDS:
+        fold = selftest_fold(name)
+        del calls[:]
+        weyl_descent_iso(fold)
+        assert not any(datum is fold.source.datum for datum in calls), name
+        assert len(calls) == len(fold.base), name
+
+
+def test_lift_checks_refuse_a_tampered_lift_or_projection(monkeypatch):
+    # the A5 flip: the middle base root is its own orbit, and its two
+    # neighbours form an orthogonal orbit
+    from dataclasses import replace
+
+    from rootfold.rootdatum import compose, identity_permutation, reflection_permutation
+
+    fold = fold_flip("A5:sc", 5)
+    weyl_descent_iso(fold)   # the action keeps W^Gamma, closed from the real lifts
+    act, source = fold.source, fold.source.datum
+    lifts = dict(act.base_lifts)
+    (one, (xi1, lift1)), = [(o, v) for o, v in lifts.items() if len(v[0]) == 1]
+    k = xi1[0]
+    two, j = next((o, j) for o, (xi, _) in lifts.items() for j in xi
+                  if source.pair(source.roots[k], source.coroots[j]))
+    # two non-orthogonal roots: their reflections do not commute
+    pair = (j, k)
+    product = compose(reflection_permutation(source, j), reflection_permutation(source, k))
+    monkeypatch.setitem(vars(act), "base_lifts", {**lifts, two: (pair, product)})
+    with pytest.raises(AssertionError, match="^orthogonal orbit reflections do not commute$"):
+        weyl_descent_iso(fold)
+    # a root and its negative: one reflection twice, which commutes with
+    # itself, but the two roots are not orthogonal
+    ident = identity_permutation(len(source.roots))
+    monkeypatch.setitem(vars(act), "base_lifts",
+                        {**lifts, two: ((j, source.negation[j]), ident)})
+    with pytest.raises(AssertionError, match="^orthogonal orbit reflections do not commute$"):
+        weyl_descent_iso(fold)
+    # the lift times the flip: it descends to the same reflection, but it
+    # is not the product of the reflections over its orthogonal orbit
+    xi, lift = lifts[two]
+    flipped = compose(lift, act.generator_perms[0])
+    monkeypatch.setitem(vars(act), "base_lifts", {**lifts, two: (xi, flipped)})
+    with pytest.raises(AssertionError, match="^orthogonal orbit reflections do not commute$"):
+        weyl_descent_iso(fold)
+    # the lift of one orbit given for another
+    monkeypatch.setitem(vars(act), "base_lifts", {**lifts, two: (xi1, lift1)})
+    with pytest.raises(AssertionError, match="^descent does not send the lift to the reflection$"):
+        weyl_descent_iso(fold)
+    monkeypatch.setitem(vars(act), "base_lifts", lifts)
+    cv = fold.coinvariants
+    skewed = (tuple(x + (i == 0) for i, x in enumerate(cv.projection[0])),) + cv.projection[1:]
+    bad = replace(fold, coinvariants=replace(cv, projection=skewed))
+    with pytest.raises(AssertionError, match="^embedding relation fails on the lattice$"):
+        weyl_descent_iso(bad)
+    weyl_descent_iso(fold)
+
+
+def test_an_orthogonal_cycle_of_forty_lines_folds():
+    # A1^40 under a 40-cycle: one orthogonal orbit of 40 roots, one lift
+    # of 40 commuting reflections, W^Gamma of order 2
+    from rootfold.selftest import node_permutation_matrix
+
+    n = 40
+    based = from_cartan_type(" x ".join(["A1:sc"] * n))
+    cycle = node_permutation_matrix({i: (i + 1) % n for i in range(n)}, n)
+    fold = restrict(make_action(based, [(cycle, "c")]))
+    assert classify(fold.datum) == [("A1", 1)]
+    iso = weyl_descent_iso(fold)
+    assert iso.order == len(iso.fixed_subgroup) == 2
+    (xi, _), = fold.source.base_lifts.values()
+    assert len(xi) == n

@@ -1,7 +1,8 @@
-"""Time and peak RSS of two Weyl closures, each in a fresh interpreter:
-``weyl_group`` of E6 (51 840 elements) and ``fixed_weyl`` of the D7
-diagram flip (W(B6), 46 080 elements).  Informational: it prints and
-exits 0.
+"""Time and peak RSS of two Weyl closures and one descent check, each
+in a fresh interpreter: ``weyl_group`` of E6 (51 840 elements),
+``fixed_weyl`` of the D7 diagram flip (W(B6), 46 080 elements) and
+``weyl_descent_iso`` of the D6 diagram flip (W(B5), 3840 elements, its
+closure included).  Informational: it prints and exits 0.
 
     PYTHONPATH=src python tools/closure_cost.py
 """
@@ -25,6 +26,16 @@ flip = {i: i for i in range(7)}
 flip[5], flip[6] = 6, 5
 action = make_action(from_cartan_type("D7:sc"), [(node_permutation_matrix(flip, 7), "g")])
 run = lambda: fixed_weyl(action, bound=10 ** 6)
+""",
+    "weyl_descent_iso(D6 flip)": """
+from rootfold.action import make_action
+from rootfold.folding import restrict, weyl_descent_iso
+from rootfold.rootdatum import from_cartan_type
+from rootfold.selftest import node_permutation_matrix
+flip = {i: i for i in range(6)}
+flip[4], flip[5] = 5, 4
+fold = restrict(make_action(from_cartan_type("D6:sc"), [(node_permutation_matrix(flip, 6), "g")]))
+run = lambda: weyl_descent_iso(fold).fixed_subgroup
 """,
 }
 
