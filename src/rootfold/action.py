@@ -8,7 +8,6 @@ precondition for the orbit machinery used by folding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EnumerationOverflow, InvalidActionError
@@ -19,6 +18,7 @@ from .lattice import (
     mat_vec,
     quotient_lattice,
     integer_kernel,
+    record,
     transpose,
     vec_sub,
 )
@@ -145,7 +145,7 @@ def _require_automorphism(datum, matrix, context):
     return aut, perm
 
 
-@dataclass(frozen=True)
+@record
 class DatumAction:
     """A homomorphism from a finite abstract group into the automorphisms
     of a (possibly based) root datum."""
@@ -420,7 +420,7 @@ def orthogonal_orbit(action, root_index):
     return tuple(sorted(sums))
 
 
-@dataclass(frozen=True)
+@record
 class Coinvariants:
     """The maps around the coinvariant quotient of the character lattice
     and the fixed sublattice of the cocharacter lattice.

@@ -18,6 +18,10 @@ and named action blocks:
       "flags": {"char_is_two": false} # optional
     }
 
+JSON ``true`` and ``false`` are refused wherever the format asks for an
+integer or an element label: Python reads them as ``bool``, a subclass
+of ``int``, with ``True == 1``.
+
 Emission is canonical (sorted keys, two-space indent, trailing newline),
 so parse followed by emit is the identity on canonical documents.
 """
@@ -27,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .action import FiniteGroup, fixed_weyl, make_action
 from .errors import (
@@ -36,7 +39,7 @@ from .errors import (
     ParseError,
     RootfoldError,
 )
-from .lattice import det
+from .lattice import det, record
 from .rootdatum import (
     BasedRootDatum,
     RootDatum,
@@ -72,7 +75,7 @@ MAX_RANK = 16
 MAX_ACTION_BLOCKS = 4
 
 
-@dataclass
+@record(frozen=False)
 class DatumDocument:
     """A parsed document: the datum, optional base, named actions with
     their role tags, and flags."""
@@ -98,12 +101,17 @@ def _expect(cond, message, context):
         raise ParseError(message, context=context)
 
 
+def _is_int(x):
+    # JSON true and false parse to bool, a subclass of int
+    return type(x) is int
+
+
 def _int_matrix(obj, context, rows=None, cols=None, allow_empty=False):
     if allow_empty and obj == []:
         return ()
     _expect(isinstance(obj, list) and obj and all(isinstance(r, list) for r in obj),
             "expected a nonempty list of integer rows", context)
-    _expect(all(isinstance(x, int) for r in obj for x in r),
+    _expect(all(_is_int(x) for r in obj for x in r),
             "matrix entries must be integers", context)
     widths = {len(r) for r in obj}
     _expect(len(widths) == 1, "matrix rows have unequal lengths", context)
@@ -132,14 +140,16 @@ def _parse_group(obj, context):
     labels = obj["elements"]
     _expect(isinstance(labels, list) and labels, "'elements' must be a nonempty list",
             context)
-    _expect(not any(isinstance(x, (list, dict)) for x in labels),
-            "element labels must not be lists or objects", context)
+    _expect(not any(isinstance(x, (list, dict, bool)) for x in labels),
+            "element labels must not be lists, objects or booleans", context)
     _expect(len(labels) <= MAX_GROUP_ORDER,
             f"group order {len(labels)} is above the cap of {MAX_GROUP_ORDER}",
             context)
+    _expect(not isinstance(obj.get("identity"), bool),
+            "'identity' must not be a boolean", context)
     table = obj["table"]
     _expect(isinstance(table, list) and all(isinstance(r, list) for r in table)
-            and all(isinstance(x, int) for r in table for x in r),
+            and all(_is_int(x) for r in table for x in r),
             "'table' must be a list of rows of element indices", context)
     try:
         return FiniteGroup(tuple(labels), tuple(tuple(r) for r in table),
@@ -160,7 +170,7 @@ def parse_datum(text, source="<string>"):
         _expect(key in {"rank", "roots", "coroots", "pairing", "base", "actions",
                         "flags"},
                 f"unknown field {key!r}", source)
-    _expect(isinstance(obj.get("rank"), int) and obj["rank"] >= 1,
+    _expect(_is_int(obj.get("rank")) and obj["rank"] >= 1,
             "'rank' must be a positive integer", source)
     rank = obj["rank"]
     _expect(rank <= MAX_RANK, f"rank {rank} is above the cap of {MAX_RANK}",
@@ -191,7 +201,7 @@ def parse_datum(text, source="<string>"):
     base = None
     if "base" in obj:
         raw = obj["base"]
-        _expect(isinstance(raw, list) and all(isinstance(i, int) for i in raw),
+        _expect(isinstance(raw, list) and all(_is_int(i) for i in raw),
                 "'base' must be a list of root indices", source)
         _expect(all(0 <= i < len(roots) for i in raw),
                 "base index out of range", f"{source}: base")
@@ -222,7 +232,7 @@ def parse_datum(text, source="<string>"):
                     "generator needs 'element' and 'matrix'", gctx)
             matrix = _int_matrix(g["matrix"], gctx, rows=rank, cols=rank)
             label = g["element"]
-            _expect(label in group.labels,
+            _expect(not isinstance(label, bool) and label in group.labels,
                     f"element {label!r} is not in the group", gctx)
             parsed_gens.append((matrix, label))
         target = based if role == "gamma" else datum

@@ -11,7 +11,6 @@ possibly non-reduced even when the source is reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
 from .action import (
@@ -30,6 +29,8 @@ from .lattice import (
     identity_matrix,
     mat_mul,
     mat_vec,
+    record,
+    replace,
     transpose,
     unimodular_inverse,
     vec_add,
@@ -59,7 +60,7 @@ from .rootdatum import (
 TABLE_BOUND = 3840
 
 
-@dataclass(frozen=True)
+@record
 class RestrictedDatum:
     """Output of restriction.
 
@@ -265,7 +266,7 @@ def fiber(fold, restricted_root):
     return fib
 
 
-@dataclass(frozen=True)
+@record
 class WeylDescent:
     """The isomorphism between the restricted Weyl group and the fixed
     subgroup of the source Weyl group.

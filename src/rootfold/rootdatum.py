@@ -13,7 +13,6 @@ on flattened matrices) so every operation is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from operator import itemgetter
@@ -29,6 +28,7 @@ from .lattice import (
     integer_kernel,
     mat_mul,
     mat_vec,
+    record,
     span_rank,
     transpose,
     unimodular_inverse,
@@ -54,7 +54,7 @@ def contragredient(matrix, pairing=None, target_pairing=None):
     return out
 
 
-@dataclass(frozen=True)
+@record
 class DatumAutomorphism:
     """A unimodular matrix on the character lattice together with its
     contragredient on the cocharacter lattice."""
@@ -97,8 +97,14 @@ class DatumAutomorphism:
         return self.on_characters == identity_matrix(n)
 
 
-@dataclass(frozen=True)
+@record
 class RootDatum:
+    """Roots and coroots in Z^rank, as two tuples of integer vectors of
+    the same length, coroot i dual to root i.  ``pairing`` is the matrix
+    P of the perfect pairing <x, lam> = x^T P lam of the character and
+    cocharacter lattices; None means the standard pairing, P = I.  The
+    axioms are checked by ``verify_axioms``, not here."""
+
     rank: int
     roots: tuple
     coroots: tuple
@@ -219,8 +225,12 @@ class RootDatum:
         return {}
 
 
-@dataclass(frozen=True)
+@record
 class BasedRootDatum:
+    """A root datum with a base: ``base`` holds the indices of the simple
+    roots in ``datum.roots``.  That they form a base is checked by
+    ``verify_base``, not here."""
+
     datum: RootDatum
     base: tuple
 

@@ -14,7 +14,6 @@ everything is exhaustive and deterministic at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .action import DatumAction, FiniteGroup, actions_commute, fixed_weyl
@@ -25,6 +24,7 @@ from .lattice import (
     exact_quotient,
     mat_mul,
     mat_vec,
+    record,
     transpose,
 )
 from .rootdatum import (
@@ -112,7 +112,7 @@ def _check_twisted_law(galois, value_perms, star_perms):
                     f"({galois.labels[s]!r}, {galois.labels[t]!r})")
 
 
-@dataclass(frozen=True)
+@record
 class StarCocycle:
     """Weyl-valued map on a finite group satisfying the twisted law
     c(st) = c(s) . s*(c(t)) relative to a base-preserving star action,
@@ -355,7 +355,7 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND):
     return tuple(cocycles)
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyClassSet:
     """Cocycles partitioned by the cobounding relation
     c ~ (s -> k^-1 . c(s) . s(k)) with k in the cobounding group."""
@@ -472,7 +472,7 @@ def h1_classes(cocycles, cobounding_group, module_group=()):
     )
 
 
-@dataclass(frozen=True)
+@record
 class H1Report:
     """Z1 of a Galois quotient in the fixed Weyl subgroup, cobounded two
     ways: inside the module itself, and inside the full equivariant
@@ -513,7 +513,7 @@ def h1_with_image(based, galois_action, gamma_action=None, bound=WEYL_BOUND,
     return H1Report(module_set, image_set)
 
 
-@dataclass(frozen=True)
+@record
 class TwistedDatum:
     """A based datum with its Galois action replaced by the cocycle
     twist s . x = c(s)(star_s(x))."""

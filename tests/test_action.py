@@ -328,7 +328,7 @@ def test_coinvariants_average_keeps_its_fraction_value():
 
 
 def tampered(cv, **changes):
-    from dataclasses import replace
+    from rootfold.lattice import replace
 
     from rootfold.action import _check_coinvariants
 

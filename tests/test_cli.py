@@ -379,6 +379,52 @@ def test_list_valued_element_labels_are_parse_error(tmp_path):
                                "element labels")
 
 
+def _set_group(group):
+    def mutate(o):
+        o["actions"]["gamma"]["group"] = group
+    return mutate
+
+
+def _set_generator_element(label):
+    def mutate(o):
+        o["actions"]["gamma"]["generators"][0]["element"] = label
+    return mutate
+
+
+# JSON true and false are Python bools, and bool is a subclass of int:
+# each of these used to read true as 1 (or false as 0)
+@pytest.mark.parametrize("mutate, fragment", [
+    (lambda o: o.update(rank=True), "'rank' must be a positive integer"),
+    (lambda o: o.update(base=[True, 3]), "'base' must be a list of root indices"),
+    (lambda o: o["roots"][0].__setitem__(0, True), "roots: matrix entries"),
+    (lambda o: o["coroots"][5].__setitem__(1, False), "coroots: matrix entries"),
+    (lambda o: o.update(pairing=[[True, 0], [0, True]]), "pairing: matrix entries"),
+    (lambda o: o["actions"]["gamma"]["generators"][0]["matrix"][0].__setitem__(1, True),
+     "generators[0]: matrix entries"),
+    (_set_generator_element(True), "element True is not in the group"),
+    (_set_group({"elements": [0, 1], "table": [[False, 1], [1, 0]]}), "'table'"),
+    (_set_group({"elements": [False, True], "table": [[0, 1], [1, 0]]}),
+     "element labels must not be lists, objects or booleans"),
+    (_set_group({"elements": [0, 1], "table": [[0, 1], [1, 0]], "identity": False}),
+     "'identity' must not be a boolean"),
+], ids=["rank", "base", "roots", "coroots", "pairing", "generator-matrix",
+        "generator-element", "table", "elements", "identity"])
+def test_a_json_boolean_is_not_an_integer(tmp_path, mutate, fragment):
+    path = _mutated_a2_flip(tmp_path, mutate)
+    _assert_single_parse_error(path, fragment)
+    code, out = run_cli("fold", path)
+    assert code == 2 and out.startswith("parse error: ") and len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_generator_element(1),
+    _set_group({"elements": [0, 1], "table": [[0, 1], [1, 0]], "identity": 0}),
+], ids=["cyclic", "explicit"])
+def test_the_integers_the_booleans_stood_for_verify(tmp_path, mutate):
+    code, out = run_cli("verify", _mutated_a2_flip(tmp_path, mutate))
+    assert code == 0 and out.endswith("verdict: pass\n")
+
+
 def test_torus_without_roots_verifies(tmp_path):
     path = tmp_path / "torus.datum"
     path.write_text(json.dumps({"rank": 2, "roots": [], "coroots": []}))

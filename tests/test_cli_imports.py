@@ -3,7 +3,8 @@ resolves its re-exports lazily.
 
 The import checks start a fresh interpreter per command, run the
 command through ``cli.main`` and read back which ``rootfold`` modules it
-left in ``sys.modules``.
+left in ``sys.modules``, and which of the standard modules in ``HEAVY``
+it added there.
 """
 
 import ast
@@ -23,29 +24,35 @@ GOLDEN = ROOT / "golden"
 PARSE = {"rootfold", "rootfold.cli", "rootfold.errors", "rootfold.lattice",
          "rootfold.rootdatum", "rootfold.action"}
 
+# standard modules that cost start-up time: ``fractions`` and the
+# ``decimal`` it imports, loaded only where a Fraction is built, and
+# ``dataclasses`` and the ``inspect`` it imports, which no command loads
+HEAVY = ("fractions", "decimal", "dataclasses", "inspect")
+
 CHILD = """
 import io, sys
 before = set(sys.modules)
 {setup}
 loaded = sorted(m for m in sys.modules if m == "rootfold" or m.startswith("rootfold."))
 added = set(sys.modules) - before
-print(repr((code, loaded, "fractions" in added, "decimal" in added)))
+print(repr((code, loaded, [m for m in {heavy!r} if m in added])))
 """
 
 
 def fresh(setup):
-    """(code, rootfold modules, fractions loaded?, decimal loaded?) after
+    """(code, rootfold modules, the ``HEAVY`` modules loaded) after
     running ``setup`` in a fresh interpreter; a module that start-up (its
     ``site``) had already loaded does not count as loaded by ``setup``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-c", CHILD.format(setup=setup)],
+    run = subprocess.run([sys.executable, "-c",
+                          CHILD.format(setup=setup, heavy=HEAVY)],
                          env=env, cwd=GOLDEN, capture_output=True, text=True,
                          timeout=120)
     assert run.returncode == 0, run.stderr
-    code, loaded, fractions, decimal = ast.literal_eval(run.stdout.splitlines()[-1])
-    return code, set(loaded), fractions, decimal
+    code, loaded, heavy = ast.literal_eval(run.stdout.splitlines()[-1])
+    return code, set(loaded), set(heavy)
 
 
 def run_command(argv):
@@ -55,16 +62,17 @@ def run_command(argv):
 
 @pytest.mark.parametrize("command", ["verify", "classify", "weyl"])
 def test_document_checks_load_only_the_parser_modules(command):
-    code, loaded, fractions, decimal = run_command([command, "A2-flip.datum"])
+    code, loaded, heavy = run_command([command, "A2-flip.datum"])
     assert code == 0
     assert loaded == PARSE
-    assert not fractions and not decimal
+    assert not heavy
 
 
 def test_fold_also_loads_folding():
-    code, loaded, _, _ = run_command(["fold", "A2-flip.datum"])
+    code, loaded, heavy = run_command(["fold", "A2-flip.datum"])
     assert code == 0
     assert loaded == PARSE | {"rootfold.folding"}
+    assert not heavy & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -73,15 +81,25 @@ def test_fold_also_loads_folding():
     ["isoclass", "A2-flip.datum", "A2-flip.datum"],
 ], ids=["star", "h1", "isoclass"])
 def test_twist_commands_also_load_twist(argv):
-    code, loaded, _, _ = run_command(argv)
+    code, loaded, heavy = run_command(argv)
     assert code == 0
     assert loaded == PARSE | {"rootfold.twist"}
+    assert not heavy & {"dataclasses", "inspect"}
+
+
+def test_selftest_loads_neither_dataclasses_nor_inspect():
+    # selftest imports every module of the package
+    code, loaded, heavy = run_command(["selftest"])
+    assert code == 0
+    assert loaded == PARSE | {"rootfold.folding", "rootfold.twist",
+                              "rootfold.selftest"}
+    assert not heavy & {"dataclasses", "inspect"}
 
 
 def test_a_bare_package_import_loads_no_submodule():
-    code, loaded, fractions, decimal = fresh("import rootfold\ncode = 0")
+    code, loaded, heavy = fresh("import rootfold\ncode = 0")
     assert loaded == {"rootfold"}
-    assert not fractions and not decimal
+    assert not heavy
 
 
 @pytest.mark.parametrize("name", rootfold.__all__)

@@ -749,7 +749,7 @@ def test_lift_checks_build_no_reflection_of_the_source(monkeypatch):
 def test_lift_checks_refuse_a_tampered_lift_or_projection(monkeypatch):
     # the A5 flip: the middle base root is its own orbit, and its two
     # neighbours form an orthogonal orbit
-    from dataclasses import replace
+    from rootfold.lattice import replace
 
     from rootfold.rootdatum import compose, identity_permutation, reflection_permutation
 

@@ -11,7 +11,6 @@ on the flip-fixed modules of A3 and A4.
 
 import gc
 import weakref
-from dataclasses import replace
 
 import pytest
 
@@ -24,6 +23,7 @@ from rootfold.lattice import (
     identity_matrix,
     mat_mul,
     mat_vec,
+    replace,
     transpose,
 )
 from rootfold.rootdatum import (
