@@ -75,7 +75,7 @@ MAX_RANK = 16
 MAX_ACTION_BLOCKS = 4
 
 
-@record(frozen=False)
+@record
 class DatumDocument:
     """A parsed document: the datum, optional base, named actions with
     their role tags, and flags."""
@@ -104,6 +104,11 @@ def _expect(cond, message, context):
 def _is_int(x):
     # JSON true and false parse to bool, a subclass of int
     return type(x) is int
+
+
+def _has_label(labels, label):
+    # type-exact: 1 == 1.0 == True, but only the label 1 names element 1
+    return any(type(x) is type(label) and x == label for x in labels)
 
 
 def _int_matrix(obj, context, rows=None, cols=None, allow_empty=False):
@@ -145,15 +150,16 @@ def _parse_group(obj, context):
     _expect(len(labels) <= MAX_GROUP_ORDER,
             f"group order {len(labels)} is above the cap of {MAX_GROUP_ORDER}",
             context)
-    _expect(not isinstance(obj.get("identity"), bool),
-            "'identity' must not be a boolean", context)
+    identity = obj.get("identity")
+    _expect(identity is None or _has_label(labels, identity),
+            f"'identity' {identity!r} is not an element label", context)
     table = obj["table"]
     _expect(isinstance(table, list) and all(isinstance(r, list) for r in table)
             and all(_is_int(x) for r in table for x in r),
             "'table' must be a list of rows of element indices", context)
     try:
         return FiniteGroup(tuple(labels), tuple(tuple(r) for r in table),
-                           identity_label=obj.get("identity"))
+                           identity_label=identity)
     except ValueError as e:
         raise ParseError(f"bad group table: {e}", context=context) from None
 
@@ -232,7 +238,7 @@ def parse_datum(text, source="<string>"):
                     "generator needs 'element' and 'matrix'", gctx)
             matrix = _int_matrix(g["matrix"], gctx, rows=rank, cols=rank)
             label = g["element"]
-            _expect(not isinstance(label, bool) and label in group.labels,
+            _expect(_has_label(group.labels, label),
                     f"element {label!r} is not in the group", gctx)
             parsed_gens.append((matrix, label))
         target = based if role == "gamma" else datum

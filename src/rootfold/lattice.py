@@ -40,21 +40,19 @@ from __future__ import annotations
 from operator import add, attrgetter, mul, neg, sub
 
 
-def record(cls=None, *, frozen=True):
-    """Class decorator making ``cls`` a record of the fields annotated in
-    its body, in order; a class attribute of a field's name is its
-    default.
+def record(cls):
+    """Class decorator making ``cls`` a frozen record of the fields
+    annotated in its body, in order; a class attribute of a field's name
+    is its default.
 
     Installs ``__init__`` (positional or keyword arguments), a
-    ``__repr__`` listing the fields, and ``__eq__`` comparing the field
+    ``__repr__`` listing the fields, ``__eq__`` comparing the field
     tuples of two instances of the same class (``NotImplemented``
-    otherwise).  A frozen record hashes its field tuple and refuses to
-    assign or delete attributes; ``cached_property`` and
+    otherwise) and ``__hash__`` of the field tuple, and refuses to assign
+    or delete attributes.  ``cached_property`` and
     ``vars(obj)[name] = value`` write the instance dictionary directly,
-    so they still work.  A record with ``frozen=False`` is unhashable.
+    so they still work.
     """
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
     names = tuple(cls.__annotations__)
     n = len(names)
     defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
@@ -79,10 +77,8 @@ def record(cls=None, *, frozen=True):
         # keeps the attributes in CPython's inline values: filling
         # self.__dict__ instead made every later attribute read about
         # twice as slow (20 -> 40 ns on CPython 3.11)
-        i = 0
-        for name in names:
-            setfield(self, name, args[i])
-            i += 1
+        for name, value in zip(names, args):
+            setfield(self, name, value)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
@@ -100,10 +96,9 @@ def record(cls=None, *, frozen=True):
         raise AttributeError(f"cannot set or delete {name!r} of a frozen {cls.__name__}")
 
     cls._fields = names
-    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
-    cls.__hash__ = __hash__ if frozen else None
-    if frozen:
-        cls.__setattr__ = cls.__delattr__ = refuse
+    cls.__init__, cls.__repr__ = __init__, __repr__
+    cls.__eq__, cls.__hash__ = __eq__, __hash__
+    cls.__setattr__ = cls.__delattr__ = refuse
     return cls
 
 

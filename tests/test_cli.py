@@ -406,9 +406,14 @@ def _set_generator_element(label):
     (_set_group({"elements": [False, True], "table": [[0, 1], [1, 0]]}),
      "element labels must not be lists, objects or booleans"),
     (_set_group({"elements": [0, 1], "table": [[0, 1], [1, 0]], "identity": False}),
-     "'identity' must not be a boolean"),
+     "'identity' False is not an element label"),
+    # a float equal to an integer label names no element either
+    (_set_generator_element(1.0), "element 1.0 is not in the group"),
+    (_set_group({"elements": [0, 1], "table": [[0, 1], [1, 0]], "identity": 0.0}),
+     "'identity' 0.0 is not an element label"),
 ], ids=["rank", "base", "roots", "coroots", "pairing", "generator-matrix",
-        "generator-element", "table", "elements", "identity"])
+        "generator-element", "table", "elements", "identity", "float-element",
+        "float-identity"])
 def test_a_json_boolean_is_not_an_integer(tmp_path, mutate, fragment):
     path = _mutated_a2_flip(tmp_path, mutate)
     _assert_single_parse_error(path, fragment)
