@@ -477,6 +477,23 @@ def _invert_permutation(p):
     return tuple(inv)
 
 
+def cycle_type(p):
+    """The sorted tuple of the cycle lengths of p, in either
+    representation (indexing bytes gives ints).  Conjugate permutations
+    have the same cycle type: f p f^-1 maps f(i) to f(p(i))."""
+    seen = bytearray(len(p))
+    lengths = []
+    for i in range(len(p)):
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = 1
+            j = p[j]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
 def closure(seeds, maps, bound=None, what="closure"):
     """Every element reachable from ``seeds`` under ``maps``, in
     breadth-first order, seeds first and without repeats.  After each

@@ -16,7 +16,13 @@ from __future__ import annotations
 
 from itertools import product
 
-from .action import DatumAction, FiniteGroup, actions_commute, fixed_weyl
+from .action import (
+    DatumAction,
+    FiniteGroup,
+    actions_commute,
+    commute_on_annihilator,
+    fixed_weyl,
+)
 from .errors import EnumerationOverflow, InvalidActionError, UnsupportedDatumError
 from .lattice import (
     adjugate_and_det,
@@ -41,6 +47,7 @@ from .rootdatum import (
     closure,
     compose,
     contragredient,
+    cycle_type,
     identity_permutation,
     permutation_getter,
     positive_system,
@@ -281,10 +288,12 @@ def _find_diagram_maps(based1, based2):
     return tuple(out)
 
 
-def z1_enumerate(galois, star, module, bound=Z1_BOUND):
+def z1_enumerate(galois, star, module, bound=Z1_BOUND, *, star_perms=None):
     """All twisted cocycles on the group valued in the module.
 
-    ``star`` maps element index to the star-action automorphism;
+    ``star`` maps element index to the star-action automorphism, and
+    ``star_perms``, when given, to its root permutation (the
+    ``root_perms`` of the star action); otherwise they are computed.
     ``module`` is a WeylGroup (a subgroup of W) closed under the star
     twist.  Cocycles are determined by generator values; every
     assignment of module elements to the generators is tried, which is
@@ -318,7 +327,8 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND):
     generators.  Matrices are built only for the values of the cocycles
     returned."""
     datum = module.datum
-    star_perms = tuple(_permutation(datum, s) for s in star)
+    if star_perms is None:
+        star_perms = tuple(_permutation(datum, s) for s in star)
     ident = identity_permutation(len(datum.roots))
     tables = {}
     for q in sorted(set(star_perms) - {ident}):
@@ -404,10 +414,8 @@ def _cobounders(cocycle, cobounding_group):
     if isinstance(cobounding_group, WeylGroup):
         kappas = cobounding_group.generators or cobounding_group.perms
     else:
-        annihilator = datum.coroot_annihilator
         kappas = [_permutation(datum, k) for k in cobounding_group
-                  if all(s.apply(k.apply(z)) == k.apply(s.apply(z))
-                         for s in cocycle.star for z in annihilator)]
+                  if commute_on_annihilator(datum, cocycle.star, (k,))]
     conjugations = [_conjugation(q) for q in cocycle.star_perms]
 
     def step(k):
@@ -505,7 +513,7 @@ def h1_with_image(based, galois_action, gamma_action=None, bound=WEYL_BOUND,
     else:
         module = weyl_group(based.datum, base=based.base, bound=bound)
     cocycles = z1_enumerate(galois_action.group, star_act.images, module,
-                            bound=z1_bound)
+                            bound=z1_bound, star_perms=star_act.root_perms)
     module_set = h1_classes(cocycles, module, module_group=module)
     auts = equivariant_automorphism_group(based, commuting_with=gamma_action,
                                           bound=bound)
@@ -536,21 +544,30 @@ def twist_datum(based, galois_star, cocycle, gamma_action=None):
 
     The images c(s) . s* are formed with their root permutations from
     those the cocycle keeps for its values (``StarCocycle``) by
-    ``DatumAction._left_multiplied``.  The cocycle values are checked to
-    commute with the generator images of ``gamma_action``, and so with
-    their products, every image."""
+    ``DatumAction._left_multiplied``.
+
+    The cocycle values are checked to commute with the generator images
+    of ``gamma_action``, and so with their products, every image.  The
+    check compares the value permutations with ``generator_perms`` and
+    the automorphisms on the annihilator A of the coroots
+    (``commute_on_annihilator``), which is exact by the argument of
+    ``actions_commute``: v g and g v agree on the roots exactly when
+    their permutations commute, and on A when they agree on a basis of
+    it, and the roots and A span the characters over Q.  A value need
+    not be a Weyl element (``cobound`` by a kappa outside W), so the
+    term on A is needed on data that are not semisimple."""
     datum = based.datum
     if not galois_star.is_based:
         raise InvalidActionError("the Galois star action must stabilize the base")
     for i, s in enumerate(galois_star.images):
         if s.on_characters != cocycle.star[i].on_characters:
             raise InvalidActionError("cocycle was built against a different star action")
-    if gamma_action is not None:
-        for v in cocycle.values:
-            for g in gamma_action.generator_images:
-                if mat_mul(v.on_characters, g.on_characters) != mat_mul(
-                        g.on_characters, v.on_characters):
-                    raise InvalidActionError("cocycle values are not fixed by the action")
+    if gamma_action is not None and not (
+            all(compose(v, g) == compose(g, v)
+                for v in cocycle.value_perms for g in gamma_action.generator_perms)
+            and commute_on_annihilator(datum, cocycle.values,
+                                       gamma_action.generator_images)):
+        raise InvalidActionError("cocycle values are not fixed by the action")
     twisted = DatumAction._left_multiplied(galois_star, cocycle.values,
                                            cocycle.value_perms, datum)
     if gamma_action is not None and not actions_commute(twisted, gamma_action):
@@ -584,7 +601,15 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
     positive system, in the order of the sorted index lists, then by
     the tuple of images of the base.  W(datum2) is closed under
     ``bound`` when that order is built; an order kept on the datum is
-    used as it is, as no closure runs."""
+    used as it is, as no closure runs.
+
+    Before any base, diagram map or Weyl group is looked at, a pair is
+    refused when some paired generator g has root permutations pi1(g)
+    and pi2(g) of different cycle types (``cycle_type``).  That changes
+    no answer: an equivariant f induces a bijection F of the roots with
+    F o pi1(g) o F^-1 = pi2(g), and conjugate permutations have the same
+    cycle type.  So every refused pair has no isomorphism, and on the
+    others the search runs as before and returns the same map."""
     for d in (datum1, datum2):
         if not d.is_semisimple:
             raise UnsupportedDatumError(
@@ -596,6 +621,10 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
             raise ValueError("paired actions must share the abstract group")
     if datum1.rank != datum2.rank or len(datum1.roots) != len(datum2.roots):
         return None
+    pairs = [(a1.root_perms[g], a2.root_perms[g])
+             for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
+    if any(cycle_type(p1) != cycle_type(p2) for p1, p2 in pairs):
+        return None
 
     base1 = canonical_base(datum1)
     maps = _diagram_maps(BasedRootDatum(datum1, base1),
@@ -605,8 +634,6 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
     orders = datum1._search_orders if datum1 is datum2 else {}
     if base1 not in orders:
         orders[base1] = _search_order(base1, weyl_group(datum2, bound=bound), maps)
-    pairs = [(a1.root_perms[g], a2.root_perms[g])
-             for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
     # per diagram map m and pair: w -> (w o m o pi1(g))(base1), and pi2(g)
     # to read at the kept (w o m)(base1)
     n = len(datum2.roots)

@@ -517,3 +517,56 @@ def test_actions_commute():
     neg = make_action(d, [(tuple(tuple(-int(i == j) for j in range(2))
                                  for i in range(2)), "m")])
     assert actions_commute(act, neg)
+
+
+def a1_plus_rank2_torus():
+    """A1 plus a rank-2 torus.  The annihilator of the coroots is
+    spanned by e2 and e3, and an automorphism acts there through GL2(Z),
+    where two of them need not commute."""
+    from rootfold.rootdatum import RootDatum
+    return RootDatum(3, ((2, 0, 0), (-2, 0, 0)), ((1, 0, 0), (-1, 0, 0)))
+
+
+def torus_block(head, block):
+    """The automorphism head on e1 and the 2 x 2 ``block`` on e2, e3."""
+    return ((head, 0, 0), (0,) + block[0], (0,) + block[1])
+
+
+TORUS_BLOCKS = {"one": ((1, 0), (0, 1)), "minus": ((-1, 0), (0, -1)),
+                "swap": ((0, 1), (1, 0)), "sign": ((-1, 0), (0, 1))}
+
+
+def test_actions_commute_reads_the_coroot_annihilator():
+    datum = a1_plus_rank2_torus()
+    actions = [make_action(datum, [(torus_block(head, block), "g")])
+               for head in (1, -1) for block in TORUS_BLOCKS.values()]
+    outcomes = set()
+    for a in actions:
+        for b in actions:
+            expected = all(mat_mul(x.on_characters, y.on_characters)
+                           == mat_mul(y.on_characters, x.on_characters)
+                           for x in a.images for y in b.images)
+            assert actions_commute(a, b) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+    # the same permutation of the roots, different on the annihilator
+    swap, sign = (make_action(datum, [(torus_block(1, TORUS_BLOCKS[k]), k)])
+                  for k in ("swap", "sign"))
+    assert swap.root_perms == sign.root_perms
+    assert not actions_commute(swap, sign)
+
+
+def test_restrict_refuses_actions_that_differ_only_on_the_annihilator():
+    from rootfold.folding import restrict
+    from rootfold.rootdatum import BasedRootDatum
+
+    datum = a1_plus_rank2_torus()
+    based = BasedRootDatum(datum, (datum.index_of((2, 0, 0)),))
+    action = make_action(based, [(torus_block(1, TORUS_BLOCKS["swap"]), "t")])
+    sign = make_action(datum, [(torus_block(1, TORUS_BLOCKS["sign"]), "u")])
+    with pytest.raises(InvalidActionError,
+                       match="^a commuting action fails to commute elementwise$"):
+        restrict(action, commuting_actions=[sign])
+    minus = make_action(datum, [(torus_block(1, TORUS_BLOCKS["minus"]), "u")])
+    fold = restrict(action, commuting_actions=[minus])
+    assert len(fold.induced) == 1

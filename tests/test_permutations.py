@@ -19,6 +19,7 @@ from rootfold.rootdatum import (
     as_permutation,
     classify,
     compose,
+    cycle_type,
     from_cartan_type,
     identity_permutation,
     permutation_getter,
@@ -62,6 +63,39 @@ def test_compose_getter_and_inverse_match_tuples(drawn):
     assert tuple(ident) == tuple(range(n))
     assert compose(bp, ident) == compose(ident, bp) == bp
     assert compose(bp, _invert_permutation(bp)) == ident
+
+
+def reference_cycle_type(p):
+    """The length of the orbit of each point, once per orbit, sorted."""
+    lengths = []
+    for i in range(len(p)):
+        orbit, j = [i], p[i]
+        while j != i:
+            orbit.append(j)
+            j = p[j]
+        if i == min(orbit):
+            lengths.append(len(orbit))
+    return tuple(sorted(lengths))
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=permutation_lists(2))
+def test_cycle_type_matches_tuples_and_is_kept_by_conjugation(drawn):
+    n, (p, q) = drawn
+    bp, bq = as_permutation(p), as_permutation(q)
+    expected = reference_cycle_type(p)
+    assert sum(expected) == n
+    # the engine representation and plain tuples of every size alike
+    assert cycle_type(bp) == cycle_type(p) == expected
+    conjugate = compose(compose(bq, bp), _invert_permutation(bq))
+    assert cycle_type(conjugate) == cycle_type(tuple(conjugate)) == expected
+
+
+def test_cycle_type_of_small_permutations():
+    assert cycle_type(as_permutation((1, 2, 0, 4, 3, 5))) == (1, 2, 3)
+    assert cycle_type((1, 2, 0, 4, 3, 5)) == (1, 2, 3)
+    assert cycle_type(identity_permutation(300)) == (1,) * 300
+    assert cycle_type(b"") == cycle_type(()) == ()
 
 
 @settings(max_examples=25, deadline=None)

@@ -16,6 +16,7 @@ import pytest
 
 import rootfold.action as action_module
 import rootfold.rootdatum as rootdatum_module
+import rootfold.twist as twist_module
 from rootfold.action import FiniteGroup, make_action
 from rootfold.errors import EnumerationOverflow, InvalidActionError
 from rootfold.lattice import (
@@ -33,6 +34,7 @@ from rootfold.rootdatum import (
     as_permutation,
     canonical_base,
     closure,
+    cycle_type,
     from_cartan_type,
     identity_permutation,
     positive_system,
@@ -235,6 +237,56 @@ def test_h1_twists_and_searches_close_w_once_per_datum(case, monkeypatch):
             weyl_group(datum, base=base, bound=len(kept) - 1)
     assert weyl_group(datum, bound=len(kept)).perms is kept
     assert closures["rootdatum"].count("reflection group") == 3
+
+
+def test_different_cycle_types_are_refused_before_any_search(monkeypatch):
+    # Z/2 by 1 and by -1 on A2: the identity and a product of three
+    # transpositions of the six roots
+    closures = []
+
+    def counted(seeds, maps, bound=None, what="closure"):
+        closures.append(what)
+        return closure(seeds, maps, bound, what)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(rootdatum_module, "closure", counted)
+    monkeypatch.setattr(action_module, "closure", counted)
+    for name in ("canonical_base", "_diagram_maps", "weyl_group", "_search_order"):
+        monkeypatch.setattr(twist_module, name, never)
+    datum = from_cartan_type("A2:sc").datum
+    one, minus = (make_action(datum, [(m, 1)], group=FiniteGroup.cyclic(2))
+                  for m in (identity_matrix(2), neg(2)))
+    closures.clear()
+    assert equivariant_isomorphic(datum, [one], datum, [minus]) is None
+    assert equivariant_isomorphic(datum, [minus], datum, [one]) is None
+    assert closures == []
+
+
+def test_cross_class_pairs_refused_by_cycle_type_or_searched_to_none():
+    # per pass of the thirteen cases: 66 pairs of distinct image
+    # classes, 60 told apart by the cycle type of a generator; the other
+    # 6 are searched, and have no isomorphism either
+    refused = searched = 0
+    for case in CASES:
+        based, galois, gamma = build(case)
+        report, twisted = twists(based, galois, gamma)
+        extra = [gamma] if gamma is not None else []
+        datum = based.datum
+        reps = report.image_classes.representatives
+        for i, c1 in enumerate(reps):
+            for c2 in reps[i + 1:]:
+                a1 = [twisted[c1.sort_key()].galois] + extra
+                a2 = [twisted[c2.sort_key()].galois] + extra
+                assert equivariant_isomorphic(datum, a1, datum, a2) is None
+                if any(cycle_type(x.root_perms[g]) != cycle_type(y.root_perms[g])
+                       for x, y in zip(a1, a2) for g in x.group.generating_set):
+                    refused += 1
+                else:
+                    searched += 1
+                    assert reference_isomorphic(datum, a1, datum, a2) is None
+    assert (refused, searched) == (60, 6)
 
 
 def test_the_kept_closures_form_no_reference_cycle():

@@ -522,3 +522,42 @@ def test_cobound_is_group_action():
             lhs = cobound(cobound(c, k1), k2)
             rhs = cobound(c, k1 * k2)
             assert lhs.sort_key() == rhs.sort_key()
+
+
+def test_twist_datum_refuses_values_that_do_not_commute_with_gamma():
+    # A cocycle value commutes with gamma exactly when it does on the
+    # roots and on the annihilator of the coroots.  On A2 a simple
+    # reflection fails on the roots against the flip; on A1 plus a
+    # rank-2 torus the swap of the torus coordinates moves no root but
+    # fails on the annihilator against a sign change there.
+    from rootfold.rootdatum import BasedRootDatum, identity_permutation
+    from rootfold.twist import StarCocycle
+
+    from test_action import TORUS_BLOCKS, a1_plus_rank2_torus, torus_block
+
+    def cocycle_with_value(based, value):
+        datum = based.datum
+        star, _ = star_action(trivial_z2_action(datum), based.base)
+        ident = DatumAutomorphism.identity(datum.rank)
+        perms = [identity_permutation(len(datum.roots)), root_permutation(datum, value)]
+        return star, StarCocycle.build(star.group, datum, [ident, value], star.images,
+                                       perms, star.root_perms)
+
+    message = "^cocycle values are not fixed by the action$"
+    a2 = from_cartan_type("A2:sc")
+    star, cocycle = cocycle_with_value(a2, reflection(a2.datum, a2.base[0]))
+    with pytest.raises(InvalidActionError, match=message):
+        twist_datum(a2, star, cocycle, gamma_action=make_action(a2, [(flip_matrix(2), "s")]))
+
+    datum = a1_plus_rank2_torus()
+    based = BasedRootDatum(datum, (datum.index_of((2, 0, 0)),))
+    gamma = make_action(based, [(torus_block(1, TORUS_BLOCKS["sign"]), "g")])
+    swap = DatumAutomorphism.from_matrix(torus_block(1, TORUS_BLOCKS["swap"]))
+    star, cocycle = cocycle_with_value(based, swap)
+    assert cocycle.value_perms[1] == identity_permutation(2)
+    with pytest.raises(InvalidActionError, match=message):
+        twist_datum(based, star, cocycle, gamma_action=gamma)
+    minus = DatumAutomorphism.from_matrix(torus_block(1, TORUS_BLOCKS["minus"]))
+    star, cocycle = cocycle_with_value(based, minus)
+    twisted = twist_datum(based, star, cocycle, gamma_action=gamma)
+    assert twisted.galois.images[1].on_characters == minus.on_characters
