@@ -62,13 +62,9 @@ class FiniteGroup:
         if identity_label is not None and self.labels[ident] != identity_label:
             raise ValueError("declared identity does not act as identity")
         self.identity = ident
-        self._inverse = []
         for x in range(n):
-            inv = next((y for y in range(n)
-                        if self.table[x][y] == ident == self.table[y][x]), None)
-            if inv is None:
+            if not any(self.table[x][y] == ident == self.table[y][x] for y in range(n)):
                 raise ValueError(f"element {self.labels[x]!r} has no inverse")
-            self._inverse.append(inv)
         if check:
             for a in range(n):
                 for b in range(n):
@@ -85,9 +81,6 @@ class FiniteGroup:
 
     def mul(self, a, b):
         return self.table[a][b]
-
-    def inv(self, a):
-        return self._inverse[a]
 
     def index_of(self, label):
         return self.labels.index(label)

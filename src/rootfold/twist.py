@@ -14,11 +14,11 @@ everything is exhaustive and deterministic at desk scale.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
 from .action import (
     DatumAction,
-    FiniteGroup,
     actions_commute,
     commute_on_annihilator,
     fixed_weyl,
@@ -37,7 +37,6 @@ from .rootdatum import (
     WEYL_BOUND,
     BasedRootDatum,
     DatumAutomorphism,
-    RootDatum,
     WeylGroup,
     _automorphisms_from_permutations,
     _invert_permutation,
@@ -125,35 +124,49 @@ class StarCocycle:
     c(st) = c(s) . s*(c(t)) relative to a base-preserving star action,
     where s*(w) = s* w s*^-1.
 
-    The law is checked on root permutations, which is exact: the
-    values are Weyl elements, and W acts faithfully on the roots (see
-    ``verify_axioms``); s*(w) is a Weyl element whose permutation is
-    q o p o q^-1 for q, p the permutations of s* and w.  (``cobound``
-    by a kappa outside W can give values outside W; they still fix the
-    annihilator of the coroots pointwise, which is all the argument
-    needs, see ``_cobounders``.)  The permutations of the values and of
-    the star images are kept next to the matrices."""
+    The record is the based star action (``star_action``, which holds
+    the group, the datum, the images s* and their ``root_perms``) and
+    the root permutation of each value; the values themselves are read
+    off the permutations (``values``).  The law is checked on root
+    permutations, which is exact: s*(w) is a Weyl element whose
+    permutation is q o p o q^-1 for q, p the permutations of s* and w,
+    and W acts faithfully on the roots (see ``verify_axioms``).
+    (``cobound`` by a kappa outside W can give values outside W; they
+    still fix the annihilator of the coroots pointwise, which is all the
+    argument needs, see ``_cobounders``.)"""
 
-    galois: FiniteGroup
-    datum: RootDatum     # the datum values and star images act on
-    values: tuple        # DatumAutomorphism per element index
-    star: tuple          # DatumAutomorphism per element index
-    value_perms: tuple   # root permutation of each value
-    star_perms: tuple    # root permutation of each star image
+    star_action: DatumAction  # the based star action
+    value_perms: tuple        # root permutation of c(s) per element index
 
     @classmethod
-    def build(cls, galois, datum, values, star, value_perms, star_perms):
-        """Validate and construct from the automorphisms and their root
-        permutations (tuples are converted, see ``as_permutation``)."""
+    def build(cls, star_action, value_perms):
+        """Validate and construct from the star action and the root
+        permutations of the values (tuples are converted, see
+        ``as_permutation``)."""
         value_perms = tuple(map(as_permutation, value_perms))
-        star_perms = tuple(map(as_permutation, star_perms))
-        if value_perms[galois.identity] != identity_permutation(len(datum.roots)):
+        group = star_action.group
+        if value_perms[group.identity] != identity_permutation(len(star_action.datum.roots)):
             raise ValueError("cocycle must send the identity to the identity")
-        _check_twisted_law(galois, value_perms, star_perms)
-        return cls(galois, datum, tuple(values), tuple(star), value_perms, star_perms)
+        _check_twisted_law(group, value_perms, star_action.root_perms)
+        return cls(star_action, value_perms)
+
+    @cached_property
+    def values(self):
+        """The DatumAutomorphism c(s) per element index, built from
+        ``value_perms`` (see ``_automorphisms_from_permutations``).
+
+        That is exact.  Every value that ``star_action``,
+        ``z1_enumerate`` and ``cobound`` make fixes the annihilator A of
+        the coroots pointwise: Weyl elements do, and so do the
+        coboundaries ``_cobounders`` keeps.  The characters over Q are
+        span(roots) + A (``verify_axioms``), so a linear map fixing A
+        pointwise is determined by where it sends the roots, that is,
+        by its root permutation."""
+        return tuple(_automorphisms_from_permutations(self.star_action.datum,
+                                                      self.value_perms))
 
     def twist(self, element, aut):
-        s = self.star[element]
+        s = self.star_action.images[element]
         return s * aut * s.inverse()
 
     def sort_key(self):
@@ -167,16 +180,6 @@ def _permutation(datum, aut):
     return perm
 
 
-def _cocycles_from_permutations(galois, datum, star, star_perms, found):
-    """StarCocycles for the value permutations in ``found``, with the
-    matrices of all their values built in one pass."""
-    distinct = sorted({p for perms in found for p in perms})
-    auts = dict(zip(distinct, _automorphisms_from_permutations(datum, distinct)))
-    return [StarCocycle.build(galois, datum, [auts[p] for p in perms], star,
-                              perms, star_perms)
-            for perms in found]
-
-
 def star_action(action, base):
     """Split an action on a datum into its base-preserving part and the
     Weyl transport cocycle.  A base-stabilizing action comes back
@@ -185,19 +188,16 @@ def star_action(action, base):
     The star images c(s)^-1 . pi(s) are formed with their root
     permutations by ``DatumAction._left_multiplied``: c(s)^-1 is the
     Weyl element built from its permutation, the inverse of the
-    transport's."""
+    transport's.  Only these inverses get matrices; the cocycle holds
+    the transports as permutations."""
     datum = action.datum
     based = BasedRootDatum(datum, tuple(base))
     transport_perms = [_transport(based, perm) for perm in action.root_perms]
     inverse_perms = [_invert_permutation(p) for p in transport_perms]
-    n = len(transport_perms)
-    auts = _automorphisms_from_permutations(datum, transport_perms + inverse_perms)
-    transports = auts[:n]
-    star_act = DatumAction._left_multiplied(action, auts[n:], inverse_perms, based)
-    cocycle = StarCocycle.build(
-        action.group, datum, transports, star_act.images, transport_perms,
-        star_act.root_perms)
-    return star_act, cocycle
+    star_act = DatumAction._left_multiplied(
+        action, _automorphisms_from_permutations(datum, inverse_perms), inverse_perms,
+        based)
+    return star_act, StarCocycle.build(star_act, transport_perms)
 
 
 def equivariant_automorphism_group(based, commuting_with=None, bound=WEYL_BOUND):
@@ -288,12 +288,11 @@ def _find_diagram_maps(based1, based2):
     return tuple(out)
 
 
-def z1_enumerate(galois, star, module, bound=Z1_BOUND, *, star_perms=None):
+def z1_enumerate(galois, star, module, bound=Z1_BOUND):
     """All twisted cocycles on the group valued in the module.
 
-    ``star`` maps element index to the star-action automorphism, and
-    ``star_perms``, when given, to its root permutation (the
-    ``root_perms`` of the star action); otherwise they are computed.
+    ``star`` is the based star action of ``galois`` (ValueError for an
+    action of another group); its ``root_perms`` give the twists.
     ``module`` is a WeylGroup (a subgroup of W) closed under the star
     twist.  Cocycles are determined by generator values; every
     assignment of module elements to the generators is tried, which is
@@ -324,11 +323,12 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND, *, star_perms=None):
     the module into the module (all of ``perms`` when there are none):
     the twist is an automorphism of the symmetric group of the roots, so
     the image of the module is the group generated by the images of its
-    generators.  Matrices are built only for the values of the cocycles
-    returned."""
-    datum = module.datum
-    if star_perms is None:
-        star_perms = tuple(_permutation(datum, s) for s in star)
+    generators.  The matrices of the distinct values of all the cocycles
+    returned are built in one pass and seed their ``values``."""
+    if star.group is not galois:
+        raise ValueError("the star action is not an action of the group")
+    datum = star.datum
+    star_perms = star.root_perms
     ident = identity_permutation(len(datum.roots))
     tables = {}
     for q in sorted(set(star_perms) - {ident}):
@@ -360,8 +360,15 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND, *, star_perms=None):
                 break
         else:
             found.append(tuple(values))
-    cocycles = _cocycles_from_permutations(galois, datum, star, star_perms, found)
-    cocycles.sort(key=lambda c: c.sort_key())
+    distinct = sorted({p for perms in found for p in perms})
+    auts = dict(zip(distinct, _automorphisms_from_permutations(datum, distinct)))
+    cocycles = []
+    for perms in found:
+        cocycle = StarCocycle.build(star, perms)
+        # seed the cached property with the matrices already built
+        vars(cocycle)["values"] = tuple(auts[p] for p in perms)
+        cocycles.append(cocycle)
+    cocycles.sort(key=StarCocycle.sort_key)
     return tuple(cocycles)
 
 
@@ -410,13 +417,13 @@ def _cobounders(cocycle, cobounding_group):
     as (c.k)(s) . s*((c.k)(t))
     = k^-1 c(s) s*(k) . s*(k)^-1 s*(c(t)) s*(t*(k))
     = k^-1 c(st) (st)*(k)."""
-    datum = cocycle.datum
+    star = cocycle.star_action
     if isinstance(cobounding_group, WeylGroup):
         kappas = cobounding_group.generators or cobounding_group.perms
     else:
-        kappas = [_permutation(datum, k) for k in cobounding_group
-                  if commute_on_annihilator(datum, cocycle.star, (k,))]
-    conjugations = [_conjugation(q) for q in cocycle.star_perms]
+        kappas = [_permutation(star.datum, k) for k in cobounding_group
+                  if commute_on_annihilator(star.datum, star.images, (k,))]
+    conjugations = [_conjugation(q) for q in star.root_perms]
 
     def step(k):
         kinv = _invert_permutation(k)
@@ -434,9 +441,7 @@ def cobound(cocycle, kappa):
     steps = _cobounders(cocycle, (kappa,))
     if not steps:
         raise ValueError("kappa^-1 s*(kappa) moves the annihilator of the coroots")
-    return _cocycles_from_permutations(cocycle.galois, cocycle.datum,
-                                       cocycle.star, cocycle.star_perms,
-                                       [steps[0](cocycle.value_perms)])[0]
+    return StarCocycle.build(cocycle.star_action, steps[0](cocycle.value_perms))
 
 
 def h1_classes(cocycles, cobounding_group, module_group=()):
@@ -463,10 +468,10 @@ def h1_classes(cocycles, cobounding_group, module_group=()):
     for c in cocycles:
         if c.value_perms not in positions:
             continue
-        key = (c.galois, c.star)
-        if key not in steps:
-            steps[key] = _cobounders(c, cobounding_group)
-        orbit = closure([c.value_perms], steps[key])
+        maps = steps.get(c.star_action)
+        if maps is None:
+            maps = steps[c.star_action] = _cobounders(c, cobounding_group)
+        orbit = closure([c.value_perms], maps)
         members = sorted(i for p in orbit for i in positions.pop(p, ()))
         classes.append(tuple(sorted((cocycles[i] for i in members),
                                     key=StarCocycle.sort_key)))
@@ -512,8 +517,7 @@ def h1_with_image(based, galois_action, gamma_action=None, bound=WEYL_BOUND,
         module = fixed_weyl(gamma_action, bound=bound)
     else:
         module = weyl_group(based.datum, base=based.base, bound=bound)
-    cocycles = z1_enumerate(galois_action.group, star_act.images, module,
-                            bound=z1_bound, star_perms=star_act.root_perms)
+    cocycles = z1_enumerate(galois_action.group, star_act, module, bound=z1_bound)
     module_set = h1_classes(cocycles, module, module_group=module)
     auts = equivariant_automorphism_group(based, commuting_with=gamma_action,
                                           bound=bound)
@@ -543,36 +547,43 @@ def twist_datum(based, galois_star, cocycle, gamma_action=None):
     on the nose.
 
     The images c(s) . s* are formed with their root permutations from
-    those the cocycle keeps for its values (``StarCocycle``) by
+    those of the cocycle (``StarCocycle``) by
     ``DatumAction._left_multiplied``.
 
     The cocycle values are checked to commute with the generator images
-    of ``gamma_action``, and so with their products, every image.  The
-    check compares the value permutations with ``generator_perms`` and
-    the automorphisms on the annihilator A of the coroots
-    (``commute_on_annihilator``), which is exact by the argument of
-    ``actions_commute``: v g and g v agree on the roots exactly when
-    their permutations commute, and on A when they agree on a basis of
-    it, and the roots and A span the characters over Q.  A value need
-    not be a Weyl element (``cobound`` by a kappa outside W), so the
-    term on A is needed on data that are not semisimple."""
+    of ``gamma_action``, and so with their products, every image, by
+    comparing the value permutations with ``generator_perms``.  That is
+    exact by the argument of ``actions_commute``: v g and g v agree on
+    the roots exactly when their permutations commute, and the roots
+    and the annihilator A of the coroots span the characters over Q.
+    On A they always agree: every value fixes A pointwise
+    (``StarCocycle.values``), and g maps A onto itself, as it permutes
+    the coroots, so v g z = g z = g v z for z in A.
+
+    The transport is walked back for the generators g of the group
+    only.  As s* stabilizes the base B, twisted(s)(B) = c(s)(B) for
+    every s.  The transport of twisted(g) is the Weyl element w with
+    w(B) = c(g)(B); it has the permutation of c(g) exactly when
+    c(g) = w is in W (both fix A, and W acts simply transitively on the
+    bases).  The twisted action is a homomorphism
+    (``DatumAction._checked``), so c(gt) = c(g) . g*(c(t)), and g*
+    normalizes W: by induction on word length every value is in W once
+    the generator values are, and then the transport of twisted(s) is
+    c(s) for every s."""
     datum = based.datum
     if not galois_star.is_based:
         raise InvalidActionError("the Galois star action must stabilize the base")
-    for i, s in enumerate(galois_star.images):
-        if s.on_characters != cocycle.star[i].on_characters:
-            raise InvalidActionError("cocycle was built against a different star action")
-    if gamma_action is not None and not (
-            all(compose(v, g) == compose(g, v)
-                for v in cocycle.value_perms for g in gamma_action.generator_perms)
-            and commute_on_annihilator(datum, cocycle.values,
-                                       gamma_action.generator_images)):
+    if galois_star.images != cocycle.star_action.images:
+        raise InvalidActionError("cocycle was built against a different star action")
+    if gamma_action is not None and not all(
+            compose(v, g) == compose(g, v)
+            for v in cocycle.value_perms for g in gamma_action.generator_perms):
         raise InvalidActionError("cocycle values are not fixed by the action")
     twisted = DatumAction._left_multiplied(galois_star, cocycle.values,
                                            cocycle.value_perms, datum)
     if gamma_action is not None and not actions_commute(twisted, gamma_action):
         raise AssertionError("twisted action fails to commute with the folding action")
-    for s in galois_star.group.elements():
+    for s in galois_star.group.generating_set:
         if _transport(based, twisted.root_perms[s]) != cocycle.value_perms[s]:
             raise AssertionError("base transport does not recover the cocycle")
     return TwistedDatum(based, twisted, gamma_action, cocycle)

@@ -69,7 +69,7 @@ def case(name):
                        group=group)
     weyl = weyl_group(based.datum)
     aut_of = dict(zip(map(tuple, weyl.sorted_perms), weyl.elements))
-    cocycles = z1_enumerate(group, star.images, weyl)
+    cocycles = z1_enumerate(group, star, weyl)
     return group, based.datum, star, weyl, aut_of, cocycles
 
 
@@ -111,13 +111,12 @@ def test_star_cocycle_build_refuses_exactly_the_tables_that_fail(data):
     expected = reference_law_failure(group, [a.on_characters for a in auts],
                                      star.images)
     if expected is None:
-        cocycle = StarCocycle.build(group, datum, auts, star.images, perms,
-                                    star.root_perms)
+        cocycle = StarCocycle.build(star, perms)
         assert tuple(map(tuple, cocycle.value_perms)) == tuple(perms)
         assert cocycle in cocycles
         return
     with pytest.raises(ValueError) as err:
-        StarCocycle.build(group, datum, auts, star.images, perms, star.root_perms)
+        StarCocycle.build(star, perms)
     assert str(err.value) == expected
 
 
@@ -144,9 +143,9 @@ def check_module(name, generators):
     closed = star_closed(star, {aut_of[p].on_characters for p in perms})
     if not closed:
         with pytest.raises(ValueError, match="^module is not closed under the star twist$"):
-            z1_enumerate(group, star.images, module)
+            z1_enumerate(group, star, module)
         return False
-    found = z1_enumerate(group, star.images, module)
+    found = z1_enumerate(group, star, module)
     inside = set(perms)
     assert [c.value_perms for c in found] == [
         c.value_perms for c in cocycles if inside.issuperset(map(tuple, c.value_perms))]

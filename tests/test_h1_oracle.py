@@ -110,7 +110,7 @@ def case_groups(case):
     else:
         module = weyl_group(datum, base=based.base)
     star_act, _ = star_action(z2(datum, galois_matrix(datum.rank)), based.base)
-    cocycles = z1_enumerate(star_act.group, star_act.images, module)
+    cocycles = z1_enumerate(star_act.group, star_act, module)
     return cocycles, module, equivariant_automorphism_group(based, commuting_with=gamma)
 
 
@@ -172,8 +172,8 @@ def reference_z1(galois, star, module):
 @pytest.mark.parametrize("case", H1_CASES, ids=[c[0] for c in H1_CASES])
 def test_z1_matches_the_assignment_closure(case):
     cocycles, module, _ = case_groups(case)
-    star = cocycles[0].star
-    galois = cocycles[0].galois
+    star = cocycles[0].star_action.images
+    galois = cocycles[0].star_action.group
     assert sorted(tuple(map(tuple, c.value_perms)) for c in cocycles) == reference_z1(
         galois, star, module)
 
@@ -199,7 +199,7 @@ def test_z1_matches_the_assignment_closure_on_a_noncyclic_group(case):
     assert len(klein.generating_set) == 2
     star_act, _ = star_action(galois, based.base)
     module = weyl_group(datum, base=based.base)
-    cocycles = z1_enumerate(klein, star_act.images, module)
+    cocycles = z1_enumerate(klein, star_act, module)
     assert cocycles
     assert sorted(tuple(map(tuple, c.value_perms)) for c in cocycles) == reference_z1(
         klein, star_act.images, module)

@@ -43,8 +43,8 @@ def neg(n):
 def reference_cobound(cocycle, kappa, kinv, star_inverses):
     """Character matrices of s -> kappa^-1 . c(s) . s* kappa s*^-1."""
     out = []
-    for s in cocycle.galois.elements():
-        twisted = mat_mul(cocycle.star[s].on_characters,
+    for s in cocycle.star_action.group.elements():
+        twisted = mat_mul(cocycle.star_action.images[s].on_characters,
                           mat_mul(kappa.on_characters, star_inverses[s]))
         out.append(mat_mul(kinv, mat_mul(cocycle.values[s].on_characters,
                                          twisted)))
@@ -65,10 +65,11 @@ def reference_h1_classes(cocycles, cobounding_group):
     kinvs = [kappa.inverse().on_characters for kappa in cobounding_group]
     inverses = {}
     for i, c in enumerate(cocycles):
-        if c.star not in inverses:
-            inverses[c.star] = [s.inverse().on_characters for s in c.star]
+        star = c.star_action.images
+        if star not in inverses:
+            inverses[star] = [s.inverse().on_characters for s in star]
         for kappa, kinv in zip(cobounding_group, kinvs):
-            j = index.get(reference_cobound(c, kappa, kinv, inverses[c.star]))
+            j = index.get(reference_cobound(c, kappa, kinv, inverses[star]))
             if j is not None:
                 ri, rj = find(i), find(j)
                 if ri != rj:
@@ -128,7 +129,7 @@ def test_h1_classes_match_matrix_reference(case):
     else:
         module = weyl_group(datum, base=based.base)
     star_act, _ = star_action(galois, based.base)
-    cocycles = z1_enumerate(galois.group, star_act.images, module)
+    cocycles = z1_enumerate(galois.group, star_act, module)
     assert [c.sort_key() for c in cocycles] == reference_z1(
         galois.group, star_act.images, module.elements)
     auts = equivariant_automorphism_group(based, commuting_with=gamma)
@@ -157,7 +158,7 @@ def test_transport_permutations_are_root_permutations(case):
                                    group=FiniteGroup.cyclic(2))]
     module = weyl_group(datum, base=based.base)
     actions += [twist_datum(based, star_act, c).galois
-                for c in z1_enumerate(galois.group, star_act.images, module)]
+                for c in z1_enumerate(galois.group, star_act, module)]
     for act in actions:
         _, cocycle = star_action(act, based.base)
         assert cocycle.value_perms == tuple(
@@ -243,7 +244,7 @@ def test_h1_classes_match_reference_on_tori(name):
     module = weyl_group(datum)
     star_act, cocycle = star_action(galois, based.base)
     assert not star_act.images[1].is_identity()
-    cocycles = z1_enumerate(galois.group, star_act.images, module)
+    cocycles = z1_enumerate(galois.group, star_act, module)
     assert [c.sort_key() for c in cocycles] == reference_z1(
         galois.group, star_act.images, module.elements)
     for g, expected in ((module, module_count), (group, count)):
@@ -252,7 +253,7 @@ def test_h1_classes_match_reference_on_tori(name):
         assert len(got) == expected
     # cobound agrees with the matrix formula wherever it is defined
     weyl_matrices = {w.on_characters for w in module}
-    star_inverses = [s.inverse().on_characters for s in cocycle.star]
+    star_inverses = [s.inverse().on_characters for s in cocycle.star_action.images]
     for c in cocycles:
         for kappa in group:
             expected = reference_cobound(c, kappa, kappa.inverse().on_characters,
@@ -265,6 +266,37 @@ def test_h1_classes_match_reference_on_tori(name):
                 assert not all(m in weyl_matrices for m in expected)
                 continue
             assert got == expected
+
+
+def test_values_induce_their_value_perms():
+    # the values are built from the value permutations: in one pass for
+    # the cocycles z1_enumerate returns, one cocycle at a time for the
+    # coboundaries
+    cocycles = []
+    for _, spec, galois_matrix, gamma_matrix in H1_CASES:
+        based = from_cartan_type(spec)
+        galois = make_action(based.datum, [(galois_matrix(based.datum.rank), 1)],
+                             group=FiniteGroup.cyclic(2))
+        module = (weyl_group(based.datum, base=based.base) if gamma_matrix is None
+                  else fixed_weyl(make_action(based, [(gamma_matrix, "s")])))
+        star_act, _ = star_action(galois, based.base)
+        cocycles += z1_enumerate(galois.group, star_act, module)
+    for name in sorted(TORUS_CASES):
+        factors, rank, galois_matrix, kappas = TORUS_CASES[name][:4]
+        based, galois, group = torus_case(factors, rank, galois_matrix, kappas)
+        star_act, _ = star_action(galois, based.base)
+        for c in z1_enumerate(galois.group, star_act, weyl_group(based.datum)):
+            for kappa in group:
+                try:
+                    cocycles.append(cobound(c, kappa))
+                except ValueError:
+                    pass
+    assert len(cocycles) > 102
+    for c in cocycles:
+        datum = c.star_action.datum
+        assert len(c.values) == len(c.value_perms)
+        for v, p in zip(c.values, c.value_perms):
+            assert root_permutation(datum, v) == p
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def twisted_actions(based, galois, gamma):
               else weyl_group(based.datum, base=based.base))
     extra = [gamma] if gamma is not None else []
     return [[twist_datum(based, star, c, gamma_action=gamma).galois] + extra
-            for c in z1_enumerate(galois.group, star.images, module)]
+            for c in z1_enumerate(galois.group, star, module)]
 
 
 @pytest.mark.parametrize("case", H1_CASES, ids=[c[0] for c in H1_CASES])

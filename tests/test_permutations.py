@@ -203,7 +203,7 @@ def test_twist_then_transport_recovers_the_cocycle(data):
     module = (fixed_weyl(gamma) if gamma is not None
               else weyl_group(datum, base=based.base))
     star, _ = star_action(galois, based.base)
-    cocycles = z1_enumerate(star.group, star.images, module)
+    cocycles = z1_enumerate(star.group, star, module)
     cocycle = data.draw(st.sampled_from(cocycles), label="cocycle")
     twisted = twist_datum(based, star, cocycle, gamma_action=gamma)
     _, back = star_action(twisted.galois, based.base)

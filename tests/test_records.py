@@ -42,8 +42,7 @@ RECORDS = {
                                "fibers", "provenance", "induced"), {}),
     folding.WeylDescent: (("fold", "restricted_weyl", "fixed_subgroup", "down"),
                           {}),
-    twist.StarCocycle: (("galois", "datum", "values", "star", "value_perms",
-                         "star_perms"), {}),
+    twist.StarCocycle: (("star_action", "value_perms"), {}),
     twist.CohomologyClassSet: (("module_group", "cobounding_group", "cocycles",
                                 "classes", "representatives"), {}),
     twist.H1Report: (("module_classes", "image_classes"), {}),

@@ -2,7 +2,7 @@ import pytest
 
 from rootfold.action import FiniteGroup, fixed_weyl, make_action
 from rootfold.errors import InvalidActionError, UnsupportedDatumError
-from rootfold.lattice import identity_matrix, mat_mul
+from rootfold.lattice import identity_matrix, mat_mul, replace
 from rootfold.rootdatum import (
     DatumAutomorphism,
     from_cartan_type,
@@ -279,7 +279,7 @@ def test_z1_trivial_group():
     act = make_action(b.datum, [], group=g)
     star_act, _ = star_action(act, b.base)
     module = weyl_group(b.datum)
-    cocycles = z1_enumerate(g, star_act.images, module)
+    cocycles = z1_enumerate(g, star_act, module)
     assert len(cocycles) == 1
 
 
@@ -288,7 +288,7 @@ def test_z1_a1_z2_trivial():
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
     module = weyl_group(b.datum)
-    cocycles = z1_enumerate(act.group, star_act.images, module)
+    cocycles = z1_enumerate(act.group, star_act, module)
     assert len(cocycles) == 2
 
 
@@ -298,7 +298,7 @@ def test_z1_square_condition_a2():
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
     module = weyl_group(b.datum)
-    cocycles = z1_enumerate(act.group, star_act.images, module)
+    cocycles = z1_enumerate(act.group, star_act, module)
     assert len(cocycles) == 4  # identity and the three reflections
     for c in cocycles:
         v = c.values[1]
@@ -314,8 +314,26 @@ def test_z1_with_gamma_module():
     star_act, _ = star_action(galois, b.base)
     module = fixed_weyl(gamma)
     assert len(module) == 2
-    cocycles = z1_enumerate(galois.group, star_act.images, module)
+    cocycles = z1_enumerate(galois.group, star_act, module)
     assert len(cocycles) == 2
+
+
+def test_z1_enumerate_refuses_a_star_action_of_another_group():
+    b = from_cartan_type("A1:sc")
+    star_act, _ = star_action(trivial_z2_action(b.datum), b.base)
+    with pytest.raises(ValueError, match="^the star action is not an action of the group$"):
+        z1_enumerate(FiniteGroup.cyclic(2), star_act, weyl_group(b.datum))
+
+
+def test_a_replaced_value_list_rebuilds_its_values():
+    b = from_cartan_type("A2:sc")
+    star_act, _ = star_action(trivial_z2_action(b.datum), b.base)
+    cocycles = z1_enumerate(star_act.group, star_act, weyl_group(b.datum))
+    first, last = cocycles[0], cocycles[-1]
+    assert first.values != last.values
+    moved = replace(first, value_perms=last.value_perms)
+    assert moved == last
+    assert moved.values == last.values
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +345,7 @@ def test_h1_a1_two_classes():
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
     module = weyl_group(b.datum)
-    cocycles = z1_enumerate(act.group, star_act.images, module)
+    cocycles = z1_enumerate(act.group, star_act, module)
     classes = h1_classes(cocycles, module, module_group=module)
     assert classes.class_count == 2
 
@@ -338,7 +356,7 @@ def test_h1_trivial_galois_one_class():
     act = make_action(b.datum, [], group=g)
     star_act, _ = star_action(act, b.base)
     module = weyl_group(b.datum)
-    cocycles = z1_enumerate(g, star_act.images, module)
+    cocycles = z1_enumerate(g, star_act, module)
     classes = h1_classes(cocycles, module)
     assert classes.class_count == 1
 
@@ -348,7 +366,7 @@ def test_h1_a2_reflections_form_one_class():
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
     module = weyl_group(b.datum)
-    cocycles = z1_enumerate(act.group, star_act.images, module)
+    cocycles = z1_enumerate(act.group, star_act, module)
     classes = h1_classes(cocycles, module)
     assert classes.class_count == 2
     sizes = sorted(len(c) for c in classes.classes)
@@ -400,7 +418,7 @@ def test_twist_a1_by_reflection_gives_minus_identity():
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
     module = weyl_group(b.datum)
-    cocycles = z1_enumerate(act.group, star_act.images, module)
+    cocycles = z1_enumerate(act.group, star_act, module)
     nontriv = next(c for c in cocycles if not c.values[1].is_identity())
     twisted = twist_datum(b, star_act, nontriv)
     assert twisted.galois.images[1].on_characters == ((-1,),)
@@ -411,7 +429,7 @@ def test_twist_roundtrip_recovers_cocycle():
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
     module = weyl_group(b.datum)
-    cocycles = z1_enumerate(act.group, star_act.images, module)
+    cocycles = z1_enumerate(act.group, star_act, module)
     for c in cocycles:
         twisted = twist_datum(b, star_act, c)
         _, back = star_action(twisted.galois, b.base)
@@ -424,13 +442,35 @@ def test_twist_rejects_non_fixed_values():
     galois = trivial_z2_action(b.datum)
     star_act, _ = star_action(galois, b.base)
     module = weyl_group(b.datum)
-    cocycles = z1_enumerate(galois.group, star_act.images, module)
+    cocycles = z1_enumerate(galois.group, star_act, module)
     d = b.datum
     s1 = reflection(d, d.index_of((2, -1)))
     bad = next(c for c in cocycles
                if c.values[1].on_characters == s1.on_characters)
     with pytest.raises(InvalidActionError):
         twist_datum(b, star_act, bad, gamma_action=gamma)
+
+
+def test_twist_datum_refuses_a_cocycle_its_transport_does_not_recover():
+    # D4 with Z/3 acting by triality, and the trivial cocycle cobounded
+    # by the diagram transposition kappa of nodes 2 and 3: the values
+    # kappa^-1 s*(kappa) are diagram maps outside W, which the base
+    # transport of the twisted action cannot give back
+    from rootfold.selftest import node_permutation_matrix
+
+    b = from_cartan_type("D4:sc")
+    triality = node_permutation_matrix({0: 2, 1: 1, 2: 3, 3: 0}, 4)
+    act = make_action(b, [(triality, 1)], group=FiniteGroup.cyclic(3))
+    star_act, trivial = star_action(act, b.base)
+    assert all(v.is_identity() for v in trivial.values)
+    kappa = DatumAutomorphism.from_matrix(
+        node_permutation_matrix({0: 0, 1: 1, 2: 3, 3: 2}, 4))
+    moved = cobound(trivial, kappa)
+    weyl = set(weyl_group(b.datum).perms)
+    assert not all(p in weyl for p in moved.value_perms)
+    with pytest.raises(AssertionError,
+                       match="^base transport does not recover the cocycle$"):
+        twist_datum(b, star_act, moved)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +496,7 @@ def test_cohomologous_twists_are_isomorphic():
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
     module = weyl_group(b.datum)
-    cocycles = z1_enumerate(act.group, star_act.images, module)
+    cocycles = z1_enumerate(act.group, star_act, module)
     classes = h1_classes(cocycles, module)
     big = next(cls for cls in classes.classes if len(cls) == 3)
     t1 = twist_datum(b, star_act, big[0])
@@ -515,7 +555,7 @@ def test_cobound_is_group_action():
     act = trivial_z2_action(b.datum)
     star_act, _ = star_action(act, b.base)
     module = weyl_group(b.datum)
-    cocycles = z1_enumerate(act.group, star_act.images, module)
+    cocycles = z1_enumerate(act.group, star_act, module)
     c = cocycles[1]
     for k1 in module.elements[:3]:
         for k2 in module.elements[:3]:
@@ -527,9 +567,11 @@ def test_cobound_is_group_action():
 def test_twist_datum_refuses_values_that_do_not_commute_with_gamma():
     # A cocycle value commutes with gamma exactly when it does on the
     # roots and on the annihilator of the coroots.  On A2 a simple
-    # reflection fails on the roots against the flip; on A1 plus a
-    # rank-2 torus the swap of the torus coordinates moves no root but
-    # fails on the annihilator against a sign change there.
+    # reflection fails on the roots against the flip.  On A1 plus a
+    # rank-2 torus the swap and the negation of the torus coordinates
+    # move no root; a value is read off its root permutation as fixing
+    # the annihilator, so both are the identity there and commute with
+    # a sign change.
     from rootfold.rootdatum import BasedRootDatum, identity_permutation
     from rootfold.twist import StarCocycle
 
@@ -538,10 +580,8 @@ def test_twist_datum_refuses_values_that_do_not_commute_with_gamma():
     def cocycle_with_value(based, value):
         datum = based.datum
         star, _ = star_action(trivial_z2_action(datum), based.base)
-        ident = DatumAutomorphism.identity(datum.rank)
         perms = [identity_permutation(len(datum.roots)), root_permutation(datum, value)]
-        return star, StarCocycle.build(star.group, datum, [ident, value], star.images,
-                                       perms, star.root_perms)
+        return star, StarCocycle.build(star, perms)
 
     message = "^cocycle values are not fixed by the action$"
     a2 = from_cartan_type("A2:sc")
@@ -552,12 +592,10 @@ def test_twist_datum_refuses_values_that_do_not_commute_with_gamma():
     datum = a1_plus_rank2_torus()
     based = BasedRootDatum(datum, (datum.index_of((2, 0, 0)),))
     gamma = make_action(based, [(torus_block(1, TORUS_BLOCKS["sign"]), "g")])
-    swap = DatumAutomorphism.from_matrix(torus_block(1, TORUS_BLOCKS["swap"]))
-    star, cocycle = cocycle_with_value(based, swap)
-    assert cocycle.value_perms[1] == identity_permutation(2)
-    with pytest.raises(InvalidActionError, match=message):
-        twist_datum(based, star, cocycle, gamma_action=gamma)
-    minus = DatumAutomorphism.from_matrix(torus_block(1, TORUS_BLOCKS["minus"]))
-    star, cocycle = cocycle_with_value(based, minus)
-    twisted = twist_datum(based, star, cocycle, gamma_action=gamma)
-    assert twisted.galois.images[1].on_characters == minus.on_characters
+    for block in ("swap", "minus"):
+        value = DatumAutomorphism.from_matrix(torus_block(1, TORUS_BLOCKS[block]))
+        star, cocycle = cocycle_with_value(based, value)
+        assert cocycle.value_perms[1] == identity_permutation(2)
+        assert cocycle.values[1].is_identity()
+        twisted = twist_datum(based, star, cocycle, gamma_action=gamma)
+        assert twisted.galois.images == star.images
