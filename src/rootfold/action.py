@@ -27,6 +27,7 @@ from .rootdatum import (
     BasedRootDatum,
     DatumAutomorphism,
     WeylGroup,
+    _automorphisms_from_permutations,
     closure,
     compose,
     identity_permutation,
@@ -224,11 +225,12 @@ class DatumAction:
         return all(a.is_identity() for a in self.images)
 
     @classmethod
-    def _left_multiplied(cls, action, factors, factor_perms, target):
-        """The action s -> f_s . action(s) on ``target``, where the f_s
-        are datum automorphisms of the same datum and factor_perms[s] is
-        the root permutation of f_s.  The products and their root
-        permutations are formed here, and no root is mapped by a matrix.
+    def _left_multiplied(cls, action, factor_perms, target):
+        """The action s -> f_s . action(s) on ``target``, where
+        factor_perms[s] is the root permutation of f_s, an automorphism
+        of the same datum that fixes the annihilator A of the coroots
+        pointwise.  The images are built on first read (``images``); here
+        only their root permutations are formed and checked.
 
         No image needs the checks ``_require_automorphism`` makes on
         a generator.  Let F, A be the character matrices of f = f_s and
@@ -238,11 +240,43 @@ class DatumAction:
         (FA)^T P (F'A') = A^T (F^T P F') A' = A^T P A' = P.  f.a sends
         root a_i to f(a_p(i)) = a_q(p(i)) and coroot c_i to
         f(c_p(i)) = c_q(p(i)), so it permutes the roots compatibly with
-        the coroots, with permutation q o p.  The checks of ``_checked``
-        still run."""
-        images = [f * a for f, a in zip(factors, action.images)]
-        perms = [compose(q, p) for q, p in zip(factor_perms, action.root_perms)]
-        return cls._checked(action.group, images, perms, target)
+        the coroots, with permutation q o p.
+
+        The identity and the homomorphism law are checked on these
+        permutations, which is exact.  Every f_s fixes A pointwise: the
+        inverse transports of ``star_action`` are Weyl elements, and the
+        cocycle values of ``twist_datum`` are built by
+        ``_automorphisms_from_permutations``, which fixes A by
+        construction.  As a_s maps A onto itself, f_s . a_s acts on A as
+        a_s does, and the source action has already passed the checks of
+        ``_checked``: on A, phi(e) = I and phi(a) phi(b) = phi(a b) hold
+        for every pair.  The characters over Q are span(roots) + A
+        (``verify_axioms``), so phi(e) = I exactly when its permutation
+        is the identity, and phi(a) phi(b) = phi(a b) exactly when
+        p_a o p_b = p_ab, pair by pair.  So the refusals, and the first
+        failing pair named, are those of the matrix law; the base is
+        checked on the same permutations as in ``_checked``.
+
+        The images f_s . a_s are formed on first read, with the f_s from
+        ``_automorphisms_from_permutations``, exact by the same argument.
+        When ``action`` is itself waiting for its images, f_s . g_s . b_s
+        is read as (f_s g_s) . b_s, f_s g_s fixing A too, so the pending
+        state holds the permutations of the factors and the images of an
+        action that has them, tuples only: caching the images creates no
+        reference cycle (see ``weyl_group``)."""
+        perms = tuple(map(compose, factor_perms, action.root_perms))
+        _check_homomorphism(action.group, perms,
+                            identity_permutation(len(action.datum.roots)), compose)
+        if "images" in vars(action):
+            pending = (tuple(factor_perms), action.images)
+        else:
+            inner, sources = vars(action)["_factors"]
+            pending = (tuple(map(compose, factor_perms, inner)), sources)
+        out = cls(action.group, None, target)
+        state = vars(out)
+        del state["images"]   # so that the first read builds them
+        state["_factors"] = pending
+        return out._stabilizing(perms)
 
     @classmethod
     def _checked(cls, group, auts, perms, target):
@@ -250,11 +284,11 @@ class DatumAction:
         ``perms``, after checking that it is a homomorphism and, on a
         based target, that every image stabilizes the base.  No image is
         checked to be a datum automorphism: callers form them as
-        products of checked ones (see ``make_action`` and
-        ``_left_multiplied``).
+        products of checked ones (see ``make_action``).
 
-        The homomorphism law is checked as phi(a g) = phi(a) phi(g) for
-        every a and every g in ``group.generating_set``.  With
+        The homomorphism law is checked on the character matrices as
+        phi(a g) = phi(a) phi(g) for every a and every g in
+        ``group.generating_set`` (``_check_homomorphism``).  With
         phi(e) = I, induction on the length of b = g_1 ... g_k gives
         phi(a b) = phi(a b') phi(g_k) = phi(a) phi(b') phi(g_k)
         = phi(a) phi(b) for b' = g_1 ... g_{k-1}.
@@ -266,26 +300,54 @@ class DatumAction:
         generate a subgroup without it; so the error names the element
         a check of every image would name."""
         datum = target.datum if isinstance(target, BasedRootDatum) else target
-        ident = identity_matrix(datum.rank)
-        if auts[group.identity].on_characters != ident:
-            raise InvalidActionError("identity element must act trivially")
-        for a in group.elements():
-            for b in group.generating_set:
-                prod = mat_mul(auts[a].on_characters, auts[b].on_characters)
-                if prod != auts[group.mul(a, b)].on_characters:
-                    raise InvalidActionError(
-                        f"images are not a homomorphism at "
-                        f"({group.labels[a]!r}, {group.labels[b]!r})")
-        action = cls(group, tuple(auts), target)
-        # seed the cached property with the permutations already known
-        vars(action)["root_perms"] = tuple(perms)
-        if isinstance(target, BasedRootDatum):
-            base = set(target.base)
-            for i in group.generating_set:
+        _check_homomorphism(group, [a.on_characters for a in auts],
+                            identity_matrix(datum.rank), mat_mul)
+        return cls(group, tuple(auts), target)._stabilizing(tuple(perms))
+
+    def _stabilizing(self, perms):
+        """This action with ``root_perms`` seeded by ``perms``, after
+        checking, on a based target, that the images of
+        ``group.generating_set`` stabilize the base (see ``_checked``)."""
+        vars(self)["root_perms"] = perms
+        if self.is_based:
+            base = set(self.target.base)
+            for i in self.group.generating_set:
                 if {perms[i][k] for k in base} != base:
                     raise InvalidActionError(
-                        f"element {group.labels[i]!r} does not stabilize the base")
-        return action
+                        f"element {self.group.labels[i]!r} does not stabilize the base")
+        return self
+
+
+class _ImagesOnRead:
+    """``DatumAction.images`` of an action made by ``_left_multiplied``:
+    f_s . a_s per element, built on the first read from the pending
+    ``_factors`` and kept in the instance dictionary, where
+    ``__init__`` puts the images of every other action."""
+
+    def __get__(self, action, owner=None):
+        if action is None:
+            return self
+        factor_perms, sources = vars(action)["_factors"]
+        factors = _automorphisms_from_permutations(action.datum, factor_perms)
+        images = vars(action)["images"] = tuple(f * a for f, a in zip(factors, sources))
+        return images
+
+
+DatumAction.images = _ImagesOnRead()
+
+
+def _check_homomorphism(group, images, one, product):
+    """Raise InvalidActionError unless images[e] == one and
+    product(images[a], images[g]) == images[a g] for every a and every
+    g in ``group.generating_set``, naming the first failing pair."""
+    if images[group.identity] != one:
+        raise InvalidActionError("identity element must act trivially")
+    for a in group.elements():
+        for b in group.generating_set:
+            if product(images[a], images[b]) != images[group.mul(a, b)]:
+                raise InvalidActionError(
+                    f"images are not a homomorphism at "
+                    f"({group.labels[a]!r}, {group.labels[b]!r})")
 
 
 def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND):
@@ -651,12 +713,16 @@ def actions_commute(a, b):
     roots exactly when the permutations commute.  The characters over Q
     are span(roots) + A (``verify_axioms`` proves it), so two linear maps
     that agree on the roots and on a basis of A are equal.  No matrix
-    is multiplied."""
+    is multiplied, and on semisimple data no image is read, so an
+    action made by ``DatumAction._left_multiplied`` keeps its images
+    unbuilt."""
     if a.datum is not b.datum and a.datum != b.datum:
         return False
     return (all(compose(p, q) == compose(q, p)
                 for p in a.generator_perms for q in b.generator_perms)
-            and commute_on_annihilator(a.datum, a.generator_images, b.generator_images))
+            and (not a.datum.coroot_annihilator
+                 or commute_on_annihilator(a.datum, a.generator_images,
+                                           b.generator_images)))
 
 
 def commute_on_annihilator(datum, xs, ys):

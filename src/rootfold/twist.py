@@ -185,18 +185,17 @@ def star_action(action, base):
     Weyl transport cocycle.  A base-stabilizing action comes back
     unchanged with the trivial cocycle.
 
-    The star images c(s)^-1 . pi(s) are formed with their root
-    permutations by ``DatumAction._left_multiplied``: c(s)^-1 is the
-    Weyl element built from its permutation, the inverse of the
-    transport's.  Only these inverses get matrices; the cocycle holds
+    The star images c(s)^-1 . pi(s) are formed by
+    ``DatumAction._left_multiplied`` from the root permutations of the
+    c(s)^-1, the inverses of the transports' permutations, and are
+    checked there on permutations.  No matrix is built here: the star
+    images are built when a caller reads them, and the cocycle holds
     the transports as permutations."""
     datum = action.datum
     based = BasedRootDatum(datum, tuple(base))
     transport_perms = [_transport(based, perm) for perm in action.root_perms]
-    inverse_perms = [_invert_permutation(p) for p in transport_perms]
     star_act = DatumAction._left_multiplied(
-        action, _automorphisms_from_permutations(datum, inverse_perms), inverse_perms,
-        based)
+        action, [_invert_permutation(p) for p in transport_perms], based)
     return star_act, StarCocycle.build(star_act, transport_perms)
 
 
@@ -405,8 +404,9 @@ def _cobounders(cocycle, cobounding_group):
     characters being span(roots) + A over Q.  As s* maps A onto itself
     (it permutes the coroots), u fixes A exactly when s* k = k s* on a
     basis of A.  So k is kept when that holds for every s (always on
-    semisimple data, where A = 0, and for every k in W), and its
-    coboundaries are then compared on permutations without loss.  The
+    semisimple data, where A = 0 and no star image is read, and for
+    every k in W), and its coboundaries are then compared on
+    permutations without loss.  The
     kept k form a subgroup: every automorphism maps A onto itself, so
     k -> k|A is a homomorphism and the kept k are the preimage of the
     centralizer of the s*|A.  A ``WeylGroup`` is used unchecked, which
@@ -422,7 +422,8 @@ def _cobounders(cocycle, cobounding_group):
         kappas = cobounding_group.generators or cobounding_group.perms
     else:
         kappas = [_permutation(star.datum, k) for k in cobounding_group
-                  if commute_on_annihilator(star.datum, star.images, (k,))]
+                  if not star.datum.coroot_annihilator
+                  or commute_on_annihilator(star.datum, star.images, (k,))]
     conjugations = [_conjugation(q) for q in star.root_perms]
 
     def step(k):
@@ -454,7 +455,9 @@ def h1_classes(cocycles, cobounding_group, module_group=()):
     listed ones are reported, which is the partition of the list by
     c ~ c.k for k in K, K being a group.  Tuples of value permutations
     name cocycles exactly (see ``_cobounders``).  No matrix is built
-    here."""
+    here: the step lists are kept per star action object, which all the
+    cocycles of one ``z1_enumerate`` share, so that no star action is
+    hashed, which would build its images."""
     cocycles = tuple(cocycles)
     if not isinstance(cobounding_group, WeylGroup):
         cobounding_group = tuple(cobounding_group)
@@ -468,9 +471,9 @@ def h1_classes(cocycles, cobounding_group, module_group=()):
     for c in cocycles:
         if c.value_perms not in positions:
             continue
-        maps = steps.get(c.star_action)
+        maps = steps.get(id(c.star_action))
         if maps is None:
-            maps = steps[c.star_action] = _cobounders(c, cobounding_group)
+            maps = steps[id(c.star_action)] = _cobounders(c, cobounding_group)
         orbit = closure([c.value_perms], maps)
         members = sorted(i for p in orbit for i in positions.pop(p, ()))
         classes.append(tuple(sorted((cocycles[i] for i in members),
@@ -546,19 +549,25 @@ def twist_datum(based, galois_star, cocycle, gamma_action=None):
     actions.  The base transport of the new action recovers the cocycle
     on the nose.
 
-    The images c(s) . s* are formed with their root permutations from
-    those of the cocycle (``StarCocycle``) by
-    ``DatumAction._left_multiplied``.
+    The images c(s) . s* are formed by ``DatumAction._left_multiplied``
+    from the value permutations of the cocycle (``StarCocycle``), and
+    checked there on permutations; they are built when a caller reads
+    them.  Every check below runs on root permutations, plus, on data
+    that are not semisimple, the annihilator A of the coroots.
+
+    ``galois_star`` must be the star action the cocycle was built
+    against: equal root permutations, and equal images on a basis of A.
+    Two automorphisms agreeing on the roots and on A are equal, as the
+    roots and A span the characters over Q (``verify_axioms``).
 
     The cocycle values are checked to commute with the generator images
     of ``gamma_action``, and so with their products, every image, by
     comparing the value permutations with ``generator_perms``.  That is
     exact by the argument of ``actions_commute``: v g and g v agree on
-    the roots exactly when their permutations commute, and the roots
-    and the annihilator A of the coroots span the characters over Q.
-    On A they always agree: every value fixes A pointwise
-    (``StarCocycle.values``), and g maps A onto itself, as it permutes
-    the coroots, so v g z = g z = g v z for z in A.
+    the roots exactly when their permutations commute.  On A they always
+    agree: every value fixes A pointwise (``StarCocycle.values``), and g
+    maps A onto itself, as it permutes the coroots, so
+    v g z = g z = g v z for z in A.
 
     The transport is walked back for the generators g of the group
     only.  As s* stabilizes the base B, twisted(s)(B) = c(s)(B) for
@@ -566,21 +575,24 @@ def twist_datum(based, galois_star, cocycle, gamma_action=None):
     w(B) = c(g)(B); it has the permutation of c(g) exactly when
     c(g) = w is in W (both fix A, and W acts simply transitively on the
     bases).  The twisted action is a homomorphism
-    (``DatumAction._checked``), so c(gt) = c(g) . g*(c(t)), and g*
-    normalizes W: by induction on word length every value is in W once
-    the generator values are, and then the transport of twisted(s) is
-    c(s) for every s."""
+    (``DatumAction._left_multiplied``), so c(gt) = c(g) . g*(c(t)), and
+    g* normalizes W: by induction on word length every value is in W
+    once the generator values are, and then the transport of
+    twisted(s) is c(s) for every s."""
     datum = based.datum
     if not galois_star.is_based:
         raise InvalidActionError("the Galois star action must stabilize the base")
-    if galois_star.images != cocycle.star_action.images:
+    star = cocycle.star_action
+    if galois_star is not star and (
+            galois_star.root_perms != star.root_perms
+            or any(x.apply(z) != y.apply(z) for z in datum.coroot_annihilator
+                   for x, y in zip(galois_star.images, star.images))):
         raise InvalidActionError("cocycle was built against a different star action")
     if gamma_action is not None and not all(
             compose(v, g) == compose(g, v)
             for v in cocycle.value_perms for g in gamma_action.generator_perms):
         raise InvalidActionError("cocycle values are not fixed by the action")
-    twisted = DatumAction._left_multiplied(galois_star, cocycle.values,
-                                           cocycle.value_perms, datum)
+    twisted = DatumAction._left_multiplied(galois_star, cocycle.value_perms, datum)
     if gamma_action is not None and not actions_commute(twisted, gamma_action):
         raise AssertionError("twisted action fails to commute with the folding action")
     for s in galois_star.group.generating_set:

@@ -27,7 +27,9 @@ from rootfold.lattice import (
     vec_sub,
 )
 from rootfold.rootdatum import (
+    BasedRootDatum,
     DatumAutomorphism,
+    RootDatum,
     closure,
     from_cartan_type,
     root_permutation,
@@ -243,6 +245,75 @@ def test_checked_accepts_exactly_the_homomorphisms(data):
     assert len(pairs) == 1
     (a, b), = pairs
     assert mat_mul(images[a], images[b]) != images[group.mul(a, b)]
+
+
+# A1 plus a rank-1 torus, whose automorphisms are the four diag(+-1, +-1)
+TORUS = RootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)))
+LEFT_DATA = dict(DATA, torus=(TORUS, [((a, 0), (0, d)) for a in (1, -1) for d in (1, -1)]))
+LEFT_BASED = {spec: from_cartan_type(spec) for spec in DATA}
+LEFT_BASED["torus"] = BasedRootDatum(TORUS, (0,))
+
+
+@lru_cache(maxsize=None)
+def left_homomorphisms(group_name, spec):
+    group = GROUPS[group_name]
+    return list(homomorphisms(group, set(group.elements()), {}, LEFT_DATA[spec][1]))
+
+
+def outcome(build):
+    """What ``build()`` returns, or the message of its InvalidActionError."""
+    try:
+        return build()
+    except InvalidActionError as err:
+        return str(err)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_left_multiplied_gives_the_verdicts_of_the_matrix_law(data):
+    # f_s . a_s for an action a and W-valued factors f_s: at first
+    # w a_s w^-1 a_s^-1 for a drawn w, which makes a homomorphism, with
+    # some factors then redrawn at random.  The source is eager, or made
+    # itself by _left_multiplied, and the target based or not.
+    name = data.draw(st.sampled_from(sorted(GROUPS)), label="group")
+    spec = data.draw(st.sampled_from(sorted(LEFT_DATA)), label="datum")
+    group = GROUPS[name]
+    datum = LEFT_DATA[spec][0]
+    hom = data.draw(st.sampled_from(left_homomorphisms(name, spec)), label="hom")
+    weyl = weyl_group(datum)
+    by_perm = dict(zip(weyl.sorted_perms, weyl.elements))
+    perms = sorted(by_perm)
+
+    def conjugating(images):
+        w = by_perm[data.draw(st.sampled_from(perms), label="w")]
+        return [w * a * w.inverse() * a.inverse() for a in images]
+
+    images = [DatumAutomorphism.from_matrix(hom[x]) for x in group.elements()]
+    source = DatumAction._checked(group, images, [root_permutation(datum, a)
+                                                  for a in images], datum)
+    if data.draw(st.booleans(), label="lazy source"):
+        inner = conjugating(images)
+        source = DatumAction._left_multiplied(
+            source, [root_permutation(datum, f) for f in inner], datum)
+        images = [f * a for f, a in zip(inner, images)]
+    factors = conjugating(images)
+    for x in data.draw(st.lists(st.integers(0, len(group) - 1), max_size=3),
+                       label="redrawn elements"):
+        factors[x] = by_perm[data.draw(st.sampled_from(perms), label="value")]
+    target = LEFT_BASED[spec] if data.draw(st.booleans(), label="based") else datum
+    auts = [f * a for f, a in zip(factors, images)]
+    expected = outcome(lambda: DatumAction._checked(
+        group, auts, [root_permutation(datum, a) for a in auts], target))
+    got = outcome(lambda: DatumAction._left_multiplied(
+        source, [root_permutation(datum, f) for f in factors], target))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert "images" not in vars(got)
+        assert (got.images, got.root_perms) == (expected.images, expected.root_perms)
+    # the matrix law over all |G|^2 pairs refuses exactly the same maps
+    law = homomorphism_failure(group, [a.on_characters for a in auts])
+    assert (law is None) == (not isinstance(got, str) or "stabilize" in got)
 
 
 def test_labels_that_do_not_generate_are_rejected():

@@ -364,3 +364,92 @@ def test_h1_counts_invariant_under_change_of_basis(case, ops):
                     None if gamma_matrix is None
                     else conjugate(g, gamma_matrix, ginv))
     assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# star and twisted images, built on first read, against matrix products
+
+
+def product(x, y):
+    """x . y by character and cocharacter matrices."""
+    return DatumAutomorphism(mat_mul(x.on_characters, y.on_characters),
+                             mat_mul(x.on_cocharacters, y.on_cocharacters))
+
+
+def weyl_by_permutation(based):
+    """Every Weyl element, closed from the simple reflections by matrix
+    products, keyed by its root permutation."""
+    datum = based.datum
+    return {root_permutation(datum, w): w
+            for w in closure([reflection(datum, i) for i in based.base])}
+
+
+def assert_lazy_images(action, expected, unread=True):
+    """``action`` holds no images until they are read (when ``unread``);
+    then they are ``expected`` and induce ``action.root_perms``."""
+    assert ("images" not in vars(action)) == unread
+    assert action.images == tuple(expected)
+    for image, perm in zip(action.images, action.root_perms):
+        assert root_permutation(action.datum, image) == perm
+
+
+def assert_star_and_twists(based, galois, star_act, cocycles, value_matrices):
+    """The star images of ``galois`` are c(s)^-1 . pi(s), and the images
+    of each twist of the cocycles are v(s) . c(s)^-1 . pi(s), where c is
+    the transport cocycle and v(s) = value_matrices(cocycle)[s].  The
+    twists are made before the star images are read, and again after."""
+    weyl = weyl_by_permutation(based)
+    _, transport = star_action(galois, based.base)
+    stars = [product(weyl[p].inverse(), g)
+             for p, g in zip(transport.value_perms, galois.images)]
+    for read_star in (False, True):
+        if read_star:
+            # on a torus, ``cobound`` has read the star images on the
+            # annihilator of the coroots
+            assert_lazy_images(star_act, stars, based.datum.is_semisimple)
+        for c in cocycles:
+            twisted = twist_datum(based, star_act, c).galois
+            assert_lazy_images(twisted, map(product, value_matrices(c), stars))
+
+
+@pytest.mark.parametrize("case", H1_CASES, ids=[c[0] for c in H1_CASES])
+def test_lazy_images_match_matrix_products(case):
+    _, spec, galois_matrix, gamma_matrix = case
+    based = from_cartan_type(spec)
+    datum = based.datum
+    galois = make_action(datum, [(galois_matrix(datum.rank), 1)],
+                         group=FiniteGroup.cyclic(2))
+    module = (weyl_group(datum, base=based.base) if gamma_matrix is None
+              else fixed_weyl(make_action(based, [(gamma_matrix, "s")])))
+    star_act, _ = star_action(galois, based.base)
+    cocycles = z1_enumerate(galois.group, star_act, module)
+    weyl = weyl_by_permutation(based)
+    assert_star_and_twists(based, galois, star_act, cocycles,
+                           lambda c: [weyl[p] for p in c.value_perms])
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_CASES))
+def test_lazy_images_match_matrix_products_on_tori(name):
+    # the coboundaries by every kappa that gives W-valued values (the
+    # others are refused by the base transport, see test_twist.py)
+    factors, rank, galois_matrix, kappas = TORUS_CASES[name][:4]
+    based, galois, group = torus_case(factors, rank, galois_matrix, kappas)
+    weyl = weyl_by_permutation(based)
+    star_act, _ = star_action(galois, based.base)
+    star_inverses = [s.inverse().on_characters
+                     for s in star_action(galois, based.base)[0].images]
+    values = {}
+    for c in z1_enumerate(galois.group, star_act, weyl_group(based.datum)):
+        for kappa in group:
+            try:
+                moved = cobound(c, kappa)
+            except ValueError:
+                continue
+            if all(p in weyl for p in moved.value_perms):
+                values[moved.value_perms] = moved, [
+                    DatumAutomorphism.from_matrix(m) for m in reference_cobound(
+                        c, kappa, kappa.inverse().on_characters, star_inverses)]
+    assert len(values) >= 2
+    matrices = {c.value_perms: m for c, m in values.values()}
+    assert_star_and_twists(based, galois, star_act, [c for c, _ in values.values()],
+                           lambda c: matrices[c.value_perms])

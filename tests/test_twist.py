@@ -1,6 +1,6 @@
 import pytest
 
-from rootfold.action import FiniteGroup, fixed_weyl, make_action
+from rootfold.action import FiniteGroup, actions_commute, fixed_weyl, make_action
 from rootfold.errors import InvalidActionError, UnsupportedDatumError
 from rootfold.lattice import identity_matrix, mat_mul, replace
 from rootfold.rootdatum import (
@@ -471,6 +471,71 @@ def test_twist_datum_refuses_a_cocycle_its_transport_does_not_recover():
     with pytest.raises(AssertionError,
                        match="^base transport does not recover the cocycle$"):
         twist_datum(b, star_act, moved)
+
+
+def a3_with_gamma():
+    """A3 with Z/2 acting by -1 and the folding action of the flip."""
+    b = from_cartan_type("A3:sc")
+    galois = make_action(b.datum, [(neg_matrix(3), 1)], group=FiniteGroup.cyclic(2))
+    return b, galois, make_action(b, [(flip_matrix(3), "s")])
+
+
+def test_twist_datum_leaves_star_and_twisted_images_unbuilt():
+    # on semisimple data the commutation tests read root permutations
+    # only, so neither the star images nor the twisted ones are built
+    b, galois, gamma = a3_with_gamma()
+    star_act, _ = star_action(galois, b.base)
+    cocycles = z1_enumerate(galois.group, star_act, fixed_weyl(gamma))
+    h1_classes(cocycles, tuple(equivariant_automorphism_group(b, commuting_with=gamma)))
+    twisted = [twist_datum(b, star_act, c, gamma_action=gamma).galois for c in cocycles]
+    assert len(twisted) > 1
+    assert all("images" not in vars(a) for a in [star_act] + twisted)
+    assert all(actions_commute(a, gamma) for a in twisted)
+    assert all("images" not in vars(a) for a in [star_act] + twisted)
+
+
+def test_h1_twists_and_isomorphisms_multiply_once_per_isomorphism(monkeypatch):
+    b, galois, gamma = a3_with_gamma()
+    calls = []
+    times = DatumAutomorphism.__mul__
+
+    def counted(x, y):
+        calls.append(1)
+        return times(x, y)
+
+    monkeypatch.setattr(DatumAutomorphism, "__mul__", counted)
+    report = h1_with_image(b, galois, gamma_action=gamma)
+    star_act, _ = star_action(galois, b.base)
+    twisted = {c.value_perms: twist_datum(b, star_act, c, gamma_action=gamma).galois
+               for c in report.module_classes.cocycles}
+    found = [equivariant_isomorphic(b.datum, [twisted[c.value_perms], gamma],
+                                    b.datum, [twisted[d.value_perms], gamma])
+             for cls in report.image_classes.classes for c in cls for d in cls]
+    assert all(found) and len(found) > len(report.image_classes.classes)
+    assert len(calls) == len(found)
+
+
+def test_twist_datum_refuses_a_star_action_that_differs_on_the_torus_only():
+    # A1 plus a rank-1 torus: the trivial Galois action and the one that
+    # is -1 on the torus have star actions that permute the roots alike
+    from rootfold.rootdatum import BasedRootDatum, RootDatum
+
+    datum = RootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)))
+    b = BasedRootDatum(datum, (0,))
+    trivial = star_action(trivial_z2_action(datum), b.base)
+    minus = star_action(make_action(datum, [(((1, 0), (0, -1)), 1)],
+                                    group=FiniteGroup.cyclic(2)), b.base)
+    assert trivial[0].root_perms == minus[0].root_perms
+    message = "^cocycle was built against a different star action$"
+    for (star, _), (_, cocycle) in ((trivial, minus), (minus, trivial)):
+        with pytest.raises(InvalidActionError, match=message):
+            twist_datum(b, star, cocycle)
+    # an equal star action made again is accepted
+    for act, (_, cocycle) in ((trivial_z2_action(datum), trivial),
+                              (make_action(datum, [(((1, 0), (0, -1)), 1)],
+                                           group=FiniteGroup.cyclic(2)), minus)):
+        twisted = twist_datum(b, star_action(act, b.base)[0], cocycle)
+        assert twisted.galois.images == cocycle.star_action.images
 
 
 # ---------------------------------------------------------------------------
