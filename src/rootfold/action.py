@@ -221,6 +221,12 @@ class DatumAction:
             lifts[orb] = (xi, lift)
         return lifts
 
+    @cached_property
+    def _star_actions(self):
+        # filled by ``twist.star_action``: (star action, cocycle) keyed by
+        # the base; neither refers back to this action
+        return {}
+
     def is_trivial(self):
         return all(a.is_identity() for a in self.images)
 

@@ -444,17 +444,17 @@ def cmd_h1(args, out):
             return 2
         (_, gamma), = gammas.items()
     report = h1_with_image(doc.based, galois, gamma_action=gamma)
-    z1 = report.module_classes.cocycles
-    out.write(f"z1 cocycles: {len(z1)}\n")
+    # the image classes are made on first read: read them before any
+    # line is written, so that a datum they refuse gets one error line
+    chosen = (report.module_classes if args.module == "weyl-fixed" and not args.image
+              else report.image_classes)
+    out.write(f"z1 cocycles: {len(report.module_classes.cocycles)}\n")
     if args.image:
         out.write(f"classes in the fixed-weyl module: "
                   f"{report.module_classes.class_count}\n")
         out.write(f"classes under equivariant automorphisms: "
-                  f"{report.image_classes.class_count}\n")
-        chosen = report.image_classes
+                  f"{chosen.class_count}\n")
     else:
-        chosen = (report.module_classes if args.module == "weyl-fixed"
-                  else report.image_classes)
         out.write(f"classes ({args.module}): {chosen.class_count}\n")
     for i, rep in enumerate(chosen.representatives):
         vals = ", ".join(

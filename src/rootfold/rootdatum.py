@@ -220,7 +220,8 @@ class RootDatum:
 
     @cached_property
     def _search_orders(self):
-        # filled by ``twist.equivariant_isomorphic``, keyed by the
+        # filled by ``twist.equivariant_isomorphic`` with the one list of
+        # candidate isomorphisms of this datum onto itself, keyed by the
         # canonical base
         return {}
 
@@ -531,14 +532,12 @@ def _automorphisms_from_permutations(datum, perms):
     [r_i | z_j] is invertible (see ``verify_axioms``), so the character
     matrix is [w r_i | z_j] [r_i | z_j]^-1, computed with the adjugate
     kept on the datum (``RootDatum._root_basis``) and one exact
-    division.  The cocharacter matrix is the contragredient, read off
-    the matrix of the inverse permutation."""
-    chosen, fixed, adj, d = datum._root_basis
+    division (``_matrix_on_roots``).  The cocharacter matrix is the
+    contragredient, read off the matrix of the inverse permutation."""
     inverse = {p: _invert_permutation(p) for p in perms}
     mats = {}
     for p in set(perms) | set(inverse.values()):
-        images = [datum.roots[p[i]] for i in chosen] + fixed
-        mats[p] = exact_quotient(mat_mul(transpose(tuple(images)), adj), d)
+        mats[p] = _matrix_on_roots(datum, datum, p)
         if mats[p] is None:
             raise AssertionError(
                 "root permutation is not induced by a lattice automorphism")
@@ -553,6 +552,18 @@ def _automorphisms_from_permutations(datum, perms):
         cochar = m_inv_t if pairing is None else mat_mul(p_inv, mat_mul(m_inv_t, pairing))
         out.append(DatumAutomorphism(mats[p], cochar))
     return out
+
+
+def _matrix_on_roots(source, target, f):
+    """The character matrix of the linear map source -> target sending
+    root i to root f[i] and fixing each vector z_j of the basis of the
+    annihilator of the coroots of ``source`` (none on semisimple data):
+    [f(r_i) | z_j] [r_i | z_j]^-1, for the independent roots r_i that
+    ``RootDatum._root_basis`` chooses, with the adjugate kept there and
+    one exact division; None when that matrix is not integral."""
+    chosen, fixed, adj, d = source._root_basis
+    images = [target.roots[f[i]] for i in chosen] + fixed
+    return exact_quotient(mat_mul(transpose(tuple(images)), adj), d)
 
 
 def weyl_group(datum, base=None, bound=WEYL_BOUND):

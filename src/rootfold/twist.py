@@ -32,6 +32,7 @@ from .lattice import (
     mat_vec,
     record,
     transpose,
+    unimodular_inverse,
 )
 from .rootdatum import (
     WEYL_BOUND,
@@ -40,6 +41,7 @@ from .rootdatum import (
     WeylGroup,
     _automorphisms_from_permutations,
     _invert_permutation,
+    _matrix_on_roots,
     as_permutation,
     canonical_base,
     cartan_matchings,
@@ -190,13 +192,24 @@ def star_action(action, base):
     c(s)^-1, the inverses of the transports' permutations, and are
     checked there on permutations.  No matrix is built here: the star
     images are built when a caller reads them, and the cocycle holds
-    the transports as permutations."""
-    datum = action.datum
-    based = BasedRootDatum(datum, tuple(base))
-    transport_perms = [_transport(based, perm) for perm in action.root_perms]
-    star_act = DatumAction._left_multiplied(
-        action, [_invert_permutation(p) for p in transport_perms], based)
-    return star_act, StarCocycle.build(star_act, transport_perms)
+    the transports as permutations.
+
+    The pair is kept on ``action``, keyed by the base, and a later call
+    with that base returns the same objects, so that ``twist_datum``
+    given this star action and a cocycle from it compares nothing.  The
+    pair refers to the group, the datum and the action's images (or the
+    factors it is waiting for), never to ``action`` itself (see
+    ``DatumAction._left_multiplied``), so keeping it makes no reference
+    cycle."""
+    key = tuple(base)
+    kept = action._star_actions
+    if key not in kept:
+        based = BasedRootDatum(action.datum, key)
+        transport_perms = [_transport(based, perm) for perm in action.root_perms]
+        star_act = DatumAction._left_multiplied(
+            action, [_invert_permutation(p) for p in transport_perms], based)
+        kept[key] = (star_act, StarCocycle.build(star_act, transport_perms))
+    return kept[key]
 
 
 def equivariant_automorphism_group(based, commuting_with=None, bound=WEYL_BOUND):
@@ -270,8 +283,7 @@ def _diagram_maps(based1, based2):
 def _find_diagram_maps(based1, based2):
     d1, d2 = based1.datum, based2.datum
     adj, d0 = adjugate_and_det(transpose(based1.simple_roots))
-    p1 = None if d1.has_standard_pairing else d1.pairing_matrix
-    p2 = None if d2.has_standard_pairing else d2.pairing_matrix
+    p1, p2 = _pairing(d1), _pairing(d2)
     out = []
     for perm in cartan_matchings(based1.cartan_matrix(), based2.cartan_matrix()):
         target = transpose(tuple(based2.simple_roots[j] for j in perm))
@@ -492,7 +504,9 @@ def h1_classes(cocycles, cobounding_group, module_group=()):
 class H1Report:
     """Z1 of a Galois quotient in the fixed Weyl subgroup, cobounded two
     ways: inside the module itself, and inside the full equivariant
-    automorphism group (the image invariant)."""
+    automorphism group (the image invariant).  A report made by
+    ``h1_with_image`` partitions by that group when ``image_classes`` is
+    first read, and raises its errors there."""
 
     module_classes: CohomologyClassSet
     image_classes: CohomologyClassSet
@@ -502,11 +516,33 @@ class H1Report:
         return (self.module_classes.class_count, self.image_classes.class_count)
 
 
+class _ImageClassesOnRead:
+    """``H1Report.image_classes`` of a report made by ``h1_with_image``:
+    built on the first read by the pending ``_image_classes`` call and
+    kept in the instance dictionary, where ``__init__`` puts the field
+    of every other report."""
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        classes = vars(report)["_image_classes"]()
+        vars(report)["image_classes"] = classes
+        return classes
+
+
+H1Report.image_classes = _ImageClassesOnRead()
+
+
 def h1_with_image(based, galois_action, gamma_action=None, bound=WEYL_BOUND,
                   z1_bound=Z1_BOUND):
     """Enumerate Z1(Galois, fixed Weyl subgroup) for the star action of
     the Galois action, and partition it by cobounding both in the module
-    and in the equivariant automorphism group."""
+    and in the equivariant automorphism group.
+
+    The second partition is made when the report's ``image_classes`` is
+    first read: it needs the automorphism group, which
+    ``equivariant_automorphism_group`` computes for semisimple data only,
+    and the module classes do not."""
     if gamma_action is not None:
         if not actions_commute(galois_action, gamma_action):
             raise InvalidActionError("Galois and folding actions must commute")
@@ -521,11 +557,16 @@ def h1_with_image(based, galois_action, gamma_action=None, bound=WEYL_BOUND,
     else:
         module = weyl_group(based.datum, base=based.base, bound=bound)
     cocycles = z1_enumerate(galois_action.group, star_act, module, bound=z1_bound)
-    module_set = h1_classes(cocycles, module, module_group=module)
-    auts = equivariant_automorphism_group(based, commuting_with=gamma_action,
-                                          bound=bound)
-    image_set = h1_classes(cocycles, auts, module_group=module)
-    return H1Report(module_set, image_set)
+    report = H1Report(h1_classes(cocycles, module, module_group=module), None)
+
+    def image_classes():
+        auts = equivariant_automorphism_group(based, commuting_with=gamma_action,
+                                              bound=bound)
+        return h1_classes(cocycles, auts, module_group=module)
+    state = vars(report)
+    del state["image_classes"]   # so that the first read builds them
+    state["_image_classes"] = image_classes
+    return report
 
 
 @record
@@ -605,34 +646,51 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
     """Search for a lattice isomorphism datum1 -> datum2 commuting with
     the paired actions; the first one found, or None.
 
-    Every isomorphism is w o m, with w in W(datum2) and m a diagram map
-    from the canonical base of datum1 onto the canonical base of datum2
-    (``_diagram_maps``).  An isomorphism f carries the base onto a base
-    of datum2, and W(datum2) acts simply transitively on the bases
-    (Bourbaki, Lie groups and Lie algebras, VI 1.5): f(base) = w(base2)
-    for one w, and m = w^-1 o f keeps the Cartan entries.  The lattice
-    checks (integral, determinant +-1, roots onto roots, coroots onto
-    the matching coroots) run once per diagram map: w is an automorphism
-    of datum2, so w o m passes them exactly when m does.
+    The candidates are the isomorphisms F = w o m, with w in W(datum2)
+    and m a diagram map from a base b of datum1 onto a base b' of datum2
+    (``_diagram_maps``), for any one pair (b, b').  Each isomorphism is
+    one candidate, once: F carries b onto a base of datum2, W(datum2)
+    acts simply transitively on the bases (Bourbaki, Lie groups and Lie
+    algebras, VI 1.5), so F(b) = w(b') for exactly one w, and
+    m = w^-1 o F carries b onto b' with the Cartan entries kept.  So
+    Aut = W . D(b) for any base b when both sides are one datum.  The
+    lattice checks (integral, determinant +-1, roots onto roots,
+    coroots onto the matching coroots) run once per diagram map: w is
+    an automorphism of datum2, so w o m passes them exactly when m
+    does.  When both sides are one datum that already holds the maps of
+    some pair of its bases (``equivariant_automorphism_group`` leaves
+    those of its action's base; like every ``BasedRootDatum``, those
+    bases are taken to be bases, which ``verify_base`` checks), they are
+    used; otherwise the maps from the canonical base of datum1 onto that
+    of datum2.
 
-    Equivariance, cand o pi1(g) = pi2(g) o cand for the root maps of the
-    generators g of each paired group, is checked on the canonical base
-    of datum1 only, which is exact because both data are semisimple:
-    both sides are lattice maps datum1 -> datum2, and the base spans the
-    characters over Q, so two of them that agree on the base are equal.
-    The candidates are taken in the order of ``_search_order``: by image
-    positive system, in the order of the sorted index lists, then by
-    the tuple of images of the base.  W(datum2) is closed under
-    ``bound`` when that order is built; an order kept on the datum is
-    used as it is, as no closure runs.
+    The candidates are tried in the order of a key on F alone,
+    (sorted F(P), F(base1)), for P and base1 the canonical positive
+    system and base of datum1 (``_search_order``).  F(base1) names F, as
+    the base spans the characters over Q, so the order is total and the
+    same whichever maps listed the candidates: any base's maps give the
+    same first hit.  For a map m from the canonical base onto the
+    canonical base base2 of datum2, m(P) = P2, the canonical positive
+    system of datum2, as P and P2 are the roots that are nonnegative
+    combinations of base1 and base2; so F(P) = w(P2), and the order is
+    W by its image of P2 in the order of the sorted index lists, then
+    the maps under each w by the images of base1.  W(datum2) is closed
+    under ``bound`` when that order is built; an order kept on the
+    datum is used as it is, as no closure runs.
+
+    Equivariance, F o pi1(g) = pi2(g) o F for the root maps of the
+    generators g of each paired group, is checked on base1 only, which
+    is exact because both data are semisimple: both sides are lattice
+    maps datum1 -> datum2, and the base spans the characters over Q, so
+    two of them that agree on the base are equal.  The isomorphism
+    returned is built from the root map of F alone (``_isomorphism``).
 
     Before any base, diagram map or Weyl group is looked at, a pair is
     refused when some paired generator g has root permutations pi1(g)
     and pi2(g) of different cycle types (``cycle_type``).  That changes
     no answer: an equivariant f induces a bijection F of the roots with
     F o pi1(g) o F^-1 = pi2(g), and conjugate permutations have the same
-    cycle type.  So every refused pair has no isomorphism, and on the
-    others the search runs as before and returns the same map."""
+    cycle type.  So every refused pair has no isomorphism."""
     for d in (datum1, datum2):
         if not d.is_semisimple:
             raise UnsupportedDatumError(
@@ -650,41 +708,57 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
         return None
 
     base1 = canonical_base(datum1)
-    maps = _diagram_maps(BasedRootDatum(datum1, base1),
-                         BasedRootDatum(datum2, canonical_base(datum2)))
-    if not maps:
-        return None
     orders = datum1._search_orders if datum1 is datum2 else {}
     if base1 not in orders:
-        orders[base1] = _search_order(base1, weyl_group(datum2, bound=bound), maps)
-    # per diagram map m and pair: w -> (w o m o pi1(g))(base1), and pi2(g)
-    # to read at the kept (w o m)(base1)
+        held = datum1._diagram_maps.values() if datum1 is datum2 else ()
+        maps = next((m for m in held if m), None) or _diagram_maps(
+            BasedRootDatum(datum1, base1), BasedRootDatum(datum2, canonical_base(datum2)))
+        if not maps:
+            return None
+        orders[base1] = _search_order(datum1, weyl_group(datum2, bound=bound), maps)
+    # per pair: F -> (F o pi1(g))(base1), and pi2(g) to read at F(base1)
     n = len(datum2.roots)
-    checks = [[(permutation_getter(as_permutation([images[p1[i]] for i in base1], n)), p2)
-               for p1, p2 in pairs] for _, images in maps]
-    for w, k, on_base in orders[base1]:
-        if all(before(w) == compose(p2, on_base) for before, p2 in checks[k]):
-            return _automorphisms_from_permutations(datum2, [w])[0] * maps[k][0]
+    checks = [(permutation_getter(as_permutation([p1[i] for i in base1], n)), p2)
+              for p1, p2 in pairs]
+    for f, on_base in orders[base1]:
+        if all(before(f) == compose(p2, on_base) for before, p2 in checks):
+            return _isomorphism(datum1, datum2, f)
     return None
 
 
-def _search_order(base1, weyl, maps):
-    """The candidates w o m of ``equivariant_isomorphic`` in search
-    order, as (w, index of m in ``maps``, images of ``base1`` under
-    w o m): w in W by the sorted index list of its image of the
-    canonical positive system, then by the images of ``base1``, which
-    differ between the maps (a diagram map is fixed by its node
-    matching).  When both sides are the same datum the order is cached
-    on it, keyed by the canonical base."""
+def _search_order(datum1, weyl, maps):
+    """The candidates w o m of ``equivariant_isomorphic``, for w in
+    ``weyl`` (W of the second datum) and m in ``maps``, in search order,
+    as (root index map F of w o m, images F(base1) of the canonical base
+    of ``datum1``), sorted by (sorted F(P), F(base1)) with P the
+    canonical positive system of ``datum1``.  When both sides are the
+    same datum the order is cached on it, keyed by the canonical base."""
     n = len(weyl.datum.roots)
-    translate = permutation_getter(as_permutation(sorted(positive_system(weyl.datum)), n))
-    on_base = [permutation_getter(as_permutation([images[i] for i in base1], n))
-               for _, images in maps]
-    order = []
-    for w in sorted(weyl.perms, key=lambda w: sorted(translate(w))):
-        order.extend((w, k, image)
-                     for image, k in sorted((f(w), k) for k, f in enumerate(on_base)))
-    return tuple(order)
+    on_positive = permutation_getter(as_permutation(sorted(positive_system(datum1)), n))
+    on_base = permutation_getter(as_permutation(canonical_base(datum1), n))
+    ranked = sorted((sorted(on_positive(f)), on_base(f), f)
+                    for f in (compose(w, images) for _, images in maps for w in weyl.perms))
+    return tuple((f, image) for _, image, f in ranked)
+
+
+def _isomorphism(datum1, datum2, f):
+    """The lattice isomorphism of semisimple data datum1 -> datum2 that
+    sends root i to root f[i].  Its character matrix M is read off the
+    roots (``_matrix_on_roots``), and so is M^-1, from the inverse map;
+    the cocharacter matrix is the contragredient P2^-1 M^-T P1
+    (``contragredient``), P1 and P2 the pairings."""
+    p1, p2 = _pairing(datum1), _pairing(datum2)
+    cochar = transpose(_matrix_on_roots(datum2, datum1, _invert_permutation(f)))
+    if p1 is not None:
+        cochar = mat_mul(cochar, p1)
+    if p2 is not None:
+        cochar = mat_mul(unimodular_inverse(p2), cochar)
+    return DatumAutomorphism(_matrix_on_roots(datum1, datum2, f), cochar)
+
+
+def _pairing(datum):
+    """The pairing matrix for ``contragredient``: None for the standard one."""
+    return None if datum.has_standard_pairing else datum.pairing_matrix
 
 
 def _root_images(d1, d2, m):

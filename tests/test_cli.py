@@ -2,6 +2,7 @@ import io
 import json
 import pathlib
 import time
+from itertools import permutations
 
 import pytest
 
@@ -214,6 +215,34 @@ def test_h1_with_gamma_and_galois_blocks(tmp_path):
     assert "classes (weyl-fixed): 2" in out2
     # byte determinism across repeated runs
     assert run_cli("h1", str(doc), "--module", "aut-gamma")[1] == out
+
+
+def test_h1_on_a1_plus_a_torus_reports_the_module_classes(tmp_path):
+    # A1 plus a rank-1 torus, Galois acting by diag(1, -1): trivially on
+    # the roots and on W, so Z1 is {w in W(A1) : w^2 = 1} and the classes
+    # are the involution classes of S_2 with the identity, (n + 1) // 2 + 1
+    # for A_n; the image classes need the automorphism group, which is
+    # refused on a datum with a torus factor
+    n = 1
+    path = tmp_path / "a1-torus.datum"
+    path.write_text(json.dumps({
+        "rank": 2, "roots": [[2, 0], [-2, 0]], "coroots": [[1, 0], [-1, 0]],
+        "base": [0],
+        "actions": {"galois": {"role": "galois", "group": "cyclic:2",
+                               "generators": [{"element": 1,
+                                               "matrix": [[1, 0], [0, -1]]}]}}}))
+    z1 = sum(1 for w in permutations(range(n + 1))
+             if all(w[w[i]] == i for i in range(n + 1)))
+    classes = (n + 1) // 2 + 1
+    code, out = run_cli("h1", str(path))
+    assert code == 0
+    assert out.splitlines()[:2] == [f"z1 cocycles: {z1}",
+                                    f"classes (weyl-fixed): {classes}"]
+    assert len(out.splitlines()) == 2 + classes
+    assert run_cli("h1", str(path), "--module", "weyl-fixed") == (code, out)
+    for extra in (["--image"], ["--module", "aut-gamma"]):
+        assert run_cli("h1", str(path), *extra) == (
+            1, "error: automorphism groups are only computed for semisimple data\n")
 
 
 def test_isoclass_same_document():

@@ -33,7 +33,6 @@ from rootfold.rootdatum import (
     BasedRootDatum,
     DatumAutomorphism,
     WeylGroup,
-    _automorphisms_from_permutations,
     base_of,
     canonical_base,
     contragredient,
@@ -48,6 +47,7 @@ from rootfold.twist import (
     _search_order,
     equivariant_automorphism_group,
     equivariant_isomorphic,
+    h1_with_image,
     star_action,
     twist_datum,
     z1_enumerate,
@@ -126,22 +126,30 @@ def reference_automorphism_group(based, commuting_with=None):
 
 def full_permutation_isomorphic(datum1, actions1, datum2, actions2):
     """The search in ``_search_order``, testing equivariance on every
-    root; permutations are plain tuples here."""
+    root; permutations are plain tuples here, and the map found is
+    solved from its images of the canonical base."""
     if datum1.rank != datum2.rank or len(datum1.roots) != len(datum2.roots):
         return None
     base1 = canonical_base(datum1)
     maps = _diagram_maps(BasedRootDatum(datum1, base1),
                          BasedRootDatum(datum2, canonical_base(datum2)))
+    if not maps:
+        return None
 
     def compose(p, q):
         return tuple(p[i] for i in q)
 
     pairs = [(tuple(a1.root_perms[g]), tuple(a2.root_perms[g]))
              for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
-    for w, k, _ in _search_order(base1, weyl_group(datum2), maps):
-        cand = compose(tuple(w), tuple(maps[k][1]))
+    adj, d0 = adjugate_and_det(transpose(tuple(datum1.roots[i] for i in base1)))
+    for f, on_base in _search_order(datum1, weyl_group(datum2), maps):
+        cand = tuple(f)
+        assert tuple(on_base) == compose(cand, base1)
         if all(compose(cand, p1) == compose(p2, cand) for p1, p2 in pairs):
-            return _automorphisms_from_permutations(datum2, [w])[0] * maps[k][0]
+            target = transpose(tuple(datum2.roots[cand[i]] for i in base1))
+            m = exact_quotient(mat_mul(target, adj), d0)
+            return DatumAutomorphism(m, contragredient(m, _pairing(datum1),
+                                                       _pairing(datum2)))
     return None
 
 
@@ -212,6 +220,58 @@ def test_twist_pairs_match_reference(case):
             if len(twists) <= 10 or min(i, j) < 3:
                 found = assert_isomorphic_matches(datum, t1, datum, t2)
                 assert i != j or found is not None
+
+
+def build_case(case):
+    _, spec, galois_matrix, gamma_matrix = case
+    based = from_cartan_type(spec)
+    galois = z2(based.datum, galois_matrix(based.datum.rank))
+    gamma = None if gamma_matrix is None else make_action(based, [(gamma_matrix, "s")])
+    return based, galois, gamma
+
+
+def class_pairs(case):
+    """(value permutations of c1, of c2, same image class?) for every
+    within-class pair and every ordered pair of distinct class
+    representatives, read off a report on data built apart."""
+    based, galois, gamma = build_case(case)
+    classes = [[c.value_perms for c in cls]
+               for cls in h1_with_image(based, galois, gamma).image_classes.classes]
+    reps = [cls[0] for cls in classes]
+    return ([(cls[0], c, True) for cls in classes for c in cls[1:]]
+            + [(r1, r2, False) for r1 in reps for r2 in reps if r1 != r2])
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("case", H1_CASES, ids=[c[0] for c in H1_CASES])
+def test_class_pairs_match_reference_with_or_without_kept_diagram_maps(case, warm):
+    # cold: no automorphism group was made, so the search lists the maps
+    # of the canonical bases; warm: it reuses those the group left for
+    # the document base, which differs from the canonical one on B2, G2,
+    # A3, B3, C3 and A4
+    pairs = class_pairs(case)
+    based, galois, gamma = build_case(case)
+    datum = based.datum
+    if warm:
+        equivariant_automorphism_group(based, commuting_with=gamma)
+    held = dict(datum._diagram_maps)
+    assert len(held) == warm
+    star, _ = star_action(galois, based.base)
+    module = (fixed_weyl(gamma) if gamma is not None
+              else weyl_group(datum, base=based.base))
+    extra = [gamma] if gamma is not None else []
+    twists = {c.value_perms: [twist_datum(based, star, c, gamma_action=gamma).galois] + extra
+              for c in z1_enumerate(galois.group, star, module)}
+    found = [equivariant_isomorphic(datum, twists[c1], datum, twists[c2])
+             for c1, c2, _ in pairs]
+    # the search listed diagram maps only when the datum held none
+    if warm:
+        assert datum._diagram_maps.keys() == held.keys()
+    else:
+        assert set(datum._diagram_maps) <= {(canonical_base(datum),) * 2}
+    for (c1, c2, same), iso in zip(pairs, found):
+        assert key(iso) == assert_isomorphic_matches(datum, twists[c1], datum, twists[c2])
+        assert (iso is not None) == same
 
 
 CROSS = [("A2:sc", "A2:ad"), ("B2:sc", "C2:sc"), ("B3:sc", "C3:sc"),

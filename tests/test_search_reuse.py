@@ -292,22 +292,41 @@ def test_cross_class_pairs_refused_by_cycle_type_or_searched_to_none():
 
 
 def test_the_kept_closures_form_no_reference_cycle():
-    # the caches live on the datum; a cycle back to it would keep each
-    # datum alive until a full garbage collection
+    # the caches live on the datum, and the star action and its cocycle
+    # on the Galois action; a cycle back to either would keep it alive
+    # until a full garbage collection
     def run(case):
         based, galois, gamma = build(case)
         report, twisted = twists(based, galois, gamma)
         for c1, c2, _ in pairs(report):
             equivariant_isomorphic(based.datum, [twisted[c1.sort_key()].galois],
                                    based.datum, [twisted[c2.sort_key()].galois])
-        return weakref.ref(based.datum)
+        kept = galois._star_actions[based.base]
+        assert star_action(galois, based.base) is kept
+        return [weakref.ref(x) for x in (based.datum, galois) + kept]
 
     gc.disable()
     try:
-        refs = [run(case) for case in CASES]
-        assert [ref() for ref in refs] == [None] * len(CASES)
+        refs = [ref for case in CASES for ref in run(case)]
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def test_an_h1_pass_lists_diagram_maps_once_per_datum(monkeypatch):
+    # the automorphism group lists the maps of its action's base, and
+    # every isomorphism search of the pass reuses them
+    listed = []
+    find = twist_module._find_diagram_maps
+
+    def counted(based1, based2):
+        listed.append(based1.datum)
+        return find(based1, based2)
+
+    monkeypatch.setattr(twist_module, "_find_diagram_maps", counted)
+    for case in CASES:
+        h1_pass(case)
+    assert len(listed) == len({id(d) for d in listed}) == len(CASES)
 
 
 def uncached_positive_system(based):
