@@ -27,9 +27,11 @@ from .rootdatum import (
     BasedRootDatum,
     DatumAutomorphism,
     WeylGroup,
+    _annihilator_block,
     _automorphisms_from_permutations,
     closure,
     compose,
+    cycle_type,
     identity_permutation,
     permutation_getter,
     reflection_permutation,
@@ -142,11 +144,69 @@ def _require_automorphism(datum, matrix, context):
 @record
 class DatumAction:
     """A homomorphism from a finite abstract group into the automorphisms
-    of a (possibly based) root datum."""
+    of a (possibly based) root datum, held per group element as the
+    root permutation of its image and the image's block on the
+    annihilator A of the coroots.  ``build`` is the constructor that
+    checks; ``make_action`` builds one from matrices.
+
+    Why the pair (p, B) is the automorphism.  An automorphism x maps A
+    onto itself: it permutes the coroots, and <x z, x' c> = <z, c> for
+    its contragredient x'.  The characters over Q are span(roots) + A
+    (``verify_axioms`` proves it), so x is the linear map sending root
+    i to root p(i) and z_j to sum_i B[i][j] z_i, for the saturated basis
+    z_j of A that ``datum.coroot_annihilator`` holds: column j of B is
+    the coordinates of x(z_j), an integer vector as the basis is
+    saturated (``rootdatum._annihilator_block``).  So x -> (p, B) is
+    one to one, and a homomorphism: x y sends root i to root
+    p_x(p_y(i)), and has the block B_x B_y on A.  Products, the identity
+    (the identity permutation and block) and equality are therefore
+    read on pairs, exactly.  On semisimple data A = 0 and every block
+    is the 0 x 0 matrix (); the matrices (``images``) are built from
+    the pairs on first read only.
+
+    Every pair held must come from an automorphism; no pair is checked
+    for it.  ``make_action`` checks its generator matrices and forms
+    products of them.  ``twist.star_action`` and ``twist.twist_datum``
+    left-multiply a checked action by factors f_s that fix A pointwise
+    (inverse base transports, cocycle values: Weyl elements, or
+    coboundaries ``twist._cobounders`` keeps): f_s . a_s is an
+    automorphism with permutation q_s o p_s and the block of a_s."""
 
     group: FiniteGroup
-    images: tuple
+    root_perms: tuple   # the root permutation of each element's image
+    blocks: tuple       # the image's matrix on ``datum.coroot_annihilator``
     target: object  # RootDatum | BasedRootDatum
+
+    @classmethod
+    def build(cls, group, root_perms, blocks, target):
+        """The action with these fields, after checking on the pairs
+        (see the class docstring) that it is a homomorphism and, on a
+        based target, that every image stabilizes the base.  Raises
+        InvalidActionError naming the first failure.
+
+        The homomorphism law is checked as phi(a g) = phi(a) phi(g) for
+        every a and every g in ``group.generating_set``
+        (``_check_homomorphism``).  With phi(e) = 1, induction on the
+        length of b = g_1 ... g_k gives
+        phi(a b) = phi(a b') phi(g_k) = phi(a) phi(b') phi(g_k)
+        = phi(a) phi(b) for b' = g_1 ... g_{k-1}.  On pairs this is the
+        matrix law, pair by pair, so the same pair is named.
+
+        So every image is a product of the images of
+        ``group.generating_set``, and stabilizes the base when they do.
+        The greedy ``generating_set`` is increasing and holds the least
+        element that fails, if one does, as the elements below it
+        generate a subgroup without it; so the error names the element
+        a check of every image would name."""
+        action = cls(group, tuple(root_perms), tuple(blocks), target)
+        _check_homomorphism(group, action.root_perms, action.blocks)
+        if action.is_based:
+            base = set(target.base)
+            for i in group.generating_set:
+                if {action.root_perms[i][k] for k in base} != base:
+                    raise InvalidActionError(
+                        f"element {group.labels[i]!r} does not stabilize the base")
+        return action
 
     @property
     def datum(self):
@@ -157,8 +217,11 @@ class DatumAction:
         return isinstance(self.target, BasedRootDatum)
 
     @cached_property
-    def root_perms(self):
-        return tuple(root_permutation(self.datum, a) for a in self.images)
+    def images(self):
+        """The DatumAutomorphism of each element, built from its pair
+        on first read (``_automorphisms_from_permutations``)."""
+        return tuple(_automorphisms_from_permutations(self.datum, self.root_perms,
+                                                      self.blocks))
 
     @cached_property
     def generator_images(self):
@@ -176,6 +239,21 @@ class DatumAction:
         ident = identity_permutation(len(self.datum.roots))
         return tuple(sorted({self.root_perms[g] for g in self.group.generating_set}
                             - {ident}))
+
+    @cached_property
+    def generator_blocks(self):
+        """The distinct blocks of the images of ``group.generating_set``
+        other than the identity, sorted, as ``generator_perms``; none on
+        semisimple data."""
+        ident = identity_matrix(len(self.datum.coroot_annihilator))
+        return tuple(sorted({self.blocks[g] for g in self.group.generating_set} - {ident}))
+
+    @cached_property
+    def cycle_types(self):
+        """The cycle type of the root permutation of the image of each
+        element of ``group.generating_set``, in its order (``cycle_type``;
+        read by ``twist.equivariant_isomorphic``)."""
+        return tuple(cycle_type(self.root_perms[g]) for g in self.group.generating_set)
 
     @cached_property
     def orbits(self):
@@ -228,136 +306,31 @@ class DatumAction:
         return {}
 
     def is_trivial(self):
-        return all(a.is_identity() for a in self.images)
-
-    @classmethod
-    def _left_multiplied(cls, action, factor_perms, target):
-        """The action s -> f_s . action(s) on ``target``, where
-        factor_perms[s] is the root permutation of f_s, an automorphism
-        of the same datum that fixes the annihilator A of the coroots
-        pointwise.  The images are built on first read (``images``); here
-        only their root permutations are formed and checked.
-
-        No image needs the checks ``_require_automorphism`` makes on
-        a generator.  Let F, A be the character matrices of f = f_s and
-        a = action(s), with root permutations q and p.  FA is
-        unimodular, and F'A' is its contragredient: A^T P A' = P and
-        F^T P F' = P give
-        (FA)^T P (F'A') = A^T (F^T P F') A' = A^T P A' = P.  f.a sends
-        root a_i to f(a_p(i)) = a_q(p(i)) and coroot c_i to
-        f(c_p(i)) = c_q(p(i)), so it permutes the roots compatibly with
-        the coroots, with permutation q o p.
-
-        The identity and the homomorphism law are checked on these
-        permutations, which is exact.  Every f_s fixes A pointwise: the
-        inverse transports of ``star_action`` are Weyl elements, and the
-        cocycle values of ``twist_datum`` are built by
-        ``_automorphisms_from_permutations``, which fixes A by
-        construction.  As a_s maps A onto itself, f_s . a_s acts on A as
-        a_s does, and the source action has already passed the checks of
-        ``_checked``: on A, phi(e) = I and phi(a) phi(b) = phi(a b) hold
-        for every pair.  The characters over Q are span(roots) + A
-        (``verify_axioms``), so phi(e) = I exactly when its permutation
-        is the identity, and phi(a) phi(b) = phi(a b) exactly when
-        p_a o p_b = p_ab, pair by pair.  So the refusals, and the first
-        failing pair named, are those of the matrix law; the base is
-        checked on the same permutations as in ``_checked``.
-
-        The images f_s . a_s are formed on first read, with the f_s from
-        ``_automorphisms_from_permutations``, exact by the same argument.
-        When ``action`` is itself waiting for its images, f_s . g_s . b_s
-        is read as (f_s g_s) . b_s, f_s g_s fixing A too, so the pending
-        state holds the permutations of the factors and the images of an
-        action that has them, tuples only: caching the images creates no
-        reference cycle (see ``weyl_group``)."""
-        perms = tuple(map(compose, factor_perms, action.root_perms))
-        _check_homomorphism(action.group, perms,
-                            identity_permutation(len(action.datum.roots)), compose)
-        if "images" in vars(action):
-            pending = (tuple(factor_perms), action.images)
-        else:
-            inner, sources = vars(action)["_factors"]
-            pending = (tuple(map(compose, factor_perms, inner)), sources)
-        out = cls(action.group, None, target)
-        state = vars(out)
-        del state["images"]   # so that the first read builds them
-        state["_factors"] = pending
-        return out._stabilizing(perms)
-
-    @classmethod
-    def _checked(cls, group, auts, perms, target):
-        """The action with images ``auts``, whose root permutations are
-        ``perms``, after checking that it is a homomorphism and, on a
-        based target, that every image stabilizes the base.  No image is
-        checked to be a datum automorphism: callers form them as
-        products of checked ones (see ``make_action``).
-
-        The homomorphism law is checked on the character matrices as
-        phi(a g) = phi(a) phi(g) for every a and every g in
-        ``group.generating_set`` (``_check_homomorphism``).  With
-        phi(e) = I, induction on the length of b = g_1 ... g_k gives
-        phi(a b) = phi(a b') phi(g_k) = phi(a) phi(b') phi(g_k)
-        = phi(a) phi(b) for b' = g_1 ... g_{k-1}.
-
-        So every image is a product of the images of
-        ``group.generating_set``, and stabilizes the base when they do.
-        The greedy ``generating_set`` is increasing and holds the least
-        element that fails, if one does, as the elements below it
-        generate a subgroup without it; so the error names the element
-        a check of every image would name."""
-        datum = target.datum if isinstance(target, BasedRootDatum) else target
-        _check_homomorphism(group, [a.on_characters for a in auts],
-                            identity_matrix(datum.rank), mat_mul)
-        return cls(group, tuple(auts), target)._stabilizing(tuple(perms))
-
-    def _stabilizing(self, perms):
-        """This action with ``root_perms`` seeded by ``perms``, after
-        checking, on a based target, that the images of
-        ``group.generating_set`` stabilize the base (see ``_checked``)."""
-        vars(self)["root_perms"] = perms
-        if self.is_based:
-            base = set(self.target.base)
-            for i in self.group.generating_set:
-                if {perms[i][k] for k in base} != base:
-                    raise InvalidActionError(
-                        f"element {self.group.labels[i]!r} does not stabilize the base")
-        return self
+        return not self.generator_perms and not self.generator_blocks
 
 
-class _ImagesOnRead:
-    """``DatumAction.images`` of an action made by ``_left_multiplied``:
-    f_s . a_s per element, built on the first read from the pending
-    ``_factors`` and kept in the instance dictionary, where
-    ``__init__`` puts the images of every other action."""
-
-    def __get__(self, action, owner=None):
-        if action is None:
-            return self
-        factor_perms, sources = vars(action)["_factors"]
-        factors = _automorphisms_from_permutations(action.datum, factor_perms)
-        images = vars(action)["images"] = tuple(f * a for f, a in zip(factors, sources))
-        return images
-
-
-DatumAction.images = _ImagesOnRead()
-
-
-def _check_homomorphism(group, images, one, product):
-    """Raise InvalidActionError unless images[e] == one and
-    product(images[a], images[g]) == images[a g] for every a and every
-    g in ``group.generating_set``, naming the first failing pair."""
-    if images[group.identity] != one:
+def _check_homomorphism(group, perms, blocks):
+    """Raise InvalidActionError unless the pair (perms[e], blocks[e]) is
+    the identity and the pair of a times that of g is the pair of a g,
+    for every a and every g in ``group.generating_set``, naming the
+    first failing pair.  Blocks are multiplied only when they are not
+    0 x 0: on semisimple data a pair costs one ``compose``."""
+    one = blocks[group.identity]
+    if perms[group.identity] != identity_permutation(len(perms[0])) or (
+            one != identity_matrix(len(one))):
         raise InvalidActionError("identity element must act trivially")
     for a in group.elements():
         for b in group.generating_set:
-            if product(images[a], images[b]) != images[group.mul(a, b)]:
+            ab = group.mul(a, b)
+            if compose(perms[a], perms[b]) != perms[ab] or (
+                    one and mat_mul(blocks[a], blocks[b]) != blocks[ab]):
                 raise InvalidActionError(
                     f"images are not a homomorphism at "
                     f"({group.labels[a]!r}, {group.labels[b]!r})")
 
 
 def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND):
-    """Build a DatumAction; the one constructor.
+    """Build a DatumAction from generator matrices.
 
     ``generators`` is a list of (matrix, label) pairs.  With
     group="closure" the matrices are closed into a finite matrix group
@@ -369,9 +342,10 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
     Each generator matrix is checked once by ``_require_automorphism``.
     Every other image is a product of generators, closed together with
     its root permutation: a product of datum automorphisms is one, and
-    its permutation is the composite (see
-    ``DatumAction._left_multiplied``).  ``DatumAction._checked`` then
-    checks the homomorphism law and the base.
+    its permutation is the composite (see ``DatumAction``).
+    ``DatumAction.build`` then checks the homomorphism law and the base
+    on the permutations and, on data with a torus factor, the blocks,
+    and the action keeps the matrices closed here as its ``images``.
 
     The closed group's table is sorted as the images are, by
     ``sort_key``.  Only its generator columns are matrix products.  The
@@ -438,7 +412,11 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
         if len(images) != len(group):
             raise InvalidActionError("the labeled generators do not generate the group")
         pairs = [images[i] for i in group.elements()]
-    return DatumAction._checked(group, [a for a, _ in pairs], [p for _, p in pairs], target)
+    auts, perms = zip(*pairs)
+    action = DatumAction.build(group, perms, [_annihilator_block(datum, a) for a in auts],
+                               target)
+    vars(action)["images"] = auts   # seed the cached property
+    return action
 
 
 def orbit(action, root_index):
@@ -708,33 +686,17 @@ def fixed_weyl(action, *, bound=None):
 
 def actions_commute(a, b):
     """Elementwise commutation of two actions on the same datum, tested
-    on their generator images: what commutes with y and y' commutes
-    with y y'.
-
-    Two datum automorphisms x, y with root permutations p, q commute
-    exactly when p o q = q o p and x y z = y x z for every z in the
-    basis ``coroot_annihilator`` of the annihilator A of the coroots
-    (``commute_on_annihilator``; A = 0 on semisimple data).  x y sends
-    root i to x(root q(i)) = root p(q(i)), so x y and y x agree on the
-    roots exactly when the permutations commute.  The characters over Q
-    are span(roots) + A (``verify_axioms`` proves it), so two linear maps
-    that agree on the roots and on a basis of A are equal.  No matrix
-    is multiplied, and on semisimple data no image is read, so an
-    action made by ``DatumAction._left_multiplied`` keeps its images
-    unbuilt."""
+    on their generators: what commutes with y and y' commutes with
+    y y'.  Two automorphisms commute exactly when their root
+    permutations and their blocks do (see ``DatumAction``), so no image
+    is read."""
     if a.datum is not b.datum and a.datum != b.datum:
         return False
     return (all(compose(p, q) == compose(q, p)
                 for p in a.generator_perms for q in b.generator_perms)
-            and (not a.datum.coroot_annihilator
-                 or commute_on_annihilator(a.datum, a.generator_images,
-                                           b.generator_images)))
+            and _blocks_commute(a.generator_blocks, b.generator_blocks))
 
 
-def commute_on_annihilator(datum, xs, ys):
-    """Whether x(y(z)) = y(x(z)) for every x in xs, y in ys and z in
-    ``datum.coroot_annihilator``, a basis of the annihilator of the
-    coroots; always true on semisimple data, where that basis is
-    empty."""
-    return all(x.apply(y.apply(z)) == y.apply(x.apply(z))
-               for z in datum.coroot_annihilator for x in xs for y in ys)
+def _blocks_commute(xs, ys):
+    """Whether x y = y x for every matrix x in xs and y in ys."""
+    return all(mat_mul(x, y) == mat_mul(y, x) for x in xs for y in ys)

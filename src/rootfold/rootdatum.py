@@ -132,7 +132,10 @@ class RootDatum:
 
     @cached_property
     def is_semisimple(self):
-        return bool(self.roots) and span_rank(self.roots) == self.rank
+        """Whether the roots span the characters over Q: exactly when
+        their Gram matrix R^T R is invertible, R having the roots as
+        rows, as R^T R v = 0 gives |R v|^2 = 0."""
+        return bool(self.roots) and det(mat_mul(transpose(self.roots), self.roots)) != 0
 
     @cached_property
     def coroot_annihilator(self):
@@ -523,22 +526,27 @@ def is_reduced(datum):
     return not any(tuple(2 * x for x in r) in rs for r in datum.roots)
 
 
-def _automorphisms_from_permutations(datum, perms):
-    """The datum automorphisms inducing the given permutations of the
-    roots; each must be induced by an automorphism that fixes the
-    annihilator of the coroots pointwise, as every Weyl element does.
+def _automorphisms_from_permutations(datum, perms, blocks=None):
+    """The datum automorphisms with the given root permutations and
+    blocks on the basis ``coroot_annihilator`` (see
+    ``action.DatumAction``); by default every block is the identity, as
+    for every Weyl element.  Each pair must be induced by an
+    automorphism.
 
-    With r_i independent roots and z_j a basis of that annihilator,
-    [r_i | z_j] is invertible (see ``verify_axioms``), so the character
-    matrix is [w r_i | z_j] [r_i | z_j]^-1, computed with the adjugate
-    kept on the datum (``RootDatum._root_basis``) and one exact
-    division (``_matrix_on_roots``).  The cocharacter matrix is the
-    contragredient, read off the matrix of the inverse permutation."""
-    inverse = {p: _invert_permutation(p) for p in perms}
+    With r_i independent roots and z_j that basis, [r_i | z_j] is
+    invertible (see ``verify_axioms``), so the character matrix is
+    [w r_i | B z_j] [r_i | z_j]^-1, computed with the adjugate kept on
+    the datum (``RootDatum._root_basis``) and one exact division
+    (``_matrix_on_roots``).  The cocharacter matrix is the
+    contragredient, read off the matrix of the inverse pair."""
+    if blocks is None:
+        blocks = [identity_matrix(len(datum.coroot_annihilator))] * len(perms)
+    inverse = {(p, b): (_invert_permutation(p), unimodular_inverse(b) if b else b)
+               for p, b in zip(perms, blocks)}
     mats = {}
-    for p in set(perms) | set(inverse.values()):
-        mats[p] = _matrix_on_roots(datum, datum, p)
-        if mats[p] is None:
+    for p, b in set(inverse) | set(inverse.values()):
+        mats[p, b] = _matrix_on_roots(datum, datum, p, b)
+        if mats[p, b] is None:
             raise AssertionError(
                 "root permutation is not induced by a lattice automorphism")
     if datum.has_standard_pairing:
@@ -547,23 +555,39 @@ def _automorphisms_from_permutations(datum, perms):
         pairing = datum.pairing_matrix
         p_inv = unimodular_inverse(pairing)
     out = []
-    for p in perms:
-        m_inv_t = transpose(mats[inverse[p]])
+    for pair in zip(perms, blocks):
+        m_inv_t = transpose(mats[inverse[pair]])
         cochar = m_inv_t if pairing is None else mat_mul(p_inv, mat_mul(m_inv_t, pairing))
-        out.append(DatumAutomorphism(mats[p], cochar))
+        out.append(DatumAutomorphism(mats[pair], cochar))
     return out
 
 
-def _matrix_on_roots(source, target, f):
+def _matrix_on_roots(source, target, f, block):
     """The character matrix of the linear map source -> target sending
-    root i to root f[i] and fixing each vector z_j of the basis of the
-    annihilator of the coroots of ``source`` (none on semisimple data):
-    [f(r_i) | z_j] [r_i | z_j]^-1, for the independent roots r_i that
-    ``RootDatum._root_basis`` chooses, with the adjugate kept there and
-    one exact division; None when that matrix is not integral."""
+    root i to root f[i] and each vector z_j of the basis of the
+    annihilator of the coroots of ``source`` (none on semisimple data)
+    to sum_i block[i][j] z_i: [f(r_i) | B z_j] [r_i | z_j]^-1, for the
+    independent roots r_i that ``RootDatum._root_basis`` chooses, with
+    the adjugate kept there and one exact division; None when that
+    matrix is not integral."""
     chosen, fixed, adj, d = source._root_basis
-    images = [target.roots[f[i]] for i in chosen] + fixed
+    images = [target.roots[f[i]] for i in chosen]
+    if fixed:
+        images += mat_mul(transpose(block), fixed)
     return exact_quotient(mat_mul(transpose(tuple(images)), adj), d)
+
+
+def _annihilator_block(datum, aut):
+    """The matrix of ``aut`` on the basis z_j of
+    ``datum.coroot_annihilator``: column j holds the coordinates of
+    aut(z_j), read off with the adjugate of ``RootDatum._root_basis``
+    (aut maps the annihilator onto itself, see ``action.DatumAction``).
+    () on semisimple data, where ``_root_basis`` is not read."""
+    if not datum.coroot_annihilator:
+        return ()
+    chosen, fixed, adj, d = datum._root_basis
+    coords = exact_quotient(mat_mul(adj, mat_mul(aut.on_characters, transpose(fixed))), d)
+    return coords[len(chosen):]
 
 
 def weyl_group(datum, base=None, bound=WEYL_BOUND):

@@ -19,8 +19,8 @@ from itertools import product
 
 from .action import (
     DatumAction,
+    _blocks_commute,
     actions_commute,
-    commute_on_annihilator,
     fixed_weyl,
 )
 from .errors import EnumerationOverflow, InvalidActionError, UnsupportedDatumError
@@ -39,6 +39,7 @@ from .rootdatum import (
     BasedRootDatum,
     DatumAutomorphism,
     WeylGroup,
+    _annihilator_block,
     _automorphisms_from_permutations,
     _invert_permutation,
     _matrix_on_roots,
@@ -48,7 +49,6 @@ from .rootdatum import (
     closure,
     compose,
     contragredient,
-    cycle_type,
     identity_permutation,
     permutation_getter,
     positive_system,
@@ -160,16 +160,10 @@ class StarCocycle:
         That is exact.  Every value that ``star_action``,
         ``z1_enumerate`` and ``cobound`` make fixes the annihilator A of
         the coroots pointwise: Weyl elements do, and so do the
-        coboundaries ``_cobounders`` keeps.  The characters over Q are
-        span(roots) + A (``verify_axioms``), so a linear map fixing A
-        pointwise is determined by where it sends the roots, that is,
-        by its root permutation."""
+        coboundaries ``_cobounders`` keeps.  So its block is the
+        identity, and the pair names it (see ``action.DatumAction``)."""
         return tuple(_automorphisms_from_permutations(self.star_action.datum,
                                                       self.value_perms))
-
-    def twist(self, element, aut):
-        s = self.star_action.images[element]
-        return s * aut * s.inverse()
 
     def sort_key(self):
         return tuple(v.on_characters for v in self.values)
@@ -187,27 +181,27 @@ def star_action(action, base):
     Weyl transport cocycle.  A base-stabilizing action comes back
     unchanged with the trivial cocycle.
 
-    The star images c(s)^-1 . pi(s) are formed by
-    ``DatumAction._left_multiplied`` from the root permutations of the
-    c(s)^-1, the inverses of the transports' permutations, and are
-    checked there on permutations.  No matrix is built here: the star
-    images are built when a caller reads them, and the cocycle holds
-    the transports as permutations.
+    The star image c(s)^-1 . pi(s) has the root permutation of c(s)^-1,
+    the inverse of the transport's, composed with that of pi(s), and the
+    block of pi(s), as c(s) is a Weyl element (see
+    ``action.DatumAction``); ``DatumAction.build`` checks them.  No
+    matrix is built here: the star images are built when a caller reads
+    them, and the cocycle holds the transports as permutations.
 
     The pair is kept on ``action``, keyed by the base, and a later call
     with that base returns the same objects, so that ``twist_datum``
     given this star action and a cocycle from it compares nothing.  The
-    pair refers to the group, the datum and the action's images (or the
-    factors it is waiting for), never to ``action`` itself (see
-    ``DatumAction._left_multiplied``), so keeping it makes no reference
-    cycle."""
+    pair refers to the group, the datum and the action's blocks, never
+    to ``action`` itself, so keeping it makes no reference cycle."""
     key = tuple(base)
     kept = action._star_actions
     if key not in kept:
         based = BasedRootDatum(action.datum, key)
         transport_perms = [_transport(based, perm) for perm in action.root_perms]
-        star_act = DatumAction._left_multiplied(
-            action, [_invert_permutation(p) for p in transport_perms], based)
+        star_act = DatumAction.build(
+            action.group, [compose(_invert_permutation(t), p)
+                           for t, p in zip(transport_perms, action.root_perms)],
+            action.blocks, based)
         kept[key] = (star_act, StarCocycle.build(star_act, transport_perms))
     return kept[key]
 
@@ -411,19 +405,17 @@ def _cobounders(cocycle, cobounding_group):
     For k outside W write k^-1 c(s) s*(k) = (k^-1 c(s) k) (k^-1 s*(k)).
     The first factor is a Weyl element.  If the product is one too, so
     is u = k^-1 s*(k), and u fixes the annihilator A of the coroots
-    pointwise.  Conversely, when u fixes A the product fixes A, and an
-    automorphism fixing A is determined by its root permutation, the
-    characters being span(roots) + A over Q.  As s* maps A onto itself
-    (it permutes the coroots), u fixes A exactly when s* k = k s* on a
-    basis of A.  So k is kept when that holds for every s (always on
-    semisimple data, where A = 0 and no star image is read, and for
-    every k in W), and its coboundaries are then compared on
-    permutations without loss.  The
-    kept k form a subgroup: every automorphism maps A onto itself, so
-    k -> k|A is a homomorphism and the kept k are the preimage of the
-    centralizer of the s*|A.  A ``WeylGroup`` is used unchecked, which
-    is exact for Weyl elements on any datum and for every automorphism
-    on semisimple data.
+    pointwise.  Conversely, when u fixes A the product fixes A, so its
+    block is the identity and its root permutation names it (see
+    ``action.DatumAction``).  u fixes A exactly when the block of k
+    commutes with that of s*.  So k is kept when its block commutes
+    with the generator blocks of the star action (always on semisimple
+    data, where there are none, and for every k in W), and its
+    coboundaries are then compared on permutations without loss.  The
+    kept k form a subgroup, the preimage of the centralizer of the star
+    blocks under the homomorphism k -> block of k.  A ``WeylGroup`` is
+    used unchecked, which is exact for Weyl elements on any datum and
+    for every automorphism on semisimple data.
 
     The maps need no twisted-law check: if c is a cocycle, so is c.k,
     as (c.k)(s) . s*((c.k)(t))
@@ -434,8 +426,8 @@ def _cobounders(cocycle, cobounding_group):
         kappas = cobounding_group.generators or cobounding_group.perms
     else:
         kappas = [_permutation(star.datum, k) for k in cobounding_group
-                  if not star.datum.coroot_annihilator
-                  or commute_on_annihilator(star.datum, star.images, (k,))]
+                  if _blocks_commute(star.generator_blocks,
+                                     [_annihilator_block(star.datum, k)])]
     conjugations = [_conjugation(q) for q in star.root_perms]
 
     def step(k):
@@ -468,8 +460,7 @@ def h1_classes(cocycles, cobounding_group, module_group=()):
     c ~ c.k for k in K, K being a group.  Tuples of value permutations
     name cocycles exactly (see ``_cobounders``).  No matrix is built
     here: the step lists are kept per star action object, which all the
-    cocycles of one ``z1_enumerate`` share, so that no star action is
-    hashed, which would build its images."""
+    cocycles of one ``z1_enumerate`` share."""
     cocycles = tuple(cocycles)
     if not isinstance(cobounding_group, WeylGroup):
         cobounding_group = tuple(cobounding_group)
@@ -590,25 +581,20 @@ def twist_datum(based, galois_star, cocycle, gamma_action=None):
     actions.  The base transport of the new action recovers the cocycle
     on the nose.
 
-    The images c(s) . s* are formed by ``DatumAction._left_multiplied``
-    from the value permutations of the cocycle (``StarCocycle``), and
-    checked there on permutations; they are built when a caller reads
-    them.  Every check below runs on root permutations, plus, on data
-    that are not semisimple, the annihilator A of the coroots.
+    The image c(s) . s* has the composed root permutation and the block
+    of s*, as every value fixes the annihilator A of the coroots
+    pointwise (``StarCocycle.values``); ``DatumAction.build`` checks
+    them, and the images are built when a caller reads them.  Every
+    check below reads pairs of root permutations and blocks, which name
+    the automorphisms (see ``action.DatumAction``).
 
     ``galois_star`` must be the star action the cocycle was built
-    against: equal root permutations, and equal images on a basis of A.
-    Two automorphisms agreeing on the roots and on A are equal, as the
-    roots and A span the characters over Q (``verify_axioms``).
+    against: equal root permutations and equal blocks.
 
     The cocycle values are checked to commute with the generator images
     of ``gamma_action``, and so with their products, every image, by
-    comparing the value permutations with ``generator_perms``.  That is
-    exact by the argument of ``actions_commute``: v g and g v agree on
-    the roots exactly when their permutations commute.  On A they always
-    agree: every value fixes A pointwise (``StarCocycle.values``), and g
-    maps A onto itself, as it permutes the coroots, so
-    v g z = g z = g v z for z in A.
+    comparing the value permutations with ``generator_perms``.  Their
+    blocks, the identity, commute with every block.
 
     The transport is walked back for the generators g of the group
     only.  As s* stabilizes the base B, twisted(s)(B) = c(s)(B) for
@@ -616,7 +602,7 @@ def twist_datum(based, galois_star, cocycle, gamma_action=None):
     w(B) = c(g)(B); it has the permutation of c(g) exactly when
     c(g) = w is in W (both fix A, and W acts simply transitively on the
     bases).  The twisted action is a homomorphism
-    (``DatumAction._left_multiplied``), so c(gt) = c(g) . g*(c(t)), and
+    (``DatumAction.build``), so c(gt) = c(g) . g*(c(t)), and
     g* normalizes W: by induction on word length every value is in W
     once the generator values are, and then the transport of
     twisted(s) is c(s) for every s."""
@@ -624,16 +610,16 @@ def twist_datum(based, galois_star, cocycle, gamma_action=None):
     if not galois_star.is_based:
         raise InvalidActionError("the Galois star action must stabilize the base")
     star = cocycle.star_action
-    if galois_star is not star and (
-            galois_star.root_perms != star.root_perms
-            or any(x.apply(z) != y.apply(z) for z in datum.coroot_annihilator
-                   for x, y in zip(galois_star.images, star.images))):
+    if galois_star is not star and ((galois_star.root_perms, galois_star.blocks)
+                                    != (star.root_perms, star.blocks)):
         raise InvalidActionError("cocycle was built against a different star action")
     if gamma_action is not None and not all(
             compose(v, g) == compose(g, v)
             for v in cocycle.value_perms for g in gamma_action.generator_perms):
         raise InvalidActionError("cocycle values are not fixed by the action")
-    twisted = DatumAction._left_multiplied(galois_star, cocycle.value_perms, datum)
+    twisted = DatumAction.build(
+        galois_star.group, list(map(compose, cocycle.value_perms, galois_star.root_perms)),
+        galois_star.blocks, datum)
     if gamma_action is not None and not actions_commute(twisted, gamma_action):
         raise AssertionError("twisted action fails to commute with the folding action")
     for s in galois_star.group.generating_set:
@@ -687,7 +673,8 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
 
     Before any base, diagram map or Weyl group is looked at, a pair is
     refused when some paired generator g has root permutations pi1(g)
-    and pi2(g) of different cycle types (``cycle_type``).  That changes
+    and pi2(g) of different cycle types (``DatumAction.cycle_types``,
+    kept on each action).  That changes
     no answer: an equivariant f induces a bijection F of the roots with
     F o pi1(g) o F^-1 = pi2(g), and conjugate permutations have the same
     cycle type.  So every refused pair has no isomorphism."""
@@ -702,10 +689,10 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
             raise ValueError("paired actions must share the abstract group")
     if datum1.rank != datum2.rank or len(datum1.roots) != len(datum2.roots):
         return None
+    if any(a1.cycle_types != a2.cycle_types for a1, a2 in zip(actions1, actions2)):
+        return None
     pairs = [(a1.root_perms[g], a2.root_perms[g])
              for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
-    if any(cycle_type(p1) != cycle_type(p2) for p1, p2 in pairs):
-        return None
 
     base1 = canonical_base(datum1)
     orders = datum1._search_orders if datum1 is datum2 else {}
@@ -748,12 +735,12 @@ def _isomorphism(datum1, datum2, f):
     the cocharacter matrix is the contragredient P2^-1 M^-T P1
     (``contragredient``), P1 and P2 the pairings."""
     p1, p2 = _pairing(datum1), _pairing(datum2)
-    cochar = transpose(_matrix_on_roots(datum2, datum1, _invert_permutation(f)))
+    cochar = transpose(_matrix_on_roots(datum2, datum1, _invert_permutation(f), ()))
     if p1 is not None:
         cochar = mat_mul(cochar, p1)
     if p2 is not None:
         cochar = mat_mul(unimodular_inverse(p2), cochar)
-    return DatumAutomorphism(_matrix_on_roots(datum1, datum2, f), cochar)
+    return DatumAutomorphism(_matrix_on_roots(datum1, datum2, f, ()), cochar)
 
 
 def _pairing(datum):

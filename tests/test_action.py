@@ -202,12 +202,13 @@ def test_orthogonal_orbit_flags_malformed_upstream_action():
     # the precondition was violated upstream
     b = from_cartan_type("A2:sc")
     d = b.datum
-    from rootfold.rootdatum import DatumAutomorphism, reflection
+    from rootfold.rootdatum import identity_permutation, reflection_permutation
 
-    s1 = reflection(d, d.index_of((2, -1)))
+    s1 = reflection_permutation(d, d.index_of((2, -1)))
     fake = DatumAction(
         group=FiniteGroup.cyclic(2),
-        images=(DatumAutomorphism.identity(2), s1),
+        root_perms=(identity_permutation(len(d.roots)), s1),
+        blocks=((), ()),
         target=b,
     )
     a2 = d.index_of((-1, 2))

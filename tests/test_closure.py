@@ -30,8 +30,11 @@ from rootfold.rootdatum import (
     BasedRootDatum,
     DatumAutomorphism,
     RootDatum,
+    _annihilator_block,
     closure,
+    compose,
     from_cartan_type,
+    identity_permutation,
     root_permutation,
     weyl_group,
 )
@@ -211,30 +214,64 @@ def homomorphism_failure(group, images):
     return None
 
 
+def pair_of(datum, aut):
+    """The root permutation and the annihilator block of ``aut``."""
+    return root_permutation(datum, aut), _annihilator_block(datum, aut)
+
+
+def pairs_of(datum, auts):
+    """The root permutations and the annihilator blocks of ``auts``, as
+    two tuples."""
+    return tuple(zip(*(pair_of(datum, a) for a in auts)))
+
+
+def matrix_verdict(group, images, target):
+    """The refusal the matrix law gives to the character matrices
+    ``images``, or None: the identity, then
+    images[a] images[g] == images[a g] for every a and every g in
+    ``group.generating_set``, in that order, then the base under the
+    images of ``group.generating_set``."""
+    if images[group.identity] != identity_matrix(len(images[0])):
+        return "identity element must act trivially"
+    for a in group.elements():
+        for g in group.generating_set:
+            if mat_mul(images[a], images[g]) != images[group.mul(a, g)]:
+                return (f"images are not a homomorphism at "
+                        f"({group.labels[a]!r}, {group.labels[g]!r})")
+    if isinstance(target, BasedRootDatum):
+        simple = set(target.simple_roots)
+        for g in group.generating_set:
+            if {mat_vec(images[g], r) for r in simple} != simple:
+                return f"element {group.labels[g]!r} does not stabilize the base"
+    return None
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_checked_accepts_exactly_the_homomorphisms(data):
+def test_build_accepts_exactly_the_homomorphisms(data):
     name = data.draw(st.sampled_from(sorted(GROUPS)), label="group")
-    spec = data.draw(st.sampled_from(sorted(DATA)), label="datum")
+    spec = data.draw(st.sampled_from(sorted(LEFT_DATA)), label="datum")
     group = GROUPS[name]
-    datum, matrices = DATA[spec]
+    datum, matrices = LEFT_DATA[spec]
     # a homomorphism, with some images then redrawn at random, so that
-    # both outcomes are common
-    hom = data.draw(st.sampled_from(all_homomorphisms(name, spec)), label="hom")
+    # both outcomes are common; on the torus datum some images differ
+    # from the law on the annihilator block only
+    hom = data.draw(st.sampled_from(left_homomorphisms(name, spec)), label="hom")
     images = [hom[x] for x in group.elements()]
     for x in data.draw(st.lists(st.integers(0, len(group) - 1), max_size=3),
                        label="redrawn elements"):
         images[x] = data.draw(st.sampled_from(matrices), label="value")
-    auts = [DatumAutomorphism.from_matrix(m) for m in images]
-    perms = [root_permutation(datum, a) for a in auts]
+    perms, blocks = pairs_of(datum, [DatumAutomorphism.from_matrix(m) for m in images])
     failure = homomorphism_failure(group, images)
     if failure is None:
-        action = DatumAction._checked(group, auts, perms, datum)
+        action = DatumAction.build(group, perms, blocks, datum)
+        assert "images" not in vars(action)
         assert [a.on_characters for a in action.images] == images
         return
     with pytest.raises(InvalidActionError) as err:
-        DatumAction._checked(group, auts, perms, datum)
+        DatumAction.build(group, perms, blocks, datum)
     message = str(err.value)
+    assert message == matrix_verdict(group, images, datum)
     if images[group.identity] != identity_matrix(datum.rank):
         assert message == "identity element must act trivially"
         return
@@ -268,13 +305,24 @@ def outcome(build):
         return str(err)
 
 
+def left_multiplied(action, factors, target):
+    """s -> factors[s] . action(s) on ``target``, for factors that fix
+    the annihilator of the coroots pointwise, as ``twist.star_action``
+    and ``twist.twist_datum`` build it: the composed permutations and
+    the blocks of ``action``."""
+    return DatumAction.build(
+        action.group, [compose(root_permutation(action.datum, f), p)
+                       for f, p in zip(factors, action.root_perms)],
+        action.blocks, target)
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_left_multiplied_gives_the_verdicts_of_the_matrix_law(data):
+def test_left_products_get_the_verdicts_of_the_matrix_law(data):
     # f_s . a_s for an action a and W-valued factors f_s: at first
     # w a_s w^-1 a_s^-1 for a drawn w, which makes a homomorphism, with
-    # some factors then redrawn at random.  The source is eager, or made
-    # itself by _left_multiplied, and the target based or not.
+    # some factors then redrawn at random.  The source is built from
+    # matrices, or itself a left product, and the target based or not.
     name = data.draw(st.sampled_from(sorted(GROUPS)), label="group")
     spec = data.draw(st.sampled_from(sorted(LEFT_DATA)), label="datum")
     group = GROUPS[name]
@@ -289,12 +337,10 @@ def test_left_multiplied_gives_the_verdicts_of_the_matrix_law(data):
         return [w * a * w.inverse() * a.inverse() for a in images]
 
     images = [DatumAutomorphism.from_matrix(hom[x]) for x in group.elements()]
-    source = DatumAction._checked(group, images, [root_permutation(datum, a)
-                                                  for a in images], datum)
+    source = DatumAction.build(group, *pairs_of(datum, images), datum)
     if data.draw(st.booleans(), label="lazy source"):
         inner = conjugating(images)
-        source = DatumAction._left_multiplied(
-            source, [root_permutation(datum, f) for f in inner], datum)
+        source = left_multiplied(source, inner, datum)
         images = [f * a for f, a in zip(inner, images)]
     factors = conjugating(images)
     for x in data.draw(st.lists(st.integers(0, len(group) - 1), max_size=3),
@@ -302,19 +348,55 @@ def test_left_multiplied_gives_the_verdicts_of_the_matrix_law(data):
         factors[x] = by_perm[data.draw(st.sampled_from(perms), label="value")]
     target = LEFT_BASED[spec] if data.draw(st.booleans(), label="based") else datum
     auts = [f * a for f, a in zip(factors, images)]
-    expected = outcome(lambda: DatumAction._checked(
-        group, auts, [root_permutation(datum, a) for a in auts], target))
-    got = outcome(lambda: DatumAction._left_multiplied(
-        source, [root_permutation(datum, f) for f in factors], target))
-    if isinstance(expected, str):
+    expected = matrix_verdict(group, [a.on_characters for a in auts], target)
+    got = outcome(lambda: left_multiplied(source, factors, target))
+    if expected is not None:
         assert got == expected
     else:
         assert "images" not in vars(got)
-        assert (got.images, got.root_perms) == (expected.images, expected.root_perms)
+        assert (got.root_perms, got.blocks) == pairs_of(datum, auts)
+        assert got.images == tuple(auts)
     # the matrix law over all |G|^2 pairs refuses exactly the same maps
     law = homomorphism_failure(group, [a.on_characters for a in auts])
     assert (law is None) == (not isinstance(got, str) or "stabilize" in got)
 
+
+@lru_cache(maxsize=None)
+def automorphisms(spec):
+    """A datum and every automorphism of it."""
+    if spec == "D4:sc":
+        based = from_cartan_type(spec)
+        return based.datum, tuple(equivariant_automorphism_group(based))
+    datum, matrices = LEFT_DATA[spec]
+    return datum, tuple(DatumAutomorphism.from_matrix(m) for m in matrices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pairs_multiply_and_compare_as_the_matrices_do(data):
+    # an automorphism as its root permutation and its block on the
+    # annihilator of the coroots, on A2, A1xA1, A1 plus a rank-1 torus
+    # and D4 (1152 automorphisms)
+    spec = data.draw(st.sampled_from(sorted(LEFT_DATA) + ["D4:sc"]), label="datum")
+    datum, auts = automorphisms(spec)
+    x = data.draw(st.sampled_from(auts), label="x")
+    y = data.draw(st.sampled_from(auts), label="y")
+    xy = x * y
+    (p, b), (q, c) = pair_of(datum, x), pair_of(datum, y)
+    assert (compose(p, q), mat_mul(b, c)) == pair_of(datum, xy)
+    one = (identity_permutation(len(datum.roots)),
+           identity_matrix(len(datum.coroot_annihilator)))
+    assert ((p, b) == one) == x.is_identity()
+    # equal pairs exactly for equal matrices: against the reversed
+    # product, equal when x and y commute, or the product formed again
+    z = data.draw(st.sampled_from([y * x, DatumAutomorphism.from_matrix(xy.on_characters)]),
+                  label="z")
+    assert (pair_of(datum, z) == pair_of(datum, xy)) == (z == xy)
+    # the images built on read from the pairs are the matrix products;
+    # ``images`` reads no group, so the record is built unchecked
+    lazy = DatumAction(FiniteGroup.cyclic(3), (p, q, compose(p, q)),
+                       (b, c, mat_mul(b, c)), datum)
+    assert lazy.images == (x, y, xy)
 
 def test_labels_that_do_not_generate_are_rejected():
     d = from_cartan_type("A2:sc").datum

@@ -35,7 +35,7 @@ RECORDS = {
     rootdatum.RootDatum: (("rank", "roots", "coroots", "pairing"),
                           {"pairing": None}),
     rootdatum.BasedRootDatum: (("datum", "base"), {}),
-    action.DatumAction: (("group", "images", "target"), {}),
+    action.DatumAction: (("group", "root_perms", "blocks", "target"), {}),
     action.Coinvariants: (("action", "projection", "section", "average",
                            "fixed_basis", "pairing", "torsion"), {}),
     folding.RestrictedDatum: (("datum", "base", "source", "coinvariants",

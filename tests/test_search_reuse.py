@@ -329,6 +329,30 @@ def test_an_h1_pass_lists_diagram_maps_once_per_datum(monkeypatch):
     assert len(listed) == len({id(d) for d in listed}) == len(CASES)
 
 
+def test_an_h1_pass_computes_cycle_types_once_per_action_and_generator(monkeypatch):
+    # the cycle-type refusal reads the types kept on each action, so a
+    # twisted action paired many times has its types computed once
+    calls = []
+    real = action_module.cycle_type
+    monkeypatch.setattr(action_module, "cycle_type",
+                        lambda p: calls.append(p) or real(p))
+    searched = {}
+    search = equivariant_isomorphic
+
+    def recorded(datum1, actions1, datum2, actions2):
+        for a in list(actions1) + list(actions2):
+            searched[id(a)] = a
+        return search(datum1, actions1, datum2, actions2)
+
+    monkeypatch.setitem(globals(), "equivariant_isomorphic", recorded)
+    for case in CASES:
+        calls.clear()
+        searched.clear()
+        h1_pass(case)
+        gens = sum(len(a.group.generating_set) for a in searched.values())
+        assert 0 < len(calls) <= gens
+
+
 def uncached_positive_system(based):
     """``BasedRootDatum.positive_system`` solved afresh on every call,
     as it was before it was kept on the datum."""

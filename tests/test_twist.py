@@ -129,8 +129,8 @@ def test_star_action_minus_identity_a2():
     assert nontriv.on_characters == flip_matrix(2)
     w0 = reflection(b.datum, b.datum.index_of((1, 1)))
     assert cocycle.values[1].on_characters == w0.on_characters
-    # law at (s, s): c(s^2) = id = c(s) . s*(c(s))
-    prod = cocycle.values[1] * cocycle.twist(1, cocycle.values[1])
+    # law at (s, s): c(s^2) = id = c(s) . s*(c(s)), s*(v) = s* v s*^-1
+    prod = cocycle.values[1] * (nontriv * cocycle.values[1] * nontriv.inverse())
     assert prod.is_identity()
 
 
@@ -516,27 +516,52 @@ def test_h1_twists_and_isomorphisms_multiply_no_automorphisms(monkeypatch):
     assert calls == []
 
 
-def test_twist_datum_refuses_a_star_action_that_differs_on_the_torus_only():
-    # A1 plus a rank-1 torus: the trivial Galois action and the one that
-    # is -1 on the torus have star actions that permute the roots alike
-    from rootfold.rootdatum import BasedRootDatum, RootDatum
+def torus_galois(sign):
+    """Z/2 acting on A1 plus a rank-1 torus (``TORUS``) by
+    diag(1, sign), with the base of the A1 factor."""
+    from rootfold.rootdatum import BasedRootDatum
 
-    datum = RootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)))
-    b = BasedRootDatum(datum, (0,))
-    trivial = star_action(trivial_z2_action(datum), b.base)
-    minus = star_action(make_action(datum, [(((1, 0), (0, -1)), 1)],
-                                    group=FiniteGroup.cyclic(2)), b.base)
+    from test_closure import TORUS
+
+    action = make_action(TORUS, [(((1, 0), (0, sign)), 1)], group=FiniteGroup.cyclic(2))
+    return BasedRootDatum(TORUS, (0,)), action
+
+
+def test_twist_datum_refuses_a_star_action_that_differs_on_the_torus_only():
+    # the trivial Galois action and the one that is -1 on the torus have
+    # star actions that permute the roots alike, with other blocks
+    b, one = torus_galois(1)
+    trivial = star_action(one, b.base)
+    minus = star_action(torus_galois(-1)[1], b.base)
     assert trivial[0].root_perms == minus[0].root_perms
+    assert trivial[0].blocks == (((1,),),) * 2
+    assert minus[0].blocks == (((1,),), ((-1,),))
     message = "^cocycle was built against a different star action$"
     for (star, _), (_, cocycle) in ((trivial, minus), (minus, trivial)):
         with pytest.raises(InvalidActionError, match=message):
             twist_datum(b, star, cocycle)
-    # an equal star action made again is accepted
-    for act, (_, cocycle) in ((trivial_z2_action(datum), trivial),
-                              (make_action(datum, [(((1, 0), (0, -1)), 1)],
-                                           group=FiniteGroup.cyclic(2)), minus)):
-        twisted = twist_datum(b, star_action(act, b.base)[0], cocycle)
-        assert twisted.galois.images == cocycle.star_action.images
+    # an equal star action made again from an equal Galois action is
+    # accepted, and compared without building either one's images
+    for sign, (star, cocycle) in ((1, trivial), (-1, minus)):
+        again = star_action(torus_galois(sign)[1], b.base)[0]
+        assert again is not star
+        twisted = twist_datum(b, again, cocycle)
+        assert "images" not in vars(star) and "images" not in vars(again)
+        assert twisted.galois.images == star.images
+
+
+def test_torus_factor_star_images_stay_unbuilt():
+    # cobounding by a tuple group and the commutation test read the
+    # blocks of the star action, not its images; every kappa's block
+    # commutes with the star blocks here, so every kappa is kept
+    b, galois = torus_galois(-1)
+    star, cocycle = star_action(galois, b.base)
+    kappas = tuple(DatumAutomorphism.from_matrix(((a, 0), (0, d)))
+                   for a in (1, -1) for d in (1, -1))
+    assert [cobound(cocycle, k).value_perms for k in kappas] == [cocycle.value_perms] * 4
+    assert h1_classes([cocycle], kappas).class_count == 1
+    assert actions_commute(star, galois) and actions_commute(galois, star)
+    assert "images" not in vars(star)
 
 
 def test_h1_with_image_on_a_torus_factor_refuses_only_the_image_classes():
