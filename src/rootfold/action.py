@@ -29,6 +29,7 @@ from .rootdatum import (
     WeylGroup,
     _annihilator_block,
     _automorphisms_from_permutations,
+    _matrix_on_roots,
     closure,
     compose,
     cycle_type,
@@ -166,11 +167,11 @@ class DatumAction:
 
     Every pair held must come from an automorphism; no pair is checked
     for it.  ``make_action`` checks its generator matrices and forms
-    products of them.  ``twist.star_action`` and ``twist.twist_datum``
-    left-multiply a checked action by factors f_s that fix A pointwise
-    (inverse base transports, cocycle values: Weyl elements, or
-    coboundaries ``twist._cobounders`` keeps): f_s . a_s is an
-    automorphism with permutation q_s o p_s and the block of a_s."""
+    products of their pairs.  ``twist.star_action`` and
+    ``twist.twist_datum`` left-multiply a checked action by factors f_s
+    that fix A pointwise (inverse base transports, cocycle values: Weyl
+    elements, or coboundaries ``twist._cobounders`` keeps): f_s . a_s is
+    an automorphism with permutation q_s o p_s and the block of a_s."""
 
     group: FiniteGroup
     root_perms: tuple   # the root permutation of each element's image
@@ -225,10 +226,13 @@ class DatumAction:
 
     @cached_property
     def generator_images(self):
-        """The images of ``group.generating_set``.  Every image is a
+        """The images of ``group.generating_set``, built from their pairs
+        alone (``_automorphisms_from_permutations``).  Every image is a
         product of them, so a matrix commutes with, or a vector is fixed
         by, every image exactly when it is for these."""
-        return tuple(self.images[g] for g in self.group.generating_set)
+        gens = self.group.generating_set
+        return tuple(_automorphisms_from_permutations(
+            self.datum, [self.root_perms[g] for g in gens], [self.blocks[g] for g in gens]))
 
     @cached_property
     def generator_perms(self):
@@ -333,24 +337,25 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
     """Build a DatumAction from generator matrices.
 
     ``generators`` is a list of (matrix, label) pairs.  With
-    group="closure" the matrices are closed into a finite matrix group
+    group="closure" the generators are closed into a finite group
     (bound ``closure_bound``) and the abstract group is read off from
     it.  With an explicit FiniteGroup G, each label must name a group
     element, no element twice, the labeled elements must generate, and
     the assignment must extend to a homomorphism.
 
-    Each generator matrix is checked once by ``_require_automorphism``.
-    Every other image is a product of generators, closed together with
-    its root permutation: a product of datum automorphisms is one, and
-    its permutation is the composite (see ``DatumAction``).
-    ``DatumAction.build`` then checks the homomorphism law and the base
-    on the permutations and, on data with a torus factor, the blocks,
-    and the action keeps the matrices closed here as its ``images``.
+    Each generator matrix is checked once by ``_require_automorphism``
+    and kept as its pair (p, B): its root permutation and its block on
+    the annihilator of the coroots.  Every other image is a product of
+    generators, closed as pairs under (p, B) . (q, C) = (p o q, B C)
+    (see ``DatumAction``); blocks are multiplied only on data with a
+    torus factor.  ``DatumAction.build`` then checks the homomorphism
+    law and the base on the pairs.  No matrix is built here beyond the
+    generators'.
 
-    The closed group's table is sorted as the images are, by
-    ``sort_key``.  Only its generator columns are matrix products.  The
-    column of b lists the index of x . b for every x, and holds b at the
-    identity x = e.  For b = y . g with g a generator,
+    The closed group lists its elements in breadth-first closure order,
+    the identity first.  Only its generator columns are pair products.
+    The column of b lists the index of x . b for every x, and holds b at
+    the identity x = e.  For b = y . g with g a generator,
     x . b = (x . y) . g, so the column of b is the column of g read at
     the column of y, one index map; closing the identity column under
     these maps gives every column, as the generators generate.
@@ -375,27 +380,29 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
             if idx in assigned:
                 raise InvalidActionError(f"group element {label!r} has two generators")
             assigned.append(idx)
-    gens = [_require_automorphism(datum, tuple(tuple(int(x) for x in row) for row in mat),
-                                  f"generator {label!r}")
-            for mat, label in generators]
+    gens = []
+    for mat, label in generators:
+        aut, perm = _require_automorphism(
+            datum, tuple(tuple(int(x) for x in row) for row in mat), f"generator {label!r}")
+        gens.append((perm, _annihilator_block(datum, aut)))
 
-    def times(aut, perm):
+    def times(perm, block):
         right = permutation_getter(perm)
-        return lambda pair: (pair[0] * aut, right(pair[1]))
+        if block:
+            return lambda pair: (right(pair[0]), mat_mul(pair[1], block))
+        return lambda pair: (right(pair[0]), ())
 
     steps = [times(*g) for g in gens]
-    ident = (DatumAutomorphism.identity(datum.rank), identity_permutation(len(datum.roots)))
+    ident = (identity_permutation(len(datum.roots)),
+             identity_matrix(len(datum.coroot_annihilator)))
     if group == "closure":
         pairs = closure([ident], steps, closure_bound, "generator closure")
-        pairs.sort(key=lambda pair: pair[0].sort_key())
-        index = {a.on_characters: i for i, (a, _) in enumerate(pairs)}
-        gen_columns = [tuple(index[mat_mul(a.on_characters, g.on_characters)]
-                             for a, _ in pairs) for g, _ in gens]
-        e = index[ident[0].on_characters]
+        index = {pair: i for i, pair in enumerate(pairs)}
+        gen_columns = [tuple(index[step(pair)] for pair in pairs) for step in steps]
         columns = closure([tuple(range(len(pairs)))],
                           [lambda col, g=g: compose(g, col) for g in gen_columns])
         group = FiniteGroup(tuple(range(len(pairs))),
-                            zip(*sorted(columns, key=lambda col: col[e])), check=False)
+                            zip(*sorted(columns, key=lambda col: col[0])), check=False)
     else:
         try:
             graph = closure(
@@ -412,11 +419,7 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
         if len(images) != len(group):
             raise InvalidActionError("the labeled generators do not generate the group")
         pairs = [images[i] for i in group.elements()]
-    auts, perms = zip(*pairs)
-    action = DatumAction.build(group, perms, [_annihilator_block(datum, a) for a in auts],
-                               target)
-    vars(action)["images"] = auts   # seed the cached property
-    return action
+    return DatumAction.build(group, *zip(*pairs), target)
 
 
 def orbit(action, root_index):
@@ -508,9 +511,9 @@ def coinvariants(action):
     moving = [aut for aut in action.generator_images if not aut.is_identity()]
     relations = []
     for aut in moving:
-        for k in range(n):
-            e = identity_matrix(n)[k]
-            r = vec_sub(e, aut.apply(e))
+        # (1 - g)e_k is column k of 1 - g
+        for e, column in zip(identity_matrix(n), transpose(aut.on_characters)):
+            r = vec_sub(e, column)
             if any(r):
                 relations.append(r)
     quotient = quotient_lattice(n, tuple(relations))
@@ -558,13 +561,21 @@ def coinvariants(action):
 
 
 def _group_sum(action):
-    """The sum of the character matrices of the action, |G| times their
-    mean."""
-    n = action.datum.rank
-    return tuple(
-        tuple(sum(a.on_characters[i][j] for a in action.images) for j in range(n))
-        for i in range(n)
-    )
+    """The sum S of the character matrices of the action, |G| times
+    their mean, read off the pairs with one exact solve.
+
+    S is linear, so it sends root r_i to sum_g r_{p_g(i)} and z_j to
+    sum_i (sum_g B_g)[i][j] z_i, for (p_g, B_g) the pair of g (see
+    ``DatumAction``).  These determine S on the basis [r_i | z_j] of
+    ``RootDatum._root_basis``, which ``_matrix_on_roots`` solves
+    against.  Its division by the determinant is exact, as S, a sum of
+    integer matrices, is integral."""
+    datum = action.datum
+    roots, perms = datum.roots, action.root_perms
+    images = [tuple(map(sum, zip(*(roots[p[i]] for p in perms))))
+              for i in datum._root_basis[0]]
+    block = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*action.blocks))
+    return _matrix_on_roots(datum, images, block)
 
 
 def _check_coinvariants(cv):
@@ -622,9 +633,8 @@ def _check_coinvariants(cv):
         if mat_mul(scaled, cv.projection) != _group_sum(action):
             raise AssertionError("embedding depends on the choice of preimage")
         for aut in action.generator_images:
-            for k in range(n):
-                e = identity_matrix(n)[k]
-                rel = vec_sub(e, aut.apply(e))
+            for e, column in zip(identity_matrix(n), transpose(aut.on_characters)):
+                rel = vec_sub(e, column)
                 for v in cv.fixed_basis:
                     if datum.pair(rel, v) != 0:
                         raise AssertionError(

@@ -56,21 +56,23 @@ from .rootdatum import (
 # without compiling them.
 
 # Largest group a document may declare, refused before any group table
-# is built.  Checking an action costs |G| matrix products per generator:
-# at this cap make_action of E8 with -1 takes 0.016 s (CPython 3.11, one
-# core of a shared 2-vCPU host), against 0.004 s over Z/2.
+# is built.  Checking an action costs |G| permutation products per
+# generator, and as many block products on a torus factor: at this cap
+# make_action of E8 with -1 takes 0.010 s (CPython 3.11, one core of a
+# shared 2-vCPU host), against 0.007 s over Z/2.
 MAX_GROUP_ORDER = 64
 
 # Largest rank and most action blocks a document may declare, refused
 # before any matrix product.  A block costs a rank^3 inverse plus a
-# rank^2 product per root for each generator and a matrix product for
-# each of its |G| images, and a document may repeat blocks.  Times
+# rank^2 product per root for each generator, and for each of its |G|
+# images a permutation product and, on a torus factor, a product of
+# blocks of the torus rank; a document may repeat blocks.  Times
 # (CPython 3.11, one core of a shared 2-vCPU host), each block over
 # cyclic:64:
 #   make_action on a torus, a 64-cycle (rank >= 64) or a 16- or 32-cycle:
-#     rank 16: 0.04 s;  rank 32: 0.25 s;  rank 64: 1.8 s
+#     rank 16: 0.03 s;  rank 32: 0.22 s;  rank 64: 1.5 s
 #   parse_datum of E8 x E8 (rank 16, 480 roots), the factor swap:
-#     0.12 s for one block, 0.29 s for four
+#     0.11 s for one block, 0.18 s for four
 MAX_RANK = 16
 MAX_ACTION_BLOCKS = 4
 
@@ -295,21 +297,18 @@ def _action_block(action, role):
             and all(group.table[i][j] == (i + j) % len(group)
                     for i in range(len(group)) for j in range(len(group)))):
         group_obj = f"cyclic:{len(group)}"
-        gen_ids = group.generating_set if len(group) > 1 else ()
     else:
         group_obj = {
             "elements": list(group.labels),
             "table": [list(r) for r in group.table],
             "identity": group.labels[group.identity],
         }
-        gen_ids = group.generating_set
     return {
         "role": role,
         "group": group_obj,
         "generators": [
-            {"element": group.labels[g],
-             "matrix": [list(r) for r in action.images[g].on_characters]}
-            for g in gen_ids
+            {"element": group.labels[g], "matrix": [list(r) for r in aut.on_characters]}
+            for g, aut in zip(group.generating_set, action.generator_images)
         ],
     }
 

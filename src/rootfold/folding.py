@@ -207,8 +207,8 @@ def _descend_action(other, fold):
     kernel of proj and factors through it; as proj is onto, it is
     m . proj for m = proj . A . section.  ``induced_fixed_map`` keeps
     the check m . proj = proj . A as an AssertionError."""
-    gens = [(induced_fixed_map(fold, other.images[g]), other.group.labels[g])
-            for g in other.group.generating_set]
+    gens = [(induced_fixed_map(fold, aut), other.group.labels[g])
+            for g, aut in zip(other.group.generating_set, other.generator_images)]
     return make_action(fold.datum, gens, group=other.group)
 
 

@@ -24,6 +24,7 @@ from .lattice import (
     dot,
     exact_quotient,
     exact_solver,
+    hermite_row_form,
     identity_matrix,
     integer_kernel,
     mat_mul,
@@ -89,9 +90,6 @@ class DatumAutomorphism:
     def apply_cochar(self, v):
         return mat_vec(self.on_cocharacters, v)
 
-    def sort_key(self):
-        return self.on_characters
-
     def is_identity(self):
         n = len(self.on_characters)
         return self.on_characters == identity_matrix(n)
@@ -155,13 +153,15 @@ class RootDatum:
         roots, each root taken in order when it is independent of those
         before it; a basis of the annihilator of the coroots; and the
         adjugate and determinant of the matrix [r_i | z_j] with those
-        columns, read by ``_automorphisms_from_permutations``."""
-        chosen = []
-        for i, r in enumerate(self.roots):
-            if span_rank([self.roots[j] for j in chosen] + [r]) > len(chosen):
-                chosen.append(i)
-            if len(chosen) == self.rank:
-                break
+        columns, read by ``_matrix_on_roots``.
+
+        The chosen roots are the pivot columns of one row Hermite form of
+        the matrix with the roots as columns: row operations keep every
+        linear relation among the columns, and in an echelon form a
+        column is independent of those before it exactly when it holds
+        a pivot."""
+        h, _ = hermite_row_form(transpose(self.roots))
+        chosen = [next(c for c, x in enumerate(row) if x) for row in h if any(row)]
         fixed = list(self.coroot_annihilator)
         basis = [self.roots[i] for i in chosen] + fixed
         return (tuple(chosen), fixed) + adjugate_and_det(transpose(tuple(basis)))
@@ -543,9 +543,10 @@ def _automorphisms_from_permutations(datum, perms, blocks=None):
         blocks = [identity_matrix(len(datum.coroot_annihilator))] * len(perms)
     inverse = {(p, b): (_invert_permutation(p), unimodular_inverse(b) if b else b)
                for p, b in zip(perms, blocks)}
+    chosen = datum._root_basis[0]
     mats = {}
     for p, b in set(inverse) | set(inverse.values()):
-        mats[p, b] = _matrix_on_roots(datum, datum, p, b)
+        mats[p, b] = _matrix_on_roots(datum, [datum.roots[p[i]] for i in chosen], b)
         if mats[p, b] is None:
             raise AssertionError(
                 "root permutation is not induced by a lattice automorphism")
@@ -562,18 +563,17 @@ def _automorphisms_from_permutations(datum, perms, blocks=None):
     return out
 
 
-def _matrix_on_roots(source, target, f, block):
-    """The character matrix of the linear map source -> target sending
-    root i to root f[i] and each vector z_j of the basis of the
-    annihilator of the coroots of ``source`` (none on semisimple data)
-    to sum_i block[i][j] z_i: [f(r_i) | B z_j] [r_i | z_j]^-1, for the
-    independent roots r_i that ``RootDatum._root_basis`` chooses, with
-    the adjugate kept there and one exact division; None when that
-    matrix is not integral."""
-    chosen, fixed, adj, d = source._root_basis
-    images = [target.roots[f[i]] for i in chosen]
+def _matrix_on_roots(source, images, block):
+    """The character matrix of the linear map on the characters of
+    ``source`` sending the k-th independent root r_i that
+    ``RootDatum._root_basis`` chooses to ``images[k]``, and each vector
+    z_j of the basis of the annihilator of the coroots (none on
+    semisimple data) to sum_i block[i][j] z_i:
+    [images | B z_j] [r_i | z_j]^-1, with the adjugate kept there and
+    one exact division; None when that matrix is not integral."""
+    _, fixed, adj, d = source._root_basis
     if fixed:
-        images += mat_mul(transpose(block), fixed)
+        images = [*images, *mat_mul(transpose(block), fixed)]
     return exact_quotient(mat_mul(transpose(tuple(images)), adj), d)
 
 

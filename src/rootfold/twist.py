@@ -735,12 +735,15 @@ def _isomorphism(datum1, datum2, f):
     the cocharacter matrix is the contragredient P2^-1 M^-T P1
     (``contragredient``), P1 and P2 the pairings."""
     p1, p2 = _pairing(datum1), _pairing(datum2)
-    cochar = transpose(_matrix_on_roots(datum2, datum1, _invert_permutation(f), ()))
+    back = _invert_permutation(f)
+    cochar = transpose(_matrix_on_roots(
+        datum2, [datum1.roots[back[i]] for i in datum2._root_basis[0]], ()))
     if p1 is not None:
         cochar = mat_mul(cochar, p1)
     if p2 is not None:
         cochar = mat_mul(unimodular_inverse(p2), cochar)
-    return DatumAutomorphism(_matrix_on_roots(datum1, datum2, f, ()), cochar)
+    return DatumAutomorphism(_matrix_on_roots(
+        datum1, [datum2.roots[f[i]] for i in datum1._root_basis[0]], ()), cochar)
 
 
 def _pairing(datum):

@@ -122,6 +122,17 @@ def test_closure_builds_group_table():
     assert len(act.group) == 2
 
 
+def assert_matrix_product_table(act):
+    """The closed group lists the identity first and distinct images,
+    and its table is the table of every matrix product."""
+    mats = [a.on_characters for a in act.images]
+    assert act.group.identity == 0 and mats[0] == identity_matrix(act.datum.rank)
+    assert len(set(mats)) == len(mats)
+    index = {m: i for i, m in enumerate(mats)}
+    assert act.group.table == tuple(tuple(index[mat_mul(x, y)] for y in mats)
+                                    for x in mats)
+
+
 @pytest.mark.parametrize("spec, order", [("A2:sc", 6), ("B3:sc", 48), ("B4:sc", 384)])
 def test_closed_group_table_is_the_full_product_table(spec, order):
     # the table is built from the generator columns by index maps; it
@@ -131,11 +142,27 @@ def test_closed_group_table_is_the_full_product_table(spec, order):
     b = from_cartan_type(spec)
     act = make_action(b.datum, [(reflection(b.datum, i).on_characters, i)
                                 for i in b.base])
-    mats = [a.on_characters for a in act.images]
-    assert len(mats) == order and mats == sorted(mats)
-    index = {m: i for i, m in enumerate(mats)}
-    assert act.group.table == tuple(tuple(index[mat_mul(x, y)] for y in mats)
-                                    for x in mats)
+    assert len(act.group) == order
+    assert_matrix_product_table(act)
+
+
+def test_closing_builds_no_image_beyond_the_generators():
+    # A1^40 under a 40-cycle, folded, and B4 under its four simple
+    # reflections: neither make_action nor restrict reads every image
+    from rootfold.folding import restrict
+    from rootfold.rootdatum import reflection
+    from rootfold.selftest import node_permutation_matrix
+
+    n = 40
+    based = from_cartan_type(" x ".join(["A1:sc"] * n))
+    cycle = node_permutation_matrix({i: (i + 1) % n for i in range(n)}, n)
+    cyclic = make_action(based, [(cycle, "c")])
+    restrict(cyclic)
+    b4 = from_cartan_type("B4:sc")
+    reflections = make_action(b4.datum, [(reflection(b4.datum, i).on_characters, i)
+                                         for i in b4.base])
+    assert (len(cyclic.group), len(reflections.group)) == (n, 384)
+    assert "images" not in vars(cyclic) and "images" not in vars(reflections)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +561,30 @@ def torus_block(head, block):
 
 TORUS_BLOCKS = {"one": ((1, 0), (0, 1)), "minus": ((-1, 0), (0, -1)),
                 "swap": ((0, 1), (1, 0)), "sign": ((-1, 0), (0, 1))}
+
+
+def a1_plus_rank1_torus():
+    from rootfold.rootdatum import RootDatum
+    return RootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)))
+
+
+@pytest.mark.parametrize("make, generators", [
+    (a1_plus_rank1_torus, [((-1, 0), (0, 1)), ((1, 0), (0, -1))]),
+    (a1_plus_rank1_torus, [((-1, 0), (0, -1))]),
+    (a1_plus_rank2_torus,
+     [torus_block(1, TORUS_BLOCKS["swap"]), torus_block(-1, TORUS_BLOCKS["sign"])]),
+])
+def test_closure_multiplies_blocks_on_a_torus_factor(make, generators):
+    # the closure forms block products: each block is the image's
+    # matrix on the annihilator of the coroots, and the table is the
+    # table of the matrix products
+    from rootfold.rootdatum import _annihilator_block
+
+    datum = make()
+    act = make_action(datum, [(g, k) for k, g in enumerate(generators)])
+    assert act.blocks == tuple(_annihilator_block(datum, a) for a in act.images)
+    assert any(b != identity_matrix(len(b)) for b in act.blocks)
+    assert_matrix_product_table(act)
 
 
 def test_actions_commute_reads_the_coroot_annihilator():

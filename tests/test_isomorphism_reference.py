@@ -121,7 +121,7 @@ def reference_automorphism_group(based, commuting_with=None):
             m = cand.on_characters
             if all(mat_mul(g, m) == mat_mul(m, g) for g in gammas):
                 out[m] = cand
-    return tuple(sorted(out.values(), key=lambda a: a.sort_key()))
+    return tuple(sorted(out.values(), key=lambda a: a.on_characters))
 
 
 def full_permutation_isomorphic(datum1, actions1, datum2, actions2):

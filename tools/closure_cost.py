@@ -1,8 +1,11 @@
-"""Time and peak RSS of two Weyl closures and one descent check, each
-in a fresh interpreter: ``weyl_group`` of E6 (51 840 elements),
-``fixed_weyl`` of the D7 diagram flip (W(B6), 46 080 elements) and
-``weyl_descent_iso`` of the D6 diagram flip (W(B5), 3840 elements, its
-closure included).  Informational: it prints and exits 0.
+"""Time and peak RSS of two Weyl closures, one descent check and two
+action closures, each in a fresh interpreter: ``weyl_group`` of E6
+(51 840 elements), ``fixed_weyl`` of the D7 diagram flip (W(B6),
+46 080 elements), ``weyl_descent_iso`` of the D6 diagram flip (W(B5),
+3840 elements, its closure included), ``make_action`` of the five
+simple reflections of D5 (W(D5), 1920 elements) and ``restrict`` of
+A1^40 under a 40-cycle (``make_action`` included).  Informational: it
+prints and exits 0.
 
     PYTHONPATH=src python tools/closure_cost.py
 """
@@ -36,6 +39,22 @@ flip = {i: i for i in range(6)}
 flip[4], flip[5] = 5, 4
 fold = restrict(make_action(from_cartan_type("D6:sc"), [(node_permutation_matrix(flip, 6), "g")]))
 run = lambda: weyl_descent_iso(fold).fixed_subgroup
+""",
+    "make_action(D5 simple reflections)": """
+from rootfold.action import make_action
+from rootfold.rootdatum import from_cartan_type, reflection
+based = from_cartan_type("D5:sc")
+gens = [(reflection(based.datum, i).on_characters, i) for i in based.base]
+run = lambda: make_action(based.datum, gens).group
+""",
+    "restrict(A1^40, 40-cycle)": """
+from rootfold.action import make_action
+from rootfold.folding import restrict
+from rootfold.rootdatum import from_cartan_type
+from rootfold.selftest import node_permutation_matrix
+based = from_cartan_type(" x ".join(["A1:sc"] * 40))
+cycle = node_permutation_matrix({i: (i + 1) % 40 for i in range(40)}, 40)
+run = lambda: restrict(make_action(based, [(cycle, "c")])).source.group
 """,
 }
 
