@@ -43,39 +43,17 @@ from .rootdatum import (
 CLOSURE_BOUND = 10 ** 4
 
 
+@record
 class FiniteGroup:
-    """A finite group as labels plus a multiplication table on indices."""
+    """A finite group as labels plus a multiplication table on indices,
+    with the index of its identity.  Built as given, with no check:
+    ``from_table`` is the constructor that checks a table from outside,
+    and ``trivial``, ``cyclic``, ``direct_product`` and ``make_action``'s
+    closure build tables that are groups by construction."""
 
-    def __init__(self, labels, table, identity_label=None, check=True):
-        self.labels = tuple(labels)
-        self.table = tuple(tuple(row) for row in table)
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise ValueError("duplicate element labels")
-        if len(self.table) != n or any(len(r) != n for r in self.table):
-            raise ValueError("multiplication table has wrong shape")
-        if any(x < 0 or x >= n for row in self.table for x in row):
-            raise ValueError("multiplication table entry out of range")
-        ident = None
-        for e in range(n):
-            if all(self.table[e][x] == x == self.table[x][e] for x in range(n)):
-                ident = e
-                break
-        if ident is None:
-            raise ValueError("no identity element")
-        if identity_label is not None and self.labels[ident] != identity_label:
-            raise ValueError("declared identity does not act as identity")
-        self.identity = ident
-        for x in range(n):
-            if not any(self.table[x][y] == ident == self.table[y][x] for y in range(n)):
-                raise ValueError(f"element {self.labels[x]!r} has no inverse")
-        if check:
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        if (self.table[self.table[a][b]][c]
-                                != self.table[a][self.table[b][c]]):
-                            raise ValueError("multiplication table not associative")
+    labels: tuple
+    table: tuple
+    identity: int
 
     def __len__(self):
         return len(self.labels)
@@ -91,39 +69,80 @@ class FiniteGroup:
 
     @cached_property
     def generating_set(self):
-        """A small deterministic generating set (greedy closure)."""
+        """A small deterministic generating set (greedy closure): the
+        least element not yet reached is added, and the identity closed
+        again under right multiplication by the picks' columns, until
+        every element is reached."""
         n = len(self.labels)
-        gens = []
+        gens, steps = [], []
         reached = {self.identity}
         while len(reached) < n:
-            gens.append(next(x for x in range(n) if x not in reached))
-            columns = [tuple(row[g] for row in self.table) for g in gens]
-            reached = set(closure([self.identity], [c.__getitem__ for c in columns]))
+            g = next(x for x in range(n) if x not in reached)
+            gens.append(g)
+            steps.append(tuple(row[g] for row in self.table).__getitem__)
+            reached = set(closure([self.identity], steps))
         return tuple(gens)
 
     @classmethod
+    def from_table(cls, labels, table, identity_label=None):
+        """The group of a table from outside, after checking that it is
+        one; raises ValueError naming the first failure, in this order:
+        duplicate labels, shape, entry range, identity, the declared
+        identity (``identity_label``), inverses, associativity.
+
+        Associativity is checked as (a b) c = a (b c) for every a, b and
+        every c in ``generating_set`` (S), |S| n^2 lookups for n^3.  That
+        is enough: let C be the set of c for which the law holds for all
+        a, b, so S lies in C.  The identity e is in C, as it is a
+        two-sided identity; and if c is in C and g in S, so is c g, since
+        (a b)(c g) = ((a b) c) g = (a (b c)) g = a ((b c) g) = a (b (c g)).
+        ``generating_set`` closes e under right multiplication by S until
+        every element is reached, so C is the whole table."""
+        labels = tuple(labels)
+        table = tuple(tuple(row) for row in table)
+        n = len(labels)
+        if len(set(labels)) != n:
+            raise ValueError("duplicate element labels")
+        if len(table) != n or any(len(r) != n for r in table):
+            raise ValueError("multiplication table has wrong shape")
+        if any(x < 0 or x >= n for row in table for x in row):
+            raise ValueError("multiplication table entry out of range")
+        ident = next((e for e in range(n)
+                      if all(table[e][x] == x == table[x][e] for x in range(n))), None)
+        if ident is None:
+            raise ValueError("no identity element")
+        if identity_label is not None and labels[ident] != identity_label:
+            raise ValueError("declared identity does not act as identity")
+        for x in range(n):
+            if not any(table[x][y] == ident == table[y][x] for y in range(n)):
+                raise ValueError(f"element {labels[x]!r} has no inverse")
+        group = cls(labels, table, ident)
+        if any(table[table[a][b]][c] != table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in group.generating_set):
+            raise ValueError("multiplication table not associative")
+        return group
+
+    @classmethod
     def trivial(cls):
-        return cls(("e",), ((0,),), check=False)
+        """The group of one element e, with e e = e."""
+        return cls(("e",), ((0,),), 0)
 
     @classmethod
     def cyclic(cls, n):
-        labels = tuple(range(n))
-        table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-        return cls(labels, table, check=False)
+        """Z/n: i j = i + j mod n, the identity 0."""
+        return cls(tuple(range(n)),
+                   tuple(tuple((i + j) % n for j in range(n)) for i in range(n)), 0)
 
     @classmethod
     def direct_product(cls, g, h):
-        labels = tuple((a, b) for a in g.labels for b in h.labels)
+        """G x H on the pairs (a, b), at index a |H| + b, multiplied
+        componentwise: a group with the identity (e_G, e_H)."""
         nh = len(h)
-        table = []
-        for a in range(len(g)):
-            for b in range(nh):
-                row = []
-                for c in range(len(g)):
-                    for d in range(nh):
-                        row.append(g.mul(a, c) * nh + h.mul(b, d))
-                table.append(row)
-        return cls(labels, table, check=False)
+        labels = tuple((a, b) for a in g.labels for b in h.labels)
+        table = tuple(tuple(g.mul(a, c) * nh + h.mul(b, d)
+                            for c in g.elements() for d in h.elements())
+                      for a in g.elements() for b in h.elements())
+        return cls(labels, table, g.identity * nh + h.identity)
 
 
 def _require_automorphism(datum, matrix, context):
@@ -353,12 +372,17 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
     generators'.
 
     The closed group lists its elements in breadth-first closure order,
-    the identity first.  Only its generator columns are pair products.
-    The column of b lists the index of x . b for every x, and holds b at
-    the identity x = e.  For b = y . g with g a generator,
-    x . b = (x . y) . g, so the column of b is the column of g read at
-    the column of y, one index map; closing the identity column under
-    these maps gives every column, as the generators generate.
+    the identity first, at index 0; its table is the multiplication of
+    these pairs, so it is a group by construction and is not checked.
+    Only its generator rows are pair products: the row of a lists the
+    index of a . x for every x, and the row of a generator g is read off
+    the left products (p_g o p_x, B_g B_x).  As (a . g) . x = a . (g . x),
+    the row of a . g is the row of a read at the row of g, one index map;
+    closing the identity row under these maps gives every row, as the
+    generators generate.  The closure runs on indices: the row of a
+    holds a . g at x = g, so the row of a . g is built once, when that
+    index is first met, and every element is met before it is read, as
+    the elements are in breadth-first order under the same products.
 
     The explicit case closes (e, I) and the assigned pairs (g, A_g)
     under (x, A) -> (x g, A A_g), giving the subgroup H of G x Aut they
@@ -398,11 +422,15 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
     if group == "closure":
         pairs = closure([ident], steps, closure_bound, "generator closure")
         index = {pair: i for i, pair in enumerate(pairs)}
-        gen_columns = [tuple(index[step(pair)] for pair in pairs) for step in steps]
-        columns = closure([tuple(range(len(pairs)))],
-                          [lambda col, g=g: compose(g, col) for g in gen_columns])
-        group = FiniteGroup(tuple(range(len(pairs))),
-                            zip(*sorted(columns, key=lambda col: col[0])), check=False)
+        gen_rows = [tuple(index[compose(p, q), mat_mul(b, c) if b else ()] for q, c in pairs)
+                    for p, b in gens]
+        table = [tuple(range(len(pairs)))] + [None] * (len(pairs) - 1)
+        right = [(index[g], permutation_getter(row)) for g, row in zip(gens, gen_rows)]
+        for row in table:
+            for i, times_g in right:
+                if table[row[i]] is None:
+                    table[row[i]] = times_g(row)
+        group = FiniteGroup(tuple(range(len(pairs))), tuple(table), 0)
     else:
         try:
             graph = closure(

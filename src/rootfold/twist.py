@@ -685,7 +685,7 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
     if len(actions1) != len(actions2):
         raise ValueError("action lists must pair up")
     for a1, a2 in zip(actions1, actions2):
-        if a1.group.labels != a2.group.labels or a1.group.table != a2.group.table:
+        if a1.group != a2.group:
             raise ValueError("paired actions must share the abstract group")
     if datum1.rank != datum2.rank or len(datum1.roots) != len(datum2.roots):
         return None

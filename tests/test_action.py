@@ -48,11 +48,11 @@ def test_finite_group_cyclic():
 
 def test_finite_group_rejects_bad_table():
     with pytest.raises(ValueError):
-        FiniteGroup(("e", "a"), ((0, 1), (1, 1)))
+        FiniteGroup.from_table(("e", "a"), ((0, 1), (1, 1)))
     with pytest.raises(ValueError):
         # Z/4 table corrupted at one entry: breaks associativity
         t = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 0], [3, 0, 1, 2]]
-        FiniteGroup((0, 1, 2, 3), t)
+        FiniteGroup.from_table((0, 1, 2, 3), t)
 
 
 def test_direct_product():

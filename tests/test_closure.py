@@ -105,7 +105,7 @@ def symmetric_group_3():
     table = tuple(
         tuple(labels.index(tuple(p[q[i]] for i in range(3))) for q in labels)
         for p in labels)
-    return FiniteGroup(labels, table)
+    return FiniteGroup.from_table(labels, table)
 
 
 GROUPS = {

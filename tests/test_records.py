@@ -35,6 +35,7 @@ RECORDS = {
     rootdatum.RootDatum: (("rank", "roots", "coroots", "pairing"),
                           {"pairing": None}),
     rootdatum.BasedRootDatum: (("datum", "base"), {}),
+    action.FiniteGroup: (("labels", "table", "identity"), {}),
     action.DatumAction: (("group", "root_perms", "blocks", "target"), {}),
     action.Coinvariants: (("action", "projection", "section", "average",
                            "fixed_basis", "pairing", "torsion"), {}),

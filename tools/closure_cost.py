@@ -3,9 +3,11 @@ action closures, each in a fresh interpreter: ``weyl_group`` of E6
 (51 840 elements), ``fixed_weyl`` of the D7 diagram flip (W(B6),
 46 080 elements), ``weyl_descent_iso`` of the D6 diagram flip (W(B5),
 3840 elements, its closure included), ``make_action`` of the five
-simple reflections of D5 (W(D5), 1920 elements) and ``restrict`` of
-A1^40 under a 40-cycle (``make_action`` included).  Informational: it
-prints and exits 0.
+simple reflections of D5 (W(D5), 1920 elements), ``restrict`` of
+A1^40 under a 40-cycle (``make_action`` included) and the check of a
+document's explicit group table at the cap of 64 elements
+(``FiniteGroup.from_table`` of (Z/2)^6).  Informational: it prints and
+exits 0.
 
     PYTHONPATH=src python tools/closure_cost.py
 """
@@ -56,6 +58,12 @@ based = from_cartan_type(" x ".join(["A1:sc"] * 40))
 cycle = node_permutation_matrix({i: (i + 1) % 40 for i in range(40)}, 40)
 run = lambda: restrict(make_action(based, [(cycle, "c")])).source.group
 """,
+    "FiniteGroup.from_table((Z/2)^6)": """
+from functools import reduce
+from rootfold.action import FiniteGroup
+group = reduce(FiniteGroup.direct_product, [FiniteGroup.cyclic(2)] * 6)
+run = lambda: FiniteGroup.from_table(group.labels, group.table)
+""",
 }
 
 MEASURE = """
@@ -64,7 +72,7 @@ start = time.perf_counter()
 group = run()
 seconds = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(f"{len(group)} elements, {seconds:.2f} s, peak RSS {peak:.0f} MB")
+print(f"{len(group)} elements, {seconds:.3f} s, peak RSS {peak:.0f} MB")
 """
 
 
