@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import permutations
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import EnumerationOverflow, InvalidActionError, UnknownTypeError
 from .lattice import (
@@ -198,9 +198,14 @@ class RootDatum:
 
     @cached_property
     def _reflection_perms(self):
-        # filled by ``reflection_permutation`` and ``verify_axioms``, one
-        # entry per root index
+        # filled by ``reflection_permutation``, one entry per root index
         return {}
+
+    @cached_property
+    def _conjugating_reflections(self):
+        # the reflection permutations ``reflection_permutation`` read off
+        # the pairing and closes its cache under, in the order computed
+        return []
 
     @cached_property
     def _weyl_groups(self):
@@ -212,7 +217,7 @@ class RootDatum:
     @cached_property
     def _based_positive_systems(self):
         # filled by ``BasedRootDatum.positive_system``, keyed by the base,
-        # so every ``BasedRootDatum`` on one base shares one solve
+        # so every ``BasedRootDatum`` on one base shares one walk or solve
         return {}
 
     @cached_property
@@ -260,18 +265,24 @@ class BasedRootDatum:
     def positive_system(self):
         """Indices of the roots that are nonnegative over the base, kept
         on the datum per base (``star_action`` builds a new
-        ``BasedRootDatum`` on every call)."""
+        ``BasedRootDatum`` on every call).  A base the walk certifies
+        (``_walk_base``) gets the walk's set, any other base the set or
+        the refusal of the solve over ``root_coordinates``: the
+        certificate forces the solve's answer, so both give one result."""
         kept = self.datum._based_positive_systems
         system = kept.get(self.base)
         if system is None:
-            out = set()
-            for i, sol in enumerate(self.root_coordinates):
-                if sol is None:
-                    raise InvalidActionError("base does not span the roots")
-                if all(x >= 0 for x in sol[0]):
-                    out.add(i)
-            system = kept[self.base] = frozenset(out)
+            system = kept[self.base] = _walk_base(self) or self._solved_positive_system()
         return system
+
+    def _solved_positive_system(self):
+        out = set()
+        for i, sol in enumerate(self.root_coordinates):
+            if sol is None:
+                raise InvalidActionError("base does not span the roots")
+            if all(x >= 0 for x in sol[0]):
+                out.add(i)
+        return frozenset(out)
 
     def cartan_matrix(self):
         d = self.datum
@@ -279,6 +290,72 @@ class BasedRootDatum:
             tuple(d.pair(d.roots[i], d.coroots[j]) for j in self.base)
             for i in self.base
         )
+
+
+def _walk_base(based):
+    """The positive system of the base, walked with the simple
+    reflections, or None when the walk is not certified.
+
+    The walk is breadth-first from the simple roots a_j and each 2 a_j
+    that is a root.  From a walked root a it steps to s_j(a) along the
+    cached ``reflection_permutation`` of each simple root, except from
+    a_j and 2 a_j: for a base, s_j permutes the positive roots that are
+    not multiples of a_j (Bourbaki, Lie VI 1.6, Cor. 1 of Prop. 17), so
+    the walk reaches exactly the positive roots.  Each walked root
+    carries integer coordinates x with a = sum_m x_m a_m, exact by
+    induction: x(s_j a) = x(a) - <a, c_j> e_j, where
+    <a, c_j> = sum_m x_m <a_m, c_j> is read off the Cartan matrix.
+
+    The certificate, checked on any index tuple: the Cartan matrix
+    C[m][j] = <a_m, c_j> of the simple roots is nonsingular, every
+    walked root has nonnegative coordinates, and the walk holds half
+    the roots.  It forces the solve's answer.  A relation
+    sum_m y_m a_m = 0 gives y C = 0, so the simple roots are
+    independent.  Each s_j moves a root, as otherwise <x, c_j> a_j = 0
+    for every root x and row or column j of C is 0; so <a_j, c_j> = 2
+    and s_j(a) = -a for a = a_j, 2 a_j (see ``reflection_permutation``).
+    A walked root is w(a) for such a seed a and a product w of simple
+    reflections, linear maps permuting the roots, so its negative
+    w(s_j(a)) is a root too; and none is the negative of another, as
+    the walked roots have nonnegative coordinates over independent
+    roots.  So the roots are the walked ones and their negatives,
+    integer combinations of the base: the solve neither raises nor
+    refuses.  A walked root has the unique coordinates x >= 0 and is
+    kept; its negative has -x, nonpositive and nonzero, and is not.
+    Nothing is assumed of the datum's axioms, so the walk gives the
+    solve's answer on any datum; for a genuine base the Cartan matrix
+    is nonsingular and the walk is certified."""
+    datum, base = based.datum, based.base
+    cartan = based.cartan_matrix()
+    if det(cartan) == 0:   # so the simple roots are also distinct
+        return None
+    coords, steps = {}, []
+    for j, b in enumerate(base):
+        s = reflection_permutation(datum, b)
+        if s is None:
+            return None
+        unit = tuple(int(m == j) for m in range(len(base)))
+        coords[b] = unit
+        skip = {b}
+        double = datum.root_index.get(tuple(2 * x for x in datum.roots[b]))
+        if double is not None:
+            coords[double] = tuple(2 * x for x in unit)
+            skip.add(double)
+        steps.append((j, s, skip, tuple(row[j] for row in cartan)))
+    walked = list(coords)
+    for i in walked:
+        x = coords[i]
+        for j, s, skip, column in steps:
+            k = s[i]
+            if k in coords or i in skip:
+                continue
+            y = list(x)
+            y[j] -= sum(map(mul, x, column))
+            if y[j] < 0 or 2 * len(walked) >= len(datum.roots):
+                return None
+            coords[k] = tuple(y)
+            walked.append(k)
+    return frozenset(walked) if 2 * len(walked) == len(datum.roots) else None
 
 
 class WeylGroup:
@@ -392,13 +469,32 @@ def root_permutation(datum, aut):
 def reflection_permutation(datum, k):
     """The root permutation of the reflection in root k, or None if it
     does not permute the roots compatibly with the coroots: the contract
-    of ``root_permutation(datum, reflection(datum, k))``, read off the
-    pairing without building a matrix.  s_k sends root a_i to
-    a_i - <a_i, c_k> a_k and coroot c_i to c_i - <a_k, c_i> c_k.
-    Cached on the datum instance."""
+    of ``root_permutation(datum, reflection(datum, k))``.  s_k sends
+    root a_i to a_i - <a_i, c_k> a_k and coroot c_i to
+    c_i - <a_k, c_i> c_k.  Cached on the datum instance.
+
+    A root not in the cache is read off the pairing without building a
+    matrix, and the cache is then closed by conjugation under the
+    reflections s_j so read that passed (``_conjugate_reflections``):
+    each root a_m = s_j(a_i) reached from a cached root a_i enters with
+    the composite of the permutations of s_j, s_i, s_j.  That is its
+    reflection.  A passing s_j that moves a root has <a_j, c_j> = 2: it
+    permutes the finite root set, so s_j^n(a_j) = (1 - <a_j, c_j>)^n a_j
+    is a root for every n, and the factor is 1 or -1 (0 would send a_j
+    and the root 0 both to 0); with <a_j, c_j> = 0 each root x has
+    s_j^n(x) = x - n <x, c_j> a_j, so s_j moves none and reaches no
+    new root.  Otherwise s_j(a_i) = a_m and s_j(c_i) = c_m for one m,
+    and s_j is an involution preserving the pairing, so
+    s_j s_i s_j (x) = x - <s_j x, c_i> s_j(a_i) = x - <x, c_m> a_m, and
+    the same on cocharacters.  So s_m passes too, with the composite
+    permutation, and a root whose reflection fails is never reached: a
+    cached entry is the direct computation's, on any datum.  A second
+    base then costs two composes per reflection, or nothing."""
     cache = datum._reflection_perms
     if k not in cache:
         cache[k] = _reflection_permutation(datum, k)
+        if cache[k] is not None:
+            _conjugate_reflections(datum, k)
     return cache[k]
 
 
@@ -652,17 +748,10 @@ def verify_axioms(datum):
     and on A because every reflection fixes A pointwise; so it is the
     identity.
 
-    The reflection check is read off the pairing for a few roots only
-    (``reflection_permutation``); the others are reached by conjugation.
-    If s_i and s_j pass, then s_j(a_i) = a_k and s_j(c_i) = c_k for one
-    k, and s_j s_i s_j = s_k: s_j is an involution preserving the
-    pairing (<a_j, c_j> = 2), so s_j s_i s_j (x)
-    = x - <s_j x, c_i> s_j(a_i) = x - <x, c_k> a_k, and the same on
-    cocharacters.  So s_k passes too, and its permutation is the
-    composite of those of s_j, s_i, s_j.  A root that fails is therefore
-    never reached, and the problem list is that of the direct check on
-    every root.  The permutations go into the cache
-    ``reflection_permutation`` reads."""
+    The reflection check runs through ``reflection_permutation``, which
+    reads a few roots off the pairing and reaches the others by
+    conjugation; the problem list is that of the direct check on every
+    root (see there)."""
     problems = []
     roots, coroots = datum.roots, datum.coroots
     if len(roots) != len(coroots):
@@ -688,35 +777,38 @@ def verify_axioms(datum):
         problems.append("coroot set is not symmetric under negation")
     if problems:
         return problems
-    cache = datum._reflection_perms
-    checked = []   # permutations of the reflections checked directly
     for i in range(len(roots)):
-        if i not in cache:
-            perm = reflection_permutation(datum, i)
-            if perm is not None:
-                checked.append(perm)
-                _conjugate_reflections(cache, checked)
-        if cache[i] is None:
+        if reflection_permutation(datum, i) is None:
             problems.append(
                 f"reflection in root {i} does not permute roots and coroots compatibly")
     return problems
 
 
-def _conjugate_reflections(cache, checked):
-    """Close the roots whose reflection permutation is known in ``cache``
-    under the reflections in ``checked``, entering the permutation of
-    s_k = s_j s_i s_j for each root a_k = s_j(a_i) reached (see
-    ``verify_axioms``)."""
-    frontier = [i for i, p in cache.items() if p is not None]
+def _conjugate_reflections(datum, k):
+    """Add the reflection s_k, just read off the pairing with a
+    permutation, to ``datum._conjugating_reflections``, and enter the
+    permutation of s_m = s_j s_i s_j for each root a_m = s_j(a_i)
+    reached from the cached roots a_i by those reflections s_j (see
+    ``reflection_permutation``).
+
+    The cache was closed under them before, so only the pairs that are
+    new need a look: root k under every reflection, every cached root
+    under s_k, and every root reached under every reflection.  Each
+    (root, reflection) pair is looked at once over all calls, |R| times
+    the number of reflections read off the pairing."""
+    cache, checked = datum._reflection_perms, datum._conjugating_reflections
+    checked.append(cache[k])
+    frontier = [(i, checked[-1:]) for i, p in cache.items() if p is not None and i != k]
+    frontier.append((k, checked))
     while frontier:
         reached = []
-        for i in frontier:
+        for i, maps in frontier:
             s_i = cache[i]
-            for s_j in checked:
-                k = s_j[i]
-                if k not in cache:
-                    cache[k] = compose(s_j, compose(s_i, s_j))
-                    reached.append(k)
+            for s_j in maps:
+                m = s_j[i]
+                if m not in cache:
+                    cache[m] = compose(s_j, compose(s_i, s_j))
+                    reached.append((m, checked))
         frontier = reached
 
 

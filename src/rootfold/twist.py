@@ -28,6 +28,7 @@ from .lattice import (
     adjugate_and_det,
     det,
     exact_quotient,
+    identity_matrix,
     mat_mul,
     mat_vec,
     record,
@@ -80,14 +81,14 @@ def _transport(based, perm):
     simple_perm = {d: reflection_permutation(datum, d) for d in based.base}
     neg_of = datum.negation
 
-    current = frozenset(perm[i] for i in pos)
+    current = frozenset(map(perm.__getitem__, pos))
     w_perm = identity_permutation(len(datum.roots))
     guard = len(datum.roots) + 1
     while current != pos:
         step = next((d for d in based.base if neg_of[d] in current), None)
         if step is None:
             raise InvalidActionError("image of the base is not a base of the roots")
-        current = frozenset(simple_perm[step][i] for i in current)
+        current = frozenset(map(simple_perm[step].__getitem__, current))
         w_perm = compose(w_perm, simple_perm[step])
         guard -= 1
         if guard < 0:
@@ -144,7 +145,38 @@ class StarCocycle:
     def build(cls, star_action, value_perms):
         """Validate and construct from the star action and the root
         permutations of the values (tuples are converted, see
-        ``as_permutation``)."""
+        ``as_permutation``): the twisted law (``_lawful``), then each
+        distinct value permutation is refused unless a datum automorphism
+        fixing the annihilator A of the coroots pointwise induces it.
+
+        That check is exact.  Such an automorphism sends the independent
+        roots r_i of ``RootDatum._root_basis`` to r_{p(i)} and fixes
+        the basis z_j of A, so it is the matrix ``_matrix_on_roots``
+        reads off p with the identity block; conversely that matrix is
+        one exactly when it is integral and unimodular and its
+        ``root_permutation`` is p.
+
+        ``star_action``, ``z1_enumerate`` and ``cobound`` build through
+        ``_lawful`` alone: their values are induced by construction.  A
+        base transport is a product of simple reflections; a value of
+        ``z1_enumerate`` a product of module elements, Weyl elements, and
+        their star twists, again Weyl elements; and a coboundary
+        k^-1 c(s) s*(k) a product of automorphisms that fixes A
+        pointwise, as ``_cobounders`` keeps only such k."""
+        cocycle = cls._lawful(star_action, value_perms)
+        datum = star_action.datum
+        group = star_action.group
+        seen = set()
+        for s, p in enumerate(cocycle.value_perms):
+            if p not in seen and not _is_induced(datum, p):
+                raise ValueError(f"cocycle value at {group.labels[s]!r} is not "
+                                 f"induced by a datum automorphism")
+            seen.add(p)
+        return cocycle
+
+    @classmethod
+    def _lawful(cls, star_action, value_perms):
+        # ``build`` without the check that the values are induced
         value_perms = tuple(map(as_permutation, value_perms))
         group = star_action.group
         if value_perms[group.identity] != identity_permutation(len(star_action.datum.roots)):
@@ -160,13 +192,24 @@ class StarCocycle:
         That is exact.  Every value that ``star_action``,
         ``z1_enumerate`` and ``cobound`` make fixes the annihilator A of
         the coroots pointwise: Weyl elements do, and so do the
-        coboundaries ``_cobounders`` keeps.  So its block is the
-        identity, and the pair names it (see ``action.DatumAction``)."""
+        coboundaries ``_cobounders`` keeps; ``build`` checks it of every
+        other value.  So its block is the identity, and the pair names it
+        (see ``action.DatumAction``)."""
         return tuple(_automorphisms_from_permutations(self.star_action.datum,
                                                       self.value_perms))
 
     def sort_key(self):
         return tuple(v.on_characters for v in self.values)
+
+
+def _is_induced(datum, perm):
+    """Whether some datum automorphism that fixes the annihilator of the
+    coroots pointwise has the root permutation ``perm`` (see
+    ``StarCocycle.build``)."""
+    m = _matrix_on_roots(datum, [datum.roots[perm[i]] for i in datum._root_basis[0]],
+                         identity_matrix(len(datum.coroot_annihilator)))
+    return (m is not None and abs(det(m)) == 1 and root_permutation(
+        datum, DatumAutomorphism.from_matrix(m, _pairing(datum))) == perm)
 
 
 def _permutation(datum, aut):
@@ -202,7 +245,7 @@ def star_action(action, base):
             action.group, [compose(_invert_permutation(t), p)
                            for t, p in zip(transport_perms, action.root_perms)],
             action.blocks, based)
-        kept[key] = (star_act, StarCocycle.build(star_act, transport_perms))
+        kept[key] = (star_act, StarCocycle._lawful(star_act, transport_perms))
     return kept[key]
 
 
@@ -316,7 +359,7 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND):
     and c is a cocycle.  For Z/n this is the norm equation
     w . s*(w) ... (s^(n-1))*(w) = 1 on w = c(s).  The values are
     products of module elements and their star twists, so they lie in
-    the module.  ``StarCocycle.build`` checks the law again on every
+    the module.  ``StarCocycle._lawful`` checks the law again on every
     cocycle returned.
 
     Everything runs on the stored root permutations of the module,
@@ -369,7 +412,7 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND):
     auts = dict(zip(distinct, _automorphisms_from_permutations(datum, distinct)))
     cocycles = []
     for perms in found:
-        cocycle = StarCocycle.build(star, perms)
+        cocycle = StarCocycle._lawful(star, perms)
         # seed the cached property with the matrices already built
         vars(cocycle)["values"] = tuple(auts[p] for p in perms)
         cocycles.append(cocycle)
@@ -446,7 +489,7 @@ def cobound(cocycle, kappa):
     steps = _cobounders(cocycle, (kappa,))
     if not steps:
         raise ValueError("kappa^-1 s*(kappa) moves the annihilator of the coroots")
-    return StarCocycle.build(cocycle.star_action, steps[0](cocycle.value_perms))
+    return StarCocycle._lawful(cocycle.star_action, steps[0](cocycle.value_perms))
 
 
 def h1_classes(cocycles, cobounding_group, module_group=()):

@@ -383,20 +383,29 @@ def h1_pass(case):
             found)
 
 
-def test_an_h1_pass_solves_one_positive_system_per_datum(monkeypatch):
+def test_an_h1_pass_walks_one_positive_system_per_datum_and_solves_none(monkeypatch):
     # star_action builds a new BasedRootDatum on every call; the positive
-    # system of its base is kept on the datum, so each of the thirteen
-    # data is solved once (39 solves a pass when it was not kept)
-    solves = []
+    # system of its base is kept on the datum, and the walk certifies every
+    # base of the pass, so each (datum, base) is walked once and nothing
+    # is solved
+    solves, walks = [], []
+    walk = rootdatum_module._walk_base
 
     def counted(m):
         solves.append(m)
         return exact_solver(m)
 
+    def walked(based):
+        walks.append((based.datum, based.base))   # alive, so no id is reused
+        return walk(based)
+
     monkeypatch.setattr(rootdatum_module, "exact_solver", counted)
+    monkeypatch.setattr(rootdatum_module, "_walk_base", walked)
     for case in CASES:
         h1_pass(case)
-    assert len(solves) == len(CASES)
+    assert solves == []
+    keys = [(id(datum), base) for datum, base in walks]
+    assert len(keys) == len(set(keys)) == len(CASES)
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)

@@ -668,6 +668,28 @@ def test_cobound_is_group_action():
             assert lhs.sort_key() == rhs.sort_key()
 
 
+@pytest.mark.parametrize("spec, i, j", [
+    ("A2:sc", 0, 1), ("A1:sc x A1:sc", 0, 1),   # integral and unimodular, but
+    # the matrix read off the independent roots moves the others otherwise
+    ("B2:sc", 0, 1),                            # no integral matrix
+    ("G2:sc", 0, 10),                           # an integral, singular matrix
+])
+def test_star_cocycle_build_refuses_a_value_no_automorphism_induces(spec, i, j):
+    # a transposition of two roots is an involution, so under trivial Z/2
+    # the twisted law holds; no datum automorphism induces it
+    from rootfold.rootdatum import identity_permutation
+    from rootfold.twist import StarCocycle
+
+    based = from_cartan_type(spec)
+    n = len(based.datum.roots)
+    star, _ = star_action(trivial_z2_action(based.datum), based.base)
+    swap = list(range(n))
+    swap[i], swap[j] = j, i
+    with pytest.raises(ValueError, match="^cocycle value at 1 is not induced by a "
+                                         "datum automorphism$"):
+        StarCocycle.build(star, [identity_permutation(n), swap])
+
+
 def test_twist_datum_refuses_values_that_do_not_commute_with_gamma():
     # A cocycle value commutes with gamma exactly when it does on the
     # roots and on the annihilator of the coroots.  On A2 a simple

@@ -4,10 +4,13 @@ action closures, each in a fresh interpreter: ``weyl_group`` of E6
 46 080 elements), ``weyl_descent_iso`` of the D6 diagram flip (W(B5),
 3840 elements, its closure included), ``make_action`` of the five
 simple reflections of D5 (W(D5), 1920 elements), ``restrict`` of
-A1^40 under a 40-cycle (``make_action`` included) and the check of a
+A1^40 under a 40-cycle (``make_action`` included), the check of a
 document's explicit group table at the cap of 64 elements
-(``FiniteGroup.from_table`` of (Z/2)^6).  Informational: it prints and
-exits 0.
+(``FiniteGroup.from_table`` of (Z/2)^6), the positive system of E8's
+base (120 roots) on a fresh datum, where the simple reflections are
+computed first, and with them already cached, and the character and
+cocharacter matrices of all 1152 elements of W(F4) from their root
+permutations.  Informational: it prints and exits 0.
 
     PYTHONPATH=src python tools/closure_cost.py
 """
@@ -64,6 +67,24 @@ from rootfold.action import FiniteGroup
 group = reduce(FiniteGroup.direct_product, [FiniteGroup.cyclic(2)] * 6)
 run = lambda: FiniteGroup.from_table(group.labels, group.table)
 """,
+    "positive_system(E8 base, fresh datum)": """
+from rootfold.rootdatum import from_cartan_type
+based = from_cartan_type("E8:sc")
+run = lambda: based.positive_system
+""",
+    "positive_system(E8 base, reflections cached)": """
+from rootfold.rootdatum import from_cartan_type, reflection_permutation
+based = from_cartan_type("E8:sc")
+for i in based.base:
+    reflection_permutation(based.datum, i)
+run = lambda: based.positive_system
+""",
+    "matrices of W(F4)": """
+from rootfold.rootdatum import WeylGroup, from_cartan_type, weyl_group
+datum = from_cartan_type("F4:sc").datum
+perms = weyl_group(datum).perms
+run = lambda: WeylGroup(datum, perms).elements
+""",
 }
 
 MEASURE = """
@@ -72,7 +93,7 @@ start = time.perf_counter()
 group = run()
 seconds = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(f"{len(group)} elements, {seconds:.3f} s, peak RSS {peak:.0f} MB")
+print(f"{len(group)} elements, {seconds * 1e3:.2f} ms, peak RSS {peak:.0f} MB")
 """
 
 
