@@ -246,7 +246,8 @@ class DatumAction:
     @cached_property
     def generator_images(self):
         """The images of ``group.generating_set``, built from their pairs
-        alone (``_automorphisms_from_permutations``).  Every image is a
+        alone (``_automorphisms_from_permutations``) unless ``make_action``
+        handed over the matrices it checked.  Every image is a
         product of them, so a matrix commutes with, or a vector is fixed
         by, every image exactly when it is for these."""
         gens = self.group.generating_set
@@ -374,6 +375,10 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
     The closed group lists its elements in breadth-first closure order,
     the identity first, at index 0; its table is the multiplication of
     these pairs, so it is a group by construction and is not checked.
+    Its ``generating_set`` holds only elements of the generators: the
+    greedy set picks the least element not yet reached; while one is
+    not reached, a generator is not, as the generators generate; and
+    the generators' elements are the least after the identity.
     Only its generator rows are pair products: the row of a lists the
     index of a . x for every x, and the row of a generator g is read off
     the left products (p_g o p_x, B_g B_x).  As (a . g) . x = a . (g . x),
@@ -392,6 +397,12 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
     and, as H maps onto S, equals it.  So more than |G| pairs, or two
     over one x, mean the assignment is inconsistent; fewer than |G| mean
     the labels do not generate G.
+
+    When every element of ``group.generating_set`` is a given
+    generator, as in closure mode always, the action's
+    ``generator_images`` are the checked generator automorphisms: the
+    automorphism with a given pair is unique (see ``DatumAction``), so
+    they are the matrices built from those pairs.
     """
     datum = target.datum if isinstance(target, BasedRootDatum) else target
     if group != "closure":
@@ -404,11 +415,12 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
             if idx in assigned:
                 raise InvalidActionError(f"group element {label!r} has two generators")
             assigned.append(idx)
-    gens = []
+    gens, auts = [], []
     for mat, label in generators:
         aut, perm = _require_automorphism(
             datum, tuple(tuple(int(x) for x in row) for row in mat), f"generator {label!r}")
         gens.append((perm, _annihilator_block(datum, aut)))
+        auts.append(aut)
 
     def times(perm, block):
         right = permutation_getter(perm)
@@ -431,6 +443,7 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
                 if table[row[i]] is None:
                     table[row[i]] = times_g(row)
         group = FiniteGroup(tuple(range(len(pairs))), tuple(table), 0)
+        assigned = [index[g] for g in gens]
     else:
         try:
             graph = closure(
@@ -447,7 +460,11 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
         if len(images) != len(group):
             raise InvalidActionError("the labeled generators do not generate the group")
         pairs = [images[i] for i in group.elements()]
-    return DatumAction.build(group, *zip(*pairs), target)
+    action = DatumAction.build(group, *zip(*pairs), target)
+    checked = dict(zip(assigned, auts))
+    if all(g in checked for g in group.generating_set):
+        vars(action)["generator_images"] = tuple(checked[g] for g in group.generating_set)
+    return action
 
 
 def orbit(action, root_index):
@@ -560,8 +577,9 @@ def coinvariants(action):
     from fractions import Fraction  # only here, off the start-up path
 
     size = len(action.group)
+    group_sum = _group_sum(action)
     average = tuple(tuple(Fraction(x, size) for x in row)
-                    for row in mat_mul(_group_sum(action), quotient.section))
+                    for row in mat_mul(group_sum, quotient.section))
 
     f = quotient.free_rank
     if len(fixed_basis) != f:
@@ -584,7 +602,7 @@ def coinvariants(action):
         pairing=pairing,
         torsion=quotient.torsion_invariants,
     )
-    _check_coinvariants(cv)
+    _check_coinvariants(cv, group_sum)
     return cv
 
 
@@ -606,9 +624,11 @@ def _group_sum(action):
     return _matrix_on_roots(datum, images, block)
 
 
-def _check_coinvariants(cv):
+def _check_coinvariants(cv, group_sum):
     """Raise AssertionError unless the maps of ``cv`` satisfy every
-    structural identity.
+    structural identity, with ``group_sum`` the sum of the character
+    matrices of the action, as ``coinvariants`` computed it
+    (``_group_sum``).
 
     Invariance is checked on the generator images A only, which
     suffices since every image is a product of them: P A = P, A S = S
@@ -658,7 +678,7 @@ def _check_coinvariants(cv):
         # preimage independence: the averaged embedding composed with the
         # projection is the plain group average, and relation vectors
         # pair to zero against every fixed cocharacter
-        if mat_mul(scaled, cv.projection) != _group_sum(action):
+        if mat_mul(scaled, cv.projection) != group_sum:
             raise AssertionError("embedding depends on the choice of preimage")
         for aut in action.generator_images:
             for e, column in zip(identity_matrix(n), transpose(aut.on_characters)):

@@ -268,7 +268,8 @@ class BasedRootDatum:
         ``BasedRootDatum`` on every call).  A base the walk certifies
         (``_walk_base``) gets the walk's set, any other base the set or
         the refusal of the solve over ``root_coordinates``: the
-        certificate forces the solve's answer, so both give one result."""
+        certificate forces the solve's answer, so both give one result.
+        ``verify_base`` keeps the walk it certifies here too."""
         kept = self.datum._based_positive_systems
         system = kept.get(self.base)
         if system is None:
@@ -471,7 +472,8 @@ def reflection_permutation(datum, k):
     does not permute the roots compatibly with the coroots: the contract
     of ``root_permutation(datum, reflection(datum, k))``.  s_k sends
     root a_i to a_i - <a_i, c_k> a_k and coroot c_i to
-    c_i - <a_k, c_i> c_k.  Cached on the datum instance.
+    c_i - <a_k, c_i> c_k.  Cached on the datum instance;
+    ``from_cartan_type`` hands over the simple reflections it checked.
 
     A root not in the cache is read off the pairing without building a
     matrix, and the cache is then closed by conjugation under the
@@ -749,9 +751,10 @@ def verify_axioms(datum):
     identity.
 
     The reflection check runs through ``reflection_permutation``, which
-    reads a few roots off the pairing and reaches the others by
-    conjugation; the problem list is that of the direct check on every
-    root (see there)."""
+    reads a few roots off the pairing, or on a datum built by
+    ``from_cartan_type`` takes the simple reflections checked there, and
+    reaches the others by conjugation; the problem list is that of the
+    direct check on every root (see there)."""
     problems = []
     roots, coroots = datum.roots, datum.coroots
     if len(roots) != len(coroots):
@@ -785,8 +788,8 @@ def verify_axioms(datum):
 
 
 def _conjugate_reflections(datum, k):
-    """Add the reflection s_k, just read off the pairing with a
-    permutation, to ``datum._conjugating_reflections``, and enter the
+    """Add the reflection s_k, just read off the pairing or handed over
+    by construction, to ``datum._conjugating_reflections``, and enter the
     permutation of s_m = s_j s_i s_j for each root a_m = s_j(a_i)
     reached from the cached roots a_i by those reflections s_j (see
     ``reflection_permutation``).
@@ -795,7 +798,7 @@ def _conjugate_reflections(datum, k):
     new need a look: root k under every reflection, every cached root
     under s_k, and every root reached under every reflection.  Each
     (root, reflection) pair is looked at once over all calls, |R| times
-    the number of reflections read off the pairing."""
+    the number of reflections added."""
     cache, checked = datum._reflection_perms, datum._conjugating_reflections
     checked.append(cache[k])
     frontier = [(i, checked[-1:]) for i, p in cache.items() if p is not None and i != k]
@@ -813,22 +816,34 @@ def _conjugate_reflections(datum, k):
 
 
 def verify_base(based):
-    """Check the base axioms; returns a list of violations."""
+    """Check the base axioms; returns a list of violations.
+
+    A tuple the walk certifies (``_walk_base``) needs no solve: the
+    certificate proves that the simple roots are independent, that
+    every root is an integer combination of them, and that no root has
+    mixed signs over them (see there).  Its walked positive system is
+    kept on the datum for ``BasedRootDatum.positive_system``.  Any other
+    tuple is solved over ``root_coordinates``, with the problem list of
+    the solve."""
     datum = based.datum
     base = based.base
     problems = []
-    simples = [datum.roots[i] for i in base]
-    if span_rank(simples) != len(simples):
-        problems.append("base roots are not linearly independent")
-        return problems
-    # the simples are independent, so the solve cannot raise
-    for i, sol in enumerate(based.root_coordinates):
-        if sol is None or any(x % sol[1] for x in sol[0]):
-            problems.append(f"root {i} is not an integer combination of the base")
-            continue
-        signs = [x for x in sol[0] if x != 0]
-        if signs and not (all(x > 0 for x in signs) or all(x < 0 for x in signs)):
-            problems.append(f"root {i} has mixed signs over the base")
+    walked = _walk_base(based)
+    if walked is not None:
+        datum._based_positive_systems[base] = walked
+    else:
+        simples = [datum.roots[i] for i in base]
+        if span_rank(simples) != len(simples):
+            problems.append("base roots are not linearly independent")
+            return problems
+        # the simples are independent, so the solve cannot raise
+        for i, sol in enumerate(based.root_coordinates):
+            if sol is None or any(x % sol[1] for x in sol[0]):
+                problems.append(f"root {i} is not an integer combination of the base")
+                continue
+            signs = [x for x in sol[0] if x != 0]
+            if signs and not (all(x > 0 for x in signs) or all(x < 0 for x in signs)):
+                problems.append(f"root {i} has mixed signs over the base")
     root_set = set(datum.roots)
     for i in base:
         r = datum.roots[i]
@@ -960,29 +975,45 @@ def cartan_matrix(letter, rank):
 def _closure_from_simples(simples, cosimples, seeds=()):
     """The datum of all (root, coroot) pairs generated from the simple
     ones and the further pairs ``seeds`` by the simple reflections, via
-    the standard pairing of the realization, and its base at the simple
-    roots; each coroot is computed once, by the step that first reaches
-    its root."""
+    the standard pairing of the realization; its base at the simple
+    roots; and the root permutation of each simple reflection, in the
+    order of the simples.
+
+    The closure steps every root b through every simple reflection s_j
+    once, to s_j(b) = b - <b, c_j> a_j, and records the image.  The step
+    also maps the coroot c of b to s_j(c) = c - <a_j, c> c_j: that is
+    the coroot of the image when the image is new, and otherwise it is
+    compared with the coroot recorded for it, raising AssertionError on
+    a mismatch.  So each permutation satisfies the contract of
+    ``_reflection_permutation`` on every root and coroot: it is one to
+    one, as s_j is an involution, <a_j, c_j> = 2 on every simple pair
+    of the realizations (a diagonal entry of the Cartan matrix, or
+    <e_n, 2 e_n> for BC_n)."""
     coroot = dict(zip(simples, cosimples))
     coroot.update(seeds)
+    images = []
 
     def reflection_in(alpha, acov):
+        image = {}
+        images.append(image)
+
         def step(beta):
-            n = dot(beta, acov)
-            if not n:
-                return beta
-            img = tuple(b - n * a for b, a in zip(beta, alpha))
-            if img not in coroot:
-                cov = coroot[beta]
-                m = dot(alpha, cov)
-                coroot[img] = tuple(c - m * a for c, a in zip(cov, acov))
+            n, cov = dot(beta, acov), coroot[beta]
+            m = dot(alpha, cov)
+            img = tuple(b - n * a for b, a in zip(beta, alpha)) if n else beta
+            img_cov = tuple(c - m * a for c, a in zip(cov, acov)) if m else cov
+            if coroot.setdefault(img, img_cov) != img_cov:
+                raise AssertionError("a simple reflection does not map the coroots with the roots")
+            image[beta] = img
             return img
         return step
 
     steps = [reflection_in(a, c) for a, c in zip(simples, cosimples)]
     roots = sorted(closure(list(coroot), steps))
     datum = RootDatum(len(simples), tuple(roots), tuple(coroot[r] for r in roots))
-    return datum, tuple(datum.index_of(s) for s in simples)
+    index = datum.root_index
+    return (datum, tuple(index[s] for s in simples),
+            [[index[image[r]] for r in roots] for image in images])
 
 
 def _realize_classical(letter, rank, tag):
@@ -1043,57 +1074,43 @@ def from_cartan_type(spec):
     """Build a based root datum from a type string such as "A2:sc",
     "D4:sc", "BC2", or a product "A1:sc x A1:sc".  The sc realization
     puts the roots in fundamental-weight coordinates with the simple
-    coroots as standard basis vectors; ad is the dual convention."""
+    coroots as standard basis vectors; ad is the dual convention.
+
+    The permutation of each simple reflection, checked on every root
+    and coroot of its factor by ``_closure_from_simples``, is handed to
+    the datum's reflection cache, which is closed by conjugation
+    (``_conjugate_reflections``) as ``reflection_permutation`` closes
+    it.  On the other factors it is the identity: their roots x and
+    coroots c have support disjoint from a_j and c_j, so
+    <x, c_j> = <a_j, c> = 0 and s_j fixes them."""
     factors = [_parse_factor(tok) for tok in spec.split("x")]
-    data = []
-    for letter, rank, tag in factors:
-        if letter == "BC":
-            data.append(_realize_bc(rank))
-        else:
-            data.append(_realize_classical(letter, rank, tag))
-    total = sum(d.rank for d, _ in data)
+    data = [_realize_bc(rank) if letter == "BC" else _realize_classical(letter, rank, tag)
+            for letter, rank, tag in factors]
+    total = sum(d.rank for d, _, _ in data)
     offset = 0
-    pairs = []
-    simples = []
-    for datum, base in data:
-        pad = lambda v, off=offset, n=datum.rank: (
+    parts = []
+    for factor, _, _ in data:
+        pad = lambda v, off=offset, n=factor.rank: (
             (0,) * off + tuple(v) + (0,) * (total - off - n))
-        for r, cv in zip(datum.roots, datum.coroots):
-            pairs.append((pad(r), pad(cv)))
-        simples.extend(pad(datum.roots[i]) for i in base)
-        offset += datum.rank
-    pairs.sort()
-    roots = tuple(r for r, _ in pairs)
-    coroots = tuple(cv for _, cv in pairs)
-    datum = RootDatum(total, roots, coroots)
-    base = tuple(sorted(datum.index_of(s) for s in simples))
-    return BasedRootDatum(datum, base)
+        parts.append([(pad(r), pad(cv)) for r, cv in zip(factor.roots, factor.coroots)])
+        offset += factor.rank
+    pairs = sorted(pair for part in parts for pair in part)
+    datum = RootDatum(total, tuple(r for r, _ in pairs), tuple(cv for _, cv in pairs))
+    base = []
+    for part, (_, simples, perms) in zip(parts, data):
+        where = [datum.index_of(r) for r, _ in part]
+        for i, perm in zip(simples, perms):
+            moved = list(range(len(pairs)))
+            for w, j in zip(where, perm):
+                moved[w] = where[j]
+            base.append(where[i])
+            datum._reflection_perms[where[i]] = as_permutation(moved)
+            _conjugate_reflections(datum, where[i])
+    return BasedRootDatum(datum, tuple(sorted(base)))
 
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def _components(datum):
-    n = len(datum.roots)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if datum.pair(datum.roots[i], datum.coroots[j]) != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: datum.roots[g[0]])
 
 
 def cartan_matchings(c1, c2):
@@ -1138,21 +1155,33 @@ def _component_label(matrix, reduced):
 def classify(datum):
     """Irreducible components of the root system, identified by
     Cartan-matrix matching; non-reduced components get BC labels.
-    Returns a sorted list of (label, multiplicity)."""
+    Returns a sorted list of (label, multiplicity).  The datum must
+    pass ``verify_axioms``.
+
+    The components are read off the Dynkin diagram of the canonical
+    base: the roots of a component are the Weyl images of its simple
+    roots, and two simple roots are joined when they pair to nonzero.
+    A component is non-reduced exactly when one of its simple roots has
+    its double among the roots.  An irreducible non-reduced system is
+    BC_n, and each of its bases is w(B) for the standard base B, which
+    holds e_n with 2 e_n a root, and a Weyl element w (Bourbaki, Lie VI
+    1.5-1.6 and 4.14); so it holds w(e_n), with w(2 e_n) a root."""
     if not datum.roots:
         return []
     base = canonical_base(datum)
-    labels = []
-    for comp in _components(datum):
-        comp_set = set(comp)
-        comp_base = [i for i in base if i in comp_set]
-        matrix = tuple(
-            tuple(datum.pair(datum.roots[i], datum.coroots[j]) for j in comp_base)
-            for i in comp_base
-        )
-        root_set = {datum.roots[i] for i in comp}
-        reduced = not any(
-            tuple(2 * x for x in r) in root_set for r in root_set)
+    cartan = BasedRootDatum(datum, base).cartan_matrix()
+    labels, seen = [], set()
+    for start in range(len(base)):
+        if start in seen:
+            continue
+        comp = [start]
+        for m in comp:
+            comp += [j for j, x in enumerate(cartan[m]) if x and j not in comp]
+        seen.update(comp)
+        nodes = sorted(comp)
+        matrix = tuple(tuple(cartan[m][j] for j in nodes) for m in nodes)
+        reduced = not any(tuple(2 * x for x in datum.roots[base[m]]) in datum.root_index
+                          for m in nodes)
         labels.append(_component_label(matrix, reduced))
     counted = {}
     for lab in labels:

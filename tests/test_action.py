@@ -346,12 +346,16 @@ def test_coinvariants_average_keeps_its_fraction_value():
     for act in (a2_flip(), a3_flip(), d4_triality()):
         cv = coinvariants(act)
         size = len(act.group)
-        total = tuple(tuple(sum(a.on_characters[i][j] for a in act.images)
-                            for j in range(act.datum.rank))
-                      for i in range(act.datum.rank))
         assert cv.average == tuple(tuple(Fraction(x, size) for x in row)
-                                   for row in mat_mul(total, cv.section))
+                                   for row in mat_mul(image_sum(act), cv.section))
         assert all(type(x) is Fraction for row in cv.average for x in row)
+
+
+def image_sum(act):
+    """The sum of the character matrices of every image of ``act``."""
+    n = act.datum.rank
+    return tuple(tuple(sum(a.on_characters[i][j] for a in act.images) for j in range(n))
+                 for i in range(n))
 
 
 def tampered(cv, **changes):
@@ -360,7 +364,7 @@ def tampered(cv, **changes):
     from rootfold.action import _check_coinvariants
 
     try:
-        _check_coinvariants(replace(cv, **changes))
+        _check_coinvariants(replace(cv, **changes), image_sum(cv.action))
     except AssertionError as e:
         return str(e)
     return None

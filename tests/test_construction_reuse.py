@@ -1,0 +1,256 @@
+"""Objects a fold reads off what was already built, each against the
+computation it replaces: the simple reflections handed over by
+``from_cartan_type`` against the direct check read off the pairing,
+``verify_base`` on a walked base against the solve alone, ``classify``
+on the Dynkin diagram against the components of the root pairing, and
+the checked generator matrices of ``make_action`` against the matrices
+built from the action's pairs."""
+
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+
+import rootfold.action as action_module
+import rootfold.rootdatum as rootdatum_module
+from rootfold.action import FiniteGroup, coinvariants, make_action
+from rootfold.cli import parse_datum
+from rootfold.folding import reduced_subdatum, restrict
+from rootfold.lattice import span_rank
+from rootfold.rootdatum import (
+    BasedRootDatum,
+    _automorphisms_from_permutations,
+    _closure_from_simples,
+    _component_label,
+    _reflection_permutation,
+    canonical_base,
+    classify,
+    from_cartan_type,
+    verify_base,
+)
+from rootfold.selftest import FOLD_TABLE, SLOW_FOLD, node_permutation_matrix
+
+from test_base_walk import TYPES, datum_by_name, fresh, outcome, zero_root_datum
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+
+SIMPLE_TYPES = [f"{letter}{rank}:{tag}"
+                for letter, ranks in [("A", range(1, 9)), ("B", range(2, 9)),
+                                      ("C", range(2, 9)), ("D", range(3, 9)),
+                                      ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,))]
+                for rank in ranks for tag in ("sc", "ad")]
+BC_TYPES = [f"BC{rank}" for rank in range(1, 9)]
+PRODUCTS = ["A1:sc x B2:ad x BC2", "G2:sc x A2:ad x D4:sc", "BC1 x C3:sc x A1:ad",
+            "A1:sc x A1:sc x A1:sc", "BC2 x BC1 x B3:ad"]
+
+
+# ---------------------------------------------------------------------------
+# simple reflections from construction
+
+
+@pytest.mark.parametrize("spec", SIMPLE_TYPES + BC_TYPES + PRODUCTS)
+def test_handed_reflections_and_their_closed_cache_are_the_direct_ones(spec, monkeypatch):
+    direct = []
+    monkeypatch.setattr(rootdatum_module, "_reflection_permutation",
+                        lambda d, k: direct.append(k) or _reflection_permutation(d, k))
+    based = from_cartan_type(spec)
+    datum = based.datum
+    assert direct == []   # nothing read off the pairing
+    cache = datum._reflection_perms
+    assert set(based.base) <= set(cache)
+    # closed under conjugation: every root that is not twice a root is a
+    # Weyl image of a simple root
+    roots = set(datum.roots)
+    assert set(cache) == {i for i, r in enumerate(datum.roots)
+                          if not (all(x % 2 == 0 for x in r)
+                                  and tuple(x // 2 for x in r) in roots)}
+    for k, perm in cache.items():
+        assert perm == _reflection_permutation(datum, k)
+
+
+def test_construction_refuses_a_coroot_the_simple_reflections_do_not_carry():
+    e1, e2 = (1, 0), (0, 1)
+    # s_1(e_1) = -e_1, whose recorded coroot (0, -2) is not s_1(2 e_1)
+    with pytest.raises(AssertionError, match="does not map the coroots"):
+        _closure_from_simples([e1, e2], [(2, 0), (0, 2)], seeds=[((-1, 0), (0, -2))])
+    # s_1 fixes the root -e_2 but moves its recorded coroot (1, -2)
+    with pytest.raises(AssertionError, match="does not map the coroots"):
+        _closure_from_simples([e1, e2], [(2, 0), (0, 2)], seeds=[((0, -1), (1, -2))])
+    datum, base, perms = _closure_from_simples([e1, e2], [(2, 0), (0, 2)])
+    assert [tuple(p) for p in perms] == [tuple(_reflection_permutation(datum, k))
+                                         for k in base]
+
+
+# ---------------------------------------------------------------------------
+# verify_base reads the walk
+
+
+def solved_base_problems(based):
+    """The problem list of ``verify_base`` from the solve alone."""
+    datum = based.datum
+    simples = [datum.roots[i] for i in based.base]
+    if span_rank(simples) != len(simples):
+        return ["base roots are not linearly independent"]
+    problems = []
+    for i, sol in enumerate(based.root_coordinates):
+        if sol is None or any(x % sol[1] for x in sol[0]):
+            problems.append(f"root {i} is not an integer combination of the base")
+            continue
+        signs = [x for x in sol[0] if x != 0]
+        if signs and not (all(x > 0 for x in signs) or all(x < 0 for x in signs)):
+            problems.append(f"root {i} has mixed signs over the base")
+    root_set = set(datum.roots)
+    for i in based.base:
+        r = datum.roots[i]
+        for m in range(2, 5):
+            if all(x % m == 0 for x in r) and tuple(x // m for x in r) in root_set:
+                problems.append(f"base root {i} is {m} times another root")
+    return problems
+
+
+@pytest.mark.parametrize("name", TYPES + ["skewed BC2"])
+def test_verify_base_matches_the_solve_on_every_index_subset(name):
+    datum = fresh(datum_by_name(name))
+    kept = datum._based_positive_systems
+    certified = 0
+    for base in combinations(range(len(datum.roots)), len(canonical_base(datum))):
+        based = BasedRootDatum(datum, base)
+        got = verify_base(based)
+        assert got == solved_base_problems(BasedRootDatum(datum, base))
+        if base in kept:   # walked: the kept system is the solve's
+            assert kept[base] == based._solved_positive_system()
+            certified += 1
+        assert (got == []) <= (base in kept)
+    assert certified > 0
+
+
+def test_verify_base_on_repeated_dependent_and_zero_root_tuples_matches_the_solve():
+    b2 = fresh(from_cartan_type("B2:sc").datum)
+    cases = [(b2, base) for base in [(0, 0), (0, 0, 1), (0,), tuple(range(4)),
+                                     tuple(range(len(b2.roots)))]]
+    zero = zero_root_datum()
+    cases.append((zero, from_cartan_type("A2:sc").base + (zero.index_of((0, 0, 0)),)))
+    for datum, base in cases:
+        assert outcome(lambda: verify_base(BasedRootDatum(datum, base))) == outcome(
+            lambda: solved_base_problems(BasedRootDatum(datum, base)))
+
+
+# ---------------------------------------------------------------------------
+# classify reads the Dynkin diagram
+
+
+def root_components(datum):
+    """The root indices of each irreducible component: the classes of
+    the roots under "pairs to nonzero", closed transitively."""
+    n = len(datum.roots)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if datum.pair(datum.roots[i], datum.coroots[j]) != 0:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: datum.roots[g[0]])
+
+
+def classify_by_root_components(datum):
+    """``classify`` over the components of the root pairing, with a
+    component non-reduced when any of its roots has its double among
+    them: the reference."""
+    if not datum.roots:
+        return []
+    base = canonical_base(datum)
+    counted = {}
+    for comp in root_components(datum):
+        comp_base = [i for i in base if i in set(comp)]
+        matrix = tuple(tuple(datum.pair(datum.roots[i], datum.coroots[j]) for j in comp_base)
+                       for i in comp_base)
+        root_set = {datum.roots[i] for i in comp}
+        reduced = not any(tuple(2 * x for x in r) in root_set for r in root_set)
+        label = _component_label(matrix, reduced)
+        counted[label] = counted.get(label, 0) + 1
+    return sorted(counted.items())
+
+
+def folds():
+    for _, spec, builder, *_ in FOLD_TABLE + [SLOW_FOLD]:
+        yield restrict(make_action(from_cartan_type(spec), [(builder(), "g")]))
+
+
+def classified_data():
+    data = [(spec, from_cartan_type(spec).datum) for spec in SIMPLE_TYPES + BC_TYPES + PRODUCTS]
+    for fold in folds():
+        name = f"fold to {len(fold.datum.roots)} roots"
+        data.append((name, fold.datum))
+        for char_is_two in (False, True):
+            data.append((f"{name}, reduced, char 2 {char_is_two}",
+                         reduced_subdatum(fold, char_is_two)))
+    for path in sorted(GOLDEN.glob("*.datum")):
+        data.append((path.name, parse_datum(path.read_text(), source=path.name).datum))
+    return data
+
+
+def test_classify_on_the_dynkin_diagram_matches_the_root_pairing_components():
+    data = classified_data()
+    assert len(data) > 100
+    for name, datum in data:
+        assert classify(datum) == classify_by_root_components(datum), name
+
+
+# ---------------------------------------------------------------------------
+# make_action hands its checked generator matrices
+
+
+def built_generator_images(action):
+    gens = action.group.generating_set
+    return tuple(_automorphisms_from_permutations(
+        action.datum, [action.root_perms[g] for g in gens], [action.blocks[g] for g in gens]))
+
+
+def rotation_action():
+    """Z/4 on A1 x A1, its element 3 given as the rotation e1 -> e2 ->
+    -e1: the generating set (1,) holds no given generator."""
+    return make_action(from_cartan_type("A1:sc x A1:sc").datum, [(((0, -1), (1, 0)), 3)],
+                       group=FiniteGroup.cyclic(4))
+
+
+def test_make_action_hands_its_checked_generator_matrices():
+    based = from_cartan_type("D4:sc")
+    datum = based.datum
+    reflections = [(rootdatum_module.reflection(datum, i).on_characters, i) for i in based.base]
+    triality = node_permutation_matrix({0: 2, 1: 1, 2: 3, 3: 0}, 4)
+    seeded = [make_action(datum, reflections),
+              make_action(datum, reflections + reflections[:1]),   # a repeated matrix
+              make_action(based, [(triality, "t")]),
+              make_action(datum, [(triality, 1)], group=FiniteGroup.cyclic(3)),
+              make_action(from_cartan_type("A1:sc x A1:sc").datum, [(((0, -1), (1, 0)), 1)],
+                          group=FiniteGroup.cyclic(4))]
+    for action in seeded:
+        assert "generator_images" in vars(action)
+        assert action.generator_images == built_generator_images(action)
+    fallback = rotation_action()
+    assert "generator_images" not in vars(fallback)
+    assert fallback.generator_images == built_generator_images(fallback)
+
+
+def test_coinvariants_sum_the_group_once(monkeypatch):
+    calls = []
+    group_sum = action_module._group_sum
+    monkeypatch.setattr(action_module, "_group_sum",
+                        lambda action: calls.append(1) or group_sum(action))
+    for action in (rotation_action(),
+                   make_action(from_cartan_type("D4:sc"),
+                               [(node_permutation_matrix({0: 2, 1: 1, 2: 3, 3: 0}, 4), "t")])):
+        calls.clear()
+        coinvariants(action)
+        assert calls == [1]

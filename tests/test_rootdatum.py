@@ -287,10 +287,12 @@ def test_root_coordinates_take_one_gram_adjugate_per_base(monkeypatch):
 
     monkeypatch.setattr(lattice, "adjugate_and_det", counted)
     b = from_cartan_type("E8:sc")
-    assert verify_base(b) == []
+    assert verify_base(b) == []   # walked and certified: no solve
     assert len(b.positive_system) == 120
+    assert calls == []
+    coordinates = b.root_coordinates
     assert calls == [8]
-    for (x, d), r in zip(b.root_coordinates, b.datum.roots):
+    for (x, d), r in zip(coordinates, b.datum.roots):
         assert all(c % d == 0 for c in x)
         assert tuple(sum(c // d * s[k] for c, s in zip(x, b.simple_roots))
                      for k in range(8)) == r

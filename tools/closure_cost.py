@@ -8,9 +8,13 @@ A1^40 under a 40-cycle (``make_action`` included), the check of a
 document's explicit group table at the cap of 64 elements
 (``FiniteGroup.from_table`` of (Z/2)^6), the positive system of E8's
 base (120 roots) on a fresh datum, where the simple reflections are
-computed first, and with them already cached, and the character and
-cocharacter matrices of all 1152 elements of W(F4) from their root
-permutations.  Informational: it prints and exits 0.
+read off the pairing first, and with them already cached, and the
+character and cocharacter matrices of all 1152 elements of W(F4) from
+their root permutations.  The fresh E8 datum is rebuilt as
+``RootDatum(rank, roots, coroots)`` from the constructed one, whose
+cache ``from_cartan_type`` fills with the simple reflections, so that
+probe still measures the direct path.  Informational: it prints and
+exits 0.
 
     PYTHONPATH=src python tools/closure_cost.py
 """
@@ -68,8 +72,10 @@ group = reduce(FiniteGroup.direct_product, [FiniteGroup.cyclic(2)] * 6)
 run = lambda: FiniteGroup.from_table(group.labels, group.table)
 """,
     "positive_system(E8 base, fresh datum)": """
-from rootfold.rootdatum import from_cartan_type
-based = from_cartan_type("E8:sc")
+from rootfold.rootdatum import BasedRootDatum, RootDatum, from_cartan_type
+built = from_cartan_type("E8:sc")
+datum = RootDatum(built.datum.rank, built.datum.roots, built.datum.coroots)
+based = BasedRootDatum(datum, built.base)
 run = lambda: based.positive_system
 """,
     "positive_system(E8 base, reflections cached)": """
