@@ -30,6 +30,7 @@ from .rootdatum import (
     _annihilator_block,
     _automorphisms_from_permutations,
     _matrix_on_roots,
+    _walk_automorphism,
     closure,
     compose,
     cycle_type,
@@ -145,16 +146,22 @@ class FiniteGroup:
         return cls(labels, table, g.identity * nh + h.identity)
 
 
-def _require_automorphism(datum, matrix, context):
+def _require_automorphism(target, matrix, context):
     """The datum automorphism with character matrix ``matrix`` and its
-    contragredient, with its root permutation, or InvalidActionError."""
+    contragredient, with its root permutation, or InvalidActionError.
+    On a based target the permutation is walked from the base
+    (``_walk_automorphism``); where the walk does not reach every root,
+    and on an unbased target, it is ``root_permutation``."""
+    datum = target.datum if isinstance(target, BasedRootDatum) else target
     if len(matrix) != datum.rank or any(len(r) != datum.rank for r in matrix):
         raise InvalidActionError(f"{context}: matrix has wrong shape")
     if abs(det(matrix)) != 1:
         raise InvalidActionError(f"{context}: matrix is not unimodular")
     pairing = None if datum.has_standard_pairing else datum.pairing_matrix
     aut = DatumAutomorphism.from_matrix(matrix, pairing)
-    perm = root_permutation(datum, aut)
+    perm = _walk_automorphism(target, aut) if target is not datum else None
+    if perm is None:
+        perm = root_permutation(datum, aut)
     if perm is None:
         raise InvalidActionError(
             f"{context}: matrix does not permute the roots compatibly with coroots")
@@ -418,7 +425,7 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
     gens, auts = [], []
     for mat, label in generators:
         aut, perm = _require_automorphism(
-            datum, tuple(tuple(int(x) for x in row) for row in mat), f"generator {label!r}")
+            target, tuple(tuple(int(x) for x in row) for row in mat), f"generator {label!r}")
         gens.append((perm, _annihilator_block(datum, aut)))
         auts.append(aut)
 

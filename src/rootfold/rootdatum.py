@@ -132,7 +132,8 @@ class RootDatum:
     def is_semisimple(self):
         """Whether the roots span the characters over Q: exactly when
         their Gram matrix R^T R is invertible, R having the roots as
-        rows, as R^T R v = 0 gives |R v|^2 = 0."""
+        rows, as R^T R v = 0 gives |R v|^2 = 0.  ``from_cartan_type``
+        hands over True."""
         return bool(self.roots) and det(mat_mul(transpose(self.roots), self.roots)) != 0
 
     @cached_property
@@ -148,23 +149,28 @@ class RootDatum:
         return integer_kernel(rows, cols=self.rank)
 
     @cached_property
-    def _root_basis(self):
-        """(chosen, fixed, adj, d): indices of a basis of the span of the
-        roots, each root taken in order when it is independent of those
-        before it; a basis of the annihilator of the coroots; and the
-        adjugate and determinant of the matrix [r_i | z_j] with those
-        columns, read by ``_matrix_on_roots``.
+    def _independent_roots(self):
+        """Indices of a basis of the span of the roots, each root taken
+        in order when it is independent of those before it; handed over
+        by ``from_cartan_type`` as the base.
 
-        The chosen roots are the pivot columns of one row Hermite form of
-        the matrix with the roots as columns: row operations keep every
-        linear relation among the columns, and in an echelon form a
-        column is independent of those before it exactly when it holds
-        a pivot."""
+        They are the pivot columns of one row Hermite form of the matrix
+        with the roots as columns: row operations keep every linear
+        relation among the columns, and in an echelon form a column is
+        independent of those before it exactly when it holds a pivot."""
         h, _ = hermite_row_form(transpose(self.roots))
-        chosen = [next(c for c, x in enumerate(row) if x) for row in h if any(row)]
+        return tuple(next(c for c, x in enumerate(row) if x) for row in h if any(row))
+
+    @cached_property
+    def _root_basis(self):
+        """(chosen, fixed, adj, d): the ``_independent_roots``; a basis of
+        the annihilator of the coroots; and the adjugate and determinant
+        of the matrix [r_i | z_j] with those columns, read by
+        ``_matrix_on_roots``."""
+        chosen = self._independent_roots
         fixed = list(self.coroot_annihilator)
         basis = [self.roots[i] for i in chosen] + fixed
-        return (tuple(chosen), fixed) + adjugate_and_det(transpose(tuple(basis)))
+        return (chosen, fixed) + adjugate_and_det(transpose(tuple(basis)))
 
     @cached_property
     def _canonical_system(self):
@@ -206,6 +212,11 @@ class RootDatum:
         # the reflection permutations ``reflection_permutation`` read off
         # the pairing and closes its cache under, in the order computed
         return []
+
+    @cached_property
+    def _positive_system_verdicts(self):
+        # filled by ``is_positive_system``, keyed by the frozenset
+        return {}
 
     @cached_property
     def _weyl_groups(self):
@@ -465,6 +476,43 @@ def root_permutation(datum, aut):
     if len(set(perm)) != len(perm):
         return None
     return as_permutation(perm)
+
+
+def _walk_automorphism(based, aut):
+    """The root permutation of ``aut`` walked from the base, or None
+    when the walk does not reach every root; ``root_permutation`` then
+    decides.
+
+    Each simple pair (a_j, c_j) must go to a pair of the datum,
+    aut(a_j) = a_k and aut'(c_j) = c_k for the contragredient aut', and
+    the cached reflections s_j and s_k must pass.  Then
+    aut s_j aut^-1 = s_k, on characters as on cocharacters:
+    aut s_j(x) = aut x - <x, c_j> a_k, and s_k(aut x) is the same, as
+    <aut x, c_k> = <aut x, aut' c_j> = <x, c_j>; the mirror computation
+    holds on cocharacters.  So if aut sends the pair of root m to that of
+    root p(m), it sends the pair of s_j(m) to that of s_k(p(m)): the walk
+    sets p(s_j[m]) = s_k[p(m)], breadth-first from the simple roots, and
+    each p(m) it sets is the index root_permutation finds for m.  A
+    passing reflection is one to one on root indices, so the roots are
+    distinct and p is one to one with aut."""
+    datum = based.datum
+    perm = [None] * len(datum.roots)
+    steps = []
+    for j in based.base:
+        k = datum.root_index.get(aut.apply(datum.roots[j]))
+        if k is None or aut.apply_cochar(datum.coroots[j]) != datum.coroots[k]:
+            return None
+        steps.append((reflection_permutation(datum, j), reflection_permutation(datum, k)))
+        if None in steps[-1]:
+            return None
+        perm[j] = k
+    walked = list(based.base)
+    for m in walked:
+        for s, t in steps:
+            if perm[s[m]] is None:
+                perm[s[m]] = t[perm[m]]
+                walked.append(s[m])
+    return None if None in perm else as_permutation(perm)
 
 
 def reflection_permutation(datum, k):
@@ -900,8 +948,17 @@ def is_positive_system(datum, system):
     """Partition plus closure characterization, exact at desk scale:
     S and -S partition the roots and S is closed under root addition.
     Both run on root indices, through ``RootDatum.negation`` and the
-    root-addition table ``RootDatum.root_sums``."""
+    root-addition table ``RootDatum.root_sums``.  The verdict is kept
+    on the datum per set, so a set is checked once."""
     system = frozenset(system)
+    kept = datum._positive_system_verdicts
+    verdict = kept.get(system)
+    if verdict is None:
+        verdict = kept[system] = _is_positive_system(datum, system)
+    return verdict
+
+
+def _is_positive_system(datum, system):
     negation = datum.negation
     neg = frozenset(negation[i] for i in system)
     if system & neg:
@@ -974,75 +1031,109 @@ def cartan_matrix(letter, rank):
 
 def _closure_from_simples(simples, cosimples, seeds=()):
     """The datum of all (root, coroot) pairs generated from the simple
-    ones and the further pairs ``seeds`` by the simple reflections, via
-    the standard pairing of the realization; its base at the simple
-    roots; and the root permutation of each simple reflection, in the
-    order of the simples.
+    ones and the further positive pairs ``seeds`` by the simple
+    reflections, via the standard pairing of the realization; its base
+    at the simple roots; and the root permutation of each simple
+    reflection, in the order of the simples.
 
-    The closure steps every root b through every simple reflection s_j
-    once, to s_j(b) = b - <b, c_j> a_j, and records the image.  The step
-    also maps the coroot c of b to s_j(c) = c - <a_j, c> c_j: that is
-    the coroot of the image when the image is new, and otherwise it is
-    compared with the coroot recorded for it, raising AssertionError on
-    a mismatch.  So each permutation satisfies the contract of
-    ``_reflection_permutation`` on every root and coroot: it is one to
-    one, as s_j is an involution, <a_j, c_j> = 2 on every simple pair
-    of the realizations (a diagonal entry of the Cartan matrix, or
-    <e_n, 2 e_n> for BC_n)."""
+    Only the positive roots are closed.  Each root b met, a simple
+    root, a seed or an image, is stepped once through every simple
+    reflection s_j, to s_j(b) = b - <b, c_j> a_j, and the image is
+    recorded.  The step also maps the coroot c of b to
+    s_j(c) = c - <a_j, c> c_j: that is the coroot of the image when the
+    image is new, and otherwise it is compared with the coroot recorded
+    for it, raising AssertionError on a mismatch.  From b = a_j and
+    b = 2 a_j (when it is a seed) s_j steps to -b without computing
+    it, and s_j(c) = -c is checked instead: for b = a_j that is
+    <a_j, c_j> = 2, so s_j(b) = b - <b, c_j> a_j = -b for both.  For a
+    base, s_j permutes the positive roots other than the multiples of
+    a_j (Bourbaki, Lie VI 1.6, Cor. 1 of Prop. 17), and the steps reach
+    every positive root, by induction on the height: one that is not
+    a_j or 2 a_j pairs positively with some c_j (a W-invariant form has
+    (b, b) > 0, and b is a nonnegative combination of the a_j), and is
+    then s_j of a positive root of smaller height.  A closure that
+    meets the negative of a root it holds raises AssertionError.
+
+    A step is skipped, as the identity, when no coordinate is nonzero
+    in both (b, c) and (a_j, c_j): then <b, c_j> = <a_j, c> = 0 under
+    the dot product.  The coordinates kept for an image are those of
+    its preimage and of (a_j, c_j), a superset of its nonzero ones.  So
+    a simple reflection of one factor of a product, realized on its own
+    coordinates, never steps the roots of another.
+
+    The negative roots are the -b, with coroots -c.  They are not
+    stepped: s_j is linear, so s_j(-b) = -s_j(b) with coroot -s_j(c),
+    the recorded pair of the negative of the image.  So each
+    permutation, read off the positive steps alone, satisfies the
+    contract of ``_reflection_permutation`` on every root and coroot;
+    it is one to one, as s_j is an involution."""
     coroot = dict(zip(simples, cosimples))
     coroot.update(seeds)
-    images = []
-
-    def reflection_in(alpha, acov):
-        image = {}
-        images.append(image)
-
-        def step(beta):
-            n, cov = dot(beta, acov), coroot[beta]
-            m = dot(alpha, cov)
-            img = tuple(b - n * a for b, a in zip(beta, alpha)) if n else beta
+    pairs = list(coroot.items())
+    position = {r: p for p, r in enumerate(coroot)}
+    support = lambda *vs: {i for v in vs for i, x in enumerate(v) if x}
+    touched = [support(r, c) for r, c in pairs]   # per pair, its nonzero coordinates or more
+    steps = [(a, c, support(a, c), {position[a], position.get(tuple(2 * x for x in a))}, {})
+             for a, c in zip(simples, cosimples)]
+    for p, (beta, cov) in enumerate(pairs):   # the list grows as images are met
+        for alpha, acov, moved, skip, image in steps:
+            if moved.isdisjoint(touched[p]):
+                continue   # s_j fixes b and c: they pair to 0 with a_j and c_j
+            n, m = dot(beta, acov), dot(alpha, cov)
             img_cov = tuple(c - m * a for c, a in zip(cov, acov)) if m else cov
-            if coroot.setdefault(img, img_cov) != img_cov:
+            if p in skip:
+                q, known = ~p, vec_neg(cov)   # s_j(b) = -b, the pair at ~p below
+            else:
+                img = tuple(b - n * a for b, a in zip(beta, alpha)) if n else beta
+                q = position.setdefault(img, len(pairs))
+                if q == len(pairs):
+                    pairs.append((img, img_cov))
+                    touched.append(touched[p] | moved)
+                known = pairs[q][1]
+            if known != img_cov:
                 raise AssertionError("a simple reflection does not map the coroots with the roots")
-            image[beta] = img
-            return img
-        return step
-
-    steps = [reflection_in(a, c) for a, c in zip(simples, cosimples)]
-    roots = sorted(closure(list(coroot), steps))
-    datum = RootDatum(len(simples), tuple(roots), tuple(coroot[r] for r in roots))
-    index = datum.root_index
-    return (datum, tuple(index[s] for s in simples),
-            [[index[image[r]] for r in roots] for image in images])
+            image[p] = q
+    # the negative of pair p sits at index ~p = -1 - p of ``signed``, and
+    # s_j sends it to the negative of the image q of p, at ~q
+    count = len(pairs)
+    signed = pairs + [(vec_neg(r), vec_neg(c)) for r, c in reversed(pairs)]
+    order = sorted(range(2 * count), key=signed.__getitem__)
+    datum = RootDatum(len(simples), *zip(*map(signed.__getitem__, order)))
+    if len(datum.root_index) != 2 * count:
+        raise AssertionError("the positive roots meet their negatives")
+    where = _invert_permutation(as_permutation(order))   # read at ~p too
+    perms = []
+    for *_, image in steps:
+        half = [image.get(p, p) for p in range(count)]
+        signed_image = half + [~q for q in reversed(half)]
+        perms.append(as_permutation([where[signed_image[k]] for k in order]))
+    return datum, tuple(where[position[a]] for a in simples), perms
 
 
 def _realize_classical(letter, rank, tag):
+    """The simple roots and coroots of the sc or ad realization, and no
+    seeds."""
     c = cartan_matrix(letter, rank)
     if tag == "sc":
-        simples = tuple(c[i] for i in range(rank))
-        cosimples = tuple(identity_matrix(rank)[i] for i in range(rank))
-    elif tag == "ad":
-        simples = tuple(identity_matrix(rank)[i] for i in range(rank))
-        cosimples = tuple(tuple(c[i][j] for i in range(rank)) for j in range(rank))
-    else:
-        raise UnknownTypeError(f"unknown isogeny tag {tag!r} (expected sc or ad)")
-    return _closure_from_simples(simples, cosimples)
+        return c, identity_matrix(rank), ()
+    if tag == "ad":
+        return identity_matrix(rank), transpose(c), ()
+    raise UnknownTypeError(f"unknown isogeny tag {tag!r} (expected sc or ad)")
 
 
 def _realize_bc(rank):
     """BC_n on the standard basis: the simple pairs (e_i - e_{i+1}, same)
-    and (e_n, 2e_n), seeded also with (2e_n, e_n) so that the closure
+    and (e_n, 2e_n), and the seed (2e_n, e_n), so that the closure
     reaches the roots 2e_i."""
     if rank < 1:
         raise UnknownTypeError(f"BC{rank} is not supported")
     e = identity_matrix(rank)
     double = tuple(2 * x for x in e[-1])
     simples = [vec_sub(e[i], e[i + 1]) for i in range(rank - 1)]
-    return _closure_from_simples(simples + [e[-1]], simples + [double],
-                                 seeds=[(double, e[-1])])
+    return simples + [e[-1]], simples + [double], [(double, e[-1])]
 
 
-def _parse_factor(token):
+def _parse_factor(token, spec):
     token = token.strip()
     if ":" in token:
         name, tag = token.split(":", 1)
@@ -1055,16 +1146,16 @@ def _parse_factor(token):
         try:
             rank = int(name[2:])
         except ValueError:
-            raise UnknownTypeError(f"bad type token {token!r}") from None
+            raise UnknownTypeError(f"bad type token {token!r} in {spec!r}") from None
         if rank > 8:
             raise UnknownTypeError(f"rank {rank} exceeds the supported bound of 8")
         return ("BC", rank, None)
     if not name or name[0] not in "ABCDEFG":
-        raise UnknownTypeError(f"bad type token {token!r}")
+        raise UnknownTypeError(f"bad type token {token!r} in {spec!r}")
     try:
         rank = int(name[1:])
     except ValueError:
-        raise UnknownTypeError(f"bad type token {token!r}") from None
+        raise UnknownTypeError(f"bad type token {token!r} in {spec!r}") from None
     if rank > 8:
         raise UnknownTypeError(f"rank {rank} exceeds the supported bound of 8")
     return (name[0], rank, (tag or "sc").strip())
@@ -1074,39 +1165,43 @@ def from_cartan_type(spec):
     """Build a based root datum from a type string such as "A2:sc",
     "D4:sc", "BC2", or a product "A1:sc x A1:sc".  The sc realization
     puts the roots in fundamental-weight coordinates with the simple
-    coroots as standard basis vectors; ad is the dual convention.
+    coroots as standard basis vectors; ad is the dual convention.  The
+    factors sit side by side, each on its own coordinates, and one
+    ``_closure_from_simples`` builds the datum from all their simple
+    pairs and seeds.
 
-    The permutation of each simple reflection, checked on every root
-    and coroot of its factor by ``_closure_from_simples``, is handed to
-    the datum's reflection cache, which is closed by conjugation
-    (``_conjugate_reflections``) as ``reflection_permutation`` closes
-    it.  On the other factors it is the identity: their roots x and
-    coroots c have support disjoint from a_j and c_j, so
-    <x, c_j> = <a_j, c> = 0 and s_j fixes them."""
-    factors = [_parse_factor(tok) for tok in spec.split("x")]
-    data = [_realize_bc(rank) if letter == "BC" else _realize_classical(letter, rank, tag)
-            for letter, rank, tag in factors]
-    total = sum(d.rank for d, _, _ in data)
-    offset = 0
-    parts = []
-    for factor, _, _ in data:
-        pad = lambda v, off=offset, n=factor.rank: (
-            (0,) * off + tuple(v) + (0,) * (total - off - n))
-        parts.append([(pad(r), pad(cv)) for r, cv in zip(factor.roots, factor.coroots)])
-        offset += factor.rank
-    pairs = sorted(pair for part in parts for pair in part)
-    datum = RootDatum(total, tuple(r for r, _ in pairs), tuple(cv for _, cv in pairs))
-    base = []
-    for part, (_, simples, perms) in zip(parts, data):
-        where = [datum.index_of(r) for r, _ in part]
-        for i, perm in zip(simples, perms):
-            moved = list(range(len(pairs)))
-            for w, j in zip(where, perm):
-                moved[w] = where[j]
-            base.append(where[i])
-            datum._reflection_perms[where[i]] = as_permutation(moved)
-            _conjugate_reflections(datum, where[i])
-    return BasedRootDatum(datum, tuple(sorted(base)))
+    The permutation of each simple reflection, checked there on every
+    root and coroot, is handed to the datum's reflection cache, which is
+    closed by conjugation (``_conjugate_reflections``) as
+    ``reflection_permutation`` closes it.
+
+    Two facts of the construction are handed over as well.  The datum
+    is semisimple (``is_semisimple``, else read off the Gram
+    determinant): its rank-many simple roots a_i are independent, as
+    their Cartan matrix C[i][j] = <a_i, c_j> is nonsingular (block
+    diagonal over the factors, each block that of a finite type, or of
+    B_n for BC_n), and a relation sum_i y_i a_i = 0 gives y C = 0.  So
+    they are also the independent roots ``RootDatum._root_basis`` solves
+    against, in place of the pivots of a Hermite form
+    (``_independent_roots``); its adjugate is still computed on first
+    read."""
+    realized = [_realize_bc(rank) if letter == "BC" else _realize_classical(letter, rank, tag)
+                for letter, rank, tag in (_parse_factor(t, spec) for t in spec.split("x"))]
+    total = sum(len(factor[0]) for factor in realized)
+    simples, cosimples, seeds, offset = [], [], [], 0
+    for s, c, extra in realized:
+        pad = lambda v, off=offset, n=len(s): (0,) * off + tuple(v) + (0,) * (total - off - n)
+        simples += map(pad, s)
+        cosimples += map(pad, c)
+        seeds += [(pad(r), pad(cv)) for r, cv in extra]
+        offset += len(s)
+    datum, base, perms = _closure_from_simples(simples, cosimples, seeds)
+    for i, perm in zip(base, perms):
+        datum._reflection_perms[i] = perm
+        _conjugate_reflections(datum, i)
+    base = tuple(sorted(base))
+    vars(datum).update(is_semisimple=True, _independent_roots=base)
+    return BasedRootDatum(datum, base)
 
 
 # ---------------------------------------------------------------------------

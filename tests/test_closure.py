@@ -511,18 +511,21 @@ def test_the_base_check_names_the_least_element_that_moves_the_base(spec):
 
 def test_make_action_maps_the_roots_by_the_generators_only(monkeypatch):
     # E8 x E8 with the factor swap over Z/64: one generator, so one
-    # root permutation computed from matrices; the other 63 images have
+    # root permutation walked from the base; the other 63 images have
     # theirs composed
     import rootfold.action as action_module
 
     calls = []
     real = action_module.root_permutation
+    walk = action_module._walk_automorphism
     monkeypatch.setattr(action_module, "root_permutation",
-                        lambda *args: calls.append(1) or real(*args))
+                        lambda *args: calls.append("direct") or real(*args))
+    monkeypatch.setattr(action_module, "_walk_automorphism",
+                        lambda *args: calls.append("walked") or walk(*args))
     based = from_cartan_type("E8:sc x E8:sc")
     swap = tuple(tuple(int(j == (i + 8) % 16) for j in range(16)) for i in range(16))
     action = make_action(based, [(swap, 1)], group=FiniteGroup.cyclic(64))
-    assert len(calls) == 1
+    assert calls == ["walked"]
     perm_of = {a: real(based.datum, a) for a in set(action.images)}
     assert len(perm_of) == 2
     assert action.root_perms == tuple(perm_of[a] for a in action.images)

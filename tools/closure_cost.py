@@ -10,7 +10,10 @@ document's explicit group table at the cap of 64 elements
 base (120 roots) on a fresh datum, where the simple reflections are
 read off the pairing first, and with them already cached, and the
 character and cocharacter matrices of all 1152 elements of W(F4) from
-their root permutations.  The fresh E8 datum is rebuilt as
+their root permutations, ``from_cartan_type("E8:sc")`` (its 240 roots
+counted as the elements), and ``make_action`` of the E6 diagram flip on
+its based datum (2 elements), whose permutation is walked from the
+base.  The fresh E8 datum is rebuilt as
 ``RootDatum(rank, roots, coroots)`` from the constructed one, whose
 cache ``from_cartan_type`` fills with the simple reflections, so that
 probe still measures the direct path.  Informational: it prints and
@@ -90,6 +93,18 @@ from rootfold.rootdatum import WeylGroup, from_cartan_type, weyl_group
 datum = from_cartan_type("F4:sc").datum
 perms = weyl_group(datum).perms
 run = lambda: WeylGroup(datum, perms).elements
+""",
+    "from_cartan_type(E8)": """
+from rootfold.rootdatum import from_cartan_type
+run = lambda: from_cartan_type("E8:sc").datum.roots
+""",
+    "make_action(E6 flip, based)": """
+from rootfold.action import make_action
+from rootfold.rootdatum import from_cartan_type
+from rootfold.selftest import SLOW_FOLD
+based = from_cartan_type("E6:sc")
+flip = SLOW_FOLD[2]()
+run = lambda: make_action(based, [(flip, "g")]).group
 """,
 }
 
