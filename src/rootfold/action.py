@@ -38,7 +38,6 @@ from .rootdatum import (
     permutation_getter,
     reflection_permutation,
     root_permutation,
-    weyl_group,
 )
 
 CLOSURE_BOUND = 10 ** 4
@@ -150,8 +149,8 @@ def _require_automorphism(target, matrix, context):
     """The datum automorphism with character matrix ``matrix`` and its
     contragredient, with its root permutation, or InvalidActionError.
     On a based target the permutation is walked from the base
-    (``_walk_automorphism``); where the walk does not reach every root,
-    and on an unbased target, it is ``root_permutation``."""
+    (``_walk_automorphism``, which refuses a tuple that is not a base);
+    on an unbased target it is ``root_permutation``."""
     datum = target.datum if isinstance(target, BasedRootDatum) else target
     if len(matrix) != datum.rank or any(len(r) != datum.rank for r in matrix):
         raise InvalidActionError(f"{context}: matrix has wrong shape")
@@ -159,9 +158,8 @@ def _require_automorphism(target, matrix, context):
         raise InvalidActionError(f"{context}: matrix is not unimodular")
     pairing = None if datum.has_standard_pairing else datum.pairing_matrix
     aut = DatumAutomorphism.from_matrix(matrix, pairing)
-    perm = _walk_automorphism(target, aut) if target is not datum else None
-    if perm is None:
-        perm = root_permutation(datum, aut)
+    perm = (root_permutation(datum, aut) if target is datum
+            else _walk_automorphism(target, aut))
     if perm is None:
         raise InvalidActionError(
             f"{context}: matrix does not permute the roots compatibly with coroots")
@@ -253,10 +251,9 @@ class DatumAction:
     @cached_property
     def generator_images(self):
         """The images of ``group.generating_set``, built from their pairs
-        alone (``_automorphisms_from_permutations``) unless ``make_action``
-        handed over the matrices it checked.  Every image is a
-        product of them, so a matrix commutes with, or a vector is fixed
-        by, every image exactly when it is for these."""
+        (``_automorphisms_from_permutations``).  Every image is a product
+        of them, so a matrix commutes with, or a vector is fixed by, every
+        image exactly when it is for these."""
         gens = self.group.generating_set
         return tuple(_automorphisms_from_permutations(
             self.datum, [self.root_perms[g] for g in gens], [self.blocks[g] for g in gens]))
@@ -360,12 +357,12 @@ def _check_homomorphism(group, perms, blocks):
                     f"({group.labels[a]!r}, {group.labels[b]!r})")
 
 
-def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND):
+def make_action(target, generators, group="closure"):
     """Build a DatumAction from generator matrices.
 
     ``generators`` is a list of (matrix, label) pairs.  With
     group="closure" the generators are closed into a finite group
-    (bound ``closure_bound``) and the abstract group is read off from
+    (bound ``CLOSURE_BOUND``) and the abstract group is read off from
     it.  With an explicit FiniteGroup G, each label must name a group
     element, no element twice, the labeled elements must generate, and
     the assignment must extend to a homomorphism.
@@ -376,8 +373,10 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
     generators, closed as pairs under (p, B) . (q, C) = (p o q, B C)
     (see ``DatumAction``); blocks are multiplied only on data with a
     torus factor.  ``DatumAction.build`` then checks the homomorphism
-    law and the base on the pairs.  No matrix is built here beyond the
-    generators'.
+    law and the base on the pairs.  The checked generator matrices are
+    not kept: the action's ``generator_images`` are read off the pairs,
+    and are the same matrices, as the automorphism with a given pair is
+    unique (see ``DatumAction``).
 
     The closed group lists its elements in breadth-first closure order,
     the identity first, at index 0; its table is the multiplication of
@@ -404,12 +403,6 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
     and, as H maps onto S, equals it.  So more than |G| pairs, or two
     over one x, mean the assignment is inconsistent; fewer than |G| mean
     the labels do not generate G.
-
-    When every element of ``group.generating_set`` is a given
-    generator, as in closure mode always, the action's
-    ``generator_images`` are the checked generator automorphisms: the
-    automorphism with a given pair is unique (see ``DatumAction``), so
-    they are the matrices built from those pairs.
     """
     datum = target.datum if isinstance(target, BasedRootDatum) else target
     if group != "closure":
@@ -422,12 +415,11 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
             if idx in assigned:
                 raise InvalidActionError(f"group element {label!r} has two generators")
             assigned.append(idx)
-    gens, auts = [], []
+    gens = []
     for mat, label in generators:
         aut, perm = _require_automorphism(
             target, tuple(tuple(int(x) for x in row) for row in mat), f"generator {label!r}")
         gens.append((perm, _annihilator_block(datum, aut)))
-        auts.append(aut)
 
     def times(perm, block):
         right = permutation_getter(perm)
@@ -439,7 +431,7 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
     ident = (identity_permutation(len(datum.roots)),
              identity_matrix(len(datum.coroot_annihilator)))
     if group == "closure":
-        pairs = closure([ident], steps, closure_bound, "generator closure")
+        pairs = closure([ident], steps, CLOSURE_BOUND, "generator closure")
         index = {pair: i for i, pair in enumerate(pairs)}
         gen_rows = [tuple(index[compose(p, q), mat_mul(b, c) if b else ()] for q, c in pairs)
                     for p, b in gens]
@@ -450,7 +442,6 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
                 if table[row[i]] is None:
                     table[row[i]] = times_g(row)
         group = FiniteGroup(tuple(range(len(pairs))), tuple(table), 0)
-        assigned = [index[g] for g in gens]
     else:
         try:
             graph = closure(
@@ -467,11 +458,7 @@ def make_action(target, generators, group="closure", closure_bound=CLOSURE_BOUND
         if len(images) != len(group):
             raise InvalidActionError("the labeled generators do not generate the group")
         pairs = [images[i] for i in group.elements()]
-    action = DatumAction.build(group, *zip(*pairs), target)
-    checked = dict(zip(assigned, auts))
-    if all(g in checked for g in group.generating_set):
-        vars(action)["generator_images"] = tuple(checked[g] for g in group.generating_set)
-    return action
+    return DatumAction.build(group, *zip(*pairs), target)
 
 
 def orbit(action, root_index):
@@ -697,7 +684,10 @@ def _check_coinvariants(cv, group_sum):
 
 
 def fixed_weyl(action, *, bound=None):
-    """The subgroup of Weyl elements commuting with every group image.
+    """The subgroup of Weyl elements commuting with every group image,
+    W^G, of a based action; InvalidActionError for an unbased one.
+    Raises EnumerationOverflow beyond ``bound`` elements, by default
+    ``WEYL_BOUND``.
 
     A group image g is a datum automorphism, so g s_a g^-1 = s_{g(a)}
     and g normalizes W; g w g^-1 and w are then both Weyl elements, with
@@ -706,47 +696,39 @@ def fixed_weyl(action, *, bound=None):
     p o w = w o p.  Commuting with the images of the group generators is
     commuting with every image.
 
-    For a based action, the subgroup is the breadth-first closure of
-    the lifts in ``action.base_lifts``, one per orbit O of the group on
-    the base, and no other Weyl element is listed; ``bound`` applies to
-    the subgroup.  ``base_lifts`` checks that each lift commutes with
-    every generator image.  Why they generate (Steinberg,
-    Endomorphisms of linear algebraic groups, 1968): the group permutes
-    the base, hence the positive roots.  The lift of O is the longest
-    element w_O of the parabolic subgroup W_O: the product of the
-    reflections in O when O is orthogonal, and otherwise, O being a
-    union of A2 pairs {a, b}, the product of the s_{a+b}.  Let w != 1
+    The subgroup is the breadth-first closure of the lifts in
+    ``action.base_lifts``, one per orbit O of the group on the base, and
+    no other Weyl element is listed.  ``base_lifts`` checks that each
+    lift commutes with every generator image.  Why they generate
+    (Steinberg, Endomorphisms of linear algebraic groups, 1968): the
+    group permutes the base, hence the positive roots.  The lift of O is
+    the longest element w_O of the parabolic subgroup W_O: the product
+    of the reflections in O when O is orthogonal, and otherwise, O being
+    a union of A2 pairs {a, b}, the product of the s_{a+b}.  Let w != 1
     be fixed, and a simple with w(a) < 0.  For g in the group,
     w(g a) = g w(a) < 0, so w makes every root of the orbit O of a
     negative, hence every positive root of W_O.  So w w_O is fixed and
     shorter than w by the length of w_O, and induction on the length
     writes w as a product of lifts.
 
-    A based action keeps the subgroup it closes and returns it again
-    while it fits ``bound``.  The closure does not depend on the bound
-    it completes under, and a smaller bound closes again, so that it
-    raises as before.
-
-    For an unbased action the elements of W are filtered by the
-    commutation test on root permutations.  Matrices are built only
-    when a caller asks for them."""
-    datum = action.datum
+    The action keeps the subgroup it closes and returns it again while
+    it fits ``bound``.  The closure does not depend on the bound it
+    completes under, and a smaller bound closes again, so that it raises
+    as before: ``folding.weyl_descent_iso`` closes under
+    ``folding.TABLE_BOUND``, every other caller under ``WEYL_BOUND``.
+    Matrices are built only when a caller asks for them."""
+    if not action.is_based:
+        raise InvalidActionError("the fixed Weyl subgroup requires a based action")
     bound = bound or WEYL_BOUND
-    if action.is_based:
-        kept = vars(action).get("_fixed_weyl")
-        if kept is not None and len(kept) <= bound:
-            return kept
-        lifts = [lift for _, lift in action.base_lifts.values()]
-        perms = closure([identity_permutation(len(datum.roots))],
-                        [permutation_getter(lift) for lift in lifts],
-                        bound, "reflection group")
-        kept = vars(action)["_fixed_weyl"] = WeylGroup(datum, perms, lifts)
+    kept = vars(action).get("_fixed_weyl")
+    if kept is not None and len(kept) <= bound:
         return kept
-    fixed = weyl_group(datum, bound=bound).perms
-    for p in action.generator_perms:
-        after = permutation_getter(p)
-        fixed = [w for w in fixed if after(w) == compose(p, w)]
-    return WeylGroup(datum, fixed)
+    lifts = [lift for _, lift in action.base_lifts.values()]
+    perms = closure([identity_permutation(len(action.datum.roots))],
+                    [permutation_getter(lift) for lift in lifts],
+                    bound, "reflection group")
+    kept = vars(action)["_fixed_weyl"] = WeylGroup(action.datum, perms, lifts)
+    return kept
 
 
 def actions_commute(a, b):

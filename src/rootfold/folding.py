@@ -36,7 +36,6 @@ from .lattice import (
     vec_add,
 )
 from .rootdatum import (
-    WEYL_BOUND,
     BasedRootDatum,
     RootDatum,
     as_permutation,
@@ -298,7 +297,7 @@ class WeylDescent:
                 for w in self.fixed_subgroup}
 
 
-def weyl_descent_iso(fold, bound=WEYL_BOUND):
+def weyl_descent_iso(fold):
     """Build and fully verify the descent isomorphism W^G -> W-bar.
 
     W^G comes from ``fixed_weyl`` as the closure of the lifts, one per
@@ -341,14 +340,13 @@ def weyl_descent_iso(fold, bound=WEYL_BOUND):
     l-bar = s_b by the permutation check, W-bar acting faithfully on its
     roots.  The lifts generate W^G, so m_w = w-bar for every w.
 
-    The fixed subgroup is closed under ``min(bound, TABLE_BOUND)``: a
-    larger one raises EnumerationOverflow while it is being closed."""
+    The fixed subgroup is closed under ``TABLE_BOUND``: a larger one
+    raises EnumerationOverflow while it is being closed."""
     source_action = fold.source
     source = source_action.datum
     restricted = fold.datum
     proj = fold.coinvariants.projection
-    bound = min(bound, TABLE_BOUND)
-    w_fixed = fixed_weyl(source_action, bound=bound)
+    w_fixed = fixed_weyl(source_action, bound=TABLE_BOUND)
 
     # p -> fiber_index o p o reps, with both index maps in the
     # representation of the source permutations
@@ -384,7 +382,7 @@ def weyl_descent_iso(fold, bound=WEYL_BOUND):
     # kept where weyl_group finds it, so that it closes nothing
     restricted._weyl_groups[tuple(fold.base)] = tuple(
         images[i] for i in closure([0], [r.__getitem__ for r in right]))
-    w_bar = weyl_group(restricted, base=fold.base, bound=bound)
+    w_bar = weyl_group(restricted, base=fold.base)
     return WeylDescent(fold, w_bar, w_fixed, dict(zip(w_fixed.perms, images)))
 
 
@@ -470,11 +468,11 @@ def positive_system_transfer(fold, system, direction):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def invariant_positive_systems(fold, bound=WEYL_BOUND):
+def invariant_positive_systems(fold):
     """All positive systems of the source invariant under the action,
     sorted as ``positive_systems`` sorts them: the translates w(P) of
     the positive system P of the action's base by the elements w of
-    W^Gamma (``fixed_weyl``, closed under ``bound``).  W is not listed.
+    W^Gamma (``fixed_weyl``).  W is not listed.
 
     Why these are all, each once.  Gamma stabilizes the base, so
     g(P) = P for g in Gamma, and g w(P) = (g w g^-1) g(P) = w(P) for w in
@@ -490,5 +488,5 @@ def invariant_positive_systems(fold, bound=WEYL_BOUND):
     translate = permutation_getter(as_permutation(
         sorted(fold.source.target.positive_system), len(source.roots)))
     systems = {frozenset(translate(p))
-               for p in fixed_weyl(fold.source, bound=bound).perms}
+               for p in fixed_weyl(fold.source).perms}
     return tuple(sorted(systems, key=sorted))

@@ -47,7 +47,13 @@ def contragredient(matrix, pairing=None, target_pairing=None):
     and <,>' the target pairing ``target_pairing`` (None stands for the
     standard dot product).  That is A' = P'^-1 A^-T P; for the standard
     pairing on both sides it is the inverse transpose."""
-    out = transpose(unimodular_inverse(matrix))
+    return _contragredient_of_inverse(unimodular_inverse(matrix), pairing, target_pairing)
+
+
+def _contragredient_of_inverse(inverse, pairing=None, target_pairing=None):
+    """``contragredient`` of the matrix A with A^-1 = ``inverse``, for a
+    caller that already holds the inverse: P'^-1 (A^-1)^T P."""
+    out = transpose(inverse)
     if pairing is not None:
         out = mat_mul(out, pairing)
     if target_pairing is not None:
@@ -227,8 +233,9 @@ class RootDatum:
 
     @cached_property
     def _based_positive_systems(self):
-        # filled by ``BasedRootDatum.positive_system``, keyed by the base,
-        # so every ``BasedRootDatum`` on one base shares one walk or solve
+        # filled by ``BasedRootDatum.positive_system`` and ``verify_base``,
+        # keyed by the base, so every ``BasedRootDatum`` on one base shares
+        # one walk
         return {}
 
     @cached_property
@@ -274,27 +281,22 @@ class BasedRootDatum:
 
     @property
     def positive_system(self):
-        """Indices of the roots that are nonnegative over the base, kept
-        on the datum per base (``star_action`` builds a new
-        ``BasedRootDatum`` on every call).  A base the walk certifies
-        (``_walk_base``) gets the walk's set, any other base the set or
-        the refusal of the solve over ``root_coordinates``: the
-        certificate forces the solve's answer, so both give one result.
-        ``verify_base`` keeps the walk it certifies here too."""
+        """Indices of the roots that are nonnegative over the base: the
+        walk of ``_walk_base``, kept on the datum per base
+        (``star_action`` builds a new ``BasedRootDatum`` on every call),
+        where ``verify_base`` keeps the walk it certifies too.  A tuple
+        the walk does not certify is refused with InvalidActionError
+        naming it.  No base is refused: the walk certifies every base of
+        a root datum (see there), and ``verify_base`` refuses every tuple
+        it does not certify."""
         kept = self.datum._based_positive_systems
         system = kept.get(self.base)
         if system is None:
-            system = kept[self.base] = _walk_base(self) or self._solved_positive_system()
+            system = _walk_base(self)
+            if system is None:
+                raise InvalidActionError(f"roots {self.base} do not form a base")
+            kept[self.base] = system
         return system
-
-    def _solved_positive_system(self):
-        out = set()
-        for i, sol in enumerate(self.root_coordinates):
-            if sol is None:
-                raise InvalidActionError("base does not span the roots")
-            if all(x >= 0 for x in sol[0]):
-                out.add(i)
-        return frozenset(out)
 
     def cartan_matrix(self):
         d = self.datum
@@ -349,7 +351,7 @@ def _walk_base(based):
         unit = tuple(int(m == j) for m in range(len(base)))
         coords[b] = unit
         skip = {b}
-        double = datum.root_index.get(tuple(2 * x for x in datum.roots[b]))
+        double = _double(datum, b)
         if double is not None:
             coords[double] = tuple(2 * x for x in unit)
             skip.add(double)
@@ -480,39 +482,56 @@ def root_permutation(datum, aut):
 
 def _walk_automorphism(based, aut):
     """The root permutation of ``aut`` walked from the base, or None
-    when the walk does not reach every root; ``root_permutation`` then
-    decides.
+    when ``aut`` does not permute the roots compatibly with the coroots;
+    InvalidActionError naming the base when the walk misses a root.
 
-    Each simple pair (a_j, c_j) must go to a pair of the datum,
-    aut(a_j) = a_k and aut'(c_j) = c_k for the contragredient aut', and
-    the cached reflections s_j and s_k must pass.  Then
-    aut s_j aut^-1 = s_k, on characters as on cocharacters:
-    aut s_j(x) = aut x - <x, c_j> a_k, and s_k(aut x) is the same, as
-    <aut x, c_k> = <aut x, aut' c_j> = <x, c_j>; the mirror computation
-    holds on cocharacters.  So if aut sends the pair of root m to that of
-    root p(m), it sends the pair of s_j(m) to that of s_k(p(m)): the walk
-    sets p(s_j[m]) = s_k[p(m)], breadth-first from the simple roots, and
-    each p(m) it sets is the index root_permutation finds for m.  A
-    passing reflection is one to one on root indices, so the roots are
-    distinct and p is one to one with aut."""
+    The walk is seeded with the simple roots a_j and each 2 a_j that is
+    a root.  Each seed pair (a, c) must go to a pair of the datum,
+    aut(a) = a_k and aut'(c) = c_k for the contragredient aut', and the
+    cached reflections s_j and s_k of each simple a_j and its image a_k
+    must pass.  Then aut s_j aut^-1 = s_k, on characters as on
+    cocharacters: aut s_j(x) = aut x - <x, c_j> a_k, and s_k(aut x) is
+    the same, as <aut x, c_k> = <aut x, aut' c_j> = <x, c_j>; the mirror
+    computation holds on cocharacters.  So if aut sends the pair of root
+    m to that of root p(m), it sends the pair of s_j(m) to that of
+    s_k(p(m)): the walk sets p(s_j[m]) = s_k[p(m)], breadth-first from
+    the seeds, and each p(m) it sets is the index root_permutation finds
+    for m.  A passing reflection is one to one on root indices, so the
+    roots are distinct and p is one to one with aut.
+
+    The roots walked depend on the base alone, not on aut, and from a
+    base the walk reaches every root.  The roots that are not twice a
+    root form a reduced system with the same base and Weyl group, in
+    which every root is w(a_j) for a product w of simple reflections
+    (Bourbaki, Lie VI 1.5, Th. 2 and Prop. 15); a root twice a root a
+    is then w(2 a_j) for a = w(a_j).  So a walk that misses a root was
+    not seeded from a base."""
     datum = based.datum
     perm = [None] * len(datum.roots)
-    steps = []
-    for j in based.base:
-        k = datum.root_index.get(aut.apply(datum.roots[j]))
-        if k is None or aut.apply_cochar(datum.coroots[j]) != datum.coroots[k]:
-            return None
-        steps.append((reflection_permutation(datum, j), reflection_permutation(datum, k)))
-        if None in steps[-1]:
-            return None
-        perm[j] = k
-    walked = list(based.base)
+    doubles = [_double(datum, j) for j in based.base]
+    walked = [*based.base, *(m for m in doubles if m is not None)]   # the seeds
     for m in walked:
+        k = datum.root_index.get(aut.apply(datum.roots[m]))
+        if k is None or aut.apply_cochar(datum.coroots[m]) != datum.coroots[k]:
+            return None
+        perm[m] = k
+    steps = [(reflection_permutation(datum, j), reflection_permutation(datum, perm[j]))
+             for j in based.base]
+    if any(None in step for step in steps):
+        return None
+    for m in walked:   # the list grows as roots are walked
         for s, t in steps:
             if perm[s[m]] is None:
                 perm[s[m]] = t[perm[m]]
                 walked.append(s[m])
-    return None if None in perm else as_permutation(perm)
+    if None in perm:
+        raise InvalidActionError(f"roots {based.base} do not form a base")
+    return as_permutation(perm)
+
+
+def _double(datum, i):
+    """The index of the root 2 a_i, or None when it is not a root."""
+    return datum.root_index.get(tuple(2 * x for x in datum.roots[i]))
 
 
 def reflection_permutation(datum, k):
@@ -684,7 +703,8 @@ def _automorphisms_from_permutations(datum, perms, blocks=None):
     [w r_i | B z_j] [r_i | z_j]^-1, computed with the adjugate kept on
     the datum (``RootDatum._root_basis``) and one exact division
     (``_matrix_on_roots``).  The cocharacter matrix is the
-    contragredient, read off the matrix of the inverse pair."""
+    contragredient, read off the matrix of the inverse pair
+    (``_contragredient_of_inverse``)."""
     if blocks is None:
         blocks = [identity_matrix(len(datum.coroot_annihilator))] * len(perms)
     inverse = {(p, b): (_invert_permutation(p), unimodular_inverse(b) if b else b)
@@ -696,17 +716,9 @@ def _automorphisms_from_permutations(datum, perms, blocks=None):
         if mats[p, b] is None:
             raise AssertionError(
                 "root permutation is not induced by a lattice automorphism")
-    if datum.has_standard_pairing:
-        pairing = p_inv = None
-    else:
-        pairing = datum.pairing_matrix
-        p_inv = unimodular_inverse(pairing)
-    out = []
-    for pair in zip(perms, blocks):
-        m_inv_t = transpose(mats[inverse[pair]])
-        cochar = m_inv_t if pairing is None else mat_mul(p_inv, mat_mul(m_inv_t, pairing))
-        out.append(DatumAutomorphism(mats[pair], cochar))
-    return out
+    pairing = None if datum.has_standard_pairing else datum.pairing_matrix
+    return [DatumAutomorphism(mats[pair], _contragredient_of_inverse(
+        mats[inverse[pair]], pairing, pairing)) for pair in zip(perms, blocks)]
 
 
 def _matrix_on_roots(source, images, block):
@@ -736,19 +748,17 @@ def _annihilator_block(datum, aut):
     return coords[len(chosen):]
 
 
-def weyl_group(datum, base=None, bound=WEYL_BOUND):
+def weyl_group(datum, base=None):
     """Breadth-first closure of the simple reflection permutations of
     ``base`` (by default the canonical base), which generate W; no
     matrix is built until the caller asks for one.  Raises
-    EnumerationOverflow beyond ``bound`` elements.
+    EnumerationOverflow beyond ``WEYL_BOUND`` elements.
 
     The closed permutations are kept on the datum, keyed by base, and
-    used again while they fit ``bound``.  The closure does not depend on
-    the bound it completes under, and a smaller bound closes again, so
-    that it raises as before.  With no base given, permutations kept
-    under another base are used when they hold the simple reflections of
-    the canonical base: they form a group generated by reflections,
-    which lies in W and contains a generating set of W, so it is W.
+    used again.  With no base given, permutations kept under another
+    base are used when they hold the simple reflections of the canonical
+    base: they form a group generated by reflections, which lies in W
+    and contains a generating set of W, so it is W.
     Only permutations are kept, not the ``WeylGroup``, which refers back
     to the datum: a reference cycle would keep every datum and its
     caches alive until a full garbage collection."""
@@ -760,9 +770,9 @@ def weyl_group(datum, base=None, bound=WEYL_BOUND):
     perms = kept.get(key)
     if perms is None and base is None:
         perms = next((p for p in kept.values() if set(gens) <= set(p)), None)
-    if perms is None or len(perms) > bound:
+    if perms is None:
         perms = tuple(closure([identity_permutation(len(datum.roots))],
-                              [permutation_getter(p) for p in gens], bound,
+                              [permutation_getter(p) for p in gens], WEYL_BOUND,
                               "reflection group"))
     kept[key] = perms
     return WeylGroup(datum, perms, gens)
@@ -924,9 +934,9 @@ def positive_system(datum):
     return datum._canonical_system[0]
 
 
-def positive_systems(datum, bound=WEYL_BOUND):
+def positive_systems(datum):
     """All positive systems, as Weyl translates of the canonical one."""
-    w = weyl_group(datum, bound=bound)
+    w = weyl_group(datum)
     translate = permutation_getter(as_permutation(sorted(positive_system(datum)),
                                                   len(datum.roots)))
     systems = {frozenset(translate(p)) for p in w.perms}

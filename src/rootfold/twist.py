@@ -33,7 +33,6 @@ from .lattice import (
     mat_vec,
     record,
     transpose,
-    unimodular_inverse,
 )
 from .rootdatum import (
     WEYL_BOUND,
@@ -42,6 +41,7 @@ from .rootdatum import (
     WeylGroup,
     _annihilator_block,
     _automorphisms_from_permutations,
+    _contragredient_of_inverse,
     _invert_permutation,
     _matrix_on_roots,
     as_permutation,
@@ -249,7 +249,7 @@ def star_action(action, base):
     return kept[key]
 
 
-def equivariant_automorphism_group(based, commuting_with=None, bound=WEYL_BOUND):
+def equivariant_automorphism_group(based, commuting_with=None):
     """All datum automorphisms commuting with the given action, as a
     ``WeylGroup`` that holds its generators and its order and closes
     only when a caller iterates it.  The generators are those of W^Gamma
@@ -259,7 +259,7 @@ def equivariant_automorphism_group(based, commuting_with=None, bound=WEYL_BOUND)
     the action (see ``_diagram_maps``), D^Gamma.  W^Gamma is the group
     ``fixed_weyl`` (or ``weyl_group``) keeps for that action (or datum),
     so no closure runs when it is already known.  Raises
-    EnumerationOverflow when the order passes ``bound``.  Requires a
+    EnumerationOverflow when the order passes ``WEYL_BOUND``.  Requires a
     semisimple datum and, when given, a based action.
 
     Why they generate: let f commute with Gamma and let B be the base
@@ -287,14 +287,14 @@ def equivariant_automorphism_group(based, commuting_with=None, bound=WEYL_BOUND)
     b = based if commuting_with is None else commuting_with.target
     gammas = () if commuting_with is None else commuting_with.generator_perms
     try:
-        weyl = (weyl_group(datum, base=based.base, bound=bound) if commuting_with is None
-                else fixed_weyl(commuting_with, bound=bound))
+        weyl = (weyl_group(datum, base=based.base) if commuting_with is None
+                else fixed_weyl(commuting_with))
     except EnumerationOverflow:
         weyl = None   # then the group, which holds it, passes the bound too
     diagram = [d for _, d in _diagram_maps(b, b)
                if all(compose(d, g) == compose(g, d) for g in gammas)]
-    if weyl is None or len(weyl) * len(diagram) > bound:
-        raise EnumerationOverflow(f"automorphism group exceeds {bound} elements")
+    if weyl is None or len(weyl) * len(diagram) > WEYL_BOUND:
+        raise EnumerationOverflow(f"automorphism group exceeds {WEYL_BOUND} elements")
     return WeylGroup(datum, None, weyl.generators + tuple(diagram),
                      order=len(weyl) * len(diagram))
 
@@ -336,7 +336,7 @@ def _find_diagram_maps(based1, based2):
     return tuple(out)
 
 
-def z1_enumerate(galois, star, module, bound=Z1_BOUND):
+def z1_enumerate(galois, star, module):
     """All twisted cocycles on the group valued in the module.
 
     ``star`` is the based star action of ``galois`` (ValueError for an
@@ -344,7 +344,8 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND):
     ``module`` is a WeylGroup (a subgroup of W) closed under the star
     twist.  Cocycles are determined by generator values; every
     assignment of module elements to the generators is tried, which is
-    exhaustive and deterministic.
+    exhaustive and deterministic, and EnumerationOverflow is raised
+    first when there are more than ``Z1_BOUND``.
 
     A cocycle c with c(s) = a_s on the generators s satisfies
     c(g s) = c(g) . g*(a_s) for every g and s.  One breadth-first
@@ -384,9 +385,9 @@ def z1_enumerate(galois, star, module, bound=Z1_BOUND):
         if not all(table[p] in table for p in module.generators or module.perms):
             raise ValueError("module is not closed under the star twist")
     gens = galois.generating_set
-    if gens and len(module) ** len(gens) > bound:
+    if gens and len(module) ** len(gens) > Z1_BOUND:
         raise EnumerationOverflow(
-            f"{len(module)}^{len(gens)} generator assignments exceed {bound}")
+            f"{len(module)}^{len(gens)} generator assignments exceed {Z1_BOUND}")
 
     # (g, k, g s_k, table of g*) per edge of the Cayley graph, in
     # breadth-first order: the first edge into each element is its tree
@@ -567,8 +568,7 @@ class _ImageClassesOnRead:
 H1Report.image_classes = _ImageClassesOnRead()
 
 
-def h1_with_image(based, galois_action, gamma_action=None, bound=WEYL_BOUND,
-                  z1_bound=Z1_BOUND):
+def h1_with_image(based, galois_action, gamma_action=None):
     """Enumerate Z1(Galois, fixed Weyl subgroup) for the star action of
     the Galois action, and partition it by cobounding both in the module
     and in the equivariant automorphism group.
@@ -587,15 +587,14 @@ def h1_with_image(based, galois_action, gamma_action=None, bound=WEYL_BOUND,
                 "the folding action stabilizes a different base")
     star_act, _ = star_action(galois_action, based.base)
     if gamma_action is not None:
-        module = fixed_weyl(gamma_action, bound=bound)
+        module = fixed_weyl(gamma_action)
     else:
-        module = weyl_group(based.datum, base=based.base, bound=bound)
-    cocycles = z1_enumerate(galois_action.group, star_act, module, bound=z1_bound)
+        module = weyl_group(based.datum, base=based.base)
+    cocycles = z1_enumerate(galois_action.group, star_act, module)
     report = H1Report(h1_classes(cocycles, module, module_group=module), None)
 
     def image_classes():
-        auts = equivariant_automorphism_group(based, commuting_with=gamma_action,
-                                              bound=bound)
+        auts = equivariant_automorphism_group(based, commuting_with=gamma_action)
         return h1_classes(cocycles, auts, module_group=module)
     state = vars(report)
     del state["image_classes"]   # so that the first read builds them
@@ -671,7 +670,7 @@ def twist_datum(based, galois_star, cocycle, gamma_action=None):
     return TwistedDatum(based, twisted, gamma_action, cocycle)
 
 
-def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND):
+def equivariant_isomorphic(datum1, actions1, datum2, actions2):
     """Search for a lattice isomorphism datum1 -> datum2 commuting with
     the paired actions; the first one found, or None.
 
@@ -704,7 +703,7 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
     combinations of base1 and base2; so F(P) = w(P2), and the order is
     W by its image of P2 in the order of the sorted index lists, then
     the maps under each w by the images of base1.  W(datum2) is closed
-    under ``bound`` when that order is built; an order kept on the
+    (``weyl_group``) when that order is built; an order kept on the
     datum is used as it is, as no closure runs.
 
     Equivariance, F o pi1(g) = pi2(g) o F for the root maps of the
@@ -745,7 +744,7 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2, bound=WEYL_BOUND)
             BasedRootDatum(datum1, base1), BasedRootDatum(datum2, canonical_base(datum2)))
         if not maps:
             return None
-        orders[base1] = _search_order(datum1, weyl_group(datum2, bound=bound), maps)
+        orders[base1] = _search_order(datum1, weyl_group(datum2), maps)
     # per pair: F -> (F o pi1(g))(base1), and pi2(g) to read at F(base1)
     n = len(datum2.roots)
     checks = [(permutation_getter(as_permutation([p1[i] for i in base1], n)), p2)
@@ -776,17 +775,13 @@ def _isomorphism(datum1, datum2, f):
     sends root i to root f[i].  Its character matrix M is read off the
     roots (``_matrix_on_roots``), and so is M^-1, from the inverse map;
     the cocharacter matrix is the contragredient P2^-1 M^-T P1
-    (``contragredient``), P1 and P2 the pairings."""
-    p1, p2 = _pairing(datum1), _pairing(datum2)
+    (``_contragredient_of_inverse``), P1 and P2 the pairings."""
     back = _invert_permutation(f)
-    cochar = transpose(_matrix_on_roots(
-        datum2, [datum1.roots[back[i]] for i in datum2._root_basis[0]], ()))
-    if p1 is not None:
-        cochar = mat_mul(cochar, p1)
-    if p2 is not None:
-        cochar = mat_mul(unimodular_inverse(p2), cochar)
-    return DatumAutomorphism(_matrix_on_roots(
-        datum1, [datum2.roots[f[i]] for i in datum1._root_basis[0]], ()), cochar)
+    inverse = _matrix_on_roots(
+        datum2, [datum1.roots[back[i]] for i in datum2._root_basis[0]], ())
+    return DatumAutomorphism(
+        _matrix_on_roots(datum1, [datum2.roots[f[i]] for i in datum1._root_basis[0]], ()),
+        _contragredient_of_inverse(inverse, _pairing(datum1), _pairing(datum2)))
 
 
 def _pairing(datum):

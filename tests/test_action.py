@@ -452,8 +452,8 @@ def matrix_commutation_filter(action, weyl):
 
 
 def reference_filter_cases():
-    """Every case of the library's folding table, D4 along S3, and both
-    an unbased and a based A1 plus a rank-1 torus."""
+    """Every case of the library's folding table, D4 along S3, and a
+    based A1 plus a rank-1 torus."""
     from rootfold.rootdatum import BasedRootDatum, RootDatum
     from rootfold.selftest import FOLD_TABLE, node_permutation_matrix
 
@@ -467,7 +467,6 @@ def reference_filter_cases():
     cases["trivial"] = trivial_action(from_cartan_type("B2:sc"))
     torus = RootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)))
     invert = ((1, 0), (0, -1))
-    cases["A1+torus"] = make_action(torus, [(invert, "t")])
     based = BasedRootDatum(torus, (torus.index_of((2, 0)),))
     cases["A1+torus based"] = make_action(based, [(invert, "t")])
     return cases
@@ -476,15 +475,25 @@ def reference_filter_cases():
 @pytest.mark.parametrize("name", sorted(reference_filter_cases()))
 def test_fixed_weyl_matches_matrix_commutation_filter(name):
     act = reference_filter_cases()[name]
-    w = weyl_group(act.datum, base=act.target.base if act.is_based else None)
+    w = weyl_group(act.datum, base=act.target.base)
     expected = matrix_commutation_filter(act, w)
     got = fixed_weyl(act)
-    if act.is_based:
-        # the closure of the lifts, one per orbit of the base
-        assert got.generators == tuple(lift for _, lift in act.base_lifts.values())
-        assert len(got.generators) == len({orbit(act, k) for k in act.target.base})
+    # the closure of the lifts, one per orbit of the base
+    assert got.generators == tuple(lift for _, lift in act.base_lifts.values())
+    assert len(got.generators) == len({orbit(act, k) for k in act.target.base})
     assert [(a.on_characters, a.on_cocharacters) for a in got] == [
         (a.on_characters, a.on_cocharacters) for a in expected]
+
+
+def test_fixed_weyl_refuses_an_unbased_action():
+    from rootfold.rootdatum import RootDatum
+
+    torus = RootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)))
+    for target in (torus, from_cartan_type("A3:sc").datum):
+        act = make_action(target, [(identity_matrix(2 if target is torus else 3), "e")])
+        with pytest.raises(InvalidActionError,
+                           match="^the fixed Weyl subgroup requires a based action$"):
+            fixed_weyl(act)
 
 
 def test_fixed_weyl_bound_applies_to_the_fixed_subgroup():

@@ -1,13 +1,16 @@
 """The walked positive system and the conjugation-closed reflection
 cache, each against the computation it replaces: the exact solve over
 ``root_coordinates`` and the direct reflection check read off the
-pairing."""
+pairing.  A tuple the walk does not certify is refused."""
 
+import re
 from itertools import combinations
 
 import pytest
 
 import rootfold.rootdatum as rootdatum_module
+from rootfold.action import FiniteGroup, make_action
+from rootfold.errors import InvalidActionError
 from rootfold.rootdatum import (
     BasedRootDatum,
     RootDatum,
@@ -20,6 +23,7 @@ from rootfold.rootdatum import (
     verify_base,
     weyl_group,
 )
+from rootfold.twist import star_action
 
 from test_rootdatum import A1_PLUS_TORUS, OFF_ROOTS, folded_bc2_with_pairing, padded
 
@@ -46,21 +50,56 @@ def datum_by_name(name):
     return from_cartan_type(name).datum
 
 
+def solved_positive_system(based):
+    """The roots with nonnegative coordinates over the tuple, solved
+    over ``root_coordinates``: the reference the walk's answer is
+    compared with."""
+    out = set()
+    for i, sol in enumerate(based.root_coordinates):
+        if sol is None:
+            raise InvalidActionError("base does not span the roots")
+        if all(x >= 0 for x in sol[0]):
+            out.add(i)
+    return frozenset(out)
+
+
+def refusal(base):
+    return InvalidActionError, f"roots {base} do not form a base"
+
+
 @pytest.mark.parametrize("name", TYPES + ["skewed BC2"])
 def test_walked_positive_systems_match_the_solve_on_every_index_subset(name):
     datum = fresh(datum_by_name(name))
     certified = 0
     for base in combinations(range(len(datum.roots)), len(canonical_base(datum))):
         based = BasedRootDatum(datum, base)
-        expected = outcome(based._solved_positive_system)
-        assert outcome(lambda: based.positive_system) == expected
+        expected = outcome(lambda: solved_positive_system(based))
         walked = _walk_base(based)
+        assert outcome(lambda: based.positive_system) == (
+            refusal(base) if walked is None else expected)
         assert walked is None or walked == expected
         if verify_base(based) == []:
             assert walked == expected
             certified += 1
     # a base per positive system, |W| of them
     assert certified == len(weyl_group(datum))
+
+
+def test_acute_root_pairs_are_refused_by_the_positive_system_and_the_star_action():
+    # a pair of roots of A2 at 60 degrees is no base: the roots with
+    # nonnegative coordinates over it, such as {4, 5}, form no positive
+    # system
+    datum = from_cartan_type("A2:sc").datum
+    minus = make_action(datum, [(((-1, 0), (0, -1)), 1)], group=FiniteGroup.cyclic(2))
+    acute = [(i, j) for i, j in combinations(range(len(datum.roots)), 2)
+             if datum.pair(datum.roots[i], datum.coroots[j]) == 1]
+    assert len(acute) == 6
+    for pair in acute:
+        message = f"^{re.escape(refusal(pair)[1])}$"
+        with pytest.raises(InvalidActionError, match=message):
+            BasedRootDatum(datum, pair).positive_system
+        with pytest.raises(InvalidActionError, match=message):
+            star_action(minus, pair)
 
 
 def zero_root_datum():
@@ -73,24 +112,21 @@ def zero_root_datum():
                      tuple(c + (0,) for c in a2.coroots) + ((0, 0, 1), (0, 0, 2)))
 
 
-def test_a_base_with_a_repeated_or_dependent_root_falls_back_to_the_solve():
+def test_a_base_with_a_repeated_or_dependent_root_is_refused():
     b2 = from_cartan_type("B2:sc").datum
     half = len(b2.roots) // 2
     cases = [(b2, base) for base in [(0, 0), (0, 0, 1), tuple(range(half)),
                                      tuple(range(len(b2.roots)))]]
     # a1, a2 and the zero vector walk to half the roots with nonnegative
-    # coordinates; only the singular Cartan matrix refuses the walk, and
-    # the solve refuses the dependent base
+    # coordinates; only the singular Cartan matrix refuses the walk
     zero = zero_root_datum()
     zero_base = from_cartan_type("A2:sc").base + (zero.index_of((0, 0, 0)),)
     assert all(reflection_permutation(zero, i) is not None for i in zero_base)
-    assert outcome(BasedRootDatum(zero, zero_base)._solved_positive_system)[0] is ValueError
     cases.append((zero, zero_base))
     for datum, base in cases:
         based = BasedRootDatum(datum, base)
         assert _walk_base(based) is None
-        assert outcome(lambda: based.positive_system) == outcome(
-            based._solved_positive_system)
+        assert outcome(lambda: based.positive_system) == refusal(base)
 
 
 REFLECTION_DATA = {

@@ -80,20 +80,28 @@ def test_closure_bound_is_exceeded_not_reached():
         closure([0], cycle, bound=9)
 
 
-def test_weyl_group_overflow_message():
+def test_weyl_group_overflow_message(monkeypatch):
+    import rootfold.rootdatum as rootdatum_module
+
+    monkeypatch.setattr(rootdatum_module, "WEYL_BOUND", 23)
     with pytest.raises(EnumerationOverflow,
                        match="^reflection group exceeds 23 elements$"):
-        weyl_group(from_cartan_type("A3:sc").datum, bound=23)
-    assert len(weyl_group(from_cartan_type("A3:sc").datum, bound=24)) == 24
+        weyl_group(from_cartan_type("A3:sc").datum)
+    monkeypatch.setattr(rootdatum_module, "WEYL_BOUND", 24)
+    assert len(weyl_group(from_cartan_type("A3:sc").datum)) == 24
 
 
-def test_generator_closure_overflow_message():
+def test_generator_closure_overflow_message(monkeypatch):
+    import rootfold.action as action_module
+
     d = from_cartan_type("A2:sc").datum
     rot = ((0, 1), (-1, -1))  # order 3, a product of two simple reflections
+    monkeypatch.setattr(action_module, "CLOSURE_BOUND", 2)
     with pytest.raises(EnumerationOverflow,
                        match="^generator closure exceeds 2 elements$"):
-        make_action(d, [(rot, "r")], closure_bound=2)
-    assert len(make_action(d, [(rot, "r")], closure_bound=3).group) == 3
+        make_action(d, [(rot, "r")])
+    monkeypatch.setattr(action_module, "CLOSURE_BOUND", 3)
+    assert len(make_action(d, [(rot, "r")]).group) == 3
 
 
 # ---------------------------------------------------------------------------

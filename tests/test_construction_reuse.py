@@ -3,8 +3,8 @@ computation it replaces: the simple reflections handed over by
 ``from_cartan_type`` against the direct check read off the pairing,
 ``verify_base`` on a walked base against the solve alone, ``classify``
 on the Dynkin diagram against the components of the root pairing, and
-the checked generator matrices of ``make_action`` against the matrices
-built from the action's pairs."""
+the generator images built from an action's pairs against the matrices
+``make_action`` checked."""
 
 from itertools import combinations
 from pathlib import Path
@@ -19,7 +19,7 @@ from rootfold.folding import reduced_subdatum, restrict
 from rootfold.lattice import span_rank
 from rootfold.rootdatum import (
     BasedRootDatum,
-    _automorphisms_from_permutations,
+    DatumAutomorphism,
     _closure_from_simples,
     _component_label,
     _reflection_permutation,
@@ -30,7 +30,14 @@ from rootfold.rootdatum import (
 )
 from rootfold.selftest import FOLD_TABLE, SLOW_FOLD, node_permutation_matrix
 
-from test_base_walk import TYPES, datum_by_name, fresh, outcome, zero_root_datum
+from test_base_walk import (
+    TYPES,
+    datum_by_name,
+    fresh,
+    outcome,
+    solved_positive_system,
+    zero_root_datum,
+)
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -118,7 +125,7 @@ def test_verify_base_matches_the_solve_on_every_index_subset(name):
         got = verify_base(based)
         assert got == solved_base_problems(BasedRootDatum(datum, base))
         if base in kept:   # walked: the kept system is the solve's
-            assert kept[base] == based._solved_positive_system()
+            assert kept[base] == solved_positive_system(based)
             certified += 1
         assert (got == []) <= (base in kept)
     assert certified > 0
@@ -208,13 +215,7 @@ def test_classify_on_the_dynkin_diagram_matches_the_root_pairing_components():
 
 
 # ---------------------------------------------------------------------------
-# make_action hands its checked generator matrices
-
-
-def built_generator_images(action):
-    gens = action.group.generating_set
-    return tuple(_automorphisms_from_permutations(
-        action.datum, [action.root_perms[g] for g in gens], [action.blocks[g] for g in gens]))
+# generator images read off the pairs
 
 
 def rotation_action():
@@ -224,23 +225,26 @@ def rotation_action():
                        group=FiniteGroup.cyclic(4))
 
 
-def test_make_action_hands_its_checked_generator_matrices():
+def test_generator_images_read_off_the_pairs_are_the_checked_matrices():
+    # every element of these generating sets is a given generator, and
+    # the automorphism with a given pair is unique
     based = from_cartan_type("D4:sc")
     datum = based.datum
     reflections = [(rootdatum_module.reflection(datum, i).on_characters, i) for i in based.base]
     triality = node_permutation_matrix({0: 2, 1: 1, 2: 3, 3: 0}, 4)
-    seeded = [make_action(datum, reflections),
-              make_action(datum, reflections + reflections[:1]),   # a repeated matrix
-              make_action(based, [(triality, "t")]),
-              make_action(datum, [(triality, 1)], group=FiniteGroup.cyclic(3)),
-              make_action(from_cartan_type("A1:sc x A1:sc").datum, [(((0, -1), (1, 0)), 1)],
-                          group=FiniteGroup.cyclic(4))]
-    for action in seeded:
-        assert "generator_images" in vars(action)
-        assert action.generator_images == built_generator_images(action)
-    fallback = rotation_action()
-    assert "generator_images" not in vars(fallback)
-    assert fallback.generator_images == built_generator_images(fallback)
+    quarter = ((0, -1), (1, 0))
+    cases = [(make_action(datum, reflections), reflections),
+             (make_action(datum, reflections + reflections[:1]), reflections),   # a repeat
+             (make_action(based, [(triality, "t")]), [(triality, "t")]),
+             (make_action(datum, [(triality, 1)], group=FiniteGroup.cyclic(3)),
+              [(triality, 1)]),
+             (make_action(from_cartan_type("A1:sc x A1:sc").datum, [(quarter, 1)],
+                          group=FiniteGroup.cyclic(4)), [(quarter, 1)])]
+    for action, given in cases:
+        assert "generator_images" not in vars(action)
+        checked = {DatumAutomorphism.from_matrix(m) for m, _ in given}
+        assert len(action.generator_images) == len(action.group.generating_set)
+        assert set(action.generator_images) <= checked
 
 
 def test_coinvariants_sum_the_group_once(monkeypatch):

@@ -448,8 +448,6 @@ def test_fold_past_table_bound_overflows(spec, matrix):
     fold = restrict(make_action(from_cartan_type(spec), [(matrix, "s")]))
     with pytest.raises(EnumerationOverflow, match=f"exceeds {TABLE_BOUND} elements$"):
         weyl_descent_iso(fold)
-    with pytest.raises(EnumerationOverflow, match=f"exceeds {TABLE_BOUND} elements$"):
-        weyl_descent_iso(fold, bound=10 ** 7)
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +607,15 @@ def test_fiber_index_is_the_projection(name):
                                      for r in source.roots)
 
 
-def test_invariant_positive_systems_overflow_on_the_fixed_subgroup():
+def test_invariant_positive_systems_overflow_on_the_fixed_subgroup(monkeypatch):
+    import rootfold.action as action_module
+
     fold = selftest_fold("A5 flip")   # |W^Gamma| = 48, |W| = 720
-    assert len(invariant_positive_systems(fold, bound=48)) == 48
+    monkeypatch.setattr(action_module, "WEYL_BOUND", 48)
+    assert len(invariant_positive_systems(fold)) == 48
+    monkeypatch.setattr(action_module, "WEYL_BOUND", 47)
     with pytest.raises(EnumerationOverflow, match="^reflection group exceeds 47 elements$"):
-        invariant_positive_systems(fold, bound=47)
+        invariant_positive_systems(fold)
 
 
 def test_positive_transfer_rejects_non_systems(a3_fold):

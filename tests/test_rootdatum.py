@@ -143,10 +143,13 @@ def test_weyl_group_closure_properties():
         assert root_permutation(d, a) is not None
 
 
-def test_weyl_enumeration_overflow():
+def test_weyl_enumeration_overflow(monkeypatch):
+    import rootfold.rootdatum as rootdatum_module
+
     d = from_cartan_type("A3:sc").datum
+    monkeypatch.setattr(rootdatum_module, "WEYL_BOUND", 5)
     with pytest.raises(EnumerationOverflow):
-        weyl_group(d, bound=5)
+        weyl_group(d)
 
 
 def test_from_cartan_type_unknown():

@@ -7,15 +7,17 @@ determinant and the Hermite pivots; the generator permutations
 the positive-system verdicts kept per datum against the check itself."""
 
 import random
+import re
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+import rootfold.action as action_module
 import rootfold.rootdatum as rootdatum_module
 from rootfold.action import _require_automorphism, make_action
 from rootfold.cli import parse_datum
-from rootfold.errors import UnknownTypeError
+from rootfold.errors import InvalidActionError, UnknownTypeError
 from rootfold.folding import restrict
 from rootfold.lattice import det, dot, identity_matrix, mat_mul, transpose
 from rootfold.rootdatum import (
@@ -37,6 +39,7 @@ from rootfold.rootdatum import (
     positive_systems,
     reflection,
     root_permutation,
+    weyl_group,
 )
 from rootfold.selftest import FOLD_TABLE, SLOW_FOLD, check_fold
 
@@ -257,15 +260,32 @@ def test_a_skewed_pairing_walks_the_automorphisms_it_has():
         assert walked is not None and walked == direct
 
 
-def test_a_walk_that_misses_roots_falls_back_to_the_direct_check():
+def test_a_walk_that_misses_roots_refuses_the_base():
     # a base of the A1 factor only: the roots of the second factor are
-    # not reached, so root_permutation decides
+    # not reached, whatever the matrix
     whole = from_cartan_type("A1:sc x A1:sc")
     partial = BasedRootDatum(whole.datum, whole.base[:1])
-    swap = ((0, 1), (1, 0))
-    aut = DatumAutomorphism.from_matrix(swap)
-    assert _walk_automorphism(partial, aut) is None
-    assert _require_automorphism(partial, swap, "g")[1] == root_permutation(whole.datum, aut)
+    message = f"^{re.escape(f'roots {partial.base} do not form a base')}$"
+    for matrix in (((0, 1), (1, 0)), identity_matrix(2)):
+        with pytest.raises(InvalidActionError, match=message):
+            _walk_automorphism(partial, DatumAutomorphism.from_matrix(matrix))
+        with pytest.raises(InvalidActionError, match=message):
+            _require_automorphism(partial, matrix, "g")
+
+
+@pytest.mark.parametrize("spec", ["BC2", "BC3", "A1:sc x BC2"])
+def test_based_weyl_elements_of_bc_data_are_walked_with_no_direct_check(spec, monkeypatch):
+    # the walk is seeded with the doubles 2 a_j, which no simple
+    # reflection reaches from a simple root
+    based = from_cartan_type(spec)
+    datum = based.datum
+    direct = []
+    monkeypatch.setattr(action_module, "root_permutation",
+                        lambda d, aut: direct.append(aut) or root_permutation(d, aut))
+    for w in weyl_group(datum):
+        got = _require_automorphism(based, w.on_characters, "w")[1]
+        assert got == root_permutation(datum, w)
+    assert direct == []
 
 
 # ---------------------------------------------------------------------------

@@ -225,16 +225,19 @@ def test_aut_group_reads_the_lifts_and_closes_the_fixed_subgroup_once(monkeypatc
     assert closures.count("reflection group") == 1   # W^Gamma, closed once
 
 
-def test_aut_group_overflow_with_a_commuting_action():
+def test_aut_group_overflow_with_a_commuting_action(monkeypatch):
+    import rootfold.twist as twist_module
     from rootfold.errors import EnumerationOverflow
 
     b = from_cartan_type("A3:sc")
     gamma = make_action(b, [(flip_matrix(3), "s")])
-    assert len(equivariant_automorphism_group(b, commuting_with=gamma, bound=16)) == 16
+    monkeypatch.setattr(twist_module, "WEYL_BOUND", 16)
+    assert len(equivariant_automorphism_group(b, commuting_with=gamma)) == 16
     for bound in (7, 15):
+        monkeypatch.setattr(twist_module, "WEYL_BOUND", bound)
         with pytest.raises(EnumerationOverflow,
                            match=f"^automorphism group exceeds {bound} elements$"):
-            equivariant_automorphism_group(b, commuting_with=gamma, bound=bound)
+            equivariant_automorphism_group(b, commuting_with=gamma)
 
 
 def test_diagram_maps_of_one_datum_are_cached_per_pair_of_bases():
