@@ -27,6 +27,11 @@ Ranks in scope are small (at most 16, the cap ``cli.MAX_RANK`` puts on
 a document), so everything is dense and the normal-form algorithms
 favor clarity and determinism over asymptotics.
 
+``integer_kernel`` has one user left, ``RootDatum.coroot_annihilator``:
+``action.coinvariants`` reads the fixed cocharacter lattice off the
+Hermite-form projection of ``quotient_lattice`` (the proof is in its
+docstring), where it used to take the kernel of the stacked g' - 1.
+
 The package's records (``RootDatum``, ``DatumAction``, ...) are plain
 classes under the ``record`` decorator below, which compiles no code;
 ``replace`` copies one with some fields changed.  The standard

