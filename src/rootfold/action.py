@@ -26,7 +26,6 @@ from .lattice import (
 from .rootdatum import (
     WEYL_BOUND,
     BasedRootDatum,
-    DatumAutomorphism,
     WeylGroup,
     _annihilator_block,
     _automorphisms_from_permutations,
@@ -38,7 +37,6 @@ from .rootdatum import (
     identity_permutation,
     permutation_getter,
     reflection_permutation,
-    root_permutation,
 )
 
 CLOSURE_BOUND = 10 ** 4
@@ -149,21 +147,19 @@ class FiniteGroup:
 def _require_automorphism(target, matrix, context):
     """The pair (root permutation, block on the annihilator of the
     coroots) of the datum automorphism with character matrix ``matrix``
-    (see ``DatumAction``), or InvalidActionError.  On a based target the
-    permutation is walked from the base with the matrix alone
-    (``_walk_automorphism``, which refuses a tuple that is not a base),
-    and no contragredient is built; on an unbased target it is
-    ``root_permutation`` of the automorphism and its contragredient."""
+    (see ``DatumAction``), or InvalidActionError.  The permutation is
+    walked from a base with the matrix alone, and no contragredient is
+    built (``_walk_automorphism``): from the base of a based target,
+    which is refused when it is not a base, and on an unbased target
+    from a base its datum already holds a walk for, or its canonical
+    base.  A document's stated base is held, and its canonical base
+    computed, by the time its actions are parsed."""
     datum = target.datum if isinstance(target, BasedRootDatum) else target
     if len(matrix) != datum.rank or any(len(r) != datum.rank for r in matrix):
         raise InvalidActionError(f"{context}: matrix has wrong shape")
     if abs(det(matrix)) != 1:
         raise InvalidActionError(f"{context}: matrix is not unimodular")
-    if target is datum:
-        pairing = None if datum.has_standard_pairing else datum.pairing_matrix
-        perm = root_permutation(datum, DatumAutomorphism.from_matrix(matrix, pairing))
-    else:
-        perm = _walk_automorphism(target, matrix)
+    perm = _walk_automorphism(target, matrix)
     if perm is None:
         raise InvalidActionError(
             f"{context}: matrix does not permute the roots compatibly with coroots")
@@ -372,9 +368,9 @@ def make_action(target, generators, group="closure"):
     the assignment must extend to a homomorphism.
 
     Each generator matrix is checked once by ``_require_automorphism``
-    (on a based target with the matrix alone, no contragredient built)
-    and kept as its pair (p, B): its root permutation and its block on
-    the annihilator of the coroots.  Every other image is a product of
+    (walked from a base with the matrix alone) and kept as its pair
+    (p, B): its root permutation and its block on the annihilator of
+    the coroots.  Every other image is a product of
     generators, closed as pairs under (p, B) . (q, C) = (p o q, B C)
     (see ``DatumAction``); blocks are multiplied only on data with a
     torus factor.  ``DatumAction.build`` then checks the homomorphism

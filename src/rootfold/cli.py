@@ -135,10 +135,12 @@ def _int_matrix(obj, context, rows=None, cols=None, allow_empty=False):
 def _parse_group(obj, context):
     if isinstance(obj, str):
         _expect(obj.startswith("cyclic:"), f"unknown group shorthand {obj!r}", context)
-        try:
-            n = int(obj.split(":", 1)[1])
-        except ValueError:
-            raise ParseError(f"bad cyclic order in {obj!r}", context=context) from None
+        # ``int`` would also take signs, spaces, underscores and
+        # non-ASCII digits
+        digits = obj.split(":", 1)[1]
+        _expect(digits.isascii() and digits.isdigit(), f"bad cyclic order in {obj!r}",
+                context)
+        n = int(digits)
         _expect(n >= 1, "cyclic order must be positive", context)
         _expect(n <= MAX_GROUP_ORDER,
                 f"group order {n} is above the cap of {MAX_GROUP_ORDER}", context)

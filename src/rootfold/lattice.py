@@ -31,6 +31,8 @@ favor clarity and determinism over asymptotics.
 ``action.coinvariants`` reads the fixed cocharacter lattice off the
 Hermite-form projection of ``quotient_lattice`` (the proof is in its
 docstring), where it used to take the kernel of the stacked g' - 1.
+The kernel is read off one Hermite form, so ``smith_normal_form``
+serves ``quotient_lattice`` only, which needs the torsion invariants.
 
 The package's records (``RootDatum``, ``DatumAction``, ...) are plain
 classes under the ``record`` decorator below, which compiles no code;
@@ -392,24 +394,27 @@ def span_rank(vectors):
 
 
 def integer_kernel(m, cols=None):
-    """Canonical basis of the saturated lattice {v : m @ v = 0}.
+    """Canonical basis of the saturated lattice {v : m @ v = 0}: the
+    Hermite form of the rows of T whose row of H is zero, for the one
+    Hermite form H = T m^T.
+
+    Those rows t_i satisfy t_i m^T = 0 and are independent, T being
+    unimodular.  They span the kernel over Z: a kernel vector v is
+    u^T T for an integer u, and 0 = v^T m^T = u^T H gives u_i = 0 on
+    the nonzero rows of H, which are independent.  The Hermite form of
+    a lattice is unique, so the basis is canonical.
 
     ``cols`` must be given when m has no rows.
     """
-    rows = len(m)
-    if rows == 0:
+    if not m:
         if cols is None:
             raise ValueError("kernel of an empty matrix needs an explicit column count")
         return tuple(identity_matrix(cols))
-    ncols = len(m[0])
-    _, d, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(rows, ncols)) if d[i][i] != 0)
-    vt = transpose(v)
-    basis = vt[rank:]
+    h, t = hermite_row_form(transpose(m))
+    basis = [row for pivots, row in zip(h, t) if not any(pivots)]
     if not basis:
         return ()
-    h, _ = hermite_row_form(basis)
-    return tuple(row for row in h if any(row))
+    return hermite_row_form(basis)[0]
 
 
 @record

@@ -149,9 +149,7 @@ class RootDatum:
         the span of the roots (see ``verify_axioms``)."""
         if self.is_semisimple:
             return ()
-        rows = tuple(self.coroots if self.has_standard_pairing else
-                     (mat_vec(self.pairing_matrix, c) for c in self.coroots))
-        return integer_kernel(rows, cols=self.rank)
+        return integer_kernel(tuple(_paired(self, c) for c in self.coroots), cols=self.rank)
 
     @cached_property
     def _independent_roots(self):
@@ -464,7 +462,10 @@ def reflection(datum, root_index):
 
 def root_permutation(datum, aut):
     """aut as a permutation of root indices; None if it does not permute
-    the roots compatibly with coroots."""
+    the roots compatibly with coroots.  The engine walks its matrices
+    from a base instead (``_walk_automorphism``); this direct check of
+    every root and coroot is kept as the reference the tests compare
+    the walk with, and the benchmark tracer counts its calls by name."""
     perm = []
     for i in range(len(datum.roots)):
         img = aut.apply(datum.roots[i])
@@ -479,26 +480,40 @@ def root_permutation(datum, aut):
     return as_permutation(perm)
 
 
-def _walk_automorphism(based, matrix):
-    """The root permutation of the datum automorphism with the
-    unimodular character matrix ``matrix`` (M), walked from the base, or
-    None when M does not permute the roots compatibly with the coroots;
+def _walk_automorphism(source, matrix, target=None):
+    """The root permutation p of the lattice map with the unimodular
+    character matrix ``matrix`` (M) from the datum of ``source`` to
+    ``target`` (by default that datum, for an automorphism), walked from
+    a base, or None when M does not send each root onto a root of
+    ``target`` and its coroot onto the image root's coroot;
     InvalidActionError naming the base when the walk misses a root.
 
-    The walk is seeded with the simple roots a_j and each 2 a_j that is
-    a root.  Each seed pair (a_m, c_m) must go to a pair (a_k, c_k) of
-    the datum: M a_m = a_k, and M' c_m = c_k for the contragredient
-    M' = P^-1 M^-T P, which is checked as M^T P c_k = P c_m, so that M'
-    is not built.  The cached reflections s_j and s_k of each simple a_j
-    and its image a_k must pass.  Then M s_j M^-1 = s_k, on characters
-    as on cocharacters: M s_j(x) = M x - <x, c_j> a_k, and s_k(M x) is
-    the same, as <M x, c_k> = <M x, M' c_j> = <x, c_j>; the mirror
-    computation holds on cocharacters.  So if M sends the pair of root
-    m to that of root p(m), it sends the pair of s_j(m) to that of
-    s_k(p(m)): the walk sets p(s_j[m]) = s_k[p(m)], breadth-first from
-    the seeds, and each p(m) it sets is the index root_permutation finds
-    for m.  A passing reflection is one to one on root indices, so the
-    roots are distinct and p is one to one with M.
+    A ``BasedRootDatum`` is walked from its base.  A ``RootDatum`` is
+    walked from a base it already holds a walk for
+    (``RootDatum._based_positive_systems``), or else from
+    ``canonical_base``: p does not depend on the base, only the cost
+    does, and the canonical base of a fresh datum costs |P|^2 root sums.
+
+    Write (a_m, c_m) for the root pairs of the source, with the pairing
+    <x, y>1 = x^T P1 y, and (b_k, d_k) for those of the target, with
+    <,>2 and P2.  The walk is seeded with the simple roots a_j and each
+    2 a_j that is a root.  Each seed pair must go to a pair of the
+    target: M a_m = b_k, and M^T P2 d_k = P1 c_m, that is
+    <M x, d_k>2 = <x, c_m>1 for every x (for an automorphism,
+    M' c_m = c_k for the contragredient M' = P^-1 M^-T P, which is not
+    built).  The cached reflections s_j of each simple a_j, and t_k of
+    its image b_k, must pass.  Then M s_j = t_k M on characters:
+    M s_j(x) = M x - <x, c_j>1 b_k = M x - <M x, d_k>2 b_k = t_k(M x).
+    So if M sends the pair of root m to that of root p(m), it sends the
+    pair of s_j(m) to that of t_k(p(m)): M a_{s_j m} = t_k(M a_m), and
+    as c_{s_j m} = c_m - <a_j, c_m>1 c_j and
+    <a_j, c_m>1 = <M a_j, d_{p(m)}>2 = <b_k, d_{p(m)}>2,
+    <x, c_{s_j m}>1 = <M x, d_{p(m)} - <b_k, d_{p(m)}>2 d_k>2, the pairing
+    with the coroot of t_k(p(m)).  The walk sets p(s_j[m]) = t_k[p(m)],
+    breadth-first from the seeds, and each p(m) it sets is the index
+    ``root_permutation`` finds for m.  p is one to one with M, as the
+    roots are distinct (a passing reflection is one to one on root
+    indices).
 
     The roots walked depend on the base alone, not on M, and from a
     base the walk reaches every root.  The roots that are not twice a
@@ -507,20 +522,26 @@ def _walk_automorphism(based, matrix):
     (Bourbaki, Lie VI 1.5, Th. 2 and Prop. 15); a root twice a root a
     is then w(2 a_j) for a = w(a_j).  So a walk that misses a root was
     not seeded from a base."""
-    datum = based.datum
-    paired = ((lambda c: c) if datum.has_standard_pairing
-              else lambda c: mat_vec(datum.pairing_matrix, c))
+    if isinstance(source, BasedRootDatum):
+        datum, base = source.datum, source.base
+    else:
+        datum = source
+        base = next(iter(datum._based_positive_systems), None)
+        if base is None:
+            base = canonical_base(datum)
+    target = datum if target is None else target
     back = transpose(matrix)
     perm = [None] * len(datum.roots)
-    doubles = [_double(datum, j) for j in based.base]
-    walked = [*based.base, *(m for m in doubles if m is not None)]   # the seeds
+    doubles = [_double(datum, j) for j in base]
+    walked = [*base, *(m for m in doubles if m is not None)]   # the seeds
     for m in walked:
-        k = datum.root_index.get(mat_vec(matrix, datum.roots[m]))
-        if k is None or mat_vec(back, paired(datum.coroots[k])) != paired(datum.coroots[m]):
+        k = target.root_index.get(mat_vec(matrix, datum.roots[m]))
+        if k is None or mat_vec(back, _paired(target, target.coroots[k])) != _paired(
+                datum, datum.coroots[m]):
             return None
         perm[m] = k
-    steps = [(reflection_permutation(datum, j), reflection_permutation(datum, perm[j]))
-             for j in based.base]
+    steps = [(reflection_permutation(datum, j), reflection_permutation(target, perm[j]))
+             for j in base]
     if any(None in step for step in steps):
         return None
     for m in walked:   # the list grows as roots are walked
@@ -529,8 +550,13 @@ def _walk_automorphism(based, matrix):
                 perm[s[m]] = t[perm[m]]
                 walked.append(s[m])
     if None in perm:
-        raise InvalidActionError(f"roots {based.base} do not form a base")
+        raise InvalidActionError(f"roots {base} do not form a base")
     return as_permutation(perm)
+
+
+def _paired(datum, c):
+    """P c for the pairing matrix P of ``datum``: <x, c> = x^T P c."""
+    return c if datum.has_standard_pairing else mat_vec(datum.pairing_matrix, c)
 
 
 def _double(datum, i):

@@ -31,7 +31,6 @@ from .lattice import (
     exact_quotient,
     identity_matrix,
     mat_mul,
-    mat_vec,
     record,
     transpose,
 )
@@ -45,17 +44,16 @@ from .rootdatum import (
     _contragredient_of_inverse,
     _invert_permutation,
     _matrix_on_roots,
+    _walk_automorphism,
     as_permutation,
     canonical_base,
     cartan_matchings,
     closure,
     compose,
-    contragredient,
     identity_permutation,
     permutation_getter,
     positive_system,
     reflection_permutation,
-    root_permutation,
     weyl_group,
 )
 
@@ -63,8 +61,10 @@ Z1_BOUND = 10 ** 6
 
 
 def base_transport(based, aut):
-    """The unique Weyl element w with aut(base) = w(base)."""
-    perm = _transport(based, root_permutation(based.datum, aut))
+    """The unique Weyl element w with aut(base) = w(base).  The root
+    permutation of aut is walked from the base with its character matrix
+    (``_walk_automorphism``)."""
+    perm = _transport(based, _walk_automorphism(based, aut.on_characters))
     return _automorphisms_from_permutations(based.datum, [perm])[0]
 
 
@@ -154,8 +154,9 @@ class StarCocycle:
         roots r_i of ``RootDatum._root_basis`` to r_{p(i)} and fixes
         the basis z_j of A, so it is the matrix ``_matrix_on_roots``
         reads off p with the identity block; conversely that matrix is
-        one exactly when it is integral and unimodular and its
-        ``root_permutation`` is p.
+        one exactly when it is integral and unimodular and its root
+        permutation, walked from the base of the star action
+        (``_walk_automorphism``), is p.
 
         ``star_action``, ``z1_enumerate`` and ``cobound`` build through
         ``_lawful`` alone: their values are induced by construction.  A
@@ -165,11 +166,10 @@ class StarCocycle:
         k^-1 c(s) s*(k) a product of automorphisms that fixes A
         pointwise, as ``_cobounders`` keeps only such k."""
         cocycle = cls._lawful(star_action, value_perms)
-        datum = star_action.datum
         group = star_action.group
         seen = set()
         for s, p in enumerate(cocycle.value_perms):
-            if p not in seen and not _is_induced(datum, p):
+            if p not in seen and not _is_induced(star_action.target, p):
                 raise ValueError(f"cocycle value at {group.labels[s]!r} is not "
                                  f"induced by a datum automorphism")
             seen.add(p)
@@ -203,21 +203,14 @@ class StarCocycle:
         return tuple(v.on_characters for v in self.values)
 
 
-def _is_induced(datum, perm):
-    """Whether some datum automorphism that fixes the annihilator of the
-    coroots pointwise has the root permutation ``perm`` (see
-    ``StarCocycle.build``)."""
+def _is_induced(target, perm):
+    """Whether some automorphism of the datum of ``target`` that fixes
+    the annihilator of the coroots pointwise has the root permutation
+    ``perm`` (see ``StarCocycle.build``)."""
+    datum = target.datum if isinstance(target, BasedRootDatum) else target
     m = _matrix_on_roots(datum, [datum.roots[perm[i]] for i in datum._root_basis[0]],
                          identity_matrix(len(datum.coroot_annihilator)))
-    return (m is not None and abs(det(m)) == 1 and root_permutation(
-        datum, DatumAutomorphism.from_matrix(m, _pairing(datum))) == perm)
-
-
-def _permutation(datum, aut):
-    perm = root_permutation(datum, aut)
-    if perm is None:
-        raise ValueError("map does not permute the roots")
-    return perm
+    return m is not None and abs(det(m)) == 1 and _walk_automorphism(target, m) == perm
 
 
 def star_action(action, base):
@@ -292,7 +285,7 @@ def equivariant_automorphism_group(based, commuting_with=None):
                 else fixed_weyl(commuting_with))
     except EnumerationOverflow:   # then the group, which holds it, passes the bound too
         raise EnumerationOverflow(f"automorphism group exceeds {WEYL_BOUND} elements") from None
-    diagram = [d for _, d in _diagram_maps(b, b, bounded=commuting_with is None)
+    diagram = [d for d in _diagram_maps(b, b, bounded=commuting_with is None)
                if all(compose(d, g) == compose(g, d) for g in gammas)]
     _refuse_group_order(len(weyl) * len(diagram))
     return WeylGroup(datum, None, weyl.generators + tuple(diagram),
@@ -307,13 +300,14 @@ def _refuse_group_order(order):
 
 
 def _diagram_maps(based1, based2, bounded=False):
-    """(isomorphism, root-index map) for every lattice isomorphism of
-    the characters that carries the base of based1 onto the base of
-    based2 with Cartan entries preserved, is integral with determinant
-    +-1, maps the roots onto the roots and each coroot onto the coroot
-    of the image root (``_find_diagram_maps``), in the lexicographic
-    order of their node matchings; both data must be semisimple with
-    equally many roots.
+    """The root-index map of every lattice isomorphism of the characters
+    that carries the base of based1 onto the base of based2 with Cartan
+    entries preserved, is integral with determinant +-1, maps the roots
+    onto the roots and each coroot onto the coroot of the image root
+    (``_find_diagram_maps``), in the lexicographic order of their node
+    matchings; both data must be semisimple with equally many roots.
+    The root map names the isomorphism, as the roots span the
+    characters over Q, and no caller reads the matrices.
 
     With ``bounded`` the maps D are those of an isomorphism search or
     of an automorphism group with no action, whose W.D elements are as
@@ -342,22 +336,20 @@ def _diagram_maps(based1, based2, bounded=False):
 
 
 def _find_diagram_maps(based1, based2):
-    """(node matching, diagram map) for each map of ``_diagram_maps``,
-    lazily, in the order ``cartan_matchings`` meets the matchings."""
-    d1, d2 = based1.datum, based2.datum
+    """(node matching, root map) for each map of ``_diagram_maps``,
+    lazily, in the order ``cartan_matchings`` meets the matchings.  The
+    matrix m sending the base of based1 onto the matched simple roots of
+    based2 is solved once per matching, and the rest is walked from the
+    base (``_walk_automorphism``), which checks the coroots of the base
+    and reaches every root."""
     adj, d0 = adjugate_and_det(transpose(based1.simple_roots))
-    p1, p2 = _pairing(d1), _pairing(d2)
     for perm in cartan_matchings(based1.cartan_matrix(), based2.cartan_matrix()):
         target = transpose(tuple(based2.simple_roots[j] for j in perm))
         m = exact_quotient(mat_mul(target, adj), d0)
-        if m is None or abs(det(m)) != 1:
-            continue
-        images = _root_images(d1, d2, m)
-        if images is None:
-            continue
-        mc = contragredient(m, p1, p2)
-        if all(mat_vec(mc, c) == d2.coroots[j] for c, j in zip(d1.coroots, images)):
-            yield perm, (DatumAutomorphism(m, mc), images)
+        if m is not None and abs(det(m)) == 1:
+            images = _walk_automorphism(based1, m, based2.datum)
+            if images is not None:
+                yield perm, images
 
 
 def z1_enumerate(galois, star, module):
@@ -468,7 +460,10 @@ def _cobounders(cocycle, cobounding_group):
 
     The generators of a ``WeylGroup`` are its ``generators``, or all of
     its ``perms`` when it has none.  A tuple group is used whole, less
-    the k whose coboundaries can fail to be W-valued:
+    the k whose coboundaries can fail to be W-valued, with each root
+    permutation walked from the base of the star action
+    (``_walk_automorphism``; ValueError when some k does not permute the
+    roots):
 
     For k outside W write k^-1 c(s) s*(k) = (k^-1 c(s) k) (k^-1 s*(k)).
     The first factor is a Weyl element.  If the product is one too, so
@@ -493,9 +488,11 @@ def _cobounders(cocycle, cobounding_group):
     if isinstance(cobounding_group, WeylGroup):
         kappas = cobounding_group.generators or cobounding_group.perms
     else:
-        kappas = [_permutation(star.datum, k) for k in cobounding_group
+        kappas = [_walk_automorphism(star.target, k.on_characters) for k in cobounding_group
                   if _blocks_commute(star.generator_blocks,
                                      [_annihilator_block(star.datum, k.on_characters)])]
+        if None in kappas:
+            raise ValueError("map does not permute the roots")
     conjugations = [_conjugation(q) for q in star.root_perms]
 
     def step(k):
@@ -563,33 +560,20 @@ def h1_classes(cocycles, cobounding_group, module_group=()):
 class H1Report:
     """Z1 of a Galois quotient in the fixed Weyl subgroup, cobounded two
     ways: inside the module itself, and inside the full equivariant
-    automorphism group (the image invariant).  A report made by
-    ``h1_with_image`` partitions by that group when ``image_classes`` is
-    first read, and raises its errors there."""
+    automorphism group (the image invariant).  ``image_partition`` is
+    the pending second partition, called when ``image_classes`` is
+    first read, which raises its errors there and keeps its result."""
 
     module_classes: CohomologyClassSet
-    image_classes: CohomologyClassSet
+    image_partition: object   # () -> CohomologyClassSet
+
+    @cached_property
+    def image_classes(self):
+        return self.image_partition()
 
     @property
     def counts(self):
         return (self.module_classes.class_count, self.image_classes.class_count)
-
-
-class _ImageClassesOnRead:
-    """``H1Report.image_classes`` of a report made by ``h1_with_image``:
-    built on the first read by the pending ``_image_classes`` call and
-    kept in the instance dictionary, where ``__init__`` puts the field
-    of every other report."""
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            return self
-        classes = vars(report)["_image_classes"]()
-        vars(report)["image_classes"] = classes
-        return classes
-
-
-H1Report.image_classes = _ImageClassesOnRead()
 
 
 def h1_with_image(based, galois_action, gamma_action=None):
@@ -615,15 +599,11 @@ def h1_with_image(based, galois_action, gamma_action=None):
     else:
         module = weyl_group(based.datum, base=based.base)
     cocycles = z1_enumerate(galois_action.group, star_act, module)
-    report = H1Report(h1_classes(cocycles, module, module_group=module), None)
 
     def image_classes():
         auts = equivariant_automorphism_group(based, commuting_with=gamma_action)
         return h1_classes(cocycles, auts, module_group=module)
-    state = vars(report)
-    del state["image_classes"]   # so that the first read builds them
-    state["_image_classes"] = image_classes
-    return report
+    return H1Report(h1_classes(cocycles, module, module_group=module), image_classes)
 
 
 @record
@@ -800,7 +780,7 @@ def _search_order(datum1, weyl, maps):
     on_positive = permutation_getter(as_permutation(sorted(positive_system(datum1)), n))
     on_base = permutation_getter(as_permutation(canonical_base(datum1), n))
     ranked = sorted((sorted(on_positive(f)), on_base(f), f)
-                    for f in (compose(w, images) for _, images in maps for w in weyl.perms))
+                    for f in (compose(w, images) for images in maps for w in weyl.perms))
     return tuple((f, image) for _, image, f in ranked)
 
 
@@ -819,17 +799,7 @@ def _isomorphism(datum1, datum2, f):
 
 
 def _pairing(datum):
-    """The pairing matrix for ``contragredient``: None for the standard one."""
+    """The pairing matrix for ``_contragredient_of_inverse``: None for the
+    standard one."""
     return None if datum.has_standard_pairing else datum.pairing_matrix
 
-
-def _root_images(d1, d2, m):
-    """Indices in d2 of the images of the roots of d1 under m, or None
-    if some image is not a root."""
-    images = []
-    for r in d1.roots:
-        j = d2.root_index.get(mat_vec(m, r))
-        if j is None:
-            return None
-        images.append(j)
-    return as_permutation(images)

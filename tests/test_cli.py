@@ -500,6 +500,16 @@ def test_group_order_at_the_cap_verifies(tmp_path, group):
     assert f"group order {cli.MAX_GROUP_ORDER})" in out
 
 
+@pytest.mark.parametrize("group", ["cyclic:0_2", "cyclic: 2", "cyclic:+2", "cyclic:\u0662"],
+                         ids=["underscore", "space", "sign", "arabic-indic-digit"])
+def test_a_cyclic_order_other_than_ascii_digits_is_one_parse_error(tmp_path, group):
+    # ``int`` reads each of these as 2
+    def mutate(o):
+        o["actions"]["gamma"]["group"] = group
+    _assert_single_parse_error(_mutated_a2_flip(tmp_path, mutate),
+                               f"actions.gamma.group: bad cyclic order in {group!r}")
+
+
 IDENTITY_AT_1 = {"element": 1, "matrix": [[1, 0], [0, 1]]}
 NOT_UNIMODULAR_AT_1 = {"element": 1, "matrix": [[0, 2], [1, 0]]}
 

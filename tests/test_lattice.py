@@ -127,6 +127,35 @@ def test_kernel_properties_random():
                     assert in_integer_span(basis, v)
 
 
+def smith_kernel(m):
+    """The kernel as ``integer_kernel`` read it before: the last columns
+    of the right transform of the Smith form, past its rank, put in
+    Hermite form."""
+    _, d, v = smith_normal_form(m)
+    rank = sum(1 for i in range(min(len(m), len(m[0]))) if d[i][i])
+    basis = transpose(v)[rank:]
+    if not basis:
+        return ()
+    h, _ = hermite_row_form(basis)
+    return tuple(row for row in h if any(row))
+
+
+def test_kernel_is_the_smith_form_kernel():
+    # rows that are integer combinations of a few others, so that the
+    # kernel is larger than cols - rows
+    rng = random.Random(3000)
+    for _ in range(600):
+        cols = rng.randint(1, 6)
+        free = [tuple(rng.randint(-4, 4) for _ in range(cols))
+                for _ in range(rng.randint(1, 3))]
+        combos = [[rng.randint(-2, 2) for _ in free] for _ in range(rng.randint(0, 3))]
+        rows = free + [tuple(sum(c * x for c, x in zip(cs, column)) for column in zip(*free))
+                       for cs in combos]
+        rng.shuffle(rows)
+        m = tuple(rows)
+        assert integer_kernel(m) == smith_kernel(m), m
+
+
 def check_quotient(rank, relations):
     q = quotient_lattice(rank, relations)
     for r in relations:

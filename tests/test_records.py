@@ -46,7 +46,7 @@ RECORDS = {
     twist.StarCocycle: (("star_action", "value_perms"), {}),
     twist.CohomologyClassSet: (("module_group", "cobounding_group", "cocycles",
                                 "classes", "representatives"), {}),
-    twist.H1Report: (("module_classes", "image_classes"), {}),
+    twist.H1Report: (("module_classes", "image_partition"), {}),
     twist.TwistedDatum: (("based", "galois", "gamma", "cocycle"), {}),
     cli.DatumDocument: (("datum", "based", "actions", "roles", "flags", "source"),
                         {"source": "<string>"}),

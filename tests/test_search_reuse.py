@@ -20,6 +20,8 @@ import rootfold.twist as twist_module
 from rootfold.action import FiniteGroup, make_action
 from rootfold.errors import InvalidActionError
 from rootfold.lattice import (
+    adjugate_and_det,
+    exact_quotient,
     exact_solver,
     identity_matrix,
     mat_mul,
@@ -29,11 +31,13 @@ from rootfold.lattice import (
 )
 from rootfold.rootdatum import (
     BasedRootDatum,
+    DatumAutomorphism,
     RootDatum,
     _automorphisms_from_permutations,
     as_permutation,
     canonical_base,
     closure,
+    contragredient,
     cycle_type,
     from_cartan_type,
     identity_permutation,
@@ -44,6 +48,7 @@ from rootfold.rootdatum import (
 )
 from rootfold.twist import (
     _diagram_maps,
+    _pairing,
     equivariant_isomorphic,
     h1_with_image,
     star_action,
@@ -115,11 +120,21 @@ def reference_isomorphic(datum1, actions1, datum2, actions2):
             for i in canonical_base(datum2)]
     weyl = closure([tuple(range(len(datum2.roots)))], gens)
     for w in sorted(weyl, key=lambda w: sorted(compose(w, positive))):
-        cands = [(compose(w, tuple(images)), m) for m, images in maps]
-        for cand, m in sorted(cands, key=lambda e: compose(e[0], base1)):
+        cands = [(compose(w, tuple(images)), images) for images in maps]
+        for cand, images in sorted(cands, key=lambda e: compose(e[0], base1)):
             if all(compose(cand, p1) == compose(p2, cand) for p1, p2 in pairs):
-                return _automorphisms_from_permutations(datum2, [w])[0] * m
+                return (_automorphisms_from_permutations(datum2, [w])[0]
+                        * diagram_isomorphism(datum1, datum2, base1, images))
     return None
+
+
+def diagram_isomorphism(datum1, datum2, base1, images):
+    """The lattice isomorphism with the root map ``images``: its
+    character matrix solved on ``base1``, and the contragredient."""
+    adj, d = adjugate_and_det(transpose(tuple(datum1.roots[i] for i in base1)))
+    m = exact_quotient(mat_mul(transpose(tuple(datum2.roots[images[i]] for i in base1)), adj),
+                       d)
+    return DatumAutomorphism(m, contragredient(m, _pairing(datum1), _pairing(datum2)))
 
 
 def key(aut):
