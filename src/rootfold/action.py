@@ -29,7 +29,6 @@ from .rootdatum import (
     WeylGroup,
     _annihilator_block,
     _automorphisms_from_permutations,
-    _matrix_on_roots,
     _walk_automorphism,
     closure,
     compose,
@@ -507,8 +506,6 @@ class Coinvariants:
 
     projection : free coinvariant quotient map (free_rank x n)
     section    : integer right inverse of projection
-    average    : rational embedding of the quotient into the character
-                 space, landing in the fixed subspace (n x free_rank)
     fixed_basis: basis of the fixed cocharacter lattice (tuple of vectors)
     pairing    : restricted pairing matrix, unimodular (free_rank square)
     torsion    : invariant factors > 1 of the coinvariant torsion
@@ -517,7 +514,6 @@ class Coinvariants:
     action: DatumAction
     projection: tuple
     section: tuple
-    average: tuple
     fixed_basis: tuple
     pairing: tuple
     torsion: tuple
@@ -536,18 +532,27 @@ class Coinvariants:
 
 def coinvariants(action):
     """Compute the coinvariant quotient, the fixed cocharacter lattice,
-    and the restricted pairing, checking the identities of the character
-    side (``_check_coinvariants``); those of the cocharacter side are
-    proved below.
+    and the restricted pairing.  Every identity these maps satisfy, on
+    the character side and the cocharacter side, follows from the two
+    that ``quotient_lattice`` checks, as proved below; none is checked
+    again.
 
     The relations (1 - g)v are taken from the generator images g only.
     They span the same relation lattice R as every image's, since every
     image is a word in them and (1 - x.g)v = (1 - x)v + (1 - g)v -
     (1 - x)(1 - g)v.  ``quotient_lattice`` returns the projection in
     Hermite form and checks projection . r = 0 for each relation r and
-    projection . section = I.  So its kernel K holds R, and K is
-    saturated, as the projection is onto Z^f; it has the rank of R, so
-    it is the saturation of R.
+    projection . section = I (when the free rank is not 0).  So its
+    kernel K holds R, and K is saturated, as the projection is onto Z^f;
+    it has the rank of R, so it is the saturation of R.
+
+    The character side.  The relations are the nonzero columns
+    (1 - g)e_k of 1 - g, and a zero column is annihilated anyway, so
+    projection . (1 - g) = 0, that is projection . g = projection, for
+    each generator image g.  If also projection . x = projection, then
+    projection . x . g = projection . g = projection, so the projection
+    is invariant under every image, a word in the generator images.  The
+    section is a right inverse of the projection by the second check.
 
     Why the fixed cocharacters are read off the projection.  For the
     contragredient g' of g, <g x, g' y> = <x, y>, so
@@ -588,86 +593,14 @@ def coinvariants(action):
         fixed_basis, transform = hermite_row_form(mat_mul(
             quotient.projection, transpose(unimodular_inverse(datum.pairing_matrix))))
 
-    from fractions import Fraction  # only here, off the start-up path
-
-    size = len(action.group)
-    group_sum = _group_sum(action)
-    average = tuple(tuple(Fraction(x, size) for x in row)
-                    for row in mat_mul(group_sum, quotient.section))
-    cv = Coinvariants(
+    return Coinvariants(
         action=action,
         projection=quotient.projection,
         section=quotient.section,
-        average=average,
         fixed_basis=fixed_basis,
         pairing=transpose(transform),
         torsion=quotient.torsion_invariants,
     )
-    _check_coinvariants(cv, group_sum)
-    return cv
-
-
-def _group_sum(action):
-    """The sum S of the character matrices of the action, |G| times
-    their mean, read off the pairs with one exact solve.
-
-    S is linear, so it sends root r_i to sum_g r_{p_g(i)} and z_j to
-    sum_i (sum_g B_g)[i][j] z_i, for (p_g, B_g) the pair of g (see
-    ``DatumAction``).  These determine S on the basis [r_i | z_j] of
-    ``RootDatum._root_basis``, which ``_matrix_on_roots`` solves
-    against.  Its division by the determinant is exact, as S, a sum of
-    integer matrices, is integral."""
-    datum = action.datum
-    roots, perms = datum.roots, action.root_perms
-    images = [tuple(map(sum, zip(*(roots[p[i]] for p in perms))))
-              for i in datum._root_basis[0]]
-    block = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*action.blocks))
-    return _matrix_on_roots(datum, images, block)
-
-
-def _check_coinvariants(cv, group_sum):
-    """Raise AssertionError unless the maps of ``cv`` on the character
-    side satisfy their identities, with ``group_sum`` the sum of the
-    character matrices of the action, as ``coinvariants`` computed it
-    (``_group_sum``): the projection is invariant, the averaged
-    embedding is fixed and independent of the preimage, and the section
-    is a right inverse.  The cocharacter side (the fixed basis is fixed,
-    the pairing is perfect, relations pair to zero with the fixed
-    cocharacters, the projection is the transpose of the inclusion)
-    follows from ``quotient_lattice``'s own checks, as ``coinvariants``
-    proves, and is not checked again.
-
-    Invariance is checked on the generator images A only, which
-    suffices since every image is a product of them: P A = P and A S = S
-    for each of them give the same for their products.
-
-    The identities on ``cv.average`` are checked on S = |G| average, an
-    integer matrix for the average ``coinvariants`` builds: A S = S for
-    every image A, and S . projection = sum over the group of the A.
-    Scaling by |G| != 0 makes them equivalent to the identities
-    A average = average and average . projection = the group mean, for
-    any ``average`` whatever; an entry of S that is not integral stays a
-    Fraction."""
-    action = cv.action
-    f = cv.free_rank
-    size = len(action.group)
-    scaled = tuple(tuple(y if y.denominator != 1 else int(y)
-                         for y in (size * x for x in row))
-                   for row in cv.average)
-    for aut in action.generator_images:
-        # projection factors through the group: P(gamma x) = P(x)
-        if mat_mul(cv.projection, aut.on_characters) != cv.projection:
-            raise AssertionError("projection is not invariant under the action")
-        # the averaged embedding lands in the fixed subspace
-        if mat_mul(aut.on_characters, scaled) != scaled:
-            raise AssertionError("averaged embedding is not fixed by the action")
-    if f:
-        if mat_mul(cv.projection, cv.section) != identity_matrix(f):
-            raise AssertionError("section is not a right inverse")
-        # preimage independence: the averaged embedding composed with the
-        # projection is the plain group average
-        if mat_mul(scaled, cv.projection) != group_sum:
-            raise AssertionError("embedding depends on the choice of preimage")
 
 
 def fixed_weyl(action, *, bound=None):

@@ -175,7 +175,10 @@ def parse_datum(text, source="<string>"):
     here so downstream commands can trust the objects."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError is a ValueError, and so is an integer literal
+        # past Python's digit limit; nesting past the recursion limit is
+        # a RecursionError
         raise ParseError(f"invalid JSON: {e}", context=source) from None
     _expect(isinstance(obj, dict), "top level must be an object", source)
     for key in obj:
@@ -504,7 +507,7 @@ def _read(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read file: {e}", context=path) from None
 
 

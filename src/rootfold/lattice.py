@@ -11,14 +11,10 @@ Conventions used throughout the package:
   (Bareiss) elimination whose divisions are all exact, and returns an
   integer matrix or vector together with its denominator.
 
-``Fraction`` is left in two places only: the public
-``Coinvariants.average``, which really divides by the group order (its
-checks run on the integer multiple, see ``action._check_coinvariants``),
-and ``mat_inverse_fractions``, a view of the kernel kept for the
-benchmark tracer only.  Both import ``fractions`` at that point of use
-(``action.coinvariants`` and ``mat_inverse_fractions``), so importing
-the package, and the commands that never build a Fraction, do not load
-it or the ``decimal`` module it pulls in.
+``Fraction`` is left in one place only: ``mat_inverse_fractions``, a
+view of the kernel kept for the benchmark tracer only.  It imports
+``fractions`` at that point of use, so importing the package, and every
+command, loads neither it nor the ``decimal`` module it pulls in.
 
 The products and vector operations below run through ``map`` over the
 ``operator`` functions, so the inner loops stay in C.

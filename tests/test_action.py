@@ -11,7 +11,7 @@ from rootfold.action import (
     orthogonal_orbit,
 )
 from rootfold.errors import InvalidActionError
-from rootfold.lattice import identity_matrix, mat_mul, mat_vec
+from rootfold.lattice import identity_matrix, mat_mul
 from rootfold.rootdatum import from_cartan_type, weyl_group
 
 
@@ -312,86 +312,6 @@ def test_coinvariants_a3_flip():
     assert set(cv.fixed_basis) == {(1, 0, 1), (0, 1, 0)}
     from rootfold.lattice import det
     assert abs(det(cv.pairing)) == 1
-
-
-def test_coinvariants_average_formula():
-    # the embedding of the quotient must average preimages over the group
-    act = a2_flip()
-    cv = coinvariants(act)
-    d = act.datum
-    for k in range(d.rank):
-        e = identity_matrix(d.rank)[k]
-        xbar = cv.project(e)
-        lifted = mat_vec(cv.average, xbar)
-        avg = [0] * d.rank
-        for aut in act.images:
-            img = aut.apply(e)
-            avg = [a + x for a, x in zip(avg, img)]
-        expected = tuple(
-            __import__("fractions").Fraction(a, len(act.group)) for a in avg)
-        assert tuple(lifted) == expected
-
-
-def d4_triality():
-    from rootfold.selftest import node_permutation_matrix
-
-    return make_action(from_cartan_type("D4:sc"),
-                       [(node_permutation_matrix({0: 2, 1: 1, 2: 3, 3: 0}, 4), "t")])
-
-
-def test_coinvariants_average_keeps_its_fraction_value():
-    # the average is (sum of the images) . section / |G|, entries Fractions
-    from fractions import Fraction
-
-    for act in (a2_flip(), a3_flip(), d4_triality()):
-        cv = coinvariants(act)
-        size = len(act.group)
-        assert cv.average == tuple(tuple(Fraction(x, size) for x in row)
-                                   for row in mat_mul(image_sum(act), cv.section))
-        assert all(type(x) is Fraction for row in cv.average for x in row)
-
-
-def image_sum(act):
-    """The sum of the character matrices of every image of ``act``."""
-    n = act.datum.rank
-    return tuple(tuple(sum(a.on_characters[i][j] for a in act.images) for j in range(n))
-                 for i in range(n))
-
-
-def tampered(cv, **changes):
-    from rootfold.lattice import replace
-
-    from rootfold.action import _check_coinvariants
-
-    try:
-        _check_coinvariants(replace(cv, **changes), image_sum(cv.action))
-    except AssertionError as e:
-        return str(e)
-    return None
-
-
-@pytest.mark.parametrize("make", [a2_flip, a3_flip, d4_triality])
-def test_coinvariant_checks_refuse_tampered_maps(make):
-    from fractions import Fraction
-
-    cv = coinvariants(make())
-    assert tampered(cv) is None
-    # an integral average that is not fixed: the section itself
-    section_avg = tuple(tuple(Fraction(x) for x in row) for row in cv.section)
-    assert tampered(cv, average=section_avg) == "averaged embedding is not fixed by the action"
-    # a non-integral multiple of |G| average, not fixed either
-    third = tuple(tuple(x + Fraction(1, 3) * (i == 0) for x in row)
-                  for i, row in enumerate(cv.average))
-    assert tampered(cv, average=third) == "averaged embedding is not fixed by the action"
-    # fixed, but twice the group average
-    double = tuple(tuple(2 * x for x in row) for row in cv.average)
-    assert tampered(cv, average=double) == "embedding depends on the choice of preimage"
-    # a section that is no right inverse of the projection
-    moved = tuple(tuple(x + (i == 0 and j == 0) for j, x in enumerate(row))
-                  for i, row in enumerate(cv.section))
-    assert tampered(cv, section=moved) == "section is not a right inverse"
-    doubled = tuple(tuple(2 * x for x in row) for row in cv.section)
-    assert tampered(cv, section=doubled) == "section is not a right inverse"
 
 
 # ---------------------------------------------------------------------------

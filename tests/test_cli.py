@@ -75,9 +75,16 @@ def test_parse_rejects_unknown_field():
                                 "extra": 1}))
 
 
-def test_parse_rejects_invalid_json():
-    with pytest.raises(ParseError):
-        parse_datum("{not json")
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[" * 100_000 + "]" * 100_000,  # nested past the recursion limit
+    # an integer literal past Python's int-conversion digit limit
+    '{"rank": ' + "1" * 5000 + ', "roots": [], "coroots": []}',
+], ids=["syntax", "deep", "digits"])
+def test_parse_rejects_invalid_json(text):
+    with pytest.raises(ParseError) as err:
+        parse_datum(text)
+    assert "invalid JSON" in str(err.value)
 
 
 def test_parse_explicit_group_table():
@@ -295,6 +302,15 @@ def test_fold_deterministic():
 def test_missing_file_is_parse_error():
     code, out = run_cli("verify", "no-such-file.datum")
     assert code == 2
+    assert "cannot read file" in out
+
+
+def test_undecodable_file_is_parse_error(tmp_path):
+    path = tmp_path / "latin1.datum"
+    path.write_bytes(b'{"rank": 1, "roots": [], "coroots": [], "x": "\xe9"}')
+    code, out = run_cli("verify", str(path))
+    assert code == 2
+    assert out.startswith("parse error:") and out.count("\n") == 1
     assert "cannot read file" in out
 
 

@@ -4,7 +4,10 @@ unimodular pairings P: each ``FOLD_TABLE`` datum and its generator are
 moved by A, the coroots are moved so that every root still pairs with
 every coroot as before, and the fixed basis is compared with the
 saturated kernel of the stacked g' - 1 (the computation the projection
-replaced), which is kept here as the reference."""
+replaced), which is kept here as the reference.  The character side is
+checked against every image too: the projection is invariant, the
+section is its right inverse, and its kernel is the saturation of the
+relations (1 - g)e_k over every image."""
 
 from functools import cache
 
@@ -64,6 +67,15 @@ def kernel_of_the_stacked_differences(action):
     return integer_kernel(tuple(stacked), cols=n)
 
 
+def saturated_relations(action):
+    """The saturation of the relations (1 - g)e_k over every image g, as
+    the kernel of their annihilator."""
+    n = action.datum.rank
+    relations = [tuple(int(i == k) - row[k] for i, row in enumerate(aut.on_characters))
+                 for aut in action.images for k in range(n)]
+    return integer_kernel(integer_kernel(tuple(relations), cols=n), cols=n)
+
+
 @cache
 def unmoved_fold(index):
     _, spec, builder, *_ = FOLD_TABLE[index]
@@ -83,6 +95,13 @@ def test_the_fixed_basis_is_the_kernel_of_the_stacked_differences(data):
     assert verify_axioms(target.datum) == []
     action = make_action(target, [(generator, "g")])
     cv = coinvariants(action)
+
+    # the character side, which quotient_lattice's two checks prove
+    for aut in action.images:
+        assert mat_mul(cv.projection, aut.on_characters) == cv.projection
+    if cv.free_rank:
+        assert mat_mul(cv.projection, cv.section) == identity_matrix(cv.free_rank)
+    assert integer_kernel(cv.projection, cols=n) == saturated_relations(action)
 
     assert cv.fixed_basis == kernel_of_the_stacked_differences(action)
     for aut in action.images:

@@ -11,9 +11,8 @@ from pathlib import Path
 
 import pytest
 
-import rootfold.action as action_module
 import rootfold.rootdatum as rootdatum_module
-from rootfold.action import FiniteGroup, coinvariants, make_action
+from rootfold.action import FiniteGroup, make_action
 from rootfold.cli import parse_datum
 from rootfold.folding import reduced_subdatum, restrict
 from rootfold.lattice import span_rank
@@ -218,13 +217,6 @@ def test_classify_on_the_dynkin_diagram_matches_the_root_pairing_components():
 # generator images read off the pairs
 
 
-def rotation_action():
-    """Z/4 on A1 x A1, its element 3 given as the rotation e1 -> e2 ->
-    -e1: the generating set (1,) holds no given generator."""
-    return make_action(from_cartan_type("A1:sc x A1:sc").datum, [(((0, -1), (1, 0)), 3)],
-                       group=FiniteGroup.cyclic(4))
-
-
 def test_generator_images_read_off_the_pairs_are_the_checked_matrices():
     # every element of these generating sets is a given generator, and
     # the automorphism with a given pair is unique
@@ -245,16 +237,3 @@ def test_generator_images_read_off_the_pairs_are_the_checked_matrices():
         checked = {DatumAutomorphism.from_matrix(m) for m, _ in given}
         assert len(action.generator_images) == len(action.group.generating_set)
         assert set(action.generator_images) <= checked
-
-
-def test_coinvariants_sum_the_group_once(monkeypatch):
-    calls = []
-    group_sum = action_module._group_sum
-    monkeypatch.setattr(action_module, "_group_sum",
-                        lambda action: calls.append(1) or group_sum(action))
-    for action in (rotation_action(),
-                   make_action(from_cartan_type("D4:sc"),
-                               [(node_permutation_matrix({0: 2, 1: 1, 2: 3, 3: 0}, 4), "t")])):
-        calls.clear()
-        coinvariants(action)
-        assert calls == [1]

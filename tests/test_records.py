@@ -37,8 +37,8 @@ RECORDS = {
     rootdatum.BasedRootDatum: (("datum", "base"), {}),
     action.FiniteGroup: (("labels", "table", "identity"), {}),
     action.DatumAction: (("group", "root_perms", "blocks", "target"), {}),
-    action.Coinvariants: (("action", "projection", "section", "average",
-                           "fixed_basis", "pairing", "torsion"), {}),
+    action.Coinvariants: (("action", "projection", "section", "fixed_basis",
+                           "pairing", "torsion"), {}),
     folding.RestrictedDatum: (("datum", "base", "source", "coinvariants",
                                "fibers", "provenance", "induced"), {}),
     folding.WeylDescent: (("fold", "restricted_weyl", "fixed_subgroup", "down"),
