@@ -314,6 +314,52 @@ def test_coinvariants_a3_flip():
     assert abs(det(cv.pairing)) == 1
 
 
+def d4_triality():
+    from rootfold.selftest import node_permutation_matrix
+
+    return make_action(from_cartan_type("D4:sc"),
+                       [(node_permutation_matrix({0: 2, 1: 1, 2: 3, 3: 0}, 4), "t")])
+
+
+def tampered(monkeypatch, action, name, change):
+    """The AssertionError text of ``coinvariants(action)`` with the result
+    of ``lattice.<name>`` passed through ``change``, or None."""
+    import rootfold.lattice as lattice_module
+
+    original = getattr(lattice_module, name)
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice_module, name, lambda *args: change(original(*args)))
+        try:
+            coinvariants(action)
+        except AssertionError as e:
+            return str(e)
+    return None
+
+
+def add_first_row_to_the_projection(snf):
+    """U with row 0, which does not annihilate the relations, added to
+    row r, the first row of the projection: still unimodular."""
+    u, d, v = snf
+    r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
+    u = list(u)
+    u[r] = tuple(a + b for a, b in zip(u[r], u[0]))
+    return tuple(u), d, v
+
+
+@pytest.mark.parametrize("make", [a2_flip, a3_flip, d4_triality])
+def test_coinvariant_checks_refuse_tampered_maps(monkeypatch, make):
+    # coinvariants checks nothing itself: its proof rests on the two
+    # checks of quotient_lattice, which must refuse maps that break them
+    act = make()
+    assert tampered(monkeypatch, act, "smith_normal_form", lambda snf: snf) is None
+    assert (tampered(monkeypatch, act, "smith_normal_form", add_first_row_to_the_projection)
+            == "projection does not annihilate a relation")
+    # both inverses doubled: the section is 4 times a right inverse
+    doubled = lambda m: tuple(tuple(2 * x for x in row) for row in m)  # noqa: E731
+    assert (tampered(monkeypatch, act, "unimodular_inverse", doubled)
+            == "section is not a right inverse of the projection")
+
+
 # ---------------------------------------------------------------------------
 # fixed Weyl subgroup
 
