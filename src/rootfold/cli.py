@@ -79,6 +79,12 @@ MAX_GROUP_ORDER = 64
 MAX_RANK = 16
 MAX_ACTION_BLOCKS = 4
 
+# Bound on the absolute value of a matrix entry, exclusive.  Python
+# prints no integer past 4 300 digits; the pairings, inverses and group
+# products the engine forms from smaller entries stay far below that,
+# so every report and error message can print them.
+MAX_ENTRY = 2 ** 63
+
 
 @record
 class DatumDocument:
@@ -123,6 +129,8 @@ def _int_matrix(obj, context, rows=None, cols=None, allow_empty=False):
             "expected a nonempty list of integer rows", context)
     _expect(all(_is_int(x) for r in obj for x in r),
             "matrix entries must be integers", context)
+    _expect(all(-MAX_ENTRY < x < MAX_ENTRY for r in obj for x in r),
+            "matrix entries must be below 2**63 in absolute value", context)
     widths = {len(r) for r in obj}
     _expect(len(widths) == 1, "matrix rows have unequal lengths", context)
     if rows is not None:

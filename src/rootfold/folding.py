@@ -38,6 +38,7 @@ from .lattice import (
 from .rootdatum import (
     BasedRootDatum,
     RootDatum,
+    _double,
     as_permutation,
     closure,
     compose,
@@ -232,7 +233,7 @@ def reduced_subdatum(fold, char_is_two):
     keep = []
     for i, r in enumerate(datum.roots):
         if char_is_two:
-            ok = tuple(2 * x for x in r) not in root_set
+            ok = _double(datum, i) is None
         else:
             ok = not (all(x % 2 == 0 for x in r)
                       and tuple(x // 2 for x in r) in root_set)

@@ -717,8 +717,7 @@ def closure(seeds, maps, bound=None, what="closure"):
 
 
 def is_reduced(datum):
-    rs = set(datum.roots)
-    return not any(tuple(2 * x for x in r) in rs for r in datum.roots)
+    return all(_double(datum, i) is None for i in range(len(datum.roots)))
 
 
 def _automorphisms_from_permutations(datum, perms, blocks=None):
@@ -1014,60 +1013,51 @@ def _is_positive_system(datum, system):
 # construction from Cartan types
 
 
-def _chain_cartan(rank):
-    c = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]
-    for i in range(rank - 1):
-        c[i][i + 1] = -1
-        c[i + 1][i] = -1
-    return c
+# The finite Cartan types (Bourbaki, Lie VI, Plates I-IX), in the letter
+# order ``classify`` tries them: per letter, its least rank and its
+# greatest (None: any), the node that branches off the chain of the
+# others with the node it joins, and the one bond that is not single,
+# as (i, j, m) with C[i][j] = -m.  Node i is Bourbaki's alpha_{i+1}, and
+# a negative node counts from the end.  BC_n is the non-reduced type;
+# its base has the Cartan matrix of B_n, one node for BC_1.
+FINITE_TYPES = {
+    "A": (1, None, None, None),
+    "B": (2, None, None, (-2, -1, 2)),
+    "C": (2, None, None, (-1, -2, 2)),
+    "D": (3, None, (-1, -3), None),
+    "E": (6, 8, (1, 3), None),
+    "F": (4, 4, None, (1, 2, 2)),
+    "G": (2, 2, None, (1, 0, 3)),
+    "BC": (1, None, None, (-2, -1, 2)),
+}
+
+
+def _is_finite_type(letter, rank):
+    least, most, *_ = FINITE_TYPES[letter]
+    return least <= rank and (most is None or rank <= most)
 
 
 def cartan_matrix(letter, rank):
-    if letter == "A":
-        if rank < 1:
-            raise UnknownTypeError(f"A{rank} is not supported")
-        return tuple(tuple(r) for r in _chain_cartan(rank))
-    if letter == "B":
-        if rank < 2:
-            raise UnknownTypeError(f"B{rank} is not supported")
-        c = _chain_cartan(rank)
-        c[rank - 2][rank - 1] = -2
-        return tuple(tuple(r) for r in c)
-    if letter == "C":
-        if rank < 2:
-            raise UnknownTypeError(f"C{rank} is not supported")
-        c = _chain_cartan(rank)
-        c[rank - 1][rank - 2] = -2
-        return tuple(tuple(r) for r in c)
-    if letter == "D":
-        if rank < 3:
-            raise UnknownTypeError(f"D{rank} is not supported")
-        c = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]
-        for i in range(rank - 2):
-            c[i][i + 1] = -1
-            c[i + 1][i] = -1
-        c[rank - 3][rank - 1] = -1
-        c[rank - 1][rank - 3] = -1
-        return tuple(tuple(r) for r in c)
-    if letter == "E":
-        if rank not in (6, 7, 8):
-            raise UnknownTypeError(f"E{rank} is not supported")
-        c = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]
-        # Bourbaki: chain 1-3-4-5-6(-7-8), node 2 hangs off node 4
-        chain = [0, 2, 3, 4, 5, 6, 7][: rank - 1]
-        for a, b in zip(chain, chain[1:]):
-            c[a][b] = c[b][a] = -1
-        c[1][3] = c[3][1] = -1
-        return tuple(tuple(r) for r in c)
-    if letter == "F":
-        if rank != 4:
-            raise UnknownTypeError(f"F{rank} is not supported")
-        return ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
-    if letter == "G":
-        if rank != 2:
-            raise UnknownTypeError(f"G{rank} is not supported")
-        return ((2, -1), (-3, 2))
-    raise UnknownTypeError(f"unknown type letter {letter!r}")
+    """The Cartan matrix C[i][j] = <a_i, c_j> of a finite type, read
+    off ``FINITE_TYPES``: a chain of single bonds, a branch for D and
+    E, and the double or triple bond of B, C, F, G and BC."""
+    if letter not in FINITE_TYPES:
+        raise UnknownTypeError(f"unknown type letter {letter!r}")
+    if not _is_finite_type(letter, rank):
+        raise UnknownTypeError(f"{letter}{rank} is not supported")
+    *_, branch, bond = FINITE_TYPES[letter]
+    c = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]
+    chain = list(range(rank))
+    if branch:
+        leaf, stem = (node % rank for node in branch)
+        chain.remove(leaf)
+        c[leaf][stem] = c[stem][leaf] = -1
+    for i, j in zip(chain, chain[1:]):
+        c[i][j] = c[j][i] = -1
+    if bond and rank > 1:   # BC_1 has no bond
+        i, j, m = bond
+        c[i][j] = -m
+    return tuple(map(tuple, c))
 
 
 def _closure_from_simples(simples, cosimples, seeds=()):
@@ -1151,10 +1141,18 @@ def _closure_from_simples(simples, cosimples, seeds=()):
     return datum, tuple(where[position[a]] for a in simples), perms
 
 
-def _realize_classical(letter, rank, tag):
-    """The simple roots and coroots of the sc or ad realization, and no
-    seeds."""
-    c = cartan_matrix(letter, rank)
+def _realize_factor(letter, rank, tag):
+    """The simple roots, simple coroots and seeds of one factor.  A
+    reduced type has no seeds, and the simple pairs of its sc or ad
+    realization.  BC_n lies on the standard basis: the simple pairs
+    (e_i - e_{i+1}, same) and (e_n, 2e_n), and the seed (2e_n, e_n), so
+    that the closure reaches the roots 2e_i."""
+    c = cartan_matrix(letter, rank)   # refuses a rank the type lacks
+    if letter == "BC":
+        e = identity_matrix(rank)
+        double = tuple(2 * x for x in e[-1])
+        simples = [vec_sub(e[i], e[i + 1]) for i in range(rank - 1)]
+        return simples + [e[-1]], simples + [double], [(double, e[-1])]
     if tag == "sc":
         return c, identity_matrix(rank), ()
     if tag == "ad":
@@ -1162,44 +1160,24 @@ def _realize_classical(letter, rank, tag):
     raise UnknownTypeError(f"unknown isogeny tag {tag!r} (expected sc or ad)")
 
 
-def _realize_bc(rank):
-    """BC_n on the standard basis: the simple pairs (e_i - e_{i+1}, same)
-    and (e_n, 2e_n), and the seed (2e_n, e_n), so that the closure
-    reaches the roots 2e_i."""
-    if rank < 1:
-        raise UnknownTypeError(f"BC{rank} is not supported")
-    e = identity_matrix(rank)
-    double = tuple(2 * x for x in e[-1])
-    simples = [vec_sub(e[i], e[i + 1]) for i in range(rank - 1)]
-    return simples + [e[-1]], simples + [double], [(double, e[-1])]
-
-
 def _parse_factor(token, spec):
+    """(letter, rank, tag) of one factor of a type string, the tag "sc"
+    when none is given; a BC factor takes none."""
     token = token.strip()
-    if ":" in token:
-        name, tag = token.split(":", 1)
-    else:
-        name, tag = token, None
+    name, colon, tag = token.partition(":")
     name = name.strip()
-    if name.startswith("BC"):
-        if tag is not None:
-            raise UnknownTypeError(f"BC types take no isogeny tag ({token!r})")
-        try:
-            rank = int(name[2:])
-        except ValueError:
-            raise UnknownTypeError(f"bad type token {token!r} in {spec!r}") from None
-        if rank > 8:
-            raise UnknownTypeError(f"rank {rank} exceeds the supported bound of 8")
-        return ("BC", rank, None)
-    if not name or name[0] not in "ABCDEFG":
+    letter = "BC" if name.startswith("BC") else name[:1]
+    if letter == "BC" and colon:
+        raise UnknownTypeError(f"BC types take no isogeny tag ({token!r})")
+    # ``int`` would also take signs, spaces, underscores and non-ASCII
+    # digits
+    digits = name[len(letter):]
+    if letter not in FINITE_TYPES or not (digits.isascii() and digits.isdigit()):
         raise UnknownTypeError(f"bad type token {token!r} in {spec!r}")
-    try:
-        rank = int(name[1:])
-    except ValueError:
-        raise UnknownTypeError(f"bad type token {token!r} in {spec!r}") from None
+    rank = int(digits)
     if rank > 8:
         raise UnknownTypeError(f"rank {rank} exceeds the supported bound of 8")
-    return (name[0], rank, (tag or "sc").strip())
+    return letter, rank, (tag or "sc").strip()
 
 
 def from_cartan_type(spec):
@@ -1226,8 +1204,7 @@ def from_cartan_type(spec):
     against, in place of the pivots of a Hermite form
     (``_independent_roots``); its adjugate is still computed on first
     read."""
-    realized = [_realize_bc(rank) if letter == "BC" else _realize_classical(letter, rank, tag)
-                for letter, rank, tag in (_parse_factor(t, spec) for t in spec.split("x"))]
+    realized = [_realize_factor(*_parse_factor(t, spec)) for t in spec.split("x")]
     total = sum(len(factor[0]) for factor in realized)
     simples, cosimples, seeds, offset = [], [], [], 0
     for s, c, extra in realized:
@@ -1273,17 +1250,8 @@ def cartan_matchings(c1, c2):
     k = len(c1)
     if len(c2) != k:
         return
-    order, parent = [], {}
-    for start in range(k):
-        if start not in parent:
-            parent[start] = None
-            component = [start]
-            for m in component:   # the list grows as nodes are met
-                for j in range(k):
-                    if c1[m][j] and j not in parent:
-                        parent[j] = m
-                        component.append(j)
-            order += component
+    components, parent = _dynkin_components(c1)
+    order = [i for component in components for i in component]
     p = [None] * k
     used = [False] * k
 
@@ -1304,31 +1272,36 @@ def cartan_matchings(c1, c2):
     yield from assign(0)
 
 
+def _dynkin_components(cartan):
+    """The components of the diagram of ``cartan`` (i joined to j when
+    cartan[i][j] != 0), each a list in breadth-first order from its
+    least node, and per node the node it was met from (None for those
+    least nodes)."""
+    components, parent = [], {}
+    for start in range(len(cartan)):
+        if start not in parent:
+            parent[start] = None
+            component = [start]
+            for m in component:   # the list grows as nodes are met
+                for j, x in enumerate(cartan[m]):
+                    if x and j not in parent:
+                        parent[j] = m
+                        component.append(j)
+            components.append(component)
+    return components, parent
+
+
 def _component_label(matrix, reduced):
+    """The label of the first type in ``FINITE_TYPES`` of the rank of
+    ``matrix`` whose Cartan matrix it matches, BC when not ``reduced``
+    and a reduced type when it is.  The letter order labels D3 as A3
+    and C2 as B2."""
     k = len(matrix)
-
-    def matches(target):
-        return next(cartan_matchings(matrix, target), None) is not None
-
-    if not reduced:
-        if matches(cartan_matrix("A", 1) if k == 1 else cartan_matrix("B", k)):
-            return f"BC{k}"
-        return f"unknown:{list(map(list, matrix))}"
-    candidates = [("A", k)]
-    if k >= 2:
-        candidates.append(("B", k))
-        candidates.append(("C", k))
-    if k >= 4:
-        candidates.append(("D", k))
-    if k in (6, 7, 8):
-        candidates.append(("E", k))
-    if k == 4:
-        candidates.append(("F", k))
-    if k == 2:
-        candidates.append(("G", k))
-    for letter, rank in candidates:
-        if matches(cartan_matrix(letter, rank)):
-            return f"{letter}{rank}"
+    for letter in FINITE_TYPES:
+        if (letter == "BC") == reduced or not _is_finite_type(letter, k):
+            continue
+        if next(cartan_matchings(matrix, cartan_matrix(letter, k)), None) is not None:
+            return f"{letter}{k}"
     return f"unknown:{list(map(list, matrix))}"
 
 
@@ -1355,18 +1328,11 @@ def classify(datum):
         return []
     base = canonical_base(datum)
     cartan = BasedRootDatum(datum, base).cartan_matrix()
-    labels, seen = [], set()
-    for start in range(len(base)):
-        if start in seen:
-            continue
-        comp = [start]
-        for m in comp:
-            comp += [j for j, x in enumerate(cartan[m]) if x and j not in comp]
-        seen.update(comp)
-        nodes = sorted(comp)
+    labels = []
+    for component in _dynkin_components(cartan)[0]:
+        nodes = sorted(component)
         matrix = tuple(tuple(cartan[m][j] for j in nodes) for m in nodes)
-        reduced = not any(tuple(2 * x for x in datum.roots[base[m]]) in datum.root_index
-                          for m in nodes)
+        reduced = all(_double(datum, base[m]) is None for m in nodes)
         labels.append(_component_label(matrix, reduced))
     counted = {}
     for lab in labels:

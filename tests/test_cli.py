@@ -314,6 +314,27 @@ def test_undecodable_file_is_parse_error(tmp_path):
     assert "cannot read file" in out
 
 
+@pytest.mark.parametrize("command", ["verify", "fold", "h1"])
+def test_entries_past_the_cap_are_one_parse_error(tmp_path, command):
+    # a pairing value of 8 000 digits is past Python's printing limit
+    huge = int("7" * 4000)
+    path = tmp_path / "huge.datum"
+    path.write_text(json.dumps({"rank": 1, "roots": [[huge], [-huge]],
+                                "coroots": [[huge], [-huge]]}))
+    code, out = run_cli(command, str(path))
+    assert code == 2
+    assert out == (f"parse error: {path}: roots: matrix entries must be below 2**63 "
+                   "in absolute value\n")
+
+
+def test_entries_just_below_the_cap_reach_the_axioms():
+    top = cli.MAX_ENTRY - 1
+    with pytest.raises(ParseError) as err:
+        parse_datum(json.dumps({"rank": 1, "roots": [[top], [-top]],
+                                "coroots": [[top], [-top]]}))
+    assert f"<root 0, coroot 0> = {top * top}, expected 2" in str(err.value)
+
+
 def test_h1_requires_galois_block():
     code, out = run_cli("h1", golden("A2-flip.datum"))
     assert code == 2

@@ -29,8 +29,7 @@ from rootfold.rootdatum import (
     _is_positive_system,
     _matrix_on_roots,
     _parse_factor,
-    _realize_bc,
-    _realize_classical,
+    _realize_factor,
     _walk_automorphism,
     as_permutation,
     closure,
@@ -87,9 +86,7 @@ def reference_from_cartan_type(spec):
     """Each factor closed over every root, padded into the product, the
     pairs sorted and every root looked up again."""
     factors = [_parse_factor(tok, spec) for tok in spec.split("x")]
-    data = [reference_closure(*(_realize_bc(rank) if letter == "BC"
-                                else _realize_classical(letter, rank, tag)))
-            for letter, rank, tag in factors]
+    data = [reference_closure(*_realize_factor(*factor)) for factor in factors]
     total = sum(d.rank for d, _, _ in data)
     offset = 0
     parts = []
@@ -151,7 +148,7 @@ def test_the_positive_closure_refuses_what_the_full_closure_refuses():
     with pytest.raises(AssertionError, match="does not map the coroots"):
         _closure_from_simples([e1, e2], [(1, 0), (0, 2)])
     # A2 sc with the positive root a_1 + a_2 seeded with a wrong coroot
-    simples, cosimples, _ = _realize_classical("A", 2, "sc")
+    simples, cosimples, _ = _realize_factor("A", 2, "sc")
     for closing in (_closure_from_simples, reference_closure):
         with pytest.raises(AssertionError, match="does not map the coroots"):
             closing(simples, cosimples, seeds=[((1, 1), (1, 0))])
@@ -170,6 +167,16 @@ def test_a_spec_with_empty_tokens_is_refused_by_name():
     assert str(err.value) == "bad type token 'Q3' in 'A1 x Q3'"
     assert from_cartan_type("E6:sc xA1") == from_cartan_type("E6:sc x A1:sc")
     assert len(from_cartan_type("A1:").datum.roots) == 2
+
+
+@pytest.mark.parametrize("spec", ["A+2", "A 2", "A\uff12", "A\u0662", "BC+1", "A-1", "B1_0"],
+                         ids=["sign", "space", "fullwidth-digit", "arabic-indic-digit",
+                              "bc-sign", "minus", "underscore"])
+def test_a_rank_other_than_ascii_digits_is_a_bad_token(spec):
+    # ``int`` reads each of these as a rank
+    with pytest.raises(UnknownTypeError) as err:
+        from_cartan_type(spec)
+    assert str(err.value) == f"bad type token {spec!r} in {spec!r}"
 
 
 # ---------------------------------------------------------------------------
