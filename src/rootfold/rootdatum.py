@@ -13,6 +13,7 @@ on flattened matrices) so every operation is deterministic.
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from operator import itemgetter, mul
 
@@ -1097,7 +1098,17 @@ def _closure_from_simples(simples, cosimples, seeds=()):
     the recorded pair of the negative of the image.  So each
     permutation, read off the positive steps alone, satisfies the
     contract of ``_reflection_permutation`` on every root and coroot;
-    it is one to one, as s_j is an involution."""
+    it is one to one, as s_j is an involution.
+
+    The closed roots are the positive system of the base, and are handed
+    to the datum as the walk of its base (``_based_positive_systems``,
+    keyed by the sorted base), so that no ``_walk_base`` and no
+    ``canonical_base`` runs for it.  They are that system when the seeds
+    are positive: a step from b != a_j, 2 a_j stays positive (the
+    corollary above), so every closed root is positive, and every
+    positive root is reached.  With the closed roots and their
+    negatives being all the roots, the closed ones are exactly the
+    positive ones."""
     coroot = dict(zip(simples, cosimples))
     coroot.update(seeds)
     pairs = list(coroot.items())
@@ -1133,12 +1144,14 @@ def _closure_from_simples(simples, cosimples, seeds=()):
     if len(datum.root_index) != 2 * count:
         raise AssertionError("the positive roots meet their negatives")
     where = _invert_permutation(as_permutation(order))   # read at ~p too
+    base = tuple(where[position[a]] for a in simples)
+    datum._based_positive_systems[tuple(sorted(base))] = frozenset(where[:count])
     perms = []
     for *_, image in steps:
         half = [image.get(p, p) for p in range(count)]
         signed_image = half + [~q for q in reversed(half)]
         perms.append(as_permutation([where[signed_image[k]] for k in order]))
-    return datum, tuple(where[position[a]] for a in simples), perms
+    return datum, base, perms
 
 
 def _realize_factor(letter, rank, tag):
@@ -1203,8 +1216,18 @@ def from_cartan_type(spec):
     they are also the independent roots ``RootDatum._root_basis`` solves
     against, in place of the pivots of a Hermite form
     (``_independent_roots``); its adjugate is still computed on first
-    read."""
-    realized = [_realize_factor(*_parse_factor(t, spec)) for t in spec.split("x")]
+    read.  The positive system of the base is the one the closure met
+    (see ``_closure_from_simples``: the seeds, 2 e_n of BC_n, are
+    positive), so an unbased ``make_action`` walks its generators from
+    this base and never pays ``canonical_base``'s |P|^2 root sums.
+
+    The string is split into factors at each "x" that starts a word or
+    that a capital letter follows, past spaces: every type name starts
+    with a capital, and an isogeny tag is lower case and follows its
+    colon, so "A2:xx" and "A2:sx" are one factor with the tag "xx" or
+    "sx", while "E6:sc xA1" and "A2:sc x" are two factors."""
+    realized = [_realize_factor(*_parse_factor(t, spec))
+                for t in re.split(r"(?:^|(?<=\s))x|x(?=\s*[A-Z])", spec)]
     total = sum(len(factor[0]) for factor in realized)
     simples, cosimples, seeds, offset = [], [], [], 0
     for s, c, extra in realized:
@@ -1226,11 +1249,12 @@ def from_cartan_type(spec):
 # classification
 
 
-def cartan_matchings(c1, c2):
+def cartan_matchings(c1, c2, commuting=()):
     """The node permutations p with c2[p[i]][p[j]] == c1[i][j] for all
-    i, j, each once, lazily, in the order of the search below rather
-    than lexicographically (``twist._diagram_maps`` sorts the maps it
-    lists); none when the sizes differ.
+    i, j, and p o g = g o p for every node permutation g in
+    ``commuting``, each once, lazily, in the order of the search below
+    rather than lexicographically (``twist._diagram_maps`` sorts the
+    maps it lists); none when the sizes differ.
 
     The nodes of c1 are assigned in breadth-first order over its
     diagram (i joined to j when c1[i][j] != 0), each component from its
@@ -1246,7 +1270,16 @@ def cartan_matchings(c1, c2):
     each, where the scan of all k! permutations this replaces made
     ``classify`` of D10 take 16 s (CPython 3.11, shared 2-vCPU host).
     A diagram with m isomorphic components has at least m! matchings,
-    which are yielded one at a time."""
+    which are yielded one at a time.
+
+    With ``commuting`` (node permutations of one diagram, c1 = c2), a
+    node i that gets t is also refused where p o g = g o p first fails:
+    for each g, when p[g[i]] is assigned and is not g[t], or
+    p[g^-1[i]] is assigned and is not g^-1[t].  Each pair
+    (j, g[j]) is so compared once both ends are assigned, so a full
+    matching that passes commutes with every g, and a matching that
+    commutes passes every partial check.  A1^8 under an 8-cycle then
+    meets 8 matchings, not 8!."""
     k = len(c1)
     if len(c2) != k:
         return
@@ -1254,6 +1287,7 @@ def cartan_matchings(c1, c2):
     order = [i for component in components for i in component]
     p = [None] * k
     used = [False] * k
+    pairs = [(g, _invert_permutation(g)) for g in commuting]
 
     def assign(depth):
         if depth == k:
@@ -1266,9 +1300,12 @@ def cartan_matchings(c1, c2):
                 continue
             if all(c2[t][p[j]] == c1[i][j] and c2[p[j]][t] == c1[j][i]
                    for j in order[:depth]):
-                p[i], used[t] = t, True
-                yield from assign(depth + 1)
-                used[t] = False
+                p[i] = t
+                if all(p[g[i]] in (None, g[t]) and p[h[i]] in (None, h[t]) for g, h in pairs):
+                    used[t] = True
+                    yield from assign(depth + 1)
+                    used[t] = False
+                p[i] = None
     yield from assign(0)
 
 

@@ -262,16 +262,28 @@ def equivariant_automorphism_group(based, commuting_with=None):
     w, W acting simply transitively on the bases.  For g in Gamma,
     g w g^-1 is a Weyl element with g w g^-1 (B) = g f(B) = f(B), so
     g w g^-1 = w: w is in W^Gamma.  So f = w.d with d = w^-1 f a
-    diagram map of B that commutes with Gamma.  The commutation test,
-    d o g = g o d for the permutation g of each generator image, runs on
-    root permutations; that is exact because the roots span the
-    characters over Q.
+    diagram map of B that commutes with Gamma.  D^Gamma is listed
+    without D: the node matchings are cut where they fail to commute
+    with Gamma on the base (``cartan_matchings``), and the commutation
+    test, d o g = g o d for the permutation g of each generator image,
+    still runs on root permutations; that is exact because the roots
+    span the characters over Q.
 
     Why the order is |W^Gamma| |D^Gamma|: the product map
     (w, d) -> w.d is onto, and one to one because w.d = w'.d' makes
     w'^-1 w = d' d^-1 a Weyl element fixing B, the identity by simple
     transitivity.  W^Gamma is normal (f w f^-1 is a Weyl element that
     commutes with Gamma), so Aut^Gamma is the semidirect product."""
+    weyl, diagram = _automorphism_factors(based, commuting_with)
+    return WeylGroup(based.datum, None, weyl.generators + diagram,
+                     order=len(weyl) * len(diagram))
+
+
+def _automorphism_factors(based, commuting_with=None):
+    """(W^Gamma, D^Gamma) of ``equivariant_automorphism_group``: the
+    fixed Weyl group as a ``WeylGroup``, and the diagram maps of the
+    action's base that commute with the action, as root permutations.
+    Refuses as that function does."""
     datum = based.datum
     if not datum.is_semisimple:
         raise UnsupportedDatumError(
@@ -285,11 +297,9 @@ def equivariant_automorphism_group(based, commuting_with=None):
                 else fixed_weyl(commuting_with))
     except EnumerationOverflow:   # then the group, which holds it, passes the bound too
         raise EnumerationOverflow(f"automorphism group exceeds {WEYL_BOUND} elements") from None
-    diagram = [d for d in _diagram_maps(b, b, bounded=commuting_with is None)
-               if all(compose(d, g) == compose(g, d) for g in gammas)]
+    diagram = _diagram_maps(b, b, lambda: len(weyl), gammas)
     _refuse_group_order(len(weyl) * len(diagram))
-    return WeylGroup(datum, None, weyl.generators + tuple(diagram),
-                     order=len(weyl) * len(diagram))
+    return weyl, diagram
 
 
 def _refuse_group_order(order):
@@ -299,7 +309,7 @@ def _refuse_group_order(order):
         raise EnumerationOverflow(f"automorphism group exceeds {WEYL_BOUND} elements")
 
 
-def _diagram_maps(based1, based2, bounded=False):
+def _diagram_maps(based1, based2, weyl_order=None, commuting=()):
     """The root-index map of every lattice isomorphism of the characters
     that carries the base of based1 onto the base of based2 with Cartan
     entries preserved, is integral with determinant +-1, maps the roots
@@ -309,41 +319,54 @@ def _diagram_maps(based1, based2, bounded=False):
     The root map names the isomorphism, as the roots span the
     characters over Q, and no caller reads the matrices.
 
-    With ``bounded`` the maps D are those of an isomorphism search or
-    of an automorphism group with no action, whose W.D elements are as
-    many as the automorphisms of the datum of based2, W its Weyl group
-    (see ``equivariant_isomorphic``).  So the listing stops with
-    EnumerationOverflow once |W| times the maps listed passes
-    ``WEYL_BOUND``: A1^8, with 256 Weyl elements and 8! = 40320 maps,
-    is refused after 3 907 of them.  W is closed (``weyl_group``) once a
-    first map is listed, so a pair with no map closes none.
+    With ``commuting``, root permutations of automorphisms that
+    stabilize the base of based1 = based2, only the maps d with
+    d o g = g o d for each g are listed (D^Gamma), and D is not: their
+    node matchings are the ones that commute with the node permutations
+    of the g (``cartan_matchings``), as d o g and g o d are lattice maps
+    that agree on all roots once they agree on the base.
+
+    With ``weyl_order``, a function giving the order of the Weyl part W
+    of the group W.D the maps D make (W(datum of based2) for an
+    isomorphism search or a group with no action, W^Gamma with one),
+    the listing stops with EnumerationOverflow once that order times the
+    maps listed passes ``WEYL_BOUND``: A1^8, with 256 Weyl elements and
+    8! = 40320 maps, is refused after 3 907 of them.  The function is
+    called once a first map is listed, so a pair with no map closes no
+    Weyl group.
 
     When both sides are the same datum the list is cached on it, keyed
-    by the two bases, and the cached list is returned; a listing that
+    by the two bases, and by ``commuting`` too when it is given, so a
+    reader of the full list never meets a filtered one; a listing that
     stops is not cached."""
     d1, d2 = based1.datum, based2.datum
     kept = d1._diagram_maps if d1 is d2 else {}
-    key = (based1.base, based2.base)
+    key = (based1.base, based2.base) + ((commuting,) if commuting else ())
     if key not in kept:
         found, order = [], None
-        for matched in _find_diagram_maps(based1, based2):
-            found.append(matched)
-            if bounded:
-                order = order or len(weyl_group(d2))
+        for matched in _find_diagram_maps(based1, based2, commuting):
+            if all(compose(matched[1], g) == compose(g, matched[1]) for g in commuting):
+                found.append(matched)
+            if weyl_order is not None:
+                order = order or weyl_order()
                 _refuse_group_order(order * len(found))
         kept[key] = tuple(m for _, m in sorted(found, key=itemgetter(0)))
     return kept[key]
 
 
-def _find_diagram_maps(based1, based2):
+def _find_diagram_maps(based1, based2, commuting=()):
     """(node matching, root map) for each map of ``_diagram_maps``,
-    lazily, in the order ``cartan_matchings`` meets the matchings.  The
-    matrix m sending the base of based1 onto the matched simple roots of
-    based2 is solved once per matching, and the rest is walked from the
-    base (``_walk_automorphism``), which checks the coroots of the base
-    and reaches every root."""
+    lazily, in the order ``cartan_matchings`` meets the matchings, cut
+    to those commuting with the node permutations of the root
+    permutations ``commuting`` on the base of based1.  The matrix m
+    sending the base of based1 onto the matched simple roots of based2
+    is solved once per matching, and the rest is walked from the base
+    (``_walk_automorphism``), which checks the coroots of the base and
+    reaches every root."""
+    node = {r: k for k, r in enumerate(based1.base)}
+    nodes = [tuple(node[g[r]] for r in based1.base) for g in commuting]
     adj, d0 = adjugate_and_det(transpose(based1.simple_roots))
-    for perm in cartan_matchings(based1.cartan_matrix(), based2.cartan_matrix()):
+    for perm in cartan_matchings(based1.cartan_matrix(), based2.cartan_matrix(), nodes):
         target = transpose(tuple(based2.simple_roots[j] for j in perm))
         m = exact_quotient(mat_mul(target, adj), d0)
         if m is not None and abs(det(m)) == 1:
@@ -493,6 +516,13 @@ def _cobounders(cocycle, cobounding_group):
                                      [_annihilator_block(star.datum, k.on_characters)])]
         if None in kappas:
             raise ValueError("map does not permute the roots")
+    return _cobound_steps(star, kappas)
+
+
+def _cobound_steps(star, kappas):
+    """One map per root permutation k in ``kappas``, sending the value
+    permutations of a cocycle c against the star action ``star`` to
+    those of s -> k^-1 . c(s) . s*(k) (see ``_cobounders``)."""
     conjugations = [_conjugation(q) for q in star.root_perms]
 
     def step(k):
@@ -543,10 +573,17 @@ def h1_classes(cocycles, cobounding_group, module_group=()):
         if maps is None:
             maps = steps[id(c.star_action)] = _cobounders(c, cobounding_group)
         orbit = closure([c.value_perms], maps)
-        members = sorted(i for p in orbit for i in positions.pop(p, ()))
-        classes.append(tuple(sorted((cocycles[i] for i in members),
-                                    key=StarCocycle.sort_key)))
-    classes.sort(key=lambda cls: cls[0].sort_key())
+        classes.append([cocycles[i] for i in sorted(i for p in orbit
+                                                      for i in positions.pop(p, ()))])
+    return _class_set(module_group, cobounding_group, cocycles, classes)
+
+
+def _class_set(module_group, cobounding_group, cocycles, parts):
+    """The ``CohomologyClassSet`` of the lists of cocycles ``parts``:
+    each class sorted by ``StarCocycle.sort_key``, and the classes by
+    their least members, which are the representatives."""
+    classes = sorted((tuple(sorted(part, key=StarCocycle.sort_key)) for part in parts),
+                     key=lambda cls: cls[0].sort_key())
     return CohomologyClassSet(
         module_group=module_group,
         cobounding_group=cobounding_group,
@@ -584,7 +621,8 @@ def h1_with_image(based, galois_action, gamma_action=None):
     The second partition is made when the report's ``image_classes`` is
     first read: it needs the automorphism group, which
     ``equivariant_automorphism_group`` computes for semisimple data only,
-    and the module classes do not."""
+    and the module classes do not.  It joins the module classes under
+    D^Gamma (``_join_classes``) rather than closing Z1 again."""
     if gamma_action is not None:
         if not actions_commute(galois_action, gamma_action):
             raise InvalidActionError("Galois and folding actions must commute")
@@ -599,11 +637,62 @@ def h1_with_image(based, galois_action, gamma_action=None):
     else:
         module = weyl_group(based.datum, base=based.base)
     cocycles = z1_enumerate(galois_action.group, star_act, module)
+    module_classes = h1_classes(cocycles, module, module_group=module)
 
     def image_classes():
         auts = equivariant_automorphism_group(based, commuting_with=gamma_action)
-        return h1_classes(cocycles, auts, module_group=module)
-    return H1Report(h1_classes(cocycles, module, module_group=module), image_classes)
+        # its generators are those of the module, W^Gamma, then D^Gamma
+        diagram = auts.generators[len(module.generators):]
+        return _join_classes(module_classes, auts, _cobound_steps(star_act, diagram))
+    return H1Report(module_classes, image_classes)
+
+
+def _join_classes(module_classes, auts, steps):
+    """The partition of Z1(Gal, W^Gamma) by Aut^Gamma = W^Gamma x| D^Gamma
+    (``auts``), read off its W^Gamma classes ``module_classes``: a
+    union-find over the class indices joins class i with the class of
+    c_i . d, for c_i the first member of class i and each d of D^Gamma
+    whose cobound ``steps`` gives a listed cocycle; one cobound per class
+    and map.
+
+    Why this is the partition.  Let L be the listed cocycles, all of
+    Z1(Gal, W^Gamma), and write k in Aut^Gamma as k = w d, w in W^Gamma,
+    d in D^Gamma.  c.w is in L for c in L (the star images commute with
+    Gamma, so they normalize W^Gamma), and c.k = (c.w).d.  For d in
+    D^Gamma, (c.d)(s) = (d^-1 c(s) d) . u_s with u_s = d^-1 s*(d):
+    the first factor is in W^Gamma, as d normalizes W and commutes with
+    Gamma, and u_s stabilizes the base, as d and s* do.  So c.d is
+    W-valued exactly when every u_s = 1, the only Weyl element that
+    stabilizes the base, whatever c is: the d with c.d in L form one
+    subgroup D* of D^Gamma, for every c at once.  Hence the orbit of c
+    meets L in the union over d in D* of (c.W^Gamma).d, which is the
+    class of c.d, as (c.w).d = (c.d).(d^-1 w d) and d^-1 W^Gamma d =
+    W^Gamma (normality; see ``equivariant_automorphism_group``).  So the
+    classes of c.d for d in D* are those joined to the class of c, by
+    one representative, since any other member c.w gives the same
+    classes, and D* is a group, so the joins are already transitive.  A
+    d outside D* gives value permutations outside L, which are not
+    found: tuples of value permutations name the cocycles on
+    semisimple data (see ``_cobounders``)."""
+    classes = module_classes.classes
+    where = {c.value_perms: i for i, members in enumerate(classes) for c in members}
+    parent = list(range(len(classes)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, members in enumerate(classes):
+        for step in steps:
+            j = where.get(step(members[0].value_perms))
+            if j is not None:
+                parent[find(i)] = find(j)
+    joined = {}
+    for i, members in enumerate(classes):
+        joined.setdefault(find(i), []).extend(members)
+    return _class_set(module_classes.module_group, auts, module_classes.cocycles,
+                      joined.values())
 
 
 @record
@@ -710,6 +799,19 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2):
     (``weyl_group``) when that order is built; an order kept on the
     datum is used as it is, as no closure runs.
 
+    When both sides are one datum and some nontrivial paired action is
+    based on it with equal root permutations on both sides (an ``h1``
+    pass pairs the same Gamma on both), only the group
+    A = W^Gamma x| D^Gamma of the automorphisms commuting with that
+    action is ranked (``_automorphism_factors``), by the same key, and W
+    is not closed.  (For a trivial action A is all of Aut, which the
+    search over W.D ranks from the caches of the datum.)
+    That returns the same map: every equivariant F has
+    F o pi(g) = pi(g) o F for that action pi, so it lies in A, and the
+    least key over the equivariant F in A is the least over all of
+    them.  The ranked list is kept on the datum under the canonical base
+    and the action's ``generator_perms``, which determine A.
+
     Equivariance, F o pi1(g) = pi2(g) o F for the root maps of the
     generators g of each paired group, is checked on base1 only, which
     is exact because both data are semisimple: both sides are lattice
@@ -726,7 +828,8 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2):
     cycle type.  So every refused pair has no isomorphism.
 
     The candidates are as many as the automorphisms of datum2, |W| |D|
-    for the D maps listed, and a search with more than ``WEYL_BOUND``
+    for the D maps listed (|W^Gamma| |D^Gamma| with a shared action),
+    and a search with more than ``WEYL_BOUND``
     raises EnumerationOverflow ("automorphism group exceeds ...
     elements"), as ``equivariant_automorphism_group`` does for the same
     group; the listing of D stops as soon as the bound is passed
@@ -748,22 +851,29 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2):
              for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
 
     base1 = canonical_base(datum1)
+    shared = next((a1 for a1, a2 in zip(actions1, actions2)
+                   if datum1 is datum2 and a1.is_based and a1.datum is datum1
+                   and a1.generator_perms and a1.root_perms == a2.root_perms), None)
+    key = (base1, shared.generator_perms if shared is not None else ())
     orders = datum1._search_orders if datum1 is datum2 else {}
-    if base1 not in orders:
-        held = datum1._diagram_maps.values() if datum1 is datum2 else ()
-        maps = next((m for m in held if m), None) or _diagram_maps(
-            BasedRootDatum(datum1, base1), BasedRootDatum(datum2, canonical_base(datum2)),
-            bounded=True)
-        if not maps:
-            return None
-        weyl = weyl_group(datum2)
-        _refuse_group_order(len(weyl) * len(maps))
-        orders[base1] = _search_order(datum1, weyl, maps)
+    if key not in orders:
+        if shared is not None:
+            weyl, maps = _automorphism_factors(shared.target, shared)
+        else:
+            held = datum1._diagram_maps.items() if datum1 is datum2 else ()
+            maps = next((m for k, m in held if len(k) == 2 and m), None) or _diagram_maps(
+                BasedRootDatum(datum1, base1), BasedRootDatum(datum2, canonical_base(datum2)),
+                lambda: len(weyl_group(datum2)))
+            if not maps:
+                return None
+            weyl = weyl_group(datum2)
+            _refuse_group_order(len(weyl) * len(maps))
+        orders[key] = _search_order(datum1, weyl, maps)
     # per pair: F -> (F o pi1(g))(base1), and pi2(g) to read at F(base1)
     n = len(datum2.roots)
     checks = [(permutation_getter(as_permutation([p1[i] for i in base1], n)), p2)
               for p1, p2 in pairs]
-    for f, on_base in orders[base1]:
+    for f, on_base in orders[key]:
         if all(before(f) == compose(p2, on_base) for before, p2 in checks):
             return _isomorphism(datum1, datum2, f)
     return None
@@ -774,8 +884,8 @@ def _search_order(datum1, weyl, maps):
     ``weyl`` (W of the second datum) and m in ``maps``, in search order,
     as (root index map F of w o m, images F(base1) of the canonical base
     of ``datum1``), sorted by (sorted F(P), F(base1)) with P the
-    canonical positive system of ``datum1``.  When both sides are the
-    same datum the order is cached on it, keyed by the canonical base."""
+    canonical positive system of ``datum1``.  ``weyl`` may also be
+    W^Gamma with ``maps`` D^Gamma, for the candidates in Aut^Gamma."""
     n = len(weyl.datum.roots)
     on_positive = permutation_getter(as_permutation(sorted(positive_system(datum1)), n))
     on_base = permutation_getter(as_permutation(canonical_base(datum1), n))

@@ -74,6 +74,27 @@ def test_handed_reflections_and_their_closed_cache_are_the_direct_ones(spec, mon
         assert perm == _reflection_permutation(datum, k)
 
 
+@pytest.mark.parametrize("spec", SIMPLE_TYPES + BC_TYPES + PRODUCTS)
+def test_handed_positive_system_is_the_solved_one(spec, monkeypatch):
+    walks = []
+    monkeypatch.setattr(rootdatum_module, "_walk_base", lambda b: walks.append(b))
+    based = from_cartan_type(spec)
+    datum = based.datum
+    assert datum._based_positive_systems == {based.base: solved_positive_system(based)}
+    assert based.positive_system is datum._based_positive_systems[based.base]
+    assert walks == []
+
+
+def test_an_unbased_action_on_a_fresh_datum_needs_no_canonical_base():
+    # the E8 x E8 factor swap is walked from the construction base
+    based = from_cartan_type("E8:sc x E8:sc")
+    swap = tuple(tuple(int(j == (i + 8) % 16) for j in range(16)) for i in range(16))
+    action = make_action(based.datum, [(swap, 1)], group=FiniteGroup.cyclic(2))
+    assert "_canonical_system" not in vars(based.datum)
+    assert tuple(action.root_perms[1]) == tuple(
+        based.datum.index_of(tuple(r[8:] + r[:8])) for r in based.datum.roots)
+
+
 def test_construction_refuses_a_coroot_the_simple_reflections_do_not_carry():
     e1, e2 = (1, 0), (0, 1)
     # s_1(e_1) = -e_1, whose recorded coroot (0, -2) is not s_1(2 e_1)

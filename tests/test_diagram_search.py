@@ -1,9 +1,11 @@
 """The Dynkin-diagram search and its bound, each against what it
 replaces: ``cartan_matchings`` against the scan of every node
 permutation, on shuffled Cartan matrices of every type up to rank 6 and
-on irreducible types of rank 10 to 16; and the isomorphism search,
-which refuses a search whose candidates pass ``WEYL_BOUND`` before it
-lists them all."""
+on irreducible types of rank 10 to 16, also cut to the matchings that
+commute with diagram automorphisms; the isomorphism search, which
+refuses a search whose candidates pass ``WEYL_BOUND`` before it lists
+them all; and Aut^Gamma of A1^8 under an 8-cycle, listed and searched
+without the 8! maps of its diagram."""
 
 import random
 import time
@@ -12,9 +14,10 @@ from itertools import permutations
 import pytest
 
 import rootfold.twist as twist_module
+from rootfold.action import FiniteGroup, make_action
 from rootfold.cli import document_object, emit_document
 from rootfold.errors import EnumerationOverflow
-from rootfold.lattice import identity_matrix
+from rootfold.lattice import identity_matrix, mat_mul, mat_vec
 from rootfold.rootdatum import (
     BasedRootDatum,
     _closure_from_simples,
@@ -24,10 +27,12 @@ from rootfold.rootdatum import (
     classify,
     from_cartan_type,
     identity_permutation,
+    positive_system,
 )
 from rootfold.twist import _diagram_maps, equivariant_automorphism_group, equivariant_isomorphic
 
 from test_cli import run_cli
+from test_isomorphism_reference import cycle
 
 
 def scanned_matchings(c1, c2):
@@ -94,6 +99,28 @@ def test_matchings_are_the_scanned_ones_on_shuffled_pairs_up_to_rank_6():
     assert pairs > 99 and 0 < found < pairs
 
 
+def test_commuting_matchings_are_the_scanned_ones_that_commute():
+    # each diagram automorphism g of a shuffled diagram, alone and with
+    # the next one: the search cut where p o g = g o p first fails keeps
+    # exactly the scanned matchings that commute with them
+    rng = random.Random(3333)
+    checked = 0
+    for rank, types in sorted(cartan_types().items()):
+        for m in types:
+            c = shuffled(m, rng)
+            autos = list(scanned_matchings(c, c))
+            for g, h in zip(autos, autos[1:] + autos[:1]):
+                for gammas in ([g], [g, h]):
+                    got = list(cartan_matchings(c, c, gammas))
+                    assert len(set(got)) == len(got)
+                    assert sorted(got) == [
+                        p for p in autos
+                        if all(tuple(p[x[i]] for i in range(rank))
+                               == tuple(x[p[i]] for i in range(rank)) for x in gammas)]
+                    checked += 1
+    assert checked > 200
+
+
 def test_matrices_of_different_sizes_have_no_matchings():
     assert list(cartan_matchings(cartan_matrix("A", 2), cartan_matrix("A", 3))) == []
 
@@ -157,8 +184,8 @@ def counted_listing(monkeypatch):
     listed = []
     find = twist_module._find_diagram_maps
 
-    def counted(based1, based2):
-        for found in find(based1, based2):
+    def counted(based1, based2, commuting=()):
+        for found in find(based1, based2, commuting):
             listed.append(found)
             yield found
     monkeypatch.setattr(twist_module, "_find_diagram_maps", counted)
@@ -206,3 +233,47 @@ def test_a_pair_with_no_diagram_map_closes_no_weyl_group(monkeypatch):
     sc, ad = (from_cartan_type(f"D4:{tag}").datum for tag in ("sc", "ad"))
     assert equivariant_isomorphic(sc, [], ad, []) is None
 
+
+# ---------------------------------------------------------------------------
+# D^Gamma without D
+
+
+def test_a1_to_the_8_under_an_8_cycle_lists_8_maps_and_answers_shared_searches():
+    # Aut^Gamma is +-1 times the 8 powers of the cycle C: 16 elements,
+    # with 8 diagram maps, which the matching search meets without
+    # listing the 8! maps of the diagram; with gamma on both sides an
+    # isomorphism search ranks these 16, where the 2^8 * 8! candidates of
+    # W.D pass the bound
+    n = 8
+    c = cycle(n)
+    powers = [identity_matrix(n)]
+    for _ in range(n - 1):
+        powers.append(mat_mul(c, powers[-1]))
+    minus = tuple(tuple(-x for x in row) for row in identity_matrix(n))
+    group = powers + [mat_mul(minus, p) for p in powers]
+    based = from_cartan_type(" x ".join(["A1:sc"] * n))
+    datum = based.datum
+    gamma = make_action(based, [(c, "g")])
+    start = time.perf_counter()
+    auts = equivariant_automorphism_group(based, commuting_with=gamma)
+    assert time.perf_counter() - start < 1
+    assert len(auts) == 16
+    assert len(datum._diagram_maps[(based.base,) * 2 + (gamma.generator_perms,)]) == 8
+    assert {a.on_characters for a in auts} == set(group)
+
+    # Z/2 by the half turn C^4 on both sides: the least key over the 16,
+    # all of which commute with C^4; against -C^4: none, as every element
+    # of the group commutes with C^4
+    half, other = (make_action(datum, [(m, 1)], group=FiniteGroup.cyclic(2))
+                   for m in (powers[4], group[12]))
+    positive, base = sorted(positive_system(datum)), canonical_base(datum)
+
+    def key(m):
+        f = [datum.index_of(mat_vec(m, r)) for r in datum.roots]
+        return sorted(f[i] for i in positive), [f[i] for i in base]
+
+    start = time.perf_counter()
+    found = equivariant_isomorphic(datum, [gamma, half], datum, [gamma, half])
+    assert found.on_characters == min(group, key=key)
+    assert equivariant_isomorphic(datum, [half, gamma], datum, [other, gamma]) is None
+    assert time.perf_counter() - start < 1

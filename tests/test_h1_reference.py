@@ -2,9 +2,12 @@
 
 ``reference_cobound`` and ``reference_h1_classes`` are the earlier
 matrix versions of ``cobound`` and ``h1_classes``: every coboundary is
-formed from character matrices and classes are merged by matrix keys.
-The only change is that the inverses of kappa and of the star images
-are computed once instead of once per coboundary.
+formed from character matrices and classes are read off matrix keys.
+The changes are that the inverses of kappa and of the star images are
+computed once instead of once per coboundary, and that each class is
+the orbit of one member under the whole group rather than the merge of
+every member with each of its coboundaries (the same classes, as the
+cobounding group is a group).
 """
 
 import pytest
@@ -52,32 +55,28 @@ def reference_cobound(cocycle, kappa, kinv, star_inverses):
 
 
 def reference_h1_classes(cocycles, cobounding_group):
-    """Classes as sorted tuples of sort keys, merged by matrix keys."""
+    """Classes as sorted tuples of sort keys, read off matrix keys: the
+    class of a cocycle c not yet placed is every listed c.kappa, for
+    kappa over the whole cobounding group K, as K is a group and the
+    class is the orbit of c under it."""
     cocycles = tuple(cocycles)
     index = {c.sort_key(): i for i, c in enumerate(cocycles)}
-    parent = list(range(len(cocycles)))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     kinvs = [kappa.inverse().on_characters for kappa in cobounding_group]
     inverses = {}
-    for i, c in enumerate(cocycles):
+    placed = set()
+    groups = []
+    for c in cocycles:
+        if c.sort_key() in placed:
+            continue
         star = c.star_action.images
         if star not in inverses:
             inverses[star] = [s.inverse().on_characters for s in star]
-        for kappa, kinv in zip(cobounding_group, kinvs):
-            j = index.get(reference_cobound(c, kappa, kinv, inverses[star]))
-            if j is not None:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(len(cocycles)):
-        groups.setdefault(find(i), []).append(cocycles[i].sort_key())
-    return sorted(tuple(sorted(g)) for g in groups.values())
+        orbit = {reference_cobound(c, kappa, kinv, inverses[star])
+                 for kappa, kinv in zip(cobounding_group, kinvs)}
+        members = sorted(k for k in orbit if k in index)
+        placed.update(members)
+        groups.append(tuple(members))
+    return sorted(groups)
 
 
 def classes_of(class_set):
@@ -453,3 +452,41 @@ def test_lazy_images_match_matrix_products_on_tori(name):
     matrices = {c.value_perms: m for c, m in values.values()}
     assert_star_and_twists(based, galois, star_act, [c for c, _ in values.values()],
                            lambda c: matrices[c.value_perms])
+
+
+# ---------------------------------------------------------------------------
+# image classes joined from the module classes
+
+
+def fold_gamma_cases():
+    """The Gamma of every ``FOLD_TABLE`` fold, with the Galois group Z/2
+    acting trivially and by -1."""
+    from rootfold.selftest import FOLD_TABLE
+    return [(f"{name}, Galois {label}", spec, galois, builder())
+            for name, spec, builder, *_ in FOLD_TABLE
+            for label, galois in (("trivial", identity_matrix), ("-1", neg))]
+
+
+FOLD_GAMMA_CASES = fold_gamma_cases()
+
+
+@pytest.mark.parametrize("case", H1_CASES + FOLD_GAMMA_CASES,
+                         ids=[c[0] for c in H1_CASES + FOLD_GAMMA_CASES])
+def test_image_classes_join_to_the_closed_and_the_matrix_partition(case):
+    # the report joins its module classes under D^Gamma; closing all of
+    # Z1 under Aut^Gamma, by permutations and by matrices, must agree
+    _, spec, galois_matrix, gamma_matrix = case
+    based = from_cartan_type(spec)
+    datum = based.datum
+    galois = make_action(datum, [(galois_matrix(datum.rank), 1)],
+                         group=FiniteGroup.cyclic(2))
+    gamma = None if gamma_matrix is None else make_action(based, [(gamma_matrix, "s")])
+    report = h1_with_image(based, galois, gamma_action=gamma)
+    cocycles = report.module_classes.cocycles
+    auts = equivariant_automorphism_group(based, commuting_with=gamma)
+    closed = h1_classes(cocycles, auts)
+    image = report.image_classes
+    assert image.classes == closed.classes
+    assert image.representatives == closed.representatives
+    assert image.cocycles == cocycles
+    assert classes_of(image) == reference_h1_classes(cocycles, tuple(auts))

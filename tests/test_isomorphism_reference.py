@@ -246,9 +246,10 @@ def class_pairs(case):
 @pytest.mark.parametrize("case", H1_CASES, ids=[c[0] for c in H1_CASES])
 def test_class_pairs_match_reference_with_or_without_kept_diagram_maps(case, warm):
     # cold: no automorphism group was made, so the search lists the maps
-    # of the canonical bases; warm: it reuses those the group left for
-    # the document base, which differs from the canonical one on B2, G2,
-    # A3, B3, C3 and A4
+    # of the canonical bases, or with gamma on both sides those of
+    # gamma's base that commute with gamma; warm: it reuses those the
+    # group left for the document base, which differs from the canonical
+    # one on B2, G2, A3, B3, C3 and A4
     pairs = class_pairs(case)
     based, galois, gamma = build_case(case)
     datum = based.datum
@@ -267,8 +268,11 @@ def test_class_pairs_match_reference_with_or_without_kept_diagram_maps(case, war
     # the search listed diagram maps only when the datum held none
     if warm:
         assert datum._diagram_maps.keys() == held.keys()
-    else:
+    elif gamma is None:
         assert set(datum._diagram_maps) <= {(canonical_base(datum),) * 2}
+    else:
+        assert set(datum._diagram_maps) == {
+            (gamma.target.base,) * 2 + (gamma.generator_perms,)}
     for (c1, c2, same), iso in zip(pairs, found):
         assert key(iso) == assert_isomorphic_matches(datum, twists[c1], datum, twists[c2])
         assert (iso is not None) == same
@@ -311,3 +315,30 @@ def test_d4_triality_with_gamma_matches_reference():
     twists = twisted_actions(based, z2(based.datum, neg(4)), gamma)
     for t in twists:
         assert_isomorphic_matches(based.datum, twists[0], based.datum, t)
+
+
+def cycle(n):
+    """The matrix moving coordinate i to i + 1 mod n."""
+    return tuple(tuple(int(i == (j + 1) % n) for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_a1_powers_under_a_cycle_match_reference(k):
+    # Aut^Gamma is +-1 times the powers of the cycle; every search pairs
+    # gamma on both sides, so it ranks Aut^Gamma alone
+    based = from_cartan_type(" x ".join(["A1:sc"] * k))
+    gamma = make_action(based, [(cycle(k), "g")])
+    assert len(assert_group_matches(based, gamma)) == 2 * k
+    datum = based.datum
+    # Z/2 by 1, by -1 and, for even k, by the half turn and its negative
+    matrices = [identity_matrix(k), neg(k)]
+    if k % 2 == 0:
+        half = cycle(k)
+        for _ in range(k // 2 - 1):
+            half = mat_mul(half, cycle(k))
+        matrices += [half, mat_mul(neg(k), half)]
+    twists = [t for m in matrices for t in twisted_actions(based, z2(datum, m), gamma)]
+    assert len(twists) > len(matrices)
+    for t1 in twists:
+        for t2 in twists:
+            assert_isomorphic_matches(datum, t1, datum, t2)

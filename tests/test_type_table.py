@@ -48,7 +48,10 @@ REFUSALS = {
     "a2": "bad type token 'a2' in 'a2'",
     "BC2:sc": "BC types take no isogeny tag ('BC2:sc')",
     "BC2:": "BC types take no isogeny tag ('BC2:')",
-    "A2:xx": "bad type token '' in 'A2:xx'",
+    # an "x" splits the factors only where a capital letter follows
+    "A2:xx": "unknown isogeny tag 'xx' (expected sc or ad)",
+    "A2:sx": "unknown isogeny tag 'sx' (expected sc or ad)",
+    "xA1": "bad type token '' in 'xA1'",
     "A2:qq": "unknown isogeny tag 'qq' (expected sc or ad)",
 }
 
