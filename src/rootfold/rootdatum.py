@@ -238,15 +238,16 @@ class RootDatum:
 
     @cached_property
     def _diagram_maps(self):
-        # filled by ``twist._diagram_maps`` for pairs of bases of this
-        # datum, keyed by the two bases
+        # filled by ``twist._diagram_maps``, keyed by the base, and by the
+        # commuting permutations when they cut the list
         return {}
 
     @cached_property
     def _search_orders(self):
-        # filled by ``twist.equivariant_isomorphic`` with the one list of
+        # filled by ``twist.equivariant_isomorphic`` with the ranked
         # candidate isomorphisms of this datum onto itself, keyed by the
-        # canonical base
+        # generator permutations of the action whose automorphisms they
+        # are, or () for all of them
         return {}
 
 
@@ -489,11 +490,8 @@ def _walk_automorphism(source, matrix, target=None):
     ``target`` and its coroot onto the image root's coroot;
     InvalidActionError naming the base when the walk misses a root.
 
-    A ``BasedRootDatum`` is walked from its base.  A ``RootDatum`` is
-    walked from a base it already holds a walk for
-    (``RootDatum._based_positive_systems``), or else from
-    ``canonical_base``: p does not depend on the base, only the cost
-    does, and the canonical base of a fresh datum costs |P|^2 root sums.
+    A ``BasedRootDatum`` is walked from its base, a ``RootDatum`` from
+    ``held_base``: p does not depend on the base, only the cost does.
 
     Write (a_m, c_m) for the root pairs of the source, with the pairing
     <x, y>1 = x^T P1 y, and (b_k, d_k) for those of the target, with
@@ -526,10 +524,7 @@ def _walk_automorphism(source, matrix, target=None):
     if isinstance(source, BasedRootDatum):
         datum, base = source.datum, source.base
     else:
-        datum = source
-        base = next(iter(datum._based_positive_systems), None)
-        if base is None:
-            base = canonical_base(datum)
+        datum, base = source, held_base(source)
     target = datum if target is None else target
     back = transpose(matrix)
     perm = [None] * len(datum.roots)
@@ -983,6 +978,15 @@ def base_of(datum, system):
 def canonical_base(datum):
     """The base of the canonical positive system.  Cached on the datum."""
     return datum._canonical_system[1]
+
+
+def held_base(datum):
+    """The first base the datum holds a walk for
+    (``RootDatum._based_positive_systems``), else ``canonical_base``: the
+    base to walk from when any base will do, as the canonical base of a
+    fresh datum costs |P|^2 root sums."""
+    base = next(iter(datum._based_positive_systems), None)
+    return canonical_base(datum) if base is None else base
 
 
 def is_positive_system(datum, system):

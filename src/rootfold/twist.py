@@ -50,6 +50,7 @@ from .rootdatum import (
     cartan_matchings,
     closure,
     compose,
+    held_base,
     identity_permutation,
     permutation_getter,
     positive_system,
@@ -264,10 +265,9 @@ def equivariant_automorphism_group(based, commuting_with=None):
     g w g^-1 = w: w is in W^Gamma.  So f = w.d with d = w^-1 f a
     diagram map of B that commutes with Gamma.  D^Gamma is listed
     without D: the node matchings are cut where they fail to commute
-    with Gamma on the base (``cartan_matchings``), and the commutation
-    test, d o g = g o d for the permutation g of each generator image,
-    still runs on root permutations; that is exact because the roots
-    span the characters over Q.
+    with Gamma on the base (``cartan_matchings``), which decides it, as
+    d o g and g o d are lattice maps that agree on all roots once they
+    agree on the base (see ``_diagram_maps``).
 
     Why the order is |W^Gamma| |D^Gamma|: the product map
     (w, d) -> w.d is onto, and one to one because w.d = w'.d' makes
@@ -297,7 +297,7 @@ def _automorphism_factors(based, commuting_with=None):
                 else fixed_weyl(commuting_with))
     except EnumerationOverflow:   # then the group, which holds it, passes the bound too
         raise EnumerationOverflow(f"automorphism group exceeds {WEYL_BOUND} elements") from None
-    diagram = _diagram_maps(b, b, lambda: len(weyl), gammas)
+    diagram = _diagram_maps(b, len(weyl), gammas)
     _refuse_group_order(len(weyl) * len(diagram))
     return weyl, diagram
 
@@ -309,56 +309,56 @@ def _refuse_group_order(order):
         raise EnumerationOverflow(f"automorphism group exceeds {WEYL_BOUND} elements")
 
 
-def _diagram_maps(based1, based2, weyl_order=None, commuting=()):
-    """The root-index map of every lattice isomorphism of the characters
-    that carries the base of based1 onto the base of based2 with Cartan
-    entries preserved, is integral with determinant +-1, maps the roots
-    onto the roots and each coroot onto the coroot of the image root
+def _diagram_maps(based, weyl_order=None, commuting=()):
+    """The root permutation of every automorphism of the datum that
+    carries the base onto itself with Cartan entries preserved, is
+    integral with determinant +-1, maps the roots onto the roots and
+    each coroot onto the coroot of the image root
     (``_find_diagram_maps``), in the lexicographic order of their node
-    matchings; both data must be semisimple with equally many roots.
-    The root map names the isomorphism, as the roots span the
-    characters over Q, and no caller reads the matrices.
+    matchings; the datum must be semisimple.  The root permutation names
+    the automorphism, as the roots span the characters over Q, and no
+    caller reads the matrices.
 
     With ``commuting``, root permutations of automorphisms that
-    stabilize the base of based1 = based2, only the maps d with
-    d o g = g o d for each g are listed (D^Gamma), and D is not: their
-    node matchings are the ones that commute with the node permutations
-    of the g (``cartan_matchings``), as d o g and g o d are lattice maps
-    that agree on all roots once they agree on the base.
+    stabilize the base, only the maps d with d o g = g o d for each g
+    are listed (D^Gamma), and D is not: their node matchings are the
+    ones that commute with the node permutations of the g
+    (``cartan_matchings``), and that decides it, as d o g and g o d are
+    lattice maps that agree on all roots once they agree on the base.
 
-    With ``weyl_order``, a function giving the order of the Weyl part W
-    of the group W.D the maps D make (W(datum of based2) for an
-    isomorphism search or a group with no action, W^Gamma with one),
-    the listing stops with EnumerationOverflow once that order times the
-    maps listed passes ``WEYL_BOUND``: A1^8, with 256 Weyl elements and
-    8! = 40320 maps, is refused after 3 907 of them.  The function is
-    called once a first map is listed, so a pair with no map closes no
-    Weyl group.
+    With ``weyl_order``, the order of the Weyl part W of the group W.D
+    the maps D make (W with no action, W^Gamma with one), the listing
+    stops with EnumerationOverflow once that order times the maps listed
+    passes ``WEYL_BOUND``: A1^8, with 256 Weyl elements and 8! = 40320
+    maps, is refused after 3 907 of them.
 
-    When both sides are the same datum the list is cached on it, keyed
-    by the two bases, and by ``commuting`` too when it is given, so a
-    reader of the full list never meets a filtered one; a listing that
-    stops is not cached."""
-    d1, d2 = based1.datum, based2.datum
-    kept = d1._diagram_maps if d1 is d2 else {}
-    key = (based1.base, based2.base) + ((commuting,) if commuting else ())
+    The list is cached on the datum, keyed by the base, and by
+    ``commuting`` too when it is given, so a reader of the full list
+    never meets a filtered one; a listing that stops is not cached."""
+    kept = based.datum._diagram_maps
+    key = (based.base,) + ((commuting,) if commuting else ())
     if key not in kept:
-        found, order = [], None
-        for matched in _find_diagram_maps(based1, based2, commuting):
-            if all(compose(matched[1], g) == compose(g, matched[1]) for g in commuting):
-                found.append(matched)
+        found = []
+        for matched in _find_diagram_maps(based, based, commuting):
+            found.append(matched)
             if weyl_order is not None:
-                order = order or weyl_order()
-                _refuse_group_order(order * len(found))
+                _refuse_group_order(weyl_order * len(found))
         kept[key] = tuple(m for _, m in sorted(found, key=itemgetter(0)))
     return kept[key]
 
 
 def _find_diagram_maps(based1, based2, commuting=()):
-    """(node matching, root map) for each map of ``_diagram_maps``,
-    lazily, in the order ``cartan_matchings`` meets the matchings, cut
-    to those commuting with the node permutations of the root
-    permutations ``commuting`` on the base of based1.  The matrix m
+    """(node matching, root map) for each lattice isomorphism of the
+    characters from the datum of based1 to that of based2 that carries
+    the base of based1 onto the base of based2 with Cartan entries
+    preserved, is integral with determinant +-1, maps the roots onto
+    the roots and each coroot onto the coroot of the image root (both
+    data semisimple with equally many roots), lazily, in the order
+    ``cartan_matchings`` meets the matchings, cut to those commuting
+    with the node permutations of the root permutations ``commuting``
+    on the base of based1.  ``_diagram_maps`` sorts those of one base
+    onto itself; ``equivariant_isomorphic`` takes the first one between
+    two data.  The matrix m
     sending the base of based1 onto the matched simple roots of based2
     is solved once per matching, and the rest is walked from the base
     (``_walk_automorphism``), which checks the coroots of the base and
@@ -767,50 +767,49 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2):
     """Search for a lattice isomorphism datum1 -> datum2 commuting with
     the paired actions; the first one found, or None.
 
-    The candidates are the isomorphisms F = w o m, with w in W(datum2)
-    and m a diagram map from a base b of datum1 onto a base b' of datum2
-    (``_diagram_maps``), for any one pair (b, b').  Each isomorphism is
-    one candidate, once: F carries b onto a base of datum2, W(datum2)
-    acts simply transitively on the bases (Bourbaki, Lie groups and Lie
-    algebras, VI 1.5), so F(b) = w(b') for exactly one w, and
-    m = w^-1 o F carries b onto b' with the Cartan entries kept.  So
-    Aut = W . D(b) for any base b when both sides are one datum.  The
-    lattice checks (integral, determinant +-1, roots onto roots,
-    coroots onto the matching coroots) run once per diagram map: w is
-    an automorphism of datum2, so w o m passes them exactly when m
-    does.  When both sides are one datum that already holds the maps of
-    some pair of its bases (``equivariant_automorphism_group`` leaves
-    those of its action's base; like every ``BasedRootDatum``, those
-    bases are taken to be bases, which ``verify_base`` checks), they are
-    used; otherwise the maps from the canonical base of datum1 onto that
-    of datum2.
+    The candidates are the maps F = m0 o a for the automorphisms a of
+    datum1.  m0 is the identity when both sides are one datum, and
+    otherwise the first diagram map ``_find_diagram_maps`` meets from
+    the held base b1 of datum1 onto the held base b2 of datum2
+    (``held_base``); with no such map None is returned before any Weyl
+    group is closed.  Each isomorphism F is one candidate, once:
+    a = m0^-1 o F is an automorphism of datum1, and a -> m0 o a is one
+    to one.  And if some F exists, so does m0: F carries b1 onto a base
+    of datum2, which is w(b2) for exactly one Weyl element w of datum2,
+    as W(datum2) acts simply transitively on the bases (Bourbaki, Lie
+    groups and Lie algebras, VI 1.5), so w^-1 o F carries b1 onto b2
+    with the Cartan entries kept.  The lattice checks (integral,
+    determinant +-1, roots onto roots, coroots onto the matching
+    coroots) run on the diagram maps alone: m0 o a passes them because
+    m0 does and a is an automorphism.
+
+    F is equivariant, F o pi1(g) = pi2(g) o F, exactly when
+    a o pi1(g) = pi2'(g) o a for the action pi2' = m0^-1 o pi2 o m0 of
+    the second group, carried onto datum1.  When some nontrivial paired
+    action pi1 is based on datum1 and equals pi2' (compared on the root
+    permutations of the generators, which decide, as both are actions
+    of one group), every equivariant F has its a in the group
+    A = W^Gamma x| D^Gamma of the automorphisms commuting with pi1
+    (``_automorphism_factors``), and only A is ranked; W is not closed.
+    An ``h1`` pass pairs one Gamma on both sides of one datum, and
+    ``isoclass`` two documents that carry it.  Otherwise A is all of
+    Aut(datum1) = W x| D(b1).
 
     The candidates are tried in the order of a key on F alone,
     (sorted F(P), F(base1)), for P and base1 the canonical positive
     system and base of datum1 (``_search_order``).  F(base1) names F, as
-    the base spans the characters over Q, so the order is total and the
-    same whichever maps listed the candidates: any base's maps give the
-    same first hit.  For a map m from the canonical base onto the
-    canonical base base2 of datum2, m(P) = P2, the canonical positive
+    the base spans the characters over Q, so the order is total, the
+    same whichever m0 and base list the candidates, and ranking A gives
+    the least key over the equivariant F, which all lie in A: every map
+    returned is the one the search over all of Aut gives.  Written
+    F = w o m, with w in W(datum2) and m a diagram map from base1 onto
+    the canonical base base2 of datum2, m(P) = P2, the canonical positive
     system of datum2, as P and P2 are the roots that are nonnegative
-    combinations of base1 and base2; so F(P) = w(P2), and the order is
-    W by its image of P2 in the order of the sorted index lists, then
-    the maps under each w by the images of base1.  W(datum2) is closed
-    (``weyl_group``) when that order is built; an order kept on the
-    datum is used as it is, as no closure runs.
-
-    When both sides are one datum and some nontrivial paired action is
-    based on it with equal root permutations on both sides (an ``h1``
-    pass pairs the same Gamma on both), only the group
-    A = W^Gamma x| D^Gamma of the automorphisms commuting with that
-    action is ranked (``_automorphism_factors``), by the same key, and W
-    is not closed.  (For a trivial action A is all of Aut, which the
-    search over W.D ranks from the caches of the datum.)
-    That returns the same map: every equivariant F has
-    F o pi(g) = pi(g) o F for that action pi, so it lies in A, and the
-    least key over the equivariant F in A is the least over all of
-    them.  The ranked list is kept on the datum under the canonical base
-    and the action's ``generator_perms``, which determine A.
+    combinations of base1 and base2; so F(P) = w(P2), and the order is W
+    by its image of P2 in the order of the sorted index lists, then the
+    maps under each w by the images of base1.  When both sides are one
+    datum the ranked list is kept on it, under the generator
+    permutations of the action whose A it is, or () for all of Aut.
 
     Equivariance, F o pi1(g) = pi2(g) o F for the root maps of the
     generators g of each paired group, is checked on base1 only, which
@@ -827,13 +826,11 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2):
     F o pi1(g) o F^-1 = pi2(g), and conjugate permutations have the same
     cycle type.  So every refused pair has no isomorphism.
 
-    The candidates are as many as the automorphisms of datum2, |W| |D|
-    for the D maps listed (|W^Gamma| |D^Gamma| with a shared action),
-    and a search with more than ``WEYL_BOUND``
-    raises EnumerationOverflow ("automorphism group exceeds ...
-    elements"), as ``equivariant_automorphism_group`` does for the same
-    group; the listing of D stops as soon as the bound is passed
-    (``_diagram_maps``)."""
+    The candidates are as many as the elements of A, and a search with
+    more than ``WEYL_BOUND`` raises EnumerationOverflow ("automorphism
+    group exceeds ... elements"), as ``equivariant_automorphism_group``
+    does for the same group; the listing of D stops as soon as the bound
+    is passed (``_diagram_maps``)."""
     for d in (datum1, datum2):
         if not d.is_semisimple:
             raise UnsupportedDatumError(
@@ -850,26 +847,27 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2):
     pairs = [(a1.root_perms[g], a2.root_perms[g])
              for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
 
-    base1 = canonical_base(datum1)
+    if datum1 is datum2:
+        m0 = identity_permutation(len(datum1.roots))
+    else:
+        m0 = next((m for _, m in _find_diagram_maps(
+            *(BasedRootDatum(d, held_base(d)) for d in (datum1, datum2)))), None)
+        if m0 is None:
+            return None
+    # pi1 = m0^-1 o pi2 o m0, compared as m0 o pi1(g) = pi2(g) o m0
     shared = next((a1 for a1, a2 in zip(actions1, actions2)
-                   if datum1 is datum2 and a1.is_based and a1.datum is datum1
-                   and a1.generator_perms and a1.root_perms == a2.root_perms), None)
-    key = (base1, shared.generator_perms if shared is not None else ())
+                   if a1.is_based and a1.datum is datum1 and a1.generator_perms
+                   and all(compose(m0, a1.root_perms[g]) == compose(a2.root_perms[g], m0)
+                           for g in a1.group.generating_set)), None)
+    key = shared.generator_perms if shared is not None else ()
     orders = datum1._search_orders if datum1 is datum2 else {}
     if key not in orders:
-        if shared is not None:
-            weyl, maps = _automorphism_factors(shared.target, shared)
-        else:
-            held = datum1._diagram_maps.items() if datum1 is datum2 else ()
-            maps = next((m for k, m in held if len(k) == 2 and m), None) or _diagram_maps(
-                BasedRootDatum(datum1, base1), BasedRootDatum(datum2, canonical_base(datum2)),
-                lambda: len(weyl_group(datum2)))
-            if not maps:
-                return None
-            weyl = weyl_group(datum2)
-            _refuse_group_order(len(weyl) * len(maps))
-        orders[key] = _search_order(datum1, weyl, maps)
+        based = shared.target if shared is not None else BasedRootDatum(datum1, held_base(datum1))
+        weyl, maps = _automorphism_factors(based, shared)
+        moved = [compose(m0, w) for w in weyl.perms]   # m0 o w, once per w
+        orders[key] = _search_order(datum1, (compose(mw, d) for d in maps for mw in moved))
     # per pair: F -> (F o pi1(g))(base1), and pi2(g) to read at F(base1)
+    base1 = canonical_base(datum1)
     n = len(datum2.roots)
     checks = [(permutation_getter(as_permutation([p1[i] for i in base1], n)), p2)
               for p1, p2 in pairs]
@@ -879,18 +877,16 @@ def equivariant_isomorphic(datum1, actions1, datum2, actions2):
     return None
 
 
-def _search_order(datum1, weyl, maps):
-    """The candidates w o m of ``equivariant_isomorphic``, for w in
-    ``weyl`` (W of the second datum) and m in ``maps``, in search order,
-    as (root index map F of w o m, images F(base1) of the canonical base
-    of ``datum1``), sorted by (sorted F(P), F(base1)) with P the
-    canonical positive system of ``datum1``.  ``weyl`` may also be
-    W^Gamma with ``maps`` D^Gamma, for the candidates in Aut^Gamma."""
-    n = len(weyl.datum.roots)
+def _search_order(datum1, candidates):
+    """The root index maps F of ``candidates`` (maps datum1 -> datum2)
+    in the search order of ``equivariant_isomorphic``, as (F, images
+    F(base1) of the canonical base of ``datum1``), sorted by
+    (sorted F(P), F(base1)) with P the canonical positive system of
+    ``datum1``."""
+    n = len(datum1.roots)
     on_positive = permutation_getter(as_permutation(sorted(positive_system(datum1)), n))
     on_base = permutation_getter(as_permutation(canonical_base(datum1), n))
-    ranked = sorted((sorted(on_positive(f)), on_base(f), f)
-                    for f in (compose(w, images) for images in maps for w in weyl.perms))
+    ranked = sorted((sorted(on_positive(f)), on_base(f), f) for f in candidates)
     return tuple((f, image) for _, image, f in ranked)
 
 

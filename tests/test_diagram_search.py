@@ -4,15 +4,19 @@ permutation, on shuffled Cartan matrices of every type up to rank 6 and
 on irreducible types of rank 10 to 16, also cut to the matchings that
 commute with diagram automorphisms; the isomorphism search, which
 refuses a search whose candidates pass ``WEYL_BOUND`` before it lists
-them all; and Aut^Gamma of A1^8 under an 8-cycle, listed and searched
-without the 8! maps of its diagram."""
+them all, in the words ``equivariant_automorphism_group`` uses; Aut^Gamma
+of A1^8 under an 8-cycle, listed and searched without the 8! maps of its
+diagram; and ``isoclass`` of two A1^7 documents under a 7-cycle, which
+ranks Aut^Gamma of one datum once the second is carried onto the first."""
 
+import json
 import random
 import time
 from itertools import permutations
 
 import pytest
 
+import rootfold.rootdatum as rootdatum_module
 import rootfold.twist as twist_module
 from rootfold.action import FiniteGroup, make_action
 from rootfold.cli import document_object, emit_document
@@ -146,7 +150,7 @@ def test_diagram_maps_of_rank_16_are_quick(letter):
     datum = hand_built(letter, 16)
     based = BasedRootDatum(datum, canonical_base(datum))
     start = time.perf_counter()
-    maps = _diagram_maps(based, based)
+    maps = _diagram_maps(based)
     assert time.perf_counter() - start < 1
     # the identity and the diagram flip
     assert len(maps) == 2
@@ -180,6 +184,42 @@ def test_isoclass_still_answers_a1_to_the_7(tmp_path):
     assert code == 0 and out.startswith("isomorphic: yes\n")
 
 
+def test_isoclass_of_a1_to_the_7_under_a_7_cycle_ranks_aut_gamma(tmp_path):
+    # the two documents parse to two data; the first diagram map carries
+    # the second onto the first, gamma is shared after that, and the 14
+    # elements of Aut^Gamma are ranked instead of the 645 120 of W.D
+    n = 7
+    based = from_cartan_type(" x ".join(["A1:sc"] * n))
+    gamma = {"role": "gamma", "group": f"cyclic:{n}",
+             "generators": [{"element": 1, "matrix": [list(r) for r in cycle(n)]}]}
+    path = tmp_path / "A1^7-cycle.datum"
+    path.write_text(emit_document(document_object(based.datum, based.base,
+                                                  actions={"gamma": gamma})))
+    action = make_action(based, [(cycle(n), 1)], group=FiniteGroup.cyclic(n))
+    found = equivariant_isomorphic(based.datum, [action], based.datum, [action])
+    start = time.perf_counter()
+    code, out = run_cli("isoclass", str(path), str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, f"isomorphic: yes\ncharacter map: "
+                              f"{json.dumps([list(r) for r in found.on_characters])}\n")
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["one datum", "two data"])
+def test_a_search_past_the_bound_names_the_automorphism_group(cross, monkeypatch):
+    # A3: 24 Weyl elements; the closure refuses under a bound of 10, and
+    # the search and the group say so in the same words
+    based = from_cartan_type("A3:sc")
+    datum = based.datum
+    other = from_cartan_type("A3:sc").datum if cross else datum
+    monkeypatch.setattr(rootdatum_module, "WEYL_BOUND", 10)
+    monkeypatch.setattr(twist_module, "WEYL_BOUND", 10)
+    refusal = "^automorphism group exceeds 10 elements$"
+    with pytest.raises(EnumerationOverflow, match=refusal):
+        equivariant_isomorphic(datum, [], other, [])
+    with pytest.raises(EnumerationOverflow, match=refusal):
+        equivariant_automorphism_group(based)
+
+
 def counted_listing(monkeypatch):
     listed = []
     find = twist_module._find_diagram_maps
@@ -211,7 +251,7 @@ def test_a_search_over_the_bound_stops_listing_and_caches_nothing(monkeypatch):
     listed.clear()
     assert len(equivariant_automorphism_group(based)) == 48
     assert len(listed) == 6
-    assert list(datum._diagram_maps.values()) == [_diagram_maps(based, based)]
+    assert list(datum._diagram_maps.values()) == [_diagram_maps(based)]
     assert equivariant_isomorphic(datum, [], datum, []) is not None
     assert len(listed) == 6
 
@@ -220,7 +260,7 @@ def test_kept_maps_over_the_bound_are_refused_too(monkeypatch):
     # maps listed with no bound, then searched under one
     based = from_cartan_type("A1:sc x A1:sc x A1:sc")
     datum = based.datum
-    assert len(_diagram_maps(based, based)) == 6
+    assert len(_diagram_maps(based)) == 6
     monkeypatch.setattr(twist_module, "WEYL_BOUND", 47)
     with pytest.raises(EnumerationOverflow, match="^automorphism group exceeds 47 elements$"):
         equivariant_isomorphic(datum, [], datum, [])
@@ -258,7 +298,7 @@ def test_a1_to_the_8_under_an_8_cycle_lists_8_maps_and_answers_shared_searches()
     auts = equivariant_automorphism_group(based, commuting_with=gamma)
     assert time.perf_counter() - start < 1
     assert len(auts) == 16
-    assert len(datum._diagram_maps[(based.base,) * 2 + (gamma.generator_perms,)]) == 8
+    assert len(datum._diagram_maps[(based.base, gamma.generator_perms)]) == 8
     assert {a.on_characters for a in auts} == set(group)
 
     # Z/2 by the half turn C^4 on both sides: the least key over the 16,

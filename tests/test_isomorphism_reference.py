@@ -33,17 +33,19 @@ from rootfold.rootdatum import (
     BasedRootDatum,
     DatumAutomorphism,
     WeylGroup,
+    as_permutation,
     base_of,
     canonical_base,
     contragredient,
     from_cartan_type,
+    held_base,
     positive_systems,
     root_permutation,
     weyl_group,
 )
 from rootfold.selftest import node_permutation_matrix
 from rootfold.twist import (
-    _diagram_maps,
+    _find_diagram_maps,
     _search_order,
     equivariant_automorphism_group,
     equivariant_isomorphic,
@@ -126,13 +128,16 @@ def reference_automorphism_group(based, commuting_with=None):
 
 def full_permutation_isomorphic(datum1, actions1, datum2, actions2):
     """The search in ``_search_order``, testing equivariance on every
-    root; permutations are plain tuples here, and the map found is
-    solved from its images of the canonical base."""
+    root, over the candidates w o m for w in W(datum2) and m a diagram
+    map from the canonical base of datum1 onto that of datum2, listed
+    by ``_find_diagram_maps`` and sorted by node matching; permutations
+    are plain tuples here, and the map found is solved from its images
+    of the canonical base."""
     if datum1.rank != datum2.rank or len(datum1.roots) != len(datum2.roots):
         return None
     base1 = canonical_base(datum1)
-    maps = _diagram_maps(BasedRootDatum(datum1, base1),
-                         BasedRootDatum(datum2, canonical_base(datum2)))
+    maps = [m for _, m in sorted(_find_diagram_maps(
+        BasedRootDatum(datum1, base1), BasedRootDatum(datum2, canonical_base(datum2))))]
     if not maps:
         return None
 
@@ -142,7 +147,8 @@ def full_permutation_isomorphic(datum1, actions1, datum2, actions2):
     pairs = [(tuple(a1.root_perms[g]), tuple(a2.root_perms[g]))
              for a1, a2 in zip(actions1, actions2) for g in a1.group.generating_set]
     adj, d0 = adjugate_and_det(transpose(tuple(datum1.roots[i] for i in base1)))
-    for f, on_base in _search_order(datum1, weyl_group(datum2), maps):
+    candidates = [as_permutation(compose(w, m)) for m in maps for w in weyl_group(datum2).perms]
+    for f, on_base in _search_order(datum1, candidates):
         cand = tuple(f)
         assert tuple(on_base) == compose(cand, base1)
         if all(compose(cand, p1) == compose(p2, cand) for p1, p2 in pairs):
@@ -246,9 +252,9 @@ def class_pairs(case):
 @pytest.mark.parametrize("case", H1_CASES, ids=[c[0] for c in H1_CASES])
 def test_class_pairs_match_reference_with_or_without_kept_diagram_maps(case, warm):
     # cold: no automorphism group was made, so the search lists the maps
-    # of the canonical bases, or with gamma on both sides those of
-    # gamma's base that commute with gamma; warm: it reuses those the
-    # group left for the document base, which differs from the canonical
+    # of the held base, or with gamma on both sides those of gamma's base
+    # that commute with gamma; warm: it reuses those the group left for
+    # the document base, the held one, which differs from the canonical
     # one on B2, G2, A3, B3, C3 and A4
     pairs = class_pairs(case)
     based, galois, gamma = build_case(case)
@@ -265,14 +271,16 @@ def test_class_pairs_match_reference_with_or_without_kept_diagram_maps(case, war
               for c in z1_enumerate(galois.group, star, module)}
     found = [equivariant_isomorphic(datum, twists[c1], datum, twists[c2])
              for c1, c2, _ in pairs]
-    # the search listed diagram maps only when the datum held none
+    # the search listed diagram maps only when the datum held none, and
+    # only for pairs whose cycle types do not refuse them at once
+    searched = any(all(a1.cycle_types == a2.cycle_types
+                       for a1, a2 in zip(twists[c1], twists[c2])) for c1, c2, _ in pairs)
     if warm:
         assert datum._diagram_maps.keys() == held.keys()
     elif gamma is None:
-        assert set(datum._diagram_maps) <= {(canonical_base(datum),) * 2}
+        assert set(datum._diagram_maps) == ({(held_base(datum),)} if searched else set())
     else:
-        assert set(datum._diagram_maps) == {
-            (gamma.target.base,) * 2 + (gamma.generator_perms,)}
+        assert set(datum._diagram_maps) == {(gamma.target.base, gamma.generator_perms)}
     for (c1, c2, same), iso in zip(pairs, found):
         assert key(iso) == assert_isomorphic_matches(datum, twists[c1], datum, twists[c2])
         assert (iso is not None) == same
@@ -313,8 +321,15 @@ def test_d4_triality_with_gamma_matches_reference():
     assert len(assert_group_matches(based)) == 192 * 6
     assert len(assert_group_matches(based, gamma)) == 12 * 3
     twists = twisted_actions(based, z2(based.datum, neg(4)), gamma)
-    for t in twists:
-        assert_isomorphic_matches(based.datum, twists[0], based.datum, t)
+    # a second build is a distinct datum, carried onto the first by its
+    # first diagram map, with gamma shared after the transport
+    other = from_cartan_type("D4:sc")
+    assert other.datum is not based.datum
+    moved = twisted_actions(other, z2(other.datum, neg(4)),
+                            make_action(other, [(triality, "t")]))
+    for t, u in zip(twists, moved, strict=True):
+        found = assert_isomorphic_matches(based.datum, twists[0], based.datum, t)
+        assert key(equivariant_isomorphic(based.datum, twists[0], other.datum, u)) == found
 
 
 def cycle(n):
@@ -339,6 +354,11 @@ def test_a1_powers_under_a_cycle_match_reference(k):
         matrices += [half, mat_mul(neg(k), half)]
     twists = [t for m in matrices for t in twisted_actions(based, z2(datum, m), gamma)]
     assert len(twists) > len(matrices)
+    # the same twists on a second build, a distinct datum
+    other = from_cartan_type(" x ".join(["A1:sc"] * k))
+    gamma2 = make_action(other, [(cycle(k), "g")])
+    moved = [t for m in matrices for t in twisted_actions(other, z2(other.datum, m), gamma2)]
     for t1 in twists:
-        for t2 in twists:
-            assert_isomorphic_matches(datum, t1, datum, t2)
+        for t2, u2 in zip(twists, moved, strict=True):
+            found = assert_isomorphic_matches(datum, t1, datum, t2)
+            assert key(equivariant_isomorphic(datum, t1, other.datum, u2)) == found

@@ -47,7 +47,7 @@ from rootfold.rootdatum import (
     weyl_group,
 )
 from rootfold.twist import (
-    _diagram_maps,
+    _find_diagram_maps,
     _pairing,
     equivariant_isomorphic,
     h1_with_image,
@@ -109,8 +109,8 @@ def reference_isomorphic(datum1, actions1, datum2, actions2):
     if datum1.rank != datum2.rank or len(datum1.roots) != len(datum2.roots):
         return None
     base1 = canonical_base(datum1)
-    maps = _diagram_maps(BasedRootDatum(datum1, base1),
-                         BasedRootDatum(datum2, canonical_base(datum2)))
+    maps = [m for _, m in sorted(_find_diagram_maps(
+        BasedRootDatum(datum1, base1), BasedRootDatum(datum2, canonical_base(datum2))))]
     if not maps:
         return None
     pairs = [(tuple(a1.root_perms[g]), tuple(a2.root_perms[g]))
@@ -266,7 +266,8 @@ def test_different_cycle_types_are_refused_before_any_search(monkeypatch):
 
     monkeypatch.setattr(rootdatum_module, "closure", counted)
     monkeypatch.setattr(action_module, "closure", counted)
-    for name in ("canonical_base", "_diagram_maps", "weyl_group", "_search_order"):
+    for name in ("canonical_base", "held_base", "_find_diagram_maps", "_diagram_maps",
+                 "weyl_group", "_search_order"):
         monkeypatch.setattr(twist_module, name, never)
     datum = from_cartan_type("A2:sc").datum
     one, minus = (make_action(datum, [(m, 1)], group=FiniteGroup.cyclic(2))

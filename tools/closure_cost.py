@@ -16,7 +16,10 @@ its based datum (2 elements), whose permutation is walked from the
 base; ``classify`` of D10 and the diagram maps of A10 onto themselves
 (``twist._find_diagram_maps``, 2 maps), both on data closed from their
 Cartan matrices, as ``from_cartan_type`` stops at rank 8 (the element
-count of ``classify`` is its one component).  The fresh E8 datum is rebuilt as
+count of ``classify`` is its one component), and the isomorphism search
+between two separate builds of A1^7, each under a 7-cycle Gamma, which
+``isoclass`` of such a document against itself runs (the 7 rows of the
+character map found counted as the elements).  The fresh E8 datum is rebuilt as
 ``RootDatum(rank, roots, coroots)`` from the constructed one, whose
 cache ``from_cartan_type`` fills with the simple reflections, so that
 probe still measures the direct path.  Informational: it prints and
@@ -122,6 +125,17 @@ from rootfold.twist import _find_diagram_maps
 datum, base, _ = _closure_from_simples(cartan_matrix("A", 10), identity_matrix(10))
 based = BasedRootDatum(datum, base)
 run = lambda: tuple(_find_diagram_maps(based, based))
+""",
+    "equivariant_isomorphic(A1^7 twice, 7-cycle)": """
+from rootfold.action import make_action
+from rootfold.rootdatum import from_cartan_type
+from rootfold.selftest import node_permutation_matrix
+from rootfold.twist import equivariant_isomorphic
+cycle = node_permutation_matrix({i: (i + 1) % 7 for i in range(7)}, 7)
+sides = []
+for based in (from_cartan_type(" x ".join(["A1:sc"] * 7)) for _ in range(2)):
+    sides += [based.datum, [make_action(based, [(cycle, "c")])]]
+run = lambda: equivariant_isomorphic(*sides).on_characters
 """,
 }
 
