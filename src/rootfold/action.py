@@ -192,9 +192,9 @@ class DatumAction:
     for it.  ``make_action`` checks its generator matrices and forms
     products of their pairs.  ``twist.star_action`` and
     ``twist.twist_datum`` left-multiply a checked action by factors f_s
-    that fix A pointwise (inverse base transports, cocycle values: Weyl
-    elements, or coboundaries ``twist._cobounders`` keeps): f_s . a_s is
-    an automorphism with permutation q_s o p_s and the block of a_s."""
+    that fix A pointwise (inverse base transports, and cocycle values,
+    see ``twist.StarCocycle``): f_s . a_s is an automorphism with
+    permutation q_s o p_s and the block of a_s."""
 
     group: FiniteGroup
     root_perms: tuple   # the root permutation of each element's image
@@ -636,7 +636,7 @@ def fixed_weyl(action, *, bound=None):
     completes under, and a smaller bound closes again, so that it raises
     as before: ``folding.weyl_descent_iso`` closes under
     ``folding.TABLE_BOUND``, every other caller under ``WEYL_BOUND``.
-    Matrices are built only when a caller asks for them."""
+    No matrix is built."""
     if not action.is_based:
         raise InvalidActionError("the fixed Weyl subgroup requires a based action")
     bound = bound or WEYL_BOUND

@@ -198,7 +198,7 @@ def parse_datum(text, source="<string>"):
     rank = obj["rank"]
     _expect(rank <= MAX_RANK, f"rank {rank} is above the cap of {MAX_RANK}",
             source)
-    blocks = obj.get("actions") or {}
+    blocks = obj.get("actions", {})
     if isinstance(blocks, dict):
         _expect(len(blocks) <= MAX_ACTION_BLOCKS,
                 f"{len(blocks)} action blocks are above the cap of "
@@ -265,7 +265,7 @@ def parse_datum(text, source="<string>"):
             raise ParseError(str(e), context=ctx) from None
         roles[name] = role
 
-    flags = obj.get("flags") or {}
+    flags = obj.get("flags", {})
     _expect(isinstance(flags, dict), "'flags' must be an object", source)
     for k, v in flags.items():
         _expect(k == "char_is_two", f"unknown flag {k!r}", f"{source}: flags")

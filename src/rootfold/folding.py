@@ -271,11 +271,8 @@ class WeylDescent:
     """The isomorphism between the restricted Weyl group and the fixed
     subgroup of the source Weyl group.
 
-    down          : root permutation of each fixed element -> that of
-                    its image in the restricted Weyl group
-    to_fixed      : restricted element matrix -> fixed element
-    to_restricted : fixed element matrix -> restricted element
-    The two matrix maps are built on first access."""
+    ``down`` sends the root permutation of each fixed element to that
+    of its image in the restricted Weyl group."""
 
     fold: RestrictedDatum
     restricted_weyl: object
@@ -285,17 +282,6 @@ class WeylDescent:
     @property
     def order(self):
         return len(self.restricted_weyl)
-
-    @cached_property
-    def to_restricted(self):
-        bar = dict(zip(self.restricted_weyl.sorted_perms, self.restricted_weyl))
-        return {w.on_characters: bar[self.down[p]]
-                for w, p in zip(self.fixed_subgroup, self.fixed_subgroup.sorted_perms)}
-
-    @cached_property
-    def to_fixed(self):
-        return {self.to_restricted[w.on_characters].on_characters: w
-                for w in self.fixed_subgroup}
 
 
 def weyl_descent_iso(fold):

@@ -388,11 +388,8 @@ class WeylGroup:
     and an ``order``, the group holds its generators only, ``len`` gives
     the stored order, and ``perms`` closes the generators on first use
     and raises AssertionError unless the closure has exactly that many
-    elements.  The automorphisms themselves, and the canonical order
-    sorting them by character matrix, are built on first use of
-    ``elements``, iteration, ``index`` or ``in``; ``sorted_perms`` lists
-    the permutations in that canonical order.  Permutations given as
-    tuples are converted on entry (``as_permutation``)."""
+    elements.  Permutations given as tuples are converted on entry
+    (``as_permutation``)."""
 
     def __init__(self, datum, perms, generators=(), order=None):
         self.datum = datum
@@ -413,35 +410,8 @@ class WeylGroup:
             raise AssertionError(f"the generators do not close to {self.order} elements")
         return perms
 
-    @cached_property
-    def _canonical(self):
-        auts = _automorphisms_from_permutations(self.datum, self.perms)
-        ranked = sorted(zip(auts, self.perms), key=lambda e: e[0].on_characters)
-        return tuple(a for a, _ in ranked), tuple(p for _, p in ranked)
-
-    @property
-    def elements(self):
-        return self._canonical[0]
-
-    @property
-    def sorted_perms(self):
-        return self._canonical[1]
-
-    @cached_property
-    def _position(self):
-        return {a.on_characters: i for i, a in enumerate(self.elements)}
-
-    def __iter__(self):
-        return iter(self.elements)
-
     def __len__(self):
         return self.order
-
-    def __contains__(self, aut):
-        return aut.on_characters in self._position
-
-    def index(self, aut):
-        return self._position[aut.on_characters]
 
 
 def reflection(datum, root_index):

@@ -20,7 +20,6 @@ from operator import itemgetter
 
 from .action import (
     DatumAction,
-    _blocks_commute,
     actions_commute,
     fixed_weyl,
 )
@@ -39,7 +38,6 @@ from .rootdatum import (
     BasedRootDatum,
     DatumAutomorphism,
     WeylGroup,
-    _annihilator_block,
     _automorphisms_from_permutations,
     _contragredient_of_inverse,
     _invert_permutation,
@@ -135,10 +133,7 @@ class StarCocycle:
     off the permutations (``values``).  The law is checked on root
     permutations, which is exact: s*(w) is a Weyl element whose
     permutation is q o p o q^-1 for q, p the permutations of s* and w,
-    and W acts faithfully on the roots (see ``verify_axioms``).
-    (``cobound`` by a kappa outside W can give values outside W; they
-    still fix the annihilator of the coroots pointwise, which is all the
-    argument needs, see ``_cobounders``.)"""
+    and W acts faithfully on the roots (see ``verify_axioms``)."""
 
     star_action: DatumAction  # the based star action
     value_perms: tuple        # root permutation of c(s) per element index
@@ -165,7 +160,7 @@ class StarCocycle:
         ``z1_enumerate`` a product of module elements, Weyl elements, and
         their star twists, again Weyl elements; and a coboundary
         k^-1 c(s) s*(k) a product of automorphisms that fixes A
-        pointwise, as ``_cobounders`` keeps only such k."""
+        pointwise (see ``_cobound_steps``)."""
         cocycle = cls._lawful(star_action, value_perms)
         group = star_action.group
         seen = set()
@@ -193,10 +188,9 @@ class StarCocycle:
 
         That is exact.  Every value that ``star_action``,
         ``z1_enumerate`` and ``cobound`` make fixes the annihilator A of
-        the coroots pointwise: Weyl elements do, and so do the
-        coboundaries ``_cobounders`` keeps; ``build`` checks it of every
-        other value.  So its block is the identity, and the pair names it
-        (see ``action.DatumAction``)."""
+        the coroots pointwise, and ``build`` checks it of every other
+        value.  So its block is the identity, and the pair names it (see
+        ``action.DatumAction``)."""
         return tuple(_automorphisms_from_permutations(self.star_action.datum,
                                                       self.value_perms))
 
@@ -247,8 +241,8 @@ def star_action(action, base):
 def equivariant_automorphism_group(based, commuting_with=None):
     """All datum automorphisms commuting with the given action, as a
     ``WeylGroup`` that holds its generators and its order and closes
-    only when a caller iterates it.  The generators are those of W^Gamma
-    (``DatumAction.base_lifts``, which generate W^Gamma, see
+    only when a caller reads its ``perms``.  The generators are those of
+    W^Gamma (``DatumAction.base_lifts``, which generate W^Gamma, see
     ``fixed_weyl``; with no action, the simple reflections of the base)
     followed by the diagram maps of the action's base that commute with
     the action (see ``_diagram_maps``), D^Gamma.  W^Gamma is the group
@@ -465,8 +459,8 @@ class CohomologyClassSet:
     """Cocycles partitioned by the cobounding relation
     c ~ (s -> k^-1 . c(s) . s(k)) with k in the cobounding group."""
 
-    module_group: object      # WeylGroup or tuple of DatumAutomorphism
-    cobounding_group: object  # WeylGroup or tuple of DatumAutomorphism
+    module_group: object      # WeylGroup, or None when not given
+    cobounding_group: WeylGroup
     cocycles: tuple
     classes: tuple          # tuple of tuples of StarCocycle
     representatives: tuple  # canonically least member per class
@@ -476,53 +470,20 @@ class CohomologyClassSet:
         return len(self.classes)
 
 
-def _cobounders(cocycle, cobounding_group):
-    """One map per generator k of the cobounding group, sending the
-    value permutations of a cocycle c to those of
-    s -> k^-1 . c(s) . s*(k).
-
-    The generators of a ``WeylGroup`` are its ``generators``, or all of
-    its ``perms`` when it has none.  A tuple group is used whole, less
-    the k whose coboundaries can fail to be W-valued, with each root
-    permutation walked from the base of the star action
-    (``_walk_automorphism``; ValueError when some k does not permute the
-    roots):
-
-    For k outside W write k^-1 c(s) s*(k) = (k^-1 c(s) k) (k^-1 s*(k)).
-    The first factor is a Weyl element.  If the product is one too, so
-    is u = k^-1 s*(k), and u fixes the annihilator A of the coroots
-    pointwise.  Conversely, when u fixes A the product fixes A, so its
-    block is the identity and its root permutation names it (see
-    ``action.DatumAction``).  u fixes A exactly when the block of k
-    commutes with that of s*.  So k is kept when its block commutes
-    with the generator blocks of the star action (always on semisimple
-    data, where there are none, and for every k in W), and its
-    coboundaries are then compared on permutations without loss.  The
-    kept k form a subgroup, the preimage of the centralizer of the star
-    blocks under the homomorphism k -> block of k.  A ``WeylGroup`` is
-    used unchecked, which is exact for Weyl elements on any datum and
-    for every automorphism on semisimple data.
+def _cobound_steps(star, kappas):
+    """One map per root permutation k in ``kappas``, sending the value
+    permutations of a cocycle c against the star action ``star`` to
+    those of s -> k^-1 . c(s) . s*(k).  Each k names a Weyl element on
+    any datum, or any automorphism on semisimple data, as in a
+    ``WeylGroup``.  Either way the values fix the annihilator A of the
+    coroots pointwise, so their root permutations name them (see
+    ``action.DatumAction``): a Weyl element fixes A, and on semisimple
+    data A = 0.
 
     The maps need no twisted-law check: if c is a cocycle, so is c.k,
     as (c.k)(s) . s*((c.k)(t))
     = k^-1 c(s) s*(k) . s*(k)^-1 s*(c(t)) s*(t*(k))
     = k^-1 c(st) (st)*(k)."""
-    star = cocycle.star_action
-    if isinstance(cobounding_group, WeylGroup):
-        kappas = cobounding_group.generators or cobounding_group.perms
-    else:
-        kappas = [_walk_automorphism(star.target, k.on_characters) for k in cobounding_group
-                  if _blocks_commute(star.generator_blocks,
-                                     [_annihilator_block(star.datum, k.on_characters)])]
-        if None in kappas:
-            raise ValueError("map does not permute the roots")
-    return _cobound_steps(star, kappas)
-
-
-def _cobound_steps(star, kappas):
-    """One map per root permutation k in ``kappas``, sending the value
-    permutations of a cocycle c against the star action ``star`` to
-    those of s -> k^-1 . c(s) . s*(k) (see ``_cobounders``)."""
     conjugations = [_conjugation(q) for q in star.root_perms]
 
     def step(k):
@@ -535,32 +496,28 @@ def _cobound_steps(star, kappas):
 
 def cobound(cocycle, kappa):
     """The cocycle s -> kappa^-1 . c(s) . s*(kappa), computed on root
-    permutations (see ``_cobounders``).  Raises ValueError when
-    kappa^-1 s*(kappa) moves the annihilator of the coroots, so that
-    the values are not determined by their permutations."""
-    steps = _cobounders(cocycle, (kappa,))
-    if not steps:
-        raise ValueError("kappa^-1 s*(kappa) moves the annihilator of the coroots")
-    return StarCocycle._lawful(cocycle.star_action, steps[0](cocycle.value_perms))
+    permutations from the root permutation ``kappa`` of a Weyl element,
+    or of any automorphism on semisimple data (see ``_cobound_steps``)."""
+    step, = _cobound_steps(cocycle.star_action, [as_permutation(kappa)])
+    return StarCocycle._lawful(cocycle.star_action, step(cocycle.value_perms))
 
 
-def h1_classes(cocycles, cobounding_group, module_group=()):
+def h1_classes(cocycles, cobounding_group, module_group=None):
     """Partition the cocycle list by cobounding.
 
     A class is an orbit of the finite cobounding group K, so the class
     of c is the ``closure`` of its value permutations under one map per
-    generator of K (``_cobounders``; Serre, Galois Cohomology, I 5.1).
+    generator of the ``WeylGroup`` K: its ``generators``, or all of its
+    ``perms`` when it has none (``_cobound_steps``; Serre, Galois
+    Cohomology, I 5.1).
     An orbit may pass through cocycles that are not in the list; only
     listed ones are reported, which is the partition of the list by
     c ~ c.k for k in K, K being a group.  Tuples of value permutations
-    name cocycles exactly (see ``_cobounders``).  No matrix is built
+    name cocycles exactly (see ``_cobound_steps``).  No matrix is built
     here: the step lists are kept per star action object, which all the
     cocycles of one ``z1_enumerate`` share."""
     cocycles = tuple(cocycles)
-    if not isinstance(cobounding_group, WeylGroup):
-        cobounding_group = tuple(cobounding_group)
-    if not isinstance(module_group, WeylGroup):
-        module_group = tuple(module_group)
+    kappas = cobounding_group.generators or cobounding_group.perms
     positions = {}
     for i, c in enumerate(cocycles):
         positions.setdefault(c.value_perms, []).append(i)
@@ -571,7 +528,7 @@ def h1_classes(cocycles, cobounding_group, module_group=()):
             continue
         maps = steps.get(id(c.star_action))
         if maps is None:
-            maps = steps[id(c.star_action)] = _cobounders(c, cobounding_group)
+            maps = steps[id(c.star_action)] = _cobound_steps(c.star_action, kappas)
         orbit = closure([c.value_perms], maps)
         classes.append([cocycles[i] for i in sorted(i for p in orbit
                                                       for i in positions.pop(p, ()))])
@@ -673,7 +630,7 @@ def _join_classes(module_classes, auts, steps):
     classes, and D* is a group, so the joins are already transitive.  A
     d outside D* gives value permutations outside L, which are not
     found: tuples of value permutations name the cocycles on
-    semisimple data (see ``_cobounders``)."""
+    semisimple data (see ``_cobound_steps``)."""
     classes = module_classes.classes
     where = {c.value_perms: i for i, members in enumerate(classes) for c in members}
     parent = list(range(len(classes)))

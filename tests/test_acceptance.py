@@ -37,6 +37,8 @@ from rootfold.twist import (
     twist_datum,
 )
 
+from test_rootdatum import weyl_elements
+
 FOLD_CASES = [
     # name, spec, order, matrix, expected label, expected |roots|, reduced
     ("A2 flip", "A2:sc", 2, lambda: flip_matrix(2), "BC1", 4, False),
@@ -112,7 +114,7 @@ def check_fold_fibers_and_faithfulness(name, fold):
     for idx, fib in enumerate(fold.fibers):
         assert orbit(fold.source, fib[0]) == fib, name
     fw = fixed_weyl(fold.source)
-    induced = {induced_fixed_map(fold, w) for w in fw}
+    induced = {induced_fixed_map(fold, w) for w in weyl_elements(fw)}
     assert len(induced) == len(fw), name
 
 
@@ -212,7 +214,8 @@ def _cocycle_suite():
     s2 = reflection(d4.datum, d4.base[1])
     conj = mat_mul(s2.on_characters, mat_mul(tri, s2.inverse().on_characters))
     suite.append(("D4 conjugated triality", d4, 3, conj, False))
-    w4 = next(w for w in weyl_group(d4.datum) if _order_of(w.on_characters) == 4)
+    w4 = next(w for w in weyl_elements(weyl_group(d4.datum))
+              if _order_of(w.on_characters) == 4)
     suite.append(("D4 order 4", d4, 4, w4.on_characters, False))
     return suite
 

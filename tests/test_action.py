@@ -14,6 +14,8 @@ from rootfold.errors import InvalidActionError
 from rootfold.lattice import identity_matrix, mat_mul
 from rootfold.rootdatum import from_cartan_type, weyl_group
 
+from test_rootdatum import weyl_elements
+
 
 def flip_matrix(n):
     """Coordinate reversal, the diagram flip on sc weight coordinates."""
@@ -369,7 +371,7 @@ def test_fixed_weyl_a2_flip():
     fw = fixed_weyl(act)
     assert len(fw) == 2
     d = act.datum
-    nontrivial = next(w for w in fw if not w.is_identity())
+    nontrivial = next(w for w in weyl_elements(fw) if not w.is_identity())
     # the order-2 fixed element is the reflection in the merged root
     from rootfold.rootdatum import reflection
     assert nontrivial.on_characters == reflection(d, d.index_of((1, 1))).on_characters
@@ -391,7 +393,7 @@ def test_fixed_weyl_acts_faithfully_on_quotient():
         cv = coinvariants(act)
         fw = fixed_weyl(act)
         induced = set()
-        for w in fw:
+        for w in weyl_elements(fw):
             m = mat_mul(cv.projection, mat_mul(w.on_characters, cv.section))
             # well-defined: the composite must kill every relation
             for aut in act.images:
@@ -437,12 +439,12 @@ def reference_filter_cases():
 def test_fixed_weyl_matches_matrix_commutation_filter(name):
     act = reference_filter_cases()[name]
     w = weyl_group(act.datum, base=act.target.base)
-    expected = matrix_commutation_filter(act, w)
+    expected = matrix_commutation_filter(act, weyl_elements(w))
     got = fixed_weyl(act)
     # the closure of the lifts, one per orbit of the base
     assert got.generators == tuple(lift for _, lift in act.base_lifts.values())
     assert len(got.generators) == len({orbit(act, k) for k in act.target.base})
-    assert [(a.on_characters, a.on_cocharacters) for a in got] == [
+    assert [(a.on_characters, a.on_cocharacters) for a in weyl_elements(got)] == [
         (a.on_characters, a.on_cocharacters) for a in expected]
 
 

@@ -420,9 +420,13 @@ def _assert_single_parse_error(path, fragment):
     assert fragment in out
 
 
-def test_actions_given_as_a_list_is_parse_error(tmp_path):
-    path = _mutated_a2_flip(tmp_path, lambda o: o.update(actions=[1]))
-    _assert_single_parse_error(path, "'actions' must be an object")
+@pytest.mark.parametrize("key", ["actions", "flags"])
+@pytest.mark.parametrize("value", [[1], 0, False, "", [], None],
+                         ids=["list", "zero", "false", "empty-string", "empty-list", "null"])
+def test_actions_given_as_a_list_is_parse_error(tmp_path, key, value):
+    # a falsy value is refused too: only an object, or no key, is read
+    path = _mutated_a2_flip(tmp_path, lambda o: o.update({key: value}))
+    _assert_single_parse_error(path, f"'{key}' must be an object")
 
 
 def test_missing_roots_is_parse_error(tmp_path):

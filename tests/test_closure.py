@@ -31,6 +31,7 @@ from rootfold.rootdatum import (
     DatumAutomorphism,
     RootDatum,
     _annihilator_block,
+    _automorphisms_from_permutations,
     closure,
     compose,
     from_cartan_type,
@@ -39,6 +40,8 @@ from rootfold.rootdatum import (
     weyl_group,
 )
 from rootfold.twist import equivariant_automorphism_group
+
+from test_rootdatum import weyl_elements
 
 # ---------------------------------------------------------------------------
 # closure
@@ -126,7 +129,7 @@ GROUPS = {
 # group of order 8 on A1 x A1
 DATA = {spec: (from_cartan_type(spec).datum,
                [a.on_characters for a in
-                equivariant_automorphism_group(from_cartan_type(spec))])
+                weyl_elements(equivariant_automorphism_group(from_cartan_type(spec)))])
         for spec in ("A2:sc", "A1:sc x A1:sc")}
 
 
@@ -337,7 +340,7 @@ def test_left_products_get_the_verdicts_of_the_matrix_law(data):
     datum = LEFT_DATA[spec][0]
     hom = data.draw(st.sampled_from(left_homomorphisms(name, spec)), label="hom")
     weyl = weyl_group(datum)
-    by_perm = dict(zip(weyl.sorted_perms, weyl.elements))
+    by_perm = dict(zip(weyl.perms, _automorphisms_from_permutations(datum, weyl.perms)))
     perms = sorted(by_perm)
 
     def conjugating(images):
@@ -374,7 +377,7 @@ def automorphisms(spec):
     """A datum and every automorphism of it."""
     if spec == "D4:sc":
         based = from_cartan_type(spec)
-        return based.datum, tuple(equivariant_automorphism_group(based))
+        return based.datum, tuple(weyl_elements(equivariant_automorphism_group(based)))
     datum, matrices = LEFT_DATA[spec]
     return datum, tuple(DatumAutomorphism.from_matrix(m) for m in matrices)
 

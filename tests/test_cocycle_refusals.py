@@ -16,7 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from rootfold.action import FiniteGroup, make_action
 from rootfold.lattice import identity_matrix, mat_mul, unimodular_inverse
-from rootfold.rootdatum import WeylGroup, closure, from_cartan_type, weyl_group
+from rootfold.rootdatum import (
+    WeylGroup,
+    _automorphisms_from_permutations,
+    closure,
+    from_cartan_type,
+    weyl_group,
+)
 from rootfold.selftest import node_permutation_matrix
 from rootfold.twist import StarCocycle, z1_enumerate
 
@@ -68,7 +74,8 @@ def case(name):
     star = make_action(based, list((m, label) for label, m in gens.items()),
                        group=group)
     weyl = weyl_group(based.datum)
-    aut_of = dict(zip(map(tuple, weyl.sorted_perms), weyl.elements))
+    aut_of = dict(zip(map(tuple, weyl.perms),
+                      _automorphisms_from_permutations(based.datum, weyl.perms)))
     cocycles = z1_enumerate(group, star, weyl)
     return group, based.datum, star, weyl, aut_of, cocycles
 

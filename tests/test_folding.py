@@ -13,14 +13,17 @@ from rootfold.folding import (
 )
 from rootfold.lattice import det
 from rootfold.rootdatum import (
+    _automorphisms_from_permutations,
     as_permutation,
     classify,
     from_cartan_type,
+    identity_permutation,
     is_reduced,
     positive_systems,
     verify_axioms,
     weyl_group,
 )
+from rootfold.selftest import FOLD_TABLE
 
 
 def flip_matrix(n):
@@ -195,10 +198,9 @@ def test_weyl_descent_a2(a2_fold):
     source = a2_fold.source.datum
     # the nontrivial restricted element lifts to the reflection in (1,1)
     from rootfold.rootdatum import reflection
-    nontriv = next(w for w in iso.restricted_weyl if not w.is_identity())
-    lift = iso.to_fixed[nontriv.on_characters]
-    assert lift.on_characters == reflection(
-        source, source.index_of((1, 1))).on_characters
+    lift, = (p for p, q in iso.down.items() if q != identity_permutation(len(q)))
+    assert _automorphisms_from_permutations(source, [lift])[0].on_characters == \
+        reflection(source, source.index_of((1, 1))).on_characters
 
 
 def test_weyl_descent_a3(a3_fold):
@@ -211,10 +213,14 @@ def test_weyl_descent_a3(a3_fold):
 def test_weyl_descent_trivial():
     b = from_cartan_type("A2:sc")
     act = make_action(b, [], group=FiniteGroup.trivial())
-    iso = weyl_descent_iso(restrict(act))
-    assert iso.order == 6
-    for w in iso.restricted_weyl:
-        assert iso.to_fixed[w.on_characters].on_characters == w.on_characters
+    fold = restrict(act)
+    iso = weyl_descent_iso(fold)
+    assert iso.order == len(iso.down) == 6
+    fixed = list(iso.down)
+    lifts = _automorphisms_from_permutations(fold.source.datum, fixed)
+    images = _automorphisms_from_permutations(fold.datum, [iso.down[p] for p in fixed])
+    for w, image in zip(lifts, images):
+        assert image.on_characters == w.on_characters
 
 
 # ---------------------------------------------------------------------------
@@ -454,18 +460,23 @@ def test_fold_past_table_bound_overflows(spec, matrix):
 # the descent map on permutations and the column table check
 
 
-@pytest.mark.parametrize("spec,n", [("A2:sc", 2), ("A3:sc", 3), ("A4:sc", 4)])
-def test_descent_matrices_match_induced_maps(spec, n):
+@pytest.mark.parametrize("table_row", FOLD_TABLE, ids=lambda row: row[0])
+def test_descent_matrices_match_induced_maps(table_row):
+    # the matrix of down[p] on the restricted datum is the map p induces
+    # on the quotient, and down is one to one onto the restricted group
     from rootfold.folding import induced_fixed_map
 
-    fold = fold_flip(spec, n)
+    _, spec, builder = table_row[:3]
+    fold = restrict(make_action(from_cartan_type(spec), [(builder(), "g")]))
     iso = weyl_descent_iso(fold)
-    assert "to_restricted" not in vars(iso) and "to_fixed" not in vars(iso)
-    for w in iso.fixed_subgroup:
-        target = iso.to_restricted[w.on_characters]
+    fixed = iso.fixed_subgroup.perms
+    sources = _automorphisms_from_permutations(fold.source.datum, fixed)
+    targets = _automorphisms_from_permutations(fold.datum, [iso.down[p] for p in fixed])
+    for w, target in zip(sources, targets):
         assert target.on_characters == induced_fixed_map(fold, w)
-        assert iso.to_fixed[target.on_characters] == w
-    assert len(iso.to_fixed) == len(iso.to_restricted) == iso.order
+    assert set(iso.down) == set(fixed)
+    assert sorted(iso.down.values()) == sorted(iso.restricted_weyl.perms)
+    assert len(set(iso.down.values())) == iso.order
 
 
 def naive_multiplicative(perms, images):

@@ -44,6 +44,7 @@ from rootfold.twist import (
 )
 
 from test_h1_reference import H1_CASES, classes_of, flip, neg, reference_h1_classes
+from test_rootdatum import weyl_elements
 
 
 def count_a(n):
@@ -125,7 +126,7 @@ def test_classes_of_sublists_match_reference(case):
         rng.shuffle(sub)
         for group in (module, auts):
             assert classes_of(h1_classes(sub, group)) == reference_h1_classes(
-                sub, tuple(group))
+                sub, weyl_elements(group))
 
 
 def test_automorphism_group_refuses_an_unbased_action():

@@ -34,6 +34,8 @@ from rootfold.twist import (
     z1_enumerate,
 )
 
+from test_rootdatum import weyl_elements
+
 
 def flip(n):
     return tuple(tuple(int(j == n - 1 - i) for j in range(n)) for i in range(n))
@@ -130,16 +132,16 @@ def test_h1_classes_match_matrix_reference(case):
     star_act, _ = star_action(galois, based.base)
     cocycles = z1_enumerate(galois.group, star_act, module)
     assert [c.sort_key() for c in cocycles] == reference_z1(
-        galois.group, star_act.images, module.elements)
+        galois.group, star_act.images, weyl_elements(module))
     auts = equivariant_automorphism_group(based, commuting_with=gamma)
-    for group in (module, module.elements, auts):
+    for group in (module, auts):
         assert classes_of(h1_classes(cocycles, group)) == reference_h1_classes(
-            cocycles, tuple(group))
+            cocycles, weyl_elements(group))
     report = h1_with_image(based, galois, gamma_action=gamma)
     assert classes_of(report.module_classes) == reference_h1_classes(
-        cocycles, module.elements)
+        cocycles, weyl_elements(module))
     assert classes_of(report.image_classes) == reference_h1_classes(
-        cocycles, auts)
+        cocycles, weyl_elements(auts))
 
 
 @pytest.mark.parametrize("case", H1_CASES, ids=[c[0] for c in H1_CASES])
@@ -188,11 +190,9 @@ def block(head, torus):
         (0,) * k + tuple(r) for r in torus)
 
 
-def torus_case(factors, torus_rank, galois_matrix, kappa_matrices):
+def torus_case(factors, torus_rank, galois_matrix):
     """``factors`` copies of A1 (roots 2e_i, coroots e_i) plus a torus
-    of the given rank, the Z/2 Galois action by ``galois_matrix``, and
-    the cobounding group generated by the reflections and
-    ``kappa_matrices``."""
+    of the given rank, and the Z/2 Galois action by ``galois_matrix``."""
     n = factors + torus_rank
     e = identity_matrix(n)
     pairs = sorted((tuple(x * 2 * sign for x in e[i]), tuple(x * sign for x in e[i]))
@@ -201,70 +201,44 @@ def torus_case(factors, torus_rank, galois_matrix, kappa_matrices):
     based = BasedRootDatum(datum, tuple(datum.index_of(tuple(2 * x for x in e[i]))
                                         for i in range(factors)))
     galois = make_action(datum, [(galois_matrix, 1)], group=FiniteGroup.cyclic(2))
-    gens = [reflection(datum, i) for i in based.base] + [
-        DatumAutomorphism.from_matrix(m) for m in kappa_matrices]
-    return based, galois, closure(gens)
+    return based, galois
 
 
-ROT = ((0, -1), (1, 0))
 SWAP = ((0, 1), (1, 0))
 ONE2 = ((1, 0), (0, 1))
 
-# name: (A1 factors, torus rank, Galois generator, extra cobounding
-# generators, |cobounding group|, classes in the module, classes under
-# the cobounding group)
+# name: (A1 factors, torus rank, Galois generator, classes in the module)
 TORUS_CASES = {
     # the Galois action inverts the root and the torus; -1 on the torus
     # is not a Weyl element
-    "A1 + rank-1 torus": (1, 1, block(((-1,),), ((-1,),)),
-                          [block(((1,),), ((-1,),))], 4, 2, 2),
-    # the Galois action swaps the torus coordinates.  Swapping the two
-    # A1 factors is not a Weyl element and merges the two reflections;
-    # the rotation does not commute with the Galois action on the
-    # torus, so it is skipped
-    "A1xA1 + rank-2 torus, swap": (2, 2, block(ONE2, SWAP),
-                                   [block(SWAP, ONE2), block(ONE2, ROT)],
-                                   32, 4, 3),
-    # swapping the factors together with the rotation never commutes
-    # with the Galois action on the torus: its coboundaries leave W, and
-    # comparing root permutations alone would merge the two reflections
-    "A1xA1 + rank-2 torus, swap and rotate": (2, 2, block(ONE2, SWAP),
-                                              [block(SWAP, ROT)], 16, 4, 4),
+    "A1 + rank-1 torus": (1, 1, block(((-1,),), ((-1,),)), 2),
+    # the Galois action swaps the torus coordinates
+    "A1xA1 + rank-2 torus, swap": (2, 2, block(ONE2, SWAP), 4),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TORUS_CASES))
 def test_h1_classes_match_reference_on_tori(name):
-    factors, rank, galois_matrix, kappas, order, module_count, count = (
-        TORUS_CASES[name])
-    based, galois, group = torus_case(factors, rank, galois_matrix, kappas)
-    assert len(group) == order
+    factors, rank, galois_matrix, module_count = TORUS_CASES[name]
+    based, galois = torus_case(factors, rank, galois_matrix)
     datum = based.datum
     module = weyl_group(datum)
     star_act, cocycle = star_action(galois, based.base)
     assert not star_act.images[1].is_identity()
     cocycles = z1_enumerate(galois.group, star_act, module)
     assert [c.sort_key() for c in cocycles] == reference_z1(
-        galois.group, star_act.images, module.elements)
-    for g, expected in ((module, module_count), (group, count)):
-        got = classes_of(h1_classes(cocycles, g))
-        assert got == reference_h1_classes(cocycles, tuple(g))
-        assert len(got) == expected
-    # cobound agrees with the matrix formula wherever it is defined
-    weyl_matrices = {w.on_characters for w in module}
+        galois.group, star_act.images, weyl_elements(module))
+    got = classes_of(h1_classes(cocycles, module))
+    assert got == reference_h1_classes(cocycles, weyl_elements(module))
+    assert len(got) == module_count
+    # cobound by the root permutation of a Weyl element agrees with the
+    # matrix formula
     star_inverses = [s.inverse().on_characters for s in cocycle.star_action.images]
     for c in cocycles:
-        for kappa in group:
+        for perm, kappa in weyl_by_permutation(based).items():
             expected = reference_cobound(c, kappa, kappa.inverse().on_characters,
                                          star_inverses)
-            try:
-                got = cobound(c, kappa).sort_key()
-            except ValueError:
-                # kappa^-1 s*(kappa) moves the torus, so the coboundary
-                # is not W-valued
-                assert not all(m in weyl_matrices for m in expected)
-                continue
-            assert got == expected
+            assert cobound(c, perm).sort_key() == expected
 
 
 def test_values_induce_their_value_perms():
@@ -281,15 +255,11 @@ def test_values_induce_their_value_perms():
         star_act, _ = star_action(galois, based.base)
         cocycles += z1_enumerate(galois.group, star_act, module)
     for name in sorted(TORUS_CASES):
-        factors, rank, galois_matrix, kappas = TORUS_CASES[name][:4]
-        based, galois, group = torus_case(factors, rank, galois_matrix, kappas)
+        based, galois = torus_case(*TORUS_CASES[name][:3])
         star_act, _ = star_action(galois, based.base)
-        for c in z1_enumerate(galois.group, star_act, weyl_group(based.datum)):
-            for kappa in group:
-                try:
-                    cocycles.append(cobound(c, kappa))
-                except ValueError:
-                    pass
+        weyl = weyl_group(based.datum)
+        for c in z1_enumerate(galois.group, star_act, weyl):
+            cocycles += [cobound(c, kappa) for kappa in weyl.perms]
     assert len(cocycles) > 102
     for c in cocycles:
         datum = c.star_action.datum
@@ -403,8 +373,8 @@ def assert_star_and_twists(based, galois, star_act, cocycles, value_matrices):
              for p, g in zip(transport.value_perms, galois.images)]
     for read_star in (False, True):
         if read_star:
-            # on a torus, ``cobound`` has read the star images on the
-            # annihilator of the coroots
+            # on a torus, the matrix coboundaries of the caller have read
+            # the star images
             assert_lazy_images(star_act, stars, based.datum.is_semisimple)
         for c in cocycles:
             twisted = twist_datum(based, star_act, c).galois
@@ -429,25 +399,20 @@ def test_lazy_images_match_matrix_products(case):
 
 @pytest.mark.parametrize("name", sorted(TORUS_CASES))
 def test_lazy_images_match_matrix_products_on_tori(name):
-    # the coboundaries by every kappa that gives W-valued values (the
-    # others are refused by the base transport, see test_twist.py)
-    factors, rank, galois_matrix, kappas = TORUS_CASES[name][:4]
-    based, galois, group = torus_case(factors, rank, galois_matrix, kappas)
+    # the coboundaries by every Weyl element, with their values from the
+    # matrix formula
+    based, galois = torus_case(*TORUS_CASES[name][:3])
     weyl = weyl_by_permutation(based)
     star_act, _ = star_action(galois, based.base)
     star_inverses = [s.inverse().on_characters
                      for s in star_action(galois, based.base)[0].images]
     values = {}
     for c in z1_enumerate(galois.group, star_act, weyl_group(based.datum)):
-        for kappa in group:
-            try:
-                moved = cobound(c, kappa)
-            except ValueError:
-                continue
-            if all(p in weyl for p in moved.value_perms):
-                values[moved.value_perms] = moved, [
-                    DatumAutomorphism.from_matrix(m) for m in reference_cobound(
-                        c, kappa, kappa.inverse().on_characters, star_inverses)]
+        for perm, kappa in weyl.items():
+            moved = cobound(c, perm)
+            values[moved.value_perms] = moved, [
+                DatumAutomorphism.from_matrix(m) for m in reference_cobound(
+                    c, kappa, kappa.inverse().on_characters, star_inverses)]
     assert len(values) >= 2
     matrices = {c.value_perms: m for c, m in values.values()}
     assert_star_and_twists(based, galois, star_act, [c for c, _ in values.values()],
@@ -489,4 +454,4 @@ def test_image_classes_join_to_the_closed_and_the_matrix_partition(case):
     assert image.classes == closed.classes
     assert image.representatives == closed.representatives
     assert image.cocycles == cocycles
-    assert classes_of(image) == reference_h1_classes(cocycles, tuple(auts))
+    assert classes_of(image) == reference_h1_classes(cocycles, weyl_elements(auts))

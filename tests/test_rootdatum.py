@@ -8,6 +8,7 @@ from rootfold.lattice import integer_kernel, mat_vec
 from rootfold.rootdatum import (
     BasedRootDatum,
     RootDatum,
+    _automorphisms_from_permutations,
     base_of,
     canonical_base,
     classify,
@@ -21,6 +22,7 @@ from rootfold.rootdatum import (
     verify_base,
     weyl_group,
 )
+from rootfold.selftest import FOLD_TABLE
 
 
 def test_a1_sc_realization():
@@ -132,9 +134,16 @@ def test_weyl_a_series_matches_factorials():
         assert len(weyl_group(d)) == factorial(n + 1)
 
 
+def weyl_elements(group):
+    """The matrices of the elements of a ``WeylGroup``, sorted by
+    character matrix, the order the tests compare with references in."""
+    return sorted(_automorphisms_from_permutations(group.datum, group.perms),
+                  key=lambda a: a.on_characters)
+
+
 def test_weyl_group_closure_properties():
     d = from_cartan_type("A2:sc").datum
-    w = weyl_group(d)
+    w = weyl_elements(weyl_group(d))
     mats = {a.on_characters for a in w}
     for a in w:
         assert a.inverse().on_characters in mats
@@ -362,7 +371,8 @@ def test_weyl_group_with_torus_factor():
     assert verify_axioms(d) == []
     w = weyl_group(d)
     assert len(w) == 2
-    nontriv = next(a for a in w if not a.is_identity())
+    nontriv = next(a for a in _automorphisms_from_permutations(d, w.perms)
+                   if not a.is_identity())
     assert nontriv.apply((0, 1)) == (0, 1)  # torus direction fixed
     assert len(positive_systems(d)) == 2
 
@@ -420,17 +430,38 @@ def test_weyl_permutations_and_matrices_match_reference(name):
     else:
         d = from_cartan_type(name).datum
     w = weyl_group(d)
-    assert sorted(w.perms) == sorted(w.sorted_perms)
-    for aut, perm in zip(w, w.sorted_perms):
+    auts = _automorphisms_from_permutations(d, w.perms)
+    for aut, perm in zip(auts, w.perms):
         assert root_permutation(d, aut) == perm
-    assert [(a.on_characters, a.on_cocharacters) for a in w] == reference_weyl_matrices(d)
+    assert sorted((a.on_characters, a.on_cocharacters) for a in auts) == \
+        reference_weyl_matrices(d)
 
 
-def test_weyl_group_builds_matrices_on_first_use():
-    w = weyl_group(from_cartan_type("A3:sc").datum)
-    assert len(w) == 24 and "_canonical" not in vars(w)
-    assert w.elements[w.index(w.elements[5])] == w.elements[5]
-    assert "_canonical" in vars(w)
+@pytest.mark.parametrize("table_row", FOLD_TABLE, ids=lambda row: row[0])
+def test_no_weyl_group_layer_builds_a_matrix(monkeypatch, table_row):
+    # the Weyl groups, the descent, the positive systems and Aut^Gamma
+    # run on root permutations: once the fold is built, every binding of
+    # the function that turns permutations into matrices raises
+    import sys
+
+    from rootfold.action import fixed_weyl, make_action
+    from rootfold.folding import invariant_positive_systems, restrict, weyl_descent_iso
+    from rootfold.twist import equivariant_automorphism_group
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was built from root permutations")
+
+    _, spec, builder = table_row[:3]
+    based = from_cartan_type(spec)
+    action = make_action(based, [(builder(), "g")])
+    fold = restrict(action)   # the lattice maps of the fold need matrices
+    for module in [m for name, m in sys.modules.items() if name.startswith("rootfold")]:
+        if hasattr(module, "_automorphisms_from_permutations"):
+            monkeypatch.setattr(module, "_automorphisms_from_permutations", refuse)
+    assert len(weyl_group(based.datum, base=based.base)) > 0
+    assert len(fixed_weyl(action).perms) == len(weyl_descent_iso(fold).down)
+    assert len(positive_systems(fold.datum)) == len(invariant_positive_systems(fold))
+    assert len(equivariant_automorphism_group(based, commuting_with=action).perms) > 0
 
 
 def test_permutation_not_induced_by_an_automorphism_raises():

@@ -95,10 +95,10 @@ for i in based.base:
 run = lambda: based.positive_system
 """,
     "matrices of W(F4)": """
-from rootfold.rootdatum import WeylGroup, from_cartan_type, weyl_group
+from rootfold.rootdatum import _automorphisms_from_permutations, from_cartan_type, weyl_group
 datum = from_cartan_type("F4:sc").datum
 perms = weyl_group(datum).perms
-run = lambda: WeylGroup(datum, perms).elements
+run = lambda: _automorphisms_from_permutations(datum, perms)
 """,
     "from_cartan_type(E8)": """
 from rootfold.rootdatum import from_cartan_type
