@@ -46,7 +46,6 @@ from .rootdatum import (
     is_positive_system,
     is_reduced,
     permutation_getter,
-    reflection,
     reflection_permutation,
     verify_axioms,
     verify_base,
@@ -303,7 +302,11 @@ def weyl_descent_iso(fold):
     lattice.  The factors of l are I - a_k (P c_k)^T, P the pairing
     matrix, and orthogonality kills every cross term of their product,
     so proj . l = proj - sum_k (proj a_k)(P c_k)^T is formed by rank-one
-    updates, with no matrix of the source built.  Then down is checked
+    updates, with no matrix of the source built.  The other side is
+    formed as one such update from the restricted data alone:
+    s_b = I - r_b (P-bar c_b)^T for the restricted root r_b, its coroot
+    c_b and the restricted pairing P-bar, so
+    s_b . proj = proj - r_b ((P-bar c_b)^T proj).  Then down is checked
     to be injective and multiplicative on the full multiplication table
     (``_check_multiplicative``).
 
@@ -358,9 +361,10 @@ def weyl_descent_iso(fold):
         # defining relation on the lattice: s_b . projection = projection . lift
         lifted = proj
         for k in xi:
-            lifted = tuple(tuple(x - a * c for x, c in zip(row, paired[k]))
-                           for row, a in zip(lifted, mat_vec(proj, source.roots[k])))
-        if mat_mul(reflection(restricted, b).on_characters, proj) != lifted:
+            lifted = _minus_outer(lifted, mat_vec(proj, source.roots[k]), paired[k])
+        across = mat_vec(transpose(proj), mat_vec(restricted.pairing_matrix,
+                                                  restricted.coroots[b]))
+        if _minus_outer(proj, restricted.roots[b], across) != lifted:
             raise AssertionError("embedding relation fails on the lattice")
         lifts.append(lift)
 
@@ -371,6 +375,11 @@ def weyl_descent_iso(fold):
         images[i] for i in closure([0], [r.__getitem__ for r in right]))
     w_bar = weyl_group(restricted, base=fold.base)
     return WeylDescent(fold, w_bar, w_fixed, dict(zip(w_fixed.perms, images)))
+
+
+def _minus_outer(m, u, v):
+    """m - u v^T, for a matrix m and vectors u and v."""
+    return tuple(tuple(x - a * c for x, c in zip(row, v)) for row, a in zip(m, u))
 
 
 def _check_multiplicative(perms, generators, images):

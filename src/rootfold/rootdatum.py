@@ -46,14 +46,9 @@ def contragredient(matrix, pairing=None, target_pairing=None):
     <A x, A' y>' = <x, y>, where <,> is the source pairing ``pairing``
     and <,>' the target pairing ``target_pairing`` (None stands for the
     standard dot product).  That is A' = P'^-1 A^-T P; for the standard
-    pairing on both sides it is the inverse transpose."""
-    return _contragredient_of_inverse(unimodular_inverse(matrix), pairing, target_pairing)
-
-
-def _contragredient_of_inverse(inverse, pairing=None, target_pairing=None):
-    """``contragredient`` of the matrix A with A^-1 = ``inverse``, for a
-    caller that already holds the inverse: P'^-1 (A^-1)^T P."""
-    out = transpose(inverse)
+    pairing on both sides it is the inverse transpose.  The engine
+    builds none: the tests and ``root_permutation`` ask for it."""
+    out = transpose(unimodular_inverse(matrix))
     if pairing is not None:
         out = mat_mul(out, pairing)
     if target_pairing is not None:
@@ -63,38 +58,31 @@ def _contragredient_of_inverse(inverse, pairing=None, target_pairing=None):
 
 @record
 class DatumAutomorphism:
-    """A unimodular matrix on the character lattice together with its
-    contragredient on the cocharacter lattice."""
+    """A datum automorphism, as its unimodular matrix M on the character
+    lattice.
+
+    M determines the map on the cocharacters.  An automorphism of the
+    datum is a pair (M, M') with <M x, M' y> = <x, y> for all x and y,
+    that is x^T M^T P M' y = x^T P y, so M^T P M' = P and, P being
+    invertible, M' = P^-1 M^-T P, the ``contragredient``.  So an
+    automorphism is one to one with its M, and products and inverses
+    are those of the matrices M.  M' is never built: every lattice
+    check reads M alone (``_walk_automorphism``)."""
 
     on_characters: tuple
-    on_cocharacters: tuple
 
     @classmethod
     def identity(cls, rank):
-        ident = identity_matrix(rank)
-        return cls(ident, ident)
-
-    @classmethod
-    def from_matrix(cls, matrix, pairing=None):
-        return cls(matrix, contragredient(matrix, pairing, pairing))
+        return cls(identity_matrix(rank))
 
     def __mul__(self, other):
-        return DatumAutomorphism(
-            mat_mul(self.on_characters, other.on_characters),
-            mat_mul(self.on_cocharacters, other.on_cocharacters),
-        )
+        return DatumAutomorphism(mat_mul(self.on_characters, other.on_characters))
 
     def inverse(self):
-        return DatumAutomorphism(
-            unimodular_inverse(self.on_characters),
-            unimodular_inverse(self.on_cocharacters),
-        )
+        return DatumAutomorphism(unimodular_inverse(self.on_characters))
 
     def apply(self, v):
         return mat_vec(self.on_characters, v)
-
-    def apply_cochar(self, v):
-        return mat_vec(self.on_cocharacters, v)
 
     def is_identity(self):
         n = len(self.on_characters)
@@ -415,39 +403,31 @@ class WeylGroup:
 
 
 def reflection(datum, root_index):
-    """The reflection through the indexed root, as a datum automorphism:
-    x -> x - <x, coroot> root on characters, and the mirror formula on
-    cocharacters."""
-    n = datum.rank
+    """The reflection s through the indexed root a, with coroot c, as a
+    datum automorphism: x -> x - <x, c> a on characters, the matrix
+    I - a (P c)^T.  On cocharacters it is y -> y - <a, y> c (see
+    ``reflection_permutation``), the contragredient, which is not
+    built."""
     beta = datum.roots[root_index]
-    cov = datum.coroots[root_index]
-    p_cov = mat_vec(datum.pairing_matrix, cov)
-    on_char = tuple(
-        tuple(int(i == j) - beta[i] * p_cov[j] for j in range(n)) for i in range(n)
-    )
-    p_beta = mat_vec(transpose(datum.pairing_matrix), beta)
-    on_cochar = tuple(
-        tuple(int(i == j) - cov[i] * p_beta[j] for j in range(n)) for i in range(n)
-    )
-    return DatumAutomorphism(on_char, on_cochar)
+    p_cov = _paired(datum, datum.coroots[root_index])
+    return DatumAutomorphism(tuple(tuple(int(i == j) - b * p for j, p in enumerate(p_cov))
+                                   for i, b in enumerate(beta)))
 
 
 def root_permutation(datum, aut):
     """aut as a permutation of root indices; None if it does not permute
-    the roots compatibly with coroots.  The engine walks its matrices
-    from a base instead (``_walk_automorphism``); this direct check of
-    every root and coroot is kept as the reference the tests compare
-    the walk with, and the benchmark tracer counts its calls by name."""
-    perm = []
-    for i in range(len(datum.roots)):
-        img = aut.apply(datum.roots[i])
-        j = datum.root_index.get(img)
-        if j is None:
-            return None
-        if aut.apply_cochar(datum.coroots[i]) != datum.coroots[j]:
-            return None
-        perm.append(j)
-    if len(set(perm)) != len(perm):
+    the roots compatibly with coroots, the coroots read through the
+    ``contragredient``.  The engine walks its matrices from a base
+    instead (``_walk_automorphism``); this direct check of every root
+    and coroot is kept as the reference the tests compare the walk
+    with, and the benchmark tracer counts its calls by name."""
+    matrix = aut.on_characters
+    perm = [datum.root_index.get(aut.apply(r)) for r in datum.roots]
+    if None in perm or len(set(perm)) != len(perm) or abs(det(matrix)) != 1:
+        return None
+    pairing = None if datum.has_standard_pairing else datum.pairing_matrix
+    cochars = contragredient(matrix, pairing, pairing)
+    if any(mat_vec(cochars, c) != datum.coroots[j] for c, j in zip(datum.coroots, perm)):
         return None
     return as_permutation(perm)
 
@@ -695,25 +675,19 @@ def _automorphisms_from_permutations(datum, perms, blocks=None):
 
     With r_i independent roots and z_j that basis, [r_i | z_j] is
     invertible (see ``verify_axioms``), so the character matrix is
-    [w r_i | B z_j] [r_i | z_j]^-1, computed with the adjugate kept on
-    the datum (``RootDatum._root_basis``) and one exact division
-    (``_matrix_on_roots``).  The cocharacter matrix is the
-    contragredient, read off the matrix of the inverse pair
-    (``_contragredient_of_inverse``)."""
+    [w r_i | B z_j] [r_i | z_j]^-1, computed once per distinct pair with
+    the adjugate kept on the datum (``RootDatum._root_basis``) and one
+    exact division (``_matrix_on_roots``)."""
     if blocks is None:
         blocks = [identity_matrix(len(datum.coroot_annihilator))] * len(perms)
-    inverse = {(p, b): (_invert_permutation(p), unimodular_inverse(b) if b else b)
-               for p, b in zip(perms, blocks)}
     chosen = datum._root_basis[0]
     mats = {}
-    for p, b in set(inverse) | set(inverse.values()):
+    for p, b in dict.fromkeys(zip(perms, blocks)):
         mats[p, b] = _matrix_on_roots(datum, [datum.roots[p[i]] for i in chosen], b)
         if mats[p, b] is None:
             raise AssertionError(
                 "root permutation is not induced by a lattice automorphism")
-    pairing = None if datum.has_standard_pairing else datum.pairing_matrix
-    return [DatumAutomorphism(mats[pair], _contragredient_of_inverse(
-        mats[inverse[pair]], pairing, pairing)) for pair in zip(perms, blocks)]
+    return [DatumAutomorphism(mats[pair]) for pair in zip(perms, blocks)]
 
 
 def _matrix_on_roots(source, images, block):
@@ -1322,22 +1296,27 @@ def classify(datum):
     Returns a sorted list of (label, multiplicity).  The datum must
     pass ``verify_axioms``.
 
-    The components are read off the Dynkin diagram of the canonical
-    base: the roots of a component are the Weyl images of its simple
-    roots, and two simple roots are joined when they pair to nonzero.
-    A component is non-reduced exactly when one of its simple roots has
+    The components are read off the Dynkin diagram of ``held_base``:
+    the roots of a component are the Weyl images of its simple roots,
+    and two simple roots are joined when they pair to nonzero.  A
+    component is non-reduced exactly when one of its simple roots has
     its double among the roots.  An irreducible non-reduced system is
     BC_n, and each of its bases is w(B) for the standard base B, which
     holds e_n with 2 e_n a root, and a Weyl element w (Bourbaki, Lie VI
-    1.5-1.6 and 4.14); so it holds w(e_n), with w(2 e_n) a root.
+    1.5-1.6 and 4.14); so it holds w(e_n), with w(2 e_n) a root.  Any
+    base serves: two bases differ by a Weyl element w, which keeps the
+    pairings <a_i, c_j> of the simple roots (it preserves the pairing
+    and carries each coroot with its root) and sends doubles to doubles,
+    so every base gives the same labels, and a held base saves computing
+    the canonical one (a generic functional and |P|^2 root sums).
 
-    How it scales: past the canonical base, each component is matched
+    How it scales: past the base, each component is matched
     against the few types of its rank, and ``cartan_matchings`` stops
     at the first matching, found without a scan of the k! node
     permutations; ``classify`` of a D16 datum takes about 0.1 s."""
     if not datum.roots:
         return []
-    base = canonical_base(datum)
+    base = held_base(datum)
     cartan = BasedRootDatum(datum, base).cartan_matrix()
     labels = []
     for component in _dynkin_components(cartan)[0]:

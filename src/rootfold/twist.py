@@ -39,7 +39,6 @@ from .rootdatum import (
     DatumAutomorphism,
     WeylGroup,
     _automorphisms_from_permutations,
-    _contragredient_of_inverse,
     _invert_permutation,
     _matrix_on_roots,
     _walk_automorphism,
@@ -849,20 +848,7 @@ def _search_order(datum1, candidates):
 
 def _isomorphism(datum1, datum2, f):
     """The lattice isomorphism of semisimple data datum1 -> datum2 that
-    sends root i to root f[i].  Its character matrix M is read off the
-    roots (``_matrix_on_roots``), and so is M^-1, from the inverse map;
-    the cocharacter matrix is the contragredient P2^-1 M^-T P1
-    (``_contragredient_of_inverse``), P1 and P2 the pairings."""
-    back = _invert_permutation(f)
-    inverse = _matrix_on_roots(
-        datum2, [datum1.roots[back[i]] for i in datum2._root_basis[0]], ())
+    sends root i to root f[i], as its character matrix, read off the
+    roots (``_matrix_on_roots``)."""
     return DatumAutomorphism(
-        _matrix_on_roots(datum1, [datum2.roots[f[i]] for i in datum1._root_basis[0]], ()),
-        _contragredient_of_inverse(inverse, _pairing(datum1), _pairing(datum2)))
-
-
-def _pairing(datum):
-    """The pairing matrix for ``_contragredient_of_inverse``: None for the
-    standard one."""
-    return None if datum.has_standard_pairing else datum.pairing_matrix
-
+        _matrix_on_roots(datum1, [datum2.roots[f[i]] for i in datum1._root_basis[0]], ()))

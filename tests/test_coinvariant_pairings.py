@@ -25,7 +25,14 @@ from rootfold.lattice import (
     transpose,
     unimodular_inverse,
 )
-from rootfold.rootdatum import BasedRootDatum, RootDatum, classify, from_cartan_type, verify_axioms
+from rootfold.rootdatum import (
+    BasedRootDatum,
+    RootDatum,
+    classify,
+    contragredient,
+    from_cartan_type,
+    verify_axioms,
+)
 from rootfold.selftest import FOLD_TABLE
 
 
@@ -59,11 +66,17 @@ def moved(based, generator, a, p):
             mat_mul(mat_mul(a, generator), a_inv))
 
 
+def cocharacter_matrices(action):
+    """The contragredient g' of every image g, under the datum's pairing."""
+    p = action.datum.pairing_matrix
+    return [contragredient(aut.on_characters, p, p) for aut in action.images]
+
+
 def kernel_of_the_stacked_differences(action):
     """The saturated kernel of the g' - 1 stacked over every image g."""
     n = action.datum.rank
     stacked = [tuple(row[j] - int(i == j) for j in range(n))
-               for aut in action.images for i, row in enumerate(aut.on_cocharacters)]
+               for cochars in cocharacter_matrices(action) for i, row in enumerate(cochars)]
     return integer_kernel(tuple(stacked), cols=n)
 
 
@@ -104,9 +117,9 @@ def test_the_fixed_basis_is_the_kernel_of_the_stacked_differences(data):
     assert integer_kernel(cv.projection, cols=n) == saturated_relations(action)
 
     assert cv.fixed_basis == kernel_of_the_stacked_differences(action)
-    for aut in action.images:
+    for cochars in cocharacter_matrices(action):
         for v in cv.fixed_basis:
-            assert aut.apply_cochar(v) == v
+            assert mat_vec(cochars, v) == v
     assert abs(det(cv.pairing)) == 1
     # <section e_p, fixed_q> through the pairing, as it was computed
     # before the proof

@@ -2,9 +2,10 @@
 computation it replaces: the simple reflections handed over by
 ``from_cartan_type`` against the direct check read off the pairing,
 ``verify_base`` on a walked base against the solve alone, ``classify``
-on the Dynkin diagram against the components of the root pairing, and
-the generator images built from an action's pairs against the matrices
-``make_action`` checked."""
+on the Dynkin diagram against the components of the root pairing and
+on a held base against the canonical one, and the generator images
+built from an action's pairs against the matrices ``make_action``
+checked."""
 
 from itertools import combinations
 from pathlib import Path
@@ -19,12 +20,14 @@ from rootfold.lattice import span_rank
 from rootfold.rootdatum import (
     BasedRootDatum,
     DatumAutomorphism,
+    RootDatum,
     _closure_from_simples,
     _component_label,
     _reflection_permutation,
     canonical_base,
     classify,
     from_cartan_type,
+    held_base,
     verify_base,
 )
 from rootfold.selftest import FOLD_TABLE, SLOW_FOLD, node_permutation_matrix
@@ -37,6 +40,7 @@ from test_base_walk import (
     solved_positive_system,
     zero_root_datum,
 )
+from test_rootdatum import skew_realization
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -234,6 +238,45 @@ def test_classify_on_the_dynkin_diagram_matches_the_root_pairing_components():
         assert classify(datum) == classify_by_root_components(datum), name
 
 
+def assert_held_and_canonical_labels_agree(datum, held):
+    """``classify`` on a copy of ``datum`` holding the base ``held``
+    reads that base and leaves the canonical system uncomputed, and
+    gives the labels of a copy holding no base, which reads the
+    canonical base."""
+    plain = RootDatum(datum.rank, datum.roots, datum.coroots, datum.pairing)
+    moved = RootDatum(datum.rank, datum.roots, datum.coroots, datum.pairing)
+    assert verify_base(BasedRootDatum(moved, held)) == []
+    assert held_base(moved) == held
+    labels = classify(moved)
+    assert "_canonical_system" not in vars(moved)
+    assert held != canonical_base(plain)
+    assert labels == classify(plain) == classify(datum)
+
+
+def test_classify_gives_the_labels_of_the_canonical_base_on_any_held_base():
+    # on each fold, its base and the negated canonical base; on each
+    # golden document under a change of basis, the stated base
+    # carried along and the negated canonical base
+    checked = 0
+    for fold in folds():
+        negated = tuple(sorted(fold.datum.negation[i] for i in canonical_base(fold.datum)))
+        assert held_base(fold.datum) == fold.base
+        for held in {fold.base, negated} - {canonical_base(fold.datum)}:
+            assert_held_and_canonical_labels_agree(fold.datum, held)
+            checked += 1
+    for path in sorted(GOLDEN.glob("*.datum")):
+        doc = parse_datum(path.read_text(), source=path.name)
+        n = doc.datum.rank
+        u = tuple(tuple(int(i == j) + int((i, j) == (0, n - 1)) for j in range(n))
+                  for i in range(n)) if n > 1 else ((-1,),)
+        datum = skew_realization(doc.datum, u, u)
+        negated = tuple(sorted(datum.negation[i] for i in canonical_base(datum)))
+        for held in {tuple(sorted(doc.based.base)), negated} - {canonical_base(datum)}:
+            assert_held_and_canonical_labels_agree(datum, held)
+            checked += 1
+    assert checked >= 2 * len(FOLD_TABLE)
+
+
 # ---------------------------------------------------------------------------
 # generator images read off the pairs
 
@@ -255,6 +298,6 @@ def test_generator_images_read_off_the_pairs_are_the_checked_matrices():
                           group=FiniteGroup.cyclic(4)), [(quarter, 1)])]
     for action, given in cases:
         assert "generator_images" not in vars(action)
-        checked = {DatumAutomorphism.from_matrix(m) for m, _ in given}
+        checked = {DatumAutomorphism(m) for m, _ in given}
         assert len(action.generator_images) == len(action.group.generating_set)
         assert set(action.generator_images) <= checked

@@ -104,7 +104,7 @@ def reference_isomorphic(datum1, actions1, datum2, actions2):
             mc = contragredient(m, p1, p2)
             if all(mat_vec(mc, datum1.coroots[i]) == datum2.coroots[j]
                    for i, j in enumerate(images)):
-                return DatumAutomorphism(m, mc)
+                return DatumAutomorphism(m)
     return None
 
 
@@ -112,7 +112,7 @@ def reference_automorphism_group(based, commuting_with=None):
     datum = based.datum
     diagram = []
     for m in _base_maps(datum, based.base, datum, based.base):
-        aut = DatumAutomorphism.from_matrix(m, _pairing(datum))
+        aut = DatumAutomorphism(m)
         if root_permutation(datum, aut) is not None:
             diagram.append(aut)
     gammas = [] if commuting_with is None else [
@@ -155,13 +155,12 @@ def full_permutation_isomorphic(datum1, actions1, datum2, actions2):
         if all(compose(cand, p1) == compose(p2, cand) for p1, p2 in pairs):
             target = transpose(tuple(datum2.roots[cand[i]] for i in base1))
             m = exact_quotient(mat_mul(target, adj), d0)
-            return DatumAutomorphism(m, contragredient(m, _pairing(datum1),
-                                                       _pairing(datum2)))
+            return DatumAutomorphism(m)
     return None
 
 
 def key(aut):
-    return None if aut is None else (aut.on_characters, aut.on_cocharacters)
+    return None if aut is None else aut.on_characters
 
 
 def z2(datum, matrix):

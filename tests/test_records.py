@@ -31,7 +31,7 @@ class One:
 RECORDS = {
     lattice.LatticeQuotient: (
         ("free_rank", "projection", "section", "torsion_invariants"), {}),
-    rootdatum.DatumAutomorphism: (("on_characters", "on_cocharacters"), {}),
+    rootdatum.DatumAutomorphism: (("on_characters",), {}),
     rootdatum.RootDatum: (("rank", "roots", "coroots", "pairing"),
                           {"pairing": None}),
     rootdatum.BasedRootDatum: (("datum", "base"), {}),

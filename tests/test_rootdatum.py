@@ -12,6 +12,7 @@ from rootfold.rootdatum import (
     base_of,
     canonical_base,
     classify,
+    contragredient,
     from_cartan_type,
     is_positive_system,
     is_reduced,
@@ -357,11 +358,10 @@ def test_explicit_pairing_isomorphism_search():
     iso = equivariant_isomorphic(d, [a1], skew, [a2])
     assert iso is not None
     # the map must carry roots to roots with matching coroots
-    from rootfold.lattice import mat_vec
-
+    cochars = contragredient(iso.on_characters, None, skew.pairing_matrix)
     for i in range(len(d.roots)):
         j = skew.index_of(mat_vec(iso.on_characters, d.roots[i]))
-        assert mat_vec(iso.on_cocharacters, d.coroots[i]) == skew.coroots[j]
+        assert mat_vec(cochars, d.coroots[i]) == skew.coroots[j]
 
 
 def test_weyl_group_with_torus_factor():
@@ -385,23 +385,37 @@ def reference_weyl_matrices(datum):
     """Every Weyl element as (character matrix, cocharacter matrix), by
     closing the reflection matrices of both lattices under products: the
     matrix enumeration that root permutations replaced, kept as the
-    reference for the matrices built on demand."""
-    from rootfold.rootdatum import DatumAutomorphism
+    reference for the character matrices built on demand and their
+    contragredients.  The reflection in the root a with coroot c is
+    x -> x - <x, c> a on characters and the mirror formula
+    y -> y - <a, y> c on cocharacters."""
+    from rootfold.lattice import identity_matrix, mat_mul, transpose
 
-    gens = [reflection(datum, i) for i in range(len(datum.roots))]
-    ident = DatumAutomorphism.identity(datum.rank)
-    seen = {ident.on_characters: ident}
-    frontier = [ident]
+    def reflection_matrix(u, v):
+        # I - u v^T
+        return tuple(tuple(int(i == j) - a * b for j, b in enumerate(v))
+                     for i, a in enumerate(u))
+
+    p = datum.pairing_matrix
+    gens = [(reflection_matrix(a, mat_vec(p, c)), reflection_matrix(c, mat_vec(transpose(p), a)))
+            for a, c in zip(datum.roots, datum.coroots)]
+    ident = identity_matrix(datum.rank)
+    seen = {ident: ident}
+    frontier = [(ident, ident)]
     while frontier:
         nxt = []
-        for w in frontier:
-            for g in gens:
-                c = g * w
-                if c.on_characters not in seen:
-                    seen[c.on_characters] = c
-                    nxt.append(c)
+        for w, w_co in frontier:
+            for g, g_co in gens:
+                c = mat_mul(g, w)
+                if c not in seen:
+                    seen[c] = mat_mul(g_co, w_co)
+                    nxt.append((c, seen[c]))
         frontier = nxt
-    return sorted((a.on_characters, a.on_cocharacters) for a in seen.values())
+    return sorted(seen.items())
+
+
+def pairing_of(datum):
+    return None if datum.has_standard_pairing else datum.pairing_matrix
 
 
 def folded_bc2_with_pairing():
@@ -433,8 +447,9 @@ def test_weyl_permutations_and_matrices_match_reference(name):
     auts = _automorphisms_from_permutations(d, w.perms)
     for aut, perm in zip(auts, w.perms):
         assert root_permutation(d, aut) == perm
-    assert sorted((a.on_characters, a.on_cocharacters) for a in auts) == \
-        reference_weyl_matrices(d)
+    p = pairing_of(d)
+    assert sorted((a.on_characters, contragredient(a.on_characters, p, p))
+                  for a in auts) == reference_weyl_matrices(d)
 
 
 @pytest.mark.parametrize("table_row", FOLD_TABLE, ids=lambda row: row[0])
@@ -487,7 +502,6 @@ def test_verify_axioms_accepts_e7():
 
 def test_contragredient_with_separate_pairings():
     from rootfold.lattice import mat_mul, transpose
-    from rootfold.rootdatum import contragredient
 
     m = ((2, 1), (1, 1))
     p1 = ((1, 1), (0, 1))

@@ -189,8 +189,7 @@ def test_a_rank_other_than_ascii_digits_is_a_bad_token(spec):
 
 
 def walked_and_direct(based, matrix):
-    aut = DatumAutomorphism.from_matrix(
-        matrix, None if based.datum.has_standard_pairing else based.datum.pairing_matrix)
+    aut = DatumAutomorphism(matrix)
     return _walk_automorphism(based, matrix), root_permutation(based.datum, aut)
 
 
@@ -281,7 +280,6 @@ def test_a_generator_is_checked_with_no_contragredient(case, monkeypatch):
     def never(*args):
         raise AssertionError("a contragredient was built")
 
-    monkeypatch.setattr(DatumAutomorphism, "from_matrix", never)
     monkeypatch.setattr(rootdatum_module, "contragredient", never)
     for target in (based, based.datum):
         action = make_action(target, [(builder(), "g")])

@@ -76,7 +76,7 @@ def reference_diagram_maps(based1, based2):
             continue
         mc = contragredient(m, pairing_of(d1), pairing_of(d2))
         if all(mat_vec(mc, c) == d2.coroots[j] for c, j in zip(d1.coroots, images)):
-            found.append((perm, DatumAutomorphism(m, mc), as_permutation(images)))
+            found.append((perm, DatumAutomorphism(m), as_permutation(images)))
     return sorted(found, key=itemgetter(0))
 
 
@@ -110,7 +110,7 @@ def draw_case(data):
                           label="diagram map")[1]
     if data.draw(st.booleans(), label="negated"):
         minus = tuple(tuple(-x for x in row) for row in identity_matrix(n))
-        aut = aut * DatumAutomorphism(minus, minus)
+        aut = aut * DatumAutomorphism(minus)
     return based, aut
 
 
@@ -165,8 +165,7 @@ def test_a_perturbed_matrix_is_refused_on_both_paths(data):
     transvection = tuple(tuple(int(r == s) + c * int((r, s) == (i, j)) for s in range(n))
                          for r in range(n))
     matrix = mat_mul(aut.on_characters, transvection)
-    assert root_permutation(datum, DatumAutomorphism.from_matrix(
-        matrix, pairing_of(datum))) is None
+    assert root_permutation(datum, DatumAutomorphism(matrix)) is None
     fresh = RootDatum(datum.rank, datum.roots, datum.coroots, datum.pairing)
     for target in (based, fresh, datum):
         assert outcome(lambda: _require_automorphism(target, matrix, "g")) == (

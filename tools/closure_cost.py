@@ -9,8 +9,8 @@ document's explicit group table at the cap of 64 elements
 (``FiniteGroup.from_table`` of (Z/2)^6), the positive system of E8's
 base (120 roots) on a fresh datum, where the simple reflections are
 read off the pairing first, and with them already cached, and the
-character and cocharacter matrices of all 1152 elements of W(F4) from
-their root permutations, ``from_cartan_type("E8:sc")`` (its 240 roots
+character matrices of all 1152 elements of W(F4) from their root
+permutations, ``from_cartan_type("E8:sc")`` (its 240 roots
 counted as the elements), and ``make_action`` of the E6 diagram flip on
 its based datum (2 elements), whose permutation is walked from the
 base; ``classify`` of D10 and the diagram maps of A10 onto themselves
