@@ -26,6 +26,7 @@ from .lattice import (
 from .rootdatum import (
     WEYL_BOUND,
     BasedRootDatum,
+    DatumAutomorphism,
     WeylGroup,
     _annihilator_block,
     _automorphisms_from_permutations,
@@ -186,7 +187,8 @@ class DatumAction:
     (the identity permutation and block) and equality are therefore
     read on pairs, exactly.  On semisimple data A = 0 and every block
     is the 0 x 0 matrix (); the matrices (``images``) are built from
-    the pairs on first read only.
+    the pairs on first read only, and ``make_action`` holds its checked
+    generator matrices as ``generator_images``.
 
     Every pair held must come from an automorphism; no pair is checked
     for it.  ``make_action`` checks its generator matrices and forms
@@ -250,7 +252,8 @@ class DatumAction:
     @cached_property
     def generator_images(self):
         """The images of ``group.generating_set``, built from their pairs
-        (``_automorphisms_from_permutations``).  Every image is a product
+        (``_automorphisms_from_permutations``) unless ``make_action``
+        holds them as its checked matrices.  Every image is a product
         of them, so a matrix commutes with, or a vector is fixed by, every
         image exactly when it is for these."""
         gens = self.group.generating_set
@@ -374,9 +377,15 @@ def make_action(target, generators, group="closure"):
     (see ``DatumAction``); blocks are multiplied only on data with a
     torus factor.  ``DatumAction.build`` then checks the homomorphism
     law and the base on the pairs.  The checked generator matrices are
-    not kept: the action's ``generator_images`` are read off the pairs,
-    and are the same matrices, as the automorphism with a given pair is
-    unique (see ``DatumAction``).
+    kept as the action's ``generator_images``, which ``coinvariants``
+    reads: the image of an element of ``generating_set`` is the checked
+    matrix with the same pair, as the automorphism with a given pair is
+    unique (see ``DatumAction``), so it is the matrix
+    ``_automorphisms_from_permutations`` would solve for.  On a closed
+    group every element of ``generating_set`` is a generator's (below).
+    When an explicit group's holds an element that no generator is
+    labeled with, none is held, and the images are solved for from
+    their pairs on first read.
 
     The closed group lists its elements in breadth-first closure order,
     the identity first, at index 0; its table is the multiplication of
@@ -415,9 +424,9 @@ def make_action(target, generators, group="closure"):
             if idx in assigned:
                 raise InvalidActionError(f"group element {label!r} has two generators")
             assigned.append(idx)
-    gens = [_require_automorphism(target, tuple(tuple(int(x) for x in row) for row in mat),
-                                  f"generator {label!r}")
-            for mat, label in generators]
+    mats = [tuple(tuple(int(x) for x in row) for row in mat) for mat, _ in generators]
+    gens = [_require_automorphism(target, mat, f"generator {label!r}")
+            for mat, (_, label) in zip(mats, generators)]
 
     def times(perm, block):
         right = permutation_getter(perm)
@@ -456,7 +465,13 @@ def make_action(target, generators, group="closure"):
         if len(images) != len(group):
             raise InvalidActionError("the labeled generators do not generate the group")
         pairs = [images[i] for i in group.elements()]
-    return DatumAction.build(group, *zip(*pairs), target)
+    action = DatumAction.build(group, *zip(*pairs), target)
+    checked = dict(zip(gens, mats))
+    wanted = [pairs[g] for g in group.generating_set]
+    if all(pair in checked for pair in wanted):
+        vars(action)["generator_images"] = tuple(DatumAutomorphism(checked[pair])
+                                                 for pair in wanted)
+    return action
 
 
 def orbit(action, root_index):

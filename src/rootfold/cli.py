@@ -18,6 +18,9 @@ and named action blocks:
       "flags": {"char_is_two": false} # optional
     }
 
+A key the format does not name is refused, at the top level and in an
+action block, a generator entry or an explicit group object alike.
+
 JSON ``true`` and ``false`` are refused wherever the format asks for an
 integer or an element label: Python reads them as ``bool``, a subclass
 of ``int``, with ``True == 1``.
@@ -112,6 +115,12 @@ def _expect(cond, message, context):
         raise ParseError(message, context=context)
 
 
+def _expect_known_fields(obj, fields, context):
+    # a mis-spelled optional key would otherwise fall back to its default
+    for key in obj:
+        _expect(key in fields, f"unknown field {key!r}", context)
+
+
 def _is_int(x):
     # JSON true and false parse to bool, a subclass of int
     return type(x) is int
@@ -157,6 +166,7 @@ def _parse_group(obj, context):
             context)
     _expect("elements" in obj and "table" in obj,
             "explicit groups need 'elements' and 'table'", context)
+    _expect_known_fields(obj, ("elements", "table", "identity"), context)
     labels = obj["elements"]
     _expect(isinstance(labels, list) and labels, "'elements' must be a nonempty list",
             context)
@@ -189,10 +199,8 @@ def parse_datum(text, source="<string>"):
         # a RecursionError
         raise ParseError(f"invalid JSON: {e}", context=source) from None
     _expect(isinstance(obj, dict), "top level must be an object", source)
-    for key in obj:
-        _expect(key in {"rank", "roots", "coroots", "pairing", "base", "actions",
-                        "flags"},
-                f"unknown field {key!r}", source)
+    _expect_known_fields(obj, ("rank", "roots", "coroots", "pairing", "base", "actions",
+                               "flags"), source)
     _expect(_is_int(obj.get("rank")) and obj["rank"] >= 1,
             "'rank' must be a positive integer", source)
     rank = obj["rank"]
@@ -242,6 +250,7 @@ def parse_datum(text, source="<string>"):
     for name, block in sorted(blocks.items()):
         ctx = f"{source}: actions.{name}"
         _expect(isinstance(block, dict), "action block must be an object", ctx)
+        _expect_known_fields(block, ("role", "group", "generators"), ctx)
         role = block.get("role", "gamma")
         _expect(role in ("gamma", "galois"),
                 f"role must be 'gamma' or 'galois', got {role!r}", ctx)
@@ -253,6 +262,7 @@ def parse_datum(text, source="<string>"):
             gctx = f"{ctx}.generators[{i}]"
             _expect(isinstance(g, dict) and "element" in g and "matrix" in g,
                     "generator needs 'element' and 'matrix'", gctx)
+            _expect_known_fields(g, ("element", "matrix"), gctx)
             matrix = _int_matrix(g["matrix"], gctx, rows=rank, cols=rank)
             label = g["element"]
             _expect(_has_label(group.labels, label),

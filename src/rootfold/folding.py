@@ -38,6 +38,7 @@ from .lattice import (
 from .rootdatum import (
     BasedRootDatum,
     RootDatum,
+    _conjugate_reflections,
     _double,
     as_permutation,
     closure,
@@ -93,11 +94,16 @@ class RestrictedDatum:
         projects to: the fibers read backwards.  ``restrict`` groups the
         roots by projection and lists the restricted roots in fiber
         order, so this is ``index_of(project(root))`` for every root."""
-        out = [None] * len(self.source.datum.roots)
-        for b, fib in enumerate(self.fibers):
-            for i in fib:
-                out[i] = b
-        return tuple(out)
+        return _fiber_index(self.fibers, len(self.source.datum.roots))
+
+
+def _fiber_index(fibers, n):
+    # per source root index, the index of the fiber holding it
+    out = [None] * n
+    for b, fib in enumerate(fibers):
+        for i in fib:
+            out[i] = b
+    return tuple(out)
 
 
 def restrict(action, commuting_actions=()):
@@ -114,7 +120,9 @@ def restrict(action, commuting_actions=()):
     smallest member: ``orthogonal_orbit(action, i)`` reads nothing of i
     but its orbit, so every member gives the same orthogonal orbit,
     ratio and coroot, and which one represents the fiber cannot
-    matter."""
+    matter.  The restricted datum is handed its reflections before
+    ``verify_axioms`` runs, read off the lifts of the base
+    (``_hand_over_reflections``), so none is read off the pairing."""
     if not action.is_based:
         raise InvalidActionError("restriction requires a based action")
     source = action.datum
@@ -167,13 +175,14 @@ def restrict(action, commuting_actions=()):
 
     pairing = None if cv.pairing == identity_matrix(f) else cv.pairing
     restricted = RootDatum(f, restricted_roots, tuple(coroots), pairing)
+    base_images = sorted({image[action.orbits[i]] for i in action.target.base})
+    base = tuple(restricted.index_of(v) for v in base_images)
+    _hand_over_reflections(action, restricted, base, fibers)
 
     problems = verify_axioms(restricted)
     if problems:
         raise AssertionError(f"restricted datum fails axioms: {problems}")
 
-    base_images = sorted({image[action.orbits[i]] for i in action.target.base})
-    base = tuple(restricted.index_of(v) for v in base_images)
     based = BasedRootDatum(restricted, base)
     base_problems = verify_base(based)
     if base_problems:
@@ -190,6 +199,71 @@ def restrict(action, commuting_actions=()):
     )
     return replace(fold, induced=tuple(
         _descend_action(other, fold) for other in commuting_actions))
+
+
+def _hand_over_reflections(action, restricted, base, fibers):
+    """Enter the reflection s_b of each restricted base root b in the
+    reflection cache of ``restricted``, as the permutation
+    d(l) = fiber_index o l o reps of the lift l of its fiber
+    (``DatumAction.base_lifts``, ``_descent``), and s_{2b} with it when
+    2 r_b is a root with coroot c_b / 2; then close the cache by
+    conjugation (``_conjugate_reflections``), as ``from_cartan_type``
+    does.
+
+    Why d(l) is the permutation ``_reflection_permutation`` reads for
+    s_b, on roots and on coroots.  Write pi for the projection and iota
+    for the inclusion of the fixed cocharacters, so that
+    <pi x, y>-bar = <x, iota y> (``coinvariants``); r_b and c_b for the
+    root and coroot of b; xi for the orthogonal orbit of the fiber F of
+    b, and r = |F| / |xi|.  Then l = prod_{k in xi} s_k with commuting
+    factors, l(x) = x - sum_k <x, c_k> a_k, and iota c_b = r sum_k c_k.
+    When r = 1, xi = F and pi a_k = r_b for every k; when r = 2, each a_k
+    is the sum of two roots of F (``orthogonal_orbit``), and
+    pi a_k = 2 r_b.  Either way
+    pi l(x) = pi x - <x, iota c_b> r_b = pi x - <pi x, c_b>-bar r_b
+    = s_b(pi x).  So s_b sends the restricted root r_e = pi a_i to
+    pi a_{l(i)}, the root of the fiber holding l(rep_e): that is d(l).
+    On cocharacters l is y -> y - sum_k <a_k, y> c_k.  A fixed y has
+    <g a, y> = <a, y> for every image g, so <a_k, iota y> = r <r_b, y>-bar
+    for either ratio, and l(iota y) = iota(y - <r_b, y>-bar c_b)
+    = iota(s_b y).  And l, a Weyl element commuting with the group
+    (``base_lifts`` checks both), sends each root a_i and coroot c_i to
+    a_{l(i)} and c_{l(i)}, each orbit onto an orbit, and, keeping
+    pairings and root sums, its orthogonal orbit onto that of the image
+    with the same ratio.  So l maps iota of the coroot of r_e, built in
+    ``restrict`` from its orthogonal orbit, to iota of the coroot of the
+    image root; as it is iota(s_b c_e), that coroot is s_b(c_e), iota
+    being one to one.  d(l) is one to one, as s_b is an involution.
+
+    With c_{2b} = c_b / 2, s_{2b} is the same map as s_b on both lattices.
+    The base reflections generate the Weyl group, and every root is a
+    Weyl image of a base root or of the double of one (Bourbaki, Lie VI
+    1.5 and 1.7), so the conjugation reaches every root and
+    ``verify_axioms`` reads no reflection off the pairing; each cached
+    entry is the direct computation's (see ``reflection_permutation``)."""
+    descend = _descent(fibers, len(action.datum.roots))
+    cache = restricted._reflection_perms
+    for b in base:
+        cache[b] = descend(action.base_lifts[fibers[b]][1])
+        double = _double(restricted, b)
+        if double is not None and tuple(
+                2 * x for x in restricted.coroots[double]) == restricted.coroots[b]:
+            cache[double] = cache[b]
+    # every entry is in before the first closing step, which then looks
+    # at each of them under each base reflection
+    for b in base:
+        _conjugate_reflections(restricted, b)
+
+
+def _descent(fibers, n):
+    """The map p -> fiber_index o p o reps from permutations of the n
+    source roots to permutations of the restricted roots: restricted
+    root b goes to the fiber holding p(rep_b), rep_b the first root of
+    fiber b.  Both index maps are in the representation of the source
+    permutations."""
+    reps = as_permutation([fib[0] for fib in fibers], n)
+    fiber_index = as_permutation(_fiber_index(fibers, n), n)
+    return lambda p: as_permutation(compose(fiber_index, compose(p, reps)))
 
 
 def _descend_action(other, fold):
@@ -298,10 +372,14 @@ def weyl_descent_iso(fold):
     permutations of xi in reverse order, and the roots of xi are
     pairwise orthogonal, <a_j, c_k> = 0 for j != k, so the reflections
     commute and l is their product (W acts faithfully on the roots);
-    down(l) is the reflection s_b; and s_b . proj = proj . l on the
-    lattice.  The factors of l are I - a_k (P c_k)^T, P the pairing
-    matrix, and orthogonality kills every cross term of their product,
-    so proj . l = proj - sum_k (proj a_k)(P c_k)^T is formed by rank-one
+    down(l) is the reflection s_b, which ``restrict`` handed over as
+    down of the lift it read, so this refuses a lift changed since; and
+    s_b . proj = proj . l on the lattice.  The first and last refuse a
+    wrong lift that ``restrict`` was handed, as the hand-over trusts
+    the lifts (``_hand_over_reflections``).  The factors of l are
+    I - a_k (P c_k)^T, P the pairing matrix, and orthogonality kills
+    every cross term of their product, so
+    proj . l = proj - sum_k (proj a_k)(P c_k)^T is formed by rank-one
     updates, with no matrix of the source built.  The other side is
     formed as one such update from the restricted data alone:
     s_b = I - r_b (P-bar c_b)^T for the restricted root r_b, its coroot
@@ -338,15 +416,8 @@ def weyl_descent_iso(fold):
     proj = fold.coinvariants.projection
     w_fixed = fixed_weyl(source_action, bound=TABLE_BOUND)
 
-    # p -> fiber_index o p o reps, with both index maps in the
-    # representation of the source permutations
     n = len(source.roots)
-    reps = as_permutation([fib[0] for fib in fold.fibers], n)
-    fiber_index = as_permutation(fold.fiber_index, n)
-
-    def descend(p):
-        return as_permutation(compose(fiber_index, compose(p, reps)))
-
+    descend = _descent(fold.fibers, n)
     lifts = []
     for b in fold.base:
         xi, lift = source_action.base_lifts[fold.fibers[b]]

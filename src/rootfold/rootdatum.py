@@ -33,7 +33,6 @@ from .lattice import (
     span_rank,
     transpose,
     unimodular_inverse,
-    vec_add,
     vec_neg,
     vec_sub,
 )
@@ -177,22 +176,6 @@ class RootDatum:
         """Per root index, the index of the negated root (KeyError when
         the root set is not symmetric)."""
         return tuple(self.root_index[vec_neg(r)] for r in self.roots)
-
-    @cached_property
-    def root_sums(self):
-        """Per root index i, the pairs (j, k) with a_i + a_j = a_k, in
-        the order of j: the root-addition table on indices, |R|^2 sums
-        built once per datum."""
-        index = self.root_index
-        out = []
-        for r in self.roots:
-            pairs = []
-            for j, s in enumerate(self.roots):
-                k = index.get(vec_add(r, s))
-                if k is not None:
-                    pairs.append((j, k))
-            out.append(tuple(pairs))
-        return tuple(out)
 
     @cached_property
     def _reflection_perms(self):
@@ -914,9 +897,13 @@ def positive_systems(datum):
 
 
 def base_of(datum, system):
-    """Indecomposable elements of a positive system."""
-    sums = {vec_add(datum.roots[j], datum.roots[k]) for j in system for k in system}
-    return tuple(i for i in sorted(system) if datum.roots[i] not in sums)
+    """The base of a positive system: its indecomposable elements, the
+    i with <a_i, lam> <= 3 for the coroot sum lam of the system
+    (``_coroot_sum``).  That value is 2 on a simple root, 3 when its
+    double is a root too, and at least 4 on every other root of the
+    system (see ``_is_positive_system``)."""
+    lam = _coroot_sum(datum, system)
+    return tuple(i for i in sorted(system) if dot(datum.roots[i], lam) <= 3)
 
 
 def canonical_base(datum):
@@ -928,17 +915,17 @@ def held_base(datum):
     """The first base the datum holds a walk for
     (``RootDatum._based_positive_systems``), else ``canonical_base``: the
     base to walk from when any base will do, as the canonical base of a
-    fresh datum costs |P|^2 root sums."""
+    fresh datum costs a generic functional, found by pairing it with
+    every root, and a coroot sum."""
     base = next(iter(datum._based_positive_systems), None)
     return canonical_base(datum) if base is None else base
 
 
 def is_positive_system(datum, system):
-    """Partition plus closure characterization, exact at desk scale:
-    S and -S partition the roots and S is closed under root addition.
-    Both run on root indices, through ``RootDatum.negation`` and the
-    root-addition table ``RootDatum.root_sums``.  The verdict is kept
-    on the datum per set, so a set is checked once."""
+    """Whether S = ``system`` is a positive system: S and -S partition
+    the roots and every root of S pairs positively with the sum of the
+    coroots of S (``_is_positive_system``).  The verdict is kept on the
+    datum per set, so a set is checked once."""
     system = frozenset(system)
     kept = datum._positive_system_verdicts
     verdict = kept.get(system)
@@ -948,14 +935,45 @@ def is_positive_system(datum, system):
 
 
 def _is_positive_system(datum, system):
+    """The partition test on root indices, through ``RootDatum.negation``,
+    then <a_i, lam> > 0 for every i in S, for lam = sum_{i in S} c_i
+    (``_coroot_sum``): |R| vector sums and pairings, where closure under
+    root addition takes |S|^2 sums.
+
+    Why this is exact (Bourbaki, Lie VI 1.5-1.7).  If S and -S partition
+    R and lam is positive on S, it is negative on -S, so nonzero on every
+    root, and S = {a : <a, lam> > 0} is the positive system of the
+    chamber of lam.  Conversely, let S be the positive system of a base B
+    and a in B.  The reflection s_a permutes S minus {a, 2a}, sends a to
+    -a and 2a to -2a (Lie VI 1.6, Cor. 1 of Prop. 17), and carries each
+    coroot with its root, so s_a(lam) = lam - 2 c_a - 2 c_{2a}, the last
+    term only when 2a is a root.  The coroot of 2a is c_a / 2: the
+    reflections s_a and s_{2a} both send a to -a and preserve R, so they
+    agree on the span of R (Lie VI 1.1, Lemma 1), and both fix the
+    annihilator of the coroots, the complement of that span
+    (``verify_axioms``).  As s_a(lam) = lam - <a, lam> c_a,
+    <a, lam> = 2 when 2a is not a root and 3 when it is.  A root b of S is
+    sum_j n_j a_j with integers n_j >= 0 over B, of height sum_j n_j >= 1,
+    so <b, lam> >= 2 (sum_j n_j) > 0.  That proves the converse, and
+    gives ``base_of`` its test: a root of S outside B has height at least
+    2, so <b, lam> >= 4, while a simple root has 2 or 3."""
     negation = datum.negation
     neg = frozenset(negation[i] for i in system)
     if system & neg:
         return False
     if len(system) + len(neg) != len(datum.roots):
         return False
-    sums = datum.root_sums
-    return all(k in system for i in system for j, k in sums[i] if j in system)
+    lam = _coroot_sum(datum, system)
+    roots = datum.roots
+    return all(dot(roots[i], lam) > 0 for i in system)
+
+
+def _coroot_sum(datum, system):
+    """P lam for lam = sum_{i in system} c_i, so that <a, lam> is
+    ``dot(a, P lam)`` (``_paired``): twice rho-check of the positive
+    system, on reduced data."""
+    zero = (0,) * datum.rank
+    return _paired(datum, tuple(map(sum, zip(zero, *map(datum.coroots.__getitem__, system)))))
 
 
 # ---------------------------------------------------------------------------
@@ -1167,7 +1185,7 @@ def from_cartan_type(spec):
     read.  The positive system of the base is the one the closure met
     (see ``_closure_from_simples``: the seeds, 2 e_n of BC_n, are
     positive), so an unbased ``make_action`` walks its generators from
-    this base and never pays ``canonical_base``'s |P|^2 root sums.
+    this base and never pays for ``canonical_base``.
 
     The string is split into factors at each "x" that starts a word or
     that a capital letter follows, past spaces: every type name starts
@@ -1308,7 +1326,7 @@ def classify(datum):
     pairings <a_i, c_j> of the simple roots (it preserves the pairing
     and carries each coroot with its root) and sends doubles to doubles,
     so every base gives the same labels, and a held base saves computing
-    the canonical one (a generic functional and |P|^2 root sums).
+    the canonical one (a generic functional and a coroot sum).
 
     How it scales: past the base, each component is matched
     against the few types of its rank, and ``cartan_matchings`` stops

@@ -429,6 +429,42 @@ def test_actions_given_as_a_list_is_parse_error(tmp_path, key, value):
     _assert_single_parse_error(path, f"'{key}' must be an object")
 
 
+def _rename_role(block_name):
+    def mutate(o):
+        block = o["actions"][block_name]
+        block["roles"] = block.pop("role")
+    return mutate
+
+
+def _add_generator_key(o):
+    o["actions"]["gamma"]["generators"][0]["label"] = "s"
+
+
+def _add_group_key(o):
+    o["actions"]["gamma"]["group"] = {"elements": [0, 1], "table": [[0, 1], [1, 0]],
+                                      "identity": 0, "order": 2}
+
+
+# a mis-spelled optional key used to fall back to its default: "roles"
+# read the Galois block of A1-z2 as a gamma action, and it verified
+@pytest.mark.parametrize("name, mutate, where, key", [
+    ("A1-z2.datum", _rename_role("galois"), "actions.galois", "roles"),
+    ("A2-flip.datum", _rename_role("gamma"), "actions.gamma", "roles"),
+    ("A2-flip.datum", _add_generator_key, "actions.gamma.generators[0]", "label"),
+    ("A2-flip.datum", _add_group_key, "actions.gamma.group", "order"),
+], ids=["galois-role", "gamma-role", "generator", "group"])
+@pytest.mark.parametrize("command", ["verify", "fold", "h1"])
+def test_an_unknown_key_inside_a_block_is_one_parse_error(tmp_path, name, mutate, where,
+                                                           key, command):
+    obj = json.loads((GOLDEN / name).read_text())
+    mutate(obj)
+    path = tmp_path / "mutated.datum"
+    path.write_text(json.dumps(obj))
+    code, out = run_cli(command, str(path))
+    assert code == 2
+    assert out == f"parse error: {path}: {where}: unknown field {key!r}\n"
+
+
 def test_missing_roots_is_parse_error(tmp_path):
     path = _mutated_a2_flip(tmp_path, lambda o: o.pop("roots"))
     _assert_single_parse_error(path, "missing field 'roots'")

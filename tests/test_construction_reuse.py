@@ -3,9 +3,10 @@ computation it replaces: the simple reflections handed over by
 ``from_cartan_type`` against the direct check read off the pairing,
 ``verify_base`` on a walked base against the solve alone, ``classify``
 on the Dynkin diagram against the components of the root pairing and
-on a held base against the canonical one, and the generator images
-built from an action's pairs against the matrices ``make_action``
-checked."""
+on a held base against the canonical one, the generator images
+``make_action`` holds as its checked matrices against those solved for
+from the pairs, and the restricted reflections ``restrict`` hands over
+from the lifts against the direct check."""
 
 from itertools import combinations
 from pathlib import Path
@@ -278,26 +279,165 @@ def test_classify_gives_the_labels_of_the_canonical_base_on_any_held_base():
 
 
 # ---------------------------------------------------------------------------
-# generator images read off the pairs
+# generator images held as the checked matrices
 
 
-def test_generator_images_read_off_the_pairs_are_the_checked_matrices():
-    # every element of these generating sets is a given generator, and
-    # the automorphism with a given pair is unique
+def test_generator_images_are_held_as_the_checked_matrices():
     based = from_cartan_type("D4:sc")
     datum = based.datum
     reflections = [(rootdatum_module.reflection(datum, i).on_characters, i) for i in based.base]
     triality = node_permutation_matrix({0: 2, 1: 1, 2: 3, 3: 0}, 4)
     quarter = ((0, -1), (1, 0))
+    a1_torus = RootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)))
+    # -1 on the torus factor: a block that is not the identity
+    torus_flip = ((1, 0), (0, -1))
     cases = [(make_action(datum, reflections), reflections),
              (make_action(datum, reflections + reflections[:1]), reflections),   # a repeat
              (make_action(based, [(triality, "t")]), [(triality, "t")]),
              (make_action(datum, [(triality, 1)], group=FiniteGroup.cyclic(3)),
               [(triality, 1)]),
              (make_action(from_cartan_type("A1:sc x A1:sc").datum, [(quarter, 1)],
-                          group=FiniteGroup.cyclic(4)), [(quarter, 1)])]
+                          group=FiniteGroup.cyclic(4)), [(quarter, 1)]),
+             (make_action(a1_torus, [(torus_flip, "f")]), [(torus_flip, "f")]),
+             (make_action(a1_torus, [(torus_flip, 1)], group=FiniteGroup.cyclic(2)),
+              [(torus_flip, 1)])]
     for action, given in cases:
-        assert "generator_images" not in vars(action)
-        checked = {DatumAutomorphism(m) for m, _ in given}
-        assert len(action.generator_images) == len(action.group.generating_set)
-        assert set(action.generator_images) <= checked
+        # held by make_action, and the matrices the pairs solve to
+        assert "generator_images" in vars(action)
+        gens = action.group.generating_set
+        solved = rootdatum_module._automorphisms_from_permutations(
+            action.datum, [action.root_perms[g] for g in gens],
+            [action.blocks[g] for g in gens])
+        assert action.generator_images == tuple(solved)
+        # every element of these generating sets is a given generator's
+        assert set(action.generator_images) <= {DatumAutomorphism(m) for m, _ in given}
+    assert cases[-1][0].generator_images[0].on_characters == torus_flip
+    assert cases[-1][0].blocks[1] == ((-1,),)
+
+
+def test_a_generating_element_no_generator_names_is_solved_for():
+    # Z/4 labeled at 3: the greedy generating set is {1}, the cube of
+    # the given generator, which only its pair describes
+    datum = from_cartan_type("A1:sc x A1:sc").datum
+    quarter = ((0, -1), (1, 0))
+    action = make_action(datum, [(quarter, 3)], group=FiniteGroup.cyclic(4))
+    assert action.group.generating_set == (1,)
+    assert "generator_images" not in vars(action)
+    assert action.generator_images[0].on_characters == ((0, 1), (-1, 0))
+
+
+# ---------------------------------------------------------------------------
+# restricted reflections handed over from the lifts
+
+
+def _skewed_fold_action(spec, builder):
+    """The action of ``builder()`` on ``spec`` written in skewed bases of
+    both lattices, with an explicit pairing; the datum is verified, so
+    its reflections are cached before any fold."""
+    from rootfold.lattice import identity_matrix, mat_mul, unimodular_inverse
+
+    based = from_cartan_type(spec)
+    n = based.datum.rank
+    u = tuple(tuple(x + int((i, j) == (0, n - 1)) for j, x in enumerate(row))
+              for i, row in enumerate(identity_matrix(n)))
+    v = tuple(tuple(x + int((i, j) == (n - 1, 0)) for j, x in enumerate(row))
+              for i, row in enumerate(identity_matrix(n)))
+    skew = skew_realization(based.datum, u, v)
+    assert not skew.has_standard_pairing and rootdatum_module.verify_axioms(skew) == []
+    gen = mat_mul(u, mat_mul(builder(), unimodular_inverse(u)))
+    return make_action(BasedRootDatum(skew, based.base), [(gen, "g")]), ()
+
+
+def _golden_fold_with_galois(name):
+    """A golden fold document with a Galois block added, acting by its
+    gamma matrix, which commutes with itself."""
+    import json
+
+    obj = json.loads((GOLDEN / name).read_text())
+    gamma = obj["actions"]["gamma"]
+    obj["actions"]["galois"] = dict(gamma, role="galois")
+    doc = parse_datum(json.dumps(obj))
+    return doc.actions["gamma"], [doc.actions["galois"]]
+
+
+def _case_fold_action(case):
+    _, spec, builder, *_ = case
+    return make_action(from_cartan_type(spec), [(builder(), "g")]), ()
+
+
+D6_FLIP = (None, "D6:sc", lambda: node_permutation_matrix(
+    {0: 0, 1: 1, 2: 2, 3: 3, 4: 5, 5: 4}, 6))
+GAMMA_GOLDEN = ["A1xA1-swap.datum", "A2-flip.datum", "A3-flip.datum", "D4-triality.datum"]
+HANDED_FOLDS = {
+    **{case[0]: lambda case=case: _case_fold_action(case) for case in FOLD_TABLE + [SLOW_FOLD]},
+    "D6 flip": lambda: _case_fold_action(D6_FLIP),
+    **{f"{name} with galois": lambda name=name: _golden_fold_with_galois(name)
+       for name in GAMMA_GOLDEN},
+    **{f"skewed {case[0]}": lambda case=case: _skewed_fold_action(*case[1:3])
+       for case in FOLD_TABLE if case[0] in ("A3 flip", "A4 flip", "D4 triality")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HANDED_FOLDS))
+def test_restricted_reflections_handed_over_are_the_direct_ones(name, monkeypatch):
+    action, commuting = HANDED_FOLDS[name]()
+    direct = []
+    monkeypatch.setattr(rootdatum_module, "_reflection_permutation",
+                        lambda d, k: direct.append(k) or _reflection_permutation(d, k))
+    fold = restrict(action, commuting)
+    assert direct == []   # nothing read off the pairing
+    datum = fold.datum
+    copy = RootDatum(datum.rank, datum.roots, datum.coroots, datum.pairing)
+    cache = datum._reflection_perms
+    assert sorted(cache) == list(range(len(datum.roots)))
+    assert all(cache[k] == _reflection_permutation(copy, k) for k in cache)
+    assert len(fold.induced) == len(commuting)
+
+
+def test_restrict_hands_over_the_doubled_base_roots():
+    # the A4 flip folds to BC2: the double of a base root is a root, and
+    # no Weyl image of a base root
+    fold = restrict(HANDED_FOLDS["A4 flip"]()[0])
+    datum = fold.datum
+    doubles = [rootdatum_module._double(datum, b) for b in fold.base]
+    (b, double), = [(b, k) for b, k in zip(fold.base, doubles) if k is not None]
+    assert datum._reflection_perms[double] == datum._reflection_perms[b]
+    assert datum._conjugating_reflections == [datum._reflection_perms[i] for i in fold.base]
+
+
+def test_a_lift_tampered_before_restrict_is_refused_by_the_descent_checks():
+    # restrict trusts the lifts it hands over; weyl_descent_iso's checks
+    # of each lift against the source reflections and the lattice stay
+    from rootfold.folding import weyl_descent_iso
+    from rootfold.rootdatum import compose, identity_permutation
+
+    messages = set()
+    for spec, builder in [("A3:sc", FOLD_TABLE[1][2]), ("A4:sc", FOLD_TABLE[2][2]),
+                          ("A5:sc", FOLD_TABLE[3][2])]:
+        healthy = make_action(from_cartan_type(spec), [(builder(), "g")])
+        lifts = healthy.base_lifts
+        one, two = list(lifts)[:2]
+        (xi, lift), n = lifts[one], len(healthy.datum.roots)
+        for tampered in ({**lifts, one: lifts[two], two: lifts[one]},
+                         {**lifts, one: (xi, compose(lift, healthy.generator_perms[0]))},
+                         {**lifts, one: (xi, identity_permutation(n))}):
+            action = make_action(from_cartan_type(spec), [(builder(), "g")])
+            vars(action)["base_lifts"] = tampered
+            fold = restrict(action)
+            with pytest.raises(AssertionError) as err:
+                weyl_descent_iso(fold)
+            messages.add(str(err.value))
+    assert messages == {"embedding relation fails on the lattice",
+                        "orthogonal orbit reflections do not commute"}
+
+
+def test_the_descent_keeps_its_table_check(monkeypatch):
+    import rootfold.folding as folding_module
+
+    checks = []
+    real = folding_module._check_multiplicative
+    monkeypatch.setattr(folding_module, "_check_multiplicative",
+                        lambda *a: checks.append(len(a[0])) or real(*a))
+    for case in FOLD_TABLE:
+        folding_module.weyl_descent_iso(restrict(_case_fold_action(case)[0]))
+    assert len(checks) == len(FOLD_TABLE) and all(checks)

@@ -9,6 +9,7 @@ from rootfold.rootdatum import (
     BasedRootDatum,
     RootDatum,
     _automorphisms_from_permutations,
+    _is_positive_system,
     base_of,
     canonical_base,
     classify,
@@ -551,8 +552,8 @@ def test_reflection_permutation_refuses_what_root_permutation_refuses():
 
 def reference_is_positive_system(datum, system):
     """S and -S partition the roots and S is closed under addition,
-    tested with |S|^2 vector sums: the definition that the root-addition
-    table replaced, kept as the reference."""
+    tested with |S|^2 vector sums: the closure characterization, kept as
+    the engine-free reference for the coroot-sum test."""
     from rootfold.lattice import vec_add, vec_neg
 
     system = frozenset(system)
@@ -581,16 +582,85 @@ def test_is_positive_system_accepts_every_positive_system(spec):
         assert reference_is_positive_system(d, s)
 
 
-@pytest.mark.parametrize("spec", ["A3:sc", "B3:sc", "G2:sc", "BC2"])
+ONE_ROOT_CHANGE_SPECS = ["A3:sc", "B3:sc", "C3:sc", "D4:sc", "BC3", "G2:sc", "BC2"]
+
+
+@pytest.mark.parametrize("spec", ONE_ROOT_CHANGE_SPECS)
 def test_is_positive_system_on_one_root_changes(spec):
     # swapping one root of a positive system for its negative keeps the
-    # partition and breaks closure unless the root is simple
+    # partition, and gives a positive system exactly when the root is
+    # simple: every swap of every positive system
     d = from_cartan_type(spec).datum
-    for s in positive_systems(d)[:6]:
+    for s in positive_systems(d):
         for i in s:
             changed = (s - {i}) | {d.negation[i]}
-            assert is_positive_system(d, changed) == reference_is_positive_system(d, changed)
+            assert _is_positive_system(d, changed) == reference_is_positive_system(d, changed)
         assert not is_positive_system(d, s - {min(s)})
+
+
+EVERY_SUBSET_SPECS = ["A1:sc", "A2:sc", "B2:sc", "G2:sc", "BC1", "BC2", "A1:sc x A1:sc"]
+
+
+@pytest.mark.parametrize("spec", EVERY_SUBSET_SPECS)
+def test_is_positive_system_matches_reference_on_every_subset(spec):
+    d = from_cartan_type(spec).datum
+    n = len(d.roots)
+    found = 0
+    for mask in range(1 << n):
+        system = frozenset(i for i in range(n) if mask >> i & 1)
+        verdict = _is_positive_system(d, system)
+        assert verdict == reference_is_positive_system(d, system)
+        found += verdict
+    assert found == len(weyl_group(d))
+
+
+SKEWS = {2: (((1, 1), (0, 1)), ((1, 0), (2, 1))),
+         3: (((1, 1, 0), (0, 1, 0), (0, 1, 1)), ((1, 0, 0), (1, 1, 0), (0, 0, 1)))}
+
+
+@pytest.mark.parametrize("spec", ["A2:sc", "B2:sc", "G2:sc", "BC2", "A1:sc x A1:sc",
+                                  "A3:sc", "B3:sc", "BC3"])
+def test_is_positive_system_matches_reference_on_skewed_realizations(spec):
+    # the coroot sum is paired through an explicit pairing matrix
+    d = from_cartan_type(spec).datum
+    skew = skew_realization(d, *SKEWS[d.rank])
+    assert not skew.has_standard_pairing and verify_axioms(skew) == []
+    n = len(skew.roots)
+    if n <= 12:
+        sets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+    else:
+        sets = [(s - {i}) | {skew.negation[i]} for s in positive_systems(skew) for i in s]
+    systems = set(positive_systems(skew))
+    for system in sets:
+        assert _is_positive_system(skew, system) == reference_is_positive_system(skew, system)
+    for system in systems:
+        assert _is_positive_system(skew, system)
+        assert base_of(skew, system) == reference_base_of(skew, system)
+
+
+def reference_base_of(datum, system):
+    """The indecomposable roots of ``system``, those that are no sum of
+    two of its roots, tested with |S|^2 vector sums."""
+    from rootfold.lattice import vec_add
+
+    sums = {vec_add(datum.roots[j], datum.roots[k]) for j in system for k in system}
+    return tuple(i for i in sorted(system) if datum.roots[i] not in sums)
+
+
+BASE_OF_SPECS = ([f"A{n}:sc" for n in range(1, 5)] + [f"B{n}:sc" for n in range(2, 5)]
+                 + [f"C{n}:sc" for n in range(2, 5)] + ["D3:sc", "D4:sc", "F4:sc", "G2:sc"]
+                 + [f"BC{n}" for n in range(1, 5)]
+                 + ["A1:sc x A1:sc", "A1:sc x BC2", "BC1 x G2:sc", "A2:ad x B2:sc",
+                    "A1:sc x A1:sc x A1:sc x A1:sc", "BC1 x BC1 x A2:sc"])
+
+
+@pytest.mark.parametrize("spec", BASE_OF_SPECS)
+def test_base_of_is_the_set_of_indecomposables(spec):
+    d = from_cartan_type(spec).datum
+    for system in positive_systems(d):
+        base = base_of(d, system)
+        assert base == reference_base_of(d, system)
+        assert len(base) == d.rank
 
 
 @settings(max_examples=300, deadline=None)
@@ -609,14 +679,10 @@ def test_is_positive_system_matches_reference_on_random_subsets(data):
 
 
 @pytest.mark.parametrize("spec", ["A3:sc", "BC2", "G2:sc"])
-def test_root_sums_and_negation_tables(spec):
+def test_negation_table(spec):
     d = from_cartan_type(spec).datum
     for i, r in enumerate(d.roots):
         assert d.roots[d.negation[i]] == tuple(-x for x in r)
-        expected = [(j, d.index_of(tuple(x + y for x, y in zip(r, s))))
-                    for j, s in enumerate(d.roots)
-                    if tuple(x + y for x, y in zip(r, s)) in d.root_index]
-        assert list(d.root_sums[i]) == expected
 
 
 # ---------------------------------------------------------------------------

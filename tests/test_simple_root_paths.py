@@ -281,9 +281,21 @@ def test_a_generator_is_checked_with_no_contragredient(case, monkeypatch):
         raise AssertionError("a contragredient was built")
 
     monkeypatch.setattr(rootdatum_module, "contragredient", never)
+    solves = []
+    real_solve = rootdatum_module._matrix_on_roots
+    monkeypatch.setattr(rootdatum_module, "_matrix_on_roots",
+                        lambda *args: solves.append(args) or real_solve(*args))
     for target in (based, based.datum):
         action = make_action(target, [(builder(), "g")])
-        assert "generator_images" not in vars(action)
+        assert solves == []
+        # held as the checked matrix, which is the one its pair solves to
+        assert "generator_images" in vars(action)
+        gens = action.group.generating_set
+        assert action.generator_images == tuple(_automorphisms_from_permutations(
+            based.datum, [action.root_perms[g] for g in gens],
+            [action.blocks[g] for g in gens]))
+        assert action.generator_images[0].on_characters == builder()
+        del solves[:]
 
 
 def test_a_walk_that_misses_roots_refuses_the_base():

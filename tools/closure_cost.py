@@ -8,9 +8,12 @@ A1^40 under a 40-cycle (``make_action`` included), the check of a
 document's explicit group table at the cap of 64 elements
 (``FiniteGroup.from_table`` of (Z/2)^6), the positive system of E8's
 base (120 roots) on a fresh datum, where the simple reflections are
-read off the pairing first, and with them already cached, and the
-character matrices of all 1152 elements of W(F4) from their root
-permutations, ``from_cartan_type("E8:sc")`` (its 240 roots
+read off the pairing first, and with them already cached,
+``is_positive_system`` on each of the 1152 positive systems of F4 on a
+fresh datum (the accepted ones counted as the elements), ``restrict`` of
+the E6 diagram flip on a freshly built action (its 48 restricted roots
+counted), the character matrices of all 1152 elements of W(F4) from
+their root permutations, ``from_cartan_type("E8:sc")`` (its 240 roots
 counted as the elements), and ``make_action`` of the E6 diagram flip on
 its based datum (2 elements), whose permutation is walked from the
 base; ``classify`` of D10 and the diagram maps of A10 onto themselves
@@ -93,6 +96,21 @@ based = from_cartan_type("E8:sc")
 for i in based.base:
     reflection_permutation(based.datum, i)
 run = lambda: based.positive_system
+""",
+    "is_positive_system(F4, 1152 systems, fresh datum)": """
+from rootfold.rootdatum import RootDatum, from_cartan_type, is_positive_system, positive_systems
+built = from_cartan_type("F4:sc").datum
+systems = positive_systems(built)
+datum = RootDatum(built.rank, built.roots, built.coroots)
+run = lambda: [s for s in systems if is_positive_system(datum, s)]
+""",
+    "restrict(E6 flip, fresh datum)": """
+from rootfold.action import make_action
+from rootfold.folding import restrict
+from rootfold.rootdatum import from_cartan_type
+from rootfold.selftest import SLOW_FOLD
+action = make_action(from_cartan_type("E6:sc"), [(SLOW_FOLD[2](), "g")])
+run = lambda: restrict(action).datum.roots
 """,
     "matrices of W(F4)": """
 from rootfold.rootdatum import _automorphisms_from_permutations, from_cartan_type, weyl_group
